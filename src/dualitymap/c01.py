@@ -17,6 +17,15 @@ The dual norm implemented by ``tv_norm`` is the standard total variation
 (sum of absolute atom weights plus the integral of |density|); for the
 single-signed differences that arise along the probe curves it agrees with
 the sup-over-sets variation.
+
+Cost: ``pairing_c``, ``measure_sub`` and the density-support scan of
+``is_duality_member_c`` each make one pass of whole-array numpy operations
+over the union of the breakpoint grids, with no per-segment Python loop.
+``maximizing_set`` finds the breakpoints at the maximum with one array pass
+and then walks only those, so its Python work is linear in the number of
+maximizers (usually one to three).  The array forms keep the arithmetic and
+the left-to-right summation order of the per-segment loops they replace, so
+every result is bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ __all__ = [
     "total_mass",
     "tv_norm",
     "pairing_c",
+    "in_duality_set_c",
     "is_duality_member_c",
 ]
 
@@ -117,7 +127,7 @@ def pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
 
 def sup_norm(f: PwlFunction) -> float:
     """max |f| over [0,1]; attained at a breakpoint by piecewise linearity."""
-    return float(np.max(np.abs(f.values)))
+    return float(abs(f.values).max())
 
 
 @dataclass(frozen=True)
@@ -149,33 +159,28 @@ class MaximizingSet:
 
 
 def maximizing_set(f: PwlFunction, tol: float = VALUE_TOL) -> MaximizingSet:
-    """M(f) = {s : |f(s)| = ||f||}; rejects f = 0 where the set is undefined."""
+    """M(f) = {s : |f(s)| = ||f||}; rejects f = 0 where the set is undefined.
+
+    A segment is a plateau when both endpoints sit at the same signed
+    maximum; runs of plateau segments merge into one interval and every
+    other maximizing breakpoint is an atom.
+    """
     norm = sup_norm(f)
     if norm == 0.0:
         raise ValueError("maximizing set undefined for the zero function")
-    bp, vals = f.breakpoints, f.values
-    at_max = np.abs(np.abs(vals) - norm) <= tol
-    nseg = bp.size - 1
-    plateau = [
-        bool(at_max[i] and at_max[i + 1] and abs(vals[i] - vals[i + 1]) <= tol)
-        for i in range(nseg)
-    ]
-    intervals = []
-    i = 0
-    while i < nseg:
-        if plateau[i]:
-            j = i
-            while j + 1 < nseg and plateau[j + 1]:
-                j += 1
-            intervals.append((float(bp[i]), float(bp[j + 1])))
-            i = j + 1
+    idx = (abs(abs(f.values) - norm) <= tol).nonzero()[0]
+    pos, vals = f.breakpoints[idx].tolist(), f.values[idx].tolist()
+    idx = idx.tolist()
+    atoms, intervals = [], []
+    start = 0  # first maximizer of the current run
+    for j in range(1, len(idx) + 1):
+        if j < len(idx) and idx[j] == idx[j - 1] + 1 and abs(vals[j - 1] - vals[j]) <= tol:
+            continue  # a plateau segment joins maximizer j to the run
+        if start == j - 1:
+            atoms.append(pos[start])
         else:
-            i += 1
-    atoms = [
-        float(bp[i])
-        for i in range(bp.size)
-        if at_max[i] and not (i > 0 and plateau[i - 1]) and not (i < nseg and plateau[i])
-    ]
+            intervals.append((pos[start], pos[j - 1]))
+        start = j
     return MaximizingSet(tuple(atoms), tuple(intervals))
 
 
@@ -209,11 +214,13 @@ class StepDensity:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
-    def value_in(self, a: float, b: float) -> float:
-        """Density value on a subinterval (a,b) of a single grid segment."""
-        mid = 0.5 * (a + b)
-        idx = int(np.searchsorted(self.breakpoints, mid, side="right")) - 1
-        return float(self.values[min(max(idx, 0), self.values.size - 1)])
+    def values_on(self, grid: np.ndarray) -> np.ndarray:
+        """Density value on each segment of ``grid``, a refinement of this grid."""
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        # Segment k of this grid holds the midpoints in [bp[k], bp[k+1]); a
+        # search over the interior breakpoints also sends a midpoint that
+        # rounds onto 1 to the last segment.
+        return self.values[self.breakpoints[1:-1].searchsorted(mids, side="right")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,13 +270,9 @@ def measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
     if mu.density is not None or nu.density is not None:
         grids = [d.breakpoints for d in (mu.density, nu.density) if d is not None]
         grid = grids[0] if len(grids) == 1 else np.union1d(grids[0], grids[1])
-        vals = np.zeros(grid.size - 1)
-        for k in range(grid.size - 1):
-            a, b = grid[k], grid[k + 1]
-            left = mu.density.value_in(a, b) if mu.density is not None else 0.0
-            right = nu.density.value_in(a, b) if nu.density is not None else 0.0
-            vals[k] = left - right
-        density = StepDensity(grid, vals)
+        left = mu.density.values_on(grid) if mu.density is not None else 0.0
+        right = nu.density.values_on(grid) if nu.density is not None else 0.0
+        density = StepDensity(grid, left - right)
     return RcaMeasure(atoms=tuple(atoms), density=density)
 
 
@@ -295,11 +298,11 @@ def pairing_c(mu: RcaMeasure, f: PwlFunction) -> float:
     if mu.density is not None:
         grid = np.union1d(mu.density.breakpoints, f.breakpoints)
         fvals = f(grid)
-        for k in range(grid.size - 1):
-            a, b = grid[k], grid[k + 1]
-            d = mu.density.value_in(a, b)
-            if d != 0.0:
-                total += d * (b - a) * 0.5 * (fvals[k] + fvals[k + 1])
+        d = mu.density.values_on(grid)
+        terms = d * (grid[1:] - grid[:-1]) * 0.5 * (fvals[:-1] + fvals[1:])
+        # Zero-density segments add nothing; the running sum keeps the
+        # left-to-right order of a segment-by-segment accumulation.
+        total = np.concatenate(([total], terms[d != 0.0])).cumsum()[-1]
     return float(total)
 
 
@@ -312,26 +315,27 @@ class MembershipReport:
     support_ok: bool
 
 
-def is_duality_member_c(mu: RcaMeasure, f: PwlFunction, tol: float = 1e-9) -> MembershipReport:
-    """Test mu in J(f): tv norm matches ||f|| and <mu, f> = ||f||**2 within tol."""
+def in_duality_set_c(mu: RcaMeasure, f: PwlFunction, tol: float = 1e-9) -> bool:
+    """mu in J(f): tv norm matches ||f|| and <mu, f> = ||f||**2 within tol."""
     norm = sup_norm(f)
     if norm == 0.0:
         raise ValueError("membership test needs ||f|| > 0")
-    member = (
-        abs(tv_norm(mu) - norm) <= tol and abs(pairing_c(mu, f) - norm * norm) <= tol
-    )
+    return abs(tv_norm(mu) - norm) <= tol and abs(pairing_c(mu, f) - norm * norm) <= tol
+
+
+def is_duality_member_c(mu: RcaMeasure, f: PwlFunction, tol: float = 1e-9) -> MembershipReport:
+    """The ``in_duality_set_c`` test plus the support check of mu on M(f)."""
+    member = in_duality_set_c(mu, f, tol)
     mset = maximizing_set(f)
     support_ok = all(mset.contains(loc, tol) for loc, _ in mu.atoms)
     if support_ok and mu.density is not None:
         bp, vals = mu.density.breakpoints, mu.density.values
-        for k in range(vals.size):
-            if vals[k] != 0.0:
-                inside = any(
-                    a - tol <= bp[k] and bp[k + 1] <= b + tol for a, b in mset.intervals
-                )
-                if not inside:
-                    support_ok = False
-                    break
+        nz = vals.nonzero()[0]
+        lo, hi = bp[nz], bp[nz + 1]
+        inside = np.zeros(nz.size, dtype=bool)
+        for a, b in mset.intervals:
+            inside |= (a - tol <= lo) & (hi <= b + tol)
+        support_ok = bool(inside.all())
     return MembershipReport(member, support_ok)
 
 
@@ -428,7 +432,7 @@ class C01Space:
     def is_member(self, f: PwlFunction, mu: RcaMeasure, tol: float = 1e-9) -> bool:
         if sup_norm(f) == 0.0:
             return tv_norm(mu) <= tol
-        return is_duality_member_c(mu, f, tol).member
+        return in_duality_set_c(mu, f, tol)
 
     def in_second_dual_domain(self, h: PwlFunction) -> bool:
         # Only the nonnegative cone of C[0,1] embeds into the second dual.

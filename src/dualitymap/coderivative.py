@@ -44,6 +44,8 @@ __all__ = [
 SETTLE_TOL = 1e-6
 CERT_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-9
+# Upper bound on Schedule.steps; the default schedule takes 24.
+MAX_STEPS = 100
 
 VERDICT_CERTIFIED = "certified"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -112,6 +114,10 @@ class Schedule:
             raise ValueError("ratio must lie strictly between 0 and 1")
         if self.steps < 8:
             raise ValueError("need at least 8 steps")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"at most {MAX_STEPS} steps")
+        if not self.t0 * self.ratio ** (self.steps - 1) > 0.0:
+            raise ValueError("the last sample t0 * ratio**(steps-1) underflows to 0")
 
 
 def default_schedule(t_max: float = 1.0) -> Schedule:

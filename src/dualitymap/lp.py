@@ -15,6 +15,7 @@ formula itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +55,17 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def _norm(v: np.ndarray, p: float) -> float:
+    norm = float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+    if not math.isfinite(norm):
+        raise ValueError(f"l_{p} norm overflows")
+    return norm
+
+
 def lp_norm(x, p: float) -> float:
-    """(sum |x_i|**p)**(1/p)."""
+    """(sum |x_i|**p)**(1/p); raises ValueError when that overflows."""
     p = _check_exponent(p)
-    v = as_vector(x)
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+    return _norm(as_vector(x), p)
 
 
 def duality_map(x, p: float) -> np.ndarray:
@@ -66,11 +73,12 @@ def duality_map(x, p: float) -> np.ndarray:
 
     Returns the zero vector for x = 0 (J(0) = 0 in the dual), otherwise the
     vector with coordinates sign(x_i) |x_i|**(p-1) / ||x||_p**(p-2).  The
-    result u satisfies <u, x> = ||x||_p**2 and ||u||_q = ||x||_p.
+    result u satisfies <u, x> = ||x||_p**2 and ||u||_q = ||x||_p.  Raises
+    ValueError when ||x||_p overflows.
     """
     p = _check_exponent(p)
     v = as_vector(x)
-    norm = lp_norm(v, p)
+    norm = _norm(v, p)
     if norm == 0.0:
         return np.zeros_like(v)
     return np.sign(v) * np.abs(v) ** (p - 1.0) / norm ** (p - 2.0)

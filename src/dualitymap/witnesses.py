@@ -305,7 +305,7 @@ def _resolve_measure(params: dict, key: str, f: c01.PwlFunction) -> c01.RcaMeasu
             mu = c01.atomic_duality_measure(f, sel["points"], sel.get("alphas"))
     else:
         mu = c01.canonical_duality_measure(f)
-    _require(c01.is_duality_member_c(mu, f).member, f"{key} in J(f)")
+    _require(c01.in_duality_set_c(mu, f), f"{key} in J(f)")
     return mu
 
 

@@ -15,7 +15,7 @@ from dualitymap import (
     quotient,
     reverify_certificate,
 )
-from dualitymap.coderivative import LimitEstimate, NonMembershipCertificate
+from dualitymap.coderivative import MAX_STEPS, LimitEstimate, NonMembershipCertificate
 
 
 @pytest.fixture
@@ -102,6 +102,16 @@ def test_schedule_validation():
         Schedule(ratio=1.0)
     with pytest.raises(ValueError):
         Schedule(steps=4)
+    # Only constructed, never run: each would sample far too long or at t = 0.
+    Schedule(steps=MAX_STEPS)
+    with pytest.raises(ValueError, match="at most"):
+        Schedule(steps=MAX_STEPS + 1)
+    with pytest.raises(ValueError, match="at most"):
+        Schedule(steps=10**9)
+    with pytest.raises(ValueError, match="underflows"):
+        Schedule(ratio=1e-300)
+    with pytest.raises(ValueError, match="underflows"):
+        Schedule(t0=1e-300, ratio=1e-2, steps=40)
 
 
 def test_t0_shrinks_to_curve_window(l2):

@@ -36,6 +36,21 @@ def test_exponent_guard(bad_p):
         duality_map([1.0, 2.0], bad_p)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (lp_norm, ([1e200, 1.0], 4.0)),
+        (duality_map, ([1e200, 1.0], 4.0)),
+        (duality_map, ([1.0, 2.0], 1e6)),
+    ],
+)
+def test_overflow_raises(call, args):
+    # These used to return inf, [nan, 0] and [0, nan].
+    with pytest.raises(ValueError, match="overflows"):
+        call(*args)
+
+
 def test_duality_map_examples():
     # Hilbert case: the map is the identity, without a p = 2 special case.
     np.testing.assert_allclose(duality_map([3.0, 4.0], 2.0), [3.0, 4.0], atol=1e-12)
