@@ -409,7 +409,21 @@ def embed_second_dual_c(f: PwlFunction) -> SecondDualHandle:
 
 @dataclass(frozen=True)
 class C01Space:
-    """Space descriptor and engine backend for the piecewise-linear C[0,1] model."""
+    """Space descriptor and engine backend for the piecewise-linear C[0,1] model.
+
+    ``PwlFunction`` and ``RcaMeasure`` validate when they are built, so
+    ``check`` and ``check_dual`` only confirm the type.
+    """
+
+    def check(self, f) -> PwlFunction:
+        if not isinstance(f, PwlFunction):
+            raise TypeError(f"expected a PwlFunction, got {type(f).__name__}")
+        return f
+
+    def check_dual(self, mu) -> RcaMeasure:
+        if not isinstance(mu, RcaMeasure):
+            raise TypeError(f"expected an RcaMeasure, got {type(mu).__name__}")
+        return mu
 
     def norm(self, f: PwlFunction) -> float:
         return sup_norm(f)
@@ -425,6 +439,12 @@ class C01Space:
 
     def dual_sub(self, mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
         return measure_sub(mu, nu)
+
+    def scale(self, f: PwlFunction, c: float) -> PwlFunction:
+        return pwl_scale(f, c)
+
+    def dual_scale(self, mu: RcaMeasure, c: float) -> RcaMeasure:
+        return measure_scale(mu, c)
 
     def canonical_dual(self, f: PwlFunction) -> RcaMeasure:
         return canonical_duality_measure(f)

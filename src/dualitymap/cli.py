@@ -24,23 +24,17 @@ import numpy as np
 
 from . import c01, l1, serialize
 from .coderivative import Schedule, certify_nonmembership
-from .lp import LpSpace, duality_map
 from .oracles import SuiteReport, run_appendix_battery, run_backend_invariants
 from .witnesses import HypothesisViolation, build_witness
 
 
 def _space_from_args(args):
-    if args.space == "lp":
-        if args.p is None:
-            raise ValueError("--space lp requires --p")
-        return LpSpace(float(args.p))
-    if args.space == "l1":
-        if args.weights is None:
-            raise ValueError("--space l1 requires --weights")
-        return l1.FiniteMeasureSpace(np.asarray(json.loads(args.weights), dtype=float))
-    if args.space == "c01":
-        return c01.C01Space()
-    raise ValueError(f"unknown space: {args.space}")
+    if args.space == "lp" and args.p is None:
+        raise ValueError("--space lp requires --p")
+    if args.space == "l1" and args.weights is None:
+        raise ValueError("--space l1 requires --weights")
+    weights = None if args.weights is None else json.loads(args.weights)
+    return serialize.space_from_descriptor({"space": args.space, "p": args.p, "weights": weights})
 
 
 def cmd_eval(args) -> int:
@@ -48,8 +42,8 @@ def cmd_eval(args) -> int:
     if args.space == "lp":
         if args.vector is None:
             raise ValueError("--space lp requires --vector")
-        x = np.asarray(json.loads(args.vector), dtype=float)
-        out = serialize.encode_dual(space, duality_map(x, space.p))
+        x = space.check(json.loads(args.vector))
+        out = [float(v) for v in space.canonical_dual(x)]
     elif args.space == "l1":
         if args.values is None:
             raise ValueError("--space l1 requires --values")
@@ -69,17 +63,12 @@ def cmd_eval(args) -> int:
         except json.JSONDecodeError:
             pass  # named shorthand such as "tent"
         f = serialize.pwl_from_json(raw)
-        if c01.sup_norm(f) == 0.0:
-            out = {"maximizing_set": None, "selection": serialize.measure_to_json(c01.zero_measure())}
-        else:
-            mset = c01.maximizing_set(f)
-            out = {
-                "maximizing_set": {
-                    "atoms": list(mset.atoms),
-                    "intervals": [list(iv) for iv in mset.intervals],
-                },
-                "selection": serialize.measure_to_json(c01.canonical_duality_measure(f)),
-            }
+        mset = None
+        if space.norm(f) != 0.0:
+            found = c01.maximizing_set(f)
+            mset = {"atoms": list(found.atoms), "intervals": [list(iv) for iv in found.intervals]}
+        selection = serialize.measure_to_json(space.canonical_dual(f))
+        out = {"maximizing_set": mset, "selection": selection}
     print(json.dumps(out))
     return 0
 

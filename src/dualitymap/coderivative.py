@@ -21,11 +21,12 @@ settled, positive, and at or above a claimed closed-form bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
 __all__ = [
+    "Space",
     "GraphPair",
     "CoderivativeQuery",
     "ProbeCurve",
@@ -52,6 +53,28 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_NOT_CERTIFIED = "not_certified"
 
 
+class Space(Protocol):
+    """The backend protocol of ``LpSpace``, ``FiniteMeasureSpace`` and ``C01Space``.
+
+    ``check`` / ``check_dual`` validate an outside primal / dual value once and
+    return the form the other methods take; those assume checked arguments.
+    """
+
+    def check(self, x): ...
+    def check_dual(self, u): ...
+    def norm(self, x) -> float: ...
+    def dual_norm(self, u) -> float: ...
+    def pair(self, u, x) -> float: ...
+    def sub(self, x, y): ...
+    def dual_sub(self, u, v): ...
+    def scale(self, x, c: float): ...
+    def dual_scale(self, u, c: float): ...
+    def canonical_dual(self, x): ...
+    def is_member(self, x, u, tol: float) -> bool: ...
+    def in_second_dual_domain(self, y) -> bool: ...
+    def descriptor(self) -> dict: ...
+
+
 @dataclass(frozen=True, eq=False)
 class GraphPair:
     """A point of gph J: a primal element with one of its duality selections."""
@@ -67,21 +90,27 @@ class CoderivativeQuery:
     ``second_dual`` is None for the zero functional, otherwise a primal
     element embedded by integration (which the backend restricts to its
     positive cone where the space is not reflexive); an embedding handle
-    with a ``function`` attribute is unwrapped to its primal element.
+    with a ``function`` attribute is unwrapped to its primal element.  Every
+    value passes the space's ``check``/``check_dual`` once, here, and the
+    checked values are the ones stored.
     """
 
-    space: object
+    space: Space
     base: GraphPair
     candidate: object
     second_dual: object = None
 
     def __post_init__(self):
-        if not self.space.is_member(self.base.point, self.base.dual, MEMBERSHIP_TOL):
+        space = self.space
+        base = GraphPair(space.check(self.base.point), space.check_dual(self.base.dual))
+        if not space.is_member(base.point, base.dual, MEMBERSHIP_TOL):
             raise ValueError("base dual element fails the duality membership test")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "candidate", space.check_dual(self.candidate))
         if self.second_dual is not None:
-            embedded = getattr(self.second_dual, "function", self.second_dual)
+            embedded = space.check(getattr(self.second_dual, "function", self.second_dual))
             object.__setattr__(self, "second_dual", embedded)
-            if not self.space.in_second_dual_domain(embedded):
+            if not space.in_second_dual_domain(embedded):
                 raise ValueError("second-dual argument is not representable in this model")
 
 
@@ -173,27 +202,11 @@ class FalsificationLead:
     estimates: dict
 
 
-def quotient(query: CoderivativeQuery, pair: GraphPair) -> float:
-    """Coderivative difference quotient of the query at one graph pair."""
+def _quotient(query: CoderivativeQuery, u, u_star) -> tuple:
+    """Quotient and graph distance at the checked graph pair (u, u*)."""
     space = query.space
-    du = space.sub(pair.point, query.base.point)
-    dstar = space.dual_sub(pair.dual, query.base.dual)
-    den = space.norm(du) + space.dual_norm(dstar)
-    if den <= 0.0:
-        raise ValueError("degenerate pair: zero distance to the base point")
-    num = space.pair(query.candidate, du)
-    if query.second_dual is not None:
-        num -= space.pair(dstar, query.second_dual)
-    return num / den
-
-
-def _sample(query: CoderivativeQuery, pair: GraphPair, membership_tol: float):
-    """Quotient plus graph distance, validating duality membership of the pair."""
-    space = query.space
-    if not space.is_member(pair.point, pair.dual, membership_tol):
-        raise ValueError("probe curve produced a pair outside gph J")
-    du = space.sub(pair.point, query.base.point)
-    dstar = space.dual_sub(pair.dual, query.base.dual)
+    du = space.sub(u, query.base.point)
+    dstar = space.dual_sub(u_star, query.base.dual)
     den = space.norm(du) + space.dual_norm(dstar)
     if den <= 0.0:
         raise ValueError("degenerate pair: zero distance to the base point")
@@ -201,6 +214,21 @@ def _sample(query: CoderivativeQuery, pair: GraphPair, membership_tol: float):
     if query.second_dual is not None:
         num -= space.pair(dstar, query.second_dual)
     return num / den, den
+
+
+def quotient(query: CoderivativeQuery, pair: GraphPair) -> float:
+    """Coderivative difference quotient of the query at one graph pair."""
+    space = query.space
+    return _quotient(query, space.check(pair.point), space.check_dual(pair.dual))[0]
+
+
+def _sample(query: CoderivativeQuery, pair: GraphPair, membership_tol: float) -> tuple:
+    """Quotient plus graph distance, validating duality membership of the pair."""
+    space = query.space
+    u, u_star = space.check(pair.point), space.check_dual(pair.dual)
+    if not space.is_member(u, u_star, membership_tol):
+        raise ValueError("probe curve produced a pair outside gph J")
+    return _quotient(query, u, u_star)
 
 
 def estimate_limit(

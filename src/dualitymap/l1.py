@@ -71,33 +71,42 @@ class FiniteMeasureSpace:
             raise ValueError("values must be finite")
         return v
 
-    # -- engine protocol -------------------------------------------------
+    check_dual = check
+
+    # -- engine protocol: value lists already passed through ``check`` ----
     def norm(self, f) -> float:
-        return l1_norm(f, self)
+        return float(np.sum(np.abs(f) * self.weights))
 
     def dual_norm(self, g) -> float:
-        return linf_norm(g, self)
+        return float(np.max(np.abs(g)))
 
     def pair(self, g, f) -> float:
-        return pairing_l1(g, f, self)
+        return float(np.sum(g * f * self.weights))
 
     def sub(self, f, g) -> np.ndarray:
-        return self.check(f) - self.check(g)
+        return f - g
 
     dual_sub = sub
 
+    def scale(self, f, c: float) -> np.ndarray:
+        return c * f
+
+    dual_scale = scale
+
     def canonical_dual(self, f) -> np.ndarray:
-        f = self.check(f)
-        if not np.any(f):
-            return zero_selection(self)
-        return duality_selection(f, self, np.zeros(int(np.sum(f == 0.0))))
+        """The selection with free values 0: +-||f||_1 on the sign sets."""
+        norm = self.norm(f)
+        return np.where(f > 0.0, norm, np.where(f < 0.0, -norm, 0.0))
 
     def is_member(self, f, g, tol: float = 1e-10) -> bool:
-        return is_duality_member(g, f, self, tol)
+        """||g||_inf = ||f||_1 and <g, f> = ||f||_1**2, each within tol * max(1, rhs)."""
+        norm = self.norm(f)
+        norm_ok = abs(self.dual_norm(g) - norm) <= tol * max(1.0, norm)
+        return norm_ok and abs(self.pair(g, f) - norm * norm) <= tol * max(1.0, norm * norm)
 
     def in_second_dual_domain(self, h) -> bool:
         # Only the positive cone embeds into the second dual.
-        return bool(np.all(self.check(h) >= 0.0))
+        return bool(np.all(h >= 0.0))
 
     def descriptor(self) -> dict:
         return {"space": "l1", "weights": [float(w) for w in self.weights]}
@@ -121,17 +130,17 @@ def indicator(space: FiniteMeasureSpace, mask) -> np.ndarray:
 
 def l1_norm(f, space: FiniteMeasureSpace) -> float:
     """Weighted absolute sum: sum |f_i| * weight_i."""
-    return float(np.sum(np.abs(space.check(f)) * space.weights))
+    return space.norm(space.check(f))
 
 
 def linf_norm(g, space: FiniteMeasureSpace) -> float:
     """Essential sup = max |g_i| (every atom has positive weight)."""
-    return float(np.max(np.abs(space.check(g))))
+    return space.dual_norm(space.check(g))
 
 
 def pairing_l1(g, f, space: FiniteMeasureSpace) -> float:
     """Canonical pairing <g, f> = sum g_i f_i weight_i."""
-    return float(np.sum(space.check(g) * space.check(f) * space.weights))
+    return space.pair(space.check(g), space.check(f))
 
 
 def zero_selection(space: FiniteMeasureSpace) -> np.ndarray:
@@ -147,7 +156,7 @@ def duality_selection(f, space: FiniteMeasureSpace, a=()) -> np.ndarray:
     template needs f != 0.
     """
     f = space.check(f)
-    norm = l1_norm(f, space)
+    norm = space.norm(f)
     if norm == 0.0:
         raise ValueError("f = 0 is degenerate here: J(0) = {0*}, use zero_selection")
     a = np.asarray(a, dtype=float)
@@ -158,18 +167,14 @@ def duality_selection(f, space: FiniteMeasureSpace, a=()) -> np.ndarray:
         )
     if a.size and np.max(np.abs(a)) > norm:
         raise ValueError("free values must satisfy |a(s)| <= ||f||_1")
-    g = np.where(f > 0.0, norm, np.where(f < 0.0, -norm, 0.0))
+    g = space.canonical_dual(f)
     g[zero_set] = a
     return g
 
 
 def is_duality_member(g, f, space: FiniteMeasureSpace, tol: float = 1e-10) -> bool:
-    """True iff ||g||_inf = ||f||_1 and <g, f> = ||f||_1**2, both within tol."""
-    norm = l1_norm(f, space)
-    return (
-        abs(linf_norm(g, space) - norm) <= tol
-        and abs(pairing_l1(g, f, space) - norm * norm) <= tol
-    )
+    """True iff ||g||_inf = ||f||_1 and <g, f> = ||f||_1**2, each within tol * max(1, rhs)."""
+    return space.is_member(space.check(f), space.check(g), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,11 +192,10 @@ def duality_set_classify(f, space: FiniteMeasureSpace) -> DualityClassification:
     For f = 0 the report is the singleton {0*} with no free points.
     """
     f = space.check(f)
-    zero_mask = f == 0.0
     if not np.any(f):
         return DualityClassification(True, np.zeros(space.n, dtype=bool), zero_selection(space))
-    selection = duality_selection(f, space, np.zeros(int(np.sum(zero_mask))))
-    return DualityClassification(not bool(np.any(zero_mask)), zero_mask, selection)
+    zero_mask = f == 0.0
+    return DualityClassification(not bool(np.any(zero_mask)), zero_mask, space.canonical_dual(f))
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,10 +62,19 @@ def _norm(v: np.ndarray, p: float) -> float:
     return norm
 
 
+def _same_dimension(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+
+
+def _pair(u: np.ndarray, x: np.ndarray) -> float:
+    _same_dimension(u, x)
+    return float(np.dot(u, x))
+
+
 def lp_norm(x, p: float) -> float:
     """(sum |x_i|**p)**(1/p); raises ValueError when that overflows."""
-    p = _check_exponent(p)
-    return _norm(as_vector(x), p)
+    return _norm(as_vector(x), _check_exponent(p))
 
 
 def duality_map(x, p: float) -> np.ndarray:
@@ -76,12 +85,7 @@ def duality_map(x, p: float) -> np.ndarray:
     result u satisfies <u, x> = ||x||_p**2 and ||u||_q = ||x||_p.  Raises
     ValueError when ||x||_p overflows.
     """
-    p = _check_exponent(p)
-    v = as_vector(x)
-    norm = _norm(v, p)
-    if norm == 0.0:
-        return np.zeros_like(v)
-    return np.sign(v) * np.abs(v) ** (p - 1.0) / norm ** (p - 2.0)
+    return LpSpace(p).duality(as_vector(x))
 
 
 def dual_duality_map(u, q: float) -> np.ndarray:
@@ -94,21 +98,12 @@ def dual_duality_map(u, q: float) -> np.ndarray:
 
 def pairing(u, x) -> float:
     """Canonical pairing <u, x> = sum u_i x_i between l_q and l_p."""
-    uu = as_vector(u)
-    xx = as_vector(x)
-    if uu.shape != xx.shape:
-        raise ValueError(f"dimension mismatch: {uu.shape[0]} vs {xx.shape[0]}")
-    return float(np.dot(uu, xx))
+    return _pair(as_vector(u), as_vector(x))
 
 
 def is_duality_member_lp(u, x, p: float, tol: float = 1e-9) -> bool:
     """Check <u, x> = ||x||_p**2 and ||u||_q = ||x||_p to relative tol."""
-    p = _check_exponent(p)
-    q = conjugate_exponent(p)
-    nx = lp_norm(x, p)
-    pair_err = abs(pairing(u, x) - nx * nx)
-    norm_err = abs(lp_norm(u, q) - nx)
-    return pair_err <= tol * max(1.0, nx * nx) and norm_err <= tol * max(1.0, nx)
+    return LpSpace(p).is_member(as_vector(x), as_vector(u), tol)
 
 
 @dataclass(frozen=True)
@@ -116,44 +111,61 @@ class LpSpace:
     """The space descriptor for l_p; also the backend hook used by the engine.
 
     Primal elements and dual elements are both plain 1-d arrays; the dual
-    space is l_q with q = p / (p - 1).
+    space is l_q with q = p / (p - 1).  The methods after ``check`` take
+    checked vectors and only compare their dimensions.
     """
 
     p: float
 
     def __post_init__(self):
-        _check_exponent(self.p)
+        object.__setattr__(self, "p", _check_exponent(self.p))
 
     @property
     def q(self) -> float:
-        return conjugate_exponent(self.p)
+        return self.p / (self.p - 1.0)
 
     # -- engine protocol -------------------------------------------------
+    def check(self, x) -> np.ndarray:
+        return as_vector(x)
+
+    check_dual = check
+
     def norm(self, x) -> float:
-        return lp_norm(x, self.p)
+        return _norm(x, self.p)
 
     def dual_norm(self, u) -> float:
-        return lp_norm(u, self.q)
+        return _norm(u, self.q)
 
     def pair(self, u, x) -> float:
-        return pairing(u, x)
+        return _pair(u, x)
 
     def sub(self, x, y) -> np.ndarray:
-        return as_vector(x) - as_vector(y)
+        _same_dimension(x, y)
+        return x - y
 
     dual_sub = sub
 
+    def scale(self, x, c: float) -> np.ndarray:
+        return c * x
+
+    dual_scale = scale
+
     def duality(self, x) -> np.ndarray:
-        return duality_map(x, self.p)
+        norm = _norm(x, self.p)
+        if norm == 0.0:
+            return np.zeros_like(x)
+        return np.sign(x) * np.abs(x) ** (self.p - 1.0) / norm ** (self.p - 2.0)
 
     canonical_dual = duality
 
     def is_member(self, x, u, tol: float = 1e-9) -> bool:
-        return is_duality_member_lp(u, x, self.p, tol)
+        nx = _norm(x, self.p)
+        pair_err = abs(_pair(u, x) - nx * nx)
+        norm_err = abs(_norm(u, self.q) - nx)
+        return pair_err <= tol * max(1.0, nx * nx) and norm_err <= tol * max(1.0, nx)
 
     def in_second_dual_domain(self, y) -> bool:
         # l_p is reflexive: every primal vector represents a second dual.
-        as_vector(y)
         return True
 
     def descriptor(self) -> dict:

@@ -157,77 +157,26 @@ def _record(property_id: str, violations, applicable: bool = True) -> PropertyRe
     )
 
 
-def _lp_battery(space: lp.LpSpace, count: int, rng) -> list:
-    def draw():
-        dim = int(rng.integers(1, 9))
-        x = rng.uniform(-10.0, 10.0, dim)
-        if dim > 1 and rng.random() < 0.3:
-            x[rng.integers(0, dim)] = 0.0
-        return x
-
-    j2, j3, j4, j5, j6 = [], [], [], [], []
-    hilbert = space.p == 2.0
-    for _ in range(count):
-        x = draw()
-        y = rng.uniform(-10.0, 10.0, x.size)
-        jx, jy = space.duality(x), space.duality(y)
-        if hilbert:
-            j2.append(float(np.max(np.abs(jx - x))))
-        j3.append(space.dual_norm(space.duality(np.zeros_like(x))))
-        alpha = float(rng.uniform(-3.0, 3.0))
-        j4.append(float(np.max(np.abs(space.duality(alpha * x) - alpha * jx))))
-        j5.append(max(0.0, -lp.pairing(jx - jy, x - y)))
-        mid = space.norm(x) ** 2 - space.norm(y) ** 2
-        j6.append(
-            max(
-                0.0,
-                2.0 * lp.pairing(jy, x - y) - mid,
-                mid - 2.0 * lp.pairing(jx, x - y),
-            )
-        )
-    return [
-        _record("J2", j2, applicable=hilbert),
-        _record("J3", j3),
-        _record("J4", j4),
-        _record("J5", j5),
-        _record("J6", j6),
-    ]
+def _draw_lp(space: lp.LpSpace, rng) -> tuple:
+    dim = int(rng.integers(1, 9))
+    x = rng.uniform(-10.0, 10.0, dim)
+    if dim > 1 and rng.random() < 0.3:
+        x[rng.integers(0, dim)] = 0.0
+    y = rng.uniform(-10.0, 10.0, x.size)
+    return x, y, float(rng.uniform(-3.0, 3.0))
 
 
-def _l1_battery(space: l1.FiniteMeasureSpace, count: int, rng) -> list:
-    def draw():
-        while True:
-            f = rng.uniform(-5.0, 5.0, space.n)
-            zeros = rng.random(space.n) < 0.25
-            f[zeros] = 0.0
-            if np.any(f):
-                return f
+def _nonzero_values(space: l1.FiniteMeasureSpace, rng) -> np.ndarray:
+    while True:
+        f = rng.uniform(-5.0, 5.0, space.n)
+        zeros = rng.random(space.n) < 0.25
+        f[zeros] = 0.0
+        if np.any(f):
+            return f
 
-    j3, j4, j5, j6 = [], [], [], []
-    for _ in range(count):
-        f, g = draw(), draw()
-        jf, jg = space.canonical_dual(f), space.canonical_dual(g)
-        j3.append(space.dual_norm(space.canonical_dual(np.zeros(space.n))))
-        alpha = float(rng.uniform(-3.0, 3.0))
-        j4.append(
-            float(np.max(np.abs(space.canonical_dual(alpha * f) - alpha * jf)))
-        )
-        j5.append(max(0.0, -space.pair(jf - jg, f - g)))
-        mid = space.norm(f) ** 2 - space.norm(g) ** 2
-        j6.append(
-            max(
-                0.0,
-                2.0 * space.pair(jg, f - g) - mid,
-                mid - 2.0 * space.pair(jf, f - g),
-            )
-        )
-    return [
-        _record("J2", [], applicable=False),
-        _record("J3", j3),
-        _record("J4", j4),
-        _record("J5", j5),
-        _record("J6", j6),
-    ]
+
+def _draw_l1(space: l1.FiniteMeasureSpace, rng) -> tuple:
+    return _nonzero_values(space, rng), _nonzero_values(space, rng), float(rng.uniform(-3.0, 3.0))
 
 
 def random_pwl(rng, max_breakpoints: int = 8, scale: float = 5.0) -> c01.PwlFunction:
@@ -237,55 +186,60 @@ def random_pwl(rng, max_breakpoints: int = 8, scale: float = 5.0) -> c01.PwlFunc
     return c01.PwlFunction(bp, rng.uniform(-scale, scale, bp.size))
 
 
-def _c01_battery(space: c01.C01Space, count: int, rng) -> list:
-    j3, j4, j5, j6 = [], [], [], []
-    for _ in range(count):
-        f = random_pwl(rng)
-        g = random_pwl(rng)
-        mu_f, mu_g = space.canonical_dual(f), space.canonical_dual(g)
-        j3.append(c01.tv_norm(space.canonical_dual(c01.pwl_constant(0.0))))
-        alpha = float(rng.uniform(-3.0, 3.0))
+def _draw_c01(space: c01.C01Space, rng) -> tuple:
+    return random_pwl(rng), random_pwl(rng), float(rng.uniform(-3.0, 3.0))
+
+
+# One draw per backend: two checked primal elements x, y and a scalar alpha.
+_DRAWS = {"lp": _draw_lp, "l1": _draw_l1, "c01": _draw_c01}
+
+
+def run_appendix_battery(space, sample_count: int, seed: int) -> SuiteReport:
+    """Run every applicable appendix property on seeded random instances.
+
+    J2 (J is the identity) applies to l_2 only.  Differences of dual elements
+    are measured in the dual norm.
+    """
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
+    try:
+        draw = _DRAWS[space.descriptor()["space"]]
+    except (AttributeError, KeyError):
+        raise TypeError(f"no battery for {type(space).__name__}") from None
+    rng = np.random.default_rng(seed)
+    hilbert = space.descriptor() == {"space": "lp", "p": 2.0}
+    j2, j3, j4, j5, j6 = [], [], [], [], []
+    for _ in range(sample_count):
+        x, y, alpha = draw(space, rng)
+        jx, jy = space.canonical_dual(x), space.canonical_dual(y)
+        if hilbert:
+            j2.append(space.dual_norm(space.dual_sub(jx, x)))
+        j3.append(space.dual_norm(space.canonical_dual(space.scale(x, 0.0))))
         j4.append(
-            c01.tv_norm(
-                c01.measure_sub(
-                    space.canonical_dual(c01.pwl_scale(f, alpha)),
-                    c01.measure_scale(mu_f, alpha),
+            space.dual_norm(
+                space.dual_sub(
+                    space.canonical_dual(space.scale(x, alpha)), space.dual_scale(jx, alpha)
                 )
             )
         )
-        diff = c01.pwl_sub(f, g)
-        j5.append(max(0.0, -c01.pairing_c(c01.measure_sub(mu_f, mu_g), diff)))
-        mid = space.norm(f) ** 2 - space.norm(g) ** 2
+        diff = space.sub(x, y)
+        j5.append(max(0.0, -space.pair(space.dual_sub(jx, jy), diff)))
+        mid = space.norm(x) ** 2 - space.norm(y) ** 2
         j6.append(
             max(
                 0.0,
-                2.0 * c01.pairing_c(mu_g, diff) - mid,
-                mid - 2.0 * c01.pairing_c(mu_f, diff),
+                2.0 * space.pair(jy, diff) - mid,
+                mid - 2.0 * space.pair(jx, diff),
             )
         )
-    return [
-        _record("J2", [], applicable=False),
+    records = (
+        _record("J2", j2, applicable=hilbert),
         _record("J3", j3),
         _record("J4", j4),
         _record("J5", j5),
         _record("J6", j6),
-    ]
-
-
-def run_appendix_battery(space, sample_count: int, seed: int) -> SuiteReport:
-    """Run every applicable appendix property on seeded random instances."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
-    rng = np.random.default_rng(seed)
-    if isinstance(space, lp.LpSpace):
-        records = _lp_battery(space, sample_count, rng)
-    elif isinstance(space, l1.FiniteMeasureSpace):
-        records = _l1_battery(space, sample_count, rng)
-    elif isinstance(space, c01.C01Space):
-        records = _c01_battery(space, sample_count, rng)
-    else:
-        raise TypeError(f"no battery for {type(space).__name__}")
-    return SuiteReport(space.descriptor(), int(seed), int(sample_count), tuple(records))
+    )
+    return SuiteReport(space.descriptor(), int(seed), int(sample_count), records)
 
 
 def run_backend_invariants(space, sample_count: int, seed: int) -> tuple:

@@ -18,22 +18,13 @@ from .l1 import FiniteMeasureSpace
 from .lp import LpSpace
 
 __all__ = [
-    "space_to_descriptor",
     "space_from_descriptor",
     "pwl_to_json",
     "pwl_from_json",
     "measure_to_json",
     "measure_from_json",
-    "encode_primal",
-    "decode_primal",
-    "encode_dual",
-    "decode_dual",
     "certificate_to_json",
 ]
-
-
-def space_to_descriptor(space) -> dict:
-    return space.descriptor()
 
 
 def space_from_descriptor(descriptor: dict):
@@ -47,7 +38,7 @@ def space_from_descriptor(descriptor: dict):
     raise ValueError(f"unknown space descriptor: {descriptor!r}")
 
 
-def pwl_to_json(f: PwlFunction) -> dict:
+def pwl_to_json(f: PwlFunction | StepDensity) -> dict:
     return {
         "breakpoints": [float(s) for s in f.breakpoints],
         "values": [float(v) for v in f.values],
@@ -55,8 +46,6 @@ def pwl_to_json(f: PwlFunction) -> dict:
 
 
 def pwl_from_json(obj) -> PwlFunction:
-    if isinstance(obj, PwlFunction):
-        return obj
     if obj == "tent":  # convenience shorthand used by the CLI
         return pwl_tent()
     return PwlFunction(
@@ -66,18 +55,11 @@ def pwl_from_json(obj) -> PwlFunction:
 
 
 def measure_to_json(mu: RcaMeasure) -> dict:
-    density = None
-    if mu.density is not None:
-        density = {
-            "breakpoints": [float(s) for s in mu.density.breakpoints],
-            "values": [float(v) for v in mu.density.values],
-        }
+    density = None if mu.density is None else pwl_to_json(mu.density)
     return {"atoms": [[float(l), float(w)] for l, w in mu.atoms], "density": density}
 
 
 def measure_from_json(obj) -> RcaMeasure:
-    if isinstance(obj, RcaMeasure):
-        return obj
     density = None
     if obj.get("density") is not None:
         density = StepDensity(
@@ -86,30 +68,6 @@ def measure_from_json(obj) -> RcaMeasure:
         )
     atoms = tuple((float(l), float(w)) for l, w in obj.get("atoms", []))
     return RcaMeasure(atoms=atoms, density=density)
-
-
-def encode_primal(space, x):
-    if isinstance(space, C01Space):
-        return pwl_to_json(x)
-    return [float(v) for v in np.asarray(x, dtype=float)]
-
-
-def decode_primal(space, obj):
-    if isinstance(space, C01Space):
-        return pwl_from_json(obj)
-    return np.asarray(obj, dtype=float)
-
-
-def encode_dual(space, x_star):
-    if isinstance(space, C01Space):
-        return measure_to_json(x_star)
-    return [float(v) for v in np.asarray(x_star, dtype=float)]
-
-
-def decode_dual(space, obj):
-    if isinstance(space, C01Space):
-        return measure_from_json(obj)
-    return np.asarray(obj, dtype=float)
 
 
 def certificate_to_json(cert: NonMembershipCertificate, scenario: dict | None = None) -> dict:

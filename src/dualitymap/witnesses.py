@@ -19,7 +19,7 @@ curve outside its validity window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +59,16 @@ def _require(condition: bool, hypothesis: str):
         raise HypothesisViolation(hypothesis)
 
 
+def _scaling_curve(space, theorem: str, s: float, x, x_star) -> ProbeCurve:
+    """(1 + s t)(x, x*): stays in gph J by positive homogeneity of J."""
+
+    def gen(t: float) -> GraphPair:
+        scale = 1.0 + s * t
+        return GraphPair(space.scale(x, scale), space.dual_scale(x_star, scale))
+
+    return ProbeCurve(f"{theorem}:scale[{s:+.0f}]", gen, t_max=0.5)
+
+
 def _sign_mask_uniform(values: np.ndarray, mask: np.ndarray, name: str) -> float:
     """Common nonzero sign of ``values`` on ``mask``; violation otherwise."""
     vals = values[mask]
@@ -94,18 +104,18 @@ def _pick_direction(x: np.ndarray, w: np.ndarray, p: float, params: dict) -> int
 
 
 def _thm31(space: lp.LpSpace, params: dict) -> Witness:
-    x = lp.as_vector(params["x"])
-    w = lp.as_vector(params["w"])
+    x = space.check(params["x"])
+    w = space.check_dual(params["w"])
     _require(x.size == w.size, "x and w share a dimension")
     m = _pick_direction(x, w, space.p, params)
     s = float(np.sign(w[m]))
     direction = np.zeros_like(x)
     direction[m] = s
-    x_star = space.duality(x)
+    x_star = space.canonical_dual(x)
 
     def gen(t: float) -> GraphPair:
         z = x + t * direction
-        return GraphPair(z, space.duality(z))
+        return GraphPair(z, space.canonical_dual(z))
 
     at_origin = not np.any(x)
     bound = abs(w[m]) / 2.0 if (at_origin or space.p == 2.0) else None
@@ -115,41 +125,31 @@ def _thm31(space: lp.LpSpace, params: dict) -> Witness:
 
 
 def _thm32(space: lp.LpSpace, params: dict) -> Witness:
-    x = lp.as_vector(params["x"])
-    y = lp.as_vector(params["y"])
-    x_star = space.duality(x)
-    ip = lp.pairing(x_star, y)
+    x = space.check(params["x"])
+    y = space.check(params["y"])
+    x_star = space.canonical_dual(x)
+    ip = space.pair(x_star, y)
     _require(ip != 0.0, "<J(x), y> != 0")
     s = -1.0 if ip > 0.0 else 1.0
-
-    def gen(t: float) -> GraphPair:
-        scale = 1.0 + s * t
-        return GraphPair(scale * x, scale * x_star)
-
     query = CoderivativeQuery(
         space, GraphPair(x, x_star), candidate=np.zeros_like(x), second_dual=y
     )
-    curve = ProbeCurve(f"thm32:scale[{s:+.0f}]", gen, t_max=0.5)
+    curve = _scaling_curve(space, "thm32", s, x, x_star)
     return Witness("thm32", query, curve, abs(ip) / (2.0 * space.norm(x)))
 
 
 def _thm33(space: lp.LpSpace, params: dict) -> Witness:
-    x = lp.as_vector(params["x"])
+    x = space.check(params["x"])
     a = float(params["a"])
     _require(np.any(x), "x != 0")
     _require(a > 0.0, "a > 0")
     _require(a != 1.0, "a != 1")
-    x_star = space.duality(x)
+    x_star = space.canonical_dual(x)
     s = 1.0 if a > 1.0 else -1.0
-
-    def gen(t: float) -> GraphPair:
-        scale = 1.0 + s * t
-        return GraphPair(scale * x, scale * x_star)
-
     query = CoderivativeQuery(
-        space, GraphPair(x, x_star), candidate=a * x_star, second_dual=x
+        space, GraphPair(x, x_star), candidate=space.dual_scale(x_star, a), second_dual=x
     )
-    curve = ProbeCurve(f"thm33:scale[{s:+.0f}]", gen, t_max=0.5)
+    curve = _scaling_curve(space, "thm33", s, x, x_star)
     return Witness("thm33", query, curve, abs(a - 1.0) * space.norm(x) / 2.0)
 
 
@@ -160,30 +160,25 @@ def _thm33(space: lp.LpSpace, params: dict) -> Witness:
 
 def _thm45_case1(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params["f"])
-    k_star = space.check(params["k_star"])
+    k_star = space.check_dual(params["k_star"])
     _require(bool(np.all(f != 0.0)), "mu{f = 0} = 0 (f has no zero values)")
-    ip = l1.pairing_l1(k_star, f, space)
+    ip = space.pair(k_star, f)
     _require(ip != 0.0, "<k*, f> != 0")
-    f_star = l1.duality_selection(f, space)
+    f_star = space.canonical_dual(f)
     s = 1.0 if ip > 0.0 else -1.0
-
-    def gen(t: float) -> GraphPair:
-        scale = 1.0 + s * t
-        return GraphPair(scale * f, scale * f_star)
-
     query = CoderivativeQuery(space, GraphPair(f, f_star), candidate=k_star)
-    curve = ProbeCurve(f"thm45_case1:scale[{s:+.0f}]", gen, t_max=0.5)
+    curve = _scaling_curve(space, "thm45_case1", s, f, f_star)
     return Witness("thm45_case1", query, curve, abs(ip) / (2.0 * space.norm(f)))
 
 
 def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params["f"])
-    k_star = space.check(params["k_star"])
+    k_star = space.check_dual(params["k_star"])
     mask = l1.mask_from_indices(space, params["D"])
     a = float(params["a"])
     _require(bool(np.all(f != 0.0)), "mu{f = 0} = 0 (f has no zero values)")
-    scale = max(1.0, l1.linf_norm(k_star, space) * space.norm(f))
-    _require(abs(l1.pairing_l1(k_star, f, space)) <= 1e-9 * scale, "<k*, f> = 0")
+    scale = max(1.0, space.dual_norm(k_star) * space.norm(f))
+    _require(abs(space.pair(k_star, f)) <= 1e-9 * scale, "<k*, f> = 0")
     _require(bool(np.any(mask)), "D is nonempty")
     _require(a > 0.0, "a > 0")
     fd = f[mask]
@@ -193,21 +188,21 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     )
     sigma = _sign_mask_uniform(k_star, mask, "k*")
     chi = l1.indicator(space, mask)
-    f_star = l1.duality_selection(f, space)
+    f_star = space.canonical_dual(f)
 
     def gen(t: float) -> GraphPair:
-        h = f + sigma * t * chi
-        return GraphPair(h, l1.duality_selection(h, space))
+        h = f + sigma * t * chi  # keeps the signs of f, so J(h) is a singleton
+        return GraphPair(h, space.canonical_dual(h))
 
     mu_d = space.measure(mask)
-    bound = sigma * l1.pairing_l1(k_star, chi, space) / (2.0 * mu_d)
+    bound = sigma * space.pair(k_star, chi) / (2.0 * mu_d)
     query = CoderivativeQuery(space, GraphPair(f, f_star), candidate=k_star)
     curve = ProbeCurve(f"thm45_case2:bump[{sigma:+.0f}*chi_D]", gen, t_max=a / 2.0)
     return Witness("thm45_case2", query, curve, bound)
 
 
 def _thm46(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
-    k_star = space.check(params["k_star"])
+    k_star = space.check_dual(params["k_star"])
     mask = l1.mask_from_indices(space, params["D"])
     _require(bool(np.any(k_star)), "k* != 0*")
     _require(bool(np.any(mask)), "D is nonempty")
@@ -222,7 +217,7 @@ def _thm46(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
         selection = np.where(mask, sigma * norm, -sigma * norm)
         return GraphPair(h, selection)
 
-    bound = sigma * l1.pairing_l1(k_star, chi, space) / (2.0 * mu_d)
+    bound = sigma * space.pair(k_star, chi) / (2.0 * mu_d)
     query = CoderivativeQuery(space, GraphPair(theta, theta.copy()), candidate=k_star)
     curve = ProbeCurve(f"thm46:bump[{sigma:+.0f}*chi_D]", gen, t_max=1.0)
     return Witness("thm46", query, curve, bound)
@@ -243,7 +238,7 @@ def _thm47(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 
     def gen(t: float) -> GraphPair:
         h = f - t * chi
-        return GraphPair(h, np.where(positive, l1.l1_norm(h, space), 0.0))
+        return GraphPair(h, np.where(positive, space.norm(h), 0.0))
 
     query = CoderivativeQuery(
         space, GraphPair(f, f_star), candidate=-f_star, second_dual=f
@@ -254,7 +249,7 @@ def _thm47(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 
 def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params["f"])
-    u_star = space.check(params["u_star"])
+    u_star = space.check_dual(params["u_star"])
     _require(bool(np.all(f > 0.0)), "f strictly positive")
     norm = space.norm(f)
     margins = u_star - norm
@@ -279,7 +274,7 @@ def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 
     def gen(t: float) -> GraphPair:
         h = f + t * chi
-        return GraphPair(h, np.full(space.n, l1.l1_norm(h, space)))
+        return GraphPair(h, np.full(space.n, space.norm(h)))
 
     query = CoderivativeQuery(
         space, GraphPair(f, f_star), candidate=u_star, second_dual=f
@@ -309,38 +304,45 @@ def _resolve_measure(params: dict, key: str, f: c01.PwlFunction) -> c01.RcaMeasu
     return mu
 
 
+def _shift_curve(
+    theorem: str, f: c01.PwlFunction, shift: float, points, alphas, t_max: float
+) -> ProbeCurve:
+    """f + shift t with atoms alpha_j (f(s_j) + shift t) on points s_j where f peaks."""
+    values = [float(f(s)) for s in points]
+
+    def gen(t: float) -> GraphPair:
+        h = c01.pwl_shift(f, shift * t)
+        mu_t = c01.atom_measure(
+            (s, a * (v + shift * t)) for s, a, v in zip(points, alphas, values)
+        )
+        return GraphPair(h, mu_t)
+
+    return ProbeCurve(f"{theorem}:shift[{shift:+.0f}]", gen, t_max=t_max)
+
+
 def _thm53(space: c01.C01Space, params: dict) -> Witness:
     f = serialize.pwl_from_json(params["f"])
     _require(bool(np.all(f.values >= 0.0)), "f in C+[0,1]")
-    norm = c01.sup_norm(f)
+    norm = space.norm(f)
     _require(norm > 0.0, "||f|| > 0")
     mu = _resolve_measure(params, "mu", f)
-
-    def gen(t: float) -> GraphPair:
-        return GraphPair(c01.pwl_scale(f, 1.0 - t), c01.measure_scale(mu, 1.0 - t))
-
     query = CoderivativeQuery(
         space, GraphPair(f, mu), candidate=c01.zero_measure(), second_dual=f
     )
-    curve = ProbeCurve("thm53:scale[-1]", gen, t_max=0.5)
+    curve = _scaling_curve(space, "thm53", -1.0, f, mu)
     return Witness("thm53", query, curve, norm / 2.0)
 
 
 def _thm54(space: c01.C01Space, params: dict) -> Witness:
     f = serialize.pwl_from_json(params["f"])
     lam = serialize.measure_from_json(params["lambda"])
-    ip = c01.pairing_c(lam, f)
+    ip = space.pair(lam, f)
     _require(ip != 0.0, "<lambda, f> != 0")
     mu = _resolve_measure(params, "mu", f)
     s = 1.0 if ip > 0.0 else -1.0
-
-    def gen(t: float) -> GraphPair:
-        scale = 1.0 + s * t
-        return GraphPair(c01.pwl_scale(f, scale), c01.measure_scale(mu, scale))
-
     query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam)
-    curve = ProbeCurve(f"thm54:scale[{s:+.0f}]", gen, t_max=0.5)
-    return Witness("thm54", query, curve, abs(ip) / (2.0 * c01.sup_norm(f)))
+    curve = _scaling_curve(space, "thm54", s, f, mu)
+    return Witness("thm54", query, curve, abs(ip) / (2.0 * space.norm(f)))
 
 
 def _thm55(space: c01.C01Space, params: dict) -> Witness:
@@ -349,37 +351,25 @@ def _thm55(space: c01.C01Space, params: dict) -> Witness:
     mass = c01.total_mass(lam)
     _require(mass != 0.0, "lambda[0,1] != 0")
     sgn = 1.0 if mass > 0.0 else -1.0
-    norm = c01.sup_norm(f)
-
+    norm = space.norm(f)
+    t_max = 1.0
     if norm == 0.0:
         # At the origin the shifted constant attains its norm everywhere; one
         # atom suffices.
-        pts, alph = [0.5], [1.0]
-        mu = c01.zero_measure()
-        t_max = 1.0
-        shift = sgn
+        pts, alph, mu = [0.5], [1.0], c01.zero_measure()
     else:
-        same_side = c01.peak_points(f, int(sgn))
-        if same_side:
-            # The shift direction keeps these peaks maximizing for every t.
-            pts, shift, t_max = same_side, sgn, 1.0
-        else:
+        # Shifting by sgn keeps the peaks at sgn * ||f|| maximizing for every
+        # t; the opposite peaks stay maximizing while t is below half the gap
+        # to the largest value of sgn * f.
+        pts = c01.peak_points(f, int(sgn))
+        if not pts:
             pts = c01.peak_points(f, -int(sgn))
             extreme = float(np.max(sgn * f.values))  # max of sgn * f, < norm here
-            window = (norm - extreme) / 2.0
-            shift, t_max = sgn, window / 2.0
+            t_max = (norm - extreme) / 2.0 / 2.0
         alph = [1.0 / len(pts)] * len(pts)
         mu = c01.atomic_duality_measure(f, pts, alph)
-
-    def gen(t: float) -> GraphPair:
-        h = c01.pwl_shift(f, shift * t)
-        mu_t = c01.atom_measure(
-            (s, a * (float(f(s)) + shift * t)) for s, a in zip(pts, alph)
-        )
-        return GraphPair(h, mu_t)
-
     query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam)
-    curve = ProbeCurve(f"thm55:shift[{shift:+.0f}]", gen, t_max=t_max)
+    curve = _shift_curve("thm55", f, sgn, pts, alph, t_max)
     return Witness("thm55", query, curve, abs(mass) / 2.0)
 
 
@@ -408,7 +398,7 @@ def _thm56(space: c01.C01Space, params: dict) -> Witness:
     u = serialize.pwl_from_json(params["u"])
     _require(bool(np.all(f.values >= 0.0)), "f in C+[0,1]")
     _require(bool(np.all(u.values >= 0.0)), "u in C+[0,1]")
-    norm_f, norm_u = c01.sup_norm(f), c01.sup_norm(u)
+    norm_f, norm_u = space.norm(f), space.norm(u)
     _require(norm_f > 0.0, "||f|| > 0")
     _require(norm_u > norm_f, "||u|| > ||f||")
     pts = _shared_peaks(f, u, params)
@@ -416,14 +406,8 @@ def _thm56(space: c01.C01Space, params: dict) -> Witness:
     alph = [1.0 / len(pts)] * len(pts) if alph is None else [float(a) for a in alph]
     mu = c01.atomic_duality_measure(f, pts, alph)
     lam = c01.atomic_duality_measure(u, pts, alph)
-
-    def gen(t: float) -> GraphPair:
-        h = c01.pwl_shift(f, t)
-        mu_t = c01.atom_measure((s, a * (float(f(s)) + t)) for s, a in zip(pts, alph))
-        return GraphPair(h, mu_t)
-
     query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam, second_dual=f)
-    curve = ProbeCurve("thm56:shift[+1]", gen, t_max=1.0)
+    curve = _shift_curve("thm56", f, 1.0, pts, alph, 1.0)
     return Witness("thm56", query, curve, (norm_u - norm_f) / 2.0)
 
 
@@ -438,29 +422,24 @@ def _cor57(space: c01.C01Space, params: dict) -> Witness:
     _require(float(u(1.0)) > float(f(1.0)), "u(1) > f(1)")
     # Increasing nonnegative functions peak at the right endpoint; this is a
     # thm56 instance with the endpoint atoms mu = f(1) delta_1, lambda = u(1) delta_1.
-    witness = _thm56(space, {"f": f, "u": u, "points": [1.0], "alphas": [1.0]})
-    return Witness("cor57", witness.query, witness.curve, witness.claimed_bound)
+    witness = _thm56(space, {"f": params["f"], "u": params["u"], "points": [1.0], "alphas": [1.0]})
+    return replace(witness, theorem="cor57")
 
 
 def _thm58(space: c01.C01Space, params: dict) -> Witness:
     f = serialize.pwl_from_json(params["f"])
     c = float(params["c"])
     _require(bool(np.all(f.values >= 0.0)), "f in C+[0,1]")
-    norm = c01.sup_norm(f)
+    norm = space.norm(f)
     _require(norm > 0.0, "||f|| > 0")
     _require(c > 0.0, "c > 0")
     _require(c != 1.0, "c != 1")
     mu = _resolve_measure(params, "mu", f)
     s = 1.0 if c > 1.0 else -1.0
-
-    def gen(t: float) -> GraphPair:
-        scale = 1.0 + s * t
-        return GraphPair(c01.pwl_scale(f, scale), c01.measure_scale(mu, scale))
-
     query = CoderivativeQuery(
-        space, GraphPair(f, mu), candidate=c01.measure_scale(mu, c), second_dual=f
+        space, GraphPair(f, mu), candidate=space.dual_scale(mu, c), second_dual=f
     )
-    curve = ProbeCurve(f"thm58:scale[{s:+.0f}]", gen, t_max=0.5)
+    curve = _scaling_curve(space, "thm58", s, f, mu)
     return Witness("thm58", query, curve, abs(c - 1.0) * norm / 2.0)
 
 

@@ -227,3 +227,14 @@ def test_query_unwraps_embedding_handle(l2):
     pair = GraphPair(1.1 * f, 1.1 * f_star)
     # numerator is -<u* - x*, f> = -0.2 * 2; denominator 0.2 + 0.2
     assert quotient(query, pair) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_mismatched_dimensions_raise(l2):
+    # Base point in R^1, candidate and probe curve in R^2: subtracting the base
+    # must not broadcast it into a wrong certificate.
+    x = np.array([1.0])
+    query = CoderivativeQuery(l2, GraphPair(x, x.copy()), np.array([1.0, 0.0]))
+    e = np.array([1.0, 1.0])
+    curve = ProbeCurve("wide", lambda t: GraphPair((1 + t) * e, (1 + t) * e), t_max=0.5)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        certify_nonmembership(query, curve, None)

@@ -51,6 +51,16 @@ def test_hand_checked_bounds():
     assert cert.verdict == "certified"
 
 
+def test_l1_membership_tolerance_scales_with_norm():
+    # The same witness at scale 1 and 1000: ||f||_1**2 ~ 9e6 puts the rounding
+    # of <g, f> past an absolute 1e-10, so only a relative tolerance certifies.
+    space = FiniteMeasureSpace([1.0, 1.0])
+    for scale in (1.0, 1000.0):
+        _, cert = run(space, "thm45_case1", {"f": [2.0 * scale, scale], "k_star": [1.0, 0.0]})
+        assert cert.verdict == "certified"
+        assert cert.estimate.limit == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
 def test_thm58_plateau_example():
     _, cert = run(
         C01Space(),
