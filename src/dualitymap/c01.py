@@ -26,6 +26,16 @@ and then walks only those, so its Python work is linear in the number of
 maximizers (usually one to three).  The array forms keep the arithmetic and
 the left-to-right summation order of the per-segment loops they replace, so
 every result is bitwise unchanged.
+
+The probe curves keep the base point's grid: ``pwl_scale`` and ``pwl_shift``
+reuse ``f.breakpoints``, and ``pwl_sub`` of two functions on the same grid
+(the same array, or an element-wise equal one) subtracts the values without
+merging grids or interpolating.  ``np.interp`` returns ``fp[j]`` exactly at
+``x == xp[j]``, so that result is bitwise the one the merged grid gives.  An
+element built on a grid that was already checked checks only its new values
+(shape and finiteness, so an overflow to inf still raises); every other
+construction checks the grid too.  ``canonical_duality_measure`` evaluates f
+at all maximizing representatives with one ``np.interp`` call.
 """
 
 from __future__ import annotations
@@ -91,9 +101,9 @@ class PwlFunction:
             raise ValueError("need at least the two endpoint breakpoints")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if np.any(np.diff(bp) <= 0.0):
+        if (bp[1:] <= bp[:-1]).any():
             raise ValueError("breakpoints must be strictly increasing")
-        if vals.shape != bp.shape or not np.all(np.isfinite(vals)):
+        if vals.shape != bp.shape or not np.isfinite(vals).all():
             raise ValueError("values must be finite and match the breakpoints")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
@@ -111,17 +121,35 @@ def pwl_tent() -> PwlFunction:
     return PwlFunction(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
 
 
+def _on_checked_grid(cls, bp: np.ndarray, vals: np.ndarray):
+    """A ``PwlFunction`` or ``StepDensity`` on the grid of one already built.
+
+    The grid was checked then, so only the new values are checked here: one
+    per breakpoint (per segment for a density), all finite.
+    """
+    size = bp.size if cls is PwlFunction else bp.size - 1
+    if vals.shape != (size,) or not np.isfinite(vals).all():
+        raise ValueError("values must be finite and match the grid")
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "breakpoints", bp)
+    object.__setattr__(obj, "values", vals)
+    return obj
+
+
 def pwl_shift(f: PwlFunction, c: float) -> PwlFunction:
-    return PwlFunction(f.breakpoints, f.values + float(c))
+    return _on_checked_grid(PwlFunction, f.breakpoints, f.values + float(c))
 
 
 def pwl_scale(f: PwlFunction, c: float) -> PwlFunction:
-    return PwlFunction(f.breakpoints, f.values * float(c))
+    return _on_checked_grid(PwlFunction, f.breakpoints, f.values * float(c))
 
 
 def pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
-    """f - g on the union of the two breakpoint grids."""
-    grid = np.union1d(f.breakpoints, g.breakpoints)
+    """f - g on the union of the two breakpoint grids (value by value on a shared one)."""
+    bp = f.breakpoints
+    if g.breakpoints is bp or (g.breakpoints.size == bp.size and (g.breakpoints == bp).all()):
+        return _on_checked_grid(PwlFunction, bp, f.values - g.values)
+    grid = np.union1d(bp, g.breakpoints)
     return PwlFunction(grid, f(grid) - g(grid))
 
 
@@ -207,9 +235,9 @@ class StepDensity:
         vals = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or bp.size < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("density grid must run from 0 to 1")
-        if np.any(np.diff(bp) <= 0.0):
+        if (bp[1:] <= bp[:-1]).any():
             raise ValueError("density grid must be strictly increasing")
-        if vals.shape != (bp.size - 1,) or not np.all(np.isfinite(vals)):
+        if vals.shape != (bp.size - 1,) or not np.isfinite(vals).all():
             raise ValueError("need one finite density value per grid segment")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
@@ -260,7 +288,7 @@ def measure_scale(mu: RcaMeasure, c: float) -> RcaMeasure:
     atoms = tuple((loc, c * w) for loc, w in mu.atoms)
     density = None
     if mu.density is not None:
-        density = StepDensity(mu.density.breakpoints, mu.density.values * c)
+        density = _on_checked_grid(StepDensity, mu.density.breakpoints, mu.density.values * c)
     return RcaMeasure(atoms=atoms, density=density)
 
 
@@ -315,12 +343,16 @@ class MembershipReport:
     support_ok: bool
 
 
+def _in_duality_set(mu: RcaMeasure, f: PwlFunction, norm: float, tol: float) -> bool:
+    return abs(tv_norm(mu) - norm) <= tol and abs(pairing_c(mu, f) - norm * norm) <= tol
+
+
 def in_duality_set_c(mu: RcaMeasure, f: PwlFunction, tol: float = 1e-9) -> bool:
     """mu in J(f): tv norm matches ||f|| and <mu, f> = ||f||**2 within tol."""
     norm = sup_norm(f)
     if norm == 0.0:
         raise ValueError("membership test needs ||f|| > 0")
-    return abs(tv_norm(mu) - norm) <= tol and abs(pairing_c(mu, f) - norm * norm) <= tol
+    return _in_duality_set(mu, f, norm, tol)
 
 
 def is_duality_member_c(mu: RcaMeasure, f: PwlFunction, tol: float = 1e-9) -> MembershipReport:
@@ -384,10 +416,16 @@ def plateau_duality_measure(f: PwlFunction, a: float, b: float) -> RcaMeasure:
 
 
 def canonical_duality_measure(f: PwlFunction) -> RcaMeasure:
-    """Canonical member of J(f): uniform atoms on the maximizing representatives."""
+    """Canonical member of J(f): uniform atoms on the maximizing representatives.
+
+    The same measure as ``atomic_duality_measure(f, maximizing_set(f).points())``
+    without re-testing points that come from the maximizing set.
+    """
     if sup_norm(f) == 0.0:
         return zero_measure()
-    return atomic_duality_measure(f, maximizing_set(f).points())
+    points = maximizing_set(f).points()
+    weights = (1.0 / len(points)) * f(np.array(points))
+    return atom_measure(zip(points, weights.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,9 +488,10 @@ class C01Space:
         return canonical_duality_measure(f)
 
     def is_member(self, f: PwlFunction, mu: RcaMeasure, tol: float = 1e-9) -> bool:
-        if sup_norm(f) == 0.0:
+        norm = sup_norm(f)
+        if norm == 0.0:
             return tv_norm(mu) <= tol
-        return in_duality_set_c(mu, f, tol)
+        return _in_duality_set(mu, f, norm, tol)
 
     def in_second_dual_domain(self, h: PwlFunction) -> bool:
         # Only the nonnegative cone of C[0,1] embeds into the second dual.

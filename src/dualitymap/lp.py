@@ -83,7 +83,7 @@ def duality_map(x, p: float) -> np.ndarray:
     Returns the zero vector for x = 0 (J(0) = 0 in the dual), otherwise the
     vector with coordinates sign(x_i) |x_i|**(p-1) / ||x||_p**(p-2).  The
     result u satisfies <u, x> = ||x||_p**2 and ||u||_q = ||x||_p.  Raises
-    ValueError when ||x||_p overflows.
+    ValueError when ||x||_p or ||x||_p**(p-2) overflows.
     """
     return LpSpace(p).duality(as_vector(x))
 
@@ -154,7 +154,11 @@ class LpSpace:
         norm = _norm(x, self.p)
         if norm == 0.0:
             return np.zeros_like(x)
-        return np.sign(x) * np.abs(x) ** (self.p - 1.0) / norm ** (self.p - 2.0)
+        try:
+            scale = norm ** (self.p - 2.0)
+        except OverflowError:
+            raise ValueError(f"||x||_{self.p} ** (p - 2) overflows") from None
+        return np.sign(x) * np.abs(x) ** (self.p - 1.0) / scale
 
     canonical_dual = duality
 

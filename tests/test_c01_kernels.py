@@ -1,7 +1,8 @@
 """Exact-equality tests of the c01 array kernels against per-segment loops.
 
 The reference functions below are the loop forms the array kernels
-replaced.  The kernels keep the arithmetic and the summation order, so every
+replaced, and the union-grid form of ``pwl_sub`` that its shared-grid path
+skips.  The kernels keep the arithmetic and the summation order, so every
 float must agree bit for bit and every atom and interval tuple must be
 identical.
 """
@@ -18,8 +19,13 @@ from dualitymap.c01 import (
     StepDensity,
     atom_measure,
     atomic_duality_measure,
+    canonical_duality_measure,
+    measure_scale,
     measure_sub,
     plateau_duality_measure,
+    pwl_scale,
+    pwl_shift,
+    pwl_sub,
     sup_norm,
     tv_norm,
 )
@@ -47,6 +53,11 @@ def ref_pairing(mu: RcaMeasure, f: PwlFunction) -> float:
             if d != 0.0:
                 total += d * (b - a) * 0.5 * (fvals[k] + fvals[k + 1])
     return float(total)
+
+
+def ref_pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
+    grid = np.union1d(f.breakpoints, g.breakpoints)
+    return PwlFunction(grid, f(grid) - g(grid))
 
 
 def ref_measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
@@ -128,6 +139,10 @@ def same_floats(x: tuple, y: tuple) -> bool:
 
 def same_tuples(x: tuple, y: tuple) -> bool:
     return len(x) == len(y) and all(same_floats(p, q) for p, q in zip(x, y))
+
+
+def same_pwl(f: PwlFunction, g: PwlFunction) -> bool:
+    return same_array(f.breakpoints, g.breakpoints) and same_array(f.values, g.values)
 
 
 def same_measure(mu: RcaMeasure, nu: RcaMeasure) -> bool:
@@ -317,3 +332,87 @@ def test_adjacent_float_breakpoints():
         assert same_float(pairing_c(mu, f), ref_pairing(mu, f))
         assert same_measure(measure_sub(mu, nu), ref_measure_sub(mu, nu))
         assert same_measure(measure_sub(nu, mu), ref_measure_sub(nu, mu))
+
+
+def sub_partners(rng, f: PwlFunction) -> list:
+    """Functions on f's grid (the same array, an equal copy), on that grid with
+    one breakpoint moved by one ulp, and on unrelated grids."""
+    n = f.breakpoints.size
+    partners = [
+        pwl_scale(f, 2.0),
+        pwl_scale(f, -0.5),
+        pwl_shift(f, 1.25),
+        pwl_shift(f, -3.0),
+        PwlFunction(f.breakpoints.copy(), rng.uniform(-5.0, 5.0, n)),
+        smooth_pwl(rng, n),
+        smooth_pwl(rng, max(2, n // 2)),
+    ]
+    if n >= 3:
+        moved = f.breakpoints.copy()
+        k = int(rng.integers(1, n - 1))
+        moved[k] = np.nextafter(moved[k], moved[k + 1])
+        if moved[k] < moved[k + 1]:
+            partners.append(PwlFunction(moved, rng.uniform(-5.0, 5.0, n)))
+    return partners
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_pwl_sub_matches_union_grid(n):
+    rng, fs = draws(n)
+    for f in fs:
+        for g in sub_partners(rng, f):
+            assert same_pwl(pwl_sub(f, g), ref_pwl_sub(f, g))
+            assert same_pwl(pwl_sub(g, f), ref_pwl_sub(g, f))
+
+
+def test_pwl_sub_adjacent_float_grid():
+    # Segments one ulp wide with values +-1e300 have infinite slopes; at the
+    # breakpoints themselves interpolation still returns the stored values.
+    rng = np.random.default_rng(7)
+    for a in (0.5, 0.3, float(np.nextafter(1.0, 0.0)) - 2.0**-52):
+        bp = np.array([0.0, a, float(np.nextafter(a, 1.0)), 1.0])
+        for vals in ([0.0, -1e300, 1e300, 0.0], [1.0, 2.0, -3.0, 4.0]):
+            f = PwlFunction(bp, np.array(vals))
+            for g in sub_partners(rng, f)[:5]:
+                assert same_pwl(pwl_sub(f, g), ref_pwl_sub(f, g))
+                assert same_pwl(pwl_sub(g, f), ref_pwl_sub(g, f))
+        g = PwlFunction(np.array([0.0, 0.4, 1.0]), np.array([1.0, -1.0, 2.0]))
+        assert same_pwl(pwl_sub(f, g), ref_pwl_sub(f, g))
+
+
+def test_grid_is_reused_not_copied():
+    f = PwlFunction(np.array([0.0, 0.25, 1.0]), np.array([1.0, -2.0, 0.5]))
+    assert pwl_scale(f, 2.0).breakpoints is f.breakpoints
+    assert pwl_shift(f, 2.0).breakpoints is f.breakpoints
+    assert pwl_sub(f, pwl_scale(f, 2.0)).breakpoints is f.breakpoints
+    mu = RcaMeasure(density=StepDensity(f.breakpoints, np.array([1.0, 2.0])))
+    assert measure_scale(mu, 2.0).density.breakpoints is f.breakpoints
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_on_a_reused_grid_raises():
+    bp = np.array([0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        pwl_scale(PwlFunction(bp, np.array([10.0, -20.0, 10.0])), 1e308)
+    with pytest.raises(ValueError, match="finite"):
+        pwl_shift(PwlFunction(bp, np.array([0.0, 1e308, 0.0])), 1e308)
+    f = PwlFunction(bp, np.array([1e308, 0.0, 0.0]))
+    g = PwlFunction(bp.copy(), np.array([-1e308, 0.0, 0.0]))
+    for h in (g, PwlFunction(bp, g.values)):
+        with pytest.raises(ValueError, match="finite"):
+            pwl_sub(f, h)
+    mu = RcaMeasure(density=StepDensity(bp, np.array([10.0, 1.0])))
+    with pytest.raises(ValueError, match="finite"):
+        measure_scale(mu, 1e308)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_canonical_measure_is_the_atomic_member(n):
+    _, fs = draws(n)
+    for f in fs:
+        if sup_norm(f) == 0.0:
+            continue
+        want = atomic_duality_measure(f, maximizing_set(f).points())
+        assert same_measure(canonical_duality_measure(f), want)
+    zero = PwlFunction(np.linspace(0.0, 1.0, n), np.zeros(n))
+    assert same_measure(canonical_duality_measure(zero), RcaMeasure())

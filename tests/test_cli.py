@@ -49,6 +49,12 @@ def test_eval_malformed(capsys):
     assert main(["eval", "--space", "l1", "--weights", "[1,1]", "--values", "[1]"]) == 2
 
 
+def test_eval_lp_power_overflow_exit_code(capsys):
+    code = main(["eval", "--space", "lp", "--p", "1.000001", "--vector", "[1e-320]"])
+    assert code == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_run_fixture_all_certified(tmp_path, capsys):
     out_file = tmp_path / "certs.json"
     code = main(["run", str(FIXTURES / "all.json"), "--out", str(out_file)])

@@ -51,6 +51,13 @@ def test_overflow_raises(call, args):
         call(*args)
 
 
+def test_power_overflow_raises_value_error():
+    # ||x||_p ** (p - 2) for a subnormal norm and p just above 1 used to
+    # raise OverflowError.
+    with pytest.raises(ValueError, match="overflows"):
+        duality_map([1e-320], 1.000001)
+
+
 def test_duality_map_examples():
     # Hilbert case: the map is the identity, without a p = 2 special case.
     np.testing.assert_allclose(duality_map([3.0, 4.0], 2.0), [3.0, 4.0], atol=1e-12)
