@@ -14,7 +14,6 @@ from .c01 import (
     RcaMeasure,
     atomic_duality_measure,
     canonical_duality_measure,
-    embed_second_dual_c,
     is_duality_member_c,
     maximizing_set,
     pairing_c,
@@ -44,7 +43,6 @@ from .l1 import (
     FiniteMeasureSpace,
     duality_selection,
     duality_set_classify,
-    embed_second_dual,
     is_duality_member,
     l1_norm,
     linf_norm,

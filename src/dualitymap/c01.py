@@ -51,8 +51,6 @@ __all__ = [
     "RcaMeasure",
     "MaximizingSet",
     "MembershipReport",
-    "SecondDualHandle",
-    "embed_second_dual_c",
     "C01Space",
     "pwl_constant",
     "pwl_tent",
@@ -73,7 +71,6 @@ __all__ = [
     "total_mass",
     "tv_norm",
     "pairing_c",
-    "in_duality_set_c",
     "is_duality_member_c",
 ]
 
@@ -101,7 +98,7 @@ class PwlFunction:
             raise ValueError("need at least the two endpoint breakpoints")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if (bp[1:] <= bp[:-1]).any():
+        if not (bp[1:] > bp[:-1]).all():  # also rejects a NaN breakpoint
             raise ValueError("breakpoints must be strictly increasing")
         if vals.shape != bp.shape or not np.isfinite(vals).all():
             raise ValueError("values must be finite and match the breakpoints")
@@ -235,7 +232,7 @@ class StepDensity:
         vals = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or bp.size < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("density grid must run from 0 to 1")
-        if (bp[1:] <= bp[:-1]).any():
+        if not (bp[1:] > bp[:-1]).all():  # also rejects a NaN breakpoint
             raise ValueError("density grid must be strictly increasing")
         if vals.shape != (bp.size - 1,) or not np.isfinite(vals).all():
             raise ValueError("need one finite density value per grid segment")
@@ -347,18 +344,13 @@ def _in_duality_set(mu: RcaMeasure, f: PwlFunction, norm: float, tol: float) -> 
     return abs(tv_norm(mu) - norm) <= tol and abs(pairing_c(mu, f) - norm * norm) <= tol
 
 
-def in_duality_set_c(mu: RcaMeasure, f: PwlFunction, tol: float = 1e-9) -> bool:
-    """mu in J(f): tv norm matches ||f|| and <mu, f> = ||f||**2 within tol."""
-    norm = sup_norm(f)
-    if norm == 0.0:
-        raise ValueError("membership test needs ||f|| > 0")
-    return _in_duality_set(mu, f, norm, tol)
-
-
 def is_duality_member_c(mu: RcaMeasure, f: PwlFunction, tol: float = 1e-9) -> MembershipReport:
-    """The ``in_duality_set_c`` test plus the support check of mu on M(f)."""
-    member = in_duality_set_c(mu, f, tol)
+    """Membership of mu in J(f) plus the support check of mu on M(f); needs f != 0.
+
+    Membership: tv norm ||f|| and <mu, f> = ||f||**2, each within tol.
+    """
     mset = maximizing_set(f)
+    member = _in_duality_set(mu, f, sup_norm(f), tol)
     support_ok = all(mset.contains(loc, tol) for loc, _ in mu.atoms)
     if support_ok and mu.density is not None:
         bp, vals = mu.density.breakpoints, mu.density.values
@@ -426,23 +418,6 @@ def canonical_duality_measure(f: PwlFunction) -> RcaMeasure:
     points = maximizing_set(f).points()
     weights = (1.0 / len(points)) * f(np.array(points))
     return atom_measure(zip(points, weights.tolist()))
-
-
-@dataclass(frozen=True, eq=False)
-class SecondDualHandle:
-    """A nonnegative f acting on measures by integration: <f**, mu> = <mu, f>."""
-
-    function: PwlFunction
-
-    def __call__(self, mu: RcaMeasure) -> float:
-        return pairing_c(mu, self.function)
-
-
-def embed_second_dual_c(f: PwlFunction) -> SecondDualHandle:
-    """Embed f in the nonnegative cone into the second dual via integration."""
-    if np.any(f.values < 0.0):
-        raise ValueError("only the nonnegative cone embeds into the second dual")
-    return SecondDualHandle(f)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import c01, l1, serialize
+from . import c01, coderivative, l1, serialize
 from .coderivative import Schedule, certify_nonmembership
 from .oracles import SuiteReport, run_appendix_battery, run_backend_invariants
 from .witnesses import HypothesisViolation, build_witness
@@ -83,9 +83,9 @@ def _load_scenarios(path: Path):
 def cmd_run(args) -> int:
     path = Path(args.scenario_file)
     scenarios, tolerances, file_out = _load_scenarios(path)
-    cert_tol = float(tolerances.get("cert_tol", 1e-6))
-    settle_tol = float(tolerances.get("settle_tol", 1e-6))
-    membership_tol = float(tolerances.get("membership_tol", 1e-9))
+    cert_tol = float(tolerances.get("cert_tol", coderivative.CERT_TOL))
+    settle_tol = float(tolerances.get("settle_tol", coderivative.SETTLE_TOL))
+    membership_tol = float(tolerances.get("membership_tol", coderivative.MEMBERSHIP_TOL))
 
     records = []
     rows = []

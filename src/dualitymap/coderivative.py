@@ -88,9 +88,8 @@ class CoderivativeQuery:
     """Frozen inputs of the quotient: base pair, y** argument, candidate z*.
 
     ``second_dual`` is None for the zero functional, otherwise a primal
-    element embedded by integration (which the backend restricts to its
-    positive cone where the space is not reflexive); an embedding handle
-    with a ``function`` attribute is unwrapped to its primal element.  Every
+    element embedded by integration, which ``space.in_second_dual_domain``
+    restricts to the positive cone where the space is not reflexive.  Every
     value passes the space's ``check``/``check_dual`` once, here, and the
     checked values are the ones stored.
     """
@@ -108,7 +107,7 @@ class CoderivativeQuery:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "candidate", space.check_dual(self.candidate))
         if self.second_dual is not None:
-            embedded = space.check(getattr(self.second_dual, "function", self.second_dual))
+            embedded = space.check(self.second_dual)
             object.__setattr__(self, "second_dual", embedded)
             if not space.in_second_dual_domain(embedded):
                 raise ValueError("second-dual argument is not representable in this model")
@@ -231,6 +230,12 @@ def _sample(query: CoderivativeQuery, pair: GraphPair, membership_tol: float) ->
     return _quotient(query, u, u_star)
 
 
+def _tail_estimate(quotients, settle_tol: float) -> tuple:
+    """Mean of the last three quotients, and whether their spread is <= settle_tol."""
+    tail = quotients[-3:]
+    return float(np.mean(tail)), (max(tail) - min(tail)) <= settle_tol
+
+
 def estimate_limit(
     query: CoderivativeQuery,
     curve: ProbeCurve,
@@ -261,9 +266,7 @@ def estimate_limit(
         raise ValueError(
             f"curve {curve.curve_id} does not approach the base point as t drops"
         )
-    tail = qs[-3:]
-    limit = float(np.mean(tail))
-    settled = (max(tail) - min(tail)) <= settle_tol
+    limit, settled = _tail_estimate(qs, settle_tol)
     return LimitEstimate(tuple(ts), tuple(qs), limit, settled, settle_tol, shrunk)
 
 
@@ -316,9 +319,7 @@ def reverify_certificate(cert: NonMembershipCertificate) -> bool:
     tolerance.
     """
     est = cert.estimate
-    tail = est.quotients[-3:]
-    limit = float(np.mean(tail))
-    settled = (max(tail) - min(tail)) <= est.settle_tol
+    limit, settled = _tail_estimate(est.quotients, est.settle_tol)
     if abs(limit - est.limit) > 1e-12 or settled != est.settled:
         return False
     recomputed = _verdict(
@@ -330,7 +331,7 @@ def reverify_certificate(cert: NonMembershipCertificate) -> bool:
         return False
     if cert.verdict == VERDICT_CERTIFIED and cert.claimed_bound is not None:
         margin = cert.claimed_bound - 2.0 * cert.cert_tol
-        if not all(q >= margin for q in tail):
+        if not all(q >= margin for q in est.tail()):
             return False
     return True
 

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "FiniteMeasureSpace",
-    "SecondDualHandle",
     "DualityClassification",
     "l1_norm",
     "linf_norm",
@@ -26,7 +25,6 @@ __all__ = [
     "duality_selection",
     "is_duality_member",
     "duality_set_classify",
-    "embed_second_dual",
     "strict_convexity_counterexample",
     "indicator",
     "mask_from_indices",
@@ -196,25 +194,6 @@ def duality_set_classify(f, space: FiniteMeasureSpace) -> DualityClassification:
         return DualityClassification(True, np.zeros(space.n, dtype=bool), zero_selection(space))
     zero_mask = f == 0.0
     return DualityClassification(not bool(np.any(zero_mask)), zero_mask, space.canonical_dual(f))
-
-
-@dataclass(frozen=True, eq=False)
-class SecondDualHandle:
-    """A nonnegative f acting on selections by integration: Phi_f(k*) = <k*, f>."""
-
-    function: np.ndarray
-    space: FiniteMeasureSpace
-
-    def __call__(self, k_star) -> float:
-        return pairing_l1(k_star, self.function, self.space)
-
-
-def embed_second_dual(f, space: FiniteMeasureSpace) -> SecondDualHandle:
-    """Embed f in the positive cone into the second dual via integration."""
-    f = space.check(f)
-    if np.any(f < 0.0):
-        raise ValueError("only the positive cone embeds into the second dual")
-    return SecondDualHandle(f, space)
 
 
 def strict_convexity_counterexample(space: FiniteMeasureSpace, mask_a, mask_b):

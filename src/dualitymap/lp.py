@@ -27,7 +27,6 @@ __all__ = [
     "duality_map",
     "dual_duality_map",
     "pairing",
-    "is_duality_member_lp",
     "LpSpace",
 ]
 
@@ -99,11 +98,6 @@ def dual_duality_map(u, q: float) -> np.ndarray:
 def pairing(u, x) -> float:
     """Canonical pairing <u, x> = sum u_i x_i between l_q and l_p."""
     return _pair(as_vector(u), as_vector(x))
-
-
-def is_duality_member_lp(u, x, p: float, tol: float = 1e-9) -> bool:
-    """Check <u, x> = ||x||_p**2 and ||u||_q = ||x||_p to relative tol."""
-    return LpSpace(p).is_member(as_vector(x), as_vector(u), tol)
 
 
 @dataclass(frozen=True)

@@ -190,8 +190,103 @@ def _draw_c01(space: c01.C01Space, rng) -> tuple:
     return random_pwl(rng), random_pwl(rng), float(rng.uniform(-3.0, 3.0))
 
 
-# One draw per backend: two checked primal elements x, y and a scalar alpha.
-_DRAWS = {"lp": _draw_lp, "l1": _draw_l1, "c01": _draw_c01}
+def _lp_invariants(space: lp.LpSpace, rng, sample_count: int) -> tuple:
+    identity, roundtrip = [], []
+    conjugate = lp.LpSpace(space.q)
+    for _ in range(sample_count):
+        x = rng.uniform(-10.0, 10.0, int(rng.integers(1, 9)))
+        nx = space.norm(x)
+        jx = space.canonical_dual(x)
+        identity.append(
+            max(
+                abs(space.pair(jx, x) - nx * nx) / max(1.0, nx * nx),
+                abs(space.dual_norm(jx) - nx) / max(1.0, nx),
+            )
+        )
+        back = conjugate.canonical_dual(jx)
+        roundtrip.append(
+            float(np.max(np.abs(back - x) / np.maximum(1.0, np.abs(x))))
+        )
+    return (
+        _record("pairing_identity", identity),
+        _record("inverse_roundtrip", roundtrip),
+    )
+
+
+def _l1_invariants(space: l1.FiniteMeasureSpace, rng, sample_count: int) -> tuple:
+    member, scaling = [], []
+    for _ in range(sample_count):
+        f = rng.uniform(-5.0, 5.0, space.n)
+        f[rng.random(space.n) < 0.25] = 0.0
+        if not np.any(f):
+            f[0] = 1.0
+        norm = space.norm(f)
+        free = rng.uniform(-norm, norm, int(np.sum(f == 0.0)))
+        sel = l1.duality_selection(f, space, free)
+        member.append(
+            max(
+                abs(space.dual_norm(sel) - norm),
+                abs(space.pair(sel, f) - norm * norm),
+            )
+        )
+        alpha = float(rng.uniform(0.1, 4.0))
+        scaling.append(
+            float(
+                np.max(
+                    np.abs(
+                        alpha * sel
+                        - l1.duality_selection(alpha * f, space, alpha * free)
+                    )
+                )
+            )
+        )
+    return (
+        _record("selection_membership", member),
+        _record("positive_scaling", scaling),
+    )
+
+
+def _c01_invariants(space: c01.C01Space, rng, sample_count: int) -> tuple:
+    mset_scaling, exactness = [], []
+    for _ in range(sample_count):
+        f = random_pwl(rng)
+        mset = c01.maximizing_set(f)
+        ok = all(
+            c01.maximizing_set(c01.pwl_scale(f, t)).same_set(mset, tol=1e-12)
+            for t in (-2.0, 0.5, 3.0)
+        )
+        mset_scaling.append(0.0 if ok else 1.0)
+        mu = c01.atomic_duality_measure(f, mset.points())
+        norm = space.norm(f)
+        exactness.append(
+            max(
+                abs(space.dual_norm(mu) - norm) / max(1.0, norm),
+                abs(space.pair(mu, f) - norm * norm) / max(1.0, norm * norm),
+            )
+        )
+    return (
+        _record("maximizing_set_scaling", mset_scaling),
+        _record("atomic_member_exact", exactness),
+    )
+
+
+# Per backend: the battery draw (two checked primal elements x, y and a scalar
+# alpha) and the backend-specific invariants, keyed by ``descriptor()["space"]``.
+_BACKENDS = {
+    "lp": (_draw_lp, _lp_invariants),
+    "l1": (_draw_l1, _l1_invariants),
+    "c01": (_draw_c01, _c01_invariants),
+}
+
+
+def _backend(space, sample_count: int) -> tuple:
+    """The ``_BACKENDS`` entry of ``space``; both suite entry points check here."""
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
+    try:
+        return _BACKENDS[space.descriptor()["space"]]
+    except (AttributeError, KeyError):
+        raise TypeError(f"no suite for {type(space).__name__}") from None
 
 
 def run_appendix_battery(space, sample_count: int, seed: int) -> SuiteReport:
@@ -200,12 +295,7 @@ def run_appendix_battery(space, sample_count: int, seed: int) -> SuiteReport:
     J2 (J is the identity) applies to l_2 only.  Differences of dual elements
     are measured in the dual norm.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
-    try:
-        draw = _DRAWS[space.descriptor()["space"]]
-    except (AttributeError, KeyError):
-        raise TypeError(f"no battery for {type(space).__name__}") from None
+    draw = _backend(space, sample_count)[0]
     rng = np.random.default_rng(seed)
     hilbert = space.descriptor() == {"space": "lp", "p": 2.0}
     j2, j3, j4, j5, j6 = [], [], [], [], []
@@ -251,79 +341,5 @@ def run_backend_invariants(space, sample_count: int, seed: int) -> tuple:
     atomic duality measures.  The draws are valid arrays, so the loops call
     the space methods, which do not re-check them.
     """
-    rng = np.random.default_rng(seed)
-    if isinstance(space, lp.LpSpace):
-        identity, roundtrip = [], []
-        conjugate = lp.LpSpace(space.q)
-        for _ in range(sample_count):
-            x = rng.uniform(-10.0, 10.0, int(rng.integers(1, 9)))
-            nx = space.norm(x)
-            jx = space.duality(x)
-            identity.append(
-                max(
-                    abs(space.pair(jx, x) - nx * nx) / max(1.0, nx * nx),
-                    abs(space.dual_norm(jx) - nx) / max(1.0, nx),
-                )
-            )
-            back = conjugate.duality(jx)
-            roundtrip.append(
-                float(np.max(np.abs(back - x) / np.maximum(1.0, np.abs(x))))
-            )
-        return (
-            _record("pairing_identity", identity),
-            _record("inverse_roundtrip", roundtrip),
-        )
-    if isinstance(space, l1.FiniteMeasureSpace):
-        member, scaling = [], []
-        for _ in range(sample_count):
-            f = rng.uniform(-5.0, 5.0, space.n)
-            f[rng.random(space.n) < 0.25] = 0.0
-            if not np.any(f):
-                f[0] = 1.0
-            norm = space.norm(f)
-            free = rng.uniform(-norm, norm, int(np.sum(f == 0.0)))
-            sel = l1.duality_selection(f, space, free)
-            member.append(
-                max(
-                    abs(space.dual_norm(sel) - norm),
-                    abs(space.pair(sel, f) - norm * norm),
-                )
-            )
-            alpha = float(rng.uniform(0.1, 4.0))
-            scaling.append(
-                float(
-                    np.max(
-                        np.abs(
-                            alpha * sel
-                            - l1.duality_selection(alpha * f, space, alpha * free)
-                        )
-                    )
-                )
-            )
-        return (
-            _record("selection_membership", member),
-            _record("positive_scaling", scaling),
-        )
-    if isinstance(space, c01.C01Space):
-        mset_scaling, exactness = [], []
-        for _ in range(sample_count):
-            f = random_pwl(rng)
-            mset = c01.maximizing_set(f)
-            ok = all(
-                c01.maximizing_set(c01.pwl_scale(f, t)).same_set(mset, tol=1e-12)
-                for t in (-2.0, 0.5, 3.0)
-            )
-            mset_scaling.append(0.0 if ok else 1.0)
-            mu = c01.atomic_duality_measure(f, mset.points())
-            norm = c01.sup_norm(f)
-            exactness.append(
-                max(
-                    abs(c01.tv_norm(mu) - norm) / max(1.0, norm),
-                    abs(c01.pairing_c(mu, f) - norm * norm) / max(1.0, norm * norm),
-                )
-            )
-        return (
-            _record("maximizing_set_scaling", mset_scaling),
-            _record("atomic_member_exact", exactness),
-        )
-    raise TypeError(f"no invariants for {type(space).__name__}")
+    invariants = _backend(space, sample_count)[1]
+    return invariants(space, np.random.default_rng(seed), sample_count)

@@ -6,11 +6,13 @@ the closed-form limit of the difference quotient where one exists.  The
 curves fall into three families:
 
 * scaling curves (1 +- t) x paired with (1 +- t) x*, valid in every model by
-  homogeneity of J;
+  homogeneity of J (``_scaling_curve``);
 * coordinate / indicator bumps x + t e_m and f +- t chi_D, whose duality
-  selections follow the sign-template of the set-valued models;
+  selections follow the sign-template of the set-valued models
+  (``_bump_curve``; thm46 pairs its bump with a non-canonical selection);
 * constant shifts f +- t in the sup-norm model, where the shifted function
-  keeps (part of) the maximizing set and atomic selections shift with it.
+  keeps (part of) the maximizing set and atomic selections shift with it
+  (``_shift_curve``).
 
 Hypothesis validation is strict: a violated hypothesis raises
 ``HypothesisViolation`` naming the failed condition rather than producing a
@@ -69,6 +71,16 @@ def _scaling_curve(space, theorem: str, s: float, x, x_star) -> ProbeCurve:
     return ProbeCurve(f"{theorem}:scale[{s:+.0f}]", gen, t_max=0.5)
 
 
+def _bump_curve(space, curve_id: str, x, direction, t_max: float) -> ProbeCurve:
+    """x + t d paired with canonical_dual(x + t d), free values 0 where J is set-valued."""
+
+    def gen(t: float) -> GraphPair:
+        z = x + t * direction
+        return GraphPair(z, space.canonical_dual(z))
+
+    return ProbeCurve(curve_id, gen, t_max=t_max)
+
+
 def _sign_mask_uniform(values: np.ndarray, mask: np.ndarray, name: str) -> float:
     """Common nonzero sign of ``values`` on ``mask``; violation otherwise."""
     vals = values[mask]
@@ -112,15 +124,10 @@ def _thm31(space: lp.LpSpace, params: dict) -> Witness:
     direction = np.zeros_like(x)
     direction[m] = s
     x_star = space.canonical_dual(x)
-
-    def gen(t: float) -> GraphPair:
-        z = x + t * direction
-        return GraphPair(z, space.canonical_dual(z))
-
     at_origin = not np.any(x)
     bound = abs(w[m]) / 2.0 if (at_origin or space.p == 2.0) else None
     query = CoderivativeQuery(space, GraphPair(x, x_star), candidate=w)
-    curve = ProbeCurve(f"thm31:bump[m={m},sign={s:+.0f}]", gen, t_max=1.0)
+    curve = _bump_curve(space, f"thm31:bump[m={m},sign={s:+.0f}]", x, direction, 1.0)
     return Witness("thm31", query, curve, bound, one_sided=bound is None)
 
 
@@ -189,15 +196,11 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     sigma = _sign_mask_uniform(k_star, mask, "k*")
     chi = l1.indicator(space, mask)
     f_star = space.canonical_dual(f)
-
-    def gen(t: float) -> GraphPair:
-        h = f + sigma * t * chi  # keeps the signs of f, so J(h) is a singleton
-        return GraphPair(h, space.canonical_dual(h))
-
     mu_d = space.measure(mask)
     bound = sigma * space.pair(k_star, chi) / (2.0 * mu_d)
     query = CoderivativeQuery(space, GraphPair(f, f_star), candidate=k_star)
-    curve = ProbeCurve(f"thm45_case2:bump[{sigma:+.0f}*chi_D]", gen, t_max=a / 2.0)
+    # t < a keeps the signs of f, so J(f + t sigma chi_D) is a singleton.
+    curve = _bump_curve(space, f"thm45_case2:bump[{sigma:+.0f}*chi_D]", f, sigma * chi, a / 2.0)
     return Witness("thm45_case2", query, curve, bound)
 
 
@@ -231,20 +234,14 @@ def _thm47(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     _require(a > 0.0, "a > 0")
     _require(bool(np.any(mask)), "D is nonempty")
     _require(bool(np.all(f[mask] > a)), "D subset {f > a}")
-    chi = l1.indicator(space, mask)
-    positive = f > 0.0
-    norm = space.norm(f)
-    f_star = np.where(positive, norm, 0.0)
-
-    def gen(t: float) -> GraphPair:
-        h = f - t * chi
-        return GraphPair(h, np.where(positive, space.norm(h), 0.0))
-
+    f_star = space.canonical_dual(f)
     query = CoderivativeQuery(
         space, GraphPair(f, f_star), candidate=-f_star, second_dual=f
     )
-    curve = ProbeCurve("thm47:bump[-chi_D]", gen, t_max=a / 2.0)
-    return Witness("thm47", query, curve, norm)
+    # For t < a, f - t chi_D is positive on D and equals f elsewhere, so its
+    # canonical selection is ||f - t chi_D||_1 on {f > 0} and 0 on {f = 0}.
+    curve = _bump_curve(space, "thm47:bump[-chi_D]", f, -l1.indicator(space, mask), a / 2.0)
+    return Witness("thm47", query, curve, space.norm(f))
 
 
 def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
@@ -269,17 +266,10 @@ def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     else:
         b = float(np.max(margins)) / 2.0
         mask = margins > b
-    chi = l1.indicator(space, mask)
-    f_star = np.full(space.n, norm)
-
-    def gen(t: float) -> GraphPair:
-        h = f + t * chi
-        return GraphPair(h, np.full(space.n, space.norm(h)))
-
     query = CoderivativeQuery(
-        space, GraphPair(f, f_star), candidate=u_star, second_dual=f
+        space, GraphPair(f, space.canonical_dual(f)), candidate=u_star, second_dual=f
     )
-    curve = ProbeCurve("cor48:bump[+chi_E]", gen, t_max=1.0)
+    curve = _bump_curve(space, "cor48:bump[+chi_E]", f, l1.indicator(space, mask), 1.0)
     return Witness("cor48", query, curve, b / 2.0, one_sided=True)
 
 
@@ -300,7 +290,7 @@ def _resolve_measure(params: dict, key: str, f: c01.PwlFunction) -> c01.RcaMeasu
             mu = c01.atomic_duality_measure(f, sel["points"], sel.get("alphas"))
     else:
         mu = c01.canonical_duality_measure(f)
-    _require(c01.in_duality_set_c(mu, f), f"{key} in J(f)")
+    _require(c01.C01Space().is_member(f, mu), f"{key} in J(f)")
     return mu
 
 

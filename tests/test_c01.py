@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dualitymap import (
+    C01Space,
     PwlFunction,
     atomic_duality_measure,
     is_duality_member_c,
@@ -19,6 +20,7 @@ from dualitymap import (
 )
 from dualitymap.c01 import (
     RcaMeasure,
+    StepDensity,
     atom_measure,
     density_measure,
     measure_scale,
@@ -218,13 +220,16 @@ def test_pwl_sub_exact():
     np.testing.assert_allclose(diff(xs), f(xs) - g(xs), atol=1e-15)
 
 
-def test_embed_second_dual():
-    from dualitymap import embed_second_dual_c
-
+def test_second_dual_pairs_by_integration():
+    space = C01Space()
     tent = pwl_tent()
-    phi = embed_second_dual_c(tent)
-    mu = atom_measure([(0.5, 2.0)])
-    assert phi(mu) == 2.0  # = 2 * f(0.5)
-    assert phi(density_measure([0.0, 1.0], [1.0])) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        embed_second_dual_c(line(-1.0, 1.0))
+    assert space.in_second_dual_domain(tent)
+    assert space.pair(atom_measure([(0.5, 2.0)]), tent) == 2.0  # = 2 * f(0.5)
+    assert space.pair(density_measure([0.0, 1.0], [1.0]), tent) == pytest.approx(0.5)
+    assert not space.in_second_dual_domain(line(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("cls, values", [(PwlFunction, [1.0, 2.0, 3.0]), (StepDensity, [1.0, 2.0])])
+def test_nan_breakpoint_rejected(cls, values):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        cls(np.array([0.0, np.nan, 1.0]), np.array(values))

@@ -214,15 +214,13 @@ def test_query_validates_second_dual_cone():
         )
 
 
-def test_query_unwraps_embedding_handle(l2):
+def test_query_pairs_raw_second_dual():
     from dualitymap import FiniteMeasureSpace
-    from dualitymap.l1 import embed_second_dual
 
     space = FiniteMeasureSpace([1.0, 1.0])
     f = np.array([1.0, 1.0])
     f_star = np.array([2.0, 2.0])
-    handle = embed_second_dual(f, space)
-    query = CoderivativeQuery(space, GraphPair(f, f_star), np.zeros(2), second_dual=handle)
+    query = CoderivativeQuery(space, GraphPair(f, f_star), np.zeros(2), second_dual=[1.0, 1.0])
     np.testing.assert_array_equal(query.second_dual, f)
     pair = GraphPair(1.1 * f, 1.1 * f_star)
     # numerator is -<u* - x*, f> = -0.2 * 2; denominator 0.2 + 0.2

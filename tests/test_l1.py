@@ -7,7 +7,6 @@ from dualitymap import (
     FiniteMeasureSpace,
     duality_selection,
     duality_set_classify,
-    embed_second_dual,
     is_duality_member,
     l1_norm,
     linf_norm,
@@ -97,16 +96,15 @@ def test_classify(uniform3):
     np.testing.assert_array_equal(info.selection, [0.0, 0.0])
 
 
-def test_embed_second_dual(uniform3):
+def test_second_dual_pairs_by_integration():
     two = FiniteMeasureSpace([1.0, 1.0])
-    phi = embed_second_dual([1.0, 0.0], two)
-    assert phi([2.0, 7.0]) == 2.0
-    assert embed_second_dual([0.0, 0.0], two)([5.0, -1.0]) == 0.0
-    f = np.array([2.0, 1.0])
+    assert two.pair(two.check([2.0, 7.0]), two.check([1.0, 0.0])) == 2.0
+    assert two.pair(two.check([5.0, -1.0]), two.check([0.0, 0.0])) == 0.0
+    f = two.check([2.0, 1.0])
     f_star = duality_selection(f, two)
-    assert embed_second_dual(f, two)(f_star) == 9.0  # = ||f||_1^2
-    with pytest.raises(ValueError):
-        embed_second_dual([1.0, -0.5], two)
+    assert two.pair(f_star, f) == 9.0  # = ||f||_1^2
+    assert two.in_second_dual_domain(f) and two.in_second_dual_domain(two.check([0.0, 0.0]))
+    assert not two.in_second_dual_domain(two.check([1.0, -0.5]))
 
 
 def test_strict_convexity_counterexample():

@@ -12,6 +12,7 @@ from dualitymap import (
     gradient_oracle_lp,
     l1_norm,
     run_appendix_battery,
+    run_backend_invariants,
 )
 
 
@@ -143,7 +144,23 @@ def test_battery_deterministic():
 
 
 def test_battery_guards():
-    with pytest.raises(ValueError):
-        run_appendix_battery(LpSpace(2.0), 0, seed=1)
-    with pytest.raises(TypeError):
-        run_appendix_battery(object(), 10, seed=1)
+    for entry in (run_appendix_battery, run_backend_invariants):
+        with pytest.raises(ValueError, match="sample_count"):
+            entry(LpSpace(2.0), 0, seed=1)
+        with pytest.raises(TypeError):
+            entry(object(), 10, seed=1)
+
+
+@pytest.mark.parametrize(
+    "space, ids",
+    [
+        (LpSpace(2.0), ["pairing_identity", "inverse_roundtrip"]),
+        (LpSpace(3.0), ["pairing_identity", "inverse_roundtrip"]),
+        (FiniteMeasureSpace([1.0, 0.5, 2.0]), ["selection_membership", "positive_scaling"]),
+        (C01Space(), ["maximizing_set_scaling", "atomic_member_exact"]),
+    ],
+)
+def test_invariants_pass_everywhere(space, ids):
+    records = run_backend_invariants(space, 50, seed=7)
+    assert [r.property_id for r in records] == ids
+    assert all(r.passed and r.samples == 50 for r in records), records
