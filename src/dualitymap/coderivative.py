@@ -16,6 +16,21 @@ whose quotient limit is positive, however, falsifies it.  Everything here is
 therefore built around non-membership certificates: sample the quotient on a
 geometric schedule, estimate the tail limit, and certify when the tail is
 settled, positive, and at or above a claimed closed-form bound.
+
+A curve affine in t can carry its data as an ``AffineForm``: the base pair
+(x, x*), a point tangent d and a dual tangent d*, with u_t = x + t d and
+u_t* = x* + t d*, or u_t* = canonical_dual(u_t) when d* is None; or the
+scaling (1 + s t)(x, x*).  The catalog's scaling curves (every model) and
+bump curves (``lp``, ``L1``, thm46's included) are of this form.  When the
+query's space also has the row forms of ``RowSpace`` (``LpSpace`` and
+``FiniteMeasureSpace`` do, ``C01Space`` does not), ``estimate_limit``
+samples every t at once as one (steps, n) array, with the checks of the
+per-t path.  The batched floats are bitwise those of the per-t path: sums
+reduce along each row, an ``lp`` pairing runs the ``np.dot`` kernel on each
+row (``np.vecdot``) and the l_p root stays one scalar power per row (a
+matrix product or an array power rounds differently), and a scaling curve
+evaluates as (1 + s t) x, never as x + t (s x).  Other curves (``c01``, the
+``c01`` shifts, generator-only curves) are sampled one t at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +42,9 @@ import numpy as np
 
 __all__ = [
     "Space",
+    "RowSpace",
     "GraphPair",
+    "AffineForm",
     "CoderivativeQuery",
     "ProbeCurve",
     "Schedule",
@@ -75,6 +92,27 @@ class Space(Protocol):
     def descriptor(self) -> dict: ...
 
 
+class RowSpace(Space, Protocol):
+    """Row forms of a ``Space`` on (steps, n) arrays, one element per row.
+
+    Each row of a result equals, bitwise, the per-element method applied to
+    that row.  ``pair_rows`` and the space's ``sub``, ``dual_sub``, ``scale``
+    and ``dual_scale`` also broadcast a single element or a column of factors
+    against rows.
+    """
+
+    def check_rows(self, x): ...
+    def check_dual_rows(self, u): ...
+    def norm_rows(self, x) -> np.ndarray: ...
+    def dual_norm_rows(self, u) -> np.ndarray: ...
+    def pair_rows(self, u, x) -> np.ndarray: ...
+    def canonical_dual_rows(self, x): ...
+    def is_member_rows(self, x, u, tol: float) -> np.ndarray: ...
+
+
+ROW_FORMS = tuple(name for name in vars(RowSpace) if not name.startswith("_"))
+
+
 @dataclass(frozen=True, eq=False)
 class GraphPair:
     """A point of gph J: a primal element with one of its duality selections."""
@@ -114,16 +152,65 @@ class CoderivativeQuery:
 
 
 @dataclass(frozen=True, eq=False)
-class ProbeCurve:
-    """t -> (u_t, u_t*) in gph J, valid for 0 < t <= t_max."""
+class AffineForm:
+    """A probe curve affine in t, as data in the model ``space``.
 
-    curve_id: str
-    generator: Callable[[float], GraphPair]
-    t_max: float = 1.0
+    With ``scale`` s != 0 the curve is the scaling (1 + s t)(x, x*) of the
+    base pair, evaluated as (1 + s t) x: x + t (s x) rounds differently
+    unless t is dyadic.  Otherwise u_t = x + t d for the ``tangent`` d, and
+    u_t* = x* + t d* for the ``dual_tangent`` d*, or canonical_dual(u_t) when
+    d* is None.  ``at`` evaluates one t; ``rows`` evaluates a column of t
+    with the ``RowSpace`` forms, as two (steps, n) arrays.
+    """
+
+    space: Space
+    base: GraphPair
+    tangent: object = None
+    dual_tangent: object = None
+    scale: float = 0.0
+
+    def _evaluate(self, t, canonical_dual) -> tuple:
+        space, x, x_star = self.space, self.base.point, self.base.dual
+        if self.scale:
+            c = 1.0 + self.scale * t
+            return space.scale(x, c), space.dual_scale(x_star, c)
+        u = x + t * self.tangent
+        if self.dual_tangent is None:
+            return u, canonical_dual(u)
+        return u, x_star + t * self.dual_tangent
 
     def at(self, t: float) -> GraphPair:
+        return GraphPair(*self._evaluate(t, self.space.canonical_dual))
+
+    def rows(self, ts: np.ndarray) -> tuple:
+        return self._evaluate(ts[:, None], self.space.canonical_dual_rows)
+
+
+@dataclass(frozen=True, eq=False)
+class ProbeCurve:
+    """t -> (u_t, u_t*) in gph J, valid for 0 < t <= t_max.
+
+    A curve given by an ``affine`` form and no generator gets
+    ``affine.at`` as its generator.
+    """
+
+    curve_id: str
+    generator: Callable[[float], GraphPair] | None = None
+    t_max: float = 1.0
+    affine: AffineForm | None = None
+
+    def __post_init__(self):
+        if self.generator is None:
+            if self.affine is None:
+                raise ValueError("a probe curve needs a generator or an affine form")
+            object.__setattr__(self, "generator", self.affine.at)
+
+    def _check_window(self, t: float) -> None:
         if not 0.0 < t <= self.t_max:
             raise ValueError(f"curve {self.curve_id} is only valid on (0, {self.t_max}]")
+
+    def at(self, t: float) -> GraphPair:
+        self._check_window(t)
         return self.generator(float(t))
 
 
@@ -230,6 +317,31 @@ def _sample(query: CoderivativeQuery, pair: GraphPair, membership_tol: float) ->
     return _quotient(query, u, u_star)
 
 
+def _sample_rows(query: CoderivativeQuery, curve: ProbeCurve, ts: list, membership_tol: float) -> tuple:
+    """Quotients and graph distances at every t at once, from the curve's affine form.
+
+    The checks and messages of ``_sample`` and ``_quotient``, each on all
+    rows in turn; where rows fail different checks, the first check in that
+    order is reported, not the first failing t.
+    """
+    space = query.space
+    for t in ts:
+        curve._check_window(t)
+    u, u_star = curve.affine.rows(np.array(ts))
+    u, u_star = space.check_rows(u), space.check_dual_rows(u_star)
+    if not space.is_member_rows(u, u_star, membership_tol).all():
+        raise ValueError("probe curve produced a pair outside gph J")
+    du = space.sub(u, query.base.point)
+    dstar = space.dual_sub(u_star, query.base.dual)
+    den = space.norm_rows(du) + space.dual_norm_rows(dstar)
+    if (den <= 0.0).any():
+        raise ValueError("degenerate pair: zero distance to the base point")
+    num = space.pair_rows(query.candidate, du)
+    if query.second_dual is not None:
+        num = num - space.pair_rows(dstar, query.second_dual)
+    return (num / den).tolist(), den.tolist()
+
+
 def _tail_estimate(quotients, settle_tol: float) -> tuple:
     """Mean of the last three quotients, and whether their spread is <= settle_tol."""
     tail = quotients[-3:]
@@ -248,6 +360,7 @@ def estimate_limit(
     The estimate is the mean of the last three quotients; it is ``settled``
     when their spread is at most ``settle_tol``.  A schedule whose t0 exceeds
     the curve's validity window is shrunk to half the window and flagged.
+    An affine curve in a space with row forms is sampled as one batch.
     """
     sch = schedule if schedule is not None else default_schedule(curve.t_max)
     t0 = sch.t0
@@ -255,13 +368,15 @@ def estimate_limit(
     if t0 > curve.t_max:
         t0 = curve.t_max / 2.0
         shrunk = True
-    ts, qs, dists = [], [], []
-    for k in range(sch.steps):
-        t = t0 * sch.ratio**k
-        q, dist = _sample(query, curve.at(t), membership_tol)
-        ts.append(t)
-        qs.append(q)
-        dists.append(dist)
+    ts = [t0 * sch.ratio**k for k in range(sch.steps)]
+    if curve.affine is not None and all(hasattr(query.space, name) for name in ROW_FORMS):
+        qs, dists = _sample_rows(query, curve, ts, membership_tol)
+    else:
+        qs, dists = [], []
+        for t in ts:
+            q, dist = _sample(query, curve.at(t), membership_tol)
+            qs.append(q)
+            dists.append(dist)
     if dists[-1] >= dists[-2]:
         raise ValueError(
             f"curve {curve.curve_id} does not approach the base point as t drops"

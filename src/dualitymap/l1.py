@@ -102,6 +102,36 @@ class FiniteMeasureSpace:
         norm_ok = abs(self.dual_norm(g) - norm) <= tol * max(1.0, norm)
         return norm_ok and abs(self.pair(g, f) - norm * norm) <= tol * max(1.0, norm * norm)
 
+    # -- row forms (coderivative.RowSpace): (steps, n) arrays of value lists --
+    def check_rows(self, values) -> np.ndarray:
+        if values.shape[-1] != self.n:
+            raise ValueError(
+                f"value list of length {values.shape[-1]} does not match the {self.n}-point space"
+            )
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        return values
+
+    check_dual_rows = check_rows
+
+    def norm_rows(self, f) -> np.ndarray:
+        return np.sum(np.abs(f) * self.weights, axis=1)
+
+    def dual_norm_rows(self, g) -> np.ndarray:
+        return np.max(np.abs(g), axis=1)
+
+    def pair_rows(self, g, f) -> np.ndarray:
+        return np.sum(g * f * self.weights, axis=1)
+
+    def canonical_dual_rows(self, f) -> np.ndarray:
+        norm = self.norm_rows(f)[:, None]
+        return np.where(f > 0.0, norm, np.where(f < 0.0, -norm, 0.0))
+
+    def is_member_rows(self, f, g, tol: float = 1e-10) -> np.ndarray:
+        norm = self.norm_rows(f)
+        norm_ok = abs(self.dual_norm_rows(g) - norm) <= tol * np.maximum(1.0, norm)
+        return norm_ok & (abs(self.pair_rows(g, f) - norm * norm) <= tol * np.maximum(1.0, norm * norm))
+
     def in_second_dual_domain(self, h) -> bool:
         # Only the positive cone embeds into the second dual.
         return bool(np.all(h >= 0.0))

@@ -61,14 +61,31 @@ def _norm(v: np.ndarray, p: float) -> float:
     return norm
 
 
+def _norm_rows(v: np.ndarray, p: float) -> np.ndarray:
+    # One scalar root per row (C pow, as in _norm): an array power rounds
+    # differently.
+    root = 1.0 / p
+    norms = np.array([s**root for s in np.sum(np.abs(v) ** p, axis=1).tolist()])
+    if not np.isfinite(norms).all():
+        raise ValueError(f"l_{p} norm overflows")
+    return norms
+
+
 def _same_dimension(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
 
 
 def _pair(u: np.ndarray, x: np.ndarray) -> float:
     _same_dimension(u, x)
     return float(np.dot(u, x))
+
+
+def _pair_rows(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # np.vecdot runs the kernel of np.dot on each row; a matrix product
+    # rounds differently.
+    _same_dimension(u, x)
+    return np.vecdot(u, x)
 
 
 def lp_norm(x, p: float) -> float:
@@ -106,7 +123,8 @@ class LpSpace:
 
     Primal elements and dual elements are both plain 1-d arrays; the dual
     space is l_q with q = p / (p - 1).  The methods after ``check`` take
-    checked vectors and only compare their dimensions.
+    checked vectors and only compare their dimensions; ``sub`` and ``scale``
+    also broadcast over the (steps, n) rows of the ``*_rows`` forms.
     """
 
     p: float
@@ -144,15 +162,18 @@ class LpSpace:
 
     dual_scale = scale
 
+    def _divisor(self, norm: float) -> float:
+        """||x|| ** (p - 2), the divisor of J(x) for x != 0."""
+        try:
+            return norm ** (self.p - 2.0)
+        except OverflowError:
+            raise ValueError(f"||x||_{self.p} ** (p - 2) overflows") from None
+
     def duality(self, x) -> np.ndarray:
         norm = _norm(x, self.p)
         if norm == 0.0:
             return np.zeros_like(x)
-        try:
-            scale = norm ** (self.p - 2.0)
-        except OverflowError:
-            raise ValueError(f"||x||_{self.p} ** (p - 2) overflows") from None
-        return np.sign(x) * np.abs(x) ** (self.p - 1.0) / scale
+        return np.sign(x) * np.abs(x) ** (self.p - 1.0) / self._divisor(norm)
 
     canonical_dual = duality
 
@@ -161,6 +182,37 @@ class LpSpace:
         pair_err = abs(_pair(u, x) - nx * nx)
         norm_err = abs(_norm(u, self.q) - nx)
         return pair_err <= tol * max(1.0, nx * nx) and norm_err <= tol * max(1.0, nx)
+
+    # -- row forms (coderivative.RowSpace) ---------------------------------
+    def check_rows(self, x) -> np.ndarray:
+        if x.shape[-1] < 1:
+            raise ValueError("vector must be one-dimensional with at least one coordinate")
+        if not np.isfinite(x).all():
+            raise ValueError("vector coordinates must be finite")
+        return x
+
+    check_dual_rows = check_rows
+
+    def norm_rows(self, x) -> np.ndarray:
+        return _norm_rows(x, self.p)
+
+    def dual_norm_rows(self, u) -> np.ndarray:
+        return _norm_rows(u, self.q)
+
+    def pair_rows(self, u, x) -> np.ndarray:
+        return _pair_rows(u, x)
+
+    def canonical_dual_rows(self, x) -> np.ndarray:
+        # A zero row takes the divisor 1, which maps it to 0 = J(0).
+        norms = _norm_rows(x, self.p).tolist()
+        divisors = np.array([self._divisor(n) if n else 1.0 for n in norms])
+        return np.sign(x) * np.abs(x) ** (self.p - 1.0) / divisors[:, None]
+
+    def is_member_rows(self, x, u, tol: float = 1e-9) -> np.ndarray:
+        nx = _norm_rows(x, self.p)
+        pair_err = abs(_pair_rows(u, x) - nx * nx)
+        norm_err = abs(_norm_rows(u, self.q) - nx)
+        return (pair_err <= tol * np.maximum(1.0, nx * nx)) & (norm_err <= tol * np.maximum(1.0, nx))
 
     def in_second_dual_domain(self, y) -> bool:
         # l_p is reflexive: every primal vector represents a second dual.

@@ -14,6 +14,9 @@ curves fall into three families:
   keeps (part of) the maximizing set and atomic selections shift with it
   (``_shift_curve``).
 
+The scaling and bump curves are affine in t and carry their data as a
+``coderivative.AffineForm``; the shifts are generators.
+
 Hypothesis validation is strict: a violated hypothesis raises
 ``HypothesisViolation`` naming the failed condition rather than producing a
 curve outside its validity window.
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import c01, l1, lp, serialize
-from .coderivative import CoderivativeQuery, GraphPair, ProbeCurve
+from .coderivative import AffineForm, CoderivativeQuery, GraphPair, ProbeCurve
 
 __all__ = ["HypothesisViolation", "Witness", "build_witness", "THEOREM_IDS"]
 
@@ -61,24 +64,16 @@ def _require(condition: bool, hypothesis: str):
         raise HypothesisViolation(hypothesis)
 
 
-def _scaling_curve(space, theorem: str, s: float, x, x_star) -> ProbeCurve:
-    """(1 + s t)(x, x*): stays in gph J by positive homogeneity of J."""
-
-    def gen(t: float) -> GraphPair:
-        scale = 1.0 + s * t
-        return GraphPair(space.scale(x, scale), space.dual_scale(x_star, scale))
-
-    return ProbeCurve(f"{theorem}:scale[{s:+.0f}]", gen, t_max=0.5)
+def _scaling_curve(query: CoderivativeQuery, theorem: str, s: float) -> ProbeCurve:
+    """(1 + s t)(x, x*) from the query's base: stays in gph J by positive homogeneity of J."""
+    affine = AffineForm(query.space, query.base, scale=s)
+    return ProbeCurve(f"{theorem}:scale[{s:+.0f}]", t_max=0.5, affine=affine)
 
 
-def _bump_curve(space, curve_id: str, x, direction, t_max: float) -> ProbeCurve:
+def _bump_curve(query: CoderivativeQuery, curve_id: str, direction, t_max: float) -> ProbeCurve:
     """x + t d paired with canonical_dual(x + t d), free values 0 where J is set-valued."""
-
-    def gen(t: float) -> GraphPair:
-        z = x + t * direction
-        return GraphPair(z, space.canonical_dual(z))
-
-    return ProbeCurve(curve_id, gen, t_max=t_max)
+    affine = AffineForm(query.space, query.base, tangent=direction)
+    return ProbeCurve(curve_id, t_max=t_max, affine=affine)
 
 
 def _sign_mask_uniform(values: np.ndarray, mask: np.ndarray, name: str) -> float:
@@ -127,7 +122,7 @@ def _thm31(space: lp.LpSpace, params: dict) -> Witness:
     at_origin = not np.any(x)
     bound = abs(w[m]) / 2.0 if (at_origin or space.p == 2.0) else None
     query = CoderivativeQuery(space, GraphPair(x, x_star), candidate=w)
-    curve = _bump_curve(space, f"thm31:bump[m={m},sign={s:+.0f}]", x, direction, 1.0)
+    curve = _bump_curve(query, f"thm31:bump[m={m},sign={s:+.0f}]", direction, 1.0)
     return Witness("thm31", query, curve, bound, one_sided=bound is None)
 
 
@@ -141,7 +136,7 @@ def _thm32(space: lp.LpSpace, params: dict) -> Witness:
     query = CoderivativeQuery(
         space, GraphPair(x, x_star), candidate=np.zeros_like(x), second_dual=y
     )
-    curve = _scaling_curve(space, "thm32", s, x, x_star)
+    curve = _scaling_curve(query, "thm32", s)
     return Witness("thm32", query, curve, abs(ip) / (2.0 * space.norm(x)))
 
 
@@ -156,7 +151,7 @@ def _thm33(space: lp.LpSpace, params: dict) -> Witness:
     query = CoderivativeQuery(
         space, GraphPair(x, x_star), candidate=space.dual_scale(x_star, a), second_dual=x
     )
-    curve = _scaling_curve(space, "thm33", s, x, x_star)
+    curve = _scaling_curve(query, "thm33", s)
     return Witness("thm33", query, curve, abs(a - 1.0) * space.norm(x) / 2.0)
 
 
@@ -174,7 +169,7 @@ def _thm45_case1(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f_star = space.canonical_dual(f)
     s = 1.0 if ip > 0.0 else -1.0
     query = CoderivativeQuery(space, GraphPair(f, f_star), candidate=k_star)
-    curve = _scaling_curve(space, "thm45_case1", s, f, f_star)
+    curve = _scaling_curve(query, "thm45_case1", s)
     return Witness("thm45_case1", query, curve, abs(ip) / (2.0 * space.norm(f)))
 
 
@@ -200,7 +195,7 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     bound = sigma * space.pair(k_star, chi) / (2.0 * mu_d)
     query = CoderivativeQuery(space, GraphPair(f, f_star), candidate=k_star)
     # t < a keeps the signs of f, so J(f + t sigma chi_D) is a singleton.
-    curve = _bump_curve(space, f"thm45_case2:bump[{sigma:+.0f}*chi_D]", f, sigma * chi, a / 2.0)
+    curve = _bump_curve(query, f"thm45_case2:bump[{sigma:+.0f}*chi_D]", sigma * chi, a / 2.0)
     return Witness("thm45_case2", query, curve, bound)
 
 
@@ -213,16 +208,13 @@ def _thm46(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     chi = l1.indicator(space, mask)
     mu_d = space.measure(mask)
     theta = np.zeros(space.n)
-
-    def gen(t: float) -> GraphPair:
-        h = sigma * t * chi
-        norm = t * mu_d
-        selection = np.where(mask, sigma * norm, -sigma * norm)
-        return GraphPair(h, selection)
-
     bound = sigma * space.pair(k_star, chi) / (2.0 * mu_d)
     query = CoderivativeQuery(space, GraphPair(theta, theta.copy()), candidate=k_star)
-    curve = ProbeCurve(f"thm46:bump[{sigma:+.0f}*chi_D]", gen, t_max=1.0)
+    # t sigma chi_D paired with t mu(D) (sigma on D, -sigma off D), a member
+    # of J(t sigma chi_D) with the free values off D set to -sigma ||.||_1.
+    selection = np.where(mask, sigma * mu_d, -sigma * mu_d)
+    affine = AffineForm(space, query.base, tangent=sigma * chi, dual_tangent=selection)
+    curve = ProbeCurve(f"thm46:bump[{sigma:+.0f}*chi_D]", t_max=1.0, affine=affine)
     return Witness("thm46", query, curve, bound)
 
 
@@ -240,7 +232,7 @@ def _thm47(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     )
     # For t < a, f - t chi_D is positive on D and equals f elsewhere, so its
     # canonical selection is ||f - t chi_D||_1 on {f > 0} and 0 on {f = 0}.
-    curve = _bump_curve(space, "thm47:bump[-chi_D]", f, -l1.indicator(space, mask), a / 2.0)
+    curve = _bump_curve(query, "thm47:bump[-chi_D]", -l1.indicator(space, mask), a / 2.0)
     return Witness("thm47", query, curve, space.norm(f))
 
 
@@ -269,7 +261,7 @@ def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     query = CoderivativeQuery(
         space, GraphPair(f, space.canonical_dual(f)), candidate=u_star, second_dual=f
     )
-    curve = _bump_curve(space, "cor48:bump[+chi_E]", f, l1.indicator(space, mask), 1.0)
+    curve = _bump_curve(query, "cor48:bump[+chi_E]", l1.indicator(space, mask), 1.0)
     return Witness("cor48", query, curve, b / 2.0, one_sided=True)
 
 
@@ -319,7 +311,7 @@ def _thm53(space: c01.C01Space, params: dict) -> Witness:
     query = CoderivativeQuery(
         space, GraphPair(f, mu), candidate=c01.zero_measure(), second_dual=f
     )
-    curve = _scaling_curve(space, "thm53", -1.0, f, mu)
+    curve = _scaling_curve(query, "thm53", -1.0)
     return Witness("thm53", query, curve, norm / 2.0)
 
 
@@ -331,7 +323,7 @@ def _thm54(space: c01.C01Space, params: dict) -> Witness:
     mu = _resolve_measure(params, "mu", f)
     s = 1.0 if ip > 0.0 else -1.0
     query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam)
-    curve = _scaling_curve(space, "thm54", s, f, mu)
+    curve = _scaling_curve(query, "thm54", s)
     return Witness("thm54", query, curve, abs(ip) / (2.0 * space.norm(f)))
 
 
@@ -429,7 +421,7 @@ def _thm58(space: c01.C01Space, params: dict) -> Witness:
     query = CoderivativeQuery(
         space, GraphPair(f, mu), candidate=space.dual_scale(mu, c), second_dual=f
     )
-    curve = _scaling_curve(space, "thm58", s, f, mu)
+    curve = _scaling_curve(query, "thm58", s)
     return Witness("thm58", query, curve, abs(c - 1.0) * norm / 2.0)
 
 

@@ -13,7 +13,7 @@ from dualitymap import (
     Schedule,
     estimate_limit,
 )
-from dualitymap.coderivative import Space
+from dualitymap.coderivative import ROW_FORMS, AffineForm, Space
 
 PROTOCOL = [name for name in vars(Space) if not name.startswith("_")]
 
@@ -29,6 +29,16 @@ def test_protocol_lists_every_method():
 def test_every_space_has_every_protocol_method(cls):
     missing = [name for name in PROTOCOL if not callable(getattr(cls, name, None))]
     assert not missing
+
+
+def test_row_forms_on_lp_and_l1_only():
+    assert sorted(ROW_FORMS) == sorted(
+        ["check_rows", "check_dual_rows", "norm_rows", "dual_norm_rows", "pair_rows",
+         "canonical_dual_rows", "is_member_rows"]
+    )
+    for cls in (LpSpace, FiniteMeasureSpace):
+        assert all(callable(getattr(cls, name, None)) for name in ROW_FORMS)
+    assert not any(hasattr(C01Space, name) for name in ROW_FORMS)
 
 
 def _shrink_query(space, x):
@@ -68,6 +78,14 @@ def _counting(cls):
             calls.append("check_dual")
             return super().check_dual(u)
 
+        def check_rows(self, x):
+            calls.append("check_rows")
+            return super().check_rows(x)
+
+        def check_dual_rows(self, u):
+            calls.append("check_dual_rows")
+            return super().check_dual_rows(u)
+
     return Counting, calls
 
 
@@ -83,7 +101,15 @@ def test_checks_run_once_per_sampled_pair(cls, args):
     # base point, base dual and candidate; no second dual
     assert calls == ["check", "check_dual", "check_dual"]
     curve = ProbeCurve("shrink", lambda t: GraphPair((1 - t) * x, (1 - t) * x_star), t_max=0.5)
+    affine = ProbeCurve("shrink", t_max=0.5, affine=AffineForm(space, query.base, scale=-1.0))
+    # the affine curve stripped to its generator is sampled one t at a time
+    generator_only = ProbeCurve(affine.curve_id, affine.generator, affine.t_max)
     for steps in (8, 20):
+        for each_t in (curve, generator_only):
+            del calls[:]
+            estimate_limit(query, each_t, Schedule(0.25, 0.5, steps))
+            assert calls == ["check", "check_dual"] * steps
+        # the affine curve checks all its rows at once
         del calls[:]
-        estimate_limit(query, curve, Schedule(0.25, 0.5, steps))
-        assert calls == ["check", "check_dual"] * steps
+        estimate_limit(query, affine, Schedule(0.25, 0.5, steps))
+        assert calls == ["check_rows", "check_dual_rows"]

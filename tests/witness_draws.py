@@ -3,7 +3,8 @@
 Each ``draw_*`` function returns (space, params, expected_limit) with the
 parameters guaranteed to satisfy the theorem's hypotheses, so the resulting
 certificate must come back certified with the estimated limit matching the
-closed-form bound.
+closed-form bound.  The ``lp`` and ``l1`` draws take an optional size ``n``
+(coordinates or atoms) in place of their small random one.
 """
 
 from __future__ import annotations
@@ -73,9 +74,22 @@ def random_measure(rng) -> RcaMeasure:
     return RcaMeasure(atoms=tuple(atoms), density=density)
 
 
-def draw_thm32(rng):
+def _dimension(rng, n):
+    return int(rng.integers(1, 9)) if n is None else n
+
+
+def draw_thm31(rng, n=None):
+    """thm31 at x = 0 (one time in four) or a nonzero x; a closed form only at x = 0 or p = 2."""
     space = _lp_space(rng)
-    x = _nonzero_vector(rng, int(rng.integers(1, 9)))
+    dim = _dimension(rng, n)
+    x = np.zeros(dim) if rng.random() < 0.25 else _nonzero_vector(rng, dim)
+    w = rng.uniform(-2.0, 2.0, dim)
+    return space, {"x": x, "w": w}, None
+
+
+def draw_thm32(rng, n=None):
+    space = _lp_space(rng)
+    x = _nonzero_vector(rng, _dimension(rng, n))
     jx = duality_map(x, space.p)
     while True:
         y = rng.uniform(-5.0, 5.0, x.size)
@@ -85,17 +99,17 @@ def draw_thm32(rng):
     return space, {"x": x, "y": y}, abs(ip) / (2.0 * lp_norm(x, space.p))
 
 
-def draw_thm33(rng):
+def draw_thm33(rng, n=None):
     space = _lp_space(rng)
-    x = _nonzero_vector(rng, int(rng.integers(1, 9)))
+    x = _nonzero_vector(rng, _dimension(rng, n))
     a = float(rng.uniform(0.2, 3.0))
     while abs(a - 1.0) < 0.1:
         a = float(rng.uniform(0.2, 3.0))
     return space, {"x": x, "a": a}, abs(a - 1.0) * lp_norm(x, space.p) / 2.0
 
 
-def draw_thm45_case1(rng):
-    space = _l1_space(rng)
+def draw_thm45_case1(rng, n=None):
+    space = _l1_space(rng, n)
     f = _nonzero_vector(rng, space.n)
     while True:
         k_star = rng.uniform(-3.0, 3.0, space.n)
@@ -105,8 +119,8 @@ def draw_thm45_case1(rng):
     return space, {"f": f, "k_star": k_star}, abs(ip) / (2.0 * l1_norm(f, space))
 
 
-def draw_thm45_case2(rng):
-    space = _l1_space(rng)
+def draw_thm45_case2(rng, n=None):
+    space = _l1_space(rng, n)
     f = _nonzero_vector(rng, space.n, lo=0.5)
     branch = 1.0 if np.any(f > 0.0) else -1.0
     candidates = np.flatnonzero(branch * f > 0.0)
@@ -117,7 +131,7 @@ def draw_thm45_case2(rng):
         d_idx = d_idx[:-1] if d_idx.size > 1 else d_idx
         off = [i for i in range(space.n) if i not in set(int(j) for j in d_idx)]
     if not off:  # one-point space cannot cancel; enlarge
-        return draw_thm45_case2(rng)
+        return draw_thm45_case2(rng, n)
     a = float(np.min(branch * f[d_idx]) / 2.0)
     sigma = float(rng.choice([-1.0, 1.0]))
     k_star = rng.uniform(-2.0, 2.0, space.n)
@@ -135,8 +149,8 @@ def draw_thm45_case2(rng):
     return space, {"f": f, "k_star": k_star, "D": [int(i) for i in d_idx], "a": a}, expected
 
 
-def draw_thm46(rng):
-    space = _l1_space(rng)
+def draw_thm46(rng, n=None):
+    space = _l1_space(rng, n)
     sigma = float(rng.choice([-1.0, 1.0]))
     d_idx = rng.choice(space.n, int(rng.integers(1, space.n + 1)), replace=False)
     k_star = rng.uniform(-2.0, 2.0, space.n)
@@ -146,8 +160,8 @@ def draw_thm46(rng):
     return space, {"k_star": k_star, "D": [int(i) for i in d_idx]}, sigma * mask_pair / (2.0 * mu_d)
 
 
-def draw_thm47(rng):
-    space = _l1_space(rng)
+def draw_thm47(rng, n=None):
+    space = _l1_space(rng, n)
     f = rng.uniform(0.0, 5.0, space.n)
     f[rng.random(space.n) < 0.3] = 0.0
     f[int(rng.integers(0, space.n))] = float(rng.uniform(1.0, 5.0))
@@ -157,8 +171,8 @@ def draw_thm47(rng):
     return space, {"f": f, "D": [int(i) for i in d_idx], "a": a}, l1_norm(f, space)
 
 
-def draw_cor48(rng):
-    space = _l1_space(rng)
+def draw_cor48(rng, n=None):
+    space = _l1_space(rng, n)
     f = rng.uniform(0.2, 3.0, space.n)
     norm = l1_norm(f, space)
     b = float(rng.uniform(0.1, 1.0))
