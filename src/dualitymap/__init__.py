@@ -27,6 +27,7 @@ from .c01 import (
     tv_norm,
 )
 from .coderivative import (
+    AffineForm,
     CoderivativeQuery,
     GraphPair,
     LimitEstimate,

@@ -191,7 +191,9 @@ class ProbeCurve:
     """t -> (u_t, u_t*) in gph J, valid for 0 < t <= t_max.
 
     A curve given by an ``affine`` form and no generator gets
-    ``affine.at`` as its generator.
+    ``affine.at`` as its generator; ``estimate_limit`` samples such a curve
+    from the form whenever the space has row forms, and ``at`` from the
+    generator.
     """
 
     curve_id: str

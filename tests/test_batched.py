@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualitymap import (
+    AffineForm,
     CoderivativeQuery,
     FiniteMeasureSpace,
     GraphPair,
@@ -14,7 +15,6 @@ from dualitymap import (
     certify_nonmembership,
     estimate_limit,
 )
-from dualitymap.coderivative import AffineForm
 from witness_draws import CLOSED_FORM_DRAWS, draw_thm31, stable_seed
 
 LP_L1_DRAWS = {
