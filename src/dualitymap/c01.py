@@ -36,6 +36,19 @@ element built on a grid that was already checked checks only its new values
 (shape and finiteness, so an overflow to inf still raises); every other
 construction checks the grid too.  ``canonical_duality_measure`` evaluates f
 at all maximizing representatives with one ``np.interp`` call.
+
+Batches: ``PwlRows`` holds the values of a probe curve at every t as one
+(steps, breakpoints) array on the base grid, and ``MeasureRows`` its duals as
+(steps, atoms) weights at shared sorted locations plus (steps, segments)
+density values on a shared grid.  ``C01Space`` has the row forms of
+``coderivative.RowSpace`` on them.  Work that every row shares is done once
+per batch: grid unions, segment indices, interpolation indices, and the
+values of a fixed function such as the second-dual argument.  Each row is
+bitwise its per-element result: interpolation follows the C kernel of
+``np.interp`` (its ``x == xp[j]`` branch and NaN fallbacks included), atom
+and density terms are summed left to right from 0.0, and an absent atom or a
+zero density segment adds +0.0, which leaves such a total unchanged.  There
+is no ``canonical_dual_rows``: no ``c01`` probe curve needs it.
 """
 
 from __future__ import annotations
@@ -72,6 +85,9 @@ __all__ = [
     "tv_norm",
     "pairing_c",
     "is_duality_member_c",
+    "PwlRows",
+    "MeasureRows",
+    "atom_rows",
 ]
 
 # Value comparisons against the exact piecewise-linear model only need to
@@ -141,10 +157,14 @@ def pwl_scale(f: PwlFunction, c: float) -> PwlFunction:
     return _on_checked_grid(PwlFunction, f.breakpoints, f.values * float(c))
 
 
+def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or (a.size == b.size and (a == b).all())
+
+
 def pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
     """f - g on the union of the two breakpoint grids (value by value on a shared one)."""
     bp = f.breakpoints
-    if g.breakpoints is bp or (g.breakpoints.size == bp.size and (g.breakpoints == bp).all()):
+    if _same_grid(g.breakpoints, bp):
         return _on_checked_grid(PwlFunction, bp, f.values - g.values)
     grid = np.union1d(bp, g.breakpoints)
     return PwlFunction(grid, f(grid) - g(grid))
@@ -241,11 +261,16 @@ class StepDensity:
 
     def values_on(self, grid: np.ndarray) -> np.ndarray:
         """Density value on each segment of ``grid``, a refinement of this grid."""
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        # Segment k of this grid holds the midpoints in [bp[k], bp[k+1]); a
-        # search over the interior breakpoints also sends a midpoint that
-        # rounds onto 1 to the last segment.
-        return self.values[self.breakpoints[1:-1].searchsorted(mids, side="right")]
+        return self.values[_segments(self.breakpoints, grid)]
+
+
+def _segments(bp: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Index of the segment of ``bp`` that holds each segment of ``grid``, a refinement."""
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    # Segment k of bp holds the midpoints in [bp[k], bp[k+1]); a search over
+    # the interior breakpoints also sends a midpoint that rounds onto 1 to the
+    # last segment.
+    return bp[1:-1].searchsorted(mids, side="right")
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,12 +445,170 @@ def canonical_duality_measure(f: PwlFunction) -> RcaMeasure:
     return atom_measure(zip(points, weights.tolist()))
 
 
+# ---------------------------------------------------------------------------
+# Rows: one element per row of a (steps, n) array, for the batched sampling of
+# ``coderivative.AffineForm`` curves.  Each row form repeats, row by row, the
+# arithmetic of the per-element function, so every float is bitwise the same.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class PwlRows:
+    """Piecewise-linear functions on one grid: ``values`` (steps, breakpoints)."""
+
+    breakpoints: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class MeasureRows:
+    """Measures with atoms at shared sorted ``locations`` and a step density on a shared ``grid``.
+
+    ``weights`` is (steps, atoms), a zero weight standing for no atom, as
+    ``RcaMeasure`` drops it; ``density`` is (steps, segments), or None with
+    ``grid`` None when there is no density.
+    """
+
+    locations: np.ndarray
+    weights: np.ndarray
+    grid: np.ndarray | None = None
+    density: np.ndarray | None = None
+
+
+def atom_rows(points, weights: np.ndarray) -> MeasureRows:
+    """Rows of ``atom_measure(zip(points, row))``: weights at equal points add up in order."""
+    locations, slot = np.unique(np.asarray(points, dtype=float), return_inverse=True)
+    merged = np.zeros((weights.shape[0], locations.size))
+    for j, k in enumerate(slot.tolist()):
+        merged[:, k] += weights[:, j]
+    return MeasureRows(locations, merged)
+
+
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, row)`` for each row of ``fp``, by the rules of numpy's C kernel.
+
+    At or past an end, or on a breakpoint, the value there; in between
+    slope * (x - xp[j]) + fp[j], or from the right end when that is NaN, or
+    fp[j] when that is NaN too and both ends are equal.  The kernel raises
+    no floating-point warnings, so neither does this.
+    """
+    last = xp.size - 1
+    j = xp.searchsorted(x, side="right") - 1  # xp[j] <= x < xp[j + 1]
+    on = np.maximum(j, 0)
+    out = fp[:, on]
+    between = ((j >= 0) & (j < last) & (xp[on] != x)).nonzero()[0]
+    if between.size:
+        x, k = x[between], j[between]
+        left, right = fp[:, k], fp[:, k + 1]
+        with np.errstate(all="ignore"):
+            slope = (right - left) / (xp[k + 1] - xp[k])
+            inner = slope * (x - xp[k]) + left
+            nan = np.isnan(inner)
+            if nan.any():
+                back = slope * (x - xp[k + 1]) + right
+                back = np.where(np.isnan(back) & (left == right), left, back)
+                inner = np.where(nan, back, inner)
+        out[:, between] = inner
+    return out
+
+
+def _atoms_of(mu) -> tuple:
+    if isinstance(mu, MeasureRows):
+        return mu.locations, mu.weights
+    return np.array([loc for loc, _ in mu.atoms]), np.array([w for _, w in mu.atoms])
+
+
+def _density_of(mu) -> tuple:
+    if isinstance(mu, MeasureRows):
+        return mu.grid, mu.density
+    if mu.density is None:
+        return None, None
+    return mu.density.breakpoints, mu.density.values
+
+
+def _values_at(f, x: np.ndarray) -> np.ndarray:
+    if isinstance(f, PwlRows):
+        return _interp_rows(x, f.breakpoints, f.values)
+    return f(x)
+
+
+def _pairing_rows(mu, f) -> np.ndarray:
+    """``pairing_c`` row by row, for measure rows, function rows or both.
+
+    The atom terms and then the density terms are summed left to right from
+    0.0, as the per-element sum and running ``cumsum`` do; a term that the
+    per-element form skips (an absent atom, a zero density) adds +0.0, which
+    leaves a running total unchanged because it is never -0.0.
+    """
+    locations, weights = _atoms_of(mu)
+    # Python float products raise no warnings; 0 * inf of an absent atom is dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [np.where(weights != 0.0, weights * _values_at(f, locations), 0.0)]
+    bp, density = _density_of(mu)
+    if density is not None:
+        grid = np.union1d(bp, f.breakpoints)
+        fvals = _values_at(f, grid)
+        d = density[..., _segments(bp, grid)]
+        segment = d * (grid[1:] - grid[:-1]) * 0.5 * (fvals[..., :-1] + fvals[..., 1:])
+        terms.append(np.where(d != 0.0, segment, 0.0))
+    start = np.zeros((terms[0].shape[0], 1))
+    return np.concatenate([start, *terms], axis=1).cumsum(axis=1)[:, -1]
+
+
+def _tv_rows(mu: MeasureRows) -> np.ndarray:
+    """``tv_norm`` row by row: the atoms summed left to right, then the density sum."""
+    steps = mu.weights.shape[0]
+    tv = np.concatenate([np.zeros((steps, 1)), np.abs(mu.weights)], axis=1).cumsum(axis=1)[:, -1]
+    if mu.density is not None:
+        tv = tv + np.sum(np.abs(mu.density) * np.diff(mu.grid), axis=1)
+    return tv
+
+
+def _sub_rows(f: PwlRows, g: PwlFunction) -> PwlRows:
+    """``pwl_sub`` of each row and one function, with its checks and messages."""
+    bp = f.breakpoints
+    if _same_grid(g.breakpoints, bp):
+        values, message = f.values - g.values, "values must be finite and match the grid"
+    else:
+        bp = np.union1d(bp, g.breakpoints)
+        values = _interp_rows(bp, f.breakpoints, f.values) - g(bp)
+        message = "values must be finite and match the breakpoints"
+    if not np.isfinite(values).all():
+        raise ValueError(message)
+    return PwlRows(bp, values)
+
+
+def _measure_sub_rows(mu: MeasureRows, nu: RcaMeasure) -> MeasureRows:
+    """``measure_sub`` of each row and one measure: atoms merge by location, densities on the union grid."""
+    nu_locations, nu_weights = _atoms_of(nu)
+    steps = mu.weights.shape[0]
+    locations = np.union1d(mu.locations, nu_locations)
+    weights = np.zeros((steps, locations.size))
+    weights[:, locations.searchsorted(mu.locations)] += mu.weights
+    weights[:, locations.searchsorted(nu_locations)] -= nu_weights
+    nu_bp, nu_density = _density_of(nu)
+    grids = [g for g in (mu.grid, nu_bp) if g is not None]
+    if not grids:
+        return MeasureRows(locations, weights)
+    grid = grids[0] if len(grids) == 1 else np.union1d(grids[0], grids[1])
+    left = mu.density[:, _segments(mu.grid, grid)] if mu.grid is not None else 0.0
+    right = nu_density[_segments(nu_bp, grid)] if nu_bp is not None else 0.0
+    density = np.broadcast_to(left - right, (steps, grid.size - 1))
+    if not np.isfinite(density).all():
+        raise ValueError("need one finite density value per grid segment")
+    return MeasureRows(locations, weights, grid, density)
+
+
 @dataclass(frozen=True)
 class C01Space:
     """Space descriptor and engine backend for the piecewise-linear C[0,1] model.
 
     ``PwlFunction`` and ``RcaMeasure`` validate when they are built, so
-    ``check`` and ``check_dual`` only confirm the type.
+    ``check`` and ``check_dual`` only confirm the type.  The row forms take
+    ``PwlRows`` and ``MeasureRows``, which are built unchecked, so
+    ``check_rows`` and ``check_dual_rows`` test their values; ``sub``,
+    ``dual_sub``, ``scale`` and ``dual_scale`` also take rows, or a column
+    of factors.
     """
 
     def check(self, f) -> PwlFunction:
@@ -447,16 +630,22 @@ class C01Space:
     def pair(self, mu: RcaMeasure, f: PwlFunction) -> float:
         return pairing_c(mu, f)
 
-    def sub(self, f: PwlFunction, g: PwlFunction) -> PwlFunction:
-        return pwl_sub(f, g)
+    def sub(self, f, g: PwlFunction):
+        return _sub_rows(f, g) if isinstance(f, PwlRows) else pwl_sub(f, g)
 
-    def dual_sub(self, mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
-        return measure_sub(mu, nu)
+    def dual_sub(self, mu, nu: RcaMeasure):
+        return _measure_sub_rows(mu, nu) if isinstance(mu, MeasureRows) else measure_sub(mu, nu)
 
-    def scale(self, f: PwlFunction, c: float) -> PwlFunction:
+    def scale(self, f: PwlFunction, c):
+        if np.ndim(c):
+            return PwlRows(f.breakpoints, f.values * c)
         return pwl_scale(f, c)
 
-    def dual_scale(self, mu: RcaMeasure, c: float) -> RcaMeasure:
+    def dual_scale(self, mu: RcaMeasure, c):
+        if np.ndim(c):
+            locations, weights = _atoms_of(mu)
+            bp, density = _density_of(mu)
+            return MeasureRows(locations, c * weights, bp, None if density is None else density * c)
         return measure_scale(mu, c)
 
     def canonical_dual(self, f: PwlFunction) -> RcaMeasure:
@@ -467,6 +656,36 @@ class C01Space:
         if norm == 0.0:
             return tv_norm(mu) <= tol
         return _in_duality_set(mu, f, norm, tol)
+
+    # -- row forms (coderivative.RowSpace): PwlRows and MeasureRows --------
+    def check_rows(self, f: PwlRows) -> PwlRows:
+        if not np.isfinite(f.values).all():
+            raise ValueError("values must be finite and match the grid")
+        return f
+
+    def check_dual_rows(self, mu: MeasureRows) -> MeasureRows:
+        # measure_scale builds the density before the atoms, so it fails first
+        if mu.density is not None and not np.isfinite(mu.density).all():
+            raise ValueError("values must be finite and match the grid")
+        if not np.isfinite(mu.weights).all():
+            raise ValueError("atom weights must be finite")
+        return mu
+
+    def norm_rows(self, f: PwlRows) -> np.ndarray:
+        return np.abs(f.values).max(axis=1)
+
+    def dual_norm_rows(self, mu: MeasureRows) -> np.ndarray:
+        return _tv_rows(mu)
+
+    def pair_rows(self, mu, f) -> np.ndarray:
+        return _pairing_rows(mu, f)
+
+    def is_member_rows(self, f: PwlRows, mu: MeasureRows, tol: float = 1e-9) -> np.ndarray:
+        norm, tv = self.norm_rows(f), _tv_rows(mu)
+        paired = _pairing_rows(mu, f)
+        with np.errstate(all="ignore"):  # Python float arithmetic in is_member
+            in_set = (abs(tv - norm) <= tol) & (abs(paired - norm * norm) <= tol)
+        return np.where(norm == 0.0, tv <= tol, in_set)
 
     def in_second_dual_domain(self, h: PwlFunction) -> bool:
         # Only the nonnegative cone of C[0,1] embeds into the second dual.

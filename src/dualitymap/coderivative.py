@@ -21,20 +21,23 @@ A curve affine in t can carry its data as an ``AffineForm``: the base pair
 (x, x*), a point tangent d and a dual tangent d*, with u_t = x + t d and
 u_t* = x* + t d*, or u_t* = canonical_dual(u_t) when d* is None; or the
 scaling (1 + s t)(x, x*).  The catalog's scaling curves (every model) and
-bump curves (``lp``, ``L1``, thm46's included) are of this form.  When the
-query's space also has the row forms of ``RowSpace`` (``LpSpace`` and
-``FiniteMeasureSpace`` do, ``C01Space`` does not), ``estimate_limit``
-samples every t at once as one (steps, n) array, with the checks of the
-per-t path.  The batched floats are bitwise those of the per-t path: sums
-reduce along each row, an ``lp`` pairing runs the ``np.dot`` kernel on each
-row (``np.vecdot``) and the l_p root stays one scalar power per row (a
-matrix product or an array power rounds differently), and a scaling curve
-evaluates as (1 + s t) x, never as x + t (s x).  Other curves (``c01``, the
-``c01`` shifts, generator-only curves) are sampled one t at a time.
+bump curves (``lp``, ``L1``, thm46's included) are of this form, and the
+``c01`` shifts are a subclass that rounds its dual weights its own way
+(``witnesses``).  When the query's space has the row forms of ``RowSpace``
+that the form needs (all three spaces have them; ``canonical_dual_rows``,
+needed only when d* is None, only ``lp`` and ``L1``), ``estimate_limit``
+samples every t at once as one batch of rows, with the checks of the per-t
+path.  The batched floats are bitwise those of the per-t path: sums reduce
+along each row, an ``lp`` pairing runs the ``np.dot`` kernel on each row
+(``np.vecdot``) and the l_p root stays one scalar power per row (a matrix
+product or an array power rounds differently), a scaling curve evaluates as
+(1 + s t) x, never as x + t (s x), and ``c01`` rows follow the rules in the
+``c01`` docstring.  Generator-only curves are sampled one t at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -93,12 +96,14 @@ class Space(Protocol):
 
 
 class RowSpace(Space, Protocol):
-    """Row forms of a ``Space`` on (steps, n) arrays, one element per row.
+    """Row forms of a ``Space``: a batch of elements, one per row of (steps, n) arrays.
 
     Each row of a result equals, bitwise, the per-element method applied to
     that row.  ``pair_rows`` and the space's ``sub``, ``dual_sub``, ``scale``
     and ``dual_scale`` also broadcast a single element or a column of factors
-    against rows.
+    against rows.  A curve whose dual is ``canonical_dual(u_t)`` also needs
+    ``canonical_dual_rows(x)``, which ``LpSpace`` and ``FiniteMeasureSpace``
+    have.
     """
 
     def check_rows(self, x): ...
@@ -106,7 +111,6 @@ class RowSpace(Space, Protocol):
     def norm_rows(self, x) -> np.ndarray: ...
     def dual_norm_rows(self, u) -> np.ndarray: ...
     def pair_rows(self, u, x) -> np.ndarray: ...
-    def canonical_dual_rows(self, x): ...
     def is_member_rows(self, x, u, tol: float) -> np.ndarray: ...
 
 
@@ -159,8 +163,9 @@ class AffineForm:
     base pair, evaluated as (1 + s t) x: x + t (s x) rounds differently
     unless t is dyadic.  Otherwise u_t = x + t d for the ``tangent`` d, and
     u_t* = x* + t d* for the ``dual_tangent`` d*, or canonical_dual(u_t) when
-    d* is None.  ``at`` evaluates one t; ``rows`` evaluates a column of t
-    with the ``RowSpace`` forms, as two (steps, n) arrays.
+    d* is None.  ``at`` evaluates one t; ``rows`` evaluates a column of t as
+    a batch of rows for the ``RowSpace`` forms.  A subclass may evaluate
+    both in its own way by overriding ``_evaluate``.
     """
 
     space: Space
@@ -169,21 +174,28 @@ class AffineForm:
     dual_tangent: object = None
     scale: float = 0.0
 
-    def _evaluate(self, t, canonical_dual) -> tuple:
+    def _evaluate(self, t, canonical_dual: str) -> tuple:
         space, x, x_star = self.space, self.base.point, self.base.dual
         if self.scale:
             c = 1.0 + self.scale * t
             return space.scale(x, c), space.dual_scale(x_star, c)
         u = x + t * self.tangent
         if self.dual_tangent is None:
-            return u, canonical_dual(u)
+            return u, getattr(space, canonical_dual)(u)
         return u, x_star + t * self.dual_tangent
 
     def at(self, t: float) -> GraphPair:
-        return GraphPair(*self._evaluate(t, self.space.canonical_dual))
+        return GraphPair(*self._evaluate(t, "canonical_dual"))
 
     def rows(self, ts: np.ndarray) -> tuple:
-        return self._evaluate(ts[:, None], self.space.canonical_dual_rows)
+        return self._evaluate(ts[:, None], "canonical_dual_rows")
+
+    def batches_in(self, space) -> bool:
+        """Whether ``space`` has every row form that sampling this form as rows calls."""
+        needed = ROW_FORMS
+        if not self.scale and self.dual_tangent is None:
+            needed += ("canonical_dual_rows",)
+        return all(hasattr(space, name) for name in needed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,6 +214,8 @@ class ProbeCurve:
     affine: AffineForm | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_max) and self.t_max > 0.0):
+            raise ValueError(f"curve {self.curve_id} needs a finite t_max > 0, got {self.t_max}")
         if self.generator is None:
             if self.affine is None:
                 raise ValueError("a probe curve needs a generator or an affine form")
@@ -244,10 +258,13 @@ def default_schedule(t_max: float = 1.0) -> Schedule:
     shrinks so the smallest sample stays near the 0.25 * 0.5**23 floor:
     digging further erodes the dual-side differences to rounding noise.
     """
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     t0 = min(0.25, t_max / 2.0)
     steps = 24
     if t0 < 0.25:
-        steps = max(8, 24 - int(np.ceil(np.log2(0.25 / t0))))
+        # a difference of logs: 0.25 / t0 overflows for a subnormal t0
+        steps = max(8, 24 - math.ceil(math.log2(0.25) - math.log2(t0)))
     return Schedule(t0=t0, steps=steps)
 
 
@@ -361,17 +378,17 @@ def estimate_limit(
 
     The estimate is the mean of the last three quotients; it is ``settled``
     when their spread is at most ``settle_tol``.  A schedule whose t0 exceeds
-    the curve's validity window is shrunk to half the window and flagged.
-    An affine curve in a space with row forms is sampled as one batch.
+    the curve's validity window is shrunk to half the window and flagged; the
+    shrunk schedule passes the checks of ``Schedule`` again, so a last sample
+    that underflows to 0 is reported as such.  An affine curve in a space
+    with the row forms it needs is sampled as one batch.
     """
     sch = schedule if schedule is not None else default_schedule(curve.t_max)
-    t0 = sch.t0
-    shrunk = False
-    if t0 > curve.t_max:
-        t0 = curve.t_max / 2.0
-        shrunk = True
-    ts = [t0 * sch.ratio**k for k in range(sch.steps)]
-    if curve.affine is not None and all(hasattr(query.space, name) for name in ROW_FORMS):
+    shrunk = sch.t0 > curve.t_max
+    if shrunk:
+        sch = Schedule(curve.t_max / 2.0, sch.ratio, sch.steps)
+    ts = [sch.t0 * sch.ratio**k for k in range(sch.steps)]
+    if curve.affine is not None and curve.affine.batches_in(query.space):
         qs, dists = _sample_rows(query, curve, ts, membership_tol)
     else:
         qs, dists = [], []

@@ -11,11 +11,12 @@ curves fall into three families:
   selections follow the sign-template of the set-valued models
   (``_bump_curve``; thm46 pairs its bump with a non-canonical selection);
 * constant shifts f +- t in the sup-norm model, where the shifted function
-  keeps (part of) the maximizing set and atomic selections shift with it
-  (``_shift_curve``).
+  keeps (part of) the maximizing set; the atoms of the selection stay at
+  their points and only their weights move with t (``_shift_curve``).
 
-The scaling and bump curves are affine in t and carry their data as a
-``coderivative.AffineForm``; the shifts are generators.
+Every curve is affine in t and carries its data as a
+``coderivative.AffineForm``, so every model samples it as one batch; the
+shifts use a subclass whose dual weights round as alpha_j (f(s_j) + shift t).
 
 Hypothesis validation is strict: a violated hypothesis raises
 ``HypothesisViolation`` naming the failed condition rather than producing a
@@ -286,20 +287,37 @@ def _resolve_measure(params: dict, key: str, f: c01.PwlFunction) -> c01.RcaMeasu
     return mu
 
 
-def _shift_curve(
-    theorem: str, f: c01.PwlFunction, shift: float, points, alphas, t_max: float
-) -> ProbeCurve:
+@dataclass(frozen=True, eq=False)
+class _ShiftForm(AffineForm):
+    """f + shift t paired with atoms alpha_j (v_j + shift t) at fixed points s_j, v_j = f(s_j).
+
+    The atoms stay at the s_j and only their weights move, along the dual
+    tangent alpha_j shift.  A weight is evaluated as alpha_j (v_j + shift t),
+    as ``c01.atomic_duality_measure`` weighs f + shift t there; alpha_j v_j +
+    t (alpha_j shift) rounds differently.  The ``tangent`` is the constant
+    shift.
+    """
+
+    points: np.ndarray = None
+    alphas: np.ndarray = None
+    values: np.ndarray = None
+
+    def _evaluate(self, t, canonical_dual: str) -> tuple:
+        f, shift = self.base.point, self.tangent
+        weights = self.alphas * (self.values + shift * t)
+        if np.ndim(t):
+            return c01.PwlRows(f.breakpoints, f.values + shift * t), c01.atom_rows(self.points, weights)
+        return c01.pwl_shift(f, shift * t), c01.atom_measure(zip(self.points, weights.tolist()))
+
+
+def _shift_curve(theorem: str, query: CoderivativeQuery, shift: float, points, alphas, t_max: float) -> ProbeCurve:
     """f + shift t with atoms alpha_j (f(s_j) + shift t) on points s_j where f peaks."""
-    values = [float(f(s)) for s in points]
-
-    def gen(t: float) -> GraphPair:
-        h = c01.pwl_shift(f, shift * t)
-        mu_t = c01.atom_measure(
-            (s, a * (v + shift * t)) for s, a, v in zip(points, alphas, values)
-        )
-        return GraphPair(h, mu_t)
-
-    return ProbeCurve(f"{theorem}:shift[{shift:+.0f}]", gen, t_max=t_max)
+    points, alphas = np.array(points, dtype=float), np.array(alphas, dtype=float)
+    affine = _ShiftForm(
+        query.space, query.base, tangent=shift, dual_tangent=alphas * shift,
+        points=points, alphas=alphas, values=query.base.point(points),
+    )
+    return ProbeCurve(f"{theorem}:shift[{shift:+.0f}]", t_max=t_max, affine=affine)
 
 
 def _thm53(space: c01.C01Space, params: dict) -> Witness:
@@ -351,7 +369,7 @@ def _thm55(space: c01.C01Space, params: dict) -> Witness:
         alph = [1.0 / len(pts)] * len(pts)
         mu = c01.atomic_duality_measure(f, pts, alph)
     query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam)
-    curve = _shift_curve("thm55", f, sgn, pts, alph, t_max)
+    curve = _shift_curve("thm55", query, sgn, pts, alph, t_max)
     return Witness("thm55", query, curve, abs(mass) / 2.0)
 
 
@@ -389,7 +407,7 @@ def _thm56(space: c01.C01Space, params: dict) -> Witness:
     mu = c01.atomic_duality_measure(f, pts, alph)
     lam = c01.atomic_duality_measure(u, pts, alph)
     query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam, second_dual=f)
-    curve = _shift_curve("thm56", f, 1.0, pts, alph, 1.0)
+    curve = _shift_curve("thm56", query, 1.0, pts, alph, 1.0)
     return Witness("thm56", query, curve, (norm_u - norm_f) / 2.0)
 
 

@@ -4,26 +4,25 @@ import numpy as np
 import pytest
 
 from dualitymap import (
+    THEOREM_IDS,
     AffineForm,
+    C01Space,
     CoderivativeQuery,
     FiniteMeasureSpace,
     GraphPair,
     LpSpace,
     ProbeCurve,
+    PwlFunction,
+    RcaMeasure,
     Schedule,
     build_witness,
     certify_nonmembership,
     estimate_limit,
 )
-from witness_draws import CLOSED_FORM_DRAWS, draw_thm31, stable_seed
+from dualitymap import c01
+from witness_draws import CLOSED_FORM_DRAWS, draw_cor57, draw_thm31, stable_seed
 
-LP_L1_DRAWS = {
-    "thm31": draw_thm31,
-    **{
-        name: CLOSED_FORM_DRAWS[name]
-        for name in ("thm32", "thm33", "thm45_case1", "thm45_case2", "thm46", "thm47", "cor48")
-    },
-}
+DRAWS = {"thm31": draw_thm31, "cor57": draw_cor57, **CLOSED_FORM_DRAWS}
 
 
 def _generator_only(curve: ProbeCurve) -> ProbeCurve:
@@ -38,6 +37,21 @@ def _never(t):
 def _batched_only(curve: ProbeCurve) -> ProbeCurve:
     """The same affine form with a generator that fails the test if it is called."""
     return ProbeCurve(curve.curve_id, _never, curve.t_max, curve.affine)
+
+
+def _reference_shift(curve: ProbeCurve) -> ProbeCurve:
+    """The c01 shift curve as the generator closure it was before it became an affine form."""
+    form = curve.affine
+    f, shift = form.base.point, form.tangent
+    points, alphas = form.points.tolist(), form.alphas.tolist()
+    values = [float(f(s)) for s in points]
+
+    def gen(t):
+        h = c01.pwl_shift(f, shift * t)
+        mu_t = c01.atom_measure((s, a * (v + shift * t)) for s, a, v in zip(points, alphas, values))
+        return GraphPair(h, mu_t)
+
+    return ProbeCurve(curve.curve_id, gen, curve.t_max)
 
 
 def _outcome(witness, curve, schedule):
@@ -55,16 +69,20 @@ def _outcome(witness, curve, schedule):
     )
 
 
-@pytest.mark.parametrize("theorem", sorted(LP_L1_DRAWS))
+def test_every_catalog_theorem_has_a_draw():
+    assert sorted(DRAWS) == sorted(THEOREM_IDS)
+
+
+@pytest.mark.parametrize("theorem", sorted(DRAWS))
 def test_batched_certificates_are_bitwise_per_t(theorem):
     rng = np.random.default_rng(stable_seed(theorem) + 7)
     sizes = [None] * 6 + [1024] * 2
     kinds = set()
     for n in sizes:
-        space, params, _ = LP_L1_DRAWS[theorem](rng, n)
+        space, params, _ = DRAWS[theorem](rng, n)
         witness = build_witness(space, theorem, params)
         curve = witness.curve
-        assert curve.affine is not None
+        assert curve.affine is not None and curve.affine.batches_in(space)
         if theorem == "thm31":
             kinds.add((space.p == 2.0, bool(np.any(params["x"]))))
         t0 = min(0.25, curve.t_max / 2.0)
@@ -72,6 +90,8 @@ def test_batched_certificates_are_bitwise_per_t(theorem):
             batched = _outcome(witness, _batched_only(curve), schedule)
             assert batched[0] != "ValueError", batched
             assert batched == _outcome(witness, _generator_only(curve), schedule)
+            if ":shift[" in curve.curve_id:
+                assert batched == _outcome(witness, _reference_shift(curve), schedule)
     if theorem == "thm31":
         assert (False, True) in kinds  # p != 2 and x != 0, the branch without a closed form
 
@@ -149,11 +169,11 @@ def test_batched_path_keeps_every_check(make_query):
     # a zero tangent never leaves the base point
     _both_raise(query, curve(tangent=np.zeros(2)), "degenerate")
 
-    # A window so narrow that the shrunk schedule underflows to t = 0; from
-    # the origin a large tangent keeps every earlier sample away from the base.
+    # A window so narrow that the shrunk schedule underflows to t = 0: the
+    # schedule's own check reports it, on both paths.
     origin = make_query((0.0, 0.0))
     narrow = AffineForm(space, origin.base, tangent=np.array([1e300, 0.0]))
-    _both_raise(origin, ProbeCurve("narrow", t_max=1e-320, affine=narrow), "only valid on",
+    _both_raise(origin, ProbeCurve("narrow", t_max=1e-320, affine=narrow), "underflows to 0",
                 Schedule(0.25, 0.5, 24))
 
 
@@ -171,3 +191,151 @@ def test_batched_lp_dimension_mismatch():
 def test_probe_curve_needs_a_generator_or_an_affine_form():
     with pytest.raises(ValueError, match="generator or an affine form"):
         ProbeCurve("empty")
+
+
+def _row_measure(mu: c01.MeasureRows, i: int) -> RcaMeasure:
+    density = None if mu.grid is None else c01.StepDensity(mu.grid, mu.density[i])
+    return RcaMeasure(tuple(zip(mu.locations.tolist(), mu.weights[i].tolist())), density)
+
+
+def _same_measure(a: RcaMeasure, b: RcaMeasure):
+    assert [(loc.hex(), w.hex()) for loc, w in a.atoms] == [(loc.hex(), w.hex()) for loc, w in b.atoms]
+    assert (a.density is None) == (b.density is None)
+    if a.density is not None:
+        assert np.array_equal(a.density.breakpoints, b.density.breakpoints)
+        assert a.density.values.tolist() == b.density.values.tolist()
+
+
+def test_c01_row_forms_equal_the_methods_row_by_row():
+    space = C01Space()
+    rng = np.random.default_rng(11)
+    half = 0.5
+    # 0.5 and the next float: adjacent breakpoints, where np.interp's slope
+    # of +-1e300 over one ulp is not finite; 0.6 and 0.6 + 1e-9 likewise
+    bp = np.array([0.0, 0.25, half, np.nextafter(half, 1.0), 0.6, 0.6 + 1e-9, 0.75, 1.0])
+    values = rng.uniform(-3.0, 3.0, (12, bp.size))
+    values[1] = 0.0  # a zero row
+    values[2, 2:4] = [1e300, -1e300]
+    values[3, 4:6] = [-1e300, 1e300]  # +inf at 0.6 + 5e-10
+    values[4] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0]  # peak 2 at 0.75
+    values[5] = 1.5  # a plateau
+    f = c01.PwlRows(bp, values)
+    # ten atoms, so a pairwise sum would round differently from a running
+    # one: on breakpoints (0.25, 0.5, 0.75), between them, and inside the
+    # one-nanometre segment (0.6 + 5e-10); a density grid that shares 0 and
+    # 0.5 with bp, and the rest not
+    locations = np.array([0.05, 0.1, 0.15, 0.25, 0.4, half, 0.6 + 5e-10, 0.7, 0.75, 0.9])
+    weights = rng.uniform(-2.0, 2.0, (12, locations.size))
+    weights[::2, 4] = 0.0  # absent atoms
+    weights[3, 6] = 0.0  # absent where f_3 is +inf: 0 * inf is not added
+    grid = np.array([0.0, 0.3, half, 0.8, 1.0])
+    density = rng.uniform(-2.0, 2.0, (12, grid.size - 1))
+    density[0, 1] = 0.0
+    weights[1], density[1] = 0.0, 0.0  # J(0) = {0}
+    weights[4], density[4] = 0.0, 0.0
+    weights[4, 8] = 2.0  # 2 delta_0.75 in J(f_4)
+    weights[5], density[5] = 0.0, 1.5  # the plateau density in J(f_5)
+    mu = c01.MeasureRows(locations, weights, grid, density)
+    fs = [PwlFunction(bp, row) for row in values]
+    mus = [_row_measure(mu, i) for i in range(values.shape[0])]
+    nu = RcaMeasure(((0.25, 1.0), (0.9, -0.5)), c01.StepDensity(np.array([0.0, 0.25, 0.6, 1.0]), [1.0, 0.0, -2.0]))
+    g_same = PwlFunction(bp, rng.uniform(0.0, 2.0, bp.size))
+    g_other = PwlFunction(np.array([0.0, 0.3, 0.55, 1.0]), [0.0, 2.0, 1.0, 0.5])
+
+    def same(rows, values):
+        assert [float(v).hex() for v in rows] == [float(v).hex() for v in values]
+
+    same(space.norm_rows(f), [space.norm(r) for r in fs])
+    same(space.dual_norm_rows(mu), [space.dual_norm(m) for m in mus])
+    same(space.pair_rows(mu, f), [space.pair(m, r) for m, r in zip(mus, fs)])
+    same(space.pair_rows(nu, f), [space.pair(nu, r) for r in fs])
+    for g in (g_same, g_other):
+        same(space.pair_rows(mu, g), [space.pair(m, g) for m in mus])
+        diff = space.sub(f, g)
+        for row, r in zip(diff.values, fs):
+            expected = space.sub(r, g)
+            assert np.array_equal(diff.breakpoints, expected.breakpoints)
+            same(row, expected.values)
+    member = space.is_member_rows(f, mu, 1e-9)
+    assert member.tolist() == [space.is_member(r, m, 1e-9) for r, m in zip(fs, mus)]
+    assert member[[1, 4, 5]].all() and not member[0]
+    # f + f overflows on every segment; the one with a nonzero density gives
+    # +inf, and the zero ones are skipped, not added as 0 * inf = NaN
+    huge = c01.PwlRows(bp, np.full((1, bp.size), 1e308))
+    lone = c01.MeasureRows(locations[:0], np.zeros((1, 0)), grid, np.array([[0.0, 1.0, 0.0, 0.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        same(space.pair_rows(lone, huge), [space.pair(_row_measure(lone, 0), PwlFunction(bp, huge.values[0]))])
+
+    for i in range(values.shape[0]):
+        _same_measure(_row_measure(space.dual_sub(mu, nu), i), space.dual_sub(mus[i], nu))
+    c = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, (4, 1))
+    scaled, scaled_mu = space.scale(fs[0], c), space.dual_scale(nu, c)
+    for i, ci in enumerate(c[:, 0].tolist()):
+        same(scaled.values[i], space.scale(fs[0], ci).values)
+        _same_measure(_row_measure(scaled_mu, i), space.dual_scale(nu, ci))
+    # equal points merge as RcaMeasure merges them: in order, from 0.0
+    points = [0.75, 0.25, 0.75, 1.0, 0.75]
+    atom_weights = rng.uniform(-1.0, 1.0, (40, len(points)))
+    atom_weights[0, 3] = -0.0
+    atom_weights[1, 0], atom_weights[1, 2], atom_weights[1, 4] = 0.3, -0.3, 0.0
+    atom_weights[2] = [0.1, 0.5, 0.2, 0.7, 0.3]  # 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+    rows = c01.atom_rows(points, atom_weights)
+    for i, row in enumerate(atom_weights):
+        _same_measure(_row_measure(rows, i), c01.atom_measure(zip(points, row.tolist())))
+
+
+def test_shift_weights_round_as_before():
+    # three shared peaks, so alpha = 1/3 and alpha (v + t) differs in the
+    # last bit from alpha v + t alpha at some t
+    f = {"breakpoints": [0.0, 0.25, 0.375, 0.5, 0.625, 0.75, 1.0], "values": [0.0, 1.0, 0.2, 1.0, 0.4, 1.0, 0.0]}
+    u = {"breakpoints": f["breakpoints"], "values": [0.0, 3.0, 0.1, 3.0, 0.2, 3.0, 0.0]}
+    witness = build_witness(C01Space(), "thm56", {"f": f, "u": u})
+    curve = witness.curve
+    assert curve.affine.alphas.tolist() == [1.0 / 3.0] * 3
+    for schedule in (None, Schedule(0.25 / 3.0, 0.7, 40)):
+        batched = _outcome(witness, _batched_only(curve), schedule)
+        assert batched == _outcome(witness, _reference_shift(curve), schedule)
+        assert batched == _outcome(witness, _generator_only(curve), schedule)
+
+
+def _c01_query():
+    space = C01Space()
+    f = PwlFunction([0.0, 0.5, 1.0], [1.0, 2.0, 0.5])
+    lam = RcaMeasure(((0.25, 1.0),), c01.StepDensity([0.0, 0.3, 1.0], [1.0, -0.5]))
+    return CoderivativeQuery(space, GraphPair(f, c01.canonical_duality_measure(f)), lam, second_dual=f)
+
+
+def test_c01_batched_path_keeps_every_check():
+    query = _c01_query()
+    space, base = query.space, query.base
+
+    def scaling(point, dual, s=1.0):
+        return ProbeCurve("probe", t_max=0.5, affine=AffineForm(space, GraphPair(point, dual), scale=s))
+
+    # (1 + t) 1.7e308 overflows at the first sample, t = 0.25
+    big = PwlFunction([0.0, 1.0], [1.7e308, 1.7e308])
+    with np.errstate(over="ignore"):  # the overflow is the input here
+        _both_raise(query, scaling(big, base.dual), "finite")
+        _both_raise(query, scaling(base.point, c01.measure_scale(base.dual, 0.85e308)), "finite")
+        big_density = c01.density_measure([0.0, 1.0], [1.7e308])
+        _both_raise(query, scaling(base.point, big_density), "finite")
+    # (1 - t)(f, 2 mu): twice the dual of J((1 - t) f)
+    _both_raise(query, scaling(base.point, c01.measure_scale(base.dual, 2.0), -1.0), "outside gph J")
+    # (1 + t)(0, 0) never leaves the base point 0 of gph J
+    zero = c01.pwl_constant(0.0)
+    at_zero = CoderivativeQuery(space, GraphPair(zero, c01.zero_measure()), query.candidate)
+    _both_raise(at_zero, scaling(zero, c01.zero_measure()), "degenerate")
+
+
+def test_row_interp_is_np_interp():
+    rng = np.random.default_rng(3)
+    xp = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.6, 0.6 + 1e-9, 1.0])
+    fp = rng.uniform(-3.0, 3.0, (6, xp.size))
+    fp[1, 2:4] = [1e300, -1e300]
+    fp[2, 4:6] = [-1e300, 1e300]  # an infinite slope inside the segment
+    fp[3, :2] = np.inf  # a NaN slope, and then a NaN from the right end too
+    fp[4, 4:6] = [np.inf, -np.inf]
+    fp[5, 1] = np.nan
+    x = np.concatenate([xp, rng.uniform(0.0, 1.0, 20), [0.1, 0.6 + 5e-10, -0.5, 1.5]])
+    for row, got in zip(fp, c01._interp_rows(x, xp, fp)):
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in np.interp(x, xp, row).tolist()]

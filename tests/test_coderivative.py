@@ -5,17 +5,24 @@ import pytest
 
 from dualitymap import (
     CoderivativeQuery,
+    FiniteMeasureSpace,
     GraphPair,
     LpSpace,
     ProbeCurve,
     Schedule,
+    build_witness,
     certify_nonmembership,
     estimate_limit,
     falsify_membership_search,
     quotient,
     reverify_certificate,
 )
-from dualitymap.coderivative import MAX_STEPS, LimitEstimate, NonMembershipCertificate
+from dualitymap.coderivative import (
+    MAX_STEPS,
+    LimitEstimate,
+    NonMembershipCertificate,
+    default_schedule,
+)
 
 
 @pytest.fixture
@@ -112,6 +119,34 @@ def test_schedule_validation():
         Schedule(ratio=1e-300)
     with pytest.raises(ValueError, match="underflows"):
         Schedule(t0=1e-300, ratio=1e-2, steps=40)
+
+
+def test_default_schedule_for_narrow_and_invalid_windows():
+    assert default_schedule(1.0) == Schedule(0.25, 0.5, 24)
+    assert default_schedule(1e-4) == Schedule(5e-5, 0.5, 11)
+    # 0.25 / t0 overflows for a subnormal t0; the trim takes a difference of logs
+    sch = default_schedule(1e-310)
+    assert sch.t0 == 5e-311 and sch.steps == 8
+    for t_max in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            default_schedule(t_max)
+
+
+@pytest.mark.parametrize("t_max", [0.0, -1.0, float("nan"), float("inf")])
+def test_probe_curve_rejects_a_bad_window(t_max):
+    with pytest.raises(ValueError, match="finite t_max > 0"):
+        ProbeCurve("bad", lambda t: None, t_max=t_max)
+
+
+def test_shrunk_schedule_is_checked_again():
+    # An explicit schedule that is valid as given, but whose last sample
+    # underflows to 0 once t0 shrinks to half of the witness's window a / 2.
+    space = FiniteMeasureSpace([1.0, 1.0])
+    params = {"f": [1.0, -1.0], "k_star": [1.0, 1.0], "D": [0], "a": 0.0002}
+    witness = build_witness(space, "thm45_case2", params)
+    schedule = Schedule(0.25, 1e-4, 81)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        certify_nonmembership(witness.query, witness.curve, witness.claimed_bound, schedule)
 
 
 def test_t0_shrinks_to_curve_window(l2):

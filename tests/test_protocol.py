@@ -13,6 +13,7 @@ from dualitymap import (
     Schedule,
     estimate_limit,
 )
+from dualitymap import c01
 from dualitymap.coderivative import ROW_FORMS, AffineForm, Space
 
 PROTOCOL = [name for name in vars(Space) if not name.startswith("_")]
@@ -31,14 +32,19 @@ def test_every_space_has_every_protocol_method(cls):
     assert not missing
 
 
-def test_row_forms_on_lp_and_l1_only():
+def test_row_forms_on_every_space():
     assert sorted(ROW_FORMS) == sorted(
         ["check_rows", "check_dual_rows", "norm_rows", "dual_norm_rows", "pair_rows",
-         "canonical_dual_rows", "is_member_rows"]
+         "is_member_rows"]
     )
-    for cls in (LpSpace, FiniteMeasureSpace):
+    for cls in (LpSpace, FiniteMeasureSpace, C01Space):
         assert all(callable(getattr(cls, name, None)) for name in ROW_FORMS)
-    assert not any(hasattr(C01Space, name) for name in ROW_FORMS)
+    # a curve with a canonical dual also needs canonical_dual_rows; no c01 curve has one
+    for cls in (LpSpace, FiniteMeasureSpace):
+        assert callable(getattr(cls, "canonical_dual_rows", None))
+    base = GraphPair(c01.pwl_tent(), c01.canonical_duality_measure(c01.pwl_tent()))
+    assert AffineForm(C01Space(), base, scale=-1.0).batches_in(C01Space())
+    assert not AffineForm(C01Space(), base, tangent=c01.pwl_tent()).batches_in(C01Space())
 
 
 def _shrink_query(space, x):

@@ -1,9 +1,14 @@
 """Witness catalog tests: hand-checked bounds, hypothesis guards, random draws."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dualitymap import (
+    THEOREM_IDS,
+    AffineForm,
     C01Space,
     FiniteMeasureSpace,
     HypothesisViolation,
@@ -13,6 +18,7 @@ from dualitymap import (
     certify_nonmembership,
     estimate_limit,
 )
+from dualitymap.serialize import space_from_descriptor
 from witness_draws import CLOSED_FORM_DRAWS, stable_seed
 
 
@@ -228,3 +234,15 @@ def test_membership_holds_along_catalog_curves():
         for k in range(sch.steps):
             pair = witness.curve.at(sch.t0 * sch.ratio**k)
             assert space.is_member(pair.point, pair.dual, 1e-9)
+
+
+def test_every_catalog_curve_is_affine_and_batches():
+    # A curve that fell back to one t at a time would still certify, only
+    # slower; this catches it.  The fixture file holds every catalog theorem.
+    scenarios = json.loads((Path(__file__).parent.parent / "fixtures" / "all.json").read_text())["scenarios"]
+    assert {s["theorem"] for s in scenarios} == set(THEOREM_IDS)
+    for s in scenarios:
+        space = space_from_descriptor(s["space"])
+        curve = build_witness(space, s["theorem"], s.get("params", {})).curve
+        assert isinstance(curve.affine, AffineForm), s["theorem"]
+        assert curve.affine.batches_in(space), s["theorem"]

@@ -3,8 +3,9 @@
 Each ``draw_*`` function returns (space, params, expected_limit) with the
 parameters guaranteed to satisfy the theorem's hypotheses, so the resulting
 certificate must come back certified with the estimated limit matching the
-closed-form bound.  The ``lp`` and ``l1`` draws take an optional size ``n``
-(coordinates or atoms) in place of their small random one.
+closed-form bound.  Every draw takes an optional size ``n`` (coordinates,
+atoms, or breakpoints of f and of a drawn density) in place of its small
+random one; the rng stream is unchanged when n is None.
 """
 
 from __future__ import annotations
@@ -50,27 +51,31 @@ def _l1_space(rng, n: int | None = None) -> FiniteMeasureSpace:
     return FiniteMeasureSpace(rng.uniform(0.5, 2.0, n))
 
 
-def random_pwl(rng, max_breakpoints: int = 16, lo: float = -5.0, hi: float = 5.0) -> PwlFunction:
-    interior = np.unique(rng.uniform(0.02, 0.98, int(rng.integers(0, max_breakpoints - 1))))
-    bp = np.concatenate([[0.0], interior, [1.0]])
+def _grid(rng, count: int) -> np.ndarray:
+    return np.concatenate([[0.0], np.unique(rng.uniform(0.02, 0.98, count)), [1.0]])
+
+
+def random_pwl(
+    rng, max_breakpoints: int = 16, lo: float = -5.0, hi: float = 5.0, n: int | None = None
+) -> PwlFunction:
+    bp = _grid(rng, int(rng.integers(0, max_breakpoints - 1)) if n is None else n - 2)
     return PwlFunction(bp, rng.uniform(lo, hi, bp.size))
 
 
-def random_pwl_nonneg(rng, max_breakpoints: int = 16) -> PwlFunction:
-    f = random_pwl(rng, max_breakpoints)
+def random_pwl_nonneg(rng, max_breakpoints: int = 16, n: int | None = None) -> PwlFunction:
+    f = random_pwl(rng, max_breakpoints, n=n)
     return PwlFunction(f.breakpoints, np.abs(f.values))
 
 
-def random_measure(rng) -> RcaMeasure:
+def random_measure(rng, n: int | None = None) -> RcaMeasure:
     atoms = [
         (float(rng.uniform(0.0, 1.0)), float(rng.uniform(-2.0, 2.0)))
         for _ in range(int(rng.integers(1, 4)))
     ]
     density = None
     if rng.random() < 0.5:
-        density = StepDensity(
-            np.array([0.0, 0.5, 1.0]), rng.uniform(-2.0, 2.0, 2)
-        )
+        bp = np.array([0.0, 0.5, 1.0]) if n is None else _grid(rng, n - 2)
+        density = StepDensity(bp, rng.uniform(-2.0, 2.0, bp.size - 1))
     return RcaMeasure(atoms=tuple(atoms), density=density)
 
 
@@ -182,15 +187,15 @@ def draw_cor48(rng, n=None):
     return space, {"f": f, "u_star": u_star, "E": [int(i) for i in e_idx], "b": b}, b / 2.0
 
 
-def draw_thm53(rng):
-    f = random_pwl_nonneg(rng)
+def draw_thm53(rng, n=None):
+    f = random_pwl_nonneg(rng, n=n)
     return C01Space(), {"f": pwl_to_json(f)}, sup_norm(f) / 2.0
 
 
-def draw_thm54(rng):
-    f = random_pwl(rng)
+def draw_thm54(rng, n=None):
+    f = random_pwl(rng, n=n)
     while True:
-        lam = random_measure(rng)
+        lam = random_measure(rng, n)
         ip = pairing_c(lam, f)
         if abs(ip) > 0.05:
             break
@@ -201,10 +206,10 @@ def draw_thm54(rng):
     )
 
 
-def draw_thm55(rng):
-    f = random_pwl(rng)
+def draw_thm55(rng, n=None):
+    f = random_pwl(rng, n=n)
     while True:
-        lam = random_measure(rng)
+        lam = random_measure(rng, n)
         mass = total_mass(lam)
         if abs(mass) > 0.05:
             break
@@ -215,8 +220,8 @@ def draw_thm55(rng):
     )
 
 
-def draw_thm56(rng):
-    f = random_pwl_nonneg(rng)
+def draw_thm56(rng, n=None):
+    f = random_pwl_nonneg(rng, n=n)
     vals = f.values.copy()
     peak = int(rng.integers(0, vals.size))
     vals[peak] = float(np.max(vals) + rng.uniform(0.5, 2.0))
@@ -232,8 +237,8 @@ def draw_thm56(rng):
     )
 
 
-def draw_thm58(rng):
-    f = random_pwl_nonneg(rng)
+def draw_thm58(rng, n=None):
+    f = random_pwl_nonneg(rng, n=n)
     c = float(rng.uniform(0.2, 3.0))
     while abs(c - 1.0) < 0.1:
         c = float(rng.uniform(0.2, 3.0))
@@ -241,6 +246,18 @@ def draw_thm58(rng):
         C01Space(),
         {"f": pwl_to_json(f), "c": c},
         abs(c - 1.0) * sup_norm(f) / 2.0,
+    )
+
+
+def draw_cor57(rng, n=None):
+    """Increasing nonnegative f and u with u(1) > f(1); the limit is (u(1) - f(1)) / 2."""
+    f = random_pwl_nonneg(rng, n=n)
+    f = PwlFunction(f.breakpoints, np.cumsum(f.values) + 0.1)
+    u = PwlFunction(f.breakpoints, f.values * rng.uniform(1.2, 3.0))
+    return (
+        C01Space(),
+        {"f": pwl_to_json(f), "u": pwl_to_json(u)},
+        (float(u.values[-1]) - float(f.values[-1])) / 2.0,
     )
 
 
