@@ -637,12 +637,12 @@ class C01Space:
         return _measure_sub_rows(mu, nu) if isinstance(mu, MeasureRows) else measure_sub(mu, nu)
 
     def scale(self, f: PwlFunction, c):
-        if np.ndim(c):
+        if isinstance(c, np.ndarray):
             return PwlRows(f.breakpoints, f.values * c)
         return pwl_scale(f, c)
 
     def dual_scale(self, mu: RcaMeasure, c):
-        if np.ndim(c):
+        if isinstance(c, np.ndarray):
             locations, weights = _atoms_of(mu)
             bp, density = _density_of(mu)
             return MeasureRows(locations, c * weights, bp, None if density is None else density * c)

@@ -305,7 +305,7 @@ class _ShiftForm(AffineForm):
     def _evaluate(self, t, canonical_dual: str) -> tuple:
         f, shift = self.base.point, self.tangent
         weights = self.alphas * (self.values + shift * t)
-        if np.ndim(t):
+        if isinstance(t, np.ndarray):
             return c01.PwlRows(f.breakpoints, f.values + shift * t), c01.atom_rows(self.points, weights)
         return c01.pwl_shift(f, shift * t), c01.atom_measure(zip(self.points, weights.tolist()))
 
