@@ -40,15 +40,16 @@ at all maximizing representatives with one ``np.interp`` call.
 Batches: ``PwlRows`` holds the values of a probe curve at every t as one
 (steps, breakpoints) array on the base grid, and ``MeasureRows`` its duals as
 (steps, atoms) weights at shared sorted locations plus (steps, segments)
-density values on a shared grid.  ``C01Space`` has the row forms of
-``coderivative.RowSpace`` on them.  Work that every row shares is done once
-per batch: grid unions, segment indices, interpolation indices, and the
-values of a fixed function such as the second-dual argument.  Each row is
+density values on a shared grid; the ``C01Space`` methods take them as they
+take one element.  Work that every row shares is done once per batch: grid
+unions, segment indices, interpolation indices, and the values of a fixed
+function such as the second-dual argument.  Each row is
 bitwise its per-element result: interpolation follows the C kernel of
 ``np.interp`` (its ``x == xp[j]`` branch and NaN fallbacks included), atom
 and density terms are summed left to right from 0.0, and an absent atom or a
-zero density segment adds +0.0, which leaves such a total unchanged.  There
-is no ``canonical_dual_rows``: no ``c01`` probe curve needs it.
+zero density segment adds +0.0, which leaves such a total unchanged.
+``canonical_dual`` takes one function only: no ``c01`` probe curve needs
+it of a batch.
 """
 
 from __future__ import annotations
@@ -286,9 +287,10 @@ class RcaMeasure:
             loc, w = float(loc), float(w)
             if not (0.0 <= loc <= 1.0):
                 raise ValueError(f"atom location {loc} outside [0,1]")
-            if not math.isfinite(w):
-                raise ValueError("atom weights must be finite")
             merged[loc] = merged.get(loc, 0.0) + w
+        # a non-finite input weight leaves its sum non-finite; a finite sum may overflow
+        if not all(map(math.isfinite, merged.values())):
+            raise ValueError("atom weights must be finite")
         cleaned = tuple(sorted((loc, w) for loc, w in merged.items() if w != 0.0))
         object.__setattr__(self, "atoms", cleaned)
 
@@ -447,7 +449,7 @@ def canonical_duality_measure(f: PwlFunction) -> RcaMeasure:
 
 # ---------------------------------------------------------------------------
 # Rows: one element per row of a (steps, n) array, for the batched sampling of
-# ``coderivative.AffineForm`` curves.  Each row form repeats, row by row, the
+# ``coderivative.AffineForm`` curves.  Each row kernel repeats, row by row, the
 # arithmetic of the per-element function, so every float is bitwise the same.
 # ---------------------------------------------------------------------------
 
@@ -479,8 +481,9 @@ def atom_rows(points, weights: np.ndarray) -> MeasureRows:
     """Rows of ``atom_measure(zip(points, row))``: weights at equal points add up in order."""
     locations, slot = np.unique(np.asarray(points, dtype=float), return_inverse=True)
     merged = np.zeros((weights.shape[0], locations.size))
-    for j, k in enumerate(slot.tolist()):
-        merged[:, k] += weights[:, j]
+    with np.errstate(over="ignore"):  # check_dual_rows rejects an overflowed sum
+        for j, k in enumerate(slot.tolist()):
+            merged[:, k] += weights[:, j]
     return MeasureRows(locations, merged)
 
 
@@ -579,23 +582,26 @@ def _sub_rows(f: PwlRows, g: PwlFunction) -> PwlRows:
 
 
 def _measure_sub_rows(mu: MeasureRows, nu: RcaMeasure) -> MeasureRows:
-    """``measure_sub`` of each row and one measure: atoms merge by location, densities on the union grid."""
+    """``measure_sub`` of each row and one measure, with its checks: atoms merge by location."""
     nu_locations, nu_weights = _atoms_of(nu)
     steps = mu.weights.shape[0]
     locations = np.union1d(mu.locations, nu_locations)
     weights = np.zeros((steps, locations.size))
     weights[:, locations.searchsorted(mu.locations)] += mu.weights
-    weights[:, locations.searchsorted(nu_locations)] -= nu_weights
+    with np.errstate(over="ignore"):  # raised below, after the density as measure_sub does
+        weights[:, locations.searchsorted(nu_locations)] -= nu_weights
     nu_bp, nu_density = _density_of(nu)
     grids = [g for g in (mu.grid, nu_bp) if g is not None]
-    if not grids:
-        return MeasureRows(locations, weights)
-    grid = grids[0] if len(grids) == 1 else np.union1d(grids[0], grids[1])
-    left = mu.density[:, _segments(mu.grid, grid)] if mu.grid is not None else 0.0
-    right = nu_density[_segments(nu_bp, grid)] if nu_bp is not None else 0.0
-    density = np.broadcast_to(left - right, (steps, grid.size - 1))
-    if not np.isfinite(density).all():
-        raise ValueError("need one finite density value per grid segment")
+    grid = density = None
+    if grids:
+        grid = grids[0] if len(grids) == 1 else np.union1d(grids[0], grids[1])
+        left = mu.density[:, _segments(mu.grid, grid)] if mu.grid is not None else 0.0
+        right = nu_density[_segments(nu_bp, grid)] if nu_bp is not None else 0.0
+        density = np.broadcast_to(left - right, (steps, grid.size - 1))
+        if not np.isfinite(density).all():
+            raise ValueError("need one finite density value per grid segment")
+    if not np.isfinite(weights).all():
+        raise ValueError("atom weights must be finite")
     return MeasureRows(locations, weights, grid, density)
 
 
@@ -604,11 +610,11 @@ class C01Space:
     """Space descriptor and engine backend for the piecewise-linear C[0,1] model.
 
     ``PwlFunction`` and ``RcaMeasure`` validate when they are built, so
-    ``check`` and ``check_dual`` only confirm the type.  The row forms take
-    ``PwlRows`` and ``MeasureRows``, which are built unchecked, so
-    ``check_rows`` and ``check_dual_rows`` test their values; ``sub``,
-    ``dual_sub``, ``scale`` and ``dual_scale`` also take rows, or a column
-    of factors.
+    ``check`` and ``check_dual`` only confirm the type.  Every method but
+    ``canonical_dual`` also takes ``PwlRows`` and ``MeasureRows`` and then
+    returns one value per row.  Those are built unchecked, so
+    ``check_rows`` and ``check_dual_rows`` test their values; ``scale`` and
+    ``dual_scale`` build them from a column of factors.
     """
 
     def check(self, f) -> PwlFunction:
@@ -621,13 +627,28 @@ class C01Space:
             raise TypeError(f"expected an RcaMeasure, got {type(mu).__name__}")
         return mu
 
-    def norm(self, f: PwlFunction) -> float:
-        return sup_norm(f)
+    def check_rows(self, f: PwlRows) -> PwlRows:
+        if not np.isfinite(f.values).all():
+            raise ValueError("values must be finite and match the grid")
+        return f
 
-    def dual_norm(self, mu: RcaMeasure) -> float:
-        return tv_norm(mu)
+    def check_dual_rows(self, mu: MeasureRows) -> MeasureRows:
+        # measure_scale builds the density before the atoms, so it fails first
+        if mu.density is not None and not np.isfinite(mu.density).all():
+            raise ValueError("values must be finite and match the grid")
+        if not np.isfinite(mu.weights).all():
+            raise ValueError("atom weights must be finite")
+        return mu
 
-    def pair(self, mu: RcaMeasure, f: PwlFunction) -> float:
+    def norm(self, f):
+        return np.abs(f.values).max(axis=1) if isinstance(f, PwlRows) else sup_norm(f)
+
+    def dual_norm(self, mu):
+        return _tv_rows(mu) if isinstance(mu, MeasureRows) else tv_norm(mu)
+
+    def pair(self, mu, f):
+        if isinstance(mu, MeasureRows) or isinstance(f, PwlRows):
+            return _pairing_rows(mu, f)
         return pairing_c(mu, f)
 
     def sub(self, f, g: PwlFunction):
@@ -651,41 +672,16 @@ class C01Space:
     def canonical_dual(self, f: PwlFunction) -> RcaMeasure:
         return canonical_duality_measure(f)
 
-    def is_member(self, f: PwlFunction, mu: RcaMeasure, tol: float = 1e-9) -> bool:
+    def is_member(self, f, mu, tol: float = 1e-9):
+        if isinstance(f, PwlRows):
+            norm, tv, paired = self.norm(f), _tv_rows(mu), _pairing_rows(mu, f)
+            with np.errstate(all="ignore"):  # as one element's Python float arithmetic
+                in_set = (abs(tv - norm) <= tol) & (abs(paired - norm * norm) <= tol)
+            return np.where(norm == 0.0, tv <= tol, in_set)
         norm = sup_norm(f)
         if norm == 0.0:
             return tv_norm(mu) <= tol
         return _in_duality_set(mu, f, norm, tol)
-
-    # -- row forms (coderivative.RowSpace): PwlRows and MeasureRows --------
-    def check_rows(self, f: PwlRows) -> PwlRows:
-        if not np.isfinite(f.values).all():
-            raise ValueError("values must be finite and match the grid")
-        return f
-
-    def check_dual_rows(self, mu: MeasureRows) -> MeasureRows:
-        # measure_scale builds the density before the atoms, so it fails first
-        if mu.density is not None and not np.isfinite(mu.density).all():
-            raise ValueError("values must be finite and match the grid")
-        if not np.isfinite(mu.weights).all():
-            raise ValueError("atom weights must be finite")
-        return mu
-
-    def norm_rows(self, f: PwlRows) -> np.ndarray:
-        return np.abs(f.values).max(axis=1)
-
-    def dual_norm_rows(self, mu: MeasureRows) -> np.ndarray:
-        return _tv_rows(mu)
-
-    def pair_rows(self, mu, f) -> np.ndarray:
-        return _pairing_rows(mu, f)
-
-    def is_member_rows(self, f: PwlRows, mu: MeasureRows, tol: float = 1e-9) -> np.ndarray:
-        norm, tv = self.norm_rows(f), _tv_rows(mu)
-        paired = _pairing_rows(mu, f)
-        with np.errstate(all="ignore"):  # Python float arithmetic in is_member
-            in_set = (abs(tv - norm) <= tol) & (abs(paired - norm * norm) <= tol)
-        return np.where(norm == 0.0, tv <= tol, in_set)
 
     def in_second_dual_domain(self, h: PwlFunction) -> bool:
         # Only the nonnegative cone of C[0,1] embeds into the second dual.

@@ -23,16 +23,16 @@ u_t* = x* + t d*, or u_t* = canonical_dual(u_t) when d* is None; or the
 scaling (1 + s t)(x, x*).  The catalog's scaling curves (every model) and
 bump curves (``lp``, ``L1``, thm46's included) are of this form, and the
 ``c01`` shifts are a subclass that rounds its dual weights its own way
-(``witnesses``).  When the query's space has the row forms of ``RowSpace``
-that the form needs (all three spaces have them; ``canonical_dual_rows``,
-needed only when d* is None, only ``lp`` and ``L1``), ``estimate_limit``
-samples every t at once as one batch of rows, with the checks of the per-t
-path.  The batched floats are bitwise those of the per-t path: sums reduce
-along each row, an ``lp`` pairing runs the ``np.dot`` kernel on each row
-(``np.vecdot``) and the l_p root stays one scalar power per row (a matrix
-product or an array power rounds differently), a scaling curve evaluates as
-(1 + s t) x, never as x + t (s x), and ``c01`` rows follow the rules in the
-``c01`` docstring.  Generator-only curves are sampled one t at a time.
+(``witnesses``).  ``estimate_limit`` samples such a curve at every t at once,
+as one batch with one element per row: each ``Space`` method takes a batch
+as it takes one element and returns one value per row, and the batch passes
+the checks of the per-t path.  The batched floats are bitwise those of the
+per-t path: sums reduce along each row, an ``lp`` pairing runs the
+``np.dot`` kernel on each row (``np.vecdot``) and the l_p root stays one
+scalar power per row (a matrix product or an array power rounds
+differently), a scaling curve evaluates as (1 + s t) x, never as
+x + t (s x), and ``c01`` rows follow the rules in the ``c01`` docstring.
+Generator-only curves are sampled one t at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import numpy as np
 
 __all__ = [
     "Space",
-    "RowSpace",
     "GraphPair",
     "AffineForm",
     "CoderivativeQuery",
@@ -78,43 +77,31 @@ class Space(Protocol):
 
     ``check`` / ``check_dual`` validate an outside primal / dual value once and
     return the form the other methods take; those assume checked arguments.
+    A batch holds one element per row: (steps, n) arrays, or ``c01.PwlRows``
+    and ``c01.MeasureRows``; ``check_rows`` / ``check_dual_rows`` validate
+    one.  ``norm``, ``dual_norm``, ``pair`` and ``is_member`` take a batch
+    as they take one element and give one value per row, bitwise that row's
+    (a Python float or bool for one element); ``pair``, ``sub`` and
+    ``dual_sub`` take one element against a batch, ``scale`` and
+    ``dual_scale`` a column of factors, and ``canonical_dual`` a batch in
+    ``lp`` and ``L1``.
     """
 
     def check(self, x): ...
     def check_dual(self, u): ...
-    def norm(self, x) -> float: ...
-    def dual_norm(self, u) -> float: ...
-    def pair(self, u, x) -> float: ...
-    def sub(self, x, y): ...
-    def dual_sub(self, u, v): ...
-    def scale(self, x, c: float): ...
-    def dual_scale(self, u, c: float): ...
-    def canonical_dual(self, x): ...
-    def is_member(self, x, u, tol: float) -> bool: ...
-    def in_second_dual_domain(self, y) -> bool: ...
-    def descriptor(self) -> dict: ...
-
-
-class RowSpace(Space, Protocol):
-    """Row forms of a ``Space``: a batch of elements, one per row of (steps, n) arrays.
-
-    Each row of a result equals, bitwise, the per-element method applied to
-    that row.  ``pair_rows`` and the space's ``sub``, ``dual_sub``, ``scale``
-    and ``dual_scale`` also broadcast a single element or a column of factors
-    against rows.  A curve whose dual is ``canonical_dual(u_t)`` also needs
-    ``canonical_dual_rows(x)``, which ``LpSpace`` and ``FiniteMeasureSpace``
-    have.
-    """
-
     def check_rows(self, x): ...
     def check_dual_rows(self, u): ...
-    def norm_rows(self, x) -> np.ndarray: ...
-    def dual_norm_rows(self, u) -> np.ndarray: ...
-    def pair_rows(self, u, x) -> np.ndarray: ...
-    def is_member_rows(self, x, u, tol: float) -> np.ndarray: ...
-
-
-ROW_FORMS = tuple(name for name in vars(RowSpace) if not name.startswith("_"))
+    def norm(self, x): ...
+    def dual_norm(self, u): ...
+    def pair(self, u, x): ...
+    def sub(self, x, y): ...
+    def dual_sub(self, u, v): ...
+    def scale(self, x, c): ...
+    def dual_scale(self, u, c): ...
+    def canonical_dual(self, x): ...
+    def is_member(self, x, u, tol: float): ...
+    def in_second_dual_domain(self, y) -> bool: ...
+    def descriptor(self) -> dict: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +150,10 @@ class AffineForm:
     base pair, evaluated as (1 + s t) x: x + t (s x) rounds differently
     unless t is dyadic.  Otherwise u_t = x + t d for the ``tangent`` d, and
     u_t* = x* + t d* for the ``dual_tangent`` d*, or canonical_dual(u_t) when
-    d* is None.  ``at`` evaluates one t; ``rows`` evaluates a column of t as
-    a batch of rows for the ``RowSpace`` forms.  A subclass may evaluate
-    both in its own way by overriding ``_evaluate``.
+    d* is None; x + t d needs array elements, so a tangent is only accepted
+    in ``lp`` and ``L1``.  ``at`` evaluates one t; ``rows`` evaluates a
+    column of t as a batch.  A subclass may evaluate both in its own way by
+    overriding ``_evaluate``.
     """
 
     space: Space
@@ -174,28 +162,27 @@ class AffineForm:
     dual_tangent: object = None
     scale: float = 0.0
 
-    def _evaluate(self, t, canonical_dual: str) -> tuple:
+    def __post_init__(self):
+        given = [v for v in (self.tangent, self.dual_tangent) if v is not None]
+        elements = (self.base.point, self.base.dual, *given)
+        if given and not all(isinstance(v, np.ndarray) for v in elements):
+            raise TypeError("a point or dual tangent needs array elements (lp, L1)")
+
+    def _evaluate(self, t) -> tuple:
         space, x, x_star = self.space, self.base.point, self.base.dual
         if self.scale:
             c = 1.0 + self.scale * t
             return space.scale(x, c), space.dual_scale(x_star, c)
         u = x + t * self.tangent
         if self.dual_tangent is None:
-            return u, getattr(space, canonical_dual)(u)
+            return u, space.canonical_dual(u)
         return u, x_star + t * self.dual_tangent
 
     def at(self, t: float) -> GraphPair:
-        return GraphPair(*self._evaluate(t, "canonical_dual"))
+        return GraphPair(*self._evaluate(t))
 
     def rows(self, ts: np.ndarray) -> tuple:
-        return self._evaluate(ts[:, None], "canonical_dual_rows")
-
-    def batches_in(self, space) -> bool:
-        """Whether ``space`` has every row form that sampling this form as rows calls."""
-        needed = ROW_FORMS
-        if not self.scale and self.dual_tangent is None:
-            needed += ("canonical_dual_rows",)
-        return all(hasattr(space, name) for name in needed)
+        return self._evaluate(ts[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +190,8 @@ class ProbeCurve:
     """t -> (u_t, u_t*) in gph J, valid for 0 < t <= t_max.
 
     A curve given by an ``affine`` form and no generator gets
-    ``affine.at`` as its generator; ``estimate_limit`` samples such a curve
-    from the form whenever the space has row forms, and ``at`` from the
+    ``affine.at`` as its generator; ``estimate_limit`` samples a curve with
+    an affine form from the form, as one batch, and ``at`` from the
     generator.
     """
 
@@ -308,16 +295,16 @@ class FalsificationLead:
 
 
 def _quotient(query: CoderivativeQuery, u, u_star) -> tuple:
-    """Quotient and graph distance at the checked graph pair (u, u*)."""
+    """Quotient and graph distance at the checked graph pair (u, u*), or per row of a batch."""
     space = query.space
     du = space.sub(u, query.base.point)
     dstar = space.dual_sub(u_star, query.base.dual)
     den = space.norm(du) + space.dual_norm(dstar)
-    if den <= 0.0:
+    if np.any(den <= 0.0):
         raise ValueError("degenerate pair: zero distance to the base point")
     num = space.pair(query.candidate, du)
     if query.second_dual is not None:
-        num -= space.pair(dstar, query.second_dual)
+        num = num - space.pair(dstar, query.second_dual)
     return num / den, den
 
 
@@ -327,38 +314,16 @@ def quotient(query: CoderivativeQuery, pair: GraphPair) -> float:
     return _quotient(query, space.check(pair.point), space.check_dual(pair.dual))[0]
 
 
-def _sample(query: CoderivativeQuery, pair: GraphPair, membership_tol: float) -> tuple:
-    """Quotient plus graph distance, validating duality membership of the pair."""
-    space = query.space
-    u, u_star = space.check(pair.point), space.check_dual(pair.dual)
-    if not space.is_member(u, u_star, membership_tol):
+def _sample(query: CoderivativeQuery, u, u_star, membership_tol: float) -> tuple:
+    """``_quotient`` at a checked graph pair or batch, validating duality membership first.
+
+    A batch runs each check on all rows in turn; where rows fail different
+    checks, the first check in that order is reported, not the first
+    failing t.
+    """
+    if not np.all(query.space.is_member(u, u_star, membership_tol)):
         raise ValueError("probe curve produced a pair outside gph J")
     return _quotient(query, u, u_star)
-
-
-def _sample_rows(query: CoderivativeQuery, curve: ProbeCurve, ts: list, membership_tol: float) -> tuple:
-    """Quotients and graph distances at every t at once, from the curve's affine form.
-
-    The checks and messages of ``_sample`` and ``_quotient``, each on all
-    rows in turn; where rows fail different checks, the first check in that
-    order is reported, not the first failing t.
-    """
-    space = query.space
-    for t in ts:
-        curve._check_window(t)
-    u, u_star = curve.affine.rows(np.array(ts))
-    u, u_star = space.check_rows(u), space.check_dual_rows(u_star)
-    if not space.is_member_rows(u, u_star, membership_tol).all():
-        raise ValueError("probe curve produced a pair outside gph J")
-    du = space.sub(u, query.base.point)
-    dstar = space.dual_sub(u_star, query.base.dual)
-    den = space.norm_rows(du) + space.dual_norm_rows(dstar)
-    if (den <= 0.0).any():
-        raise ValueError("degenerate pair: zero distance to the base point")
-    num = space.pair_rows(query.candidate, du)
-    if query.second_dual is not None:
-        num = num - space.pair_rows(dstar, query.second_dual)
-    return (num / den).tolist(), den.tolist()
 
 
 def _tail_estimate(quotients, settle_tol: float) -> tuple:
@@ -380,20 +345,26 @@ def estimate_limit(
     when their spread is at most ``settle_tol``.  A schedule whose t0 exceeds
     the curve's validity window is shrunk to half the window and flagged; the
     shrunk schedule passes the checks of ``Schedule`` again, so a last sample
-    that underflows to 0 is reported as such.  An affine curve in a space
-    with the row forms it needs is sampled as one batch.
+    that underflows to 0 is reported as such.  A curve with an affine form
+    is sampled as one batch.
     """
     sch = schedule if schedule is not None else default_schedule(curve.t_max)
     shrunk = sch.t0 > curve.t_max
     if shrunk:
         sch = Schedule(curve.t_max / 2.0, sch.ratio, sch.steps)
     ts = [sch.t0 * sch.ratio**k for k in range(sch.steps)]
-    if curve.affine is not None and curve.affine.batches_in(query.space):
-        qs, dists = _sample_rows(query, curve, ts, membership_tol)
+    space = query.space
+    if curve.affine is not None:
+        for t in ts:
+            curve._check_window(t)
+        u, u_star = curve.affine.rows(np.array(ts))
+        qs, dists = _sample(query, space.check_rows(u), space.check_dual_rows(u_star), membership_tol)
+        qs, dists = qs.tolist(), dists.tolist()
     else:
         qs, dists = [], []
         for t in ts:
-            q, dist = _sample(query, curve.at(t), membership_tol)
+            pair = curve.at(t)
+            q, dist = _sample(query, space.check(pair.point), space.check_dual(pair.dual), membership_tol)
             qs.append(q)
             dists.append(dist)
     if dists[-1] >= dists[-2]:

@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+def _float_or_rows(values):
+    """A Python float for one element; a stack's values per row stay an array."""
+    return values if values.ndim else float(values)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMeasureSpace:
     """n-point measure space; ``weights[i]`` is the measure of the i-th atom."""
@@ -71,15 +76,26 @@ class FiniteMeasureSpace:
 
     check_dual = check
 
-    # -- engine protocol: value lists already passed through ``check`` ----
-    def norm(self, f) -> float:
-        return float(np.sum(np.abs(f) * self.weights))
+    def check_rows(self, values) -> np.ndarray:
+        if values.shape[-1] != self.n:
+            raise ValueError(
+                f"value list of length {values.shape[-1]} does not match the {self.n}-point space"
+            )
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        return values
 
-    def dual_norm(self, g) -> float:
-        return float(np.max(np.abs(g)))
+    check_dual_rows = check_rows
 
-    def pair(self, g, f) -> float:
-        return float(np.sum(g * f * self.weights))
+    # -- engine protocol: checked value lists, or (steps, n) stacks of them --
+    def norm(self, f):
+        return _float_or_rows((np.abs(f) * self.weights).sum(-1))
+
+    def dual_norm(self, g):
+        return _float_or_rows(np.abs(g).max(-1))
+
+    def pair(self, g, f):
+        return _float_or_rows((g * f * self.weights).sum(-1))
 
     def sub(self, f, g) -> np.ndarray:
         return f - g
@@ -93,44 +109,15 @@ class FiniteMeasureSpace:
 
     def canonical_dual(self, f) -> np.ndarray:
         """The selection with free values 0: +-||f||_1 on the sign sets."""
-        norm = self.norm(f)
+        norm = np.asarray(self.norm(f))[..., None]
         return np.where(f > 0.0, norm, np.where(f < 0.0, -norm, 0.0))
 
-    def is_member(self, f, g, tol: float = 1e-10) -> bool:
+    def is_member(self, f, g, tol: float = 1e-10):
         """||g||_inf = ||f||_1 and <g, f> = ||f||_1**2, each within tol * max(1, rhs)."""
         norm = self.norm(f)
-        norm_ok = abs(self.dual_norm(g) - norm) <= tol * max(1.0, norm)
-        return norm_ok and abs(self.pair(g, f) - norm * norm) <= tol * max(1.0, norm * norm)
-
-    # -- row forms (coderivative.RowSpace): (steps, n) arrays of value lists --
-    def check_rows(self, values) -> np.ndarray:
-        if values.shape[-1] != self.n:
-            raise ValueError(
-                f"value list of length {values.shape[-1]} does not match the {self.n}-point space"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
-        return values
-
-    check_dual_rows = check_rows
-
-    def norm_rows(self, f) -> np.ndarray:
-        return np.sum(np.abs(f) * self.weights, axis=1)
-
-    def dual_norm_rows(self, g) -> np.ndarray:
-        return np.max(np.abs(g), axis=1)
-
-    def pair_rows(self, g, f) -> np.ndarray:
-        return np.sum(g * f * self.weights, axis=1)
-
-    def canonical_dual_rows(self, f) -> np.ndarray:
-        norm = self.norm_rows(f)[:, None]
-        return np.where(f > 0.0, norm, np.where(f < 0.0, -norm, 0.0))
-
-    def is_member_rows(self, f, g, tol: float = 1e-10) -> np.ndarray:
-        norm = self.norm_rows(f)
-        norm_ok = abs(self.dual_norm_rows(g) - norm) <= tol * np.maximum(1.0, norm)
-        return norm_ok & (abs(self.pair_rows(g, f) - norm * norm) <= tol * np.maximum(1.0, norm * norm))
+        norm_ok = abs(self.dual_norm(g) - norm) <= tol * np.maximum(1.0, norm)
+        member = norm_ok & (abs(self.pair(g, f) - norm * norm) <= tol * np.maximum(1.0, norm * norm))
+        return member if f.ndim > 1 else bool(member)
 
     def in_second_dual_domain(self, h) -> bool:
         # Only the positive cone embeds into the second dual.

@@ -54,21 +54,19 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def _norm(v: np.ndarray, p: float) -> float:
-    norm = float(np.sum(np.abs(v) ** p) ** (1.0 / p))
-    if not math.isfinite(norm):
+def _norm(v: np.ndarray, p: float):
+    """||v||_p as a float, or one norm per row of a stack; raises when one overflows."""
+    # One scalar root per vector (C pow): an array power rounds differently.
+    sums, root = (np.abs(v) ** p).sum(-1), 1.0 / p
+    if v.ndim == 1:
+        norm = float(sums) ** root
+        finite = math.isfinite(norm)
+    else:
+        norm = np.array([s**root for s in sums.tolist()])
+        finite = np.isfinite(norm).all()
+    if not finite:
         raise ValueError(f"l_{p} norm overflows")
     return norm
-
-
-def _norm_rows(v: np.ndarray, p: float) -> np.ndarray:
-    # One scalar root per row (C pow, as in _norm): an array power rounds
-    # differently.
-    root = 1.0 / p
-    norms = np.array([s**root for s in np.sum(np.abs(v) ** p, axis=1).tolist()])
-    if not np.isfinite(norms).all():
-        raise ValueError(f"l_{p} norm overflows")
-    return norms
 
 
 def _same_dimension(a: np.ndarray, b: np.ndarray) -> None:
@@ -76,15 +74,12 @@ def _same_dimension(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
 
 
-def _pair(u: np.ndarray, x: np.ndarray) -> float:
+def _pair(u: np.ndarray, x: np.ndarray):
     _same_dimension(u, x)
-    return float(np.dot(u, x))
-
-
-def _pair_rows(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    if u.ndim == x.ndim == 1:
+        return float(np.dot(u, x))
     # np.vecdot runs the kernel of np.dot on each row; a matrix product
     # rounds differently.
-    _same_dimension(u, x)
     return np.vecdot(u, x)
 
 
@@ -123,8 +118,9 @@ class LpSpace:
 
     Primal elements and dual elements are both plain 1-d arrays; the dual
     space is l_q with q = p / (p - 1).  The methods after ``check`` take
-    checked vectors and only compare their dimensions; ``sub`` and ``scale``
-    also broadcast over the (steps, n) rows of the ``*_rows`` forms.
+    checked vectors and only compare their dimensions.  Each also takes a
+    (steps, n) stack of vectors, one per row, and then returns one value per
+    row, bitwise the value of that row alone; ``check_rows`` checks a stack.
     """
 
     p: float
@@ -142,13 +138,22 @@ class LpSpace:
 
     check_dual = check
 
-    def norm(self, x) -> float:
+    def check_rows(self, x) -> np.ndarray:
+        if x.shape[-1] < 1:
+            raise ValueError("vector must be one-dimensional with at least one coordinate")
+        if not np.isfinite(x).all():
+            raise ValueError("vector coordinates must be finite")
+        return x
+
+    check_dual_rows = check_rows
+
+    def norm(self, x):
         return _norm(x, self.p)
 
-    def dual_norm(self, u) -> float:
+    def dual_norm(self, u):
         return _norm(u, self.q)
 
-    def pair(self, u, x) -> float:
+    def pair(self, u, x):
         return _pair(u, x)
 
     def sub(self, x, y) -> np.ndarray:
@@ -163,7 +168,9 @@ class LpSpace:
     dual_scale = scale
 
     def _divisor(self, norm: float) -> float:
-        """||x|| ** (p - 2), the divisor of J(x) for x != 0."""
+        """||x|| ** (p - 2), the divisor of J(x); 1 for x = 0, which maps 0 to 0 = J(0)."""
+        if not norm:
+            return 1.0
         try:
             return norm ** (self.p - 2.0)
         except OverflowError:
@@ -171,48 +178,20 @@ class LpSpace:
 
     def duality(self, x) -> np.ndarray:
         norm = _norm(x, self.p)
-        if norm == 0.0:
-            return np.zeros_like(x)
-        return np.sign(x) * np.abs(x) ** (self.p - 1.0) / self._divisor(norm)
+        if x.ndim == 1:
+            divisor = self._divisor(norm)
+        else:
+            divisor = np.array([self._divisor(n) for n in norm.tolist()])[:, None]
+        return np.sign(x) * np.abs(x) ** (self.p - 1.0) / divisor
 
     canonical_dual = duality
 
-    def is_member(self, x, u, tol: float = 1e-9) -> bool:
+    def is_member(self, x, u, tol: float = 1e-9):
         nx = _norm(x, self.p)
         pair_err = abs(_pair(u, x) - nx * nx)
         norm_err = abs(_norm(u, self.q) - nx)
-        return pair_err <= tol * max(1.0, nx * nx) and norm_err <= tol * max(1.0, nx)
-
-    # -- row forms (coderivative.RowSpace) ---------------------------------
-    def check_rows(self, x) -> np.ndarray:
-        if x.shape[-1] < 1:
-            raise ValueError("vector must be one-dimensional with at least one coordinate")
-        if not np.isfinite(x).all():
-            raise ValueError("vector coordinates must be finite")
-        return x
-
-    check_dual_rows = check_rows
-
-    def norm_rows(self, x) -> np.ndarray:
-        return _norm_rows(x, self.p)
-
-    def dual_norm_rows(self, u) -> np.ndarray:
-        return _norm_rows(u, self.q)
-
-    def pair_rows(self, u, x) -> np.ndarray:
-        return _pair_rows(u, x)
-
-    def canonical_dual_rows(self, x) -> np.ndarray:
-        # A zero row takes the divisor 1, which maps it to 0 = J(0).
-        norms = _norm_rows(x, self.p).tolist()
-        divisors = np.array([self._divisor(n) if n else 1.0 for n in norms])
-        return np.sign(x) * np.abs(x) ** (self.p - 1.0) / divisors[:, None]
-
-    def is_member_rows(self, x, u, tol: float = 1e-9) -> np.ndarray:
-        nx = _norm_rows(x, self.p)
-        pair_err = abs(_pair_rows(u, x) - nx * nx)
-        norm_err = abs(_norm_rows(u, self.q) - nx)
-        return (pair_err <= tol * np.maximum(1.0, nx * nx)) & (norm_err <= tol * np.maximum(1.0, nx))
+        member = (pair_err <= tol * np.maximum(1.0, nx * nx)) & (norm_err <= tol * np.maximum(1.0, nx))
+        return member if x.ndim > 1 else bool(member)
 
     def in_second_dual_domain(self, y) -> bool:
         # l_p is reflexive: every primal vector represents a second dual.

@@ -291,19 +291,19 @@ def _resolve_measure(params: dict, key: str, f: c01.PwlFunction) -> c01.RcaMeasu
 class _ShiftForm(AffineForm):
     """f + shift t paired with atoms alpha_j (v_j + shift t) at fixed points s_j, v_j = f(s_j).
 
-    The atoms stay at the s_j and only their weights move, along the dual
-    tangent alpha_j shift.  A weight is evaluated as alpha_j (v_j + shift t),
-    as ``c01.atomic_duality_measure`` weighs f + shift t there; alpha_j v_j +
-    t (alpha_j shift) rounds differently.  The ``tangent`` is the constant
-    shift.
+    The atoms stay at the s_j and only their weights move.  A weight is
+    evaluated as alpha_j (v_j + shift t), as ``c01.atomic_duality_measure``
+    weighs f + shift t there; alpha_j v_j + t (alpha_j shift) rounds
+    differently.
     """
 
+    shift: float = 0.0
     points: np.ndarray = None
     alphas: np.ndarray = None
     values: np.ndarray = None
 
-    def _evaluate(self, t, canonical_dual: str) -> tuple:
-        f, shift = self.base.point, self.tangent
+    def _evaluate(self, t) -> tuple:
+        f, shift = self.base.point, self.shift
         weights = self.alphas * (self.values + shift * t)
         if isinstance(t, np.ndarray):
             return c01.PwlRows(f.breakpoints, f.values + shift * t), c01.atom_rows(self.points, weights)
@@ -314,8 +314,7 @@ def _shift_curve(theorem: str, query: CoderivativeQuery, shift: float, points, a
     """f + shift t with atoms alpha_j (f(s_j) + shift t) on points s_j where f peaks."""
     points, alphas = np.array(points, dtype=float), np.array(alphas, dtype=float)
     affine = _ShiftForm(
-        query.space, query.base, tangent=shift, dual_tangent=alphas * shift,
-        points=points, alphas=alphas, values=query.base.point(points),
+        query.space, query.base, shift=shift, points=points, alphas=alphas, values=query.base.point(points)
     )
     return ProbeCurve(f"{theorem}:shift[{shift:+.0f}]", t_max=t_max, affine=affine)
 

@@ -20,6 +20,7 @@ from dualitymap import (
     estimate_limit,
 )
 from dualitymap import c01
+from dualitymap.witnesses import _ShiftForm
 from witness_draws import CLOSED_FORM_DRAWS, draw_cor57, draw_thm31, stable_seed
 
 DRAWS = {"thm31": draw_thm31, "cor57": draw_cor57, **CLOSED_FORM_DRAWS}
@@ -42,7 +43,7 @@ def _batched_only(curve: ProbeCurve) -> ProbeCurve:
 def _reference_shift(curve: ProbeCurve) -> ProbeCurve:
     """The c01 shift curve as the generator closure it was before it became an affine form."""
     form = curve.affine
-    f, shift = form.base.point, form.tangent
+    f, shift = form.base.point, form.shift
     points, alphas = form.points.tolist(), form.alphas.tolist()
     values = [float(f(s)) for s in points]
 
@@ -82,7 +83,7 @@ def test_batched_certificates_are_bitwise_per_t(theorem):
         space, params, _ = DRAWS[theorem](rng, n)
         witness = build_witness(space, theorem, params)
         curve = witness.curve
-        assert curve.affine is not None and curve.affine.batches_in(space)
+        assert curve.affine is not None
         if theorem == "thm31":
             kinds.add((space.p == 2.0, bool(np.any(params["x"]))))
         t0 = min(0.25, curve.t_max / 2.0)
@@ -106,7 +107,7 @@ def test_row_forms_equal_the_methods_row_by_row(space):
     x[2] = [-0.0, 0.0, -0.0, 0.0]
     x[3, :2] = 0.0
     x[5] = [1.0, 0.0, 0.0, 0.0]
-    u = space.canonical_dual_rows(x)
+    u = space.canonical_dual(x)
     for row, dual in zip(x, u):
         expected = space.canonical_dual(row)
         assert np.array_equal(dual, expected)
@@ -118,12 +119,12 @@ def test_row_forms_equal_the_methods_row_by_row(space):
     def same(rows, values):
         assert [float(v).hex() for v in rows] == [float(v).hex() for v in values]
 
-    same(space.norm_rows(x), [space.norm(r) for r in x])
-    same(space.dual_norm_rows(u), [space.dual_norm(r) for r in u])
-    same(space.pair_rows(u, x), [space.pair(a, b) for a, b in zip(u, x)])
-    same(space.pair_rows(y, x), [space.pair(y, r) for r in x])
-    same(space.pair_rows(u, y), [space.pair(r, y) for r in u])
-    member = space.is_member_rows(x, u, 1e-9)
+    same(space.norm(x), [space.norm(r) for r in x])
+    same(space.dual_norm(u), [space.dual_norm(r) for r in u])
+    same(space.pair(u, x), [space.pair(a, b) for a, b in zip(u, x)])
+    same(space.pair(y, x), [space.pair(y, r) for r in x])
+    same(space.pair(u, y), [space.pair(r, y) for r in u])
+    member = space.is_member(x, u, 1e-9)
     assert member.tolist() == [space.is_member(a, b, 1e-9) for a, b in zip(x, u)]
     assert not member[4] and not member[5]
 
@@ -245,18 +246,18 @@ def test_c01_row_forms_equal_the_methods_row_by_row():
     def same(rows, values):
         assert [float(v).hex() for v in rows] == [float(v).hex() for v in values]
 
-    same(space.norm_rows(f), [space.norm(r) for r in fs])
-    same(space.dual_norm_rows(mu), [space.dual_norm(m) for m in mus])
-    same(space.pair_rows(mu, f), [space.pair(m, r) for m, r in zip(mus, fs)])
-    same(space.pair_rows(nu, f), [space.pair(nu, r) for r in fs])
+    same(space.norm(f), [space.norm(r) for r in fs])
+    same(space.dual_norm(mu), [space.dual_norm(m) for m in mus])
+    same(space.pair(mu, f), [space.pair(m, r) for m, r in zip(mus, fs)])
+    same(space.pair(nu, f), [space.pair(nu, r) for r in fs])
     for g in (g_same, g_other):
-        same(space.pair_rows(mu, g), [space.pair(m, g) for m in mus])
+        same(space.pair(mu, g), [space.pair(m, g) for m in mus])
         diff = space.sub(f, g)
         for row, r in zip(diff.values, fs):
             expected = space.sub(r, g)
             assert np.array_equal(diff.breakpoints, expected.breakpoints)
             same(row, expected.values)
-    member = space.is_member_rows(f, mu, 1e-9)
+    member = space.is_member(f, mu, 1e-9)
     assert member.tolist() == [space.is_member(r, m, 1e-9) for r, m in zip(fs, mus)]
     assert member[[1, 4, 5]].all() and not member[0]
     # f + f overflows on every segment; the one with a nonzero density gives
@@ -264,7 +265,7 @@ def test_c01_row_forms_equal_the_methods_row_by_row():
     huge = c01.PwlRows(bp, np.full((1, bp.size), 1e308))
     lone = c01.MeasureRows(locations[:0], np.zeros((1, 0)), grid, np.array([[0.0, 1.0, 0.0, 0.0]]))
     with np.errstate(over="ignore", invalid="ignore"):
-        same(space.pair_rows(lone, huge), [space.pair(_row_measure(lone, 0), PwlFunction(bp, huge.values[0]))])
+        same(space.pair(lone, huge), [space.pair(_row_measure(lone, 0), PwlFunction(bp, huge.values[0]))])
 
     for i in range(values.shape[0]):
         _same_measure(_row_measure(space.dual_sub(mu, nu), i), space.dual_sub(mus[i], nu))
@@ -325,6 +326,11 @@ def test_c01_batched_path_keeps_every_check():
     zero = c01.pwl_constant(0.0)
     at_zero = CoderivativeQuery(space, GraphPair(zero, c01.zero_measure()), query.candidate)
     _both_raise(at_zero, scaling(zero, c01.zero_measure()), "degenerate")
+    # two atoms at one point whose finite weights add up past the largest float
+    merged = _ShiftForm(space, base, shift=1.7e308, points=np.array([0.5, 0.5]),
+                        alphas=np.ones(2), values=base.point(np.array([0.5, 0.5])))
+    _both_raise(query, ProbeCurve("merge", t_max=1.0, affine=merged), "atom weights must be finite",
+                Schedule(0.9, 0.5, 24))
 
 
 def test_row_interp_is_np_interp():

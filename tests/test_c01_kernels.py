@@ -14,6 +14,7 @@ from dualitymap import C01Space, PwlFunction, is_duality_member_c, maximizing_se
 from dualitymap.c01 import (
     VALUE_TOL,
     MaximizingSet,
+    MeasureRows,
     MembershipReport,
     RcaMeasure,
     StepDensity,
@@ -404,6 +405,17 @@ def test_overflow_on_a_reused_grid_raises():
     mu = RcaMeasure(density=StepDensity(bp, np.array([10.0, 1.0])))
     with pytest.raises(ValueError, match="finite"):
         measure_scale(mu, 1e308)
+
+
+def test_merged_atom_weights_that_overflow_raise():
+    # each weight is finite, their sum at one point is not
+    with pytest.raises(ValueError, match="atom weights must be finite"):
+        RcaMeasure(((0.5, 1e308), (0.5, 1e308)))
+    with pytest.raises(ValueError, match="atom weights must be finite"):
+        measure_sub(atom_measure([(0.5, 1e308)]), atom_measure([(0.5, -1e308)]))
+    rows = MeasureRows(np.array([0.25, 0.5]), np.array([[1.0, 1.0], [0.0, 1e308]]))
+    with pytest.raises(ValueError, match="atom weights must be finite"):
+        C01Space().dual_sub(rows, atom_measure([(0.5, -1e308)]))
 
 
 @pytest.mark.parametrize("n", SIZES)

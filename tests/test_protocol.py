@@ -14,15 +14,16 @@ from dualitymap import (
     estimate_limit,
 )
 from dualitymap import c01
-from dualitymap.coderivative import ROW_FORMS, AffineForm, Space
+from dualitymap.coderivative import AffineForm, Space
 
 PROTOCOL = [name for name in vars(Space) if not name.startswith("_")]
 
 
 def test_protocol_lists_every_method():
     assert sorted(PROTOCOL) == sorted(
-        ["check", "check_dual", "norm", "dual_norm", "pair", "sub", "dual_sub", "scale",
-         "dual_scale", "canonical_dual", "is_member", "in_second_dual_domain", "descriptor"]
+        ["check", "check_dual", "check_rows", "check_dual_rows", "norm", "dual_norm", "pair",
+         "sub", "dual_sub", "scale", "dual_scale", "canonical_dual", "is_member",
+         "in_second_dual_domain", "descriptor"]
     )
 
 
@@ -32,19 +33,49 @@ def test_every_space_has_every_protocol_method(cls):
     assert not missing
 
 
+def _batches():
+    """Each space with a (point, dual) pair of one element and a batch of three rows."""
+    x = np.array([[1.0, -2.0], [0.5, 0.0], [0.0, 0.0]])
+    lp3, l1 = LpSpace(3.0), FiniteMeasureSpace([1.0, 2.0])
+    f = c01.PwlRows(np.array([0.0, 0.5, 1.0]), np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]]))
+    mu = c01.atom_rows([0.5], np.array([[2.0], [-1.0], [0.0]]))
+    one_c01 = c01.PwlFunction(f.breakpoints, f.values[0])
+    return [
+        (lp3, (x[0], lp3.canonical_dual(x[0])), (x, np.array([lp3.canonical_dual(r) for r in x]))),
+        (l1, (x[0], l1.canonical_dual(x[0])), (x, np.array([l1.canonical_dual(r) for r in x]))),
+        (C01Space(), (one_c01, c01.canonical_duality_measure(one_c01)), (f, mu)),
+    ]
+
+
 def test_row_forms_on_every_space():
-    assert sorted(ROW_FORMS) == sorted(
-        ["check_rows", "check_dual_rows", "norm_rows", "dual_norm_rows", "pair_rows",
-         "is_member_rows"]
-    )
-    for cls in (LpSpace, FiniteMeasureSpace, C01Space):
-        assert all(callable(getattr(cls, name, None)) for name in ROW_FORMS)
-    # a curve with a canonical dual also needs canonical_dual_rows; no c01 curve has one
-    for cls in (LpSpace, FiniteMeasureSpace):
-        assert callable(getattr(cls, "canonical_dual_rows", None))
+    # norm, dual_norm, pair and is_member take a batch and give one value per row
+    for space, _, (x, u) in _batches():
+        for values in (space.norm(x), space.dual_norm(u), space.pair(u, x)):
+            assert isinstance(values, np.ndarray) and values.shape == (3,)
+        assert space.is_member(x, u, 1e-9).tolist() == [True, True, True]
+        if not isinstance(space, C01Space):  # no c01 curve needs the canonical dual of a batch
+            assert np.array_equal(space.canonical_dual(x), u)
+
+
+@pytest.mark.parametrize("space, one, rows", _batches())
+def test_one_element_gives_python_floats(space, one, rows):
+    x, u = one
+    for value in (space.norm(x), space.dual_norm(u), space.pair(u, x)):
+        assert type(value) is float
+    assert type(space.is_member(x, u, 1e-9)) is bool
+
+
+def test_a_tangent_needs_array_elements():
     base = GraphPair(c01.pwl_tent(), c01.canonical_duality_measure(c01.pwl_tent()))
-    assert AffineForm(C01Space(), base, scale=-1.0).batches_in(C01Space())
-    assert not AffineForm(C01Space(), base, tangent=c01.pwl_tent()).batches_in(C01Space())
+    AffineForm(C01Space(), base, scale=-1.0)
+    with pytest.raises(TypeError, match="needs array elements"):
+        AffineForm(C01Space(), base, tangent=c01.pwl_tent())
+    with pytest.raises(TypeError, match="needs array elements"):
+        AffineForm(C01Space(), base, tangent=np.ones(3), dual_tangent=np.ones(3))
+    space = LpSpace(2.0)
+    x = np.array([1.0, 0.0])
+    with pytest.raises(TypeError, match="needs array elements"):
+        AffineForm(space, GraphPair(x, x), tangent=[0.0, 1.0])
 
 
 def _shrink_query(space, x):
