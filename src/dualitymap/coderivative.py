@@ -153,7 +153,7 @@ class AffineForm:
     d* is None; x + t d needs array elements, so a tangent is only accepted
     in ``lp`` and ``L1``.  ``at`` evaluates one t; ``rows`` evaluates a
     column of t as a batch.  A subclass may evaluate both in its own way by
-    overriding ``_evaluate``.
+    overriding ``_evaluate``; otherwise a form needs a scale or a tangent.
     """
 
     space: Space
@@ -167,6 +167,8 @@ class AffineForm:
         elements = (self.base.point, self.base.dual, *given)
         if given and not all(isinstance(v, np.ndarray) for v in elements):
             raise TypeError("a point or dual tangent needs array elements (lp, L1)")
+        if not self.scale and self.tangent is None and type(self)._evaluate is AffineForm._evaluate:
+            raise ValueError("an affine form needs a scale or a tangent")
 
     def _evaluate(self, t) -> tuple:
         space, x, x_star = self.space, self.base.point, self.base.dual

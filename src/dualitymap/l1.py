@@ -168,22 +168,26 @@ def duality_selection(f, space: FiniteMeasureSpace, a=()) -> np.ndarray:
 
     ``a`` lists the free values in zero-set position order and must satisfy
     |a_k| <= ||f||_1.  For f = 0 use ``zero_selection``; the selection
-    template needs f != 0.
+    template needs f != 0.  A (samples, n) stack f gives one selection per
+    row: ``a`` then lists the free values row by row, each row's in
+    zero-set order, and every check holds for each row.
     """
-    f = space.check(f)
+    f = np.asarray(f, dtype=float)
+    f = space.check_rows(f) if f.ndim == 2 else space.check(f)
     norm = space.norm(f)
-    if norm == 0.0:
+    if np.any(norm == 0.0):
         raise ValueError("f = 0 is degenerate here: J(0) = {0*}, use zero_selection")
     a = np.asarray(a, dtype=float)
-    zero_set = np.flatnonzero(f == 0.0)
-    if a.size != zero_set.size:
+    zero = f == 0.0
+    counts = np.count_nonzero(zero, axis=-1)
+    if a.size != np.sum(counts):
         raise ValueError(
-            f"free parameter has {a.size} values but the zero set has {zero_set.size} points"
+            f"free parameter has {a.size} values but the zero set has {np.sum(counts)} points"
         )
-    if a.size and np.max(np.abs(a)) > norm:
+    if np.any(np.abs(a) > np.repeat(norm, counts)):
         raise ValueError("free values must satisfy |a(s)| <= ||f||_1")
     g = space.canonical_dual(f)
-    g[zero_set] = a
+    g[zero] = a
     return g
 
 

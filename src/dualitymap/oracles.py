@@ -14,6 +14,13 @@ Three cross-checks that never reuse the code paths they test:
 Set-valued backends quantify the pairwise properties over canonical
 selections: free values zero on zero sets, uniform atom weights on
 maximizing representatives.
+
+On L1 the battery and the invariants draw every sample first, in the
+seeded order of a per-sample loop, then stack the draws into (samples, n)
+arrays and compute each property once over the stack: n is fixed by the
+weights, and the space methods give each row bitwise the value of that row
+alone.  lp draws vary in dimension and c01 draws each sit on their own
+grid, so those backends keep one sample per call.
 """
 
 from __future__ import annotations
@@ -146,7 +153,8 @@ class SuiteReport:
 
 
 def _record(property_id: str, violations, applicable: bool = True) -> PropertyRecord:
-    worst = float(max(violations)) if violations else 0.0
+    # A NaN anywhere is the worst violation and fails; max() keeps it only when first.
+    worst = float(np.asarray(violations).max()) if len(violations) else 0.0
     return PropertyRecord(
         property_id,
         applicable,
@@ -214,32 +222,25 @@ def _lp_invariants(space: lp.LpSpace, rng, sample_count: int) -> tuple:
 
 
 def _l1_invariants(space: l1.FiniteMeasureSpace, rng, sample_count: int) -> tuple:
-    member, scaling = [], []
+    rows, norms, free, alphas = [], [], [], []
     for _ in range(sample_count):
         f = rng.uniform(-5.0, 5.0, space.n)
         f[rng.random(space.n) < 0.25] = 0.0
         if not np.any(f):
             f[0] = 1.0
         norm = space.norm(f)
-        free = rng.uniform(-norm, norm, int(np.sum(f == 0.0)))
-        sel = l1.duality_selection(f, space, free)
-        member.append(
-            max(
-                abs(space.dual_norm(sel) - norm),
-                abs(space.pair(sel, f) - norm * norm),
-            )
-        )
-        alpha = float(rng.uniform(0.1, 4.0))
-        scaling.append(
-            float(
-                np.max(
-                    np.abs(
-                        alpha * sel
-                        - l1.duality_selection(alpha * f, space, alpha * free)
-                    )
-                )
-            )
-        )
+        rows.append(f)
+        norms.append(norm)
+        free.append(rng.uniform(-norm, norm, int(np.sum(f == 0.0))))
+        alphas.append(float(rng.uniform(0.1, 4.0)))
+    f, norm, free, alpha = np.array(rows), np.array(norms), np.concatenate(free), np.array(alphas)[:, None]
+    sel = l1.duality_selection(f, space, free)
+    member = np.maximum(
+        abs(space.dual_norm(sel) - norm),
+        abs(space.pair(sel, f) - norm * norm),
+    )
+    scaled_free = np.broadcast_to(alpha, f.shape)[f == 0.0] * free
+    scaling = np.abs(alpha * sel - l1.duality_selection(alpha * f, space, scaled_free)).max(-1)
     return (
         _record("selection_membership", member),
         _record("positive_scaling", scaling),
@@ -271,11 +272,12 @@ def _c01_invariants(space: c01.C01Space, rng, sample_count: int) -> tuple:
 
 
 # Per backend: the battery draw (two checked primal elements x, y and a scalar
-# alpha) and the backend-specific invariants, keyed by ``descriptor()["space"]``.
+# alpha), the backend-specific invariants, and whether the battery stacks its
+# draws into one (samples, n) batch; keyed by ``descriptor()["space"]``.
 _BACKENDS = {
-    "lp": (_draw_lp, _lp_invariants),
-    "l1": (_draw_l1, _l1_invariants),
-    "c01": (_draw_c01, _c01_invariants),
+    "lp": (_draw_lp, _lp_invariants, False),
+    "l1": (_draw_l1, _l1_invariants, True),
+    "c01": (_draw_c01, _c01_invariants, False),
 }
 
 
@@ -289,45 +291,56 @@ def _backend(space, sample_count: int) -> tuple:
         raise TypeError(f"no suite for {type(space).__name__}") from None
 
 
+def _battery_terms(space, hilbert: bool, x, y, alpha) -> tuple:
+    """The J2-J6 terms of one draw, or of a stack of draws row by row.
+
+    The J5 violation is max(0, the fourth term), the J6 violation max(0, the
+    fifth, the sixth); the caller takes those maxima over all draws at once.
+    """
+    jx, jy = space.canonical_dual(x), space.canonical_dual(y)
+    diff = space.sub(x, y)
+    mid = space.norm(x) ** 2 - space.norm(y) ** 2
+    return (
+        space.dual_norm(space.dual_sub(jx, x)) if hilbert else 0.0,
+        space.dual_norm(space.canonical_dual(space.scale(x, 0.0))),
+        space.dual_norm(
+            space.dual_sub(space.canonical_dual(space.scale(x, alpha)), space.dual_scale(jx, alpha))
+        ),
+        -space.pair(space.dual_sub(jx, jy), diff),
+        2.0 * space.pair(jy, diff) - mid,
+        mid - 2.0 * space.pair(jx, diff),
+    )
+
+
+def _positive_part(v: np.ndarray) -> np.ndarray:
+    """max(0, v) as Python's max(0.0, v) gives it (+0.0 for -0.0), but NaN stays NaN."""
+    return np.where(v <= 0.0, 0.0, v)
+
+
 def run_appendix_battery(space, sample_count: int, seed: int) -> SuiteReport:
     """Run every applicable appendix property on seeded random instances.
 
     J2 (J is the identity) applies to l_2 only.  Differences of dual elements
-    are measured in the dual norm.
+    are measured in the dual norm.  All draws come first; a stacking backend
+    (L1) then evaluates them as one (samples, n) batch, the others one draw
+    per call.
     """
-    draw = _backend(space, sample_count)[0]
+    draw, _, stacked = _backend(space, sample_count)
     rng = np.random.default_rng(seed)
     hilbert = space.descriptor() == {"space": "lp", "p": 2.0}
-    j2, j3, j4, j5, j6 = [], [], [], [], []
-    for _ in range(sample_count):
-        x, y, alpha = draw(space, rng)
-        jx, jy = space.canonical_dual(x), space.canonical_dual(y)
-        if hilbert:
-            j2.append(space.dual_norm(space.dual_sub(jx, x)))
-        j3.append(space.dual_norm(space.canonical_dual(space.scale(x, 0.0))))
-        j4.append(
-            space.dual_norm(
-                space.dual_sub(
-                    space.canonical_dual(space.scale(x, alpha)), space.dual_scale(jx, alpha)
-                )
-            )
-        )
-        diff = space.sub(x, y)
-        j5.append(max(0.0, -space.pair(space.dual_sub(jx, jy), diff)))
-        mid = space.norm(x) ** 2 - space.norm(y) ** 2
-        j6.append(
-            max(
-                0.0,
-                2.0 * space.pair(jy, diff) - mid,
-                mid - 2.0 * space.pair(jx, diff),
-            )
-        )
+    draws = [draw(space, rng) for _ in range(sample_count)]
+    if stacked:
+        x, y, alpha = (np.array(column) for column in zip(*draws))
+        terms = _battery_terms(space, hilbert, x, y, alpha[:, None])
+    else:
+        terms = np.array([_battery_terms(space, hilbert, *d) for d in draws]).T
+    j2, j3, j4, j5, j6_lo, j6_hi = terms  # one value per sample, in draw order
     records = (
-        _record("J2", j2, applicable=hilbert),
+        _record("J2", j2 if hilbert else (), applicable=hilbert),
         _record("J3", j3),
         _record("J4", j4),
-        _record("J5", j5),
-        _record("J6", j6),
+        _record("J5", _positive_part(j5)),
+        _record("J6", _positive_part(np.maximum(j6_lo, j6_hi))),
     )
     return SuiteReport(space.descriptor(), int(seed), int(sample_count), records)
 
@@ -338,8 +351,9 @@ def run_backend_invariants(space, sample_count: int, seed: int) -> tuple:
     Sequence model: the pairing/norm identities of the map and the inverse
     round trip.  L1: selection membership and exact positive scaling.
     C[0,1]: scaling invariance of the maximizing set and exactness of the
-    atomic duality measures.  The draws are valid arrays, so the loops call
-    the space methods, which do not re-check them.
+    atomic duality measures.  The draws are valid, so the space methods,
+    which do not re-check them, take them directly: lp and c01 one sample
+    per call, L1 all samples as one (samples, n) stack after drawing them.
     """
     invariants = _backend(space, sample_count)[1]
     return invariants(space, np.random.default_rng(seed), sample_count)

@@ -14,6 +14,7 @@ from dualitymap import (
     run_appendix_battery,
     run_backend_invariants,
 )
+from dualitymap.oracles import _record
 
 
 def test_gradient_oracle_examples():
@@ -149,6 +150,17 @@ def test_battery_guards():
             entry(LpSpace(2.0), 0, seed=1)
         with pytest.raises(TypeError):
             entry(object(), 10, seed=1)
+
+
+def test_a_nan_violation_fails_wherever_it_is():
+    nan = float("nan")
+    for violations in ([0.0, nan], [nan, 0.0], [1e-12, nan, 2e-12], np.array([0.0, nan])):
+        record = _record("x", violations)
+        assert not record.passed and np.isnan(record.max_violation), violations
+    record = _record("x", np.array([0.0, 2e-10, 1e-10]))
+    assert record.passed and record.max_violation == 2e-10 and record.samples == 3
+    # not applicable: the record passes whatever it holds
+    assert _record("x", [nan], applicable=False).passed
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from dualitymap import (
 )
 from dualitymap import c01
 from dualitymap.coderivative import AffineForm, Space
+from dualitymap.witnesses import _ShiftForm
 
 PROTOCOL = [name for name in vars(Space) if not name.startswith("_")]
 
@@ -76,6 +77,25 @@ def test_a_tangent_needs_array_elements():
     x = np.array([1.0, 0.0])
     with pytest.raises(TypeError, match="needs array elements"):
         AffineForm(space, GraphPair(x, x), tangent=[0.0, 1.0])
+
+
+def test_an_affine_form_needs_a_scale_or_a_tangent():
+    space = LpSpace(2.0)
+    x = np.array([1.0, -2.0])
+    base = GraphPair(x, space.canonical_dual(x))
+    with pytest.raises(ValueError, match="needs a scale or a tangent"):
+        AffineForm(space, base)
+    with pytest.raises(ValueError, match="needs a scale or a tangent"):
+        AffineForm(space, base, dual_tangent=np.ones(2))
+    assert AffineForm(space, base, scale=0.5).at(0.1).point.tolist() == ((1.0 + 0.5 * 0.1) * x).tolist()
+    assert AffineForm(space, base, tangent=np.ones(2)).at(0.5).point.tolist() == [1.5, -1.5]
+    # A subclass with its own evaluation needs neither field.
+    f = c01.pwl_tent()
+    shift = _ShiftForm(
+        C01Space(), GraphPair(f, c01.canonical_duality_measure(f)), shift=1.0,
+        points=np.array([0.5]), alphas=np.array([1.0]), values=f(np.array([0.5])),
+    )
+    assert shift.at(0.25).point(0.5) == f(0.5) + 0.25
 
 
 def _shrink_query(space, x):

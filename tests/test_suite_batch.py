@@ -1,0 +1,239 @@
+"""Exact-equality tests of the stacked L1 suite against per-sample loops.
+
+The L1 battery and invariants draw every sample first and then evaluate the
+whole (samples, n) stack at once.  The reference functions below are the
+per-sample loops they replaced, with the one-element ``duality_selection``
+they called.  The rng order and the arithmetic of each row are unchanged,
+so every violation value must agree bit for bit, in draw order.  lp and
+c01 keep one sample per call; their battery values are checked against the
+same loop.
+"""
+
+import numpy as np
+import pytest
+
+from dualitymap import C01Space, FiniteMeasureSpace, LpSpace, duality_selection, oracles
+
+SAMPLE_COUNTS = (1, 2, 20, 200)
+WEIGHTS = ([1.0], [1.0, 0.5, 2.0], [0.3, 1.0, 7.0, 2.0, 1.0])
+SEEDS = (0, 5, 123)
+
+
+# -- reference loops ----------------------------------------------------------
+
+
+def ref_duality_selection(f, space, a):
+    norm = space.norm(f)
+    if norm == 0.0:
+        raise ValueError("f = 0 is degenerate here")
+    a = np.asarray(a, dtype=float)
+    zero_set = np.flatnonzero(f == 0.0)
+    if a.size != zero_set.size:
+        raise ValueError("free parameter count")
+    if a.size and np.max(np.abs(a)) > norm:
+        raise ValueError("free values must satisfy |a(s)| <= ||f||_1")
+    g = space.canonical_dual(f)
+    g[zero_set] = a
+    return g
+
+
+def ref_nonzero_values(space, rng):
+    while True:
+        f = rng.uniform(-5.0, 5.0, space.n)
+        zeros = rng.random(space.n) < 0.25
+        f[zeros] = 0.0
+        if np.any(f):
+            return f
+
+
+def ref_draw_l1(space, rng):
+    return ref_nonzero_values(space, rng), ref_nonzero_values(space, rng), float(rng.uniform(-3.0, 3.0))
+
+
+def ref_battery(space, sample_count, seed, draw=ref_draw_l1):
+    rng = np.random.default_rng(seed)
+    hilbert = space.descriptor() == {"space": "lp", "p": 2.0}
+    j2, j3, j4, j5, j6 = [], [], [], [], []
+    for _ in range(sample_count):
+        x, y, alpha = draw(space, rng)
+        jx, jy = space.canonical_dual(x), space.canonical_dual(y)
+        if hilbert:
+            j2.append(space.dual_norm(space.dual_sub(jx, x)))
+        j3.append(space.dual_norm(space.canonical_dual(space.scale(x, 0.0))))
+        j4.append(
+            space.dual_norm(
+                space.dual_sub(
+                    space.canonical_dual(space.scale(x, alpha)), space.dual_scale(jx, alpha)
+                )
+            )
+        )
+        diff = space.sub(x, y)
+        j5.append(max(0.0, -space.pair(space.dual_sub(jx, jy), diff)))
+        mid = space.norm(x) ** 2 - space.norm(y) ** 2
+        j6.append(
+            max(
+                0.0,
+                2.0 * space.pair(jy, diff) - mid,
+                mid - 2.0 * space.pair(jx, diff),
+            )
+        )
+    return [("J2", j2), ("J3", j3), ("J4", j4), ("J5", j5), ("J6", j6)]
+
+
+def ref_invariants(space, sample_count, seed):
+    rng = np.random.default_rng(seed)
+    member, scaling = [], []
+    for _ in range(sample_count):
+        f = rng.uniform(-5.0, 5.0, space.n)
+        f[rng.random(space.n) < 0.25] = 0.0
+        if not np.any(f):
+            f[0] = 1.0
+        norm = space.norm(f)
+        free = rng.uniform(-norm, norm, int(np.sum(f == 0.0)))
+        sel = ref_duality_selection(f, space, free)
+        member.append(
+            max(
+                abs(space.dual_norm(sel) - norm),
+                abs(space.pair(sel, f) - norm * norm),
+            )
+        )
+        alpha = float(rng.uniform(0.1, 4.0))
+        scaling.append(
+            float(np.max(np.abs(alpha * sel - ref_duality_selection(alpha * f, space, alpha * free))))
+        )
+    return [("selection_membership", member), ("positive_scaling", scaling)]
+
+
+# -- helpers ------------------------------------------------------------------
+
+
+class Distorted(FiniteMeasureSpace):
+    """L1 with a wrong canonical dual, so that every property has nonzero violations."""
+
+    def canonical_dual(self, f):
+        return super().canonical_dual(f) - 0.3 * f * np.abs(f) - 0.1
+
+
+def _spaces(weights):
+    return [FiniteMeasureSpace(weights), Distorted(np.asarray(weights, dtype=float))]
+
+
+def _hex(records):
+    return [(pid, [float(v).hex() for v in values]) for pid, values in records]
+
+
+def _recorded(monkeypatch, entry, space, sample_count, seed):
+    """The violations each record of ``entry`` was built from, in order."""
+    seen = []
+    record = oracles._record
+
+    def spy(property_id, violations, applicable=True):
+        seen.append((property_id, list(np.ravel(violations))))
+        return record(property_id, violations, applicable)
+
+    monkeypatch.setattr(oracles, "_record", spy)
+    return seen, entry(space, sample_count, seed)
+
+
+# -- the stacked suite --------------------------------------------------------
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
+@pytest.mark.parametrize("sample_count", SAMPLE_COUNTS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stacked_battery_is_bitwise_per_sample(monkeypatch, weights, sample_count, seed):
+    for space in _spaces(weights):
+        seen, report = _recorded(monkeypatch, oracles.run_appendix_battery, space, sample_count, seed)
+        expected = ref_battery(space, sample_count, seed)
+        assert _hex(seen) == _hex(expected)
+        for record, (_, values) in zip(report.records[1:], expected[1:]):
+            assert record.samples == sample_count
+            assert float(record.max_violation).hex() == float(max(values)).hex()
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
+@pytest.mark.parametrize("sample_count", SAMPLE_COUNTS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stacked_invariants_are_bitwise_per_sample(monkeypatch, weights, sample_count, seed):
+    for space in _spaces(weights):
+        seen, records = _recorded(monkeypatch, oracles.run_backend_invariants, space, sample_count, seed)
+        expected = ref_invariants(space, sample_count, seed)
+        assert _hex(seen) == _hex(expected)
+        assert [float(r.max_violation).hex() for r in records] == [
+            float(max(values)).hex() for _, values in expected
+        ]
+
+
+@pytest.mark.parametrize("space", [LpSpace(2.0), LpSpace(3.0), LpSpace(1.5), C01Space()])
+@pytest.mark.parametrize("sample_count", (1, 2, 20))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_per_sample_battery_is_unchanged(monkeypatch, space, sample_count, seed):
+    draw = oracles._BACKENDS[space.descriptor()["space"]][0]
+    seen, _ = _recorded(monkeypatch, oracles.run_appendix_battery, space, sample_count, seed)
+    assert _hex(seen) == _hex(ref_battery(space, sample_count, seed, draw))
+
+
+def test_distorted_space_has_nonzero_violations():
+    # guards the stacked tests: on the distorted space the compared values are not all 0.0
+    space = Distorted(np.array([1.0, 0.5, 2.0]))
+    for _, values in ref_battery(space, 20, 5)[1:] + ref_invariants(space, 20, 5):
+        assert max(values) > 0.0
+
+
+def test_positive_part_is_max_with_zero_and_keeps_nan():
+    values = np.array([-0.0, 0.0, -1.5, 2.5, np.nan])
+    expected = [max(0.0, v) for v in values.tolist()[:4]]
+    got = oracles._positive_part(values)
+    assert [v.hex() for v in got[:4].tolist()] == [v.hex() for v in expected]
+    assert np.isnan(got[4])
+
+
+# -- duality_selection on a stack ---------------------------------------------
+
+
+def _stack(space, rows, rng):
+    f = rng.uniform(-5.0, 5.0, (rows, space.n))
+    f[rng.random((rows, space.n)) < 0.4] = 0.0
+    f[~f.any(axis=1), 0] = 1.0
+    return f
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
+def test_stacked_selection_is_the_one_element_call_per_row(weights):
+    space = FiniteMeasureSpace(weights)
+    rng = np.random.default_rng(3)
+    f = _stack(space, 50, rng)
+    per_row = [rng.uniform(-1.0, 1.0, int(np.sum(r == 0.0))) * space.norm(r) for r in f]
+    stacked = duality_selection(f, space, np.concatenate(per_row))
+    assert stacked.shape == f.shape
+    for row, free, got in zip(f, per_row, stacked):
+        one = duality_selection(row, space, free)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in one.tolist()]
+        assert np.array_equal(one, ref_duality_selection(row, space, free))
+
+
+def test_stacked_selection_fills_free_values_row_by_row():
+    space = FiniteMeasureSpace([1.0, 1.0, 1.0])
+    f = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [3.0, 0.0, 1.0]])
+    g = duality_selection(f, space, [0.1, 0.2, 0.3, 0.4, 0.5])
+    assert g.tolist() == [[1.0, 0.1, 0.2], [0.3, -2.0, 0.4], [4.0, 0.5, 4.0]]
+
+
+def test_stacked_selection_checks_every_row():
+    space = FiniteMeasureSpace([1.0, 1.0])
+    f = np.array([[1.0, 0.0], [10.0, 0.0]])  # norms 1 and 10
+    assert duality_selection(f, space, [1.0, 10.0]).tolist() == [[1.0, 1.0], [10.0, 10.0]]
+    # a free value above its own row's norm, though below the other row's
+    with pytest.raises(ValueError, match=r"\|a\(s\)\| <= \|\|f\|\|_1"):
+        duality_selection(f, space, [5.0, 0.0])
+    with pytest.raises(ValueError, match=r"\|a\(s\)\| <= \|\|f\|\|_1"):
+        duality_selection(f, space, [0.0, -10.5])
+    with pytest.raises(ValueError, match="f = 0 is degenerate"):
+        duality_selection(np.array([[1.0, 0.0], [0.0, 0.0]]), space, [0.0, 0.0, 0.0])
+    for free in ([0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="free parameter has"):
+            duality_selection(f, space, free)
+    with pytest.raises(ValueError, match="match"):
+        duality_selection(np.ones((2, 3)), space, [])
+    with pytest.raises(ValueError, match="finite"):
+        duality_selection(np.array([[1.0, np.nan]]), space, [])
