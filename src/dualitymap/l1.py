@@ -127,14 +127,21 @@ class FiniteMeasureSpace:
         return {"space": "l1", "weights": [float(w) for w in self.weights]}
 
 
+def _index(i, n: int) -> int:
+    """``i`` as an int; a ValueError naming it unless it is an integer value in [0, n)."""
+    try:
+        if int(i) == i and 0 <= i < n:
+            return int(i)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, +-inf
+        pass
+    raise ValueError(f"index {i!r} is not an integer in [0, {n})")
+
+
 def mask_from_indices(space: FiniteMeasureSpace, indices) -> np.ndarray:
     """Boolean mask over the atoms from a list of 0-based indices."""
-    mask = np.zeros(space.n, dtype=bool)
-    for i in indices:
-        i = int(i)
-        if not 0 <= i < space.n:
-            raise ValueError(f"index {i} outside the {space.n}-point space")
-        mask[i] = True
+    n = space.n
+    mask = np.zeros(n, dtype=bool)
+    mask[[_index(i, n) for i in indices]] = True
     return mask
 
 

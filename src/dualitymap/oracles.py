@@ -15,12 +15,13 @@ Set-valued backends quantify the pairwise properties over canonical
 selections: free values zero on zero sets, uniform atom weights on
 maximizing representatives.
 
-On L1 the battery and the invariants draw every sample first, in the
-seeded order of a per-sample loop, then stack the draws into (samples, n)
-arrays and compute each property once over the stack: n is fixed by the
-weights, and the space methods give each row bitwise the value of that row
-alone.  lp draws vary in dimension and c01 draws each sit on their own
-grid, so those backends keep one sample per call.
+The battery and the invariants draw every sample first, in the seeded order
+of a per-sample loop, then compute each property once per stack, each row
+bitwise its value alone, in draw order.  L1: one stack.  lp draws have 1-8
+coordinates: one stack of 1-7 zero-padded to 7 columns, one of 8.  Zeros
+change no l_p norm, pairing or J, and numpy sums fewer than 8 terms left to
+right (``np.dot`` too, at these sizes), so they move no bit but a zero
+pairing's sign; from 8 terms its sums unroll 8 ways.  c01: one draw per call.
 """
 
 from __future__ import annotations
@@ -174,17 +175,40 @@ def _draw_lp(space: lp.LpSpace, rng) -> tuple:
     return x, y, float(rng.uniform(-3.0, 3.0))
 
 
+def _lp_stacks(*columns):
+    """(rows, a stack per column): draws of dimension 1-7 padded to 7 columns, then those of 8."""
+    sizes = np.array([v.size for v in columns[0]])
+    for rows, width in ((np.flatnonzero(sizes < 8), 7), (np.flatnonzero(sizes == 8), 8)):
+        if rows.size:
+            used = np.arange(width) < sizes[rows, None]
+            stacks = [np.zeros(used.shape) for _ in columns]
+            for stack, vectors in zip(stacks, columns):
+                stack[used] = np.concatenate([vectors[r] for r in rows])
+            yield rows, *stacks
+
+
+def _group_lp(draws: list):
+    x, y, alpha = zip(*draws)
+    for rows, xs, ys in _lp_stacks(x, y):
+        yield rows, (xs, ys, np.array(alpha)[rows, None])
+
+
 def _nonzero_values(space: l1.FiniteMeasureSpace, rng) -> np.ndarray:
+    n = space.n
     while True:
-        f = rng.uniform(-5.0, 5.0, space.n)
-        zeros = rng.random(space.n) < 0.25
-        f[zeros] = 0.0
-        if np.any(f):
+        f = rng.uniform(-5.0, 5.0, n)
+        f[rng.random(n) < 0.25] = 0.0
+        if f.any():
             return f
 
 
 def _draw_l1(space: l1.FiniteMeasureSpace, rng) -> tuple:
     return _nonzero_values(space, rng), _nonzero_values(space, rng), float(rng.uniform(-3.0, 3.0))
+
+
+def _group_l1(draws: list):
+    x, y, alpha = (np.array(column) for column in zip(*draws))
+    return [(slice(None), (x, y, alpha[:, None]))]
 
 
 def random_pwl(rng, max_breakpoints: int = 8, scale: float = 5.0) -> c01.PwlFunction:
@@ -199,22 +223,17 @@ def _draw_c01(space: c01.C01Space, rng) -> tuple:
 
 
 def _lp_invariants(space: lp.LpSpace, rng, sample_count: int) -> tuple:
-    identity, roundtrip = [], []
     conjugate = lp.LpSpace(space.q)
-    for _ in range(sample_count):
-        x = rng.uniform(-10.0, 10.0, int(rng.integers(1, 9)))
-        nx = space.norm(x)
-        jx = space.canonical_dual(x)
-        identity.append(
-            max(
-                abs(space.pair(jx, x) - nx * nx) / max(1.0, nx * nx),
-                abs(space.dual_norm(jx) - nx) / max(1.0, nx),
-            )
+    xs = [rng.uniform(-10.0, 10.0, int(rng.integers(1, 9))) for _ in range(sample_count)]
+    identity, roundtrip = np.empty(sample_count), np.empty(sample_count)
+    for rows, x in _lp_stacks(xs):
+        nx, jx = space.norm(x), space.canonical_dual(x)
+        identity[rows] = np.maximum(
+            abs(space.pair(jx, x) - nx * nx) / np.maximum(1.0, nx * nx),
+            abs(space.dual_norm(jx) - nx) / np.maximum(1.0, nx),
         )
         back = conjugate.canonical_dual(jx)
-        roundtrip.append(
-            float(np.max(np.abs(back - x) / np.maximum(1.0, np.abs(x))))
-        )
+        roundtrip[rows] = (np.abs(back - x) / np.maximum(1.0, np.abs(x))).max(-1)
     return (
         _record("pairing_identity", identity),
         _record("inverse_roundtrip", roundtrip),
@@ -222,16 +241,16 @@ def _lp_invariants(space: lp.LpSpace, rng, sample_count: int) -> tuple:
 
 
 def _l1_invariants(space: l1.FiniteMeasureSpace, rng, sample_count: int) -> tuple:
-    rows, norms, free, alphas = [], [], [], []
+    rows, norms, free, alphas, n = [], [], [], [], space.n
     for _ in range(sample_count):
-        f = rng.uniform(-5.0, 5.0, space.n)
-        f[rng.random(space.n) < 0.25] = 0.0
-        if not np.any(f):
+        f = rng.uniform(-5.0, 5.0, n)
+        f[rng.random(n) < 0.25] = 0.0
+        if not f.any():
             f[0] = 1.0
         norm = space.norm(f)
         rows.append(f)
         norms.append(norm)
-        free.append(rng.uniform(-norm, norm, int(np.sum(f == 0.0))))
+        free.append(rng.uniform(-norm, norm, int((f == 0.0).sum())))
         alphas.append(float(rng.uniform(0.1, 4.0)))
     f, norm, free, alpha = np.array(rows), np.array(norms), np.concatenate(free), np.array(alphas)[:, None]
     sel = l1.duality_selection(f, space, free)
@@ -272,12 +291,13 @@ def _c01_invariants(space: c01.C01Space, rng, sample_count: int) -> tuple:
 
 
 # Per backend: the battery draw (two checked primal elements x, y and a scalar
-# alpha), the backend-specific invariants, and whether the battery stacks its
-# draws into one (samples, n) batch; keyed by ``descriptor()["space"]``.
+# alpha), the backend-specific invariants, and the grouping of the draws into
+# (rows, (x, y, alpha)) pairs, rows indexing the draws: one stack (L1), two
+# (lp, see above) or one int per draw (c01); keyed by ``descriptor()["space"]``.
 _BACKENDS = {
-    "lp": (_draw_lp, _lp_invariants, False),
-    "l1": (_draw_l1, _l1_invariants, True),
-    "c01": (_draw_c01, _c01_invariants, False),
+    "lp": (_draw_lp, _lp_invariants, _group_lp),
+    "l1": (_draw_l1, _l1_invariants, _group_l1),
+    "c01": (_draw_c01, _c01_invariants, enumerate),
 }
 
 
@@ -291,17 +311,21 @@ def _backend(space, sample_count: int) -> tuple:
         raise TypeError(f"no suite for {type(space).__name__}") from None
 
 
-def _battery_terms(space, hilbert: bool, x, y, alpha) -> tuple:
-    """The J2-J6 terms of one draw, or of a stack of draws row by row.
+def _squared(norm):
+    """norm ** 2 by Python's float power, also per row of a stack: numpy's n * n can round otherwise."""
+    return np.array([n**2 for n in norm.tolist()]) if getattr(norm, "ndim", 0) else norm**2
 
-    The J5 violation is max(0, the fourth term), the J6 violation max(0, the
-    fifth, the sixth); the caller takes those maxima over all draws at once.
+
+def _battery_terms(space, hilbert: bool, x, y, alpha) -> tuple:
+    """The J3-J6 terms of one draw, or of a stack of draws row by row, then J2's on l_2.
+
+    The J5 violation is max(0, the third term), the J6 violation max(0, the
+    fourth, the fifth); the caller takes those maxima over all draws at once.
     """
     jx, jy = space.canonical_dual(x), space.canonical_dual(y)
     diff = space.sub(x, y)
-    mid = space.norm(x) ** 2 - space.norm(y) ** 2
-    return (
-        space.dual_norm(space.dual_sub(jx, x)) if hilbert else 0.0,
+    mid = _squared(space.norm(x)) - _squared(space.norm(y))
+    terms = (
         space.dual_norm(space.canonical_dual(space.scale(x, 0.0))),
         space.dual_norm(
             space.dual_sub(space.canonical_dual(space.scale(x, alpha)), space.dual_scale(jx, alpha))
@@ -310,6 +334,7 @@ def _battery_terms(space, hilbert: bool, x, y, alpha) -> tuple:
         2.0 * space.pair(jy, diff) - mid,
         mid - 2.0 * space.pair(jx, diff),
     )
+    return terms + (space.dual_norm(space.dual_sub(jx, x)),) if hilbert else terms
 
 
 def _positive_part(v: np.ndarray) -> np.ndarray:
@@ -321,22 +346,19 @@ def run_appendix_battery(space, sample_count: int, seed: int) -> SuiteReport:
     """Run every applicable appendix property on seeded random instances.
 
     J2 (J is the identity) applies to l_2 only.  Differences of dual elements
-    are measured in the dual norm.  All draws come first; a stacking backend
-    (L1) then evaluates them as one (samples, n) batch, the others one draw
-    per call.
+    are measured in the dual norm.  All draws come first; the backend then
+    evaluates them as one stack (L1), two zero-padded stacks (lp) or one
+    draw per call (c01), and every value goes back to its draw's place.
     """
-    draw, _, stacked = _backend(space, sample_count)
+    draw, _, group = _backend(space, sample_count)
     rng = np.random.default_rng(seed)
     hilbert = space.descriptor() == {"space": "lp", "p": 2.0}
-    draws = [draw(space, rng) for _ in range(sample_count)]
-    if stacked:
-        x, y, alpha = (np.array(column) for column in zip(*draws))
-        terms = _battery_terms(space, hilbert, x, y, alpha[:, None])
-    else:
-        terms = np.array([_battery_terms(space, hilbert, *d) for d in draws]).T
-    j2, j3, j4, j5, j6_lo, j6_hi = terms  # one value per sample, in draw order
+    terms = np.empty((5 + hilbert, sample_count))  # one value per sample, in draw order
+    for rows, sample in group([draw(space, rng) for _ in range(sample_count)]):
+        terms[:, rows] = _battery_terms(space, hilbert, *sample)
+    j3, j4, j5, j6_lo, j6_hi, *j2 = terms
     records = (
-        _record("J2", j2 if hilbert else (), applicable=hilbert),
+        _record("J2", j2[0] if hilbert else (), applicable=hilbert),
         _record("J3", j3),
         _record("J4", j4),
         _record("J5", _positive_part(j5)),
@@ -352,8 +374,8 @@ def run_backend_invariants(space, sample_count: int, seed: int) -> tuple:
     round trip.  L1: selection membership and exact positive scaling.
     C[0,1]: scaling invariance of the maximizing set and exactness of the
     atomic duality measures.  The draws are valid, so the space methods,
-    which do not re-check them, take them directly: lp and c01 one sample
-    per call, L1 all samples as one (samples, n) stack after drawing them.
+    which do not re-check them, take them directly: lp as the battery's two
+    zero-padded stacks, L1 as one stack, c01 one sample per call.
     """
     invariants = _backend(space, sample_count)[1]
     return invariants(space, np.random.default_rng(seed), sample_count)

@@ -101,8 +101,8 @@ def _pick_direction(x: np.ndarray, w: np.ndarray, p: float, params: dict) -> int
     the ray and the limit positive.
     """
     if "m" in params and params["m"] is not None:
-        m = int(params["m"])
-        _require(0 <= m < w.size and w[m] != 0.0, "w_m != 0 at the requested m")
+        m = l1._index(params["m"], w.size)
+        _require(w[m] != 0.0, "w_m != 0 at the requested m")
         return m
     nonzero = np.flatnonzero(w)
     _require(nonzero.size > 0, "w != 0")

@@ -94,6 +94,22 @@ def test_run_hypothesis_violation(tmp_path, capsys):
     assert "hypothesis violated: c != 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "theorem, space, params",
+    [
+        ("thm46", {"space": "l1", "weights": [1, 1, 1]}, {"k_star": [1, 1, -1], "D": [0.7, 1.9]}),
+        ("thm46", {"space": "l1", "weights": [1, 1, 1]}, {"k_star": [1, 1, -1], "D": [float("inf")]}),
+        ("thm31", {"space": "lp", "p": 2.0}, {"x": [1.0, 2.0], "w": [3.0, -1.0], "m": 0.6}),
+    ],
+)
+def test_run_index_that_is_not_a_finite_integer_exit_code(tmp_path, capsys, theorem, space, params):
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps([{"space": space, "theorem": theorem, "params": params}]))
+    assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert "is not an integer in [0, " in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_run_unknown_theorem(tmp_path):
     path = tmp_path / "unknown.json"
     path.write_text(

@@ -131,6 +131,18 @@ def test_strict_convexity_counterexample():
         )
 
 
+def test_mask_from_indices_rejects_an_index_that_is_not_a_finite_integer():
+    four = FiniteMeasureSpace([1.0, 1.0, 1.0, 1.0])
+    assert mask_from_indices(four, [1.0, np.int64(3)]).tolist() == [False, True, False, True]
+    for bad in (0.7, 1.9, float("inf"), float("-inf"), float("nan"), "1", None, [1]):
+        with pytest.raises(ValueError, match=r"is not an integer in \[0, 4\)") as caught:
+            mask_from_indices(four, [0, bad])
+        assert repr(bad) in str(caught.value)
+    for outside in (4, -1, 1e300):
+        with pytest.raises(ValueError, match=r"is not an integer in \[0, 4\)"):
+            mask_from_indices(four, [outside])
+
+
 def test_selection_always_member():
     rng = np.random.default_rng(23)
     for _ in range(100):

@@ -1,12 +1,13 @@
-"""Exact-equality tests of the stacked L1 suite against per-sample loops.
+"""Exact-equality tests of the stacked L1 and lp suites against per-sample loops.
 
 The L1 battery and invariants draw every sample first and then evaluate the
-whole (samples, n) stack at once.  The reference functions below are the
-per-sample loops they replaced, with the one-element ``duality_selection``
-they called.  The rng order and the arithmetic of each row are unchanged,
-so every violation value must agree bit for bit, in draw order.  lp and
-c01 keep one sample per call; their battery values are checked against the
-same loop.
+whole (samples, n) stack at once; the lp ones evaluate two stacks, the draws
+of dimension 1-7 zero-padded to 7 columns and those of dimension 8.  The
+reference functions below are the per-sample loops they replaced, with the
+one-element ``duality_selection`` they called.  The rng order and the
+arithmetic of each row are unchanged, so every violation value must agree
+bit for bit, in draw order.  c01 keeps one draw per call; its battery values
+are checked against the same loop.
 """
 
 import numpy as np
@@ -104,6 +105,34 @@ def ref_invariants(space, sample_count, seed):
     return [("selection_membership", member), ("positive_scaling", scaling)]
 
 
+def ref_draw_lp(space, rng):
+    dim = int(rng.integers(1, 9))
+    x = rng.uniform(-10.0, 10.0, dim)
+    if dim > 1 and rng.random() < 0.3:
+        x[rng.integers(0, dim)] = 0.0
+    y = rng.uniform(-10.0, 10.0, x.size)
+    return x, y, float(rng.uniform(-3.0, 3.0))
+
+
+def ref_lp_invariants(space, sample_count, seed):
+    rng = np.random.default_rng(seed)
+    identity, roundtrip = [], []
+    conjugate = LpSpace(space.q)
+    for _ in range(sample_count):
+        x = rng.uniform(-10.0, 10.0, int(rng.integers(1, 9)))
+        nx = space.norm(x)
+        jx = space.canonical_dual(x)
+        identity.append(
+            max(
+                abs(space.pair(jx, x) - nx * nx) / max(1.0, nx * nx),
+                abs(space.dual_norm(jx) - nx) / max(1.0, nx),
+            )
+        )
+        back = conjugate.canonical_dual(jx)
+        roundtrip.append(float(np.max(np.abs(back - x) / np.maximum(1.0, np.abs(x)))))
+    return [("pairing_identity", identity), ("inverse_roundtrip", roundtrip)]
+
+
 # -- helpers ------------------------------------------------------------------
 
 
@@ -112,6 +141,31 @@ class Distorted(FiniteMeasureSpace):
 
     def canonical_dual(self, f):
         return super().canonical_dual(f) - 0.3 * f * np.abs(f) - 0.1
+
+
+class DistortedLp(LpSpace):
+    """l_p with a wrong canonical dual that still maps each zero coordinate to 0.
+
+    J4-J6 (J2 at p = 2) and both invariants get nonzero values; the factor
+    makes each coordinate of the map fall beyond |x_i| = 5/3, so J5 fails
+    too.  J3 stays 0: J(0) = 0 for any map that keeps zeros, and one that
+    does not would give the padding columns of a stack values of their own.
+    """
+
+    def canonical_dual(self, x):
+        return super().canonical_dual(x) * (1.0 - 0.3 * np.abs(x))
+
+
+class Recording(LpSpace):
+    """l_p that records the shape of every element its canonical dual maps."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        object.__setattr__(self, "shapes", [])
+
+    def canonical_dual(self, x):
+        self.shapes.append(x.shape)
+        return super().canonical_dual(x)
 
 
 def _spaces(weights):
@@ -171,6 +225,99 @@ def test_per_sample_battery_is_unchanged(monkeypatch, space, sample_count, seed)
     draw = oracles._BACKENDS[space.descriptor()["space"]][0]
     seen, _ = _recorded(monkeypatch, oracles.run_appendix_battery, space, sample_count, seed)
     assert _hex(seen) == _hex(ref_battery(space, sample_count, seed, draw))
+
+
+LP_EXPONENTS = (1.2, 1.5, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("p", LP_EXPONENTS)
+@pytest.mark.parametrize("sample_count", SAMPLE_COUNTS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lp_stacks_are_bitwise_per_sample(monkeypatch, p, sample_count, seed):
+    for space in (LpSpace(p), DistortedLp(p)):
+        seen, report = _recorded(monkeypatch, oracles.run_appendix_battery, space, sample_count, seed)
+        expected = ref_battery(space, sample_count, seed, ref_draw_lp)
+        assert _hex(seen) == _hex(expected)
+        assert [float(r.max_violation).hex() for r in report.records if r.applicable] == [
+            float(max(values)).hex() for _, values in expected if values
+        ]
+        seen, records = _recorded(monkeypatch, oracles.run_backend_invariants, space, sample_count, seed)
+        expected = ref_lp_invariants(space, sample_count, seed)
+        assert _hex(seen) == _hex(expected)
+        assert [float(r.max_violation).hex() for r in records] == [
+            float(max(values)).hex() for _, values in expected
+        ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lp_suite_runs_at_most_two_stacks(seed):
+    # 200 draws of dimension 1-8 hold both kinds; each property then sees a
+    # 7-column stack of the shorter draws and an 8-column stack of the rest
+    rng = np.random.default_rng(seed)
+    draws = [ref_draw_lp(None, rng) for _ in range(200)]
+    short = sum(x.size < 8 for x, _, _ in draws)
+    assert 0 < short < 200
+    space = Recording(3.0)
+    oracles.run_appendix_battery(space, 200, seed)
+    # J3, J4 and the two draws' own duals map each stack; no per-draw call
+    assert set(space.shapes) == {(short, 7), (200 - short, 8)}
+    assert len(space.shapes) == 2 * 4
+    space.shapes.clear()
+    oracles.run_backend_invariants(space, 200, seed)
+    assert [shape[1] for shape in space.shapes] == [7, 8]
+    assert sum(shape[0] for shape in space.shapes) == 200
+    space.shapes.clear()
+    oracles.run_appendix_battery(space, 1, seed)
+    assert {shape[0] for shape in space.shapes} == {1}
+
+
+@pytest.mark.parametrize("p", LP_EXPONENTS + (1.01, 7.5, 40.0))
+def test_padding_to_seven_columns_keeps_every_bit(p):
+    # numpy sums fewer than 8 terms left to right, so trailing +0.0 terms
+    # change no sum, no root of one, no pairing and no coordinate of J; only
+    # a pairing whose terms are all -0.0 becomes +0.0, and the suite takes
+    # every pairing through abs or max(0, .), which drop that sign
+    space = LpSpace(p)
+    rng = np.random.default_rng(17)
+    dims = np.tile(np.arange(1, 8), 40)
+    xs, us = [], []
+    for dim in dims:
+        x = rng.uniform(-10.0, 10.0, dim)
+        x[rng.random(dim) < 0.2] = 0.0
+        xs.append(x)
+        us.append(rng.uniform(-10.0, 10.0, dim))
+    used = np.arange(7) < dims[:, None]
+    x, u = np.zeros(used.shape), np.zeros(used.shape)
+    x[used], u[used] = np.concatenate(xs), np.concatenate(us)
+    norm, dual_norm, pair, jx = space.norm(x), space.dual_norm(u), space.pair(u, x), space.canonical_dual(x)
+    for i, (xi, ui) in enumerate(zip(xs, us)):
+        assert norm[i].hex() == space.norm(xi).hex()
+        assert dual_norm[i].hex() == space.dual_norm(ui).hex()
+        assert (pair[i] + 0.0).hex() == (space.pair(ui, xi) + 0.0).hex()
+        assert [v.hex() for v in jx[i].tolist()] == [
+            v.hex() for v in space.canonical_dual(xi).tolist() + [0.0] * (7 - xi.size)
+        ]
+
+
+def test_distorted_lp_space_has_nonzero_violations():
+    # guards the lp tests: J2 (p = 2), J4-J6 and both invariants are not all 0.0
+    space = DistortedLp(2.0)
+    battery = ref_battery(space, 20, 5, ref_draw_lp)
+    for property_id, values in battery + ref_lp_invariants(space, 20, 5):
+        if property_id != "J3":
+            assert max(values) > 0.0, property_id
+
+
+@pytest.mark.parametrize("seed", (4, 6, 30))
+def test_stacked_j6_squares_each_norm_as_one_draw_does(monkeypatch, seed):
+    # numpy squares an array as n * n, Python's float power can round the
+    # other way; on these draws that moved a positive J6 value by an ulp
+    space = Distorted(np.array([1.0]))
+    seen, _ = _recorded(monkeypatch, oracles.run_appendix_battery, space, 200, seed)
+    assert _hex(seen) == _hex(ref_battery(space, 200, seed))
+    norm = float.fromhex("0x1.332a5de044c8fp+3")
+    assert oracles._squared(np.array([norm, norm]))[1].hex() == (norm**2).hex()
+    assert oracles._squared(norm) == norm**2
 
 
 def test_distorted_space_has_nonzero_violations():

@@ -225,6 +225,24 @@ def test_thm31_explicit_direction_override():
         build_witness(LpSpace(2.0), "thm31", {"x": [1.0, 2.0], "w": [3.0, 0.0], "m": 1})
 
 
+@pytest.mark.parametrize("bad", [0.6, 1.5, float("inf"), float("nan")])
+def test_an_index_that_is_not_a_finite_integer_is_rejected(bad):
+    # int() used to truncate these to another index, or raise OverflowError
+    message = rf"index {bad!r} is not an integer in \["
+    with pytest.raises(ValueError, match=message):
+        build_witness(LpSpace(2.0), "thm31", {"x": [1.0, 2.0], "w": [3.0, -1.0], "m": bad})
+    three = FiniteMeasureSpace([1.0, 1.0, 1.0])
+    scenarios = {
+        "thm45_case2": {"f": [2.0, 1.0, -1.0], "k_star": [1.0, 1.0, 3.0], "D": [bad], "a": 0.5},
+        "thm46": {"k_star": [1.0, 1.0, -1.0], "D": [0, bad]},
+        "thm47": {"f": [2.0, 2.0, 2.0], "D": [bad], "a": 0.5},
+        "cor48": {"f": [1.0, 1.0, 1.0], "u_star": [4.0, 4.0, 4.0], "E": [bad]},
+    }
+    for theorem, params in scenarios.items():
+        with pytest.raises(ValueError, match=message):
+            build_witness(three, theorem, params)
+
+
 def test_membership_holds_along_catalog_curves():
     rng = np.random.default_rng(67)
     for theorem, draw in sorted(CLOSED_FORM_DRAWS.items()):
