@@ -32,24 +32,29 @@ reuse ``f.breakpoints``, and ``pwl_sub`` of two functions on the same grid
 (the same array, or an element-wise equal one) subtracts the values without
 merging grids or interpolating.  ``np.interp`` returns ``fp[j]`` exactly at
 ``x == xp[j]``, so that result is bitwise the one the merged grid gives.  An
-element built on a grid that was already checked checks only its new values
-(shape and finiteness, so an overflow to inf still raises); every other
-construction checks the grid too.  ``canonical_duality_measure`` evaluates f
-at all maximizing representatives with one ``np.interp`` call.
+element built on a grid that was already checked, or on the union of two
+such grids, checks only its new values (shape and finiteness, so an
+overflow to inf still raises); the public constructors check the grid too.
+``canonical_duality_measure`` evaluates f at all maximizing representatives
+with one ``np.interp`` call.
 
-Batches: ``PwlRows`` holds the values of a probe curve at every t as one
-(steps, breakpoints) array on the base grid, and ``MeasureRows`` its duals as
-(steps, atoms) weights at shared sorted locations plus (steps, segments)
-density values on a shared grid; the ``C01Space`` methods take them as they
-take one element.  Work that every row shares is done once per batch: grid
-unions, segment indices, interpolation indices, and the values of a fixed
-function such as the second-dual argument.  Each row is
-bitwise its per-element result: interpolation follows the C kernel of
-``np.interp`` (its ``x == xp[j]`` branch and NaN fallbacks included), atom
-and density terms are summed left to right from 0.0, and an absent atom or a
-zero density segment adds +0.0, which leaves such a total unchanged.
-``canonical_dual`` takes one function only: no ``c01`` probe curve needs
-it of a batch.
+Batches: a probe curve at every t is one ``PwlFunction`` whose ``values``
+is (steps, breakpoints) on the base grid (``pwl_scale`` and ``pwl_shift``
+take a column of factors or shifts), and its duals one ``MeasureRows``:
+(steps, atoms) weights at shared sorted locations plus a ``StepDensity``
+whose ``values`` is (steps, segments).  The function and density formulas
+reduce over the last axis, so one body serves one element and a batch; the
+atom sums keep a Python-float form for one ``RcaMeasure`` and an array form
+for ``MeasureRows``.  Only ``C01Space`` methods build batches, and they
+check them as they build them; the public constructors take one element.
+Work that every row shares is done once per batch: grid unions, segment
+indices, interpolation indices, and the values of a fixed function such as
+the second-dual argument.  Each row is bitwise its per-element result:
+interpolation follows the C kernel of ``np.interp`` (its ``x == xp[j]``
+branch and NaN fallbacks included), atom and density terms are summed left
+to right from 0.0, and an absent atom or a zero density segment adds +0.0,
+which leaves such a total unchanged.  ``canonical_dual`` takes one function
+only: no ``c01`` probe curve needs it of a batch.
 """
 
 from __future__ import annotations
@@ -86,7 +91,6 @@ __all__ = [
     "tv_norm",
     "pairing_c",
     "is_duality_member_c",
-    "PwlRows",
     "MeasureRows",
     "atom_rows",
 ]
@@ -102,7 +106,8 @@ class PwlFunction:
     """Continuous piecewise-linear function on [0,1].
 
     ``values[i]`` is the function value at ``breakpoints[i]``; the function
-    interpolates linearly in between.
+    interpolates linearly in between.  A batch built by ``C01Space`` holds
+    one function per row of a (steps, breakpoints) ``values``.
     """
 
     breakpoints: np.ndarray
@@ -123,7 +128,9 @@ class PwlFunction:
         object.__setattr__(self, "values", vals)
 
     def __call__(self, s):
-        return np.interp(s, self.breakpoints, self.values)
+        if self.values.ndim == 1:
+            return np.interp(s, self.breakpoints, self.values)
+        return _interp_rows(s, self.breakpoints, self.values)
 
 
 def pwl_constant(c: float) -> PwlFunction:
@@ -139,10 +146,10 @@ def _on_checked_grid(cls, bp: np.ndarray, vals: np.ndarray):
     """A ``PwlFunction`` or ``StepDensity`` on the grid of one already built.
 
     The grid was checked then, so only the new values are checked here: one
-    per breakpoint (per segment for a density), all finite.
+    per breakpoint (per segment for a density) in each row, all finite.
     """
     size = bp.size if cls is PwlFunction else bp.size - 1
-    if vals.shape != (size,) or not np.isfinite(vals).all():
+    if vals.shape[-1:] != (size,) or not np.isfinite(vals).all():
         raise ValueError("values must be finite and match the grid")
     obj = object.__new__(cls)
     object.__setattr__(obj, "breakpoints", bp)
@@ -150,12 +157,12 @@ def _on_checked_grid(cls, bp: np.ndarray, vals: np.ndarray):
     return obj
 
 
-def pwl_shift(f: PwlFunction, c: float) -> PwlFunction:
-    return _on_checked_grid(PwlFunction, f.breakpoints, f.values + float(c))
+def pwl_shift(f: PwlFunction, c) -> PwlFunction:
+    return _on_checked_grid(PwlFunction, f.breakpoints, f.values + c)
 
 
-def pwl_scale(f: PwlFunction, c: float) -> PwlFunction:
-    return _on_checked_grid(PwlFunction, f.breakpoints, f.values * float(c))
+def pwl_scale(f: PwlFunction, c) -> PwlFunction:
+    return _on_checked_grid(PwlFunction, f.breakpoints, f.values * c)
 
 
 def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
@@ -168,12 +175,13 @@ def pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
     if _same_grid(g.breakpoints, bp):
         return _on_checked_grid(PwlFunction, bp, f.values - g.values)
     grid = np.union1d(bp, g.breakpoints)
-    return PwlFunction(grid, f(grid) - g(grid))
+    return _on_checked_grid(PwlFunction, grid, f(grid) - g(grid))
 
 
-def sup_norm(f: PwlFunction) -> float:
-    """max |f| over [0,1]; attained at a breakpoint by piecewise linearity."""
-    return float(abs(f.values).max())
+def sup_norm(f: PwlFunction):
+    """max |f| over [0,1], attained at a breakpoint by piecewise linearity; one per row of a batch."""
+    norm = np.abs(f.values).max(-1)
+    return norm if norm.ndim else float(norm)
 
 
 @dataclass(frozen=True)
@@ -243,7 +251,7 @@ def peak_points(f: PwlFunction, sign: int, tol: float = VALUE_TOL) -> list:
 
 @dataclass(frozen=True, eq=False)
 class StepDensity:
-    """Piecewise-constant density over a breakpoint grid on [0,1]."""
+    """Piecewise-constant density over a breakpoint grid on [0,1]; a batch has (steps, segments) values."""
 
     breakpoints: np.ndarray
     values: np.ndarray  # one value per segment
@@ -262,7 +270,7 @@ class StepDensity:
 
     def values_on(self, grid: np.ndarray) -> np.ndarray:
         """Density value on each segment of ``grid``, a refinement of this grid."""
-        return self.values[_segments(self.breakpoints, grid)]
+        return self.values[..., _segments(self.breakpoints, grid)]
 
 
 def _segments(bp: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -307,25 +315,43 @@ def density_measure(breakpoints, values) -> RcaMeasure:
     return RcaMeasure(density=StepDensity(np.asarray(breakpoints), np.asarray(values)))
 
 
+def _density_scale(d: StepDensity | None, c) -> StepDensity | None:
+    return None if d is None else _on_checked_grid(StepDensity, d.breakpoints, d.values * c)
+
+
+def _density_sub(d: StepDensity | None, e: StepDensity | None, absent=0.0) -> StepDensity | None:
+    """d - e on the union of their grids, an absent density counting as ``absent``."""
+    if d is None and e is None:
+        return None
+    grids = [x.breakpoints for x in (d, e) if x is not None]
+    grid = grids[0] if len(grids) == 1 else np.union1d(grids[0], grids[1])
+    left = d.values_on(grid) if d is not None else absent
+    right = e.values_on(grid) if e is not None else 0.0
+    return _on_checked_grid(StepDensity, grid, left - right)
+
+
+def _density_tv(d: StepDensity):
+    return np.sum(np.abs(d.values) * np.diff(d.breakpoints), axis=-1)
+
+
+def _density_terms(d: StepDensity, f: PwlFunction) -> np.ndarray:
+    """Per-segment terms of <d, f> on the union grid; a zero-density segment gives +0.0."""
+    grid = np.union1d(d.breakpoints, f.breakpoints)
+    fvals = f(grid)
+    dens = d.values_on(grid)
+    terms = dens * (grid[1:] - grid[:-1]) * 0.5 * (fvals[..., :-1] + fvals[..., 1:])
+    return np.where(dens != 0.0, terms, 0.0)
+
+
 def measure_scale(mu: RcaMeasure, c: float) -> RcaMeasure:
     c = float(c)
-    atoms = tuple((loc, c * w) for loc, w in mu.atoms)
-    density = None
-    if mu.density is not None:
-        density = _on_checked_grid(StepDensity, mu.density.breakpoints, mu.density.values * c)
-    return RcaMeasure(atoms=atoms, density=density)
+    density = _density_scale(mu.density, c)
+    return RcaMeasure(atoms=tuple((loc, c * w) for loc, w in mu.atoms), density=density)
 
 
 def measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
     atoms = list(mu.atoms) + [(loc, -w) for loc, w in nu.atoms]
-    density = None
-    if mu.density is not None or nu.density is not None:
-        grids = [d.breakpoints for d in (mu.density, nu.density) if d is not None]
-        grid = grids[0] if len(grids) == 1 else np.union1d(grids[0], grids[1])
-        left = mu.density.values_on(grid) if mu.density is not None else 0.0
-        right = nu.density.values_on(grid) if nu.density is not None else 0.0
-        density = StepDensity(grid, left - right)
-    return RcaMeasure(atoms=tuple(atoms), density=density)
+    return RcaMeasure(atoms=tuple(atoms), density=_density_sub(mu.density, nu.density))
 
 
 def total_mass(mu: RcaMeasure) -> float:
@@ -340,7 +366,7 @@ def tv_norm(mu: RcaMeasure) -> float:
     """Total variation: sum |atom weights| + integral of |density|."""
     tv = sum(abs(w) for _, w in mu.atoms)
     if mu.density is not None:
-        tv += float(np.sum(np.abs(mu.density.values) * np.diff(mu.density.breakpoints)))
+        tv += float(_density_tv(mu.density))
     return float(tv)
 
 
@@ -348,13 +374,10 @@ def pairing_c(mu: RcaMeasure, f: PwlFunction) -> float:
     """<mu, f> = integral of f d(mu), exact for atoms + step density vs linear f."""
     total = sum(w * float(f(loc)) for loc, w in mu.atoms)
     if mu.density is not None:
-        grid = np.union1d(mu.density.breakpoints, f.breakpoints)
-        fvals = f(grid)
-        d = mu.density.values_on(grid)
-        terms = d * (grid[1:] - grid[:-1]) * 0.5 * (fvals[:-1] + fvals[1:])
-        # Zero-density segments add nothing; the running sum keeps the
-        # left-to-right order of a segment-by-segment accumulation.
-        total = np.concatenate(([total], terms[d != 0.0])).cumsum()[-1]
+        # The running sum keeps the left-to-right order of a segment-by-segment
+        # accumulation; the +0.0 of a zero-density segment leaves it unchanged,
+        # since a total that starts at +0.0 is never -0.0.
+        total = np.concatenate(([total], _density_terms(mu.density, f))).cumsum()[-1]
     return float(total)
 
 
@@ -448,40 +471,35 @@ def canonical_duality_measure(f: PwlFunction) -> RcaMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Rows: one element per row of a (steps, n) array, for the batched sampling of
-# ``coderivative.AffineForm`` curves.  Each row kernel repeats, row by row, the
-# arithmetic of the per-element function, so every float is bitwise the same.
+# Measure rows, for the batched sampling of ``coderivative.AffineForm`` curves.
+# The row kernels repeat the Python-float atom sums of one measure row by row,
+# so every float is bitwise the same.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
-class PwlRows:
-    """Piecewise-linear functions on one grid: ``values`` (steps, breakpoints)."""
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class MeasureRows:
-    """Measures with atoms at shared sorted ``locations`` and a step density on a shared ``grid``.
+    """Measures with atoms at shared sorted ``locations`` and an optional step ``density``.
 
     ``weights`` is (steps, atoms), a zero weight standing for no atom, as
-    ``RcaMeasure`` drops it; ``density`` is (steps, segments), or None with
-    ``grid`` None when there is no density.
+    ``RcaMeasure`` drops it; the density holds (steps, segments) values.
+    The weights must be finite, as ``RcaMeasure`` requires of its atoms.
     """
 
     locations: np.ndarray
     weights: np.ndarray
-    grid: np.ndarray | None = None
-    density: np.ndarray | None = None
+    density: StepDensity | None = None
+
+    def __post_init__(self):
+        if not np.isfinite(self.weights).all():
+            raise ValueError("atom weights must be finite")
 
 
 def atom_rows(points, weights: np.ndarray) -> MeasureRows:
     """Rows of ``atom_measure(zip(points, row))``: weights at equal points add up in order."""
     locations, slot = np.unique(np.asarray(points, dtype=float), return_inverse=True)
     merged = np.zeros((weights.shape[0], locations.size))
-    with np.errstate(over="ignore"):  # check_dual_rows rejects an overflowed sum
+    with np.errstate(over="ignore"):  # MeasureRows rejects an overflowed sum
         for j, k in enumerate(slot.tolist()):
             merged[:, k] += weights[:, j]
     return MeasureRows(locations, merged)
@@ -521,21 +539,7 @@ def _atoms_of(mu) -> tuple:
     return np.array([loc for loc, _ in mu.atoms]), np.array([w for _, w in mu.atoms])
 
 
-def _density_of(mu) -> tuple:
-    if isinstance(mu, MeasureRows):
-        return mu.grid, mu.density
-    if mu.density is None:
-        return None, None
-    return mu.density.breakpoints, mu.density.values
-
-
-def _values_at(f, x: np.ndarray) -> np.ndarray:
-    if isinstance(f, PwlRows):
-        return _interp_rows(x, f.breakpoints, f.values)
-    return f(x)
-
-
-def _pairing_rows(mu, f) -> np.ndarray:
+def _pairing_rows(mu, f: PwlFunction) -> np.ndarray:
     """``pairing_c`` row by row, for measure rows, function rows or both.
 
     The atom terms and then the density terms are summed left to right from
@@ -546,14 +550,9 @@ def _pairing_rows(mu, f) -> np.ndarray:
     locations, weights = _atoms_of(mu)
     # Python float products raise no warnings; 0 * inf of an absent atom is dropped
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = [np.where(weights != 0.0, weights * _values_at(f, locations), 0.0)]
-    bp, density = _density_of(mu)
-    if density is not None:
-        grid = np.union1d(bp, f.breakpoints)
-        fvals = _values_at(f, grid)
-        d = density[..., _segments(bp, grid)]
-        segment = d * (grid[1:] - grid[:-1]) * 0.5 * (fvals[..., :-1] + fvals[..., 1:])
-        terms.append(np.where(d != 0.0, segment, 0.0))
+        terms = [np.where(weights != 0.0, weights * f(locations), 0.0)]
+    if mu.density is not None:
+        terms.append(_density_terms(mu.density, f))
     start = np.zeros((terms[0].shape[0], 1))
     return np.concatenate([start, *terms], axis=1).cumsum(axis=1)[:, -1]
 
@@ -563,46 +562,27 @@ def _tv_rows(mu: MeasureRows) -> np.ndarray:
     steps = mu.weights.shape[0]
     tv = np.concatenate([np.zeros((steps, 1)), np.abs(mu.weights)], axis=1).cumsum(axis=1)[:, -1]
     if mu.density is not None:
-        tv = tv + np.sum(np.abs(mu.density) * np.diff(mu.grid), axis=1)
+        tv = tv + _density_tv(mu.density)
     return tv
 
 
-def _sub_rows(f: PwlRows, g: PwlFunction) -> PwlRows:
-    """``pwl_sub`` of each row and one function, with its checks and messages."""
-    bp = f.breakpoints
-    if _same_grid(g.breakpoints, bp):
-        values, message = f.values - g.values, "values must be finite and match the grid"
-    else:
-        bp = np.union1d(bp, g.breakpoints)
-        values = _interp_rows(bp, f.breakpoints, f.values) - g(bp)
-        message = "values must be finite and match the breakpoints"
-    if not np.isfinite(values).all():
-        raise ValueError(message)
-    return PwlRows(bp, values)
-
-
 def _measure_sub_rows(mu: MeasureRows, nu: RcaMeasure) -> MeasureRows:
-    """``measure_sub`` of each row and one measure, with its checks: atoms merge by location."""
+    """``measure_sub`` of each row and one measure: atoms merge by location, a missing density is 0."""
     nu_locations, nu_weights = _atoms_of(nu)
     steps = mu.weights.shape[0]
     locations = np.union1d(mu.locations, nu_locations)
     weights = np.zeros((steps, locations.size))
     weights[:, locations.searchsorted(mu.locations)] += mu.weights
-    with np.errstate(over="ignore"):  # raised below, after the density as measure_sub does
+    with np.errstate(over="ignore"):  # MeasureRows raises, after the density as measure_sub does
         weights[:, locations.searchsorted(nu_locations)] -= nu_weights
-    nu_bp, nu_density = _density_of(nu)
-    grids = [g for g in (mu.grid, nu_bp) if g is not None]
-    grid = density = None
-    if grids:
-        grid = grids[0] if len(grids) == 1 else np.union1d(grids[0], grids[1])
-        left = mu.density[:, _segments(mu.grid, grid)] if mu.grid is not None else 0.0
-        right = nu_density[_segments(nu_bp, grid)] if nu_bp is not None else 0.0
-        density = np.broadcast_to(left - right, (steps, grid.size - 1))
-        if not np.isfinite(density).all():
-            raise ValueError("need one finite density value per grid segment")
-    if not np.isfinite(weights).all():
-        raise ValueError("atom weights must be finite")
-    return MeasureRows(locations, weights, grid, density)
+    density = _density_sub(mu.density, nu.density, absent=np.zeros((steps, 1)))
+    return MeasureRows(locations, weights, density)
+
+
+def _confirm(x, cls):
+    if not isinstance(x, cls):
+        raise TypeError(f"expected {cls.__name__}, got {type(x).__name__}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -610,75 +590,64 @@ class C01Space:
     """Space descriptor and engine backend for the piecewise-linear C[0,1] model.
 
     ``PwlFunction`` and ``RcaMeasure`` validate when they are built, so
-    ``check`` and ``check_dual`` only confirm the type.  Every method but
-    ``canonical_dual`` also takes ``PwlRows`` and ``MeasureRows`` and then
-    returns one value per row.  Those are built unchecked, so
-    ``check_rows`` and ``check_dual_rows`` test their values; ``scale`` and
-    ``dual_scale`` build them from a column of factors.
+    ``check`` and ``check_dual`` only confirm the type and that a function is
+    one element.  Every method but ``canonical_dual`` also takes a batch (a
+    ``PwlFunction`` with (steps, breakpoints) values, or ``MeasureRows``) and
+    then returns one value per row; ``scale`` and ``dual_scale`` build one
+    from a column of factors.  Batches too are checked when they are built,
+    so ``check_rows`` and ``check_dual_rows`` only confirm the type.
     """
 
     def check(self, f) -> PwlFunction:
-        if not isinstance(f, PwlFunction):
-            raise TypeError(f"expected a PwlFunction, got {type(f).__name__}")
+        if _confirm(f, PwlFunction).values.ndim != 1:
+            raise ValueError("expected one PwlFunction, got a batch")
         return f
 
     def check_dual(self, mu) -> RcaMeasure:
-        if not isinstance(mu, RcaMeasure):
-            raise TypeError(f"expected an RcaMeasure, got {type(mu).__name__}")
-        return mu
+        return _confirm(mu, RcaMeasure)
 
-    def check_rows(self, f: PwlRows) -> PwlRows:
-        if not np.isfinite(f.values).all():
-            raise ValueError("values must be finite and match the grid")
-        return f
+    def check_rows(self, f) -> PwlFunction:
+        return _confirm(f, PwlFunction)
 
-    def check_dual_rows(self, mu: MeasureRows) -> MeasureRows:
-        # measure_scale builds the density before the atoms, so it fails first
-        if mu.density is not None and not np.isfinite(mu.density).all():
-            raise ValueError("values must be finite and match the grid")
-        if not np.isfinite(mu.weights).all():
-            raise ValueError("atom weights must be finite")
-        return mu
+    def check_dual_rows(self, mu) -> MeasureRows:
+        return _confirm(mu, MeasureRows)
 
     def norm(self, f):
-        return np.abs(f.values).max(axis=1) if isinstance(f, PwlRows) else sup_norm(f)
+        return sup_norm(f)
 
     def dual_norm(self, mu):
         return _tv_rows(mu) if isinstance(mu, MeasureRows) else tv_norm(mu)
 
     def pair(self, mu, f):
-        if isinstance(mu, MeasureRows) or isinstance(f, PwlRows):
+        if isinstance(mu, MeasureRows) or f.values.ndim > 1:
             return _pairing_rows(mu, f)
         return pairing_c(mu, f)
 
     def sub(self, f, g: PwlFunction):
-        return _sub_rows(f, g) if isinstance(f, PwlRows) else pwl_sub(f, g)
+        return pwl_sub(f, g)
 
     def dual_sub(self, mu, nu: RcaMeasure):
         return _measure_sub_rows(mu, nu) if isinstance(mu, MeasureRows) else measure_sub(mu, nu)
 
     def scale(self, f: PwlFunction, c):
-        if isinstance(c, np.ndarray):
-            return PwlRows(f.breakpoints, f.values * c)
         return pwl_scale(f, c)
 
     def dual_scale(self, mu: RcaMeasure, c):
         if isinstance(c, np.ndarray):
             locations, weights = _atoms_of(mu)
-            bp, density = _density_of(mu)
-            return MeasureRows(locations, c * weights, bp, None if density is None else density * c)
+            return MeasureRows(locations, c * weights, _density_scale(mu.density, c))
         return measure_scale(mu, c)
 
     def canonical_dual(self, f: PwlFunction) -> RcaMeasure:
         return canonical_duality_measure(f)
 
     def is_member(self, f, mu, tol: float = 1e-9):
-        if isinstance(f, PwlRows):
-            norm, tv, paired = self.norm(f), _tv_rows(mu), _pairing_rows(mu, f)
+        norm = sup_norm(f)
+        if f.values.ndim > 1:
+            tv, paired = _tv_rows(mu), _pairing_rows(mu, f)
             with np.errstate(all="ignore"):  # as one element's Python float arithmetic
                 in_set = (abs(tv - norm) <= tol) & (abs(paired - norm * norm) <= tol)
             return np.where(norm == 0.0, tv <= tol, in_set)
-        norm = sup_norm(f)
         if norm == 0.0:
             return tv_norm(mu) <= tol
         return _in_duality_set(mu, f, norm, tol)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import c01, coderivative, l1, serialize
+from . import c01, l1, serialize
 from .coderivative import Schedule, certify_nonmembership
 from .oracles import SuiteReport, run_appendix_battery, run_backend_invariants
 from .witnesses import HypothesisViolation, build_witness
@@ -74,18 +74,25 @@ def cmd_eval(args) -> int:
 
 
 def _load_scenarios(path: Path):
+    """Scenarios, the tolerances given (each a finite number >= 0) and the output path."""
     data = json.loads(path.read_text())
     if isinstance(data, list):
-        return data, {}, None
-    return data.get("scenarios", []), data.get("tolerances", {}), data.get("out")
+        data = {"scenarios": data}
+    given = data.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise ValueError("tolerances must be a JSON object")
+    tolerances = {name: given[name] for name in ("cert_tol", "settle_tol", "membership_tol") if name in given}
+    for name, value in tolerances.items():
+        # type(), not isinstance: a JSON true is a bool, and a bool is an int
+        if type(value) not in (int, float) or not 0.0 <= value <= sys.float_info.max:
+            raise ValueError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
+        tolerances[name] = float(value)
+    return data.get("scenarios", []), tolerances, data.get("out")
 
 
 def cmd_run(args) -> int:
     path = Path(args.scenario_file)
     scenarios, tolerances, file_out = _load_scenarios(path)
-    cert_tol = float(tolerances.get("cert_tol", coderivative.CERT_TOL))
-    settle_tol = float(tolerances.get("settle_tol", coderivative.SETTLE_TOL))
-    membership_tol = float(tolerances.get("membership_tol", coderivative.MEMBERSHIP_TOL))
 
     records = []
     rows = []
@@ -97,13 +104,7 @@ def cmd_run(args) -> int:
         if scenario.get("schedule"):
             schedule = Schedule(**scenario["schedule"])
         cert = certify_nonmembership(
-            witness.query,
-            witness.curve,
-            witness.claimed_bound,
-            schedule,
-            cert_tol=cert_tol,
-            settle_tol=settle_tol,
-            membership_tol=membership_tol,
+            witness.query, witness.curve, witness.claimed_bound, schedule, **tolerances
         )
         echo = {
             "theorem": theorem,

@@ -303,11 +303,11 @@ class _ShiftForm(AffineForm):
     values: np.ndarray = None
 
     def _evaluate(self, t) -> tuple:
-        f, shift = self.base.point, self.shift
-        weights = self.alphas * (self.values + shift * t)
+        u = c01.pwl_shift(self.base.point, self.shift * t)
+        weights = self.alphas * (self.values + self.shift * t)
         if isinstance(t, np.ndarray):
-            return c01.PwlRows(f.breakpoints, f.values + shift * t), c01.atom_rows(self.points, weights)
-        return c01.pwl_shift(f, shift * t), c01.atom_measure(zip(self.points, weights.tolist()))
+            return u, c01.atom_rows(self.points, weights)
+        return u, c01.atom_measure(zip(self.points, weights.tolist()))
 
 
 def _shift_curve(theorem: str, query: CoderivativeQuery, shift: float, points, alphas, t_max: float) -> ProbeCurve:

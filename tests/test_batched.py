@@ -19,8 +19,9 @@ from dualitymap import (
     certify_nonmembership,
     estimate_limit,
 )
-from dualitymap import c01
+from dualitymap import c01, serialize
 from dualitymap.witnesses import _ShiftForm
+from test_c01_kernels import ref_measure_sub, ref_pairing, ref_pwl_sub
 from witness_draws import CLOSED_FORM_DRAWS, draw_cor57, draw_thm31, stable_seed
 
 DRAWS = {"thm31": draw_thm31, "cor57": draw_cor57, **CLOSED_FORM_DRAWS}
@@ -195,7 +196,7 @@ def test_probe_curve_needs_a_generator_or_an_affine_form():
 
 
 def _row_measure(mu: c01.MeasureRows, i: int) -> RcaMeasure:
-    density = None if mu.grid is None else c01.StepDensity(mu.grid, mu.density[i])
+    density = None if mu.density is None else c01.StepDensity(mu.density.breakpoints, mu.density.values[i])
     return RcaMeasure(tuple(zip(mu.locations.tolist(), mu.weights[i].tolist())), density)
 
 
@@ -220,7 +221,7 @@ def test_c01_row_forms_equal_the_methods_row_by_row():
     values[3, 4:6] = [-1e300, 1e300]  # +inf at 0.6 + 5e-10
     values[4] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0]  # peak 2 at 0.75
     values[5] = 1.5  # a plateau
-    f = c01.PwlRows(bp, values)
+    f = c01._on_checked_grid(PwlFunction, bp, values)
     # ten atoms, so a pairwise sum would round differently from a running
     # one: on breakpoints (0.25, 0.5, 0.75), between them, and inside the
     # one-nanometre segment (0.6 + 5e-10); a density grid that shares 0 and
@@ -236,7 +237,7 @@ def test_c01_row_forms_equal_the_methods_row_by_row():
     weights[4], density[4] = 0.0, 0.0
     weights[4, 8] = 2.0  # 2 delta_0.75 in J(f_4)
     weights[5], density[5] = 0.0, 1.5  # the plateau density in J(f_5)
-    mu = c01.MeasureRows(locations, weights, grid, density)
+    mu = c01.MeasureRows(locations, weights, c01._on_checked_grid(c01.StepDensity, grid, density))
     fs = [PwlFunction(bp, row) for row in values]
     mus = [_row_measure(mu, i) for i in range(values.shape[0])]
     nu = RcaMeasure(((0.25, 1.0), (0.9, -0.5)), c01.StepDensity(np.array([0.0, 0.25, 0.6, 1.0]), [1.0, 0.0, -2.0]))
@@ -249,26 +250,31 @@ def test_c01_row_forms_equal_the_methods_row_by_row():
     same(space.norm(f), [space.norm(r) for r in fs])
     same(space.dual_norm(mu), [space.dual_norm(m) for m in mus])
     same(space.pair(mu, f), [space.pair(m, r) for m, r in zip(mus, fs)])
+    same(space.pair(mu, f), [ref_pairing(m, r) for m, r in zip(mus, fs)])
     same(space.pair(nu, f), [space.pair(nu, r) for r in fs])
+    same(space.pair(nu, f), [ref_pairing(nu, r) for r in fs])
     for g in (g_same, g_other):
         same(space.pair(mu, g), [space.pair(m, g) for m in mus])
+        same(space.pair(mu, g), [ref_pairing(m, g) for m in mus])
         diff = space.sub(f, g)
         for row, r in zip(diff.values, fs):
-            expected = space.sub(r, g)
-            assert np.array_equal(diff.breakpoints, expected.breakpoints)
-            same(row, expected.values)
+            for expected in (space.sub(r, g), ref_pwl_sub(r, g)):
+                assert np.array_equal(diff.breakpoints, expected.breakpoints)
+                same(row, expected.values)
     member = space.is_member(f, mu, 1e-9)
     assert member.tolist() == [space.is_member(r, m, 1e-9) for r, m in zip(fs, mus)]
     assert member[[1, 4, 5]].all() and not member[0]
     # f + f overflows on every segment; the one with a nonzero density gives
     # +inf, and the zero ones are skipped, not added as 0 * inf = NaN
-    huge = c01.PwlRows(bp, np.full((1, bp.size), 1e308))
-    lone = c01.MeasureRows(locations[:0], np.zeros((1, 0)), grid, np.array([[0.0, 1.0, 0.0, 0.0]]))
+    huge = c01._on_checked_grid(PwlFunction, bp, np.full((1, bp.size), 1e308))
+    lone_density = c01._on_checked_grid(c01.StepDensity, grid, np.array([[0.0, 1.0, 0.0, 0.0]]))
+    lone = c01.MeasureRows(locations[:0], np.zeros((1, 0)), lone_density)
     with np.errstate(over="ignore", invalid="ignore"):
         same(space.pair(lone, huge), [space.pair(_row_measure(lone, 0), PwlFunction(bp, huge.values[0]))])
 
     for i in range(values.shape[0]):
         _same_measure(_row_measure(space.dual_sub(mu, nu), i), space.dual_sub(mus[i], nu))
+        _same_measure(_row_measure(space.dual_sub(mu, nu), i), ref_measure_sub(mus[i], nu))
     c = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, (4, 1))
     scaled, scaled_mu = space.scale(fs[0], c), space.dual_scale(nu, c)
     for i, ci in enumerate(c[:, 0].tolist()):
@@ -283,6 +289,59 @@ def test_c01_row_forms_equal_the_methods_row_by_row():
     rows = c01.atom_rows(points, atom_weights)
     for i, row in enumerate(atom_weights):
         _same_measure(_row_measure(rows, i), c01.atom_measure(zip(points, row.tolist())))
+
+
+def test_c01_rows_without_a_density_minus_a_measure_with_one():
+    # A shift curve's atom rows minus a base dual with a density: every row
+    # gets that density, negated.
+    space = C01Space()
+    rng = np.random.default_rng(13)
+    bp = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
+    values = rng.uniform(-3.0, 3.0, (5, bp.size))
+    values[0] = 1.5  # a plateau, whose J holds the density 1.5 on [0, 1]
+    f = c01._on_checked_grid(PwlFunction, bp, values)
+    weights = rng.uniform(-2.0, 2.0, (5, 3))
+    weights[0] = [0.0, 1.0, 0.0]  # cancels nu's atom
+    rows = c01.atom_rows([0.25, 0.5, 0.75], weights)
+    nu = RcaMeasure(((0.5, 1.0),), c01.StepDensity(np.array([0.0, 0.3, 0.6, 1.0]), [-1.5, -1.5, -1.5]))
+    diff = space.dual_sub(rows, nu)
+    mus = [_row_measure(rows, i) for i in range(5)]
+    expected = [space.dual_sub(m, nu) for m in mus]
+    for i in range(5):
+        _same_measure(_row_measure(diff, i), expected[i])
+        _same_measure(_row_measure(diff, i), ref_measure_sub(mus[i], nu))
+    fs = [PwlFunction(bp, row) for row in values]
+    g = PwlFunction(np.array([0.0, 0.4, 1.0]), [1.0, 2.0, 0.5])
+
+    def same(rows, values):
+        assert [float(v).hex() for v in rows] == [float(v).hex() for v in values]
+
+    same(space.dual_norm(diff), [space.dual_norm(e) for e in expected])
+    same(space.pair(diff, g), [space.pair(e, g) for e in expected])
+    same(space.pair(diff, g), [ref_pairing(e, g) for e in expected])
+    same(space.pair(diff, f), [space.pair(e, r) for e, r in zip(expected, fs)])
+    member = space.is_member(f, diff, 1e-9)
+    assert member.tolist() == [space.is_member(r, e, 1e-9) for r, e in zip(fs, expected)]
+    assert member[0] and not member[1:].any()
+
+
+def test_a_c01_batch_is_refused_where_one_element_is_expected():
+    space = C01Space()
+    f = c01.pwl_tent()
+    mu = c01.canonical_duality_measure(f)
+    batch = c01.pwl_scale(f, np.array([[1.0], [2.0]]))
+    assert batch.values.shape == (2, 3)
+    with pytest.raises(ValueError, match="got a batch"):
+        space.check(batch)
+    with pytest.raises(ValueError, match="got a batch"):
+        CoderivativeQuery(space, GraphPair(batch, mu), mu)
+    with pytest.raises(ValueError, match="got a batch"):
+        CoderivativeQuery(space, GraphPair(f, mu), mu, second_dual=batch)
+    two_d = {"breakpoints": [0.0, 0.5, 1.0], "values": batch.values.tolist()}
+    with pytest.raises(ValueError, match="match the breakpoints"):
+        serialize.pwl_from_json(two_d)
+    with pytest.raises(ValueError, match="one finite density value per grid segment"):
+        c01.StepDensity(np.array([0.0, 0.5, 1.0]), np.ones((2, 2)))
 
 
 def test_shift_weights_round_as_before():

@@ -110,6 +110,51 @@ def test_run_index_that_is_not_a_finite_integer_exit_code(tmp_path, capsys, theo
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("cert_tol", float("inf")),  # makes the bound check vacuous
+        ("settle_tol", float("inf")),  # settles any tail, and is not standard JSON in the output
+        ("membership_tol", float("nan")),  # used to fail as a pair outside gph J
+        ("membership_tol", -1.0),
+        pytest.param("cert_tol", 10**400, id="cert_tol-10**400"),  # an integer past the largest float
+        ("settle_tol", True),
+        ("cert_tol", "1e-6"),
+    ],
+)
+def test_run_rejects_a_tolerance_that_is_not_a_finite_number_at_least_0(tmp_path, capsys, name, value):
+    scenario = json.loads((FIXTURES / "all.json").read_text())["scenarios"][1]  # lp thm31, certified
+    path = tmp_path / "tolerance.json"
+    path.write_text(json.dumps({"tolerances": {name: value}, "scenarios": [scenario]}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert f"tolerance {name} must be a finite number >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_run_rejects_tolerances_that_are_not_an_object(tmp_path, capsys):
+    path = tmp_path / "tolerance.json"
+    path.write_text(json.dumps({"tolerances": [1e-6], "scenarios": []}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert "tolerances must be a JSON object" in capsys.readouterr().err
+
+
+def test_run_takes_integer_tolerances(tmp_path):
+    scenario = json.loads((FIXTURES / "all.json").read_text())["scenarios"][1]
+    path = tmp_path / "tolerance.json"
+    path.write_text(json.dumps({"tolerances": {"cert_tol": 1, "settle_tol": 1}, "scenarios": [scenario]}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    cert = json.loads((tmp_path / "out.json").read_text())[0]
+    assert (cert["cert_tol"], cert["settle_tol"]) == (1.0, 1.0)
+
+
+def test_run_two_dimensional_c01_values_exit_code(tmp_path, capsys):
+    f = {"breakpoints": [0.0, 0.5, 1.0], "values": [[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]]}
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([{"space": {"space": "c01"}, "theorem": "thm53", "params": {"f": f}}]))
+    assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert "values must be finite and match the breakpoints" in capsys.readouterr().err
+
+
 def test_run_unknown_theorem(tmp_path):
     path = tmp_path / "unknown.json"
     path.write_text(
