@@ -45,16 +45,31 @@ take a column of factors or shifts), and its duals one ``MeasureRows``:
 whose ``values`` is (steps, segments).  The function and density formulas
 reduce over the last axis, so one body serves one element and a batch; the
 atom sums keep a Python-float form for one ``RcaMeasure`` and an array form
-for ``MeasureRows``.  Only ``C01Space`` methods build batches, and they
-check them as they build them; the public constructors take one element.
+for ``MeasureRows``.  Only ``C01Space`` methods and ``pwl_rows`` build
+batches, and they check them as they build them; the other public
+constructors take one element.
 Work that every row shares is done once per batch: grid unions, segment
 indices, interpolation indices, and the values of a fixed function such as
 the second-dual argument.  Each row is bitwise its per-element result:
 interpolation follows the C kernel of ``np.interp`` (its ``x == xp[j]``
 branch and NaN fallbacks included), atom and density terms are summed left
 to right from 0.0, and an absent atom or a zero density segment adds +0.0,
-which leaves such a total unchanged.  ``canonical_dual`` takes one function
-only: no ``c01`` probe curve needs it of a batch.
+which leaves such a total unchanged.
+
+Stacks: the suite evaluates many functions, each on its own grid, as one
+``PwlFunction`` from ``pwl_rows``: (rows, width) breakpoints and values, a
+shorter row padded by repeating its last breakpoint (1.0) and value, which
+changes neither the function nor its sup norm; a padded column is one whose
+breakpoint does not increase.  ``sup_norm``, ``pwl_scale``, ``pwl_sub`` (on
+each row's union grid), ``maximizer_runs`` (M(f) as masks) and
+``canonical_duality_measure`` take a stack.  The last returns
+``MeasureRows`` with a sorted row of atom locations each, for the atom
+pairing, the TV norm and ``C01Space.dual_sub`` of two such rows, which adds
+one atom of each side at a location and drops a sum of 0.0, as
+``RcaMeasure`` does; densities stay on shared grids.  Interpolation counts
+a row's breakpoints at or below each point, exact and cheap at these
+widths.  On one element ``maximizing_set`` walks only the maximizers, at a
+third of the cost of the masks.
 """
 
 from __future__ import annotations
@@ -93,6 +108,8 @@ __all__ = [
     "is_duality_member_c",
     "MeasureRows",
     "atom_rows",
+    "pwl_rows",
+    "maximizer_runs",
 ]
 
 # Value comparisons against the exact piecewise-linear model only need to
@@ -107,7 +124,9 @@ class PwlFunction:
 
     ``values[i]`` is the function value at ``breakpoints[i]``; the function
     interpolates linearly in between.  A batch built by ``C01Space`` holds
-    one function per row of a (steps, breakpoints) ``values``.
+    one function per row of a (steps, breakpoints) ``values``; a stack built
+    by ``pwl_rows`` also has one grid per row of a (rows, width)
+    ``breakpoints``.
     """
 
     breakpoints: np.ndarray
@@ -148,7 +167,7 @@ def _on_checked_grid(cls, bp: np.ndarray, vals: np.ndarray):
     The grid was checked then, so only the new values are checked here: one
     per breakpoint (per segment for a density) in each row, all finite.
     """
-    size = bp.size if cls is PwlFunction else bp.size - 1
+    size = bp.shape[-1] if cls is PwlFunction else bp.shape[-1] - 1
     if vals.shape[-1:] != (size,) or not np.isfinite(vals).all():
         raise ValueError("values must be finite and match the grid")
     obj = object.__new__(cls)
@@ -165,16 +184,47 @@ def pwl_scale(f: PwlFunction, c) -> PwlFunction:
     return _on_checked_grid(PwlFunction, f.breakpoints, f.values * c)
 
 
+def pwl_rows(grids, values) -> PwlFunction:
+    """A stack of functions, row i on ``grids[i]`` with ``values[i]``, each checked as one element is.
+
+    Every row is padded to the longest grid by repeating its last
+    breakpoint (1.0) and value, which leaves the function unchanged.
+    """
+    sizes = np.array([len(g) for g in grids])
+    if not sizes.size or [len(v) for v in values] != sizes.tolist():
+        raise ValueError("values must be finite and match the breakpoints")
+    if sizes.min() < 2:
+        raise ValueError("need at least the two endpoint breakpoints")
+    width = np.arange(sizes.max())
+    at = (sizes.cumsum() - sizes)[:, None] + np.minimum(width, sizes[:, None] - 1)
+    bp, vals = (np.asarray(np.concatenate(x), dtype=float)[at] for x in (grids, values))
+    if not ((bp[:, 0] == 0.0) & (bp[:, -1] == 1.0)).all():
+        raise ValueError("breakpoints must start at 0 and end at 1")
+    if not ((bp[:, 1:] > bp[:, :-1]) | (width[1:] >= sizes[:, None])).all():  # NaN fails too
+        raise ValueError("breakpoints must be strictly increasing")
+    return _on_checked_grid(PwlFunction, bp, vals)
+
+
 def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
-    return a is b or (a.size == b.size and (a == b).all())
+    return a is b or (a.shape == b.shape and (a == b).all())
+
+
+def _union_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.union1d`` of each pair of rows of two padded stacks of grids, padded the same way."""
+    both = np.sort(np.concatenate([a, b], axis=-1), axis=-1)
+    new = np.ones(both.shape, dtype=bool)
+    new[:, 1:] = both[:, 1:] != both[:, :-1]
+    grid = np.ones((both.shape[0], new.sum(-1).max()))  # a row's last distinct value is 1.0
+    grid[new.nonzero()[0], new.cumsum(-1)[new] - 1] = both[new]
+    return grid
 
 
 def pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
-    """f - g on the union of the two breakpoint grids (value by value on a shared one)."""
+    """f - g on the union of the two breakpoint grids (value by value on a shared one), by row for a stack."""
     bp = f.breakpoints
     if _same_grid(g.breakpoints, bp):
         return _on_checked_grid(PwlFunction, bp, f.values - g.values)
-    grid = np.union1d(bp, g.breakpoints)
+    grid = np.union1d(bp, g.breakpoints) if bp.ndim == 1 else _union_rows(bp, g.breakpoints)
     return _on_checked_grid(PwlFunction, grid, f(grid) - g(grid))
 
 
@@ -236,6 +286,35 @@ def maximizing_set(f: PwlFunction, tol: float = VALUE_TOL) -> MaximizingSet:
             intervals.append((pos[start], pos[j - 1]))
         start = j
     return MaximizingSet(tuple(atoms), tuple(intervals))
+
+
+def _runs(f: PwlFunction, norm, tol: float) -> tuple:
+    """Masks over the breakpoints of the first and the last maximizer of each run of M(f).
+
+    The maximizers and plateau segments of ``maximizing_set``, by the same
+    arithmetic; a column that pads a row of a stack holds no maximizer.
+    """
+    v, bp = f.values, f.breakpoints
+    top = abs(abs(v) - norm[..., None]) <= tol
+    top[..., 1:] &= bp[..., 1:] > bp[..., :-1]
+    plateau = top[..., :-1] & top[..., 1:] & (abs(v[..., :-1] - v[..., 1:]) <= tol)
+    first, last = top.copy(), top
+    first[..., 1:] &= ~plateau
+    last[..., :-1] &= ~plateau
+    return first, last
+
+
+def maximizer_runs(f: PwlFunction, tol: float = VALUE_TOL) -> tuple:
+    """M(f) of a stack, row by row, as masks over the breakpoints; rejects a zero row.
+
+    ``(first, last)``: a run of M(f) spans the breakpoints from a ``first``
+    column to the next ``last`` one, an atom where both hold.  On one
+    element ``maximizing_set`` is cheaper: it walks only the maximizers.
+    """
+    norm = sup_norm(f)
+    if not np.all(norm):
+        raise ValueError("maximizing set undefined for the zero function")
+    return _runs(f, norm, tol)
 
 
 def peak_points(f: PwlFunction, sign: int, tol: float = VALUE_TOL) -> list:
@@ -461,8 +540,11 @@ def canonical_duality_measure(f: PwlFunction) -> RcaMeasure:
     """Canonical member of J(f): uniform atoms on the maximizing representatives.
 
     The same measure as ``atomic_duality_measure(f, maximizing_set(f).points())``
-    without re-testing points that come from the maximizing set.
+    without re-testing points that come from the maximizing set.  Of a stack
+    built by ``pwl_rows``, the measure of each row as ``MeasureRows``.
     """
+    if f.breakpoints.ndim > 1:
+        return _canonical_rows(f)
     if sup_norm(f) == 0.0:
         return zero_measure()
     points = maximizing_set(f).points()
@@ -484,6 +566,8 @@ class MeasureRows:
     ``weights`` is (steps, atoms), a zero weight standing for no atom, as
     ``RcaMeasure`` drops it; the density holds (steps, segments) values.
     The weights must be finite, as ``RcaMeasure`` requires of its atoms.
+    ``locations`` may also be (steps, atoms), one row each: a row's atoms
+    then sit at distinct locations, sorted, with absent ones anywhere.
     """
 
     locations: np.ndarray
@@ -493,6 +577,19 @@ class MeasureRows:
     def __post_init__(self):
         if not np.isfinite(self.weights).all():
             raise ValueError("atom weights must be finite")
+
+
+def _canonical_rows(f: PwlFunction) -> MeasureRows:
+    """``canonical_duality_measure`` of each row of a stack, an atom at the first column of each run.
+
+    A zero row gets weights of +-0.0, no atom, as the zero measure has none.
+    """
+    first, last = _runs(f, sup_norm(f), VALUE_TOL)
+    bp, cols = f.breakpoints, np.arange(f.breakpoints.shape[-1])
+    end = np.minimum.accumulate(np.where(last, cols, cols[-1])[:, ::-1], axis=-1)[:, ::-1]
+    locations = np.where(last, bp, 0.5 * (bp + bp[np.arange(bp.shape[0])[:, None], end]))
+    weights = (1.0 / first.sum(-1))[:, None] * f(locations)
+    return MeasureRows(locations, np.where(first, weights, 0.0))
 
 
 def atom_rows(points, weights: np.ndarray) -> MeasureRows:
@@ -511,26 +608,40 @@ def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     At or past an end, or on a breakpoint, the value there; in between
     slope * (x - xp[j]) + fp[j], or from the right end when that is NaN, or
     fp[j] when that is NaN too and both ends are equal.  The kernel raises
-    no floating-point warnings, so neither does this.
+    no floating-point warnings, so neither does this.  With one grid per
+    row of ``xp`` (padded by ``pwl_rows``), ``x`` holds each row's points.
     """
-    last = xp.size - 1
+    last = xp.shape[-1] - 1
+    if xp.ndim > 1:
+        # a broadcast count over a row is exact and, at these widths, cheap
+        j = (xp[:, None, :] <= x[..., None]).sum(-1) - 1  # xp[j] <= x < xp[j + 1]
+        rows, on = np.arange(j.shape[0])[:, None], np.maximum(j, 0)
+        out = fp[rows, on]
+        r, c = ((j >= 0) & (j < last) & (xp[rows, on] != x)).nonzero()
+        k = j[r, c]
+        out[r, c] = _between(x[r, c], xp[r, k], xp[r, k + 1], fp[r, k], fp[r, k + 1])
+        return out
     j = xp.searchsorted(x, side="right") - 1  # xp[j] <= x < xp[j + 1]
     on = np.maximum(j, 0)
     out = fp[:, on]
     between = ((j >= 0) & (j < last) & (xp[on] != x)).nonzero()[0]
     if between.size:
-        x, k = x[between], j[between]
-        left, right = fp[:, k], fp[:, k + 1]
-        with np.errstate(all="ignore"):
-            slope = (right - left) / (xp[k + 1] - xp[k])
-            inner = slope * (x - xp[k]) + left
-            nan = np.isnan(inner)
-            if nan.any():
-                back = slope * (x - xp[k + 1]) + right
-                back = np.where(np.isnan(back) & (left == right), left, back)
-                inner = np.where(nan, back, inner)
-        out[:, between] = inner
+        k = j[between]
+        out[:, between] = _between(x[between], xp[k], xp[k + 1], fp[:, k], fp[:, k + 1])
     return out
+
+
+def _between(x, x0, x1, left, right):
+    """The value at x inside the segment from (x0, left) to (x1, right), as ``np.interp`` finds it."""
+    with np.errstate(all="ignore"):
+        slope = (right - left) / (x1 - x0)
+        inner = slope * (x - x0) + left
+        nan = np.isnan(inner)
+        if nan.any():
+            back = slope * (x - x1) + right
+            back = np.where(np.isnan(back) & (left == right), left, back)
+            inner = np.where(nan, back, inner)
+    return inner
 
 
 def _atoms_of(mu) -> tuple:
@@ -566,17 +677,40 @@ def _tv_rows(mu: MeasureRows) -> np.ndarray:
     return tv
 
 
-def _measure_sub_rows(mu: MeasureRows, nu: RcaMeasure) -> MeasureRows:
-    """``measure_sub`` of each row and one measure: atoms merge by location, a missing density is 0."""
+def _measure_sub_rows(mu: MeasureRows, nu) -> MeasureRows:
+    """``measure_sub`` of each row and one measure, or of two rows each with its own locations.
+
+    Atoms merge by location, a missing density is 0.
+    """
     nu_locations, nu_weights = _atoms_of(nu)
     steps = mu.weights.shape[0]
-    locations = np.union1d(mu.locations, nu_locations)
-    weights = np.zeros((steps, locations.size))
-    weights[:, locations.searchsorted(mu.locations)] += mu.weights
     with np.errstate(over="ignore"):  # MeasureRows raises, after the density as measure_sub does
-        weights[:, locations.searchsorted(nu_locations)] -= nu_weights
+        if mu.locations.ndim > 1:
+            locations, weights = _merge_rows(mu.locations, mu.weights, nu_locations, -nu_weights)
+        else:
+            locations = np.union1d(mu.locations, nu_locations)
+            weights = np.zeros((steps, locations.size))
+            weights[:, locations.searchsorted(mu.locations)] += mu.weights
+            weights[:, locations.searchsorted(nu_locations)] -= nu_weights
     density = _density_sub(mu.density, nu.density, absent=np.zeros((steps, 1)))
     return MeasureRows(locations, weights, density)
+
+
+def _merge_rows(loc_a, w_a, loc_b, w_b) -> tuple:
+    """The atoms of two rows of measures, sorted by location, two at one location added up.
+
+    Each side has at most one atom at a location, so a merged weight is one
+    sum, as ``RcaMeasure`` forms it; a sum of exactly 0.0 is no atom.
+    """
+    loc, w = np.concatenate([loc_a, loc_b], axis=-1), np.concatenate([w_a, w_b], axis=-1)
+    key = np.where(w != 0.0, loc, np.inf)  # absent atoms last, so they pair with no atom
+    at = np.arange(w.shape[0])[:, None], np.argsort(key, axis=-1, kind="stable")
+    key, loc, w = key[at], loc[at], w[at]
+    pair = (key[:, :-1] == key[:, 1:]) & (key[:, 1:] < np.inf)  # slots i and i + 1
+    merged = w.copy()
+    merged[:, :-1][pair] += w[:, 1:][pair]
+    merged[:, 1:][pair] = 0.0
+    return loc, merged
 
 
 def _confirm(x, cls):
@@ -594,8 +728,12 @@ class C01Space:
     one element.  Every method but ``canonical_dual`` also takes a batch (a
     ``PwlFunction`` with (steps, breakpoints) values, or ``MeasureRows``) and
     then returns one value per row; ``scale`` and ``dual_scale`` build one
-    from a column of factors.  Batches too are checked when they are built,
-    so ``check_rows`` and ``check_dual_rows`` only confirm the type.
+    from a column of factors.  A stack with one grid per row (``pwl_rows``)
+    goes to ``norm``, ``sub``, ``scale`` and ``canonical_dual``, whose
+    ``MeasureRows`` hold a row of atom locations each; ``dual_norm``,
+    ``pair`` (with a stack), ``dual_scale`` and ``dual_sub`` (of two such
+    rows) take those.  Batches too are checked when they are built, so
+    ``check_rows`` and ``check_dual_rows`` only confirm the type.
     """
 
     def check(self, f) -> PwlFunction:
@@ -626,19 +764,19 @@ class C01Space:
     def sub(self, f, g: PwlFunction):
         return pwl_sub(f, g)
 
-    def dual_sub(self, mu, nu: RcaMeasure):
+    def dual_sub(self, mu, nu):
         return _measure_sub_rows(mu, nu) if isinstance(mu, MeasureRows) else measure_sub(mu, nu)
 
     def scale(self, f: PwlFunction, c):
         return pwl_scale(f, c)
 
-    def dual_scale(self, mu: RcaMeasure, c):
+    def dual_scale(self, mu, c):
         if isinstance(c, np.ndarray):
             locations, weights = _atoms_of(mu)
             return MeasureRows(locations, c * weights, _density_scale(mu.density, c))
         return measure_scale(mu, c)
 
-    def canonical_dual(self, f: PwlFunction) -> RcaMeasure:
+    def canonical_dual(self, f: PwlFunction):
         return canonical_duality_measure(f)
 
     def is_member(self, f, mu, tol: float = 1e-9):

@@ -78,6 +78,11 @@ def _load_scenarios(path: Path):
     data = json.loads(path.read_text())
     if isinstance(data, list):
         data = {"scenarios": data}
+    if not isinstance(data, dict):
+        raise ValueError("a scenario file must hold a JSON list or object")
+    scenarios = data.get("scenarios", [])
+    if not isinstance(scenarios, list) or not all(isinstance(s, dict) for s in scenarios):
+        raise ValueError("scenarios must be a JSON list of objects")
     given = data.get("tolerances", {})
     if not isinstance(given, dict):
         raise ValueError("tolerances must be a JSON object")
@@ -87,7 +92,7 @@ def _load_scenarios(path: Path):
         if type(value) not in (int, float) or not 0.0 <= value <= sys.float_info.max:
             raise ValueError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
         tolerances[name] = float(value)
-    return data.get("scenarios", []), tolerances, data.get("out")
+    return scenarios, tolerances, data.get("out")
 
 
 def cmd_run(args) -> int:

@@ -21,7 +21,10 @@ bitwise its value alone, in draw order.  L1: one stack.  lp draws have 1-8
 coordinates: one stack of 1-7 zero-padded to 7 columns, one of 8.  Zeros
 change no l_p norm, pairing or J, and numpy sums fewer than 8 terms left to
 right (``np.dot`` too, at these sizes), so they move no bit but a zero
-pairing's sign; from 8 terms its sums unroll 8 ways.  c01: one draw per call.
+pairing's sign; from 8 terms its sums unroll 8 ways.  c01: one stack of
+functions, each row on its own grid of 2-8 breakpoints (``c01.pwl_rows``).
+The sup norm and M(f) are maxima and masks, and the atom sums run left to
+right over each row's sorted atoms, an absent atom adding +0.0.
 """
 
 from __future__ import annotations
@@ -211,15 +214,22 @@ def _group_l1(draws: list):
     return [(slice(None), (x, y, alpha[:, None]))]
 
 
-def random_pwl(rng, max_breakpoints: int = 8, scale: float = 5.0) -> c01.PwlFunction:
-    """Random piecewise-linear function on [0,1] (a.s. nonzero)."""
-    interior = np.unique(rng.uniform(0.01, 0.99, int(rng.integers(0, max_breakpoints - 1))))
-    bp = np.concatenate([[0.0], interior, [1.0]])
-    return c01.PwlFunction(bp, rng.uniform(-scale, scale, bp.size))
+def _draw_pwl(rng, max_breakpoints: int = 8, scale: float = 5.0) -> tuple:
+    """The grid and values of a random piecewise-linear function on [0,1] (a.s. nonzero).
+
+    The interior breakpoints are sorted and distinct, as ``np.unique`` gives them.
+    """
+    interior = sorted(set(rng.uniform(0.01, 0.99, int(rng.integers(0, max_breakpoints - 1))).tolist()))
+    return [0.0, *interior, 1.0], rng.uniform(-scale, scale, len(interior) + 2)
 
 
 def _draw_c01(space: c01.C01Space, rng) -> tuple:
-    return random_pwl(rng), random_pwl(rng), float(rng.uniform(-3.0, 3.0))
+    return _draw_pwl(rng), _draw_pwl(rng), float(rng.uniform(-3.0, 3.0))
+
+
+def _group_c01(draws: list):
+    x, y, alpha = zip(*draws)
+    return [(slice(None), (c01.pwl_rows(*zip(*x)), c01.pwl_rows(*zip(*y)), np.array(alpha)[:, None]))]
 
 
 def _lp_invariants(space: lp.LpSpace, rng, sample_count: int) -> tuple:
@@ -266,38 +276,51 @@ def _l1_invariants(space: l1.FiniteMeasureSpace, rng, sample_count: int) -> tupl
     )
 
 
+def _same_runs(bp: np.ndarray, runs: tuple, other: tuple, tol: float) -> np.ndarray:
+    """``MaximizingSet.same_set`` row by row, for two ``c01.maximizer_runs`` on the grids ``bp``.
+
+    The atoms, the interval starts and the interval ends of the two sets
+    agree in number and, in order, within ``tol`` one by one.
+    """
+    same = np.ones(bp.shape[0], dtype=bool)
+    for a, b in zip(_run_parts(*runs), _run_parts(*other)):
+        # a grid increases along its row, so a sort puts the marked breakpoints first, in order
+        pa, pb = (np.sort(np.where(m, bp, 2.0), axis=-1) for m in (a, b))
+        same &= (a.sum(-1) == b.sum(-1)) & (abs(pa - pb) <= tol).all(-1)
+    return same
+
+
+def _run_parts(first: np.ndarray, last: np.ndarray) -> tuple:
+    return first & last, first & ~last, last & ~first
+
+
 def _c01_invariants(space: c01.C01Space, rng, sample_count: int) -> tuple:
-    mset_scaling, exactness = [], []
-    for _ in range(sample_count):
-        f = random_pwl(rng)
-        mset = c01.maximizing_set(f)
-        ok = all(
-            c01.maximizing_set(c01.pwl_scale(f, t)).same_set(mset, tol=1e-12)
-            for t in (-2.0, 0.5, 3.0)
-        )
-        mset_scaling.append(0.0 if ok else 1.0)
-        mu = c01.atomic_duality_measure(f, mset.points())
-        norm = space.norm(f)
-        exactness.append(
-            max(
-                abs(space.dual_norm(mu) - norm) / max(1.0, norm),
-                abs(space.pair(mu, f) - norm * norm) / max(1.0, norm * norm),
-            )
-        )
+    f = c01.pwl_rows(*zip(*(_draw_pwl(rng) for _ in range(sample_count))))
+    runs = c01.maximizer_runs(f)
+    same = [
+        _same_runs(f.breakpoints, c01.maximizer_runs(c01.pwl_scale(f, t)), runs, 1e-12)
+        for t in (-2.0, 0.5, 3.0)
+    ]
+    mu, norm = space.canonical_dual(f), space.norm(f)
+    exactness = np.maximum(
+        abs(space.dual_norm(mu) - norm) / np.maximum(1.0, norm),
+        abs(space.pair(mu, f) - norm * norm) / np.maximum(1.0, norm * norm),
+    )
     return (
-        _record("maximizing_set_scaling", mset_scaling),
+        _record("maximizing_set_scaling", np.where(np.logical_and.reduce(same), 0.0, 1.0)),
         _record("atomic_member_exact", exactness),
     )
 
 
-# Per backend: the battery draw (two checked primal elements x, y and a scalar
-# alpha), the backend-specific invariants, and the grouping of the draws into
-# (rows, (x, y, alpha)) pairs, rows indexing the draws: one stack (L1), two
-# (lp, see above) or one int per draw (c01); keyed by ``descriptor()["space"]``.
+# Per backend: the battery draw (two primal elements x, y, for c01 each a grid
+# and its values, and a scalar alpha), the backend-specific invariants, and
+# the grouping of the draws into (rows, (x, y, alpha)) stacks, rows indexing
+# the draws: one stack (L1, c01) or two (lp, see above); keyed by
+# ``descriptor()["space"]``.
 _BACKENDS = {
     "lp": (_draw_lp, _lp_invariants, _group_lp),
     "l1": (_draw_l1, _l1_invariants, _group_l1),
-    "c01": (_draw_c01, _c01_invariants, enumerate),
+    "c01": (_draw_c01, _c01_invariants, _group_c01),
 }
 
 
@@ -317,7 +340,7 @@ def _squared(norm):
 
 
 def _battery_terms(space, hilbert: bool, x, y, alpha) -> tuple:
-    """The J3-J6 terms of one draw, or of a stack of draws row by row, then J2's on l_2.
+    """The J3-J6 terms of a stack of draws, row by row, then J2's on l_2.
 
     The J5 violation is max(0, the third term), the J6 violation max(0, the
     fourth, the fifth); the caller takes those maxima over all draws at once.
@@ -347,8 +370,8 @@ def run_appendix_battery(space, sample_count: int, seed: int) -> SuiteReport:
 
     J2 (J is the identity) applies to l_2 only.  Differences of dual elements
     are measured in the dual norm.  All draws come first; the backend then
-    evaluates them as one stack (L1), two zero-padded stacks (lp) or one
-    draw per call (c01), and every value goes back to its draw's place.
+    evaluates them as one stack (L1, c01) or two zero-padded stacks (lp),
+    and every value goes back to its draw's place.
     """
     draw, _, group = _backend(space, sample_count)
     rng = np.random.default_rng(seed)
@@ -375,7 +398,7 @@ def run_backend_invariants(space, sample_count: int, seed: int) -> tuple:
     C[0,1]: scaling invariance of the maximizing set and exactness of the
     atomic duality measures.  The draws are valid, so the space methods,
     which do not re-check them, take them directly: lp as the battery's two
-    zero-padded stacks, L1 as one stack, c01 one sample per call.
+    zero-padded stacks, L1 and c01 as one stack.
     """
     invariants = _backend(space, sample_count)[1]
     return invariants(space, np.random.default_rng(seed), sample_count)

@@ -28,6 +28,8 @@ __all__ = [
 
 
 def space_from_descriptor(descriptor: dict):
+    if not isinstance(descriptor, dict):
+        raise ValueError(f"a space descriptor must be a JSON object, got {descriptor!r}")
     name = descriptor.get("space")
     if name == "lp":
         return LpSpace(float(descriptor["p"]))

@@ -404,3 +404,25 @@ def test_row_interp_is_np_interp():
     x = np.concatenate([xp, rng.uniform(0.0, 1.0, 20), [0.1, 0.6 + 5e-10, -0.5, 1.5]])
     for row, got in zip(fp, c01._interp_rows(x, xp, fp)):
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in np.interp(x, xp, row).tolist()]
+
+
+def test_row_interp_on_a_grid_per_row_is_np_interp():
+    rng = np.random.default_rng(4)
+    grids = [
+        np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.6, 0.6 + 1e-9, 1.0]),
+        np.array([0.0, 1.0]),
+        np.array([0.0, 0.3, 0.7, 1.0]),
+    ] * 2
+    stack = c01.pwl_rows(grids, [rng.uniform(-3.0, 3.0, g.size) for g in grids])
+    xp, fp = stack.breakpoints, stack.values.copy()
+    fp[0, 2:4] = [1e300, -1e300]  # an infinite slope inside the segment
+    fp[2, :2] = np.inf  # a NaN slope, and then a NaN from the right end too
+    fp[3, 1] = np.nan
+    fp[4, 1:] = np.inf  # the padding repeats the last value
+    fp[5, 2:] = -np.inf
+    ends = np.tile([0.1, 0.6 + 5e-10, 0.0, 1.0, -0.5, 1.5], (6, 1))
+    x = np.concatenate([xp, rng.uniform(0.0, 1.0, (6, 20)), ends], axis=1)
+    for i, got in enumerate(c01._interp_rows(x, xp, fp)):
+        size = grids[i].size
+        want = np.interp(x[i], xp[i, :size], fp[i, :size])
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]

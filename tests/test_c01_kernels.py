@@ -21,9 +21,11 @@ from dualitymap.c01 import (
     atom_measure,
     atomic_duality_measure,
     canonical_duality_measure,
+    maximizer_runs,
     measure_scale,
     measure_sub,
     plateau_duality_measure,
+    pwl_rows,
     pwl_scale,
     pwl_shift,
     pwl_sub,
@@ -428,3 +430,100 @@ def test_canonical_measure_is_the_atomic_member(n):
         assert same_measure(canonical_duality_measure(f), want)
     zero = PwlFunction(np.linspace(0.0, 1.0, n), np.zeros(n))
     assert same_measure(canonical_duality_measure(zero), RcaMeasure())
+
+
+# -- stacks with one grid per row ---------------------------------------------
+
+
+def row_atoms(mu: MeasureRows, i: int) -> tuple:
+    """The atoms row i of a stack holds, in its order: the weights that are not 0."""
+    keep = mu.weights[i] != 0.0
+    return tuple(zip(mu.locations[i][keep].tolist(), mu.weights[i][keep].tolist()))
+
+
+def row_pwl(f: PwlFunction, i: int) -> PwlFunction:
+    """Row i of a stack without its padding, which repeats the last breakpoint and value."""
+    bp, vals = f.breakpoints[i], f.values[i]
+    size = int(np.argmax(bp == 1.0)) + 1
+    assert (bp[size:] == 1.0).all() and (vals[size:] == vals[size - 1]).all()
+    return PwlFunction(bp[:size], vals[:size])
+
+
+@pytest.mark.parametrize("n", (2, 3, 8, 16))
+def test_stack_forms_match_each_row(n):
+    rng, fs = draws(n)
+    # rows with fewer breakpoints than the widest, which the stack pads
+    fs += [level_pwl(rng, k) for k in range(2, n + 1)] + [smooth_pwl(rng, k) for k in range(2, n + 1)]
+    fs.append(PwlFunction(np.linspace(0.0, 1.0, n), np.zeros(n)))
+    # partners: the same function (every atom cancels, at 0 and 1 too), its
+    # negative, one on the same grid, and one on a grid of its own
+    gs = []
+    for i, f in enumerate(fs):
+        gs.append([f, pwl_scale(f, -1.0), level_pwl(rng, f.breakpoints.size), smooth_pwl(rng, n)][i % 4])
+        if i % 4 == 2:
+            gs[-1] = PwlFunction(f.breakpoints, gs[-1].values)
+    x = pwl_rows([f.breakpoints for f in fs], [f.values for f in fs])
+    y = pwl_rows([g.breakpoints for g in gs], [g.values for g in gs])
+    assert x.breakpoints.shape == (len(fs), n)
+    space = C01Space()
+    jx, jy = space.canonical_dual(x), space.canonical_dual(y)
+    diff, jdiff = space.sub(x, y), space.dual_sub(jx, jy)
+    norm, tv, paired = space.norm(x), space.dual_norm(jdiff), space.pair(jdiff, diff)
+    for i, (f, g) in enumerate(zip(fs, gs)):
+        assert same_pwl(row_pwl(x, i), f)
+        assert same_float(float(norm[i]), sup_norm(f))
+        one_jx, one_jy = canonical_duality_measure(f), canonical_duality_measure(g)
+        assert same_tuples(row_atoms(jx, i), one_jx.atoms)
+        assert same_tuples(row_atoms(jy, i), one_jy.atoms)
+        one_diff, one_jdiff = pwl_sub(f, g), measure_sub(one_jx, one_jy)
+        assert same_pwl(row_pwl(diff, i), one_diff)
+        assert same_tuples(row_atoms(jdiff, i), one_jdiff.atoms)
+        assert same_float(float(tv[i]), tv_norm(one_jdiff))
+        assert same_float(float(paired[i]), pairing_c(one_jdiff, one_diff))
+    nonzero = [f for f in fs if sup_norm(f) != 0.0]
+    x = pwl_rows([f.breakpoints for f in nonzero], [f.values for f in nonzero])
+    for tol in (VALUE_TOL, 0.3):
+        first, last = maximizer_runs(x, tol)
+        for i, f in enumerate(nonzero):
+            bp, want = x.breakpoints[i], maximizing_set(f, tol)
+            assert same_floats(tuple(bp[first[i] & last[i]].tolist()), want.atoms)
+            starts, ends = bp[first[i] & ~last[i]].tolist(), bp[last[i] & ~first[i]].tolist()
+            assert same_tuples(tuple(zip(starts, ends)), want.intervals)
+
+
+def test_stack_of_rows_is_checked():
+    x = pwl_rows([[0.0, 1.0], [0.0, 0.5, 1.0]], [[1.0, 2.0], np.array([3.0, -4.0, 5.0])])
+    assert x.breakpoints.tolist() == [[0.0, 1.0, 1.0], [0.0, 0.5, 1.0]]
+    assert x.values.tolist() == [[1.0, 2.0, 2.0], [3.0, -4.0, 5.0]]
+    bad = [
+        (([], []), "match"),
+        (([[0.0, 1.0]], [[1.0, 2.0, 3.0]]), "match"),
+        (([[0.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]]), "match"),
+        (([[0.0, 1.0], [1.0]], [[1.0, 2.0], [3.0]]), "two endpoint"),
+        (([[0.0, 0.5]], [[1.0, 2.0]]), "start at 0 and end at 1"),
+        (([[0.1, 1.0]], [[1.0, 2.0]]), "start at 0 and end at 1"),
+        (([[0.0, 0.5, 0.5, 1.0]], [[1.0, 2.0, 3.0, 4.0]]), "strictly increasing"),
+        (([[0.0, 1.0], [0.0, 0.6, 0.4, 1.0]], [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]]), "strictly increasing"),
+        (([[0.0, np.nan, 1.0]], [[1.0, 2.0, 3.0]]), "strictly increasing"),
+        (([[0.0, 1.0]], [[1.0, np.inf]]), "finite"),
+    ]
+    for args, message in bad:
+        with pytest.raises(ValueError, match=message):
+            pwl_rows(*args)
+    with pytest.raises(ValueError, match="zero function"):
+        maximizer_runs(pwl_rows([[0.0, 1.0], [0.0, 1.0]], [[1.0, 2.0], [0.0, -0.0]]))
+
+
+def test_stacked_atoms_merge_as_rca_measure_merges_them():
+    # equal locations, at 0 and 1 too, add up from one atom of each side;
+    # an exact 0.0 is dropped, and the rest stay sorted by location
+    mu = MeasureRows(np.array([[0.0, 0.5, 1.0, 0.9], [1.0, 0.3, 0.0, 0.0]]),
+                     np.array([[0.1, 0.2, 0.3, 0.0], [0.5, 0.0, 0.0, 0.25]]))
+    nu = MeasureRows(np.array([[1.0, 0.0, 0.7], [0.0, 1.0, 0.3]]),
+                     np.array([[0.3, 0.4, 0.0], [0.25, 0.5, -0.3]]))
+    got = C01Space().dual_sub(mu, nu)
+    for i in range(2):
+        one = lambda m: atom_measure(row_atoms(m, i))  # noqa: E731
+        assert same_tuples(row_atoms(got, i), ref_measure_sub(one(mu), one(nu)).atoms)
+    assert row_atoms(got, 0) == ((0.0, 0.1 - 0.4), (0.5, 0.2))
+    assert row_atoms(got, 1) == ((0.3, 0.3),)

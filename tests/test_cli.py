@@ -138,6 +138,25 @@ def test_run_rejects_tolerances_that_are_not_an_object(tmp_path, capsys):
     assert "tolerances must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ("abc", "a scenario file must hold a JSON list or object"),
+        (3, "a scenario file must hold a JSON list or object"),
+        ({"scenarios": "abc"}, "scenarios must be a JSON list of objects"),
+        ([["lp", "thm31"]], "scenarios must be a JSON list of objects"),
+        ([{"space": "lp", "theorem": "thm31"}], "a space descriptor must be a JSON object, got 'lp'"),
+    ],
+    ids=["string", "number", "scenarios-string", "scenario-list", "space-string"],
+)
+def test_run_rejects_a_malformed_scenario_file(tmp_path, capsys, data, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_run_takes_integer_tolerances(tmp_path):
     scenario = json.loads((FIXTURES / "all.json").read_text())["scenarios"][1]
     path = tmp_path / "tolerance.json"

@@ -1,19 +1,20 @@
-"""Exact-equality tests of the stacked L1 and lp suites against per-sample loops.
+"""Exact-equality tests of the stacked suites against per-sample loops.
 
 The L1 battery and invariants draw every sample first and then evaluate the
 whole (samples, n) stack at once; the lp ones evaluate two stacks, the draws
-of dimension 1-7 zero-padded to 7 columns and those of dimension 8.  The
-reference functions below are the per-sample loops they replaced, with the
-one-element ``duality_selection`` they called.  The rng order and the
+of dimension 1-7 zero-padded to 7 columns and those of dimension 8; the c01
+ones one stack of functions, each row on its own grid of up to 8
+breakpoints.  The reference functions below are the per-sample loops they
+replaced, with the one-element ``duality_selection`` they called and the
+c01 draw, which share no code with the stacks.  The rng order and the
 arithmetic of each row are unchanged, so every violation value must agree
-bit for bit, in draw order.  c01 keeps one draw per call; its battery values
-are checked against the same loop.
+bit for bit, in draw order.
 """
 
 import numpy as np
 import pytest
 
-from dualitymap import C01Space, FiniteMeasureSpace, LpSpace, duality_selection, oracles
+from dualitymap import C01Space, FiniteMeasureSpace, LpSpace, PwlFunction, c01, duality_selection, oracles
 
 SAMPLE_COUNTS = (1, 2, 20, 200)
 WEIGHTS = ([1.0], [1.0, 0.5, 2.0], [0.3, 1.0, 7.0, 2.0, 1.0])
@@ -133,6 +134,41 @@ def ref_lp_invariants(space, sample_count, seed):
     return [("pairing_identity", identity), ("inverse_roundtrip", roundtrip)]
 
 
+def ref_random_pwl(rng, max_breakpoints=8, scale=5.0):
+    interior = np.unique(rng.uniform(0.01, 0.99, int(rng.integers(0, max_breakpoints - 1))))
+    bp = np.concatenate([[0.0], interior, [1.0]])
+    return PwlFunction(bp, rng.uniform(-scale, scale, bp.size))
+
+
+def ref_draw_c01(space, rng):
+    return ref_random_pwl(rng), ref_random_pwl(rng), float(rng.uniform(-3.0, 3.0))
+
+
+def ref_c01_invariants(space, sample_count, seed):
+    # J(f) comes from space.canonical_dual, as in the stacked invariants; on
+    # C01Space that is atomic_duality_measure(f, mset.points()) bit for bit
+    # (test_canonical_measure_is_the_atomic_member)
+    rng = np.random.default_rng(seed)
+    mset_scaling, exactness = [], []
+    for _ in range(sample_count):
+        f = ref_random_pwl(rng)
+        mset = c01.maximizing_set(f)
+        ok = all(
+            c01.maximizing_set(c01.pwl_scale(f, t)).same_set(mset, tol=1e-12)
+            for t in (-2.0, 0.5, 3.0)
+        )
+        mset_scaling.append(0.0 if ok else 1.0)
+        mu = space.canonical_dual(f)
+        norm = space.norm(f)
+        exactness.append(
+            max(
+                abs(space.dual_norm(mu) - norm) / max(1.0, norm),
+                abs(space.pair(mu, f) - norm * norm) / max(1.0, norm * norm),
+            )
+        )
+    return [("maximizing_set_scaling", mset_scaling), ("atomic_member_exact", exactness)]
+
+
 # -- helpers ------------------------------------------------------------------
 
 
@@ -166,6 +202,32 @@ class Recording(LpSpace):
     def canonical_dual(self, x):
         self.shapes.append(x.shape)
         return super().canonical_dual(x)
+
+
+class DistortedC01(C01Space):
+    """C[0,1] with a wrong canonical dual: each atom weight times 1.5 minus its location.
+
+    J4, J6 and atomic_member_exact get nonzero values.  The factor depends
+    on the location alone, so one element and a row of a stack get the
+    same bits.
+    """
+
+    def canonical_dual(self, f):
+        mu = super().canonical_dual(f)
+        if isinstance(mu, c01.MeasureRows):
+            return c01.MeasureRows(mu.locations, mu.weights * (1.5 - mu.locations))
+        return c01.atom_measure((loc, w * (1.5 - loc)) for loc, w in mu.atoms)
+
+
+class RecordingC01(C01Space):
+    """C[0,1] that records the breakpoint shape of every function its canonical dual maps."""
+
+    def __init__(self):
+        object.__setattr__(self, "shapes", [])
+
+    def canonical_dual(self, f):
+        self.shapes.append(f.breakpoints.shape)
+        return super().canonical_dual(f)
 
 
 def _spaces(weights):
@@ -222,7 +284,7 @@ def test_stacked_invariants_are_bitwise_per_sample(monkeypatch, weights, sample_
 @pytest.mark.parametrize("sample_count", (1, 2, 20))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_per_sample_battery_is_unchanged(monkeypatch, space, sample_count, seed):
-    draw = oracles._BACKENDS[space.descriptor()["space"]][0]
+    draw = ref_draw_c01 if isinstance(space, C01Space) else oracles._BACKENDS["lp"][0]
     seen, _ = _recorded(monkeypatch, oracles.run_appendix_battery, space, sample_count, seed)
     assert _hex(seen) == _hex(ref_battery(space, sample_count, seed, draw))
 
@@ -269,6 +331,75 @@ def test_lp_suite_runs_at_most_two_stacks(seed):
     space.shapes.clear()
     oracles.run_appendix_battery(space, 1, seed)
     assert {shape[0] for shape in space.shapes} == {1}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_c01_stack_is_bitwise_per_sample(monkeypatch, seed):
+    # the per-draw loops at 200 samples are slow, so they run on SEEDS only
+    for space in (C01Space(), DistortedC01()):
+        for sample_count in (1, 3, 20, 200) if seed in SEEDS else (1, 3, 20):
+            seen, report = _recorded(monkeypatch, oracles.run_appendix_battery, space, sample_count, seed)
+            expected = ref_battery(space, sample_count, seed, ref_draw_c01)
+            assert _hex(seen) == _hex(expected)
+            assert [float(r.max_violation).hex() for r in report.records[1:]] == [
+                float(max(values)).hex() for _, values in expected[1:]
+            ]
+            seen, records = _recorded(monkeypatch, oracles.run_backend_invariants, space, sample_count, seed)
+            expected = ref_c01_invariants(space, sample_count, seed)
+            assert _hex(seen) == _hex(expected)
+            assert [float(r.max_violation).hex() for r in records] == [
+                float(max(values)).hex() for _, values in expected
+            ]
+
+
+def test_distorted_c01_space_has_nonzero_violations():
+    # guards the c01 tests: on C01Space every c01 value above is 0.0
+    space = DistortedC01()
+    values = dict(ref_battery(space, 20, 5, ref_draw_c01) + ref_c01_invariants(space, 20, 5))
+    for property_id in ("J4", "J6", "atomic_member_exact"):
+        assert max(values[property_id]) > 0.0, property_id
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_c01_suite_runs_one_stack(seed):
+    space = RecordingC01()
+    oracles.run_appendix_battery(space, 200, seed)
+    # J3, J4 and the two draws' own duals each map the whole stack once
+    assert len(space.shapes) == 4
+    assert {shape[0] for shape in space.shapes} == {200}
+    assert {shape[1] for shape in space.shapes} == {8}  # 200 draws hold a grid of 8
+    space.shapes.clear()
+    oracles.run_backend_invariants(space, 200, seed)
+    assert [shape[0] for shape in space.shapes] == [200]
+    space.shapes.clear()
+    oracles.run_appendix_battery(space, 1, seed)
+    assert len(space.shapes) == 4 and {len(shape) for shape in space.shapes} == {2}
+    assert {shape[0] for shape in space.shapes} == {1}
+
+
+def test_same_runs_is_same_set_row_by_row():
+    # maximizing_set_scaling reads 0.0 on every draw, so the comparison of
+    # two sets is checked here: on grids with ties, plateaus, and maxima at
+    # adjacent floats, which agree within the tolerance though their
+    # breakpoints differ
+    rng = np.random.default_rng(8)
+    half = 0.5
+    grids = [[0.0, half, np.nextafter(half, 1.0), 1.0], [0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.0]] * 40
+    levels = np.array([-2.0, -1.0, 1.0, 2.0])
+    values = [rng.choice(levels, len(g)) for g in grids]
+    others = [rng.choice(levels, len(g)) for g in grids]
+    values[0], others[0] = np.array([0.0, 2.0, 1.0, 0.0]), np.array([0.0, 1.0, 2.0, 0.0])
+    f, g = c01.pwl_rows(grids, values), c01.pwl_rows(grids, others)
+    for tol in (1e-12, 0.0):
+        got = oracles._same_runs(f.breakpoints, c01.maximizer_runs(f), c01.maximizer_runs(g), tol)
+        want = [
+            c01.maximizing_set(PwlFunction(np.array(bp), v)).same_set(
+                c01.maximizing_set(PwlFunction(np.array(bp), w)), tol=tol
+            )
+            for bp, v, w in zip(grids, values, others)
+        ]
+        assert got.tolist() == want
+        assert got[0] == (tol > 0.0) and 0 < sum(want) < len(want)
 
 
 @pytest.mark.parametrize("p", LP_EXPONENTS + (1.01, 7.5, 40.0))
