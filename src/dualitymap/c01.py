@@ -23,9 +23,7 @@ Cost: ``pairing_c``, ``measure_sub`` and the density-support scan of
 over the union of the breakpoint grids, with no per-segment Python loop.
 ``maximizing_set`` finds the breakpoints at the maximum with one array pass
 and then walks only those, so its Python work is linear in the number of
-maximizers (usually one to three).  The array forms keep the arithmetic and
-the left-to-right summation order of the per-segment loops they replace, so
-every result is bitwise unchanged.
+maximizers (usually one to three).
 
 The probe curves keep the base point's grid: ``pwl_scale`` and ``pwl_shift``
 reuse ``f.breakpoints``, and ``pwl_sub`` of two functions on the same grid
@@ -78,6 +76,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .coderivative import MEMBERSHIP_TOL, Space
 
 __all__ = [
     "PwlFunction",
@@ -469,17 +469,11 @@ class MembershipReport:
     support_ok: bool
 
 
-def _in_duality_set(mu: RcaMeasure, f: PwlFunction, norm: float, tol: float) -> bool:
-    return abs(tv_norm(mu) - norm) <= tol and abs(pairing_c(mu, f) - norm * norm) <= tol
-
-
-def is_duality_member_c(mu: RcaMeasure, f: PwlFunction, tol: float = 1e-9) -> MembershipReport:
-    """Membership of mu in J(f) plus the support check of mu on M(f); needs f != 0.
-
-    Membership: tv norm ||f|| and <mu, f> = ||f||**2, each within tol.
-    """
+def is_duality_member_c(mu: RcaMeasure, f: PwlFunction, tol: float = MEMBERSHIP_TOL) -> MembershipReport:
+    """Membership of mu in J(f) (``C01Space.is_member``) plus the support check of mu
+    on M(f), whose positions are compared within tol; needs f != 0."""
     mset = maximizing_set(f)
-    member = _in_duality_set(mu, f, sup_norm(f), tol)
+    member = C01Space().is_member(f, mu, tol)
     support_ok = all(mset.contains(loc, tol) for loc, _ in mu.atoms)
     if support_ok and mu.density is not None:
         bp, vals = mu.density.breakpoints, mu.density.values
@@ -720,7 +714,7 @@ def _confirm(x, cls):
 
 
 @dataclass(frozen=True)
-class C01Space:
+class C01Space(Space):
     """Space descriptor and engine backend for the piecewise-linear C[0,1] model.
 
     ``PwlFunction`` and ``RcaMeasure`` validate when they are built, so
@@ -734,6 +728,7 @@ class C01Space:
     ``pair`` (with a stack), ``dual_scale`` and ``dual_sub`` (of two such
     rows) take those.  Batches too are checked when they are built, so
     ``check_rows`` and ``check_dual_rows`` only confirm the type.
+    ``is_member`` is the relative test of ``Space`` (``coderivative.duality_gaps``).
     """
 
     def check(self, f) -> PwlFunction:
@@ -778,17 +773,6 @@ class C01Space:
 
     def canonical_dual(self, f: PwlFunction):
         return canonical_duality_measure(f)
-
-    def is_member(self, f, mu, tol: float = 1e-9):
-        norm = sup_norm(f)
-        if f.values.ndim > 1:
-            tv, paired = _tv_rows(mu), _pairing_rows(mu, f)
-            with np.errstate(all="ignore"):  # as one element's Python float arithmetic
-                in_set = (abs(tv - norm) <= tol) & (abs(paired - norm * norm) <= tol)
-            return np.where(norm == 0.0, tv <= tol, in_set)
-        if norm == 0.0:
-            return tv_norm(mu) <= tol
-        return _in_duality_set(mu, f, norm, tol)
 
     def in_second_dual_domain(self, h: PwlFunction) -> bool:
         # Only the nonnegative cone of C[0,1] embeds into the second dual.

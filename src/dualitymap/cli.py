@@ -83,9 +83,7 @@ def _load_scenarios(path: Path):
     scenarios = data.get("scenarios", [])
     if not isinstance(scenarios, list) or not all(isinstance(s, dict) for s in scenarios):
         raise ValueError("scenarios must be a JSON list of objects")
-    given = data.get("tolerances", {})
-    if not isinstance(given, dict):
-        raise ValueError("tolerances must be a JSON object")
+    given = serialize._Fields(data.get("tolerances", {}), "tolerances")
     tolerances = {name: given[name] for name in ("cert_tol", "settle_tol", "membership_tol") if name in given}
     for name, value in tolerances.items():
         # type(), not isinstance: a JSON true is a bool, and a bool is an int

@@ -38,13 +38,14 @@ Generator-only curves are sampled one t at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
 import numpy as np
 
 __all__ = [
     "Space",
+    "duality_gaps",
     "GraphPair",
     "AffineForm",
     "CoderivativeQuery",
@@ -99,9 +100,27 @@ class Space(Protocol):
     def scale(self, x, c): ...
     def dual_scale(self, u, c): ...
     def canonical_dual(self, x): ...
-    def is_member(self, x, u, tol: float): ...
+
+    def is_member(self, x, u, tol: float = MEMBERSHIP_TOL):
+        """u in J(x): both ``duality_gaps`` at most ``tol``; every backend inherits this test."""
+        norm_gap, pair_gap = duality_gaps(self, x, u)
+        member = (norm_gap <= tol) & (pair_gap <= tol)
+        return member if np.ndim(member) else bool(member)
+
     def in_second_dual_domain(self, y) -> bool: ...
     def descriptor(self) -> dict: ...
+
+
+def duality_gaps(space: Space, x, u) -> tuple:
+    """|‖u‖* - ‖x‖| / max(1, ‖x‖) and |<u, x> - ‖x‖²| / max(1, ‖x‖²), per row of a batch.
+
+    u is in J(x) iff both are 0; an overflow gives inf or NaN, without a warning.
+    """
+    norm = space.norm(x)
+    with np.errstate(all="ignore"):  # as Python float arithmetic
+        norm_gap = abs(space.dual_norm(u) - norm) / np.maximum(1.0, norm)
+        pair_gap = abs(space.pair(u, x) - norm * norm) / np.maximum(1.0, norm * norm)
+    return norm_gap, pair_gap
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +150,7 @@ class CoderivativeQuery:
     def __post_init__(self):
         space = self.space
         base = GraphPair(space.check(self.base.point), space.check_dual(self.base.dual))
-        if not space.is_member(base.point, base.dual, MEMBERSHIP_TOL):
+        if not space.is_member(base.point, base.dual):
             raise ValueError("base dual element fails the duality membership test")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "candidate", space.check_dual(self.candidate))
@@ -151,7 +170,8 @@ class AffineForm:
     unless t is dyadic.  Otherwise u_t = x + t d for the ``tangent`` d, and
     u_t* = x* + t d* for the ``dual_tangent`` d*, or canonical_dual(u_t) when
     d* is None; x + t d needs array elements, so a tangent is only accepted
-    in ``lp`` and ``L1``.  ``at`` evaluates one t; ``rows`` evaluates a
+    in ``lp`` and ``L1``, and it must pass ``check`` (``check_dual`` for d*)
+    with the shape of x (of x*).  ``at`` evaluates one t; ``rows`` evaluates a
     column of t as a batch.  A subclass may evaluate both in its own way by
     overriding ``_evaluate``; otherwise a form needs a scale or a tangent.
     """
@@ -167,6 +187,12 @@ class AffineForm:
         elements = (self.base.point, self.base.dual, *given)
         if given and not all(isinstance(v, np.ndarray) for v in elements):
             raise TypeError("a point or dual tangent needs array elements (lp, L1)")
+        checks = (("tangent", self.space.check, self.base.point),
+                  ("dual_tangent", self.space.check_dual, self.base.dual))
+        for name, check, like in checks:
+            value = getattr(self, name)
+            if value is not None and check(value).shape != like.shape:
+                raise ValueError(f"{name} has shape {value.shape}, but the base has {like.shape}")
         if not self.scale and self.tangent is None and type(self)._evaluate is AffineForm._evaluate:
             raise ValueError("an affine form needs a scale or a tangent")
 
@@ -429,12 +455,7 @@ def reverify_certificate(cert: NonMembershipCertificate) -> bool:
     limit, settled = _tail_estimate(est.quotients, est.settle_tol)
     if abs(limit - est.limit) > 1e-12 or settled != est.settled:
         return False
-    recomputed = _verdict(
-        LimitEstimate(est.ts, est.quotients, limit, settled, est.settle_tol),
-        cert.claimed_bound,
-        cert.cert_tol,
-    )
-    if recomputed != cert.verdict:
+    if _verdict(replace(est, limit=limit), cert.claimed_bound, cert.cert_tol) != cert.verdict:
         return False
     if cert.verdict == VERDICT_CERTIFIED and cert.claimed_bound is not None:
         margin = cert.claimed_bound - 2.0 * cert.cert_tol

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coderivative import Space
+
 __all__ = [
     "FiniteMeasureSpace",
     "DualityClassification",
@@ -37,7 +39,7 @@ def _float_or_rows(values):
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteMeasureSpace:
+class FiniteMeasureSpace(Space):
     """n-point measure space; ``weights[i]`` is the measure of the i-th atom."""
 
     weights: np.ndarray
@@ -111,13 +113,6 @@ class FiniteMeasureSpace:
         """The selection with free values 0: +-||f||_1 on the sign sets."""
         norm = np.asarray(self.norm(f))[..., None]
         return np.where(f > 0.0, norm, np.where(f < 0.0, -norm, 0.0))
-
-    def is_member(self, f, g, tol: float = 1e-10):
-        """||g||_inf = ||f||_1 and <g, f> = ||f||_1**2, each within tol * max(1, rhs)."""
-        norm = self.norm(f)
-        norm_ok = abs(self.dual_norm(g) - norm) <= tol * np.maximum(1.0, norm)
-        member = norm_ok & (abs(self.pair(g, f) - norm * norm) <= tol * np.maximum(1.0, norm * norm))
-        return member if f.ndim > 1 else bool(member)
 
     def in_second_dual_domain(self, h) -> bool:
         # Only the positive cone embeds into the second dual.
@@ -199,7 +194,7 @@ def duality_selection(f, space: FiniteMeasureSpace, a=()) -> np.ndarray:
 
 
 def is_duality_member(g, f, space: FiniteMeasureSpace, tol: float = 1e-10) -> bool:
-    """True iff ||g||_inf = ||f||_1 and <g, f> = ||f||_1**2, each within tol * max(1, rhs)."""
+    """True iff ||g||_inf = ||f||_1 and <g, f> = ||f||_1**2, each within tol relative to max(1, rhs)."""
     return space.is_member(space.check(f), space.check(g), tol)
 
 

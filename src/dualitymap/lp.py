@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coderivative import Space
+
 __all__ = [
     "conjugate_exponent",
     "as_vector",
@@ -113,7 +115,7 @@ def pairing(u, x) -> float:
 
 
 @dataclass(frozen=True)
-class LpSpace:
+class LpSpace(Space):
     """The space descriptor for l_p; also the backend hook used by the engine.
 
     Primal elements and dual elements are both plain 1-d arrays; the dual
@@ -185,13 +187,6 @@ class LpSpace:
         return np.sign(x) * np.abs(x) ** (self.p - 1.0) / divisor
 
     canonical_dual = duality
-
-    def is_member(self, x, u, tol: float = 1e-9):
-        nx = _norm(x, self.p)
-        pair_err = abs(_pair(u, x) - nx * nx)
-        norm_err = abs(_norm(u, self.q) - nx)
-        member = (pair_err <= tol * np.maximum(1.0, nx * nx)) & (norm_err <= tol * np.maximum(1.0, nx))
-        return member if x.ndim > 1 else bool(member)
 
     def in_second_dual_domain(self, y) -> bool:
         # l_p is reflexive: every primal vector represents a second dual.

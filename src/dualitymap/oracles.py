@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import c01, l1, lp
+from .coderivative import duality_gaps
 
 __all__ = [
     "GradientOracle",
@@ -214,13 +215,13 @@ def _group_l1(draws: list):
     return [(slice(None), (x, y, alpha[:, None]))]
 
 
-def _draw_pwl(rng, max_breakpoints: int = 8, scale: float = 5.0) -> tuple:
+def _draw_pwl(rng) -> tuple:
     """The grid and values of a random piecewise-linear function on [0,1] (a.s. nonzero).
 
     The interior breakpoints are sorted and distinct, as ``np.unique`` gives them.
     """
-    interior = sorted(set(rng.uniform(0.01, 0.99, int(rng.integers(0, max_breakpoints - 1))).tolist()))
-    return [0.0, *interior, 1.0], rng.uniform(-scale, scale, len(interior) + 2)
+    interior = sorted(set(rng.uniform(0.01, 0.99, int(rng.integers(0, 7))).tolist()))
+    return [0.0, *interior, 1.0], rng.uniform(-5.0, 5.0, len(interior) + 2)
 
 
 def _draw_c01(space: c01.C01Space, rng) -> tuple:
@@ -237,11 +238,8 @@ def _lp_invariants(space: lp.LpSpace, rng, sample_count: int) -> tuple:
     xs = [rng.uniform(-10.0, 10.0, int(rng.integers(1, 9))) for _ in range(sample_count)]
     identity, roundtrip = np.empty(sample_count), np.empty(sample_count)
     for rows, x in _lp_stacks(xs):
-        nx, jx = space.norm(x), space.canonical_dual(x)
-        identity[rows] = np.maximum(
-            abs(space.pair(jx, x) - nx * nx) / np.maximum(1.0, nx * nx),
-            abs(space.dual_norm(jx) - nx) / np.maximum(1.0, nx),
-        )
+        jx = space.canonical_dual(x)
+        identity[rows] = np.maximum(*duality_gaps(space, x, jx))
         back = conjugate.canonical_dual(jx)
         roundtrip[rows] = (np.abs(back - x) / np.maximum(1.0, np.abs(x))).max(-1)
     return (
@@ -301,11 +299,7 @@ def _c01_invariants(space: c01.C01Space, rng, sample_count: int) -> tuple:
         _same_runs(f.breakpoints, c01.maximizer_runs(c01.pwl_scale(f, t)), runs, 1e-12)
         for t in (-2.0, 0.5, 3.0)
     ]
-    mu, norm = space.canonical_dual(f), space.norm(f)
-    exactness = np.maximum(
-        abs(space.dual_norm(mu) - norm) / np.maximum(1.0, norm),
-        abs(space.pair(mu, f) - norm * norm) / np.maximum(1.0, norm * norm),
-    )
+    exactness = np.maximum(*duality_gaps(space, f, space.canonical_dual(f)))
     return (
         _record("maximizing_set_scaling", np.where(np.logical_and.reduce(same), 0.0, 1.0)),
         _record("atomic_member_exact", exactness),
@@ -334,9 +328,9 @@ def _backend(space, sample_count: int) -> tuple:
         raise TypeError(f"no suite for {type(space).__name__}") from None
 
 
-def _squared(norm):
-    """norm ** 2 by Python's float power, also per row of a stack: numpy's n * n can round otherwise."""
-    return np.array([n**2 for n in norm.tolist()]) if getattr(norm, "ndim", 0) else norm**2
+def _squared(norm: np.ndarray) -> np.ndarray:
+    """norm ** 2 per row of a stack, by Python's float power: numpy's n * n can round otherwise."""
+    return np.array([n**2 for n in norm.tolist()])
 
 
 def _battery_terms(space, hilbert: bool, x, y, alpha) -> tuple:

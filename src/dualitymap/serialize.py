@@ -28,8 +28,7 @@ __all__ = [
 
 
 def space_from_descriptor(descriptor: dict):
-    if not isinstance(descriptor, dict):
-        raise ValueError(f"a space descriptor must be a JSON object, got {descriptor!r}")
+    descriptor = _Fields(descriptor, "a space descriptor")
     name = descriptor.get("space")
     if name == "lp":
         return LpSpace(float(descriptor["p"]))
@@ -47,13 +46,29 @@ def pwl_to_json(f: PwlFunction | StepDensity) -> dict:
     }
 
 
+class _Fields(dict):
+    """A JSON object, ``what``; looking up a key it lacks raises a ``ValueError`` that names both."""
+
+    def __init__(self, obj, what: str):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+        super().__init__(obj)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.what} needs the key {key!r}")
+
+
+def _on_grid(cls, obj, what: str):
+    """A ``PwlFunction`` or ``StepDensity`` from an object with ``breakpoints`` and ``values``."""
+    obj = _Fields(obj, what)
+    return cls(np.asarray(obj["breakpoints"], dtype=float), np.asarray(obj["values"], dtype=float))
+
+
 def pwl_from_json(obj) -> PwlFunction:
     if obj == "tent":  # convenience shorthand used by the CLI
         return pwl_tent()
-    return PwlFunction(
-        np.asarray(obj["breakpoints"], dtype=float),
-        np.asarray(obj["values"], dtype=float),
-    )
+    return _on_grid(PwlFunction, obj, "a piecewise-linear function")
 
 
 def measure_to_json(mu: RcaMeasure) -> dict:
@@ -62,14 +77,11 @@ def measure_to_json(mu: RcaMeasure) -> dict:
 
 
 def measure_from_json(obj) -> RcaMeasure:
-    density = None
-    if obj.get("density") is not None:
-        density = StepDensity(
-            np.asarray(obj["density"]["breakpoints"], dtype=float),
-            np.asarray(obj["density"]["values"], dtype=float),
-        )
-    atoms = tuple((float(l), float(w)) for l, w in obj.get("atoms", []))
-    return RcaMeasure(atoms=atoms, density=density)
+    obj = _Fields(obj, "a measure")
+    density = obj.get("density")
+    if density is not None:
+        density = _on_grid(StepDensity, density, "a measure density")
+    return RcaMeasure(atoms=tuple((float(l), float(w)) for l, w in obj.get("atoms", [])), density=density)
 
 
 def certificate_to_json(cert: NonMembershipCertificate, scenario: dict | None = None) -> dict:

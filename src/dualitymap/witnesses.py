@@ -276,7 +276,7 @@ def _resolve_measure(params: dict, key: str, f: c01.PwlFunction) -> c01.RcaMeasu
     if params.get(key) is not None:
         mu = serialize.measure_from_json(params[key])
     elif params.get("selection") is not None:
-        sel = params["selection"]
+        sel = serialize._Fields(params["selection"], "selection")
         if sel.get("type") == "plateau":
             mu = c01.plateau_duality_measure(f, sel["a"], sel["b"])
         else:
@@ -463,7 +463,7 @@ THEOREM_IDS = tuple(_CATALOG)
 
 
 def build_witness(space, theorem_id: str, params: dict) -> Witness:
-    """Build the catalog witness ``theorem_id`` for the given space and params."""
+    """Build the catalog witness ``theorem_id`` for the given space and params (a JSON object)."""
     if theorem_id not in _CATALOG:
         raise KeyError(f"unknown theorem id: {theorem_id}")
     space_type, builder = _CATALOG[theorem_id]
@@ -471,4 +471,4 @@ def build_witness(space, theorem_id: str, params: dict) -> Witness:
         raise HypothesisViolation(
             f"{theorem_id} lives in the {space_type.__name__} model"
         )
-    return builder(space, dict(params))
+    return builder(space, serialize._Fields(params, "params"))

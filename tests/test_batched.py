@@ -161,11 +161,19 @@ def test_batched_path_keeps_every_check(make_query):
     def curve(t_max=0.5, **form):
         return ProbeCurve("probe", t_max=t_max, affine=AffineForm(space, base, **form))
 
-    # a tangent that overflowed upstream, on the point and on the dual
+    # a tangent that overflowed upstream, on the point and on the dual, is
+    # refused when the form is built
     with np.errstate(over="ignore"):
         overflowed = np.array([1e308, 0.0]) * 10.0
-    _both_raise(query, curve(tangent=overflowed, dual_tangent=e0), "finite")
-    _both_raise(query, curve(tangent=e0, dual_tangent=overflowed), "finite")
+    for form in ({"tangent": overflowed, "dual_tangent": e0}, {"tangent": e0, "dual_tangent": overflowed}):
+        with pytest.raises(ValueError, match="finite"):
+            curve(**form)
+    # a finite tangent whose x + t d (x* + t d*) overflows at the first sample:
+    # the sampled pair's own check refuses it
+    big, early = np.array([1.7e308, 0.0]), Schedule(2.0, 0.5, 8)
+    with np.errstate(over="ignore"):
+        _both_raise(query, curve(t_max=4.0, tangent=big, dual_tangent=e0), "finite", early)
+        _both_raise(query, curve(t_max=4.0, tangent=e0, dual_tangent=big), "finite", early)
     # (1 + t) x paired with the base dual x*: off the graph
     _both_raise(query, curve(tangent=base.point, dual_tangent=np.zeros(2)), "outside gph J")
     # a zero tangent never leaves the base point

@@ -108,8 +108,12 @@ def ref_maximizing_set(f: PwlFunction, tol: float = VALUE_TOL) -> MaximizingSet:
 
 
 def ref_is_duality_member(mu: RcaMeasure, f: PwlFunction, tol: float = 1e-9) -> MembershipReport:
+    # the relative rule of every model: each gap over max(1, its right side)
     norm = sup_norm(f)
-    member = abs(tv_norm(mu) - norm) <= tol and abs(ref_pairing(mu, f) - norm * norm) <= tol
+    member = (
+        abs(tv_norm(mu) - norm) / max(1.0, norm) <= tol
+        and abs(ref_pairing(mu, f) - norm * norm) / max(1.0, norm * norm) <= tol
+    )
     mset = ref_maximizing_set(f)
     support_ok = all(mset.contains(loc, tol) for loc, _ in mu.atoms)
     if support_ok and mu.density is not None:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from dualitymap import serialize
 from dualitymap.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -146,8 +147,9 @@ def test_run_rejects_tolerances_that_are_not_an_object(tmp_path, capsys):
         ({"scenarios": "abc"}, "scenarios must be a JSON list of objects"),
         ([["lp", "thm31"]], "scenarios must be a JSON list of objects"),
         ([{"space": "lp", "theorem": "thm31"}], "a space descriptor must be a JSON object, got 'lp'"),
+        ([{"space": {"space": "lp"}, "theorem": "thm31"}], "a space descriptor needs the key 'p'"),
     ],
-    ids=["string", "number", "scenarios-string", "scenario-list", "space-string"],
+    ids=["string", "number", "scenarios-string", "scenario-list", "space-string", "space-no-p"],
 )
 def test_run_rejects_a_malformed_scenario_file(tmp_path, capsys, data, message):
     path = tmp_path / "malformed.json"
@@ -243,3 +245,52 @@ def test_eval_output_reparses_to_equal_value(capsys):
     main(["eval", "--space", "lp", "--p", "2.5", "--vector", "[2, -1, 0.5]"])
     second = json.loads(capsys.readouterr().out)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"space": {"space": "lp", "p": 2.0}, "theorem": "thm31", "params": 5},
+         "params must be a JSON object, got 5"),
+        ({"space": {"space": "lp", "p": 2.0}, "theorem": "thm31", "params": "abc"},
+         "params must be a JSON object, got 'abc'"),
+        ({"space": {"space": "l1", "weights": [1, 1, 1]}, "theorem": "thm46", "params": {}},
+         "params needs the key 'k_star'"),
+        ({"space": {"space": "c01"}, "theorem": "thm54", "params": {"f": "tent", "lambda": 5}},
+         "a measure must be a JSON object, got 5"),
+        ({"space": {"space": "c01"}, "theorem": "thm53", "params": {"f": "tent", "selection": 5}},
+         "selection must be a JSON object, got 5"),
+        ({"space": {"space": "c01"}, "theorem": "thm53", "params": {"f": "tent", "selection": {"type": "plateau"}}},
+         "selection needs the key 'a'"),
+    ],
+    ids=["params-number", "params-string", "thm46-empty", "lambda-number", "selection-number", "plateau-no-a"],
+)
+def test_run_names_a_malformed_or_missing_param(tmp_path, capsys, scenario, message):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps([scenario]))
+    assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ("5", "a piecewise-linear function must be a JSON object, got 5"),
+        ('{"breakpoints": [0, 1]}', "a piecewise-linear function needs the key 'values'"),
+    ],
+    ids=["number", "no-values"],
+)
+def test_eval_names_a_malformed_c01_function(capsys, f, message):
+    assert main(["eval", "--space", "c01", "--f", f]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_measure_may_leave_out_its_atoms_or_its_density():
+    # only the object and a given density's keys are required
+    mu = serialize.measure_from_json({"atoms": [[0.5, 1.0]]})
+    assert (mu.atoms, mu.density) == (((0.5, 1.0),), None)
+    mu = serialize.measure_from_json({})
+    assert (mu.atoms, mu.density) == ((), None)
+    with pytest.raises(ValueError, match="a measure density needs the key 'values'"):
+        serialize.measure_from_json({"density": {"breakpoints": [0, 1]}})

@@ -11,10 +11,12 @@ from dualitymap import (
     LpSpace,
     ProbeCurve,
     Schedule,
+    build_witness,
+    certify_nonmembership,
     estimate_limit,
 )
-from dualitymap import c01
-from dualitymap.coderivative import AffineForm, Space
+from dualitymap import c01, serialize
+from dualitymap.coderivative import AffineForm, Space, duality_gaps
 from dualitymap.witnesses import _ShiftForm
 
 PROTOCOL = [name for name in vars(Space) if not name.startswith("_")]
@@ -30,8 +32,11 @@ def test_protocol_lists_every_method():
 
 @pytest.mark.parametrize("cls", [LpSpace, FiniteMeasureSpace, C01Space])
 def test_every_space_has_every_protocol_method(cls):
+    # a space inherits only is_member from Space; every other method is its own, not a stub
     missing = [name for name in PROTOCOL if not callable(getattr(cls, name, None))]
     assert not missing
+    stubs = [name for name in PROTOCOL if getattr(cls, name) is getattr(Space, name)]
+    assert stubs == ["is_member"]
 
 
 def _batches():
@@ -78,6 +83,36 @@ def test_a_tangent_needs_array_elements():
     x = np.array([1.0, 0.0])
     with pytest.raises(TypeError, match="needs array elements"):
         AffineForm(space, GraphPair(x, x), tangent=[0.0, 1.0])
+
+
+def _lp_base():
+    space = LpSpace(2.0)
+    x = np.array([1.0, -2.0, 0.5])
+    return space, GraphPair(x, space.canonical_dual(x))
+
+
+def test_a_tangent_of_another_length_is_refused():
+    # a length-1 tangent would broadcast to (1, 1, 1) and probe along another curve
+    space, base = _lp_base()
+    with pytest.raises(ValueError, match=r"tangent has shape \(1,\), but the base has \(3,\)"):
+        AffineForm(space, base, tangent=np.array([1.0]))
+    with pytest.raises(ValueError, match=r"dual_tangent has shape \(2,\)"):
+        AffineForm(space, base, tangent=np.ones(3), dual_tangent=np.ones(2))
+
+
+def test_a_tangent_stack_is_refused():
+    # the per-t path's check refuses a (1, 3) tangent, so the form does too
+    space, base = _lp_base()
+    with pytest.raises(ValueError, match="one-dimensional"):
+        AffineForm(space, base, tangent=np.ones((1, 3)))
+
+
+def test_a_non_finite_tangent_is_refused_when_built():
+    space, base = _lp_base()
+    with pytest.raises(ValueError, match="finite"):
+        AffineForm(space, base, tangent=np.array([1.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        AffineForm(space, base, tangent=np.ones(3), dual_tangent=np.array([np.inf, 0.0, 0.0]))
 
 
 def test_an_affine_form_needs_a_scale_or_a_tangent():
@@ -171,3 +206,66 @@ def test_checks_run_once_per_sampled_pair(cls, args):
         del calls[:]
         estimate_limit(query, affine, Schedule(0.25, 0.5, steps))
         assert calls == ["check_rows", "check_dual_rows"]
+
+
+# -- one duality-set test, relative to the size of the numbers compared -------
+
+THREE_PEAKS = c01.PwlFunction(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), np.array([1.1, 0.0, 1.1, 0.0, 1.1]))
+UNIT_ELEMENTS = [
+    (LpSpace(3.0), np.array([1.0, -2.0, 0.5])),
+    (LpSpace(1.5), np.array([0.0, 3.0, -1.0])),
+    (FiniteMeasureSpace([1.0, 0.5, 2.0]), np.array([1.0, 0.0, -2.5])),
+    (C01Space(), c01.pwl_tent()),
+    (C01Space(), THREE_PEAKS),
+]
+FACTORS = np.array([[0.3], [0.9], [1.3]])
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("space, unit", UNIT_ELEMENTS)
+def test_scaled_canonical_pairs_are_members_at_every_magnitude(space, unit, alpha):
+    # J is positively homogeneous, so (c x, c J(x)) lies in gph J for c > 0,
+    # whatever the magnitude alpha
+    x = space.scale(unit, alpha)
+    u = space.canonical_dual(x)
+    for c in FACTORS.ravel().tolist():
+        assert space.is_member(space.scale(x, c), space.dual_scale(u, c)) is True
+        assert space.is_member(space.scale(x, c), space.dual_scale(u, 1.01 * c)) is False
+    rows = space.scale(x, FACTORS)
+    assert space.is_member(rows, space.dual_scale(u, FACTORS)).tolist() == [True] * 3
+    assert space.is_member(rows, space.dual_scale(u, 1.01 * FACTORS)).tolist() == [False] * 3
+
+
+@pytest.mark.parametrize("space, unit", UNIT_ELEMENTS)
+def test_duality_gaps_are_relative(space, unit):
+    # with u* = 1.01 J(x): |0.01 ||x|| | / max(1, ||x||) and |0.01 ||x||**2| / max(1, ||x||**2)
+    u = space.canonical_dual(unit)
+    for alpha in (1e-3, 1e3):
+        norm_gap, pair_gap = duality_gaps(space, space.scale(unit, alpha), space.dual_scale(u, 1.01 * alpha))
+        r = alpha * space.norm(unit)
+        assert norm_gap == pytest.approx(0.01 * r / max(1.0, r), rel=1e-6)
+        assert pair_gap == pytest.approx(0.01 * r * r / max(1.0, r * r), rel=1e-6)
+
+
+def test_zero_element_is_a_member_of_small_duals_only():
+    for space, unit in UNIT_ELEMENTS:
+        zero, u = space.scale(unit, 0.0), space.canonical_dual(unit)
+        assert space.is_member(zero, space.dual_scale(u, 0.0)) is True
+        assert space.is_member(zero, space.dual_scale(u, 1e-10 / space.dual_norm(u))) is True
+        assert space.is_member(zero, space.dual_scale(u, 1e-8 / space.dual_norm(u))) is False
+
+
+def test_overflowing_gaps_raise_no_warning():
+    # ||x||**2 and <u, x> overflow to inf: the pairing gap is NaN, so the
+    # pair is refused, without a floating-point warning
+    space = FiniteMeasureSpace([1.0])
+    x = np.array([1e200])
+    assert space.is_member(x, space.canonical_dual(x)) is False
+
+
+@pytest.mark.parametrize("theorem, params", [("thm53", {}), ("thm58", {"c": 1.5})])
+def test_large_three_peak_witness_samples_inside_gph_j(theorem, params):
+    # the sampled pairs, of norm about 1e6, lie in gph J only under a relative rule
+    f = c01.pwl_scale(THREE_PEAKS, 1e6)
+    witness = build_witness(C01Space(), theorem, {"f": serialize.pwl_to_json(f), **params})
+    certify_nonmembership(witness.query, witness.curve, witness.claimed_bound)
