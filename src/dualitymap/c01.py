@@ -23,7 +23,14 @@ Cost: ``pairing_c``, ``measure_sub`` and the density-support scan of
 over the union of the breakpoint grids, with no per-segment Python loop.
 ``maximizing_set`` finds the breakpoints at the maximum with one array pass
 and then walks only those, so its Python work is linear in the number of
-maximizers (usually one to three).
+maximizers (usually one to three).  ``pairing_c``,
+``atomic_duality_measure`` and ``peak_points`` evaluate f at all their
+points with one ``np.interp`` call.  Measure rows whose atoms sit at the
+subtrahend's own locations (every scaling and shift curve) subtract weight
+by weight, with no union of locations.  A caller that knows ||f|| or M(f)
+passes it to the private forms (``_maximizing_set``, ``_peak_points``,
+``_atomic_measure``, ``_canonical_measure``, ``_plateau_measure``), so one
+witness finds each once.
 
 The probe curves keep the base point's grid: ``pwl_scale`` and ``pwl_shift``
 reuse ``f.breakpoints``, and ``pwl_sub`` of two functions on the same grid
@@ -272,6 +279,11 @@ def maximizing_set(f: PwlFunction, tol: float = VALUE_TOL) -> MaximizingSet:
     norm = sup_norm(f)
     if norm == 0.0:
         raise ValueError("maximizing set undefined for the zero function")
+    return _maximizing_set(f, norm, tol)
+
+
+def _maximizing_set(f: PwlFunction, norm: float, tol: float = VALUE_TOL) -> MaximizingSet:
+    """``maximizing_set`` of an f != 0 whose sup norm ``norm`` is known."""
     idx = (abs(abs(f.values) - norm) <= tol).nonzero()[0]
     pos, vals = f.breakpoints[idx].tolist(), f.values[idx].tolist()
     idx = idx.tolist()
@@ -320,12 +332,14 @@ def maximizer_runs(f: PwlFunction, tol: float = VALUE_TOL) -> tuple:
 def peak_points(f: PwlFunction, sign: int, tol: float = VALUE_TOL) -> list:
     """Representative points where f equals sign * ||f|| (sign is +1 or -1)."""
     norm = sup_norm(f)
-    target = float(sign) * norm
-    pts = []
-    for s in maximizing_set(f).points():
-        if abs(float(f(s)) - target) <= tol * max(1.0, norm):
-            pts.append(float(s))
-    return pts
+    return _peak_points(f, norm, maximizing_set(f), sign, tol)
+
+
+def _peak_points(f: PwlFunction, norm: float, mset: MaximizingSet, sign: int, tol: float = VALUE_TOL) -> list:
+    """``peak_points`` of f given its sup norm and M(f)."""
+    target, points = float(sign) * norm, mset.points()
+    values = f(np.array(points)).tolist()
+    return [float(s) for s, v in zip(points, values) if abs(v - target) <= tol * max(1.0, norm)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,7 +465,10 @@ def tv_norm(mu: RcaMeasure) -> float:
 
 def pairing_c(mu: RcaMeasure, f: PwlFunction) -> float:
     """<mu, f> = integral of f d(mu), exact for atoms + step density vs linear f."""
-    total = sum(w * float(f(loc)) for loc, w in mu.atoms)
+    total = 0
+    if mu.atoms:
+        locations, weights = zip(*mu.atoms)
+        total = sum(w * v for w, v in zip(weights, f(locations).tolist()))
     if mu.density is not None:
         # The running sum keeps the left-to-right order of a segment-by-segment
         # accumulation; the +0.0 of a zero-density segment leaves it unchanged,
@@ -494,6 +511,11 @@ def atomic_duality_measure(f: PwlFunction, points, alphas=None) -> RcaMeasure:
     norm = sup_norm(f)
     if norm == 0.0:
         raise ValueError("degenerate: the zero function has J(0) = {0*}")
+    return _atomic_measure(f, _maximizing_set(f, norm), points, alphas)
+
+
+def _atomic_measure(f: PwlFunction, mset: MaximizingSet, points, alphas=None) -> RcaMeasure:
+    """``atomic_duality_measure`` of an f != 0 whose M(f) is known."""
     points = [float(s) for s in points]
     if not points:
         raise ValueError("need at least one atom point")
@@ -506,19 +528,23 @@ def atomic_duality_measure(f: PwlFunction, points, alphas=None) -> RcaMeasure:
         raise ValueError("alphas must be strictly positive")
     if abs(sum(alphas) - 1.0) > 1e-12:
         raise ValueError("alphas must sum to 1")
-    mset = maximizing_set(f)
     for s in points:
         if not mset.contains(s):
             raise ValueError(f"point {s} is not in the maximizing set of f")
-    return atom_measure((s, a * float(f(s))) for s, a in zip(points, alphas))
+    values = f(np.array(points)).tolist()
+    return atom_measure(zip(points, [a * v for a, v in zip(alphas, values)]))
 
 
 def plateau_duality_measure(f: PwlFunction, a: float, b: float) -> RcaMeasure:
     """Density member of J(f) for a plateau f = ||f|| on [a, b]."""
+    return _plateau_measure(f, sup_norm(f), a, b)
+
+
+def _plateau_measure(f: PwlFunction, norm: float, a: float, b: float) -> RcaMeasure:
+    """``plateau_duality_measure`` of f given its sup norm."""
     a, b = float(a), float(b)
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("need 0 <= a < b <= 1")
-    norm = sup_norm(f)
     if norm == 0.0:
         raise ValueError("degenerate: ||f|| = 0")
     grid = [s for s in f.breakpoints if a < s < b] + [a, b]
@@ -539,9 +565,14 @@ def canonical_duality_measure(f: PwlFunction) -> RcaMeasure:
     """
     if f.breakpoints.ndim > 1:
         return _canonical_rows(f)
-    if sup_norm(f) == 0.0:
+    return _canonical_measure(f, sup_norm(f))
+
+
+def _canonical_measure(f: PwlFunction, norm: float) -> RcaMeasure:
+    """``canonical_duality_measure`` of one f given its sup norm."""
+    if norm == 0.0:
         return zero_measure()
-    points = maximizing_set(f).points()
+    points = _maximizing_set(f, norm).points()
     weights = (1.0 / len(points)) * f(np.array(points))
     return atom_measure(zip(points, weights.tolist()))
 
@@ -587,12 +618,17 @@ def _canonical_rows(f: PwlFunction) -> MeasureRows:
 
 
 def atom_rows(points, weights: np.ndarray) -> MeasureRows:
-    """Rows of ``atom_measure(zip(points, row))``: weights at equal points add up in order."""
-    locations, slot = np.unique(np.asarray(points, dtype=float), return_inverse=True)
+    """Rows of ``atom_measure(zip(points, row))``: weights at equal points add up in order.
+
+    Points already sorted and distinct keep one atom each, at 0.0 + weight.
+    """
+    points = np.asarray(points, dtype=float)
+    if (points[1:] > points[:-1]).all():
+        return MeasureRows(points, 0.0 + weights)
+    locations, slot = np.unique(points, return_inverse=True)
     merged = np.zeros((weights.shape[0], locations.size))
     with np.errstate(over="ignore"):  # MeasureRows rejects an overflowed sum
-        for j, k in enumerate(slot.tolist()):
-            merged[:, k] += weights[:, j]
+        np.add.at(merged, (slice(None), slot), weights)  # column by column, in order
     return MeasureRows(locations, merged)
 
 
@@ -653,12 +689,14 @@ def _pairing_rows(mu, f: PwlFunction) -> np.ndarray:
     leaves a running total unchanged because it is never -0.0.
     """
     locations, weights = _atoms_of(mu)
-    # Python float products raise no warnings; 0 * inf of an absent atom is dropped
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = [np.where(weights != 0.0, weights * f(locations), 0.0)]
+    terms = []
+    if weights.shape[-1]:  # no atoms add nothing
+        # Python float products raise no warnings; 0 * inf of an absent atom is dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms.append(np.where(weights != 0.0, weights * f(locations), 0.0))
     if mu.density is not None:
         terms.append(_density_terms(mu.density, f))
-    start = np.zeros((terms[0].shape[0], 1))
+    start = np.zeros((len(weights) if weights.ndim > 1 else len(f.values), 1))
     return np.concatenate([start, *terms], axis=1).cumsum(axis=1)[:, -1]
 
 
@@ -674,13 +712,17 @@ def _tv_rows(mu: MeasureRows) -> np.ndarray:
 def _measure_sub_rows(mu: MeasureRows, nu) -> MeasureRows:
     """``measure_sub`` of each row and one measure, or of two rows each with its own locations.
 
-    Atoms merge by location, a missing density is 0.
+    Atoms merge by location, a missing density is 0.  Rows at the measure's
+    own locations (every scaling and shift curve) subtract weight by weight,
+    as 0.0 + w - v, which is what the merge adds up at each location.
     """
     nu_locations, nu_weights = _atoms_of(nu)
     steps = mu.weights.shape[0]
     with np.errstate(over="ignore"):  # MeasureRows raises, after the density as measure_sub does
         if mu.locations.ndim > 1:
             locations, weights = _merge_rows(mu.locations, mu.weights, nu_locations, -nu_weights)
+        elif _same_grid(mu.locations, nu_locations):
+            locations, weights = mu.locations, 0.0 + mu.weights - nu_weights
         else:
             locations = np.union1d(mu.locations, nu_locations)
             weights = np.zeros((steps, locations.size))
@@ -776,7 +818,7 @@ class C01Space(Space):
 
     def in_second_dual_domain(self, h: PwlFunction) -> bool:
         # Only the nonnegative cone of C[0,1] embeds into the second dual.
-        return bool(np.all(h.values >= 0.0))
+        return bool((h.values >= 0.0).all())
 
     def descriptor(self) -> dict:
         return {"space": "c01"}

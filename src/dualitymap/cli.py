@@ -100,6 +100,7 @@ def cmd_run(args) -> int:
     records = []
     rows = []
     for scenario in scenarios:
+        scenario = serialize._Fields(scenario, "a scenario")
         space = serialize.space_from_descriptor(scenario["space"])
         theorem = scenario["theorem"]
         witness = build_witness(space, theorem, scenario.get("params", {}))

@@ -105,7 +105,7 @@ class Space(Protocol):
         """u in J(x): both ``duality_gaps`` at most ``tol``; every backend inherits this test."""
         norm_gap, pair_gap = duality_gaps(self, x, u)
         member = (norm_gap <= tol) & (pair_gap <= tol)
-        return member if np.ndim(member) else bool(member)
+        return member if isinstance(member, np.ndarray) else bool(member)
 
     def in_second_dual_domain(self, y) -> bool: ...
     def descriptor(self) -> dict: ...
@@ -115,11 +115,16 @@ def duality_gaps(space: Space, x, u) -> tuple:
     """|‖u‖* - ‖x‖| / max(1, ‖x‖) and |<u, x> - ‖x‖²| / max(1, ‖x‖²), per row of a batch.
 
     u is in J(x) iff both are 0; an overflow gives inf or NaN, without a warning.
+    One element takes Python-float arithmetic, which rounds as numpy does at
+    a fraction of the cost; ``max`` there drops a NaN norm, but that norm
+    makes both numerators NaN, so the gaps are NaN either way.
     """
-    norm = space.norm(x)
     with np.errstate(all="ignore"):  # as Python float arithmetic
-        norm_gap = abs(space.dual_norm(u) - norm) / np.maximum(1.0, norm)
-        pair_gap = abs(space.pair(u, x) - norm * norm) / np.maximum(1.0, norm * norm)
+        norm = space.norm(x)
+        bound = max if isinstance(norm, float) else np.maximum
+        square = norm * norm
+        norm_gap = abs(space.dual_norm(u) - norm) / bound(1.0, norm)
+        pair_gap = abs(space.pair(u, x) - square) / bound(1.0, square)
     return norm_gap, pair_gap
 
 
@@ -129,6 +134,10 @@ class GraphPair:
 
     point: object
     dual: object
+
+
+class _OffGraph(ValueError):
+    """The base pair of a query is not in gph J."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +160,7 @@ class CoderivativeQuery:
         space = self.space
         base = GraphPair(space.check(self.base.point), space.check_dual(self.base.dual))
         if not space.is_member(base.point, base.dual):
-            raise ValueError("base dual element fails the duality membership test")
+            raise _OffGraph("base dual element fails the duality membership test")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "candidate", space.check_dual(self.candidate))
         if self.second_dual is not None:
@@ -322,13 +331,23 @@ class FalsificationLead:
     estimates: dict
 
 
+# ``np.any`` / ``np.all`` of one element's bool or a batch's array of them;
+# on a Python bool the numpy functions take several microseconds.
+def _any(test) -> bool:
+    return test.any() if isinstance(test, np.ndarray) else test
+
+
+def _all(test) -> bool:
+    return test.all() if isinstance(test, np.ndarray) else test
+
+
 def _quotient(query: CoderivativeQuery, u, u_star) -> tuple:
     """Quotient and graph distance at the checked graph pair (u, u*), or per row of a batch."""
     space = query.space
     du = space.sub(u, query.base.point)
     dstar = space.dual_sub(u_star, query.base.dual)
     den = space.norm(du) + space.dual_norm(dstar)
-    if np.any(den <= 0.0):
+    if _any(den <= 0.0):
         raise ValueError("degenerate pair: zero distance to the base point")
     num = space.pair(query.candidate, du)
     if query.second_dual is not None:
@@ -349,7 +368,7 @@ def _sample(query: CoderivativeQuery, u, u_star, membership_tol: float) -> tuple
     checks, the first check in that order is reported, not the first
     failing t.
     """
-    if not np.all(query.space.is_member(u, u_star, membership_tol)):
+    if not _all(query.space.is_member(u, u_star, membership_tol)):
         raise ValueError("probe curve produced a pair outside gph J")
     return _quotient(query, u, u_star)
 
@@ -357,7 +376,9 @@ def _sample(query: CoderivativeQuery, u, u_star, membership_tol: float) -> tuple
 def _tail_estimate(quotients, settle_tol: float) -> tuple:
     """Mean of the last three quotients, and whether their spread is <= settle_tol."""
     tail = quotients[-3:]
-    return float(np.mean(tail)), (max(tail) - min(tail)) <= settle_tol
+    # np.mean, bitwise: numpy sums fewer than 8 terms left to right from +0.0
+    # (so three -0.0 give +0.0)
+    return float(sum(tail, 0.0) / len(tail)), (max(tail) - min(tail)) <= settle_tol
 
 
 def estimate_limit(
@@ -383,8 +404,8 @@ def estimate_limit(
     ts = [sch.t0 * sch.ratio**k for k in range(sch.steps)]
     space = query.space
     if curve.affine is not None:
-        for t in ts:
-            curve._check_window(t)
+        curve._check_window(min(ts))  # every t lies between these two
+        curve._check_window(max(ts))
         u, u_star = curve.affine.rows(np.array(ts))
         qs, dists = _sample(query, space.check_rows(u), space.check_dual_rows(u_star), membership_tol)
         qs, dists = qs.tolist(), dists.tolist()

@@ -72,7 +72,7 @@ class FiniteMeasureSpace(Space):
             raise ValueError(
                 f"value list of length {v.size} does not match the {self.n}-point space"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("values must be finite")
         return v
 
@@ -116,7 +116,7 @@ class FiniteMeasureSpace(Space):
 
     def in_second_dual_domain(self, h) -> bool:
         # Only the positive cone embeds into the second dual.
-        return bool(np.all(h >= 0.0))
+        return bool((h >= 0.0).all())
 
     def descriptor(self) -> dict:
         return {"space": "l1", "weights": [float(w) for w in self.weights]}
@@ -133,10 +133,24 @@ def _index(i, n: int) -> int:
 
 
 def mask_from_indices(space: FiniteMeasureSpace, indices) -> np.ndarray:
-    """Boolean mask over the atoms from a list of 0-based indices."""
+    """Boolean mask over the atoms from a list of 0-based indices.
+
+    A list of integer values in range is checked as one array; any other
+    list goes entry by entry through ``_index``, which names the first bad
+    entry, so both accept the same lists.
+    """
     n = space.n
     mask = np.zeros(n, dtype=bool)
-    mask[[_index(i, n) for i in indices]] = True
+    try:
+        at = np.asarray(indices)
+    except (TypeError, ValueError):  # a ragged list
+        at = None
+    if at is not None and at.ndim == 1 and at.dtype.kind in "iuf" and (
+        (at >= 0) & (at < n) & (at == np.trunc(at))
+    ).all():  # a NaN fails every test
+        mask[at.astype(np.intp)] = True
+    else:
+        mask[[_index(i, n) for i in indices]] = True
     return mask
 
 

@@ -51,7 +51,7 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("vector must be one-dimensional with at least one coordinate")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector coordinates must be finite")
     return v
 

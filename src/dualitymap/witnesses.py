@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import c01, l1, lp, serialize
-from .coderivative import AffineForm, CoderivativeQuery, GraphPair, ProbeCurve
+from .coderivative import AffineForm, CoderivativeQuery, GraphPair, ProbeCurve, _OffGraph
 
 __all__ = ["HypothesisViolation", "Witness", "build_witness", "THEOREM_IDS"]
 
@@ -80,9 +80,9 @@ def _bump_curve(query: CoderivativeQuery, curve_id: str, direction, t_max: float
 def _sign_mask_uniform(values: np.ndarray, mask: np.ndarray, name: str) -> float:
     """Common nonzero sign of ``values`` on ``mask``; violation otherwise."""
     vals = values[mask]
-    if np.all(vals > 0.0):
+    if (vals > 0.0).all():
         return 1.0
-    if np.all(vals < 0.0):
+    if (vals < 0.0).all():
         return -1.0
     raise HypothesisViolation(f"{name} must have one strict sign on D")
 
@@ -120,7 +120,7 @@ def _thm31(space: lp.LpSpace, params: dict) -> Witness:
     direction = np.zeros_like(x)
     direction[m] = s
     x_star = space.canonical_dual(x)
-    at_origin = not np.any(x)
+    at_origin = not x.any()
     bound = abs(w[m]) / 2.0 if (at_origin or space.p == 2.0) else None
     query = CoderivativeQuery(space, GraphPair(x, x_star), candidate=w)
     curve = _bump_curve(query, f"thm31:bump[m={m},sign={s:+.0f}]", direction, 1.0)
@@ -144,7 +144,7 @@ def _thm32(space: lp.LpSpace, params: dict) -> Witness:
 def _thm33(space: lp.LpSpace, params: dict) -> Witness:
     x = space.check(params["x"])
     a = float(params["a"])
-    _require(np.any(x), "x != 0")
+    _require(x.any(), "x != 0")
     _require(a > 0.0, "a > 0")
     _require(a != 1.0, "a != 1")
     x_star = space.canonical_dual(x)
@@ -164,7 +164,7 @@ def _thm33(space: lp.LpSpace, params: dict) -> Witness:
 def _thm45_case1(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params["f"])
     k_star = space.check_dual(params["k_star"])
-    _require(bool(np.all(f != 0.0)), "mu{f = 0} = 0 (f has no zero values)")
+    _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
     ip = space.pair(k_star, f)
     _require(ip != 0.0, "<k*, f> != 0")
     f_star = space.canonical_dual(f)
@@ -179,14 +179,14 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     k_star = space.check_dual(params["k_star"])
     mask = l1.mask_from_indices(space, params["D"])
     a = float(params["a"])
-    _require(bool(np.all(f != 0.0)), "mu{f = 0} = 0 (f has no zero values)")
+    _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
     scale = max(1.0, space.dual_norm(k_star) * space.norm(f))
     _require(abs(space.pair(k_star, f)) <= 1e-9 * scale, "<k*, f> = 0")
-    _require(bool(np.any(mask)), "D is nonempty")
+    _require(bool(mask.any()), "D is nonempty")
     _require(a > 0.0, "a > 0")
     fd = f[mask]
     _require(
-        bool(np.all(fd > a)) or bool(np.all(fd < -a)),
+        bool((fd > a).all()) or bool((fd < -a).all()),
         "f has one strict sign beyond a on D",
     )
     sigma = _sign_mask_uniform(k_star, mask, "k*")
@@ -203,8 +203,8 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 def _thm46(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     k_star = space.check_dual(params["k_star"])
     mask = l1.mask_from_indices(space, params["D"])
-    _require(bool(np.any(k_star)), "k* != 0*")
-    _require(bool(np.any(mask)), "D is nonempty")
+    _require(bool(k_star.any()), "k* != 0*")
+    _require(bool(mask.any()), "D is nonempty")
     sigma = _sign_mask_uniform(k_star, mask, "k*")
     chi = l1.indicator(space, mask)
     mu_d = space.measure(mask)
@@ -223,10 +223,10 @@ def _thm47(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params["f"])
     mask = l1.mask_from_indices(space, params["D"])
     a = float(params["a"])
-    _require(bool(np.all(f >= 0.0)) and bool(np.any(f)), "f in L1+ \\ {0}")
+    _require(bool((f >= 0.0).all()) and bool(f.any()), "f in L1+ \\ {0}")
     _require(a > 0.0, "a > 0")
-    _require(bool(np.any(mask)), "D is nonempty")
-    _require(bool(np.all(f[mask] > a)), "D subset {f > a}")
+    _require(bool(mask.any()), "D is nonempty")
+    _require(bool((f[mask] > a).all()), "D subset {f > a}")
     f_star = space.canonical_dual(f)
     query = CoderivativeQuery(
         space, GraphPair(f, f_star), candidate=-f_star, second_dual=f
@@ -240,22 +240,22 @@ def _thm47(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params["f"])
     u_star = space.check_dual(params["u_star"])
-    _require(bool(np.all(f > 0.0)), "f strictly positive")
+    _require(bool((f > 0.0).all()), "f strictly positive")
     norm = space.norm(f)
     margins = u_star - norm
-    _require(bool(np.all(margins > 0.0)), "u* > J(f) pointwise")
+    _require(bool((margins > 0.0).all()), "u* > J(f) pointwise")
     if params.get("E") is not None:
         mask = l1.mask_from_indices(space, params["E"])
-        _require(bool(np.any(mask)), "E is nonempty")
+        _require(bool(mask.any()), "E is nonempty")
         b = float(params["b"]) if params.get("b") is not None else float(np.min(margins[mask]))
         _require(b > 0.0, "margin b > 0")
         slack = 1e-12 * max(1.0, b, norm)
-        _require(bool(np.all(margins[mask] >= b - slack)), "u* >= ||f||_1 + b on E")
+        _require(bool((margins[mask] >= b - slack).all()), "u* >= ||f||_1 + b on E")
     elif params.get("b") is not None:
         b = float(params["b"])
         _require(b > 0.0, "margin b > 0")
         mask = margins >= b
-        _require(bool(np.any(mask)), "E = {u* >= ||f||_1 + b} is nonempty")
+        _require(bool(mask.any()), "E = {u* >= ||f||_1 + b} is nonempty")
     else:
         b = float(np.max(margins)) / 2.0
         mask = margins > b
@@ -271,20 +271,27 @@ def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_measure(params: dict, key: str, f: c01.PwlFunction) -> c01.RcaMeasure:
-    """A member of J(f) from explicit params, a selection spec, or canonical."""
-    if params.get(key) is not None:
-        mu = serialize.measure_from_json(params[key])
-    elif params.get("selection") is not None:
+def _resolve_measure(params: dict, f: c01.PwlFunction, norm: float) -> c01.RcaMeasure:
+    """mu for J(f), f != 0 of sup norm ``norm``: explicit params, a selection spec, or canonical.
+
+    Its membership is tested once, with the base pair (``_query_at``).
+    """
+    if params.get("mu") is not None:
+        return serialize.measure_from_json(params["mu"])
+    if params.get("selection") is not None:
         sel = serialize._Fields(params["selection"], "selection")
         if sel.get("type") == "plateau":
-            mu = c01.plateau_duality_measure(f, sel["a"], sel["b"])
-        else:
-            mu = c01.atomic_duality_measure(f, sel["points"], sel.get("alphas"))
-    else:
-        mu = c01.canonical_duality_measure(f)
-    _require(c01.C01Space().is_member(f, mu), f"{key} in J(f)")
-    return mu
+            return c01._plateau_measure(f, norm, sel["a"], sel["b"])
+        return c01._atomic_measure(f, c01._maximizing_set(f, norm), sel["points"], sel.get("alphas"))
+    return c01._canonical_measure(f, norm)
+
+
+def _query_at(space: c01.C01Space, f: c01.PwlFunction, mu: c01.RcaMeasure, **query) -> CoderivativeQuery:
+    """The query at the base pair (f, mu), whose membership test stands for the hypothesis mu in J(f)."""
+    try:
+        return CoderivativeQuery(space, GraphPair(f, mu), **query)
+    except _OffGraph:
+        raise HypothesisViolation("mu in J(f)") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,13 +328,11 @@ def _shift_curve(theorem: str, query: CoderivativeQuery, shift: float, points, a
 
 def _thm53(space: c01.C01Space, params: dict) -> Witness:
     f = serialize.pwl_from_json(params["f"])
-    _require(bool(np.all(f.values >= 0.0)), "f in C+[0,1]")
+    _require(bool((f.values >= 0.0).all()), "f in C+[0,1]")
     norm = space.norm(f)
     _require(norm > 0.0, "||f|| > 0")
-    mu = _resolve_measure(params, "mu", f)
-    query = CoderivativeQuery(
-        space, GraphPair(f, mu), candidate=c01.zero_measure(), second_dual=f
-    )
+    mu = _resolve_measure(params, f, norm)
+    query = _query_at(space, f, mu, candidate=c01.zero_measure(), second_dual=f)
     curve = _scaling_curve(query, "thm53", -1.0)
     return Witness("thm53", query, curve, norm / 2.0)
 
@@ -336,12 +341,13 @@ def _thm54(space: c01.C01Space, params: dict) -> Witness:
     f = serialize.pwl_from_json(params["f"])
     lam = serialize.measure_from_json(params["lambda"])
     ip = space.pair(lam, f)
-    _require(ip != 0.0, "<lambda, f> != 0")
-    mu = _resolve_measure(params, "mu", f)
+    _require(ip != 0.0, "<lambda, f> != 0")  # so f != 0
+    norm = space.norm(f)
+    mu = _resolve_measure(params, f, norm)
     s = 1.0 if ip > 0.0 else -1.0
-    query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam)
+    query = _query_at(space, f, mu, candidate=lam)
     curve = _scaling_curve(query, "thm54", s)
-    return Witness("thm54", query, curve, abs(ip) / (2.0 * space.norm(f)))
+    return Witness("thm54", query, curve, abs(ip) / (2.0 * norm))
 
 
 def _thm55(space: c01.C01Space, params: dict) -> Witness:
@@ -360,51 +366,52 @@ def _thm55(space: c01.C01Space, params: dict) -> Witness:
         # Shifting by sgn keeps the peaks at sgn * ||f|| maximizing for every
         # t; the opposite peaks stay maximizing while t is below half the gap
         # to the largest value of sgn * f.
-        pts = c01.peak_points(f, int(sgn))
+        mset = c01._maximizing_set(f, norm)
+        pts = c01._peak_points(f, norm, mset, int(sgn))
         if not pts:
-            pts = c01.peak_points(f, -int(sgn))
+            pts = c01._peak_points(f, norm, mset, -int(sgn))
             extreme = float(np.max(sgn * f.values))  # max of sgn * f, < norm here
             t_max = (norm - extreme) / 2.0 / 2.0
         alph = [1.0 / len(pts)] * len(pts)
-        mu = c01.atomic_duality_measure(f, pts, alph)
+        mu = c01._atomic_measure(f, mset, pts, alph)
     query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam)
     curve = _shift_curve("thm55", query, sgn, pts, alph, t_max)
     return Witness("thm55", query, curve, abs(mass) / 2.0)
 
 
-def _shared_peaks(f: c01.PwlFunction, u: c01.PwlFunction, params: dict) -> list:
-    norm_u = c01.sup_norm(u)
-    if params.get("points") is not None:
-        pts = [float(s) for s in params["points"]]
-        mset = c01.maximizing_set(f)
-        for s in pts:
-            _require(
-                mset.contains(s) and abs(float(u(s)) - norm_u) <= 1e-9 * max(1.0, norm_u),
-                "points lie in M(u) and M(f)",
-            )
-        return pts
-    pts = [
-        s
-        for s in c01.peak_points(f, 1)
-        if abs(float(u(s)) - norm_u) <= c01.VALUE_TOL * max(1.0, norm_u)
-    ]
-    _require(bool(pts), "M(u) and M(f) share a point")
-    return pts
-
-
 def _thm56(space: c01.C01Space, params: dict) -> Witness:
     f = serialize.pwl_from_json(params["f"])
     u = serialize.pwl_from_json(params["u"])
-    _require(bool(np.all(f.values >= 0.0)), "f in C+[0,1]")
-    _require(bool(np.all(u.values >= 0.0)), "u in C+[0,1]")
+    _require(bool((f.values >= 0.0).all()), "f in C+[0,1]")
+    _require(bool((u.values >= 0.0).all()), "u in C+[0,1]")
+    return _shared_peak_witness(space, f, u, params)
+
+
+def _shared_peak_witness(space: c01.C01Space, f: c01.PwlFunction, u: c01.PwlFunction, params: dict) -> Witness:
+    """thm56 for nonnegative f and u, at ``points`` with ``alphas`` when params give them."""
     norm_f, norm_u = space.norm(f), space.norm(u)
     _require(norm_f > 0.0, "||f|| > 0")
     _require(norm_u > norm_f, "||u|| > ||f||")
-    pts = _shared_peaks(f, u, params)
+    mset_f = c01._maximizing_set(f, norm_f)
+    if params.get("points") is not None:
+        pts = [float(s) for s in params["points"]]
+        for s, v in zip(pts, u(np.array(pts)).tolist()):
+            _require(
+                mset_f.contains(s) and abs(v - norm_u) <= 1e-9 * max(1.0, norm_u),
+                "points lie in M(u) and M(f)",
+            )
+    else:
+        peaks = c01._peak_points(f, norm_f, mset_f, 1)
+        pts = [
+            s
+            for s, v in zip(peaks, u(np.array(peaks)).tolist())
+            if abs(v - norm_u) <= c01.VALUE_TOL * max(1.0, norm_u)
+        ]
+        _require(bool(pts), "M(u) and M(f) share a point")
     alph = params.get("alphas")
     alph = [1.0 / len(pts)] * len(pts) if alph is None else [float(a) for a in alph]
-    mu = c01.atomic_duality_measure(f, pts, alph)
-    lam = c01.atomic_duality_measure(u, pts, alph)
+    mu = c01._atomic_measure(f, mset_f, pts, alph)
+    lam = c01._atomic_measure(u, c01._maximizing_set(u, norm_u), pts, alph)
     query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam, second_dual=f)
     curve = _shift_curve("thm56", query, 1.0, pts, alph, 1.0)
     return Witness("thm56", query, curve, (norm_u - norm_f) / 2.0)
@@ -413,31 +420,29 @@ def _thm56(space: c01.C01Space, params: dict) -> Witness:
 def _cor57(space: c01.C01Space, params: dict) -> Witness:
     f = serialize.pwl_from_json(params["f"])
     u = serialize.pwl_from_json(params["u"])
-    _require(bool(np.all(f.values >= 0.0)), "f in C+[0,1]")
-    _require(bool(np.all(u.values >= 0.0)), "u in C+[0,1]")
-    _require(bool(np.all(np.diff(f.values) >= 0.0)), "f increasing")
-    _require(bool(np.all(np.diff(u.values) >= 0.0)), "u increasing")
+    _require(bool((f.values >= 0.0).all()), "f in C+[0,1]")
+    _require(bool((u.values >= 0.0).all()), "u in C+[0,1]")
+    _require(bool((np.diff(f.values) >= 0.0).all()), "f increasing")
+    _require(bool((np.diff(u.values) >= 0.0).all()), "u increasing")
     _require(float(f(1.0)) > 0.0, "f(1) > 0")
     _require(float(u(1.0)) > float(f(1.0)), "u(1) > f(1)")
     # Increasing nonnegative functions peak at the right endpoint; this is a
     # thm56 instance with the endpoint atoms mu = f(1) delta_1, lambda = u(1) delta_1.
-    witness = _thm56(space, {"f": params["f"], "u": params["u"], "points": [1.0], "alphas": [1.0]})
+    witness = _shared_peak_witness(space, f, u, {"points": [1.0], "alphas": [1.0]})
     return replace(witness, theorem="cor57")
 
 
 def _thm58(space: c01.C01Space, params: dict) -> Witness:
     f = serialize.pwl_from_json(params["f"])
     c = float(params["c"])
-    _require(bool(np.all(f.values >= 0.0)), "f in C+[0,1]")
+    _require(bool((f.values >= 0.0).all()), "f in C+[0,1]")
     norm = space.norm(f)
     _require(norm > 0.0, "||f|| > 0")
     _require(c > 0.0, "c > 0")
     _require(c != 1.0, "c != 1")
-    mu = _resolve_measure(params, "mu", f)
+    mu = _resolve_measure(params, f, norm)
     s = 1.0 if c > 1.0 else -1.0
-    query = CoderivativeQuery(
-        space, GraphPair(f, mu), candidate=space.dual_scale(mu, c), second_dual=f
-    )
+    query = _query_at(space, f, mu, candidate=space.dual_scale(mu, c), second_dual=f)
     curve = _scaling_curve(query, "thm58", s)
     return Witness("thm58", query, curve, abs(c - 1.0) * norm / 2.0)
 

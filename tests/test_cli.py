@@ -148,8 +148,11 @@ def test_run_rejects_tolerances_that_are_not_an_object(tmp_path, capsys):
         ([["lp", "thm31"]], "scenarios must be a JSON list of objects"),
         ([{"space": "lp", "theorem": "thm31"}], "a space descriptor must be a JSON object, got 'lp'"),
         ([{"space": {"space": "lp"}, "theorem": "thm31"}], "a space descriptor needs the key 'p'"),
+        ([{"theorem": "thm31"}], "a scenario needs the key 'space'"),
+        ([{"space": {"space": "lp", "p": 2.0}}], "a scenario needs the key 'theorem'"),
     ],
-    ids=["string", "number", "scenarios-string", "scenario-list", "space-string", "space-no-p"],
+    ids=["string", "number", "scenarios-string", "scenario-list", "space-string", "space-no-p",
+         "scenario-no-space", "scenario-no-theorem"],
 )
 def test_run_rejects_a_malformed_scenario_file(tmp_path, capsys, data, message):
     path = tmp_path / "malformed.json"
@@ -262,8 +265,11 @@ def test_eval_output_reparses_to_equal_value(capsys):
          "selection must be a JSON object, got 5"),
         ({"space": {"space": "c01"}, "theorem": "thm53", "params": {"f": "tent", "selection": {"type": "plateau"}}},
          "selection needs the key 'a'"),
+        ({"space": {"space": "c01"}, "theorem": "thm53", "params": {"f": "tent", "mu": {"atoms": [[0.25, 1.0]]}}},
+         "hypothesis violated: mu in J(f)"),
     ],
-    ids=["params-number", "params-string", "thm46-empty", "lambda-number", "selection-number", "plateau-no-a"],
+    ids=["params-number", "params-string", "thm46-empty", "lambda-number", "selection-number", "plateau-no-a",
+         "mu-outside-J"],
 )
 def test_run_names_a_malformed_or_missing_param(tmp_path, capsys, scenario, message):
     path = tmp_path / "params.json"

@@ -141,6 +141,14 @@ def test_mask_from_indices_rejects_an_index_that_is_not_a_finite_integer():
     for outside in (4, -1, 1e300):
         with pytest.raises(ValueError, match=r"is not an integer in \[0, 4\)"):
             mask_from_indices(four, [outside])
+    # a long list is checked as one array; the message still names the bad entry
+    wide = FiniteMeasureSpace(np.ones(1024))
+    good = list(range(0, 1000, 2))
+    assert mask_from_indices(wide, good).nonzero()[0].tolist() == good
+    for bad in (0.5, 1024, float("nan"), "1", None, 2**63):
+        with pytest.raises(ValueError, match=r"is not an integer in \[0, 1024\)") as caught:
+            mask_from_indices(wide, good + [bad])
+        assert repr(bad) in str(caught.value)
 
 
 def test_selection_always_member():
