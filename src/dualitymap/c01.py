@@ -25,7 +25,9 @@ over the union of the breakpoint grids, with no per-segment Python loop.
 and then walks only those, so its Python work is linear in the number of
 maximizers (usually one to three).  ``pairing_c``,
 ``atomic_duality_measure`` and ``peak_points`` evaluate f at all their
-points with one ``np.interp`` call.  Measure rows whose atoms sit at the
+points with one ``np.interp`` call.  The density terms of a batch read f
+at its own breakpoints and interpolate it only at the density's other
+breakpoints.  Measure rows whose atoms sit at the
 subtrahend's own locations (every scaling and shift curve) subtract weight
 by weight, with no union of locations.  A caller that knows ||f|| or M(f)
 passes it to the private forms (``_maximizing_set``, ``_peak_points``,
@@ -67,8 +69,10 @@ shorter row padded by repeating its last breakpoint (1.0) and value, which
 changes neither the function nor its sup norm; a padded column is one whose
 breakpoint does not increase.  ``sup_norm``, ``pwl_scale``, ``pwl_sub`` (on
 each row's union grid), ``maximizer_runs`` (M(f) as masks) and
-``canonical_duality_measure`` take a stack.  The last returns
-``MeasureRows`` with a sorted row of atom locations each, for the atom
+``canonical_duality_measure`` take a stack, and ``take_rows`` selects rows
+of one.  The last returns ``MeasureRows`` with a sorted row of atom
+locations each, its atoms on breakpoints taking f's values there and only
+plateau midpoints interpolated, for the atom
 pairing, the TV norm and ``C01Space.dual_sub`` of two such rows, which adds
 one atom of each side at a location and drops a sum of 0.0, as
 ``RcaMeasure`` does; densities stay on shared grids.  Interpolation counts
@@ -117,6 +121,7 @@ __all__ = [
     "atom_rows",
     "pwl_rows",
     "maximizer_runs",
+    "take_rows",
 ]
 
 # Value comparisons against the exact piecewise-linear model only need to
@@ -428,9 +433,34 @@ def _density_tv(d: StepDensity):
 
 
 def _density_terms(d: StepDensity, f: PwlFunction) -> np.ndarray:
-    """Per-segment terms of <d, f> on the union grid; a zero-density segment gives +0.0."""
-    grid = np.union1d(d.breakpoints, f.breakpoints)
-    fvals = f(grid)
+    """Per-segment terms of <d, f> on the union grid; a zero-density segment gives +0.0.
+
+    One f is interpolated on the union grid by ``np.interp``, which returns
+    f's values on its own breakpoints.  A batch takes its values there and
+    the in-between rule of the ``np.interp`` kernel only at the density's
+    other breakpoints, each strictly inside a segment of f.
+    """
+    bp, dbp, fvals = f.breakpoints, d.breakpoints, f.values
+    if fvals.ndim == 1:
+        grid = np.union1d(dbp, bp)
+        fvals = f(grid)
+    else:
+        at = bp.searchsorted(dbp)  # bp[at - 1] < dbp <= bp[at]
+        new = bp[at] != dbp
+        grid = bp
+        if new.any():
+            at, s = at[new], dbp[new]
+            inner = _between(s, bp[at - 1], bp[at], fvals[:, at - 1], fvals[:, at])
+            slots = at + np.arange(at.size)  # the new points' columns in the union grid
+            own = np.ones(bp.size + at.size, dtype=bool)
+            own[slots] = False
+            own = own.nonzero()[0]
+            grid = np.empty(own.size + at.size)
+            # column-major, as a gather along the last axis lays it out: each column is one write
+            merged = np.empty((grid.size, fvals.shape[0])).T
+            grid[own], grid[slots] = bp, s
+            merged[:, own], merged[:, slots] = fvals, inner
+            fvals = merged
     dens = d.values_on(grid)
     terms = dens * (grid[1:] - grid[:-1]) * 0.5 * (fvals[..., :-1] + fvals[..., 1:])
     return np.where(dens != 0.0, terms, 0.0)
@@ -607,14 +637,28 @@ class MeasureRows:
 def _canonical_rows(f: PwlFunction) -> MeasureRows:
     """``canonical_duality_measure`` of each row of a stack, an atom at the first column of each run.
 
-    A zero row gets weights of +-0.0, no atom, as the zero measure has none.
+    An atom on a breakpoint (every ``last`` column) takes f's value there,
+    which is what interpolation returns on a breakpoint; only the midpoints
+    of plateaus are interpolated.  A zero row gets weights of +-0.0, no
+    atom, as the zero measure has none.
     """
     first, last = _runs(f, sup_norm(f), VALUE_TOL)
     bp, cols = f.breakpoints, np.arange(f.breakpoints.shape[-1])
     end = np.minimum.accumulate(np.where(last, cols, cols[-1])[:, ::-1], axis=-1)[:, ::-1]
     locations = np.where(last, bp, 0.5 * (bp + bp[np.arange(bp.shape[0])[:, None], end]))
-    weights = (1.0 / first.sum(-1))[:, None] * f(locations)
+    values = f.values.copy()
+    r, c = (first & ~last).nonzero()  # the plateau starts: their atoms sit at midpoints
+    if r.size:
+        values[r, c] = _interp_rows(locations[r, c, None], bp[r], f.values[r])[:, 0]
+    weights = (1.0 / first.sum(-1))[:, None] * values
     return MeasureRows(locations, np.where(first, weights, 0.0))
+
+
+def take_rows(v, rows):
+    """The rows ``rows`` of a stack from ``pwl_rows``, or of its ``MeasureRows`` (no density)."""
+    if isinstance(v, MeasureRows):
+        return MeasureRows(v.locations[rows], v.weights[rows])
+    return _on_checked_grid(PwlFunction, v.breakpoints[rows], v.values[rows])
 
 
 def atom_rows(points, weights: np.ndarray) -> MeasureRows:

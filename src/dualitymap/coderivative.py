@@ -118,6 +118,11 @@ def duality_gaps(space: Space, x, u) -> tuple:
     One element takes Python-float arithmetic, which rounds as numpy does at
     a fraction of the cost; ``max`` there drops a NaN norm, but that norm
     makes both numerators NaN, so the gaps are NaN either way.
+
+    Where ‖x‖² or <u, x> overflows (‖x‖ from about 1.34e154), the pair gap
+    of a row with a finite ‖x‖ >= 1 is found again on the pair scaled by
+    1/‖x‖, as |<u/‖x‖, x/‖x‖> - 1|, the same quotient; every finite gap
+    keeps its bits.
     """
     with np.errstate(all="ignore"):  # as Python float arithmetic
         norm = space.norm(x)
@@ -125,7 +130,19 @@ def duality_gaps(space: Space, x, u) -> tuple:
         square = norm * norm
         norm_gap = abs(space.dual_norm(u) - norm) / bound(1.0, norm)
         pair_gap = abs(space.pair(u, x) - square) / bound(1.0, square)
+        if bound is max:
+            if not math.isfinite(pair_gap) and 1.0 <= norm < math.inf:
+                pair_gap = _unit_pair_gap(space, x, u, 1.0 / norm)
+        elif not np.isfinite(pair_gap).all():
+            redo = ~np.isfinite(pair_gap) & (norm >= 1.0) & (norm < math.inf)
+            c = np.where(redo, 1.0 / norm, 1.0)[:, None]  # the other rows are not used
+            pair_gap = np.where(redo, _unit_pair_gap(space, x, u, c), pair_gap)
     return norm_gap, pair_gap
+
+
+def _unit_pair_gap(space: Space, x, u, c):
+    """|<c u, c x> - 1|, the pair gap of (x, u) for c = 1/‖x‖ <= 1 (a column of them for a batch)."""
+    return abs(space.pair(space.dual_scale(u, c), space.scale(x, c)) - 1.0)
 
 
 @dataclass(frozen=True, eq=False)

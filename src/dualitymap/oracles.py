@@ -22,14 +22,22 @@ coordinates: one stack of 1-7 zero-padded to 7 columns, one of 8.  Zeros
 change no l_p norm, pairing or J, and numpy sums fewer than 8 terms left to
 right (``np.dot`` too, at these sizes), so they move no bit but a zero
 pairing's sign; from 8 terms its sums unroll 8 ways.  c01: one stack of
-functions, each row on its own grid of 2-8 breakpoints (``c01.pwl_rows``).
-The sup norm and M(f) are maxima and masks, and the atom sums run left to
-right over each row's sorted atoms, an absent atom adding +0.0.
+functions, each row on its own grid of 2-8 breakpoints (``c01.pwl_rows``),
+the draws' x and y in one stack, so of one width.  The sup norm and M(f) are
+maxima and masks, and the atom sums run left to right over each row's
+sorted atoms, an absent atom adding +0.0.
+
+J is evaluated once per stack: the battery maps [x; y; x; x] scaled by the
+factor column [1; 1; 0; alpha] with one ``canonical_dual`` call and splits
+it into J(x), J(y), J(0 x) and J(alpha x), which 1 * x = x keeps bitwise.
+The c01 invariants find M(f) of f and its scalings by -2, 0.5 and 3 as one
+stack of four times the samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 
 import numpy as np
 
@@ -194,7 +202,7 @@ def _lp_stacks(*columns):
 def _group_lp(draws: list):
     x, y, alpha = zip(*draws)
     for rows, xs, ys in _lp_stacks(x, y):
-        yield rows, (xs, ys, np.array(alpha)[rows, None])
+        yield rows, np.concatenate([xs, ys]), np.array(alpha)[rows]
 
 
 def _nonzero_values(space: l1.FiniteMeasureSpace, rng) -> np.ndarray:
@@ -211,8 +219,8 @@ def _draw_l1(space: l1.FiniteMeasureSpace, rng) -> tuple:
 
 
 def _group_l1(draws: list):
-    x, y, alpha = (np.array(column) for column in zip(*draws))
-    return [(slice(None), (x, y, alpha[:, None]))]
+    x, y, alpha = zip(*draws)
+    return [(slice(None), np.array(x + y), np.array(alpha))]
 
 
 def _draw_pwl(rng) -> tuple:
@@ -230,7 +238,7 @@ def _draw_c01(space: c01.C01Space, rng) -> tuple:
 
 def _group_c01(draws: list):
     x, y, alpha = zip(*draws)
-    return [(slice(None), (c01.pwl_rows(*zip(*x)), c01.pwl_rows(*zip(*y)), np.array(alpha)[:, None]))]
+    return [(slice(None), c01.pwl_rows(*zip(*(x + y))), np.array(alpha))]
 
 
 def _lp_invariants(space: lp.LpSpace, rng, sample_count: int) -> tuple:
@@ -293,28 +301,31 @@ def _run_parts(first: np.ndarray, last: np.ndarray) -> tuple:
 
 
 def _c01_invariants(space: c01.C01Space, rng, sample_count: int) -> tuple:
-    f = c01.pwl_rows(*zip(*(_draw_pwl(rng) for _ in range(sample_count))))
-    runs = c01.maximizer_runs(f)
-    same = [
-        _same_runs(f.breakpoints, c01.maximizer_runs(c01.pwl_scale(f, t)), runs, 1e-12)
-        for t in (-2.0, 0.5, 3.0)
-    ]
+    n = sample_count
+    f = c01.pwl_rows(*zip(*(_draw_pwl(rng) for _ in range(n))))
+    # f and its scalings by -2, 0.5 and 3 as one stack, each scaling's M(f) against f's
+    factors = np.repeat([1.0, -2.0, 0.5, 3.0], n)[:, None]
+    scaled = c01.pwl_scale(c01.take_rows(f, np.arange(4 * n) % n), factors)
+    first, last = c01.maximizer_runs(scaled)
+    base = (np.concatenate([first[:n]] * 3), np.concatenate([last[:n]] * 3))
+    same = _same_runs(scaled.breakpoints[n:], (first[n:], last[n:]), base, 1e-12)
     exactness = np.maximum(*duality_gaps(space, f, space.canonical_dual(f)))
     return (
-        _record("maximizing_set_scaling", np.where(np.logical_and.reduce(same), 0.0, 1.0)),
+        _record("maximizing_set_scaling", np.where(same.reshape(3, -1).all(0), 0.0, 1.0)),
         _record("atomic_member_exact", exactness),
     )
 
 
 # Per backend: the battery draw (two primal elements x, y, for c01 each a grid
-# and its values, and a scalar alpha), the backend-specific invariants, and
-# the grouping of the draws into (rows, (x, y, alpha)) stacks, rows indexing
-# the draws: one stack (L1, c01) or two (lp, see above); keyed by
-# ``descriptor()["space"]``.
+# and its values, and a scalar alpha), the backend-specific invariants, the
+# grouping of the draws into (rows, xy, alpha) stacks, rows indexing the
+# draws, xy their x then their y, one row each: one stack (L1, c01) or two
+# (lp, see above); and the selection of rows of a stack or of its J; keyed
+# by ``descriptor()["space"]``.
 _BACKENDS = {
-    "lp": (_draw_lp, _lp_invariants, _group_lp),
-    "l1": (_draw_l1, _l1_invariants, _group_l1),
-    "c01": (_draw_c01, _c01_invariants, _group_c01),
+    "lp": (_draw_lp, _lp_invariants, _group_lp, getitem),
+    "l1": (_draw_l1, _l1_invariants, _group_l1, getitem),
+    "c01": (_draw_c01, _c01_invariants, _group_c01, c01.take_rows),
 }
 
 
@@ -333,20 +344,28 @@ def _squared(norm: np.ndarray) -> np.ndarray:
     return np.array([n**2 for n in norm.tolist()])
 
 
-def _battery_terms(space, hilbert: bool, x, y, alpha) -> tuple:
+def _battery_terms(space, take, hilbert: bool, xy, alpha: np.ndarray) -> tuple:
     """The J3-J6 terms of a stack of draws, row by row, then J2's on l_2.
 
-    The J5 violation is max(0, the third term), the J6 violation max(0, the
-    fourth, the fifth); the caller takes those maxima over all draws at once.
+    ``xy`` holds the n draws' x in its first n rows and their y in the next
+    n.  One ``canonical_dual`` call maps the stack [x; y; x; x] scaled by
+    the factor column [1; 1; 0; alpha], and ``take`` splits it into J(x),
+    J(y), J(0 x) and J(alpha x); each row is bitwise its own call's, as
+    1 * x is x.  The J5 violation is max(0, the third term), the J6
+    violation max(0, the fourth, the fifth); the caller takes those maxima
+    over all draws at once.
     """
-    jx, jy = space.canonical_dual(x), space.canonical_dual(y)
+    n = alpha.size
+    factors = np.concatenate([np.ones(2 * n), np.zeros(n), alpha])[:, None]
+    rows = np.concatenate([np.arange(2 * n), np.arange(n), np.arange(n)])  # [x; y; x; x]
+    j = space.canonical_dual(space.scale(take(xy, rows), factors))
+    jx, jy, j0, jax = (take(j, slice(k * n, (k + 1) * n)) for k in range(4))
+    x, y, alpha = take(xy, slice(n)), take(xy, slice(n, 2 * n)), alpha[:, None]
     diff = space.sub(x, y)
     mid = _squared(space.norm(x)) - _squared(space.norm(y))
     terms = (
-        space.dual_norm(space.canonical_dual(space.scale(x, 0.0))),
-        space.dual_norm(
-            space.dual_sub(space.canonical_dual(space.scale(x, alpha)), space.dual_scale(jx, alpha))
-        ),
+        space.dual_norm(j0),
+        space.dual_norm(space.dual_sub(jax, space.dual_scale(jx, alpha))),
         -space.pair(space.dual_sub(jx, jy), diff),
         2.0 * space.pair(jy, diff) - mid,
         mid - 2.0 * space.pair(jx, diff),
@@ -365,14 +384,14 @@ def run_appendix_battery(space, sample_count: int, seed: int) -> SuiteReport:
     J2 (J is the identity) applies to l_2 only.  Differences of dual elements
     are measured in the dual norm.  All draws come first; the backend then
     evaluates them as one stack (L1, c01) or two zero-padded stacks (lp),
-    and every value goes back to its draw's place.
+    with one J call per stack, and every value goes back to its draw's place.
     """
-    draw, _, group = _backend(space, sample_count)
+    draw, _, group, take = _backend(space, sample_count)
     rng = np.random.default_rng(seed)
     hilbert = space.descriptor() == {"space": "lp", "p": 2.0}
     terms = np.empty((5 + hilbert, sample_count))  # one value per sample, in draw order
-    for rows, sample in group([draw(space, rng) for _ in range(sample_count)]):
-        terms[:, rows] = _battery_terms(space, hilbert, *sample)
+    for rows, xy, alpha in group([draw(space, rng) for _ in range(sample_count)]):
+        terms[:, rows] = _battery_terms(space, take, hilbert, xy, alpha)
     j3, j4, j5, j6_lo, j6_hi, *j2 = terms
     records = (
         _record("J2", j2[0] if hilbert else (), applicable=hilbert),
@@ -392,7 +411,8 @@ def run_backend_invariants(space, sample_count: int, seed: int) -> tuple:
     C[0,1]: scaling invariance of the maximizing set and exactness of the
     atomic duality measures.  The draws are valid, so the space methods,
     which do not re-check them, take them directly: lp as the battery's two
-    zero-padded stacks, L1 and c01 as one stack.
+    zero-padded stacks, L1 and c01 as one stack.  Each stack has one J call;
+    c01 also finds M(f) once, for f and its three scalings stacked.
     """
     invariants = _backend(space, sample_count)[1]
     return invariants(space, np.random.default_rng(seed), sample_count)

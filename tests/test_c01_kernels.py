@@ -10,7 +10,7 @@ identical.
 import numpy as np
 import pytest
 
-from dualitymap import C01Space, PwlFunction, is_duality_member_c, maximizing_set, pairing_c
+from dualitymap import C01Space, c01, PwlFunction, is_duality_member_c, maximizing_set, pairing_c
 from dualitymap.c01 import (
     VALUE_TOL,
     MaximizingSet,
@@ -56,6 +56,25 @@ def ref_pairing(mu: RcaMeasure, f: PwlFunction) -> float:
             if d != 0.0:
                 total += d * (b - a) * 0.5 * (fvals[k] + fvals[k + 1])
     return float(total)
+
+
+def ref_density_terms(d: StepDensity, f: PwlFunction) -> np.ndarray:
+    """The density terms of a pairing with f interpolated on the whole union grid."""
+    grid = np.union1d(d.breakpoints, f.breakpoints)
+    fvals = f(grid)
+    dens = d.values_on(grid)
+    terms = dens * (grid[1:] - grid[:-1]) * 0.5 * (fvals[..., :-1] + fvals[..., 1:])
+    return np.where(dens != 0.0, terms, 0.0)
+
+
+def ref_canonical_rows(f: PwlFunction) -> MeasureRows:
+    """The canonical measures of a stack with f interpolated at every atom location."""
+    first, last = c01._runs(f, sup_norm(f), VALUE_TOL)
+    bp, cols = f.breakpoints, np.arange(f.breakpoints.shape[-1])
+    end = np.minimum.accumulate(np.where(last, cols, cols[-1])[:, ::-1], axis=-1)[:, ::-1]
+    locations = np.where(last, bp, 0.5 * (bp + bp[np.arange(bp.shape[0])[:, None], end]))
+    weights = (1.0 / first.sum(-1))[:, None] * f(locations)
+    return MeasureRows(locations, np.where(first, weights, 0.0))
 
 
 def ref_pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
@@ -531,3 +550,51 @@ def test_stacked_atoms_merge_as_rca_measure_merges_them():
         assert same_tuples(row_atoms(got, i), ref_measure_sub(one(mu), one(nu)).atoms)
     assert row_atoms(got, 0) == ((0.0, 0.1 - 0.4), (0.5, 0.2))
     assert row_atoms(got, 1) == ((0.3, 0.3),)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_density_terms_read_f_at_its_breakpoints(n):
+    # only the density's own breakpoints are interpolated; the terms are the
+    # union-grid form's, bit for bit, for one f and for a batch of its scalings
+    rng, fs = draws(n)
+    for i, f in enumerate(fs):
+        for mode in ("shared", "partial", "own"):
+            d = density_on(rng, f, mode)
+            assert same_array(c01._density_terms(d, f), ref_density_terms(d, f))
+            factors = rng.uniform(-2.0, 2.0, (5, 1))
+            rows, dens = pwl_scale(f, factors), c01._density_scale(d, factors[::-1])
+            assert same_array(c01._density_terms(d, rows), ref_density_terms(d, rows))
+            assert same_array(c01._density_terms(dens, rows), ref_density_terms(dens, rows))
+    # a density breakpoint next to one of f's, and two in one segment of f
+    f = PwlFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, -2.0, 3.0]))
+    for bp in ([0.0, np.nextafter(0.5, 0.0), 1.0], [0.0, 0.1, 0.2, 1.0], [0.0, 0.5, 0.75, 1.0]):
+        d = StepDensity(np.array(bp), np.arange(1.0, len(bp)))
+        assert same_array(c01._density_terms(d, f), ref_density_terms(d, f))
+
+
+@pytest.mark.parametrize("n", (2, 3, 8, 16))
+def test_canonical_rows_read_f_at_its_breakpoints(n):
+    # an atom on a breakpoint takes f's value there, a plateau's atom is
+    # interpolated at its midpoint: bit for bit the interpolation at every atom
+    rng, fs = draws(n)
+    fs += [level_pwl(rng, k) for k in range(2, n + 1)]  # padded rows, plateaus
+    fs += [PwlFunction(np.linspace(0.0, 1.0, k), np.zeros(k)) for k in (2, n)]  # zero rows
+    # a plateau whose ends differ by 4 ulps: its midpoint value is neither end's
+    fs.append(PwlFunction(np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.0, 3.0, 3.0 + 4 * np.spacing(3.0), -1.0])))
+    smooth = [smooth_pwl(rng, k) for k in range(2, n + 1)]  # no plateau in the stack
+    for rows in (fs, smooth, fs[-2:-1]):
+        x = pwl_rows([f.breakpoints for f in rows], [f.values for f in rows])
+        got, want = c01._canonical_rows(x), ref_canonical_rows(x)
+        assert same_array(got.locations, want.locations) and same_array(got.weights, want.weights)
+    first, last = maximizer_runs(pwl_rows([f.breakpoints for f in fs[-1:]], [f.values for f in fs[-1:]]))
+    assert (first & ~last).tolist() == [[False, True, False, False]]
+
+
+def test_take_rows_selects_rows_of_a_stack_and_of_its_measures():
+    x = pwl_rows([[0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.25, 1.0]], [[1.0, 2.0], [3.0, -4.0, 5.0], [0.0, 1.0, 1.0]])
+    mu = C01Space().canonical_dual(x)
+    for rows in (slice(1, 3), np.array([2, 0, 2])):
+        sub = c01.take_rows(x, rows)
+        assert same_array(sub.breakpoints, x.breakpoints[rows]) and same_array(sub.values, x.values[rows])
+        nu = c01.take_rows(mu, rows)
+        assert same_array(nu.locations, mu.locations[rows]) and same_array(nu.weights, mu.weights[rows])

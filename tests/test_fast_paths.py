@@ -73,6 +73,13 @@ def ref_gaps(space, x, u) -> tuple:
     return norm_gap, pair_gap
 
 
+def ref_scaled_pair_gap(space, x, u) -> float:
+    """The pair gap of one pair with a finite ||x|| >= 1, on the pair scaled by 1/||x||."""
+    c = 1.0 / space.norm(x)
+    with np.errstate(all="ignore"):
+        return abs(space.pair(space.dual_scale(u, c), space.scale(x, c)) - 1.0)
+
+
 def gap_cases():
     rng = np.random.default_rng(stable_seed("gaps"))
     cases = []
@@ -83,9 +90,11 @@ def gap_cases():
     space = FiniteMeasureSpace([1.0, 0.5, 2.0])
     f = rng.uniform(-5.0, 5.0, 3)
     cases += [(space, f, space.canonical_dual(f)), (space, f, rng.uniform(-5.0, 5.0, 3))]
-    # ||x||^2 and <u, x> overflow: inf - inf is NaN
+    # ||x||^2 and <u, x> overflow: inf - inf is NaN, so the pair gap is found
+    # on the pair scaled by 1/||x|| (a member, and a non-member)
     one = FiniteMeasureSpace([1.0])
     cases.append((one, np.array([1e200]), np.array([1e200])))
+    cases.append((one, np.array([1e200]), np.array([-1e200])))
     # ||x|| itself overflows to inf
     two = FiniteMeasureSpace([1.0, 1.0])
     cases.append((two, np.array([1e308, 1e308]), np.array([1e308, 1e308])))
@@ -104,20 +113,26 @@ def gap_cases():
 
 def test_one_element_gaps_are_the_numpy_gaps_without_a_warning():
     seen_nan = seen_inf = False
+    rescaled = 0
     for space, x, u in gap_cases():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = duality_gaps(space, x, u)
         want = ref_gaps(space, x, u)
+        with np.errstate(all="ignore"):
+            norm = space.norm(x)
+        if not np.isfinite(want[1]) and 1.0 <= norm < math.inf:
+            want, rescaled = (want[0], ref_scaled_pair_gap(space, x, u)), rescaled + 1
         assert all(type(g) is float for g in got)
         assert same(got[0], want[0]) and same(got[1], want[1]), (space, x, u)
         assert space.is_member(x, u) == bool((want[0] <= 1e-9) & (want[1] <= 1e-9))
         seen_nan |= any(math.isnan(g) for g in got)
         seen_inf |= any(math.isinf(g) for g in got)
-    assert seen_nan and seen_inf
+    assert seen_nan and seen_inf and rescaled == 4
 
 
 def test_batch_gaps_are_unchanged():
+    # rows in range keep every bit; row 0 overflows and is found on the scaled pair
     space = FiniteMeasureSpace([1.0, 0.5, 2.0])
     rows = np.random.default_rng(3).uniform(-5.0, 5.0, (6, 3))
     rows[0] = 1e200
@@ -125,9 +140,13 @@ def test_batch_gaps_are_unchanged():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = duality_gaps(space, rows, duals)
-    for g, w in zip(got, ref_gaps(space, rows, duals)):
+    want = ref_gaps(space, rows, duals)
+    assert np.isnan(want[1][0])
+    want[1][0] = ref_scaled_pair_gap(space, rows[0], duals[0])
+    for g, w in zip(got, want):
         assert isinstance(g, np.ndarray)
-        assert np.array_equal(g, w, equal_nan=True)
+        assert same_array(g, w)
+    assert space.is_member(rows, duals).all()
 
 
 def test_one_bad_row_fails_a_batch():

@@ -1,5 +1,7 @@
 """The backend protocol: every space implements it, and checks run once per sample."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -256,11 +258,49 @@ def test_zero_element_is_a_member_of_small_duals_only():
 
 
 def test_overflowing_gaps_raise_no_warning():
-    # ||x||**2 and <u, x> overflow to inf: the pairing gap is NaN, so the
-    # pair is refused, without a floating-point warning
+    # ||x||**2 and <u, x> overflow to inf: the pairing gap, inf - inf, is
+    # found again on the pair scaled by 1/||x||, so the pair is a member,
+    # without a floating-point warning
     space = FiniteMeasureSpace([1.0])
     x = np.array([1e200])
-    assert space.is_member(x, space.canonical_dual(x)) is False
+    assert space.is_member(x, space.canonical_dual(x)) is True
+
+
+def huge_pairs():
+    """(space, x, a member of J(x), a non-member) with ||x|| = 1e200: L1 and a c01 peak."""
+    l1, x = FiniteMeasureSpace([1.0]), np.array([1e200])
+    peak = c01.PwlFunction(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1e200, 0.0]))
+    return [
+        (l1, x, np.array([1e200]), np.array([-1e200])),
+        (C01Space(), peak, c01.atom_measure([(0.5, 1e200)]), c01.atom_measure([(0.5, -1e200)])),
+    ]
+
+
+@pytest.mark.parametrize("space, x, member, other", huge_pairs())
+def test_pairs_beyond_the_square_root_of_the_float_range_are_members(space, x, member, other):
+    # ||x||**2 and <u, x> overflow; the pair gap is found on the pair scaled
+    # by 1/||x||, so a member of that size is a member and builds a query
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert space.is_member(x, member) is True
+        assert space.is_member(x, other) is False
+        assert duality_gaps(space, x, other)[1] == 2.0
+        CoderivativeQuery(space, GraphPair(x, member), candidate=member)
+        with pytest.raises(ValueError, match="membership"):
+            CoderivativeQuery(space, GraphPair(x, other), candidate=member)
+
+
+def test_a_batch_rescales_only_its_overflowing_rows():
+    space = FiniteMeasureSpace([1.0, 2.0])
+    x = np.array([[1e200, 0.0], [1.0, -3.0], [0.0, -1e200], [0.0, 0.0]])
+    u = np.array([[1e200, 0.0], [7.0, -7.0], [0.0, -2e200], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm_gap, pair_gap = duality_gaps(space, x, u)
+        assert space.is_member(x, u).tolist() == [True, True, True, True]
+        assert space.is_member(x, -u).tolist() == [False, False, False, True]
+    for i in (1, 3):  # rows in range: the gaps of the row alone, bit for bit
+        assert [g.hex() for g in (norm_gap[i], pair_gap[i])] == [g.hex() for g in duality_gaps(space, x[i], u[i])]
 
 
 @pytest.mark.parametrize("theorem, params", [("thm53", {}), ("thm58", {"c": 1.5})])

@@ -321,16 +321,15 @@ def test_lp_suite_runs_at_most_two_stacks(seed):
     assert 0 < short < 200
     space = Recording(3.0)
     oracles.run_appendix_battery(space, 200, seed)
-    # J3, J4 and the two draws' own duals map each stack; no per-draw call
-    assert set(space.shapes) == {(short, 7), (200 - short, 8)}
-    assert len(space.shapes) == 2 * 4
+    # one call per stack maps [x; y; x; x], for J(x), J(y), J3 and J4; no per-draw call
+    assert space.shapes == [(4 * short, 7), (4 * (200 - short), 8)]
     space.shapes.clear()
     oracles.run_backend_invariants(space, 200, seed)
     assert [shape[1] for shape in space.shapes] == [7, 8]
     assert sum(shape[0] for shape in space.shapes) == 200
     space.shapes.clear()
     oracles.run_appendix_battery(space, 1, seed)
-    assert {shape[0] for shape in space.shapes} == {1}
+    assert len(space.shapes) == 1 and space.shapes[0][0] == 4
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -364,17 +363,35 @@ def test_distorted_c01_space_has_nonzero_violations():
 def test_c01_suite_runs_one_stack(seed):
     space = RecordingC01()
     oracles.run_appendix_battery(space, 200, seed)
-    # J3, J4 and the two draws' own duals each map the whole stack once
-    assert len(space.shapes) == 4
-    assert {shape[0] for shape in space.shapes} == {200}
-    assert {shape[1] for shape in space.shapes} == {8}  # 200 draws hold a grid of 8
+    # one call maps [x; y; x; x] for J(x), J(y), J3 and J4; 200 draws hold a grid of 8
+    assert space.shapes == [(800, 8)]
     space.shapes.clear()
     oracles.run_backend_invariants(space, 200, seed)
     assert [shape[0] for shape in space.shapes] == [200]
     space.shapes.clear()
     oracles.run_appendix_battery(space, 1, seed)
-    assert len(space.shapes) == 4 and {len(shape) for shape in space.shapes} == {2}
-    assert {shape[0] for shape in space.shapes} == {1}
+    assert len(space.shapes) == 1 and space.shapes[0][0] == 4
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_c01_invariants_map_one_stack_of_scalings(monkeypatch, seed):
+    # f and its scalings by -2, 0.5 and 3 as one stack of 4n rows: one
+    # maximizer_runs call, and one comparison against the base runs tiled
+    seen = []
+    runs, same = c01.maximizer_runs, oracles._same_runs
+
+    def runs_spy(f, *args):
+        seen.append(("runs", f.breakpoints.shape))
+        return runs(f, *args)
+
+    def same_spy(bp, *args):
+        seen.append(("same", bp.shape))
+        return same(bp, *args)
+
+    monkeypatch.setattr(c01, "maximizer_runs", runs_spy)
+    monkeypatch.setattr(oracles, "_same_runs", same_spy)
+    oracles.run_backend_invariants(C01Space(), 200, seed)
+    assert seen == [("runs", (800, 8)), ("same", (600, 8))]
 
 
 def test_same_runs_is_same_set_row_by_row():
