@@ -64,7 +64,8 @@ to right from 0.0, and an absent atom or a zero density segment adds +0.0,
 which leaves such a total unchanged.
 
 Stacks: the suite evaluates many functions, each on its own grid, as one
-``PwlFunction`` from ``pwl_rows``: (rows, width) breakpoints and values, a
+``PwlFunction`` from ``pwl_rows`` (or ``pwl_padded_rows``, for grids
+padded already): (rows, width) breakpoints and values, a
 shorter row padded by repeating its last breakpoint (1.0) and value, which
 changes neither the function nor its sup norm; a padded column is one whose
 breakpoint does not increase.  ``sup_norm``, ``pwl_scale``, ``pwl_sub`` (on
@@ -120,6 +121,7 @@ __all__ = [
     "MeasureRows",
     "atom_rows",
     "pwl_rows",
+    "pwl_padded_rows",
     "maximizer_runs",
     "take_rows",
 ]
@@ -210,9 +212,20 @@ def pwl_rows(grids, values) -> PwlFunction:
     width = np.arange(sizes.max())
     at = (sizes.cumsum() - sizes)[:, None] + np.minimum(width, sizes[:, None] - 1)
     bp, vals = (np.asarray(np.concatenate(x), dtype=float)[at] for x in (grids, values))
+    return pwl_padded_rows(bp, vals, sizes)
+
+
+def pwl_padded_rows(bp: np.ndarray, vals: np.ndarray, sizes: np.ndarray) -> PwlFunction:
+    """A stack of functions on (rows, width) grids padded as ``pwl_rows`` pads them.
+
+    Row i's own grid is its first ``sizes[i]`` breakpoints; the columns
+    after them repeat its last breakpoint (1.0) and value.  Each grid is
+    checked as one element's is: it starts at 0, ends at 1 and increases
+    strictly; and the values are finite.
+    """
     if not ((bp[:, 0] == 0.0) & (bp[:, -1] == 1.0)).all():
         raise ValueError("breakpoints must start at 0 and end at 1")
-    if not ((bp[:, 1:] > bp[:, :-1]) | (width[1:] >= sizes[:, None])).all():  # NaN fails too
+    if not ((bp[:, 1:] > bp[:, :-1]) | (np.arange(1, bp.shape[1]) >= sizes[:, None])).all():  # NaN fails too
         raise ValueError("breakpoints must be strictly increasing")
     return _on_checked_grid(PwlFunction, bp, vals)
 

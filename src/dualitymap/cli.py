@@ -69,7 +69,7 @@ def cmd_eval(args) -> int:
             mset = {"atoms": list(found.atoms), "intervals": [list(iv) for iv in found.intervals]}
         selection = serialize.measure_to_json(space.canonical_dual(f))
         out = {"maximizing_set": mset, "selection": selection}
-    print(json.dumps(out))
+    print(json.dumps(out, allow_nan=False))
     return 0
 
 
@@ -119,7 +119,7 @@ def cmd_run(args) -> int:
         rows.append((theorem, cert.claimed_bound, cert.estimate.limit, cert.verdict))
 
     out_path = Path(args.out or file_out or path.with_suffix(".certificates.json"))
-    out_path.write_text(json.dumps(records, indent=2))
+    out_path.write_text(json.dumps(records, indent=2, allow_nan=False))
 
     print(f"{'theorem':<14}{'bound':>14}{'limit':>18}  verdict")
     for theorem, bound, limit, verdict in rows:
@@ -137,7 +137,7 @@ def cmd_suite(args) -> int:
         battery.space, battery.seed, battery.sample_count, battery.records + extra
     )
     out_path = Path(args.out or "suite_report.json")
-    out_path.write_text(json.dumps(report.to_json(), indent=2))
+    out_path.write_text(json.dumps(report.to_json(), indent=2, allow_nan=False))
     for rec in report.records:
         status = "pass" if rec.passed else "FAIL"
         extra = "" if rec.applicable else " (not applicable)"

@@ -395,7 +395,10 @@ def _tail_estimate(quotients, settle_tol: float) -> tuple:
     tail = quotients[-3:]
     # np.mean, bitwise: numpy sums fewer than 8 terms left to right from +0.0
     # (so three -0.0 give +0.0)
-    return float(sum(tail, 0.0) / len(tail)), (max(tail) - min(tail)) <= settle_tol
+    limit = sum(tail, 0.0) / len(tail)
+    if not math.isfinite(limit) and all(map(math.isfinite, tail)):  # the sum overflowed
+        limit = sum([q / len(tail) for q in tail], 0.0)
+    return float(limit), (max(tail) - min(tail)) <= settle_tol
 
 
 def estimate_limit(
@@ -412,7 +415,9 @@ def estimate_limit(
     the curve's validity window is shrunk to half the window and flagged; the
     shrunk schedule passes the checks of ``Schedule`` again, so a last sample
     that underflows to 0 is reported as such.  A curve with an affine form
-    is sampled as one batch.
+    is sampled as one batch.  A quotient or a limit that is not finite
+    raises ``ValueError``; a tail whose sum overflows is averaged term by
+    term, so every other limit keeps the bits of the plain mean.
     """
     sch = schedule if schedule is not None else default_schedule(curve.t_max)
     shrunk = sch.t0 > curve.t_max
@@ -437,7 +442,11 @@ def estimate_limit(
         raise ValueError(
             f"curve {curve.curve_id} does not approach the base point as t drops"
         )
+    if not all(map(math.isfinite, qs)):
+        raise ValueError(f"curve {curve.curve_id} gives a difference quotient that is not finite")
     limit, settled = _tail_estimate(qs, settle_tol)
+    if not math.isfinite(limit):
+        raise ValueError(f"the limit estimate along curve {curve.curve_id} overflows")
     return LimitEstimate(tuple(ts), tuple(qs), limit, settled, settle_tol, shrunk)
 
 

@@ -11,6 +11,7 @@ zero values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,16 @@ class FiniteMeasureSpace(Space):
 
     # -- engine protocol: checked value lists, or (steps, n) stacks of them --
     def norm(self, f):
-        return _float_or_rows((np.abs(f) * self.weights).sum(-1))
+        """||f||_1, one per row of a stack; raises when one overflows."""
+        norm = (np.abs(f) * self.weights).sum(-1)
+        if norm.ndim:
+            finite = np.isfinite(norm).all()
+        else:
+            norm = float(norm)
+            finite = math.isfinite(norm)
+        if not finite:
+            raise ValueError("L1 norm overflows")
+        return norm
 
     def dual_norm(self, g):
         return _float_or_rows(np.abs(g).max(-1))
@@ -160,7 +170,7 @@ def indicator(space: FiniteMeasureSpace, mask) -> np.ndarray:
 
 
 def l1_norm(f, space: FiniteMeasureSpace) -> float:
-    """Weighted absolute sum: sum |f_i| * weight_i."""
+    """Weighted absolute sum: sum |f_i| * weight_i; raises ValueError when that overflows."""
     return space.norm(space.check(f))
 
 

@@ -16,6 +16,7 @@ formula itself.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ __all__ = [
     "pairing",
     "LpSpace",
 ]
+
+
+# The smallest normal float: a sum of powers below it has lost precision.
+_TINY = sys.float_info.min
 
 
 def _check_exponent(p: float) -> float:
@@ -57,16 +62,36 @@ def as_vector(x) -> np.ndarray:
 
 
 def _norm(v: np.ndarray, p: float):
-    """||v||_p as a float, or one norm per row of a stack; raises when one overflows."""
+    """||v||_p as a float, or one norm per row of a stack; raises when one is out of range.
+
+    A sum of |v_i|**p that overflows, or that falls below the smallest
+    normal float for v != 0, is taken again on v / max|v_i| and the root
+    multiplied back, as BLAS nrm2 scales; every other norm keeps the bits of
+    the plain sum's root.
+    """
     # One scalar root per vector (C pow): an array power rounds differently.
-    sums, root = (np.abs(v) ** p).sum(-1), 1.0 / p
+    a = np.abs(v)
+    sums, root = (a**p).sum(-1), 1.0 / p
     if v.ndim == 1:
-        norm = float(sums) ** root
-        finite = math.isfinite(norm)
-    else:
-        norm = np.array([s**root for s in sums.tolist()])
-        finite = np.isfinite(norm).all()
-    if not finite:
+        s = float(sums)
+        if _TINY <= s < math.inf or not v.any():
+            return s**root
+        return float(_rescaled(a[None], p, root)[0])
+    each = sums.tolist()
+    norm = np.array([s**root for s in each])
+    if min(each) < _TINY or max(each) == math.inf:
+        redo = ((sums < _TINY) | (sums == math.inf)) & v.any(-1)  # a zero row's norm is 0
+        if redo.any():
+            norm[redo] = _rescaled(a[redo], p, root)
+    return norm
+
+
+def _rescaled(a: np.ndarray, p: float, root: float) -> np.ndarray:
+    """max a * (sum (a / max a)**p) ** root per row of a stack of |v| with no zero row."""
+    big = a.max(-1)
+    sums = ((a / big[:, None]) ** p).sum(-1)
+    norm = np.array([b * s**root for b, s in zip(big.tolist(), sums.tolist())])
+    if not (norm < math.inf).all():
         raise ValueError(f"l_{p} norm overflows")
     return norm
 

@@ -15,17 +15,37 @@ Set-valued backends quantify the pairwise properties over canonical
 selections: free values zero on zero sets, uniform atom weights on
 maximizing representatives.
 
-The battery and the invariants draw every sample first, in the seeded order
-of a per-sample loop, then compute each property once per stack, each row
+The battery and the invariants draw all their samples at once, one ``rng``
+call per quantity, in this order (n samples; "block" means one call):
+
+* lp battery: the dimensions (n, 1-8); an (2, n, 8) block of U(-10, 10)
+  coordinates, x then y; n U(0, 1) coins, and for each sample a coordinate
+  below its dimension, which is set to 0 in x when the coin is < 0.3 and
+  the dimension > 1; n alphas U(-3, 3).  Coordinates beyond a sample's
+  dimension are +0.0.  lp invariants: the dimensions, then an (n, 8) block.
+* L1 battery: a (2n, m) block of U(-5, 5) values, x then y, and a (2n, m)
+  block of U(0, 1), each < 0.25 setting its value to 0; while some row is
+  all zero, those rows alone are drawn again, by the same two calls; then
+  n alphas U(-3, 3).  L1 invariants: the two (n, m) blocks, f[0] = 1 on an
+  all-zero row, one U(-||f||, ||f||) free value per zero of f, row by row,
+  and n alphas U(0.1, 4).
+* c01 (2n functions x then y for the battery, then n alphas U(-3, 3); n
+  functions for the invariants): the interior breakpoint counts (0-6); a
+  (k, 6) block of U(0.01, 0.99) points, of which row i keeps its first
+  counts[i], sorted, an equal pair merged; a (k, 8) block of U(-5, 5)
+  values, of which a grid of s breakpoints takes the first s.
+
+So sample i depends on the sample count, and every sample has the law of
+one drawn alone.  Each property is then computed once per stack, each row
 bitwise its value alone, in draw order.  L1: one stack.  lp draws have 1-8
 coordinates: one stack of 1-7 zero-padded to 7 columns, one of 8.  Zeros
 change no l_p norm, pairing or J, and numpy sums fewer than 8 terms left to
 right (``np.dot`` too, at these sizes), so they move no bit but a zero
 pairing's sign; from 8 terms its sums unroll 8 ways.  c01: one stack of
-functions, each row on its own grid of 2-8 breakpoints (``c01.pwl_rows``),
-the draws' x and y in one stack, so of one width.  The sup norm and M(f) are
-maxima and masks, and the atom sums run left to right over each row's
-sorted atoms, an absent atom adding +0.0.
+functions, each row on its own grid of 2-8 breakpoints
+(``c01.pwl_padded_rows``), x and y in one stack, so of one width.  The sup
+norm and M(f) are maxima and masks, and the atom sums run left to right
+over each row's sorted atoms, an absent atom adding +0.0.
 
 J is evaluated once per stack: the battery maps [x; y; x; x] scaled by the
 factor column [1; 1; 0; alpha] with one ``canonical_dual`` call and splits
@@ -178,74 +198,90 @@ def _record(property_id: str, violations, applicable: bool = True) -> PropertyRe
     )
 
 
-def _draw_lp(space: lp.LpSpace, rng) -> tuple:
-    dim = int(rng.integers(1, 9))
-    x = rng.uniform(-10.0, 10.0, dim)
-    if dim > 1 and rng.random() < 0.3:
-        x[rng.integers(0, dim)] = 0.0
-    y = rng.uniform(-10.0, 10.0, x.size)
-    return x, y, float(rng.uniform(-3.0, 3.0))
+def _lp_vectors(rng, n: int, copies: int) -> tuple:
+    """n dimensions 1-8 and a (copies, n, 8) block of U(-10, 10) coordinates, +0.0 beyond each dimension."""
+    dims = rng.integers(1, 9, n)
+    block = rng.uniform(-10.0, 10.0, (copies, n, 8))
+    block[:, np.arange(8) >= dims[:, None]] = 0.0
+    return dims, block
 
 
-def _lp_stacks(*columns):
-    """(rows, a stack per column): draws of dimension 1-7 padded to 7 columns, then those of 8."""
-    sizes = np.array([v.size for v in columns[0]])
-    for rows, width in ((np.flatnonzero(sizes < 8), 7), (np.flatnonzero(sizes == 8), 8)):
+def _draw_lp(space: lp.LpSpace, rng, n: int) -> tuple:
+    """The dimensions, the (2, n, 8) block of x and y, and the alphas of n lp draws."""
+    dims, xy = _lp_vectors(rng, n, 2)
+    hit = (rng.random(n) < 0.3) & (dims > 1)
+    xy[0, hit, rng.integers(0, dims)[hit]] = 0.0
+    return dims, xy, rng.uniform(-3.0, 3.0, n)
+
+
+def _lp_stacks(dims: np.ndarray, block: np.ndarray):
+    """(rows, the rows of ``block``): draws of dimension 1-7 as 7 columns, then those of 8."""
+    for rows, width in ((np.flatnonzero(dims < 8), 7), (np.flatnonzero(dims == 8), 8)):
         if rows.size:
-            used = np.arange(width) < sizes[rows, None]
-            stacks = [np.zeros(used.shape) for _ in columns]
-            for stack, vectors in zip(stacks, columns):
-                stack[used] = np.concatenate([vectors[r] for r in rows])
-            yield rows, *stacks
+            yield rows, block[..., rows, :width]
 
 
-def _group_lp(draws: list):
-    x, y, alpha = zip(*draws)
-    for rows, xs, ys in _lp_stacks(x, y):
-        yield rows, np.concatenate([xs, ys]), np.array(alpha)[rows]
+def _group_lp(draws: tuple):
+    dims, xy, alpha = draws
+    for rows, stack in _lp_stacks(dims, xy):
+        yield rows, stack.reshape(-1, stack.shape[-1]), alpha[rows]
 
 
-def _nonzero_values(space: l1.FiniteMeasureSpace, rng) -> np.ndarray:
-    n = space.n
-    while True:
-        f = rng.uniform(-5.0, 5.0, n)
-        f[rng.random(n) < 0.25] = 0.0
-        if f.any():
-            return f
+def _l1_values(rng, shape: tuple) -> np.ndarray:
+    f = rng.uniform(-5.0, 5.0, shape)
+    f[rng.random(shape) < 0.25] = 0.0
+    return f
 
 
-def _draw_l1(space: l1.FiniteMeasureSpace, rng) -> tuple:
-    return _nonzero_values(space, rng), _nonzero_values(space, rng), float(rng.uniform(-3.0, 3.0))
+def _draw_l1(space: l1.FiniteMeasureSpace, rng, n: int) -> tuple:
+    """The (2n, m) stack of x and y, no row all zero, and the alphas of n L1 draws."""
+    xy = _l1_values(rng, (2 * n, space.n))
+    redraw = ~xy.any(-1)
+    while redraw.any():
+        xy[redraw] = _l1_values(rng, (np.count_nonzero(redraw), space.n))
+        redraw = ~xy.any(-1)
+    return xy, rng.uniform(-3.0, 3.0, n)
 
 
-def _group_l1(draws: list):
-    x, y, alpha = zip(*draws)
-    return [(slice(None), np.array(x + y), np.array(alpha))]
+def _pwl_stack(counts: np.ndarray, inner: np.ndarray, values: np.ndarray) -> c01.PwlFunction:
+    """Row i on [0, 1] with the first counts[i] points of ``inner[i]`` inside, valued by ``values[i]``.
 
-
-def _draw_pwl(rng) -> tuple:
-    """The grid and values of a random piecewise-linear function on [0,1] (a.s. nonzero).
-
-    The interior breakpoints are sorted and distinct, as ``np.unique`` gives them.
+    An unused or repeated point becomes 1.0, so a sort leaves each row's
+    interior distinct and increasing, then the 1.0 that pads the grid.
     """
-    interior = sorted(set(rng.uniform(0.01, 0.99, int(rng.integers(0, 7))).tolist()))
-    return [0.0, *interior, 1.0], rng.uniform(-5.0, 5.0, len(interior) + 2)
+    inner = np.where(np.arange(inner.shape[1]) < counts[:, None], inner, 1.0)
+    inner.sort(axis=1)
+    repeated = (inner[:, 1:] == inner[:, :-1]) & (inner[:, 1:] < 1.0)
+    if repeated.any():  # a repeated point merges with its first copy, as a set merges it
+        inner[:, 1:][repeated] = 1.0
+        inner.sort(axis=1)
+    sizes = np.count_nonzero(inner < 1.0, axis=1) + 2
+    width, k = sizes.max(), counts.size
+    bp = np.concatenate([np.zeros((k, 1)), inner, np.ones((k, 1))], axis=1)[:, :width]
+    vals = np.take_along_axis(values, np.minimum(np.arange(width), sizes[:, None] - 1), axis=1)
+    return c01.pwl_padded_rows(bp, vals, sizes)
 
 
-def _draw_c01(space: c01.C01Space, rng) -> tuple:
-    return _draw_pwl(rng), _draw_pwl(rng), float(rng.uniform(-3.0, 3.0))
+def _pwl_draws(rng, k: int) -> c01.PwlFunction:
+    """k random piecewise-linear functions on [0, 1] with 2-8 breakpoints (a.s. nonzero), one stack."""
+    counts = rng.integers(0, 7, k)
+    return _pwl_stack(counts, rng.uniform(0.01, 0.99, (k, 6)), rng.uniform(-5.0, 5.0, (k, 8)))
 
 
-def _group_c01(draws: list):
-    x, y, alpha = zip(*draws)
-    return [(slice(None), c01.pwl_rows(*zip(*(x + y))), np.array(alpha))]
+def _draw_c01(space: c01.C01Space, rng, n: int) -> tuple:
+    return _pwl_draws(rng, 2 * n), rng.uniform(-3.0, 3.0, n)
+
+
+def _one_stack(draws: tuple) -> list:
+    xy, alpha = draws
+    return [(slice(None), xy, alpha)]
 
 
 def _lp_invariants(space: lp.LpSpace, rng, sample_count: int) -> tuple:
     conjugate = lp.LpSpace(space.q)
-    xs = [rng.uniform(-10.0, 10.0, int(rng.integers(1, 9))) for _ in range(sample_count)]
+    dims, (xs,) = _lp_vectors(rng, sample_count, 1)
     identity, roundtrip = np.empty(sample_count), np.empty(sample_count)
-    for rows, x in _lp_stacks(xs):
+    for rows, x in _lp_stacks(dims, xs):
         jx = space.canonical_dual(x)
         identity[rows] = np.maximum(*duality_gaps(space, x, jx))
         back = conjugate.canonical_dual(jx)
@@ -257,24 +293,18 @@ def _lp_invariants(space: lp.LpSpace, rng, sample_count: int) -> tuple:
 
 
 def _l1_invariants(space: l1.FiniteMeasureSpace, rng, sample_count: int) -> tuple:
-    rows, norms, free, alphas, n = [], [], [], [], space.n
-    for _ in range(sample_count):
-        f = rng.uniform(-5.0, 5.0, n)
-        f[rng.random(n) < 0.25] = 0.0
-        if not f.any():
-            f[0] = 1.0
-        norm = space.norm(f)
-        rows.append(f)
-        norms.append(norm)
-        free.append(rng.uniform(-norm, norm, int((f == 0.0).sum())))
-        alphas.append(float(rng.uniform(0.1, 4.0)))
-    f, norm, free, alpha = np.array(rows), np.array(norms), np.concatenate(free), np.array(alphas)[:, None]
+    f = _l1_values(rng, (sample_count, space.n))
+    f[~f.any(-1), 0] = 1.0
+    norm, zero = space.norm(f), f == 0.0
+    bound = np.repeat(norm, np.count_nonzero(zero, axis=-1))
+    free = rng.uniform(-bound, bound)
+    alpha = rng.uniform(0.1, 4.0, sample_count)[:, None]
     sel = l1.duality_selection(f, space, free)
     member = np.maximum(
         abs(space.dual_norm(sel) - norm),
         abs(space.pair(sel, f) - norm * norm),
     )
-    scaled_free = np.broadcast_to(alpha, f.shape)[f == 0.0] * free
+    scaled_free = np.broadcast_to(alpha, f.shape)[zero] * free
     scaling = np.abs(alpha * sel - l1.duality_selection(alpha * f, space, scaled_free)).max(-1)
     return (
         _record("selection_membership", member),
@@ -302,7 +332,7 @@ def _run_parts(first: np.ndarray, last: np.ndarray) -> tuple:
 
 def _c01_invariants(space: c01.C01Space, rng, sample_count: int) -> tuple:
     n = sample_count
-    f = c01.pwl_rows(*zip(*(_draw_pwl(rng) for _ in range(n))))
+    f = _pwl_draws(rng, n)
     # f and its scalings by -2, 0.5 and 3 as one stack, each scaling's M(f) against f's
     factors = np.repeat([1.0, -2.0, 0.5, 3.0], n)[:, None]
     scaled = c01.pwl_scale(c01.take_rows(f, np.arange(4 * n) % n), factors)
@@ -316,16 +346,16 @@ def _c01_invariants(space: c01.C01Space, rng, sample_count: int) -> tuple:
     )
 
 
-# Per backend: the battery draw (two primal elements x, y, for c01 each a grid
-# and its values, and a scalar alpha), the backend-specific invariants, the
-# grouping of the draws into (rows, xy, alpha) stacks, rows indexing the
-# draws, xy their x then their y, one row each: one stack (L1, c01) or two
-# (lp, see above); and the selection of rows of a stack or of its J; keyed
-# by ``descriptor()["space"]``.
+# Per backend: the battery draw of n samples (x and y, two primal elements
+# each, and a scalar alpha each, as arrays), the backend-specific
+# invariants, the grouping of the draws into (rows, xy, alpha) stacks, rows
+# indexing the draws, xy their x then their y, one row each: one stack (L1,
+# c01) or two (lp, see above); and the selection of rows of a stack or of
+# its J; keyed by ``descriptor()["space"]``.
 _BACKENDS = {
     "lp": (_draw_lp, _lp_invariants, _group_lp, getitem),
-    "l1": (_draw_l1, _l1_invariants, _group_l1, getitem),
-    "c01": (_draw_c01, _c01_invariants, _group_c01, c01.take_rows),
+    "l1": (_draw_l1, _l1_invariants, _one_stack, getitem),
+    "c01": (_draw_c01, _c01_invariants, _one_stack, c01.take_rows),
 }
 
 
@@ -382,7 +412,8 @@ def run_appendix_battery(space, sample_count: int, seed: int) -> SuiteReport:
     """Run every applicable appendix property on seeded random instances.
 
     J2 (J is the identity) applies to l_2 only.  Differences of dual elements
-    are measured in the dual norm.  All draws come first; the backend then
+    are measured in the dual norm.  All draws come first, one ``rng`` call
+    per quantity (see the module docstring); the backend then
     evaluates them as one stack (L1, c01) or two zero-padded stacks (lp),
     with one J call per stack, and every value goes back to its draw's place.
     """
@@ -390,7 +421,7 @@ def run_appendix_battery(space, sample_count: int, seed: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     hilbert = space.descriptor() == {"space": "lp", "p": 2.0}
     terms = np.empty((5 + hilbert, sample_count))  # one value per sample, in draw order
-    for rows, xy, alpha in group([draw(space, rng) for _ in range(sample_count)]):
+    for rows, xy, alpha in group(draw(space, rng, sample_count)):
         terms[:, rows] = _battery_terms(space, take, hilbert, xy, alpha)
     j3, j4, j5, j6_lo, j6_hi, *j2 = terms
     records = (

@@ -300,3 +300,68 @@ def test_a_measure_may_leave_out_its_atoms_or_its_density():
     assert (mu.atoms, mu.density) == ((), None)
     with pytest.raises(ValueError, match="a measure density needs the key 'values'"):
         serialize.measure_from_json({"density": {"breakpoints": [0, 1]}})
+
+
+# -- non-finite values never reach a verdict or a file ----------------------------
+
+
+def _strict(text: str):
+    """The JSON value of ``text``, refusing NaN and +-Infinity, which RFC 8259 does not allow."""
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _run_one(tmp_path, scenario):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"scenarios": [scenario]}))
+    return main(["run", str(path), "--out", str(tmp_path / "out.json")]), tmp_path / "out.json"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_overflowing_tail_mean_is_found_term_by_term(tmp_path):
+    # every quotient is 1e308 and their sum overflows: the limit used to be
+    # inf, certified and written as Infinity
+    code, out = _run_one(tmp_path, {
+        "space": {"space": "l1", "weights": [1.0, 1.0]},
+        "theorem": "thm47",
+        "params": {"f": [2.0, 1e308], "D": [0], "a": 1.5},
+    })
+    (record,) = _strict(out.read_text())
+    assert code == 0 and record["verdict"] == "certified"
+    assert record["estimated_limit"] == pytest.approx(1e308, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_quotient_that_is_not_finite_exits_2(tmp_path, capsys):
+    # weights [1e300, 1] make every quotient inf: this used to write an
+    # inconclusive record holding Infinity
+    scenario = json.loads((FIXTURES / "all.json").read_text())
+    (thm47,) = [s for s in scenario["scenarios"] if s["theorem"] == "thm47"]
+    thm47["space"]["weights"] = [1e300, 1.0]
+    code, out = _run_one(tmp_path, thm47)
+    assert code == 2 and not out.exists()
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_a_norm_that_underflows_is_no_traceback(tmp_path):
+    # ||x||_2 of [1e-300, 0] used to underflow to 0 and raise ZeroDivisionError
+    code, out = _run_one(tmp_path, {
+        "space": {"space": "lp", "p": 2.0},
+        "theorem": "thm32",
+        "params": {"x": [1e-300, 0.0], "y": [1.0, 0.0]},
+    })
+    (record,) = _strict(out.read_text())
+    assert code == 0 and record["verdict"] == "certified" and record["estimated_limit"] == 0.5
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_eval_never_prints_infinity(capsys):
+    # J([1e200]) at p = 3 is |x|^2 / ||x|| = inf: it used to print [Infinity]
+    code = main(["eval", "--space", "lp", "--p", "3", "--vector", "[1e200]"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "JSON" in captured.err
+    assert main(["eval", "--space", "lp", "--p", "3", "--vector", "[2, -1]"]) == 0
+    assert _strict(capsys.readouterr().out)

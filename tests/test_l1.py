@@ -191,3 +191,16 @@ def test_singleton_classification_matches_uniqueness(uniform3):
 
 def test_zero_selection(uniform3):
     np.testing.assert_array_equal(zero_selection(uniform3), [0.0, 0.0, 0.0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_norm_overflow_raises():
+    # ||f||_1 = 2e308 used to be inf, and J(f) [inf, inf]
+    space = FiniteMeasureSpace([1.0, 1.0])
+    f = np.array([1e308, 1e308])
+    for call in (space.norm, space.canonical_dual, lambda v: l1_norm(v, space)):
+        with pytest.raises(ValueError, match="L1 norm overflows"):
+            call(f)
+    with pytest.raises(ValueError, match="L1 norm overflows"):
+        space.norm(np.array([[1.0, 1.0], f]))
+    assert space.norm(np.array([1e308, 0.0])) == 1e308

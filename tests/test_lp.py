@@ -40,15 +40,38 @@ def test_exponent_guard(bad_p):
 @pytest.mark.parametrize(
     "call, args",
     [
-        (lp_norm, ([1e200, 1.0], 4.0)),
+        (lp_norm, ([1.5e308, 1.5e308], 2.0)),
         (duality_map, ([1e200, 1.0], 4.0)),
         (duality_map, ([1.0, 2.0], 1e6)),
     ],
 )
 def test_overflow_raises(call, args):
-    # These used to return inf, [nan, 0] and [0, nan].
+    # These used to return inf, [nan, 0] and [0, nan].  The norm of the
+    # first is sqrt(2) * 1.5e308, beyond the float range.
     with pytest.raises(ValueError, match="overflows"):
         call(*args)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_finite_norm_whose_power_sum_leaves_the_float_range():
+    # the sum of |x_i|**p overflows (first) or underflows to 0 (second) or
+    # below the smallest normal float (third), but the norm is a float: it is
+    # found on x / max|x_i|, as nrm2 does.  The first used to raise
+    # "norm overflows", the second to return 0.
+    cases = [([1e200, 1.0], 4.0, 1e200), ([1e-300, 0.0], 2.0, 1e-300), ([3e-170, 4e-170], 2.0, 5e-170)]
+    for x, p, want in cases:
+        assert lp_norm(x, p) == pytest.approx(want, rel=1e-15)
+    assert lp_norm([5e-324, 0.0], 3.0) == 5e-324
+    # a stack takes the same path row by row; rows in range keep the plain sum's bits
+    rng = np.random.default_rng(0)
+    rows = np.vstack([rng.uniform(-10.0, 10.0, (4, 2)), [[1e200, 1.0], [1e-300, 0.0], [0.0, 0.0]]])
+    for p in (1.5, 2.0, 4.0):
+        norm = LpSpace(p).norm(rows)
+        assert [v.hex() for v in norm.tolist()] == [LpSpace(p).norm(r).hex() for r in rows]
+        plain = [float(np.sum(np.abs(r) ** p)) ** (1.0 / p) for r in rows[:4]]
+        assert [v.hex() for v in norm[:4].tolist()] == [v.hex() for v in plain]
+    with pytest.raises(ValueError, match="overflows"):
+        LpSpace(2.0).norm(np.array([[1.0, 1.0], [1.5e308, 1.5e308]]))
 
 
 def test_power_overflow_raises_value_error():

@@ -1,14 +1,16 @@
 """Exact-equality tests of the stacked suites against per-sample loops.
 
-The L1 battery and invariants draw every sample first and then evaluate the
-whole (samples, n) stack at once; the lp ones evaluate two stacks, the draws
-of dimension 1-7 zero-padded to 7 columns and those of dimension 8; the c01
-ones one stack of functions, each row on its own grid of up to 8
-breakpoints.  The reference functions below are the per-sample loops they
-replaced, with the one-element ``duality_selection`` they called and the
-c01 draw, which share no code with the stacks.  The rng order and the
-arithmetic of each row are unchanged, so every violation value must agree
-bit for bit, in draw order.
+The battery and the invariants draw all their samples at once, one ``rng``
+call per quantity in the order the ``oracles`` docstring lists, and then
+evaluate the L1 draws as one (samples, n) stack, the lp ones as two (the
+draws of dimension 1-7 zero-padded to 7 columns and those of dimension 8)
+and the c01 ones as one stack of functions, each row on its own grid of up
+to 8 breakpoints.  The reference draws below re-implement that order
+sample by sample from the same ``rng`` calls, building each instance on its
+own (a c01 grid through ``set`` and ``sorted``), and the reference loops
+are the per-sample loops the stacks replaced, with the one-element
+``duality_selection`` they called.  They share no code with the stacks, so
+every violation value must agree bit for bit, in draw order.
 """
 
 import numpy as np
@@ -19,6 +21,61 @@ from dualitymap import C01Space, FiniteMeasureSpace, LpSpace, PwlFunction, c01, 
 SAMPLE_COUNTS = (1, 2, 20, 200)
 WEIGHTS = ([1.0], [1.0, 0.5, 2.0], [0.3, 1.0, 7.0, 2.0, 1.0])
 SEEDS = (0, 5, 123)
+
+
+# -- reference draws: the documented bulk order, one sample at a time -----------
+
+
+def ref_draw_lp(space, rng, n):
+    dims = rng.integers(1, 9, n).tolist()
+    xy = rng.uniform(-10.0, 10.0, (2, n, 8))
+    coins = rng.random(n).tolist()
+    at = rng.integers(0, dims).tolist()
+    alphas = rng.uniform(-3.0, 3.0, n).tolist()
+    draws = []
+    for i, dim in enumerate(dims):
+        x, y = xy[0, i, :dim].copy(), xy[1, i, :dim].copy()
+        if dim > 1 and coins[i] < 0.3:
+            x[at[i]] = 0.0
+        draws.append((x, y, alphas[i]))
+    return draws
+
+
+def ref_l1_rows(rng, rows, n):
+    values = rng.uniform(-5.0, 5.0, (rows, n))
+    zeros = rng.random((rows, n)) < 0.25
+    return [np.where(z, 0.0, v) for v, z in zip(values, zeros)]
+
+
+def ref_draw_l1(space, rng, n):
+    rows = ref_l1_rows(rng, 2 * n, space.n)
+    while True:
+        empty = [i for i, f in enumerate(rows) if not np.any(f)]
+        if not empty:
+            break
+        for i, f in zip(empty, ref_l1_rows(rng, len(empty), space.n)):
+            rows[i] = f
+    alphas = rng.uniform(-3.0, 3.0, n).tolist()
+    return [(rows[i], rows[n + i], alphas[i]) for i in range(n)]
+
+
+def ref_pwl(count, points, values):
+    interior = sorted(set(points[:count].tolist()))
+    bp = np.array([0.0, *interior, 1.0])
+    return PwlFunction(bp, values[: bp.size].copy())
+
+
+def ref_pwl_draws(rng, k):
+    counts = rng.integers(0, 7, k).tolist()
+    points = rng.uniform(0.01, 0.99, (k, 6))
+    values = rng.uniform(-5.0, 5.0, (k, 8))
+    return [ref_pwl(c, pt, v) for c, pt, v in zip(counts, points, values)]
+
+
+def ref_draw_c01(space, rng, n):
+    fs = ref_pwl_draws(rng, 2 * n)
+    alphas = rng.uniform(-3.0, 3.0, n).tolist()
+    return [(fs[i], fs[n + i], alphas[i]) for i in range(n)]
 
 
 # -- reference loops ----------------------------------------------------------
@@ -39,25 +96,11 @@ def ref_duality_selection(f, space, a):
     return g
 
 
-def ref_nonzero_values(space, rng):
-    while True:
-        f = rng.uniform(-5.0, 5.0, space.n)
-        zeros = rng.random(space.n) < 0.25
-        f[zeros] = 0.0
-        if np.any(f):
-            return f
-
-
-def ref_draw_l1(space, rng):
-    return ref_nonzero_values(space, rng), ref_nonzero_values(space, rng), float(rng.uniform(-3.0, 3.0))
-
-
 def ref_battery(space, sample_count, seed, draw=ref_draw_l1):
     rng = np.random.default_rng(seed)
     hilbert = space.descriptor() == {"space": "lp", "p": 2.0}
     j2, j3, j4, j5, j6 = [], [], [], [], []
-    for _ in range(sample_count):
-        x, y, alpha = draw(space, rng)
+    for x, y, alpha in draw(space, rng, sample_count):
         jx, jy = space.canonical_dual(x), space.canonical_dual(y)
         if hilbert:
             j2.append(space.dual_norm(space.dual_sub(jx, x)))
@@ -84,43 +127,40 @@ def ref_battery(space, sample_count, seed, draw=ref_draw_l1):
 
 def ref_invariants(space, sample_count, seed):
     rng = np.random.default_rng(seed)
-    member, scaling = [], []
-    for _ in range(sample_count):
-        f = rng.uniform(-5.0, 5.0, space.n)
-        f[rng.random(space.n) < 0.25] = 0.0
+    fs = ref_l1_rows(rng, sample_count, space.n)
+    for f in fs:
         if not np.any(f):
             f[0] = 1.0
-        norm = space.norm(f)
-        free = rng.uniform(-norm, norm, int(np.sum(f == 0.0)))
-        sel = ref_duality_selection(f, space, free)
+    norms = [space.norm(f) for f in fs]
+    counts = [int(np.sum(f == 0.0)) for f in fs]
+    low = np.array([-norm for norm, count in zip(norms, counts) for _ in range(count)])
+    free = rng.uniform(low, -low)
+    alphas = rng.uniform(0.1, 4.0, sample_count).tolist()
+    member, scaling, at = [], [], 0
+    for f, norm, count, alpha in zip(fs, norms, counts, alphas):
+        a = free[at : at + count]
+        at += count
+        sel = ref_duality_selection(f, space, a)
         member.append(
             max(
                 abs(space.dual_norm(sel) - norm),
                 abs(space.pair(sel, f) - norm * norm),
             )
         )
-        alpha = float(rng.uniform(0.1, 4.0))
         scaling.append(
-            float(np.max(np.abs(alpha * sel - ref_duality_selection(alpha * f, space, alpha * free))))
+            float(np.max(np.abs(alpha * sel - ref_duality_selection(alpha * f, space, alpha * a))))
         )
     return [("selection_membership", member), ("positive_scaling", scaling)]
 
 
-def ref_draw_lp(space, rng):
-    dim = int(rng.integers(1, 9))
-    x = rng.uniform(-10.0, 10.0, dim)
-    if dim > 1 and rng.random() < 0.3:
-        x[rng.integers(0, dim)] = 0.0
-    y = rng.uniform(-10.0, 10.0, x.size)
-    return x, y, float(rng.uniform(-3.0, 3.0))
-
-
 def ref_lp_invariants(space, sample_count, seed):
     rng = np.random.default_rng(seed)
+    dims = rng.integers(1, 9, sample_count).tolist()
+    block = rng.uniform(-10.0, 10.0, (sample_count, 8))
     identity, roundtrip = [], []
     conjugate = LpSpace(space.q)
-    for _ in range(sample_count):
-        x = rng.uniform(-10.0, 10.0, int(rng.integers(1, 9)))
+    for dim, row in zip(dims, block):
+        x = row[:dim].copy()
         nx = space.norm(x)
         jx = space.canonical_dual(x)
         identity.append(
@@ -134,24 +174,13 @@ def ref_lp_invariants(space, sample_count, seed):
     return [("pairing_identity", identity), ("inverse_roundtrip", roundtrip)]
 
 
-def ref_random_pwl(rng, max_breakpoints=8, scale=5.0):
-    interior = np.unique(rng.uniform(0.01, 0.99, int(rng.integers(0, max_breakpoints - 1))))
-    bp = np.concatenate([[0.0], interior, [1.0]])
-    return PwlFunction(bp, rng.uniform(-scale, scale, bp.size))
-
-
-def ref_draw_c01(space, rng):
-    return ref_random_pwl(rng), ref_random_pwl(rng), float(rng.uniform(-3.0, 3.0))
-
-
 def ref_c01_invariants(space, sample_count, seed):
     # J(f) comes from space.canonical_dual, as in the stacked invariants; on
     # C01Space that is atomic_duality_measure(f, mset.points()) bit for bit
     # (test_canonical_measure_is_the_atomic_member)
     rng = np.random.default_rng(seed)
     mset_scaling, exactness = [], []
-    for _ in range(sample_count):
-        f = ref_random_pwl(rng)
+    for f in ref_pwl_draws(rng, sample_count):
         mset = c01.maximizing_set(f)
         ok = all(
             c01.maximizing_set(c01.pwl_scale(f, t)).same_set(mset, tol=1e-12)
@@ -284,7 +313,7 @@ def test_stacked_invariants_are_bitwise_per_sample(monkeypatch, weights, sample_
 @pytest.mark.parametrize("sample_count", (1, 2, 20))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_per_sample_battery_is_unchanged(monkeypatch, space, sample_count, seed):
-    draw = ref_draw_c01 if isinstance(space, C01Space) else oracles._BACKENDS["lp"][0]
+    draw = ref_draw_c01 if isinstance(space, C01Space) else ref_draw_lp
     seen, _ = _recorded(monkeypatch, oracles.run_appendix_battery, space, sample_count, seed)
     assert _hex(seen) == _hex(ref_battery(space, sample_count, seed, draw))
 
@@ -315,8 +344,7 @@ def test_lp_stacks_are_bitwise_per_sample(monkeypatch, p, sample_count, seed):
 def test_lp_suite_runs_at_most_two_stacks(seed):
     # 200 draws of dimension 1-8 hold both kinds; each property then sees a
     # 7-column stack of the shorter draws and an 8-column stack of the rest
-    rng = np.random.default_rng(seed)
-    draws = [ref_draw_lp(None, rng) for _ in range(200)]
+    draws = ref_draw_lp(None, np.random.default_rng(seed), 200)
     short = sum(x.size < 8 for x, _, _ in draws)
     assert 0 < short < 200
     space = Recording(3.0)
@@ -459,7 +487,7 @@ def test_distorted_lp_space_has_nonzero_violations():
 @pytest.mark.parametrize("seed", (4, 6, 30))
 def test_stacked_j6_squares_each_norm_as_one_draw_does(monkeypatch, seed):
     # numpy squares an array as n * n, Python's float power can round the
-    # other way; on these draws that moved a positive J6 value by an ulp
+    # other way; on the draws of seeds 4 and 6 that moves a J6 value by an ulp
     space = Distorted(np.array([1.0]))
     seen, _ = _recorded(monkeypatch, oracles.run_appendix_battery, space, 200, seed)
     assert _hex(seen) == _hex(ref_battery(space, 200, seed))
@@ -480,6 +508,130 @@ def test_positive_part_is_max_with_zero_and_keeps_nan():
     got = oracles._positive_part(values)
     assert [v.hex() for v in got[:4].tolist()] == [v.hex() for v in expected]
     assert np.isnan(got[4])
+
+
+# -- the law of the bulk draws ------------------------------------------------
+
+
+def _within_binomial(hits, trials, rate):
+    """hits lies within 5 standard deviations of a Binomial(trials, rate) mean."""
+    return abs(hits - trials * rate) <= 5.0 * np.sqrt(trials * rate * (1.0 - rate))
+
+
+def test_lp_draws_keep_the_law_of_one_draw():
+    n = 4000
+    dims, xy, alpha = oracles._draw_lp(LpSpace(2.0), np.random.default_rng(1), n)
+    assert xy.shape == (2, n, 8) and sorted(set(dims.tolist())) == list(range(1, 9))
+    used = np.arange(8) < dims[:, None]
+    assert (np.abs(xy) <= 10.0).all() and not np.signbit(xy[:, ~used]).any() and not xy[:, ~used].any()
+    # y has no zero coordinate (U(-10, 10) gives none); x has one exactly when it was hit
+    assert xy[1][used].all()
+    zeros = np.count_nonzero((xy[0] == 0.0) & used, axis=1)
+    assert zeros.max() == 1 and not zeros[dims == 1].any()
+    assert _within_binomial(zeros.sum(), np.count_nonzero(dims > 1), 0.3)
+    assert alpha.shape == (n,) and (np.abs(alpha) <= 3.0).all()
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
+def test_l1_draws_keep_the_law_of_one_draw(monkeypatch, weights):
+    space, n = FiniteMeasureSpace(weights), 3000
+    xy, alpha = oracles._draw_l1(space, np.random.default_rng(2), n)
+    m = space.n
+    assert xy.shape == (2 * n, m) and xy.any(-1).all() and (np.abs(xy) <= 5.0).all()
+    # a value is 0 with rate 0.25, given that its row is not all zero
+    rate = 0.25 * (1.0 - 0.25 ** (m - 1)) / (1.0 - 0.25**m)
+    assert _within_binomial(np.count_nonzero(xy == 0.0), xy.size, rate)
+    assert alpha.shape == (n,) and (np.abs(alpha) <= 3.0).all()
+    # the invariants: f[0] = 1 on an all-zero row, free values U(-||f||, ||f||)
+    seen = []
+    select = oracles.l1.duality_selection
+
+    def spy(f, space, free):
+        seen.append((f, free))
+        return select(f, space, free)
+
+    monkeypatch.setattr(oracles.l1, "duality_selection", spy)
+    oracles.run_backend_invariants(space, n, 3)
+    f, free = seen[0]
+    assert f.shape == (n, m) and f.any(-1).all()
+    reset = ~f[:, 1:].any(-1) & (f[:, 0] == 1.0)
+    assert _within_binomial(np.count_nonzero(reset), n, 0.25**m)
+    bound = np.repeat(space.norm(f), np.count_nonzero(f == 0.0, axis=-1))
+    share = free / bound
+    if m > 1:
+        assert (np.abs(share) <= 1.0).all() and share.min() < -0.9 and share.max() > 0.9
+        assert abs(share.mean()) <= 5.0 / np.sqrt(3.0 * share.size)
+
+
+def test_c01_draws_keep_the_law_of_one_draw():
+    k = 3000
+    f = oracles._pwl_draws(np.random.default_rng(4), k)
+    bp, vals = f.breakpoints, f.values
+    own = np.count_nonzero(np.diff(bp, axis=1) > 0.0, axis=1) + 1  # the padding repeats 1.0
+    assert bp.shape == vals.shape == (k, 8) and sorted(set(own.tolist())) == list(range(2, 9))
+    assert (bp[:, 0] == 0.0).all() and (bp[:, -1] == 1.0).all()
+    for row, size in zip(bp, own):
+        assert (np.diff(row[:size]) > 0.0).all() and (row[size:] == 1.0).all()
+        assert (row[1 : size - 1] >= 0.01).all() and (row[1 : size - 1] < 0.99).all()
+    assert (np.abs(vals) <= 5.0).all()
+    pad = np.arange(8) >= own[:, None]
+    assert (vals[pad] == np.broadcast_to(vals[np.arange(k), own - 1][:, None], vals.shape)[pad]).all()
+    # each interior count 0-6 with rate 1/7
+    assert all(_within_binomial(np.count_nonzero(own == size), k, 1.0 / 7.0) for size in range(2, 9))
+
+
+@pytest.mark.parametrize("space", [LpSpace(2.0), FiniteMeasureSpace([1.0]), FiniteMeasureSpace([1.0, 0.5, 2.0]), C01Space()])
+def test_one_sample_suite(space):
+    report = oracles.run_appendix_battery(space, 1, 9)
+    records = report.records + oracles.run_backend_invariants(space, 1, 9)
+    assert report.sample_count == 1 and all(r.passed for r in records)
+    assert all(r.samples == 1 for r in records if r.applicable)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_l1_redraws_only_the_all_zero_rows(seed):
+    # at one weight a quarter of the rows come out all zero; those alone are drawn again
+    space, n = FiniteMeasureSpace([1.0]), 200
+    xy, alpha = oracles._draw_l1(space, np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    first = rng.uniform(-5.0, 5.0, (2 * n, 1))
+    first[rng.random((2 * n, 1)) < 0.25] = 0.0
+    empty = ~first.any(-1)
+    assert _within_binomial(np.count_nonzero(empty), 2 * n, 0.25)
+    assert np.array_equal(xy[~empty], first[~empty]) and xy.all()
+    second = rng.uniform(-5.0, 5.0, (np.count_nonzero(empty), 1))
+    again = rng.random(second.shape) < 0.25
+    assert np.array_equal(xy[empty][~again[:, 0]], second[~again[:, 0]])
+
+
+def test_a_repeated_interior_point_merges():
+    # U(0.01, 0.99) repeats a point with probability ~0, so one is injected
+    counts = np.array([3, 4, 2, 0, 6])
+    inner = np.array([
+        [0.5, 0.2, 0.5, 0.9, 0.9, 0.9],  # 0.5 twice, then unused points
+        [0.3, 0.3, 0.3, 0.3, 0.1, 0.1],  # 0.3 four times
+        [0.7, 0.4, 0.4, 0.4, 0.4, 0.4],  # distinct
+        [0.6, 0.6, 0.6, 0.6, 0.6, 0.6],  # none used
+        [0.8, 0.1, 0.8, 0.2, 0.1, 0.8],  # 0.1 twice, 0.8 three times
+    ])
+    values = np.arange(40.0).reshape(5, 8)
+    f = oracles._pwl_stack(counts, inner, values)
+    for i, (count, points, row) in enumerate(zip(counts, inner, values)):
+        want = ref_pwl(count, points, row)
+        size = want.breakpoints.size
+        assert f.breakpoints[i, :size].tolist() == want.breakpoints.tolist()
+        assert f.values[i, :size].tolist() == want.values.tolist()
+        assert (f.breakpoints[i, size:] == 1.0).all() and (f.values[i, size:] == row[size - 1]).all()
+    assert f.breakpoints.shape == (5, 5)  # the widest grid: 0, 0.1, 0.2, 0.8, 1
+    # the shared check refuses a repeated point that was not merged
+    bp = np.array([[0.0, 0.5, 0.5, 1.0]])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        c01.pwl_padded_rows(bp, np.zeros((1, 4)), np.array([4]))
+    with pytest.raises(ValueError, match="start at 0 and end at 1"):
+        c01.pwl_padded_rows(np.array([[0.0, 0.5, 0.5]]), np.zeros((1, 3)), np.array([2]))
+    # a padded column (past the row's size) may repeat the last breakpoint
+    g = c01.pwl_padded_rows(np.array([[0.0, 1.0, 1.0]]), np.array([[1.0, 2.0, 2.0]]), np.array([2]))
+    assert c01.sup_norm(g).tolist() == [2.0]
 
 
 # -- duality_selection on a stack ---------------------------------------------
