@@ -18,6 +18,13 @@ The dual norm implemented by ``tv_norm`` is the standard total variation
 single-signed differences that arise along the probe curves it agrees with
 the sup-over-sets variation.
 
+Atoms merge only at equal floats: weights at one location add up, and
+atoms at two different floats stay two atoms, however close, so the TV
+norm of delta(0.1 + 0.2) - delta(0.3) is 2.  In this exact model each float
+is its own point of [0,1]: a function with a breakpoint between the two
+floats tells the atoms apart, and merging within a tolerance would make
+the pairing depend on which of the two locations was kept.
+
 Cost: ``pairing_c``, ``measure_sub`` and the density-support scan of
 ``is_duality_member_c`` each make one pass of whole-array numpy operations
 over the union of the breakpoint grids, with no per-segment Python loop.
@@ -27,9 +34,9 @@ maximizers (usually one to three).  ``pairing_c``,
 ``atomic_duality_measure`` and ``peak_points`` evaluate f at all their
 points with one ``np.interp`` call.  The density terms of a batch read f
 at its own breakpoints and interpolate it only at the density's other
-breakpoints.  Measure rows whose atoms sit at the
-subtrahend's own locations (every scaling and shift curve) subtract weight
-by weight, with no union of locations.  A caller that knows ||f|| or M(f)
+breakpoints.  A batch of measures whose atoms sit at the subtrahend's own
+locations (every scaling and shift curve) subtracts weight by weight, with
+no merge of locations.  A caller that knows ||f|| or M(f)
 passes it to the private forms (``_maximizing_set``, ``_peak_points``,
 ``_atomic_measure``, ``_canonical_measure``, ``_plateau_measure``), so one
 witness finds each once.
@@ -47,14 +54,14 @@ with one ``np.interp`` call.
 
 Batches: a probe curve at every t is one ``PwlFunction`` whose ``values``
 is (steps, breakpoints) on the base grid (``pwl_scale`` and ``pwl_shift``
-take a column of factors or shifts), and its duals one ``MeasureRows``:
-(steps, atoms) weights at shared sorted locations plus a ``StepDensity``
-whose ``values`` is (steps, segments).  The function and density formulas
-reduce over the last axis, so one body serves one element and a batch; the
-atom sums keep a Python-float form for one ``RcaMeasure`` and an array form
-for ``MeasureRows``.  Only ``C01Space`` methods and ``pwl_rows`` build
-batches, and they check them as they build them; the other public
-constructors take one element.
+take a column of factors or shifts), and its duals one ``RcaMeasure``
+whose ``weights`` is (steps, atoms) at shared sorted ``locations``, a
+weight of 0.0 standing for no atom, with a ``StepDensity`` whose
+``values`` is (steps, segments) or one row for all.  Every formula, of
+functions and of measures, reduces over the last axis, so one body serves
+one element and a batch and returns a Python float for one element.  Only
+``C01Space`` methods and ``pwl_rows`` build batches, and they check them
+as they build them; the other public constructors take one element.
 Work that every row shares is done once per batch: grid unions, segment
 indices, interpolation indices, and the values of a fixed function such as
 the second-dual argument.  Each row is bitwise its per-element result:
@@ -71,12 +78,12 @@ changes neither the function nor its sup norm; a padded column is one whose
 breakpoint does not increase.  ``sup_norm``, ``pwl_scale``, ``pwl_sub`` (on
 each row's union grid), ``maximizer_runs`` (M(f) as masks) and
 ``canonical_duality_measure`` take a stack, and ``take_rows`` selects rows
-of one.  The last returns ``MeasureRows`` with a sorted row of atom
-locations each, its atoms on breakpoints taking f's values there and only
-plateau midpoints interpolated, for the atom
-pairing, the TV norm and ``C01Space.dual_sub`` of two such rows, which adds
-one atom of each side at a location and drops a sum of 0.0, as
-``RcaMeasure`` does; densities stay on shared grids.  Interpolation counts
+of one.  The last returns an ``RcaMeasure`` with a row of atom locations
+each, sorted among the atoms present, its atoms on breakpoints taking f's
+values there and only plateau midpoints interpolated.  The pairing, the
+TV norm, the scaling and the difference take such measures; the
+difference merges each row's atoms as ``RcaMeasure`` merges atoms, and
+densities stay on shared grids.  Interpolation counts
 a row's breakpoints at or below each point, exact and cheap at these
 widths.  On one element ``maximizing_set`` walks only the maximizers, at a
 third of the cost of the masks.
@@ -84,7 +91,6 @@ third of the cost of the masks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +124,6 @@ __all__ = [
     "tv_norm",
     "pairing_c",
     "is_duality_member_c",
-    "MeasureRows",
-    "atom_rows",
     "pwl_rows",
     "pwl_padded_rows",
     "maximizer_runs",
@@ -393,25 +397,111 @@ def _segments(bp: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return bp[1:-1].searchsorted(mids, side="right")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RcaMeasure:
-    """Signed measure on [0,1]: finitely many atoms plus an optional density."""
+    """Signed measure on [0,1]: atoms of ``weights`` at ``locations`` plus an optional step ``density``.
 
-    atoms: tuple = ()
+    ``RcaMeasure(atoms, density)`` takes (location, weight) pairs, each
+    location in [0,1]; weights at one location add up in order from 0.0,
+    and every sum must be finite.  ``atoms`` gives the atoms back as pairs
+    sorted by location, without those of weight 0.0, which stand for no
+    atom.  A batch holds one measure per row: (rows, atoms) ``weights`` at
+    shared sorted ``locations`` or at a row of them each, and a density
+    whose ``values`` may be (rows, segments); its ``atoms`` is one tuple of
+    pairs per row.
+    """
+
+    locations: np.ndarray
+    weights: np.ndarray
     density: StepDensity | None = None
 
-    def __post_init__(self):
-        merged: dict[float, float] = {}
-        for loc, w in self.atoms:
-            loc, w = float(loc), float(w)
-            if not (0.0 <= loc <= 1.0):
+    def __init__(self, atoms=(), density=None):
+        pairs = [(float(loc), float(w)) for loc, w in atoms]
+        for loc, _ in pairs:
+            if not 0.0 <= loc <= 1.0:
                 raise ValueError(f"atom location {loc} outside [0,1]")
-            merged[loc] = merged.get(loc, 0.0) + w
-        # a non-finite input weight leaves its sum non-finite; a finite sum may overflow
-        if not all(map(math.isfinite, merged.values())):
-            raise ValueError("atom weights must be finite")
-        cleaned = tuple(sorted((loc, w) for loc, w in merged.items() if w != 0.0))
-        object.__setattr__(self, "atoms", cleaned)
+        locations, weights = np.array(pairs).reshape(-1, 2).T
+        _fill(self, *_merge(locations, weights), density)
+
+    @property
+    def atoms(self) -> tuple:
+        if self.weights.ndim == 1:
+            return _pairs(self.locations.tolist(), self.weights.tolist())
+        locations = np.broadcast_to(self.locations, self.weights.shape)
+        return tuple(map(_pairs, locations.tolist(), self.weights.tolist()))
+
+
+def _pairs(locations: list, weights: list) -> tuple:
+    return tuple((loc, w) for loc, w in zip(locations, weights) if w != 0.0)
+
+
+def _every(mask: np.ndarray) -> bool:
+    """``mask.all()`` by one C count; ``ndarray.all`` costs several times more on the small arrays of one element."""
+    return np.count_nonzero(mask) == mask.size
+
+
+def _fill(mu: RcaMeasure, locations: np.ndarray, weights: np.ndarray, density) -> RcaMeasure:
+    # a non-finite input weight leaves its sum non-finite; a finite sum may overflow
+    if not _every(np.isfinite(weights)):
+        raise ValueError("atom weights must be finite")
+    object.__setattr__(mu, "locations", locations)
+    object.__setattr__(mu, "weights", weights)
+    object.__setattr__(mu, "density", density)
+    return mu
+
+
+def _measure(locations: np.ndarray, weights: np.ndarray, density: StepDensity | None = None) -> RcaMeasure:
+    """The ``RcaMeasure`` of atoms merged already: sorted, at most one at a location (in a row)."""
+    return _fill(object.__new__(RcaMeasure), locations, weights, density)
+
+
+def _merge(locations: np.ndarray, weights: np.ndarray) -> tuple:
+    """The atoms sorted by location, the weights at one location added up in order from 0.0.
+
+    ``weights`` may have a leading row axis.  Shared ``locations`` stay
+    shared.  With a row of locations each, each row is merged on its own
+    and padded with absent atoms (0.0) at its last location.  A sum that
+    is not finite is left to ``_fill`` to reject.
+    """
+    if locations.ndim == 1 and _every(locations[1:] > locations[:-1]):
+        return locations, 0.0 + weights
+    rows = np.arange(locations.shape[0])[:, None] if locations.ndim > 1 else ...
+    order = locations.argsort(axis=-1, kind="stable")
+    locations, weights = locations[rows, order], weights[rows, order]
+    new = np.ones(locations.shape, dtype=bool)
+    new[..., 1:] = locations[..., 1:] != locations[..., :-1]
+    slot = new.cumsum(-1) - 1
+    merged = np.zeros(weights.shape[:-1] + (slot.max(initial=-1) + 1,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(merged, (rows, slot), weights)  # in order along each row
+    if rows is ...:
+        return locations[new], merged
+    at = np.repeat(locations[:, -1:], merged.shape[1], axis=1)
+    at[rows, slot] = locations
+    return at, merged
+
+
+def _cat(*arrays: np.ndarray) -> np.ndarray:
+    """The arrays joined along the last axis, each broadcast over the leading axes of the others."""
+    if len(arrays) == 1:
+        return arrays[0]
+    lead = {a.shape[:-1] for a in arrays}
+    if len(lead) > 1:
+        shape = np.broadcast_shapes(*lead)
+        arrays = [np.broadcast_to(a, shape + a.shape[-1:]) for a in arrays]
+    return np.concatenate(arrays, -1)
+
+
+def _sum_left(terms: np.ndarray):
+    """0.0 + terms[..., 0] + terms[..., 1] + ..., left to right, as a running Python sum adds them.
+
+    ``cumsum`` starts from the first term instead, which differs only where
+    every term is -0.0: it gives -0.0, which adding 0.0 turns into the +0.0
+    of the running sum, a total that is never -0.0 and so keeps its bits.
+    """
+    if not terms.shape[-1]:
+        return np.zeros(terms.shape[:-1])
+    return terms.cumsum(-1)[..., -1] + 0.0
 
 
 def zero_measure() -> RcaMeasure:
@@ -430,13 +520,13 @@ def _density_scale(d: StepDensity | None, c) -> StepDensity | None:
     return None if d is None else _on_checked_grid(StepDensity, d.breakpoints, d.values * c)
 
 
-def _density_sub(d: StepDensity | None, e: StepDensity | None, absent=0.0) -> StepDensity | None:
-    """d - e on the union of their grids, an absent density counting as ``absent``."""
+def _density_sub(d: StepDensity | None, e: StepDensity | None) -> StepDensity | None:
+    """d - e on the union of their grids, an absent density counting as 0."""
     if d is None and e is None:
         return None
     grids = [x.breakpoints for x in (d, e) if x is not None]
     grid = grids[0] if len(grids) == 1 else np.union1d(grids[0], grids[1])
-    left = d.values_on(grid) if d is not None else absent
+    left = d.values_on(grid) if d is not None else 0.0
     right = e.values_on(grid) if e is not None else 0.0
     return _on_checked_grid(StepDensity, grid, left - right)
 
@@ -479,15 +569,25 @@ def _density_terms(d: StepDensity, f: PwlFunction) -> np.ndarray:
     return np.where(dens != 0.0, terms, 0.0)
 
 
-def measure_scale(mu: RcaMeasure, c: float) -> RcaMeasure:
-    c = float(c)
-    density = _density_scale(mu.density, c)
-    return RcaMeasure(atoms=tuple((loc, c * w) for loc, w in mu.atoms), density=density)
+def measure_scale(mu: RcaMeasure, c) -> RcaMeasure:
+    """c mu; a column of factors gives one row per factor."""
+    with np.errstate(over="ignore"):  # an overflow is rejected as a value that is not finite
+        density = _density_scale(mu.density, c)
+        return _measure(mu.locations, c * mu.weights, density)
 
 
 def measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
-    atoms = list(mu.atoms) + [(loc, -w) for loc, w in nu.atoms]
-    return RcaMeasure(atoms=tuple(atoms), density=_density_sub(mu.density, nu.density))
+    """mu - nu, atoms at one location added up as ``RcaMeasure`` adds them; per row of a batch.
+
+    A missing density counts as 0.  On shared locations equal to nu's
+    (every scaling and shift curve) the weights subtract one by one, as
+    0.0 + w - v, which is what the merge adds up at each location.
+    """
+    density = _density_sub(mu.density, nu.density)
+    if mu.locations.ndim == 1 and _same_grid(mu.locations, nu.locations):
+        with np.errstate(over="ignore"):  # rejected as a weight that is not finite
+            return _measure(mu.locations, 0.0 + mu.weights - nu.weights, density)
+    return _measure(*_merge(_cat(mu.locations, nu.locations), _cat(mu.weights, -nu.weights)), density)
 
 
 def total_mass(mu: RcaMeasure) -> float:
@@ -498,26 +598,32 @@ def total_mass(mu: RcaMeasure) -> float:
     return float(mass)
 
 
-def tv_norm(mu: RcaMeasure) -> float:
-    """Total variation: sum |atom weights| + integral of |density|."""
-    tv = sum(abs(w) for _, w in mu.atoms)
+def tv_norm(mu: RcaMeasure):
+    """Total variation: sum |atom weights| + integral of |density|; one per row of a batch."""
+    tv = _sum_left(np.abs(mu.weights))
     if mu.density is not None:
-        tv += float(_density_tv(mu.density))
-    return float(tv)
+        tv = tv + _density_tv(mu.density)
+    return tv if tv.ndim else float(tv)
 
 
-def pairing_c(mu: RcaMeasure, f: PwlFunction) -> float:
-    """<mu, f> = integral of f d(mu), exact for atoms + step density vs linear f."""
-    total = 0
-    if mu.atoms:
-        locations, weights = zip(*mu.atoms)
-        total = sum(w * v for w, v in zip(weights, f(locations).tolist()))
+def pairing_c(mu: RcaMeasure, f: PwlFunction):
+    """<mu, f> = integral of f d(mu), exact for atoms + step density vs linear f; one per row.
+
+    A batch of measures, of functions or of both gives one value per row.
+    The atom terms and then the density terms are summed left to right
+    from 0.0; an absent atom or a zero density segment adds +0.0, which
+    leaves the total unchanged, since a total that starts at +0.0 is never
+    -0.0.
+    """
+    w = mu.weights
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python float products
+        terms = [w * f(mu.locations)]
+    if not _every(w != 0.0):  # an absent atom adds +0.0, not 0 * inf = NaN
+        terms[0] = np.where(w != 0.0, terms[0], 0.0)
     if mu.density is not None:
-        # The running sum keeps the left-to-right order of a segment-by-segment
-        # accumulation; the +0.0 of a zero-density segment leaves it unchanged,
-        # since a total that starts at +0.0 is never -0.0.
-        total = np.concatenate(([total], _density_terms(mu.density, f))).cumsum()[-1]
-    return float(total)
+        terms.append(_density_terms(mu.density, f))
+    total = _sum_left(_cat(*terms))
+    return total if total.ndim else float(total)
 
 
 @dataclass(frozen=True)
@@ -604,7 +710,7 @@ def canonical_duality_measure(f: PwlFunction) -> RcaMeasure:
 
     The same measure as ``atomic_duality_measure(f, maximizing_set(f).points())``
     without re-testing points that come from the maximizing set.  Of a stack
-    built by ``pwl_rows``, the measure of each row as ``MeasureRows``.
+    built by ``pwl_rows``, the measure of each row, with a row of locations each.
     """
     if f.breakpoints.ndim > 1:
         return _canonical_rows(f)
@@ -615,39 +721,11 @@ def _canonical_measure(f: PwlFunction, norm: float) -> RcaMeasure:
     """``canonical_duality_measure`` of one f given its sup norm."""
     if norm == 0.0:
         return zero_measure()
-    points = _maximizing_set(f, norm).points()
-    weights = (1.0 / len(points)) * f(np.array(points))
-    return atom_measure(zip(points, weights.tolist()))
+    points = np.array(sorted(_maximizing_set(f, norm).points()))  # distinct
+    return _measure(points, (1.0 / points.size) * f(points))
 
 
-# ---------------------------------------------------------------------------
-# Measure rows, for the batched sampling of ``coderivative.AffineForm`` curves.
-# The row kernels repeat the Python-float atom sums of one measure row by row,
-# so every float is bitwise the same.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class MeasureRows:
-    """Measures with atoms at shared sorted ``locations`` and an optional step ``density``.
-
-    ``weights`` is (steps, atoms), a zero weight standing for no atom, as
-    ``RcaMeasure`` drops it; the density holds (steps, segments) values.
-    The weights must be finite, as ``RcaMeasure`` requires of its atoms.
-    ``locations`` may also be (steps, atoms), one row each: a row's atoms
-    then sit at distinct locations, sorted, with absent ones anywhere.
-    """
-
-    locations: np.ndarray
-    weights: np.ndarray
-    density: StepDensity | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.weights).all():
-            raise ValueError("atom weights must be finite")
-
-
-def _canonical_rows(f: PwlFunction) -> MeasureRows:
+def _canonical_rows(f: PwlFunction) -> RcaMeasure:
     """``canonical_duality_measure`` of each row of a stack, an atom at the first column of each run.
 
     An atom on a breakpoint (every ``last`` column) takes f's value there,
@@ -664,29 +742,19 @@ def _canonical_rows(f: PwlFunction) -> MeasureRows:
     if r.size:
         values[r, c] = _interp_rows(locations[r, c, None], bp[r], f.values[r])[:, 0]
     weights = (1.0 / first.sum(-1))[:, None] * values
-    return MeasureRows(locations, np.where(first, weights, 0.0))
+    return _measure(locations, np.where(first, weights, 0.0))
 
 
 def take_rows(v, rows):
-    """The rows ``rows`` of a stack from ``pwl_rows``, or of its ``MeasureRows`` (no density)."""
-    if isinstance(v, MeasureRows):
-        return MeasureRows(v.locations[rows], v.weights[rows])
+    """The rows ``rows`` of a stack from ``pwl_rows``, or of a batch of measures."""
+    if isinstance(v, RcaMeasure):
+        def at(a):  # shared locations or density values stay shared
+            return a if a.ndim == 1 else a[rows]
+
+        d = v.density
+        density = None if d is None else _on_checked_grid(StepDensity, d.breakpoints, at(d.values))
+        return _measure(at(v.locations), v.weights[rows], density)
     return _on_checked_grid(PwlFunction, v.breakpoints[rows], v.values[rows])
-
-
-def atom_rows(points, weights: np.ndarray) -> MeasureRows:
-    """Rows of ``atom_measure(zip(points, row))``: weights at equal points add up in order.
-
-    Points already sorted and distinct keep one atom each, at 0.0 + weight.
-    """
-    points = np.asarray(points, dtype=float)
-    if (points[1:] > points[:-1]).all():
-        return MeasureRows(points, 0.0 + weights)
-    locations, slot = np.unique(points, return_inverse=True)
-    merged = np.zeros((weights.shape[0], locations.size))
-    with np.errstate(over="ignore"):  # MeasureRows rejects an overflowed sum
-        np.add.at(merged, (slice(None), slot), weights)  # column by column, in order
-    return MeasureRows(locations, merged)
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -731,81 +799,6 @@ def _between(x, x0, x1, left, right):
     return inner
 
 
-def _atoms_of(mu) -> tuple:
-    if isinstance(mu, MeasureRows):
-        return mu.locations, mu.weights
-    return np.array([loc for loc, _ in mu.atoms]), np.array([w for _, w in mu.atoms])
-
-
-def _pairing_rows(mu, f: PwlFunction) -> np.ndarray:
-    """``pairing_c`` row by row, for measure rows, function rows or both.
-
-    The atom terms and then the density terms are summed left to right from
-    0.0, as the per-element sum and running ``cumsum`` do; a term that the
-    per-element form skips (an absent atom, a zero density) adds +0.0, which
-    leaves a running total unchanged because it is never -0.0.
-    """
-    locations, weights = _atoms_of(mu)
-    terms = []
-    if weights.shape[-1]:  # no atoms add nothing
-        # Python float products raise no warnings; 0 * inf of an absent atom is dropped
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms.append(np.where(weights != 0.0, weights * f(locations), 0.0))
-    if mu.density is not None:
-        terms.append(_density_terms(mu.density, f))
-    start = np.zeros((len(weights) if weights.ndim > 1 else len(f.values), 1))
-    return np.concatenate([start, *terms], axis=1).cumsum(axis=1)[:, -1]
-
-
-def _tv_rows(mu: MeasureRows) -> np.ndarray:
-    """``tv_norm`` row by row: the atoms summed left to right, then the density sum."""
-    steps = mu.weights.shape[0]
-    tv = np.concatenate([np.zeros((steps, 1)), np.abs(mu.weights)], axis=1).cumsum(axis=1)[:, -1]
-    if mu.density is not None:
-        tv = tv + _density_tv(mu.density)
-    return tv
-
-
-def _measure_sub_rows(mu: MeasureRows, nu) -> MeasureRows:
-    """``measure_sub`` of each row and one measure, or of two rows each with its own locations.
-
-    Atoms merge by location, a missing density is 0.  Rows at the measure's
-    own locations (every scaling and shift curve) subtract weight by weight,
-    as 0.0 + w - v, which is what the merge adds up at each location.
-    """
-    nu_locations, nu_weights = _atoms_of(nu)
-    steps = mu.weights.shape[0]
-    with np.errstate(over="ignore"):  # MeasureRows raises, after the density as measure_sub does
-        if mu.locations.ndim > 1:
-            locations, weights = _merge_rows(mu.locations, mu.weights, nu_locations, -nu_weights)
-        elif _same_grid(mu.locations, nu_locations):
-            locations, weights = mu.locations, 0.0 + mu.weights - nu_weights
-        else:
-            locations = np.union1d(mu.locations, nu_locations)
-            weights = np.zeros((steps, locations.size))
-            weights[:, locations.searchsorted(mu.locations)] += mu.weights
-            weights[:, locations.searchsorted(nu_locations)] -= nu_weights
-    density = _density_sub(mu.density, nu.density, absent=np.zeros((steps, 1)))
-    return MeasureRows(locations, weights, density)
-
-
-def _merge_rows(loc_a, w_a, loc_b, w_b) -> tuple:
-    """The atoms of two rows of measures, sorted by location, two at one location added up.
-
-    Each side has at most one atom at a location, so a merged weight is one
-    sum, as ``RcaMeasure`` forms it; a sum of exactly 0.0 is no atom.
-    """
-    loc, w = np.concatenate([loc_a, loc_b], axis=-1), np.concatenate([w_a, w_b], axis=-1)
-    key = np.where(w != 0.0, loc, np.inf)  # absent atoms last, so they pair with no atom
-    at = np.arange(w.shape[0])[:, None], np.argsort(key, axis=-1, kind="stable")
-    key, loc, w = key[at], loc[at], w[at]
-    pair = (key[:, :-1] == key[:, 1:]) & (key[:, 1:] < np.inf)  # slots i and i + 1
-    merged = w.copy()
-    merged[:, :-1][pair] += w[:, 1:][pair]
-    merged[:, 1:][pair] = 0.0
-    return loc, merged
-
-
 def _confirm(x, cls):
     if not isinstance(x, cls):
         raise TypeError(f"expected {cls.__name__}, got {type(x).__name__}")
@@ -817,17 +810,18 @@ class C01Space(Space):
     """Space descriptor and engine backend for the piecewise-linear C[0,1] model.
 
     ``PwlFunction`` and ``RcaMeasure`` validate when they are built, so
-    ``check`` and ``check_dual`` only confirm the type and that a function is
+    ``check`` and ``check_dual`` only confirm the type and that the value is
     one element.  Every method but ``canonical_dual`` also takes a batch (a
-    ``PwlFunction`` with (steps, breakpoints) values, or ``MeasureRows``) and
-    then returns one value per row; ``scale`` and ``dual_scale`` build one
-    from a column of factors.  A stack with one grid per row (``pwl_rows``)
-    goes to ``norm``, ``sub``, ``scale`` and ``canonical_dual``, whose
-    ``MeasureRows`` hold a row of atom locations each; ``dual_norm``,
-    ``pair`` (with a stack), ``dual_scale`` and ``dual_sub`` (of two such
-    rows) take those.  Batches too are checked when they are built, so
-    ``check_rows`` and ``check_dual_rows`` only confirm the type.
-    ``is_member`` is the relative test of ``Space`` (``coderivative.duality_gaps``).
+    ``PwlFunction`` with (steps, breakpoints) values, or an ``RcaMeasure``
+    with (steps, atoms) weights) and then returns one value per row;
+    ``scale`` and ``dual_scale`` build one from a column of factors.  A
+    stack with one grid per row (``pwl_rows``) goes to ``norm``, ``sub``,
+    ``scale`` and ``canonical_dual``, whose measures hold a row of atom
+    locations each; ``dual_norm``, ``pair`` (with a stack), ``dual_scale``
+    and ``dual_sub`` (of two such measures) take those.  Batches too are
+    checked when they are built, so ``check_rows`` and ``check_dual_rows``
+    only confirm the type.  ``is_member`` is the relative test of ``Space``
+    (``coderivative.duality_gaps``).
     """
 
     def check(self, f) -> PwlFunction:
@@ -836,38 +830,35 @@ class C01Space(Space):
         return f
 
     def check_dual(self, mu) -> RcaMeasure:
-        return _confirm(mu, RcaMeasure)
+        if _confirm(mu, RcaMeasure).weights.ndim != 1:
+            raise ValueError("expected one RcaMeasure, got a batch")
+        return mu
 
     def check_rows(self, f) -> PwlFunction:
         return _confirm(f, PwlFunction)
 
-    def check_dual_rows(self, mu) -> MeasureRows:
-        return _confirm(mu, MeasureRows)
+    def check_dual_rows(self, mu) -> RcaMeasure:
+        return _confirm(mu, RcaMeasure)
 
     def norm(self, f):
         return sup_norm(f)
 
     def dual_norm(self, mu):
-        return _tv_rows(mu) if isinstance(mu, MeasureRows) else tv_norm(mu)
+        return tv_norm(mu)
 
     def pair(self, mu, f):
-        if isinstance(mu, MeasureRows) or f.values.ndim > 1:
-            return _pairing_rows(mu, f)
         return pairing_c(mu, f)
 
     def sub(self, f, g: PwlFunction):
         return pwl_sub(f, g)
 
     def dual_sub(self, mu, nu):
-        return _measure_sub_rows(mu, nu) if isinstance(mu, MeasureRows) else measure_sub(mu, nu)
+        return measure_sub(mu, nu)
 
     def scale(self, f: PwlFunction, c):
         return pwl_scale(f, c)
 
     def dual_scale(self, mu, c):
-        if isinstance(c, np.ndarray):
-            locations, weights = _atoms_of(mu)
-            return MeasureRows(locations, c * weights, _density_scale(mu.density, c))
         return measure_scale(mu, c)
 
     def canonical_dual(self, f: PwlFunction):

@@ -79,8 +79,9 @@ class Space(Protocol):
     ``check`` / ``check_dual`` validate an outside primal / dual value once and
     return the form the other methods take; those assume checked arguments.
     A batch holds one element per row: (steps, n) arrays, or a
-    ``c01.PwlFunction`` with (steps, breakpoints) values and
-    ``c01.MeasureRows``; ``check_rows`` / ``check_dual_rows`` validate one.
+    ``c01.PwlFunction`` with (steps, breakpoints) values and a
+    ``c01.RcaMeasure`` with (steps, atoms) weights; ``check_rows`` /
+    ``check_dual_rows`` validate one.
     ``norm``, ``dual_norm``, ``pair`` and ``is_member`` take a batch as they
     take one element and give one value per row, bitwise that row's (a Python
     float or bool for one element); ``pair``, ``sub`` and ``dual_sub`` take one

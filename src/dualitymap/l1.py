@@ -11,12 +11,14 @@ zero values.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coderivative import Space
+
+_MAX = sys.float_info.max
 
 __all__ = [
     "FiniteMeasureSpace",
@@ -52,6 +54,9 @@ class FiniteMeasureSpace(Space):
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("all weights must be strictly positive and finite")
         object.__setattr__(self, "weights", w)
+        # |f_i| cut at _cut[i] gives a term of at most MAX / 2n, and n of them sum below MAX
+        with np.errstate(over="ignore"):  # inf: a weight too small for any cut
+            object.__setattr__(self, "_cut", _MAX / (2 * w.size) / w)
 
     @property
     def n(self) -> int:
@@ -92,16 +97,23 @@ class FiniteMeasureSpace(Space):
 
     # -- engine protocol: checked value lists, or (steps, n) stacks of them --
     def norm(self, f):
-        """||f||_1, one per row of a stack; raises when one overflows."""
-        norm = (np.abs(f) * self.weights).sum(-1)
-        if norm.ndim:
-            finite = np.isfinite(norm).all()
-        else:
-            norm = float(norm)
-            finite = math.isfinite(norm)
-        if not finite:
-            raise ValueError("L1 norm overflows")
-        return norm
+        """||f||_1, one per row of a stack; raises when one overflows.
+
+        The terms |f_i| w_i are summed with |f_i| cut at ``_cut``, so the sum
+        cannot overflow (nor warn); only a norm from MAX / 4n on, where a term
+        may have been cut, is summed again as it is, and raises if that
+        overflows.
+        """
+        terms = np.abs(f)  # cut and weighted in place: one temporary, as |f| w takes
+        np.minimum(terms, self._cut, out=terms)
+        terms *= self.weights
+        norm = terms.sum(-1)
+        if (norm.max() if norm.ndim else norm) >= _MAX / (4 * self.n):
+            with np.errstate(over="ignore"):  # an overflow raises below
+                norm = (np.abs(f) * self.weights).sum(-1)
+            if not np.isfinite(norm).all():
+                raise ValueError("L1 norm overflows")
+        return _float_or_rows(norm)
 
     def dual_norm(self, g):
         return _float_or_rows(np.abs(g).max(-1))

@@ -15,6 +15,7 @@ formula itself.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ __all__ = [
 
 # The smallest normal float: a sum of powers below it has lost precision.
 _TINY = sys.float_info.min
+_MAX = sys.float_info.max
 
 
 def _check_exponent(p: float) -> float:
@@ -62,36 +64,49 @@ def as_vector(x) -> np.ndarray:
 
 
 def _norm(v: np.ndarray, p: float):
-    """||v||_p as a float, or one norm per row of a stack; raises when one is out of range.
+    """||v||_p as a float, or one norm per row of a stack; raises when one is out of range (see ``_norms``)."""
+    return _norms(v, p)[0]
 
-    A sum of |v_i|**p that overflows, or that falls below the smallest
-    normal float for v != 0, is taken again on v / max|v_i| and the root
-    multiplied back, as BLAS nrm2 scales; every other norm keeps the bits of
-    the plain sum's root.
+
+def _norms(v: np.ndarray, p: float, finite: bool = True) -> tuple:
+    """(||v||_p, plain): the norm or one per row, and whether each was found from its plain sum.
+
+    The powers |v_i|**p are summed with each |v_i| cut at (MAX / 2n)**(1/p),
+    so the sum of n of them cannot overflow (nor warn).  A sum from MAX / 4n
+    on, where a term may have been cut, or below the smallest normal float
+    for v != 0, is taken again on v / max|v_i| and the root multiplied back,
+    as BLAS nrm2 scales; every other norm keeps the bits of the plain sum's
+    root.  With ``finite`` false a norm past the float range is inf instead
+    of raising.
     """
     # One scalar root per vector (C pow): an array power rounds differently.
-    a = np.abs(v)
-    sums, root = (a**p).sum(-1), 1.0 / p
+    n, root = v.shape[-1], 1.0 / p
+    powers = np.abs(v)  # cut and raised in place: one temporary, as |v|**p takes
+    np.minimum(powers, (_MAX / (2 * n)) ** root, out=powers)
+    powers **= p
+    sums, top = powers.sum(-1), _MAX / (4 * n)
     if v.ndim == 1:
         s = float(sums)
-        if _TINY <= s < math.inf or not v.any():
-            return s**root
-        return float(_rescaled(a[None], p, root)[0])
+        if _TINY <= s < top or not v.any():
+            return s**root, True
+        return float(_rescaled(np.abs(v)[None], p, root, finite)[0]), False
     each = sums.tolist()
     norm = np.array([s**root for s in each])
-    if min(each) < _TINY or max(each) == math.inf:
-        redo = ((sums < _TINY) | (sums == math.inf)) & v.any(-1)  # a zero row's norm is 0
-        if redo.any():
-            norm[redo] = _rescaled(a[redo], p, root)
-    return norm
+    if min(each) >= _TINY and max(each) < top:
+        return norm, True
+    redo = ((sums < _TINY) | (sums >= top)) & v.any(-1)  # a zero row's norm is 0
+    plain = not redo.any()
+    if not plain:
+        norm[redo] = _rescaled(np.abs(v[redo]), p, root, finite)
+    return norm, plain
 
 
-def _rescaled(a: np.ndarray, p: float, root: float) -> np.ndarray:
+def _rescaled(a: np.ndarray, p: float, root: float, finite: bool) -> np.ndarray:
     """max a * (sum (a / max a)**p) ** root per row of a stack of |v| with no zero row."""
     big = a.max(-1)
     sums = ((a / big[:, None]) ** p).sum(-1)
     norm = np.array([b * s**root for b, s in zip(big.tolist(), sums.tolist())])
-    if not (norm < math.inf).all():
+    if finite and not (norm < math.inf).all():
         raise ValueError(f"l_{p} norm overflows")
     return norm
 
@@ -121,7 +136,7 @@ def duality_map(x, p: float) -> np.ndarray:
     Returns the zero vector for x = 0 (J(0) = 0 in the dual), otherwise the
     vector with coordinates sign(x_i) |x_i|**(p-1) / ||x||_p**(p-2).  The
     result u satisfies <u, x> = ||x||_p**2 and ||u||_q = ||x||_p.  Raises
-    ValueError when ||x||_p or ||x||_p**(p-2) overflows.
+    ValueError only when J(x) itself overflows (see ``LpSpace.duality``).
     """
     return LpSpace(p).duality(as_vector(x))
 
@@ -195,21 +210,50 @@ class LpSpace(Space):
     dual_scale = scale
 
     def _divisor(self, norm: float) -> float:
-        """||x|| ** (p - 2), the divisor of J(x); 1 for x = 0, which maps 0 to 0 = J(0)."""
+        """||x|| ** (p - 2), the divisor of J(x), or inf past the float range; 1 for x = 0, which maps 0 to 0 = J(0)."""
         if not norm:
             return 1.0
         try:
             return norm ** (self.p - 2.0)
         except OverflowError:
-            raise ValueError(f"||x||_{self.p} ** (p - 2) overflows") from None
+            return math.inf
 
     def duality(self, x) -> np.ndarray:
-        norm = _norm(x, self.p)
+        """J(x), or J of each row of a stack; raises ValueError where J(x) itself overflows.
+
+        The plain form sign(x_i) |x_i|**(p-1) / ||x||**(p-2) leaves the float
+        range where the divisor does, or a term of an x_i != 0 comes out 0 or
+        not finite.  Such a row is found as m J(x / m), m = max|x_i|,
+        each term taken as sign(x_i) |x_i| (y_i / ||y||)**(p-2) with
+        y = |x| / m, which equals m y_i**(p-1) / ||y||**(p-2) without the
+        power y_i**(p-1) that underflows.  Every other row keeps the bits of
+        the plain form.
+        """
+        p = self.p
+        norm, plain = _norms(x, p, finite=False)
         if x.ndim == 1:
             divisor = self._divisor(norm)
         else:
             divisor = np.array([self._divisor(n) for n in norm.tolist()])[:, None]
-        return np.sign(x) * np.abs(x) ** (self.p - 1.0) / divisor
+        # Where every norm comes from its plain sum of powers, that sum bounds
+        # each divisor within the float range and each power |x_i|**(p-1) and
+        # term |J(x)_i| <= ||x|| below MAX: a term can only underflow to 0.
+        with contextlib.nullcontext() if plain else np.errstate(all="ignore"):
+            j = np.sign(x) * np.abs(x) ** (p - 1.0) / divisor
+        if plain and np.count_nonzero(j) == np.count_nonzero(x):
+            return j
+        lost = np.reshape((divisor < _TINY) | (divisor == math.inf), x.shape[:-1])
+        lost |= (np.count_nonzero(j, axis=-1) < np.count_nonzero(x, axis=-1)) | ~np.isfinite(j).all(-1)
+        if not lost.any():
+            return j
+        a = np.abs(x[lost])  # one row per row lost; of one vector, that row
+        y = a / a.max(-1, keepdims=True)
+        with np.errstate(all="ignore"):
+            scaled = np.sign(x[lost]) * np.where(a > 0.0, a * (y / _norm(y, p)[:, None]) ** (p - 2.0), 0.0)
+        if not np.isfinite(scaled).all():
+            raise ValueError(f"J(x) overflows in l_{p}")
+        j[lost] = scaled
+        return j
 
     canonical_dual = duality
 

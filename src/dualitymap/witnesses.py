@@ -311,15 +311,14 @@ class _ShiftForm(AffineForm):
 
     def _evaluate(self, t) -> tuple:
         u = c01.pwl_shift(self.base.point, self.shift * t)
-        weights = self.alphas * (self.values + self.shift * t)
-        if isinstance(t, np.ndarray):
-            return u, c01.atom_rows(self.points, weights)
-        return u, c01.atom_measure(zip(self.points, weights.tolist()))
+        return u, c01._measure(*c01._merge(self.points, self.alphas * (self.values + self.shift * t)))
 
 
 def _shift_curve(theorem: str, query: CoderivativeQuery, shift: float, points, alphas, t_max: float) -> ProbeCurve:
     """f + shift t with atoms alpha_j (f(s_j) + shift t) on points s_j where f peaks."""
     points, alphas = np.array(points, dtype=float), np.array(alphas, dtype=float)
+    order = points.argsort(kind="stable")  # sorted once, so the atoms need no sorting at each t
+    points, alphas = points[order], alphas[order]
     affine = _ShiftForm(
         query.space, query.base, shift=shift, points=points, alphas=alphas, values=query.base.point(points)
     )

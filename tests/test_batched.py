@@ -21,7 +21,7 @@ from dualitymap import (
 )
 from dualitymap import c01, serialize
 from dualitymap.witnesses import _ShiftForm
-from test_c01_kernels import ref_measure_sub, ref_pairing, ref_pwl_sub
+from test_c01_kernels import ref_measure_scale, ref_measure_sub, ref_pairing, ref_pwl_sub, ref_tv_norm
 from witness_draws import CLOSED_FORM_DRAWS, draw_cor57, draw_thm31, stable_seed
 
 DRAWS = {"thm31": draw_thm31, "cor57": draw_cor57, **CLOSED_FORM_DRAWS}
@@ -203,8 +203,12 @@ def test_probe_curve_needs_a_generator_or_an_affine_form():
         ProbeCurve("empty")
 
 
-def _row_measure(mu: c01.MeasureRows, i: int) -> RcaMeasure:
-    density = None if mu.density is None else c01.StepDensity(mu.density.breakpoints, mu.density.values[i])
+def _row_measure(mu: RcaMeasure, i: int) -> RcaMeasure:
+    """Row i of a batch on shared locations; a density without a row axis is every row's."""
+    density = None
+    if mu.density is not None:
+        values = mu.density.values
+        density = c01.StepDensity(mu.density.breakpoints, values[i] if values.ndim > 1 else values)
     return RcaMeasure(tuple(zip(mu.locations.tolist(), mu.weights[i].tolist())), density)
 
 
@@ -245,7 +249,7 @@ def test_c01_row_forms_equal_the_methods_row_by_row():
     weights[4], density[4] = 0.0, 0.0
     weights[4, 8] = 2.0  # 2 delta_0.75 in J(f_4)
     weights[5], density[5] = 0.0, 1.5  # the plateau density in J(f_5)
-    mu = c01.MeasureRows(locations, weights, c01._on_checked_grid(c01.StepDensity, grid, density))
+    mu = c01._measure(locations, weights, c01._on_checked_grid(c01.StepDensity, grid, density))
     fs = [PwlFunction(bp, row) for row in values]
     mus = [_row_measure(mu, i) for i in range(values.shape[0])]
     nu = RcaMeasure(((0.25, 1.0), (0.9, -0.5)), c01.StepDensity(np.array([0.0, 0.25, 0.6, 1.0]), [1.0, 0.0, -2.0]))
@@ -257,6 +261,7 @@ def test_c01_row_forms_equal_the_methods_row_by_row():
 
     same(space.norm(f), [space.norm(r) for r in fs])
     same(space.dual_norm(mu), [space.dual_norm(m) for m in mus])
+    same(space.dual_norm(mu), [ref_tv_norm(m) for m in mus])
     same(space.pair(mu, f), [space.pair(m, r) for m, r in zip(mus, fs)])
     same(space.pair(mu, f), [ref_pairing(m, r) for m, r in zip(mus, fs)])
     same(space.pair(nu, f), [space.pair(nu, r) for r in fs])
@@ -276,7 +281,7 @@ def test_c01_row_forms_equal_the_methods_row_by_row():
     # +inf, and the zero ones are skipped, not added as 0 * inf = NaN
     huge = c01._on_checked_grid(PwlFunction, bp, np.full((1, bp.size), 1e308))
     lone_density = c01._on_checked_grid(c01.StepDensity, grid, np.array([[0.0, 1.0, 0.0, 0.0]]))
-    lone = c01.MeasureRows(locations[:0], np.zeros((1, 0)), lone_density)
+    lone = c01._measure(locations[:0], np.zeros((1, 0)), lone_density)
     with np.errstate(over="ignore", invalid="ignore"):
         same(space.pair(lone, huge), [space.pair(_row_measure(lone, 0), PwlFunction(bp, huge.values[0]))])
 
@@ -288,13 +293,14 @@ def test_c01_row_forms_equal_the_methods_row_by_row():
     for i, ci in enumerate(c[:, 0].tolist()):
         same(scaled.values[i], space.scale(fs[0], ci).values)
         _same_measure(_row_measure(scaled_mu, i), space.dual_scale(nu, ci))
+        _same_measure(_row_measure(scaled_mu, i), ref_measure_scale(nu, ci))
     # equal points merge as RcaMeasure merges them: in order, from 0.0
     points = [0.75, 0.25, 0.75, 1.0, 0.75]
     atom_weights = rng.uniform(-1.0, 1.0, (40, len(points)))
     atom_weights[0, 3] = -0.0
     atom_weights[1, 0], atom_weights[1, 2], atom_weights[1, 4] = 0.3, -0.3, 0.0
     atom_weights[2] = [0.1, 0.5, 0.2, 0.7, 0.3]  # 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
-    rows = c01.atom_rows(points, atom_weights)
+    rows = c01._measure(*c01._merge(np.array(points), atom_weights))
     for i, row in enumerate(atom_weights):
         _same_measure(_row_measure(rows, i), c01.atom_measure(zip(points, row.tolist())))
 
@@ -310,7 +316,7 @@ def test_c01_rows_without_a_density_minus_a_measure_with_one():
     f = c01._on_checked_grid(PwlFunction, bp, values)
     weights = rng.uniform(-2.0, 2.0, (5, 3))
     weights[0] = [0.0, 1.0, 0.0]  # cancels nu's atom
-    rows = c01.atom_rows([0.25, 0.5, 0.75], weights)
+    rows = c01._measure(*c01._merge(np.array([0.25, 0.5, 0.75]), weights))
     nu = RcaMeasure(((0.5, 1.0),), c01.StepDensity(np.array([0.0, 0.3, 0.6, 1.0]), [-1.5, -1.5, -1.5]))
     diff = space.dual_sub(rows, nu)
     mus = [_row_measure(rows, i) for i in range(5)]
@@ -325,6 +331,7 @@ def test_c01_rows_without_a_density_minus_a_measure_with_one():
         assert [float(v).hex() for v in rows] == [float(v).hex() for v in values]
 
     same(space.dual_norm(diff), [space.dual_norm(e) for e in expected])
+    same(space.dual_norm(diff), [ref_tv_norm(e) for e in expected])
     same(space.pair(diff, g), [space.pair(e, g) for e in expected])
     same(space.pair(diff, g), [ref_pairing(e, g) for e in expected])
     same(space.pair(diff, f), [space.pair(e, r) for e, r in zip(expected, fs)])
@@ -345,6 +352,13 @@ def test_a_c01_batch_is_refused_where_one_element_is_expected():
         CoderivativeQuery(space, GraphPair(batch, mu), mu)
     with pytest.raises(ValueError, match="got a batch"):
         CoderivativeQuery(space, GraphPair(f, mu), mu, second_dual=batch)
+    # a batch of measures is one RcaMeasure type too, and refused as one dual element
+    duals = space.dual_scale(mu, np.array([[1.0], [2.0]]))
+    assert isinstance(duals, RcaMeasure) and duals.weights.shape == (2, 1)
+    with pytest.raises(ValueError, match="got a batch"):
+        CoderivativeQuery(space, GraphPair(f, duals), mu)
+    with pytest.raises(ValueError, match="got a batch"):
+        space.check_dual(duals)
     two_d = {"breakpoints": [0.0, 0.5, 1.0], "values": batch.values.tolist()}
     with pytest.raises(ValueError, match="match the breakpoints"):
         serialize.pwl_from_json(two_d)

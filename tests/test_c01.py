@@ -188,6 +188,22 @@ def test_measure_sub_and_mass():
     assert tv_norm(diff) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_atoms_merge_only_at_equal_floats():
+    # 0.1 + 0.2 is the float after 0.3: two points of the model, so the two
+    # atoms stay apart and the TV norm of the difference is 2, not 0
+    near, at = 0.1 + 0.2, 0.3
+    assert near == np.nextafter(at, 1.0)
+    diff = measure_sub(atom_measure([(near, 1.0)]), atom_measure([(at, 1.0)]))
+    assert diff.atoms == ((at, -1.0), (near, 1.0))
+    assert tv_norm(diff) == 2.0
+    assert RcaMeasure(((near, 1.0), (at, -1.0))).atoms == diff.atoms
+    # at one float they merge and cancel
+    assert tv_norm(measure_sub(atom_measure([(at, 1.0)]), atom_measure([(0.3, 1.0)]))) == 0.0
+    # a tent with its peak between the two floats tells them apart
+    tent = PwlFunction(np.array([0.0, at, near, 1.0]), np.array([0.0, 1.0, 0.0, 0.0]))
+    assert pairing_c(diff, tent) == -1.0
+
+
 def test_brute_force_atomic_membership_consistency():
     # all-atom M(f); pure-atom grid measures pass iff the two closed-form
     # conditions hold, and membership forces support inside M(f)

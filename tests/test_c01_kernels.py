@@ -14,7 +14,6 @@ from dualitymap import C01Space, c01, PwlFunction, is_duality_member_c, maximizi
 from dualitymap.c01 import (
     VALUE_TOL,
     MaximizingSet,
-    MeasureRows,
     MembershipReport,
     RcaMeasure,
     StepDensity,
@@ -67,14 +66,26 @@ def ref_density_terms(d: StepDensity, f: PwlFunction) -> np.ndarray:
     return np.where(dens != 0.0, terms, 0.0)
 
 
-def ref_canonical_rows(f: PwlFunction) -> MeasureRows:
+def ref_tv_norm(mu: RcaMeasure) -> float:
+    tv = sum(abs(w) for _, w in mu.atoms)
+    if mu.density is not None:
+        tv += float(np.sum(np.abs(mu.density.values) * np.diff(mu.density.breakpoints)))
+    return float(tv)
+
+
+def ref_measure_scale(mu: RcaMeasure, c: float) -> RcaMeasure:
+    density = None if mu.density is None else StepDensity(mu.density.breakpoints, mu.density.values * c)
+    return RcaMeasure(atoms=tuple((loc, c * w) for loc, w in mu.atoms), density=density)
+
+
+def ref_canonical_rows(f: PwlFunction) -> RcaMeasure:
     """The canonical measures of a stack with f interpolated at every atom location."""
     first, last = c01._runs(f, sup_norm(f), VALUE_TOL)
     bp, cols = f.breakpoints, np.arange(f.breakpoints.shape[-1])
     end = np.minimum.accumulate(np.where(last, cols, cols[-1])[:, ::-1], axis=-1)[:, ::-1]
     locations = np.where(last, bp, 0.5 * (bp + bp[np.arange(bp.shape[0])[:, None], end]))
     weights = (1.0 / first.sum(-1))[:, None] * f(locations)
-    return MeasureRows(locations, np.where(first, weights, 0.0))
+    return c01._measure(locations, np.where(first, weights, 0.0))
 
 
 def ref_pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
@@ -83,7 +94,10 @@ def ref_pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
 
 
 def ref_measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
-    atoms = list(mu.atoms) + [(loc, -w) for loc, w in nu.atoms]
+    merged = {}
+    for loc, w in list(mu.atoms) + [(loc, -w) for loc, w in nu.atoms]:
+        merged[loc] = merged.get(loc, 0.0) + w
+    atoms = sorted((loc, w) for loc, w in merged.items() if w != 0.0)
     density = None
     if mu.density is not None or nu.density is not None:
         grids = [d.breakpoints for d in (mu.density, nu.density) if d is not None]
@@ -438,7 +452,7 @@ def test_merged_atom_weights_that_overflow_raise():
         RcaMeasure(((0.5, 1e308), (0.5, 1e308)))
     with pytest.raises(ValueError, match="atom weights must be finite"):
         measure_sub(atom_measure([(0.5, 1e308)]), atom_measure([(0.5, -1e308)]))
-    rows = MeasureRows(np.array([0.25, 0.5]), np.array([[1.0, 1.0], [0.0, 1e308]]))
+    rows = c01._measure(np.array([0.25, 0.5]), np.array([[1.0, 1.0], [0.0, 1e308]]))
     with pytest.raises(ValueError, match="atom weights must be finite"):
         C01Space().dual_sub(rows, atom_measure([(0.5, -1e308)]))
 
@@ -458,7 +472,7 @@ def test_canonical_measure_is_the_atomic_member(n):
 # -- stacks with one grid per row ---------------------------------------------
 
 
-def row_atoms(mu: MeasureRows, i: int) -> tuple:
+def row_atoms(mu: RcaMeasure, i: int) -> tuple:
     """The atoms row i of a stack holds, in its order: the weights that are not 0."""
     keep = mu.weights[i] != 0.0
     return tuple(zip(mu.locations[i][keep].tolist(), mu.weights[i][keep].tolist()))
@@ -498,11 +512,11 @@ def test_stack_forms_match_each_row(n):
         one_jx, one_jy = canonical_duality_measure(f), canonical_duality_measure(g)
         assert same_tuples(row_atoms(jx, i), one_jx.atoms)
         assert same_tuples(row_atoms(jy, i), one_jy.atoms)
-        one_diff, one_jdiff = pwl_sub(f, g), measure_sub(one_jx, one_jy)
+        one_diff, one_jdiff = pwl_sub(f, g), ref_measure_sub(one_jx, one_jy)
         assert same_pwl(row_pwl(diff, i), one_diff)
         assert same_tuples(row_atoms(jdiff, i), one_jdiff.atoms)
-        assert same_float(float(tv[i]), tv_norm(one_jdiff))
-        assert same_float(float(paired[i]), pairing_c(one_jdiff, one_diff))
+        assert same_float(float(tv[i]), ref_tv_norm(one_jdiff))
+        assert same_float(float(paired[i]), ref_pairing(one_jdiff, one_diff))
     nonzero = [f for f in fs if sup_norm(f) != 0.0]
     x = pwl_rows([f.breakpoints for f in nonzero], [f.values for f in nonzero])
     for tol in (VALUE_TOL, 0.3):
@@ -540,10 +554,10 @@ def test_stack_of_rows_is_checked():
 def test_stacked_atoms_merge_as_rca_measure_merges_them():
     # equal locations, at 0 and 1 too, add up from one atom of each side;
     # an exact 0.0 is dropped, and the rest stay sorted by location
-    mu = MeasureRows(np.array([[0.0, 0.5, 1.0, 0.9], [1.0, 0.3, 0.0, 0.0]]),
-                     np.array([[0.1, 0.2, 0.3, 0.0], [0.5, 0.0, 0.0, 0.25]]))
-    nu = MeasureRows(np.array([[1.0, 0.0, 0.7], [0.0, 1.0, 0.3]]),
-                     np.array([[0.3, 0.4, 0.0], [0.25, 0.5, -0.3]]))
+    mu = c01._measure(np.array([[0.0, 0.5, 1.0, 0.9], [1.0, 0.3, 0.0, 0.0]]),
+                      np.array([[0.1, 0.2, 0.3, 0.0], [0.5, 0.0, 0.0, 0.25]]))
+    nu = c01._measure(np.array([[1.0, 0.0, 0.7], [0.0, 1.0, 0.3]]),
+                      np.array([[0.3, 0.4, 0.0], [0.25, 0.5, -0.3]]))
     got = C01Space().dual_sub(mu, nu)
     for i in range(2):
         one = lambda m: atom_measure(row_atoms(m, i))  # noqa: E731
@@ -598,3 +612,11 @@ def test_take_rows_selects_rows_of_a_stack_and_of_its_measures():
         assert same_array(sub.breakpoints, x.breakpoints[rows]) and same_array(sub.values, x.values[rows])
         nu = c01.take_rows(mu, rows)
         assert same_array(nu.locations, mu.locations[rows]) and same_array(nu.weights, mu.weights[rows])
+    # a batch on shared locations with a density keeps both, and takes the density's rows
+    one = RcaMeasure(((0.25, 1.0), (0.5, -2.0)), StepDensity(np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0])))
+    batch = measure_scale(one, np.array([[1.0], [2.0], [-3.0]]))
+    for rows in (slice(1, 3), np.array([2, 0, 2])):
+        nu = c01.take_rows(batch, rows)
+        assert nu.locations is batch.locations and same_array(nu.weights, batch.weights[rows])
+        assert same_array(nu.density.values, batch.density.values[rows])
+        assert nu.atoms == tuple(batch.atoms[i] for i in np.arange(3)[rows])

@@ -51,7 +51,12 @@ def test_eval_malformed(capsys):
 
 
 def test_eval_lp_power_overflow_exit_code(capsys):
+    # ||x|| ** (p - 2) overflows, but J([1e-320]) = [1e-320]: this used to exit 2
     code = main(["eval", "--space", "lp", "--p", "1.000001", "--vector", "[1e-320]"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == [1e-320]
+    # J itself overflows: 2**(1/3) * 1.5e308
+    code = main(["eval", "--space", "lp", "--p", "1.5", "--vector", "[1.5e308, 1.5e308]"])
     assert code == 2
     assert "overflows" in capsys.readouterr().err
 
@@ -320,7 +325,6 @@ def _run_one(tmp_path, scenario):
     return main(["run", str(path), "--out", str(tmp_path / "out.json")]), tmp_path / "out.json"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_an_overflowing_tail_mean_is_found_term_by_term(tmp_path):
     # every quotient is 1e308 and their sum overflows: the limit used to be
     # inf, certified and written as Infinity
@@ -357,11 +361,15 @@ def test_a_norm_that_underflows_is_no_traceback(tmp_path):
     assert code == 0 and record["verdict"] == "certified" and record["estimated_limit"] == 0.5
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_eval_never_prints_infinity(capsys):
-    # J([1e200]) at p = 3 is |x|^2 / ||x|| = inf: it used to print [Infinity]
+    # J([1e200]) at p = 3 is |x|^2 / ||x||, whose plain form is inf: it used
+    # to print [Infinity], then to exit 2; it is 1e200
     code = main(["eval", "--space", "lp", "--p", "3", "--vector", "[1e200]"])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == "" and "JSON" in captured.err
+    assert code == 0 and _strict(captured.out) == [1e200]
+    # a J that overflows is refused before anything is printed
+    code = main(["eval", "--space", "lp", "--p", "1.5", "--vector", "[1.5e308, 1.5e308]"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "overflows" in captured.err
     assert main(["eval", "--space", "lp", "--p", "3", "--vector", "[2, -1]"]) == 0
     assert _strict(capsys.readouterr().out)

@@ -3,7 +3,7 @@
 Each reference below is the form the library used before: ``np.mean`` for
 the tail estimate (but where the sum of three finite quotients overflows,
 which is now averaged term by term), numpy scalars for the duality gaps of one element, the
-per-atom loop of ``atom_rows``, the grid union of ``dual_sub`` and builders
+per-atom loop of the atom merge (``c01._merge``), the grid union of ``dual_sub`` and builders
 that computed ||f|| and M(f) per helper call.  The fast paths must give the
 same floats, bit for bit, signed zeros included.  The per-atom sum of
 ``pairing_c`` is checked against ``ref_pairing`` in ``test_c01_kernels``.
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from dualitymap import C01Space, FiniteMeasureSpace, LpSpace, c01, serialize
-from dualitymap.c01 import MeasureRows, RcaMeasure, atom_measure, atom_rows
+from dualitymap.c01 import RcaMeasure, atom_measure
 from dualitymap.coderivative import CoderivativeQuery, GraphPair, _quotient, _sample, _tail_estimate, duality_gaps
 from dualitymap.witnesses import HypothesisViolation, build_witness
 from witness_draws import CLOSED_FORM_DRAWS, draw_cor57, random_pwl, stable_seed
@@ -175,7 +175,7 @@ def test_one_bad_row_fails_a_batch():
 # -- atom rows ------------------------------------------------------------------
 
 
-def ref_atom_rows(points, weights: np.ndarray) -> tuple:
+def ref_merge(points, weights: np.ndarray) -> tuple:
     locations, slot = np.unique(np.asarray(points, dtype=float), return_inverse=True)
     merged = np.zeros((weights.shape[0], locations.size))
     with np.errstate(over="ignore"):
@@ -197,16 +197,16 @@ def test_atom_rows_match_the_loop(points):
     weights[2, ::2] = -0.0
     if len(points) > 1:
         weights[3, 1] = -weights[3, 0]  # two atoms at one point cancel
-    got = atom_rows(points, weights)
-    want = ref_atom_rows(points, weights)
-    assert same_array(got.locations, want[0])
-    assert same_array(got.weights, want[1])
+    got = c01._merge(np.asarray(points, dtype=float), weights)
+    want = ref_merge(points, weights)
+    assert same_array(got[0], want[0])
+    assert same_array(got[1], want[1])
 
 
 # -- dual_sub of rows at the measure's own locations --------------------------------
 
 
-def ref_sub_rows(mu: MeasureRows, nu: RcaMeasure) -> tuple:
+def ref_sub_rows(mu: RcaMeasure, nu: RcaMeasure) -> tuple:
     nu_locations = np.array([loc for loc, _ in nu.atoms])
     nu_weights = np.array([w for _, w in nu.atoms])
     locations = np.union1d(mu.locations, nu_locations)
@@ -221,8 +221,8 @@ def test_dual_sub_at_equal_locations_matches_the_union():
     nu = atom_measure([(0.0, 1.5), (0.25, -0.5), (1.0, 2.0)])
     locations = np.array([loc for loc, _ in nu.atoms])  # equal to nu's, not the same array
     weights = np.array([[1.5, -0.5, 2.0], [-0.0, 0.0, -0.0], [3.0, -0.0, 2.0], [1.5, 1.0, -2.0]])
-    same_place = MeasureRows(locations, weights)
-    elsewhere = MeasureRows(np.array([0.0, 0.5, 1.0]), weights)  # the union path
+    same_place = c01._measure(locations, weights)
+    elsewhere = c01._measure(np.array([0.0, 0.5, 1.0]), weights)  # the union path
     scaled = space.dual_scale(nu, np.array([[1.0], [-0.0], [2.0]]))
     for mu in (same_place, elsewhere, scaled):
         got = space.dual_sub(mu, nu)

@@ -193,7 +193,6 @@ def test_zero_selection(uniform3):
     np.testing.assert_array_equal(zero_selection(uniform3), [0.0, 0.0, 0.0])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_norm_overflow_raises():
     # ||f||_1 = 2e308 used to be inf, and J(f) [inf, inf]
     space = FiniteMeasureSpace([1.0, 1.0])

@@ -36,23 +36,22 @@ def test_exponent_guard(bad_p):
         duality_map([1.0, 2.0], bad_p)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "call, args",
     [
         (lp_norm, ([1.5e308, 1.5e308], 2.0)),
-        (duality_map, ([1e200, 1.0], 4.0)),
-        (duality_map, ([1.0, 2.0], 1e6)),
+        (duality_map, ([1.5e308, 1.5e308], 1.5)),
+        (duality_map, ([1e308, 1e308, 1e308, 1e308], 1.1)),
     ],
 )
 def test_overflow_raises(call, args):
-    # These used to return inf, [nan, 0] and [0, nan].  The norm of the
-    # first is sqrt(2) * 1.5e308, beyond the float range.
+    # The norm of the first is sqrt(2) * 1.5e308, beyond the float range.
+    # For p < 2, J(x)_i = |x_i| (||x|| / |x_i|)**(2 - p) exceeds |x_i|: here
+    # 2**(1/3) * 1.5e308 and 4**(0.1/1.1) * 1e308.
     with pytest.raises(ValueError, match="overflows"):
         call(*args)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_finite_norm_whose_power_sum_leaves_the_float_range():
     # the sum of |x_i|**p overflows (first) or underflows to 0 (second) or
     # below the smallest normal float (third), but the norm is a float: it is
@@ -75,10 +74,40 @@ def test_a_finite_norm_whose_power_sum_leaves_the_float_range():
 
 
 def test_power_overflow_raises_value_error():
-    # ||x||_p ** (p - 2) for a subnormal norm and p just above 1 used to
-    # raise OverflowError.
-    with pytest.raises(ValueError, match="overflows"):
-        duality_map([1e-320], 1.000001)
+    # ||x||_p ** (p - 2) for a subnormal norm and p just above 1 overflows,
+    # but J(x) = x for one coordinate: it used to raise OverflowError, then
+    # ValueError.
+    assert duality_map([1e-320], 1.000001).tolist() == [1e-320]
+
+
+# J(x) where the plain form sign(x_i) |x_i|**(p-1) / ||x||**(p-2) leaves the
+# float range: each used to return the value after "was", and warned on the way.
+EDGES = {
+    "power_underflows": ([1e-300, 0.0], 3.0, [1e-300, 0.0]),  # was [0, 0]
+    "power_overflows": ([1e200, 1.0], 3.0, [1e200, 1e-200]),  # was [inf, 1e-200]
+    "divisor_underflows": ([0.5, 0.5], 1e6, [0.25000034657, 0.25000034657]),  # was [nan, nan]
+    "divisor_overflows": ([1e-320], 1.000001, [1e-320]),  # raised "overflows"
+}
+
+
+@pytest.mark.parametrize("case", EDGES, ids=list(EDGES))
+def test_duality_map_at_the_edges_of_the_float_range(case):
+    x, p, want = EDGES[case]
+    got = duality_map(x, p)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+    # the identities of J, on x / max|x_i| where ||x||**2 leaves the float range
+    big = max(abs(v) for v in x)
+    y, jy = np.array(x) / big, got / big
+    np.testing.assert_allclose(lp_norm(jy, p / (p - 1.0)), lp_norm(y, p), rtol=1e-9)
+    np.testing.assert_allclose(np.dot(jy, y), lp_norm(y, p) ** 2, rtol=1e-9)
+    # a stack takes the same path row by row; rows in range keep the plain form's bits
+    rng = np.random.default_rng(3)
+    rows = np.vstack([rng.uniform(-10.0, 10.0, (3, len(x))), [x], np.zeros((1, len(x)))])
+    stacked = LpSpace(p).duality(rows)
+    assert [r.tobytes() for r in stacked] == [duality_map(r, p).tobytes() for r in rows]
+    if p < 10.0:  # at p = 1e6 no random row is in range
+        plain = [np.sign(r) * np.abs(r) ** (p - 1.0) / lp_norm(r, p) ** (p - 2.0) for r in rows[:3]]
+        assert [r.tobytes() for r in stacked[:3]] == [r.tobytes() for r in plain]
 
 
 def test_duality_map_examples():

@@ -47,7 +47,7 @@ def _batches():
     lp3, l1 = LpSpace(3.0), FiniteMeasureSpace([1.0, 2.0])
     values = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
     f = c01._on_checked_grid(c01.PwlFunction, np.array([0.0, 0.5, 1.0]), values)
-    mu = c01.atom_rows([0.5], np.array([[2.0], [-1.0], [0.0]]))
+    mu = c01._measure(np.array([0.5]), np.array([[2.0], [-1.0], [0.0]]))
     one_c01 = c01.PwlFunction(f.breakpoints, f.values[0])
     return [
         (lp3, (x[0], lp3.canonical_dual(x[0])), (x, np.array([lp3.canonical_dual(r) for r in x]))),

@@ -243,9 +243,7 @@ class DistortedC01(C01Space):
 
     def canonical_dual(self, f):
         mu = super().canonical_dual(f)
-        if isinstance(mu, c01.MeasureRows):
-            return c01.MeasureRows(mu.locations, mu.weights * (1.5 - mu.locations))
-        return c01.atom_measure((loc, w * (1.5 - loc)) for loc, w in mu.atoms)
+        return c01._measure(mu.locations, mu.weights * (1.5 - mu.locations))
 
 
 class RecordingC01(C01Space):
