@@ -75,18 +75,23 @@ Stacks: the suite evaluates many functions, each on its own grid, as one
 padded already): (rows, width) breakpoints and values, a
 shorter row padded by repeating its last breakpoint (1.0) and value, which
 changes neither the function nor its sup norm; a padded column is one whose
-breakpoint does not increase.  ``sup_norm``, ``pwl_scale``, ``pwl_sub`` (on
-each row's union grid), ``maximizer_runs`` (M(f) as masks) and
+breakpoint does not increase.  ``sup_norm``, ``pwl_scale``, ``pwl_sub`` (of
+two stacks, on each row's union grid, with one interpolation over the rows
+of both), ``maximizer_runs`` (M(f) as masks) and
 ``canonical_duality_measure`` take a stack, and ``take_rows`` selects rows
 of one.  The last returns an ``RcaMeasure`` with a row of atom locations
 each, sorted among the atoms present, its atoms on breakpoints taking f's
-values there and only plateau midpoints interpolated.  The pairing, the
-TV norm, the scaling and the difference take such measures; the
-difference merges each row's atoms as ``RcaMeasure`` merges atoms, and
-densities stay on shared grids.  Interpolation counts
-a row's breakpoints at or below each point, exact and cheap at these
-widths.  On one element ``maximizing_set`` walks only the maximizers, at a
-third of the cost of the masks.
+values there and only the plateau midpoints of nonzero rows interpolated.
+The pairing, the TV norm, the scaling and the difference take such
+measures.  The pairing with a stack reads it at the atoms present only.
+The difference subtracts weight by weight where the two rows of locations
+agree and hold at most one atom at a location, and otherwise merges each
+row's atoms as ``RcaMeasure`` merges atoms; densities stay on shared grids.
+Interpolation on a grid per row finds each point's segment as the first
+breakpoint above it, exact and cheap at these widths, for a row of points
+each or for points that each name their row.  On one element
+``maximizing_set`` walks only the maximizers, at a third of the cost of
+the masks.
 """
 
 from __future__ import annotations
@@ -248,13 +253,30 @@ def _union_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return grid
 
 
+def _widen(a: np.ndarray, width: int) -> np.ndarray:
+    """The rows of a padded stack padded on to ``width`` columns, as ``pwl_rows`` pads them."""
+    return a if a.shape[1] == width else a[:, np.minimum(np.arange(width), a.shape[1] - 1)]
+
+
 def pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
-    """f - g on the union of the two breakpoint grids (value by value on a shared one), by row for a stack."""
-    bp = f.breakpoints
-    if _same_grid(g.breakpoints, bp):
+    """f - g on the union of the two breakpoint grids (value by value on a shared one), by row for two stacks.
+
+    Two stacks of as many rows (from ``pwl_rows``) are read on each row's
+    union grid with one interpolation over the rows of f and g stacked,
+    padded to one width.  A stack and a function on one grid are refused.
+    """
+    bp, other = f.breakpoints, g.breakpoints
+    if _same_grid(other, bp):
         return _on_checked_grid(PwlFunction, bp, f.values - g.values)
-    grid = np.union1d(bp, g.breakpoints) if bp.ndim == 1 else _union_rows(bp, g.breakpoints)
-    return _on_checked_grid(PwlFunction, grid, f(grid) - g(grid))
+    if bp.ndim == other.ndim == 1:
+        grid = np.union1d(bp, other)
+        return _on_checked_grid(PwlFunction, grid, f(grid) - g(grid))
+    if bp.ndim != other.ndim or bp.shape[0] != other.shape[0]:
+        raise ValueError(f"pwl_sub needs two stacks of as many rows or two functions, got grids {bp.shape} and {other.shape}")
+    grid, n, width = _union_rows(bp, other), bp.shape[0], max(bp.shape[1], other.shape[1])
+    xp, fp = (np.concatenate([_widen(a, width), _widen(b, width)]) for a, b in ((bp, other), (f.values, g.values)))
+    both = _interp_rows(np.concatenate([grid, grid]), xp, fp)
+    return _on_checked_grid(PwlFunction, grid, both[:n] - both[n:])
 
 
 def sup_norm(f: PwlFunction):
@@ -579,23 +601,35 @@ def measure_scale(mu: RcaMeasure, c) -> RcaMeasure:
 def measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
     """mu - nu, atoms at one location added up as ``RcaMeasure`` adds them; per row of a batch.
 
-    A missing density counts as 0.  On shared locations equal to nu's
-    (every scaling and shift curve) the weights subtract one by one, as
-    0.0 + w - v, which is what the merge adds up at each location.
+    A missing density counts as 0.  Where nu's locations equal mu's (every
+    scaling and shift curve, and J(alpha x) against alpha J(x) in the
+    suite) the weights subtract one by one, as 0.0 + w - v, which is what
+    the merge adds up at each location.  With a row of locations each, that
+    also needs at most one atom of mu or nu at each location of a row
+    (repeats are padding, of weight 0.0); otherwise every row is merged.
     """
     density = _density_sub(mu.density, nu.density)
-    if mu.locations.ndim == 1 and _same_grid(mu.locations, nu.locations):
+    at = mu.locations
+    if _same_grid(at, nu.locations) and (at.ndim == 1 or _one_atom_each(at, (mu.weights != 0.0) | (nu.weights != 0.0))):
         with np.errstate(over="ignore"):  # rejected as a weight that is not finite
-            return _measure(mu.locations, 0.0 + mu.weights - nu.weights, density)
-    return _measure(*_merge(_cat(mu.locations, nu.locations), _cat(mu.weights, -nu.weights)), density)
+            return _measure(at, 0.0 + mu.weights - nu.weights, density)
+    return _measure(*_merge(_cat(at, nu.locations), _cat(mu.weights, -nu.weights)), density)
 
 
-def total_mass(mu: RcaMeasure) -> float:
-    """mu([0,1]): signed sum of atom weights plus the density integral."""
-    mass = sum(w for _, w in mu.atoms)
-    if mu.density is not None:
-        mass += float(np.sum(mu.density.values * np.diff(mu.density.breakpoints)))
-    return float(mass)
+def _one_atom_each(locations: np.ndarray, held: np.ndarray) -> bool:
+    """Whether no two ``held`` columns of a row sit at one location; each row's locations are sorted."""
+    r, c = held.nonzero()
+    at = locations[r, c]  # row by row, each in order, so equal locations of a row are neighbours
+    return not ((at[1:] == at[:-1]) & (r[1:] == r[:-1])).any()
+
+
+def total_mass(mu: RcaMeasure):
+    """mu([0,1]): signed sum of atom weights plus the density integral; one per row of a batch."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python float sums
+        mass = _sum_left(mu.weights)
+        if mu.density is not None:
+            mass = mass + np.sum(mu.density.values * np.diff(mu.density.breakpoints), axis=-1)
+    return mass if mass.ndim else float(mass)
 
 
 def tv_norm(mu: RcaMeasure):
@@ -610,6 +644,8 @@ def pairing_c(mu: RcaMeasure, f: PwlFunction):
     """<mu, f> = integral of f d(mu), exact for atoms + step density vs linear f; one per row.
 
     A batch of measures, of functions or of both gives one value per row.
+    A stack is read only where an atom is present, the only terms that are
+    not +0.0.
     The atom terms and then the density terms are summed left to right
     from 0.0; an absent atom or a zero density segment adds +0.0, which
     leaves the total unchanged, since a total that starts at +0.0 is never
@@ -617,9 +653,16 @@ def pairing_c(mu: RcaMeasure, f: PwlFunction):
     """
     w = mu.weights
     with np.errstate(over="ignore", invalid="ignore"):  # as Python float products
-        terms = [w * f(mu.locations)]
-    if not _every(w != 0.0):  # an absent atom adds +0.0, not 0 * inf = NaN
-        terms[0] = np.where(w != 0.0, terms[0], 0.0)
+        if f.breakpoints.ndim > 1:
+            shape = (f.breakpoints.shape[0], w.shape[-1])
+            w, locations = (a if a.shape == shape else np.broadcast_to(a, shape) for a in (w, mu.locations))
+            at = w.nonzero()
+            terms = [np.zeros(shape)]
+            terms[0][at] = w[at] * _interp_rows(locations[at], f.breakpoints, f.values, at[0])
+        else:
+            terms = [w * f(mu.locations)]
+            if not _every(w != 0.0):  # an absent atom adds +0.0, not 0 * inf = NaN
+                terms[0] = np.where(w != 0.0, terms[0], 0.0)
     if mu.density is not None:
         terms.append(_density_terms(mu.density, f))
     total = _sum_left(_cat(*terms))
@@ -637,9 +680,11 @@ class MembershipReport:
 
 def is_duality_member_c(mu: RcaMeasure, f: PwlFunction, tol: float = MEMBERSHIP_TOL) -> MembershipReport:
     """Membership of mu in J(f) (``C01Space.is_member``) plus the support check of mu
-    on M(f), whose positions are compared within tol; needs f != 0."""
+    on M(f), whose positions are compared within tol; needs one f != 0 and one mu."""
+    space = C01Space()
+    f, mu = space.check(f), space.check_dual(mu)
     mset = maximizing_set(f)
-    member = C01Space().is_member(f, mu, tol)
+    member = space.is_member(f, mu, tol)
     support_ok = all(mset.contains(loc, tol) for loc, _ in mu.atoms)
     if support_ok and mu.density is not None:
         bp, vals = mu.density.breakpoints, mu.density.values
@@ -730,17 +775,19 @@ def _canonical_rows(f: PwlFunction) -> RcaMeasure:
 
     An atom on a breakpoint (every ``last`` column) takes f's value there,
     which is what interpolation returns on a breakpoint; only the midpoints
-    of plateaus are interpolated.  A zero row gets weights of +-0.0, no
-    atom, as the zero measure has none.
+    of plateaus are interpolated, and only in rows with a nonzero sup norm.
+    A zero row is one plateau whose weights stay f's +-0.0, no atom, as the
+    zero measure has none.
     """
-    first, last = _runs(f, sup_norm(f), VALUE_TOL)
+    norm = sup_norm(f)
+    first, last = _runs(f, norm, VALUE_TOL)
     bp, cols = f.breakpoints, np.arange(f.breakpoints.shape[-1])
     end = np.minimum.accumulate(np.where(last, cols, cols[-1])[:, ::-1], axis=-1)[:, ::-1]
     locations = np.where(last, bp, 0.5 * (bp + bp[np.arange(bp.shape[0])[:, None], end]))
     values = f.values.copy()
-    r, c = (first & ~last).nonzero()  # the plateau starts: their atoms sit at midpoints
+    r, c = (first & ~last & (norm != 0.0)[:, None]).nonzero()  # the plateau starts: their atoms sit at midpoints
     if r.size:
-        values[r, c] = _interp_rows(locations[r, c, None], bp[r], f.values[r])[:, 0]
+        values[r, c] = _interp_rows(locations[r, c], bp, f.values, r)
     weights = (1.0 / first.sum(-1))[:, None] * values
     return _measure(locations, np.where(first, weights, 0.0))
 
@@ -757,24 +804,30 @@ def take_rows(v, rows):
     return _on_checked_grid(PwlFunction, v.breakpoints[rows], v.values[rows])
 
 
-def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray, rows=None) -> np.ndarray:
     """``np.interp(x, xp, row)`` for each row of ``fp``, by the rules of numpy's C kernel.
 
     At or past an end, or on a breakpoint, the value there; in between
     slope * (x - xp[j]) + fp[j], or from the right end when that is NaN, or
     fp[j] when that is NaN too and both ends are equal.  The kernel raises
     no floating-point warnings, so neither does this.  With one grid per
-    row of ``xp`` (padded by ``pwl_rows``), ``x`` holds each row's points.
+    row of ``xp`` (padded by ``pwl_rows``), ``x`` holds each row's points,
+    or, given ``rows``, ``x[i]`` is a point of row ``rows[i]``.
     """
     last = xp.shape[-1] - 1
     if xp.ndim > 1:
-        # a broadcast count over a row is exact and, at these widths, cheap
-        j = (xp[:, None, :] <= x[..., None]).sum(-1) - 1  # xp[j] <= x < xp[j + 1]
-        rows, on = np.arange(j.shape[0])[:, None], np.maximum(j, 0)
+        each = rows is None
+        if each:
+            rows = np.arange(xp.shape[0])[:, None]
+        # a grid never decreases along its row, so its breakpoints at or below x come first
+        below = xp[rows] <= x[..., None]
+        j = np.where(below[..., -1], last, below.argmin(-1) - 1)  # xp[j] <= x < xp[j + 1]
+        on = np.maximum(j, 0)
         out = fp[rows, on]
-        r, c = ((j >= 0) & (j < last) & (xp[rows, on] != x)).nonzero()
-        k = j[r, c]
-        out[r, c] = _between(x[r, c], xp[r, k], xp[r, k + 1], fp[r, k], fp[r, k + 1])
+        at = ((j >= 0) & (j < last) & (xp[rows, on] != x)).nonzero()
+        if at[0].size:
+            r, k = at[0] if each else rows[at], j[at]
+            out[at] = _between(x[at], xp[r, k], xp[r, k + 1], fp[r, k], fp[r, k + 1])
         return out
     j = xp.searchsorted(x, side="right") - 1  # xp[j] <= x < xp[j + 1]
     on = np.maximum(j, 0)

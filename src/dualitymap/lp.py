@@ -81,10 +81,13 @@ def _norms(v: np.ndarray, p: float, finite: bool = True) -> tuple:
     """
     # One scalar root per vector (C pow): an array power rounds differently.
     n, root = v.shape[-1], 1.0 / p
+    cut, top = (_MAX / (2 * n)) ** root, _MAX / (4 * n)
+    if p > 2.0**51:
+        cut, top = _lowered_cut(cut, n, p)
     powers = np.abs(v)  # cut and raised in place: one temporary, as |v|**p takes
-    np.minimum(powers, (_MAX / (2 * n)) ** root, out=powers)
+    np.minimum(powers, cut, out=powers)
     powers **= p
-    sums, top = powers.sum(-1), _MAX / (4 * n)
+    sums = powers.sum(-1)
     if v.ndim == 1:
         s = float(sums)
         if _TINY <= s < top or not v.any():
@@ -99,6 +102,26 @@ def _norms(v: np.ndarray, p: float, finite: bool = True) -> tuple:
     if not plain:
         norm[redo] = _rescaled(np.abs(v[redo]), p, root, finite)
     return norm, plain
+
+
+def _lowered_cut(cut: float, n: int, p: float) -> tuple:
+    """(cut, top) of ``_norms`` past p = 2**51, from its cut (MAX / 2n)**(1/p).
+
+    A cut term adds its power, about MAX / 2n, so n of them cannot overflow
+    and a sum that holds one reaches top = MAX / 4n.  The rounded root moves
+    that power by a factor up to exp(p 2**-52), which stays under 2 up to
+    p = 2**51, and past it can hide a cut term or make the sum overflow.
+    So the cut is lowered an ulp at a time until its power is at most
+    MAX / 2n, and top is at most that power.
+    """
+    while True:
+        try:
+            power = cut**p
+        except OverflowError:
+            power = math.inf
+        if power <= _MAX / (2 * n):
+            return cut, min(_MAX / (4 * n), power)
+        cut = math.nextafter(cut, 0.0)
 
 
 def _rescaled(a: np.ndarray, p: float, root: float, finite: bool) -> np.ndarray:

@@ -52,6 +52,13 @@ factor column [1; 1; 0; alpha] with one ``canonical_dual`` call and splits
 it into J(x), J(y), J(0 x) and J(alpha x), which 1 * x = x keeps bitwise.
 The c01 invariants find M(f) of f and its scalings by -2, 0.5 and 3 as one
 stack of four times the samples.
+
+On c01 the stacks skip work whose result is known: J(0 x), a zero row,
+interpolates nothing; x - y reads x and y on each row's union grid with
+one interpolation; J(alpha x) - alpha J(x), whose atoms sit where alpha
+J(x)'s do, subtracts weight by weight without a merge; and each of the
+three pairings with x - y reads it at the atoms present only, one to three
+a row, each on a breakpoint of x - y unless it is a plateau midpoint.
 """
 
 from __future__ import annotations
@@ -370,8 +377,15 @@ def _backend(space, sample_count: int) -> tuple:
 
 
 def _squared(norm: np.ndarray) -> np.ndarray:
-    """norm ** 2 per row of a stack, by Python's float power: numpy's n * n can round otherwise."""
-    return np.array([n**2 for n in norm.tolist()])
+    """norm ** 2 per row of a stack, by Python's float power: numpy's n * n can round otherwise.
+
+    Raises ValueError where a square leaves the float range (L1 weights past
+    about 1e153).
+    """
+    try:
+        return np.array([n**2 for n in norm.tolist()])
+    except OverflowError:
+        raise ValueError("a squared norm of the suite's draws overflows") from None
 
 
 def _battery_terms(space, take, hilbert: bool, xy, alpha: np.ndarray) -> tuple:
@@ -381,7 +395,11 @@ def _battery_terms(space, take, hilbert: bool, xy, alpha: np.ndarray) -> tuple:
     n.  One ``canonical_dual`` call maps the stack [x; y; x; x] scaled by
     the factor column [1; 1; 0; alpha], and ``take`` splits it into J(x),
     J(y), J(0 x) and J(alpha x); each row is bitwise its own call's, as
-    1 * x is x.  The J5 violation is max(0, the third term), the J6
+    1 * x is x.  The three pairings with x - y are one ``pair`` call each
+    over the stack; c01 reads x - y there only at each row's atoms, so
+    sharing its evaluation between them would save little (and pairing
+    [J(x); J(y)] against x - y taken twice measured slower on lp and L1).
+    The J5 violation is max(0, the third term), the J6
     violation max(0, the fourth, the fifth); the caller takes those maxima
     over all draws at once.
     """

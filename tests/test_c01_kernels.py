@@ -28,7 +28,9 @@ from dualitymap.c01 import (
     pwl_scale,
     pwl_shift,
     pwl_sub,
+    pwl_tent,
     sup_norm,
+    total_mass,
     tv_norm,
 )
 
@@ -110,6 +112,19 @@ def ref_measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
             vals[k] = left - right
         density = StepDensity(grid, vals)
     return RcaMeasure(atoms=tuple(atoms), density=density)
+
+
+def ref_total_mass(mu: RcaMeasure) -> float:
+    mass = sum(w for _, w in mu.atoms)
+    if mu.density is not None:
+        mass += float(np.sum(mu.density.values * np.diff(mu.density.breakpoints)))
+    return float(mass)
+
+
+def ref_merged_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
+    """mu - nu of two measures with a row of locations each, every row's atoms merged."""
+    locations = np.concatenate([mu.locations, nu.locations], -1)
+    return c01._measure(*c01._merge(locations, np.concatenate([mu.weights, -nu.weights], -1)))
 
 
 def ref_maximizing_set(f: PwlFunction, tol: float = VALUE_TOL) -> MaximizingSet:
@@ -620,3 +635,150 @@ def test_take_rows_selects_rows_of_a_stack_and_of_its_measures():
         assert nu.locations is batch.locations and same_array(nu.weights, batch.weights[rows])
         assert same_array(nu.density.values, batch.density.values[rows])
         assert nu.atoms == tuple(batch.atoms[i] for i in np.arange(3)[rows])
+
+
+def stack(fs: list) -> PwlFunction:
+    return pwl_rows([f.breakpoints for f in fs], [f.values for f in fs])
+
+
+@pytest.mark.parametrize("n", (2, 3, 8, 16))
+def test_pwl_sub_of_two_stacks_is_np_interp_on_each_union_grid(n):
+    # one interpolation over the rows of both stacks, padded to one width,
+    # is bitwise np.interp of each row on its own union grid
+    rng, fs = draws(n)
+    x = stack(fs)
+    same_width = [smooth_pwl(rng, n) for _ in fs]
+    same_width[0] = PwlFunction(fs[0].breakpoints, same_width[0].values)  # a row on x's grid
+    wider = [smooth_pwl(rng, int(k)) for k in rng.integers(2, n + 4, len(fs))]
+    wider[-1] = smooth_pwl(rng, n + 3)
+    for gs in (same_width, wider):
+        y = stack(gs)
+        for a, b in ((x, y), (y, x)):
+            diff = pwl_sub(a, b)
+            for i in range(len(fs)):
+                fa, fb = row_pwl(a, i), row_pwl(b, i)
+                grid = np.union1d(fa.breakpoints, fb.breakpoints)
+                want = np.interp(grid, fa.breakpoints, fa.values) - np.interp(grid, fb.breakpoints, fb.values)
+                assert same_pwl(row_pwl(diff, i), PwlFunction(grid, want))
+
+
+def test_pwl_sub_refuses_a_stack_and_one_grid():
+    x = stack([PwlFunction(np.array([0.0, 1.0]), np.array([1.0, 2.0])), pwl_tent()])
+    f = pwl_tent()
+    batch = pwl_scale(f, np.array([[1.0], [2.0]]))  # two functions on one grid
+    for one in (f, batch):
+        with pytest.raises(ValueError, match=r"got grids \(3,\) and \(2, 3\)"):
+            pwl_sub(one, x)
+        with pytest.raises(ValueError, match=r"got grids \(2, 3\) and \(3,\)"):
+            pwl_sub(x, one)
+    three = stack([pwl_tent()] * 3)
+    with pytest.raises(ValueError, match="as many rows"):
+        pwl_sub(x, three)
+
+
+@pytest.mark.parametrize("n", (2, 3, 8, 16))
+def test_dual_sub_at_agreeing_row_locations_is_the_merge(n):
+    # J(alpha x) - alpha J(x) of a stack: the atoms sit at the same row
+    # locations, so the weights subtract one by one, with no merge, and the
+    # TV norm and the pairings are the merged difference's, bit for bit
+    rng, fs = draws(n)
+    fs += [level_pwl(rng, k) for k in range(2, n + 1)]  # padded rows, plateaus
+    fs.append(PwlFunction(np.linspace(0.0, 1.0, n), np.zeros(n)))  # a zero row
+    x = stack(fs)
+    alpha = rng.uniform(-3.0, 3.0, (len(fs), 1))
+    alpha[0] = -1.0
+    jax, ajx = canonical_duality_measure(pwl_scale(x, alpha)), measure_scale(canonical_duality_measure(x), alpha)
+    assert same_array(jax.locations, ajx.locations)
+    got, want = measure_sub(jax, ajx), ref_merged_sub(jax, ajx)
+    assert got.locations is jax.locations
+    assert same_array(tv_norm(got), tv_norm(want))
+    for f in (x, stack([smooth_pwl(rng, n) for _ in fs])):
+        assert same_array(pairing_c(got, f), pairing_c(want, f))
+    for i in range(len(fs)):
+        assert same_tuples(row_atoms(got, i), row_atoms(want, i))
+
+
+def test_dual_sub_merges_rows_whose_locations_differ_or_hold_two_atoms_at_one():
+    space = C01Space()
+    f = stack([pwl_tent(), PwlFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, -2.0, 3.0]))])
+    locations = np.array([[0.25, 0.5, 1.0], [0.0, 0.5, 1.0]])
+    mu = c01._measure(locations, np.array([[1.0, 0.5, 0.0], [2.0, 0.0, 0.0]]))
+    # row 1 of nu sits elsewhere: every row is merged
+    nu = c01._measure(np.array([[0.25, 0.5, 1.0], [0.0, 0.75, 1.0]]), np.array([[0.5, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    # one location twice, an atom of mu on the first, one of nu on the second
+    twice = np.array([[0.25, 0.5, 0.5], [0.0, 0.5, 1.0]])
+    mu2 = c01._measure(twice, np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0]]))
+    nu2 = c01._measure(twice, np.array([[0.0, 0.0, 0.25], [0.0, 0.0, 0.0]]))
+    for a, b in ((mu, nu), (mu2, nu2)):
+        got, want = space.dual_sub(a, b), ref_merged_sub(a, b)
+        assert same_array(got.locations, want.locations) and same_array(got.weights, want.weights)
+        for i in range(2):
+            one = lambda m: atom_measure(row_atoms(m, i))  # noqa: E731
+            assert same_tuples(row_atoms(got, i), ref_measure_sub(one(a), one(b)).atoms)
+        assert same_array(space.pair(got, f), space.pair(want, f))
+    assert space.dual_norm(space.dual_sub(mu2, nu2)).tolist() == [0.75, 2.0]  # not 1.25 in row 0
+
+
+def test_pairing_reads_a_stack_at_the_atoms_present_only(monkeypatch):
+    # one measure, a batch on shared locations and a row of locations each
+    # pair with a stack as each row does alone; f is interpolated only where
+    # a weight is not 0.0
+    rng, fs = draws(8)
+    x = stack(fs)
+    one = atom_measure([(0.0, 1.0), (0.3, -2.0), (0.5, 0.0), (1.0, 0.5)])
+    factors = rng.uniform(-2.0, 2.0, (len(fs), 1))
+    factors[0] = 0.0
+    batch = measure_scale(one, factors)
+    rows = canonical_duality_measure(x)
+    points = []
+    interp = c01._interp_rows
+
+    def spy(s, xp, fp, at=None):
+        points.append(s.size)
+        return interp(s, xp, fp, at)
+
+    monkeypatch.setattr(c01, "_interp_rows", spy)
+    for i, f in enumerate(fs):
+        assert same_float(float(pairing_c(one, x)[i]), pairing_c(one, f))
+        assert same_float(float(pairing_c(batch, x)[i]), pairing_c(measure_scale(one, float(factors[i, 0])), f))
+        assert same_float(float(pairing_c(rows, x)[i]), ref_pairing(atom_measure(row_atoms(rows, i)), f))
+    assert points[:3] == [3 * len(fs), 3 * (len(fs) - 1), np.count_nonzero(rows.weights)]
+
+
+def test_a_stack_of_zero_rows_interpolates_nothing(monkeypatch):
+    def spy(*args):
+        raise AssertionError("interpolated")
+
+    zero = stack([PwlFunction(np.linspace(0.0, 1.0, k), np.zeros(k)) for k in (2, 3, 5)])
+    monkeypatch.setattr(c01, "_interp_rows", spy)
+    mu = canonical_duality_measure(pwl_scale(zero, -1.0))  # weights of -0.0
+    assert not mu.weights.any() and mu.atoms == ((), (), ())
+    assert tv_norm(mu).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_total_mass_of_a_batch_is_each_rows():
+    rng, fs = draws(8)
+    for f in fs:
+        for mu in members(f) + [random_measure(rng, f)]:
+            assert same_float(total_mass(mu), ref_total_mass(mu))
+            factors = rng.uniform(-2.0, 2.0, (3, 1))
+            mass = total_mass(measure_scale(mu, factors))
+            assert mass.shape == (3,)
+            for c, m in zip(factors[:, 0].tolist(), mass.tolist()):
+                assert same_float(m, ref_total_mass(measure_scale(mu, c)))
+    rows = canonical_duality_measure(stack(fs))
+    mass = total_mass(rows)
+    for i in range(len(fs)):
+        assert same_float(float(mass[i]), ref_total_mass(atom_measure(row_atoms(rows, i))))
+
+
+def test_membership_report_refuses_a_batch():
+    f = pwl_tent()
+    mu = atomic_duality_measure(f, [0.5])
+    col = np.array([[1.0], [2.0]])
+    with pytest.raises(ValueError, match="expected one RcaMeasure, got a batch"):
+        is_duality_member_c(measure_scale(mu, col), f)
+    with pytest.raises(ValueError, match="expected one PwlFunction, got a batch"):
+        is_duality_member_c(mu, pwl_scale(f, col))
+    with pytest.raises(ValueError, match="expected one PwlFunction, got a batch"):
+        is_duality_member_c(mu, stack([f, f]))

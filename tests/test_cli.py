@@ -338,7 +338,6 @@ def test_an_overflowing_tail_mean_is_found_term_by_term(tmp_path):
     assert record["estimated_limit"] == pytest.approx(1e308, rel=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_quotient_that_is_not_finite_exits_2(tmp_path, capsys):
     # weights [1e300, 1] make every quotient inf: this used to write an
     # inconclusive record holding Infinity
@@ -373,3 +372,30 @@ def test_eval_never_prints_infinity(capsys):
     assert code == 2 and captured.out == "" and "overflows" in captured.err
     assert main(["eval", "--space", "lp", "--p", "3", "--vector", "[2, -1]"]) == 0
     assert _strict(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("theorem, field, value", [
+    ("thm45_case1", ("params", "f", 0), 1.7e308),  # the scaling curve leaves the float range
+    ("thm45_case1", ("params", "k_star", 0), 1.7e308),  # <k*, f> overflows in the witness
+    ("thm33", ("params", "x", 0), 1e300),  # the pairings of the quotient overflow
+    ("thm33", ("params", "x", 0), 1.7e308),  # a x* overflows in the witness
+])
+def test_values_past_the_float_range_exit_2_without_a_numpy_warning(tmp_path, theorem, field, value):
+    # each printed a numpy RuntimeWarning before its error, which pytest
+    # turns into a failure here
+    scenarios = json.loads((FIXTURES / "all.json").read_text())["scenarios"]
+    (scenario,) = [s for s in scenarios if s["theorem"] == theorem]
+    node = scenario
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    code, out = _run_one(tmp_path, scenario)
+    assert code == 2 and not out.exists()
+
+
+def test_a_suite_whose_squared_norms_overflow_exits_2(tmp_path, capsys):
+    # ||x||_1 ** 2 of the draws at weight 1e300 used to raise OverflowError, a traceback
+    out = tmp_path / "report.json"
+    code = main(["suite", "--space", "l1", "--weights", "[1e300]", "--samples", "5", "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert "squared norm" in capsys.readouterr().err

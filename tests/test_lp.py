@@ -208,3 +208,16 @@ def test_space_descriptor_roundtrip():
     sp = LpSpace(2.5)
     assert sp.descriptor() == {"space": "lp", "p": 2.5}
     assert sp.q == pytest.approx(5.0 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [8e15, 2.0**62, 1e300])
+def test_norm_and_map_at_an_exponent_past_2_51(p):
+    # past p = 2**51 the rounded cut (MAX / 2n)**(1/p) of the sum of powers
+    # hid the cut terms: ||(1, 2)||_p came out 1.0 at p = 1e300, and at 8e15
+    # the sum of the cut powers overflowed
+    space = LpSpace(p)
+    assert space.norm(np.array([1.0, 2.0])) == 2.0
+    x = np.array([3e300, -1e300, 2e300])
+    assert space.norm(x) == 3e300
+    assert space.duality(x).tolist() == [3e300, 0.0, 0.0]
+    assert space.norm(np.stack([x, x / 3e300])).tolist() == [3e300, 1.0]

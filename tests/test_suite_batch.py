@@ -400,6 +400,32 @@ def test_c01_suite_runs_one_stack(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_c01_battery_interpolates_only_what_is_not_known(monkeypatch, seed):
+    # J of the stack interpolates nothing (no plateau in the draws, and the
+    # n rows of J(0 x) are zero rows); x - y is one interpolation over the
+    # 2n rows of x and y; J(alpha x) - alpha J(x) merges nothing; and each
+    # of the three pairings with x - y reads it at the atoms present only
+    calls, merges = [], []
+    interp, merge = c01._interp_rows, c01._merge
+
+    def interp_spy(x, xp, fp, rows=None):
+        calls.append((x.shape, rows is None))
+        return interp(x, xp, fp, rows)
+
+    def merge_spy(*args):
+        merges.append(args[0].shape)
+        return merge(*args)
+
+    monkeypatch.setattr(c01, "_interp_rows", interp_spy)
+    monkeypatch.setattr(c01, "_merge", merge_spy)
+    oracles.run_appendix_battery(C01Space(), 20, seed)
+    assert len(calls) == 4
+    assert calls[0][1] and calls[0][0][0] == 40  # x - y: each row of x and y on its union grid
+    assert all(not each and shape[0] <= 40 for shape, each in calls[1:])  # one or two atoms a row
+    assert len(merges) == 1  # J(x) - J(y) only
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_c01_invariants_map_one_stack_of_scalings(monkeypatch, seed):
     # f and its scalings by -2, 0.5 and 3 as one stack of 4n rows: one
     # maximizer_runs call, and one comparison against the base runs tiled
