@@ -605,8 +605,9 @@ def measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
     scaling and shift curve, and J(alpha x) against alpha J(x) in the
     suite) the weights subtract one by one, as 0.0 + w - v, which is what
     the merge adds up at each location.  With a row of locations each, that
-    also needs at most one atom of mu or nu at each location of a row
-    (repeats are padding, of weight 0.0); otherwise every row is merged.
+    also needs the atoms of mu or nu in each row at strictly increasing
+    locations (repeats are padding, of weight 0.0); otherwise every row is
+    merged.
     """
     density = _density_sub(mu.density, nu.density)
     at = mu.locations
@@ -617,10 +618,14 @@ def measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
 
 
 def _one_atom_each(locations: np.ndarray, held: np.ndarray) -> bool:
-    """Whether no two ``held`` columns of a row sit at one location; each row's locations are sorted."""
+    """Whether the ``held`` columns of each row sit at strictly increasing locations.
+
+    Then no two of them share a location, and the row is sorted among them,
+    whatever order the columns that hold no atom take.
+    """
     r, c = held.nonzero()
-    at = locations[r, c]  # row by row, each in order, so equal locations of a row are neighbours
-    return not ((at[1:] == at[:-1]) & (r[1:] == r[:-1])).any()
+    at = locations[r, c]  # row by row, each in column order
+    return not ((at[1:] <= at[:-1]) & (r[1:] == r[:-1])).any()
 
 
 def total_mass(mu: RcaMeasure):
@@ -644,8 +649,13 @@ def pairing_c(mu: RcaMeasure, f: PwlFunction):
     """<mu, f> = integral of f d(mu), exact for atoms + step density vs linear f; one per row.
 
     A batch of measures, of functions or of both gives one value per row.
-    A stack is read only where an atom is present, the only terms that are
-    not +0.0.
+    A stack (a grid per row, the suite's) is read only where an atom is
+    present, the only terms that are not +0.0: its canonical measures hold
+    one to three atoms in rows padded to the widest.  One function or a
+    batch on one grid (the probe curves, whose atoms are mostly all
+    present) is read at every location, and an absent atom's term set to
+    +0.0 after; reading only the atoms present doubles the cost of the atom
+    terms of one element with 1024 atoms.
     The atom terms and then the density terms are summed left to right
     from 0.0; an absent atom or a zero density segment adds +0.0, which
     leaves the total unchanged, since a total that starts at +0.0 is never

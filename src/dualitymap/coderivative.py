@@ -417,8 +417,10 @@ def estimate_limit(
     shrunk schedule passes the checks of ``Schedule`` again, so a last sample
     that underflows to 0 is reported as such.  A curve with an affine form
     is sampled as one batch.  A quotient or a limit that is not finite
-    raises ``ValueError``; a tail whose sum overflows is averaged term by
-    term, so every other limit keeps the bits of the plain mean.
+    raises ``ValueError``, without a numpy warning for the curve or the
+    quotient that overflowed on the way; a tail whose sum overflows is
+    averaged term by term, so every other limit keeps the bits of the plain
+    mean.
     """
     sch = schedule if schedule is not None else default_schedule(curve.t_max)
     shrunk = sch.t0 > curve.t_max
@@ -426,19 +428,22 @@ def estimate_limit(
         sch = Schedule(curve.t_max / 2.0, sch.ratio, sch.steps)
     ts = [sch.t0 * sch.ratio**k for k in range(sch.steps)]
     space = query.space
-    if curve.affine is not None:
-        curve._check_window(min(ts))  # every t lies between these two
-        curve._check_window(max(ts))
-        u, u_star = curve.affine.rows(np.array(ts))
-        qs, dists = _sample(query, space.check_rows(u), space.check_dual_rows(u_star), membership_tol)
-        qs, dists = qs.tolist(), dists.tolist()
-    else:
-        qs, dists = [], []
-        for t in ts:
-            pair = curve.at(t)
-            q, dist = _sample(query, space.check(pair.point), space.check_dual(pair.dual), membership_tol)
-            qs.append(q)
-            dists.append(dist)
+    # once per estimate: a curve or a pairing of the quotient past the float
+    # range comes out inf or NaN, which the checks and the tests below refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        if curve.affine is not None:
+            curve._check_window(min(ts))  # every t lies between these two
+            curve._check_window(max(ts))
+            u, u_star = curve.affine.rows(np.array(ts))
+            qs, dists = _sample(query, space.check_rows(u), space.check_dual_rows(u_star), membership_tol)
+            qs, dists = qs.tolist(), dists.tolist()
+        else:
+            qs, dists = [], []
+            for t in ts:
+                pair = curve.at(t)
+                q, dist = _sample(query, space.check(pair.point), space.check_dual(pair.dual), membership_tol)
+                qs.append(q)
+                dists.append(dist)
     if dists[-1] >= dists[-2]:
         raise ValueError(
             f"curve {curve.curve_id} does not approach the base point as t drops"

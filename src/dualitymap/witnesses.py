@@ -149,9 +149,9 @@ def _thm33(space: lp.LpSpace, params: dict) -> Witness:
     _require(a != 1.0, "a != 1")
     x_star = space.canonical_dual(x)
     s = 1.0 if a > 1.0 else -1.0
-    query = CoderivativeQuery(
-        space, GraphPair(x, x_star), candidate=space.dual_scale(x_star, a), second_dual=x
-    )
+    with np.errstate(over="ignore"):  # inf, which the query's check refuses
+        candidate = space.dual_scale(x_star, a)
+    query = CoderivativeQuery(space, GraphPair(x, x_star), candidate=candidate, second_dual=x)
     curve = _scaling_curve(query, "thm33", s)
     return Witness("thm33", query, curve, abs(a - 1.0) * space.norm(x) / 2.0)
 
@@ -161,11 +161,20 @@ def _thm33(space: lp.LpSpace, params: dict) -> Witness:
 # ---------------------------------------------------------------------------
 
 
+def _pair_k_star_f(space: l1.FiniteMeasureSpace, k_star: np.ndarray, f: np.ndarray) -> float:
+    """<k*, f>; ValueError where it leaves the float range, which would pass any test against it."""
+    with np.errstate(over="ignore"):  # inf, refused below
+        ip = space.pair(k_star, f)
+    if not np.isfinite(ip):
+        raise ValueError("<k*, f> overflows")
+    return ip
+
+
 def _thm45_case1(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params["f"])
     k_star = space.check_dual(params["k_star"])
     _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
-    ip = space.pair(k_star, f)
+    ip = _pair_k_star_f(space, k_star, f)
     _require(ip != 0.0, "<k*, f> != 0")
     f_star = space.canonical_dual(f)
     s = 1.0 if ip > 0.0 else -1.0
@@ -181,7 +190,7 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     a = float(params["a"])
     _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
     scale = max(1.0, space.dual_norm(k_star) * space.norm(f))
-    _require(abs(space.pair(k_star, f)) <= 1e-9 * scale, "<k*, f> = 0")
+    _require(abs(_pair_k_star_f(space, k_star, f)) <= 1e-9 * scale, "<k*, f> = 0")
     _require(bool(mask.any()), "D is nonempty")
     _require(a > 0.0, "a > 0")
     fd = f[mask]

@@ -709,7 +709,11 @@ def test_dual_sub_merges_rows_whose_locations_differ_or_hold_two_atoms_at_one():
     twice = np.array([[0.25, 0.5, 0.5], [0.0, 0.5, 1.0]])
     mu2 = c01._measure(twice, np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0]]))
     nu2 = c01._measure(twice, np.array([[0.0, 0.0, 0.25], [0.0, 0.0, 0.0]]))
-    for a, b in ((mu, nu), (mu2, nu2)):
+    # each measure sorted among its own atoms, but not the row: 0.3 holds an atom of both
+    unsorted = np.array([[0.3, 0.5, 0.2, 0.3], [0.0, 0.5, 1.0, 1.0]])
+    mu3 = c01._measure(unsorted, np.array([[1.0, 0.5, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]))
+    nu3 = c01._measure(unsorted, np.array([[0.0, 0.0, 0.25, 0.75], [0.0, 0.0, 0.0, 0.0]]))
+    for a, b in ((mu, nu), (mu2, nu2), (mu3, nu3)):
         got, want = space.dual_sub(a, b), ref_merged_sub(a, b)
         assert same_array(got.locations, want.locations) and same_array(got.weights, want.weights)
         for i in range(2):
@@ -717,6 +721,7 @@ def test_dual_sub_merges_rows_whose_locations_differ_or_hold_two_atoms_at_one():
             assert same_tuples(row_atoms(got, i), ref_measure_sub(one(a), one(b)).atoms)
         assert same_array(space.pair(got, f), space.pair(want, f))
     assert space.dual_norm(space.dual_sub(mu2, nu2)).tolist() == [0.75, 2.0]  # not 1.25 in row 0
+    assert space.dual_norm(space.dual_sub(mu3, nu3)).tolist() == [1.0, 2.0]  # not 2.5 in row 0
 
 
 def test_pairing_reads_a_stack_at_the_atoms_present_only(monkeypatch):

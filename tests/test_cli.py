@@ -377,6 +377,7 @@ def test_eval_never_prints_infinity(capsys):
 @pytest.mark.parametrize("theorem, field, value", [
     ("thm45_case1", ("params", "f", 0), 1.7e308),  # the scaling curve leaves the float range
     ("thm45_case1", ("params", "k_star", 0), 1.7e308),  # <k*, f> overflows in the witness
+    ("thm45_case2", ("params", "k_star", 0), 1.7e308),  # and an inf <k*, f> passed as "= 0"
     ("thm33", ("params", "x", 0), 1e300),  # the pairings of the quotient overflow
     ("thm33", ("params", "x", 0), 1.7e308),  # a x* overflows in the witness
 ])
