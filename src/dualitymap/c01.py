@@ -48,7 +48,8 @@ merging grids or interpolating.  ``np.interp`` returns ``fp[j]`` exactly at
 ``x == xp[j]``, so that result is bitwise the one the merged grid gives.  An
 element built on a grid that was already checked, or on the union of two
 such grids, checks only its new values (shape and finiteness, so an
-overflow to inf still raises); the public constructors check the grid too.
+overflow to inf still raises, as a ValueError and without numpy's warning);
+the public constructors check the grid too.
 ``canonical_duality_measure`` evaluates f at all maximizing representatives
 with one ``np.interp`` call.
 
@@ -77,7 +78,8 @@ shorter row padded by repeating its last breakpoint (1.0) and value, which
 changes neither the function nor its sup norm; a padded column is one whose
 breakpoint does not increase.  ``sup_norm``, ``pwl_scale``, ``pwl_sub`` (of
 two stacks, on each row's union grid, with one interpolation over the rows
-of both), ``maximizer_runs`` (M(f) as masks) and
+of both), ``maximizer_runs`` (M(f) as masks, testing for plateau segments
+only where two maximizers sit side by side) and
 ``canonical_duality_measure`` take a stack, and ``take_rows`` selects rows
 of one.  The last returns an ``RcaMeasure`` with a row of atom locations
 each, sorted among the atoms present, its atoms on breakpoints taking f's
@@ -199,12 +201,18 @@ def _on_checked_grid(cls, bp: np.ndarray, vals: np.ndarray):
     return obj
 
 
+def _refused_if_not_finite(op, a, b) -> np.ndarray:
+    """op(a, b) without numpy's overflow or invalid warning: ``_on_checked_grid`` refuses the inf or NaN made."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return op(a, b)
+
+
 def pwl_shift(f: PwlFunction, c) -> PwlFunction:
-    return _on_checked_grid(PwlFunction, f.breakpoints, f.values + c)
+    return _on_checked_grid(PwlFunction, f.breakpoints, _refused_if_not_finite(np.add, f.values, c))
 
 
 def pwl_scale(f: PwlFunction, c) -> PwlFunction:
-    return _on_checked_grid(PwlFunction, f.breakpoints, f.values * c)
+    return _on_checked_grid(PwlFunction, f.breakpoints, _refused_if_not_finite(np.multiply, f.values, c))
 
 
 def pwl_rows(grids, values) -> PwlFunction:
@@ -267,16 +275,18 @@ def pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
     """
     bp, other = f.breakpoints, g.breakpoints
     if _same_grid(other, bp):
-        return _on_checked_grid(PwlFunction, bp, f.values - g.values)
-    if bp.ndim == other.ndim == 1:
+        grid, fv, gv = bp, f.values, g.values
+    elif bp.ndim == other.ndim == 1:
         grid = np.union1d(bp, other)
-        return _on_checked_grid(PwlFunction, grid, f(grid) - g(grid))
-    if bp.ndim != other.ndim or bp.shape[0] != other.shape[0]:
+        fv, gv = f(grid), g(grid)
+    elif bp.ndim != other.ndim or bp.shape[0] != other.shape[0]:
         raise ValueError(f"pwl_sub needs two stacks of as many rows or two functions, got grids {bp.shape} and {other.shape}")
-    grid, n, width = _union_rows(bp, other), bp.shape[0], max(bp.shape[1], other.shape[1])
-    xp, fp = (np.concatenate([_widen(a, width), _widen(b, width)]) for a, b in ((bp, other), (f.values, g.values)))
-    both = _interp_rows(np.concatenate([grid, grid]), xp, fp)
-    return _on_checked_grid(PwlFunction, grid, both[:n] - both[n:])
+    else:
+        grid, n, width = _union_rows(bp, other), bp.shape[0], max(bp.shape[1], other.shape[1])
+        xp, fp = (np.concatenate([_widen(a, width), _widen(b, width)]) for a, b in ((bp, other), (f.values, g.values)))
+        both = _interp_rows(np.concatenate([grid, grid]), xp, fp)
+        fv, gv = both[:n], both[n:]
+    return _on_checked_grid(PwlFunction, grid, _refused_if_not_finite(np.subtract, fv, gv))
 
 
 def sup_norm(f: PwlFunction):
@@ -349,14 +359,19 @@ def _runs(f: PwlFunction, norm, tol: float) -> tuple:
 
     The maximizers and plateau segments of ``maximizing_set``, by the same
     arithmetic; a column that pads a row of a stack holds no maximizer.
+    The plateau test |v[j] - v[j+1]| <= tol runs only when some row has two
+    maximizers side by side; otherwise every maximizer is an atom, and
+    ``first`` and ``last`` both mark them all.
     """
     v, bp = f.values, f.breakpoints
     top = abs(abs(v) - norm[..., None]) <= tol
     top[..., 1:] &= bp[..., 1:] > bp[..., :-1]
-    plateau = top[..., :-1] & top[..., 1:] & (abs(v[..., :-1] - v[..., 1:]) <= tol)
     first, last = top.copy(), top
-    first[..., 1:] &= ~plateau
-    last[..., :-1] &= ~plateau
+    side_by_side = top[..., :-1] & top[..., 1:]
+    if side_by_side.any():
+        plateau = side_by_side & (abs(v[..., :-1] - v[..., 1:]) <= tol)
+        first[..., 1:] &= ~plateau
+        last[..., :-1] &= ~plateau
     return first, last
 
 

@@ -51,7 +51,9 @@ J is evaluated once per stack: the battery maps [x; y; x; x] scaled by the
 factor column [1; 1; 0; alpha] with one ``canonical_dual`` call and splits
 it into J(x), J(y), J(0 x) and J(alpha x), which 1 * x = x keeps bitwise.
 The c01 invariants find M(f) of f and its scalings by -2, 0.5 and 3 as one
-stack of four times the samples.
+stack of four times the samples, and compare each scaled row with its base
+row mask for mask: rows whose masks agree are the same set, and only the
+others (none on random draws) sort and compare positions.
 
 On c01 the stacks skip work whose result is known: J(0 x), a zero row,
 interpolates nothing; x - y reads x and y on each row's union grid with
@@ -59,6 +61,9 @@ one interpolation; J(alpha x) - alpha J(x), whose atoms sit where alpha
 J(x)'s do, subtracts weight by weight without a merge; and each of the
 three pairings with x - y reads it at the atoms present only, one to three
 a row, each on a breakpoint of x - y unless it is a plateau midpoint.
+M(f) of a stack tests for plateau segments only where two maximizers sit
+side by side, so the invariants' draws, which have none, skip that test.
+The draws fill one padded grid in place.
 """
 
 from __future__ import annotations
@@ -253,20 +258,24 @@ def _draw_l1(space: l1.FiniteMeasureSpace, rng, n: int) -> tuple:
 def _pwl_stack(counts: np.ndarray, inner: np.ndarray, values: np.ndarray) -> c01.PwlFunction:
     """Row i on [0, 1] with the first counts[i] points of ``inner[i]`` inside, valued by ``values[i]``.
 
+    The grids fill one array in place: 0, then the row's points, then 1.0.
     An unused or repeated point becomes 1.0, so a sort leaves each row's
     interior distinct and increasing, then the 1.0 that pads the grid.
     """
-    inner = np.where(np.arange(inner.shape[1]) < counts[:, None], inner, 1.0)
-    inner.sort(axis=1)
-    repeated = (inner[:, 1:] == inner[:, :-1]) & (inner[:, 1:] < 1.0)
+    k, cols = inner.shape
+    bp = np.ones((k, cols + 2))
+    bp[:, 0] = 0.0
+    interior = bp[:, 1:-1]
+    np.copyto(interior, inner, where=np.arange(cols) < counts[:, None])
+    interior.sort(axis=1)
+    repeated = (interior[:, 1:] == interior[:, :-1]) & (interior[:, 1:] < 1.0)
     if repeated.any():  # a repeated point merges with its first copy, as a set merges it
-        inner[:, 1:][repeated] = 1.0
-        inner.sort(axis=1)
-    sizes = np.count_nonzero(inner < 1.0, axis=1) + 2
-    width, k = sizes.max(), counts.size
-    bp = np.concatenate([np.zeros((k, 1)), inner, np.ones((k, 1))], axis=1)[:, :width]
-    vals = np.take_along_axis(values, np.minimum(np.arange(width), sizes[:, None] - 1), axis=1)
-    return c01.pwl_padded_rows(bp, vals, sizes)
+        interior[:, 1:][repeated] = 1.0
+        interior.sort(axis=1)
+    sizes = np.count_nonzero(interior < 1.0, axis=1) + 2
+    width = sizes.max()
+    vals = values[np.arange(k)[:, None], np.minimum(np.arange(width), sizes[:, None] - 1)]
+    return c01.pwl_padded_rows(bp[:, :width], vals, sizes)
 
 
 def _pwl_draws(rng, k: int) -> c01.PwlFunction:
@@ -319,7 +328,25 @@ def _l1_invariants(space: l1.FiniteMeasureSpace, rng, sample_count: int) -> tupl
     )
 
 
-def _same_runs(bp: np.ndarray, runs: tuple, other: tuple, tol: float) -> np.ndarray:
+def _same_runs(bp: np.ndarray, runs: tuple, base: tuple, tol: float) -> np.ndarray:
+    """``MaximizingSet.same_set`` row by row, for ``c01.maximizer_runs`` on the grids ``bp`` and n base runs.
+
+    Row i of ``runs`` is compared with row i % n of ``base``, on the grid
+    they share, at a ``tol`` >= 0.  Where the two rows' masks agree, they
+    mark the same breakpoints of one grid: the same set.  Only the other
+    rows (none on random draws) compare sorted positions, in
+    ``_same_positions``.
+    """
+    first, last = runs
+    n, width = base[0].shape
+    same = ((first.reshape(-1, n, width) == base[0]) & (last.reshape(-1, n, width) == base[1])).all(-1).ravel()
+    rows = (~same).nonzero()[0]
+    if rows.size:
+        same[rows] = _same_positions(bp[rows], (first[rows], last[rows]), (base[0][rows % n], base[1][rows % n]), tol)
+    return same
+
+
+def _same_positions(bp: np.ndarray, runs: tuple, other: tuple, tol: float) -> np.ndarray:
     """``MaximizingSet.same_set`` row by row, for two ``c01.maximizer_runs`` on the grids ``bp``.
 
     The atoms, the interval starts and the interval ends of the two sets
@@ -344,8 +371,7 @@ def _c01_invariants(space: c01.C01Space, rng, sample_count: int) -> tuple:
     factors = np.repeat([1.0, -2.0, 0.5, 3.0], n)[:, None]
     scaled = c01.pwl_scale(c01.take_rows(f, np.arange(4 * n) % n), factors)
     first, last = c01.maximizer_runs(scaled)
-    base = (np.concatenate([first[:n]] * 3), np.concatenate([last[:n]] * 3))
-    same = _same_runs(scaled.breakpoints[n:], (first[n:], last[n:]), base, 1e-12)
+    same = _same_runs(scaled.breakpoints[n:], (first[n:], last[n:]), (first[:n], last[:n]), 1e-12)
     exactness = np.maximum(*duality_gaps(space, f, space.canonical_dual(f)))
     return (
         _record("maximizing_set_scaling", np.where(same.reshape(3, -1).all(0), 0.0, 1.0)),

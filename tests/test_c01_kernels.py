@@ -444,8 +444,8 @@ def test_grid_is_reused_not_copied():
     assert measure_scale(mu, 2.0).density.breakpoints is f.breakpoints
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflow_on_a_reused_grid_raises():
+    # refused with a ValueError, and without numpy's overflow warning
     bp = np.array([0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="finite"):
         pwl_scale(PwlFunction(bp, np.array([10.0, -20.0, 10.0])), 1e308)
@@ -456,6 +456,11 @@ def test_overflow_on_a_reused_grid_raises():
     for h in (g, PwlFunction(bp, g.values)):
         with pytest.raises(ValueError, match="finite"):
             pwl_sub(f, h)
+    # on the union of two grids, one element and a stack
+    h = PwlFunction(np.array([0.0, 0.25, 1.0]), np.array([-1e308, 0.0, 0.0]))
+    for a, b in ((f, h), (pwl_rows([bp], [f.values]), pwl_rows([h.breakpoints], [h.values]))):
+        with pytest.raises(ValueError, match="finite"):
+            pwl_sub(a, b)
     mu = RcaMeasure(density=StepDensity(bp, np.array([10.0, 1.0])))
     with pytest.raises(ValueError, match="finite"):
         measure_scale(mu, 1e308)
@@ -533,14 +538,24 @@ def test_stack_forms_match_each_row(n):
         assert same_float(float(tv[i]), ref_tv_norm(one_jdiff))
         assert same_float(float(paired[i]), ref_pairing(one_jdiff, one_diff))
     nonzero = [f for f in fs if sup_norm(f) != 0.0]
-    x = pwl_rows([f.breakpoints for f in nonzero], [f.values for f in nonzero])
-    for tol in (VALUE_TOL, 0.3):
-        first, last = maximizer_runs(x, tol)
-        for i, f in enumerate(nonzero):
-            bp, want = x.breakpoints[i], maximizing_set(f, tol)
-            assert same_floats(tuple(bp[first[i] & last[i]].tolist()), want.atoms)
-            starts, ends = bp[first[i] & ~last[i]].tolist(), bp[last[i] & ~first[i]].tolist()
-            assert same_tuples(tuple(zip(starts, ends)), want.intervals)
+    # maxima of +-3 at every other breakpoint, never side by side, so the
+    # plateau test is skipped for a stack of these rows alone and runs for
+    # one that mixes them with plateau rows
+    spiky = []
+    for _ in range(6):
+        v = rng.uniform(-1.0, 1.0, n)
+        v[::2] = rng.choice([-3.0, 3.0], v[::2].size)
+        spiky.append(PwlFunction(grid(rng, n), v))
+    for stack in (nonzero, spiky, spiky + nonzero):
+        x = pwl_rows([f.breakpoints for f in stack], [f.values for f in stack])
+        for tol in (VALUE_TOL, 0.3):
+            first, last = maximizer_runs(x, tol)
+            for i, f in enumerate(stack):
+                bp, want = x.breakpoints[i], maximizing_set(f, tol)
+                assert same_floats(tuple(bp[first[i] & last[i]].tolist()), want.atoms)
+                starts, ends = bp[first[i] & ~last[i]].tolist(), bp[last[i] & ~first[i]].tolist()
+                assert same_tuples(tuple(zip(starts, ends)), want.intervals)
+            assert (first == last).all() == (stack is spiky)  # atoms only, or some plateau
 
 
 def test_stack_of_rows_is_checked():

@@ -428,7 +428,8 @@ def test_c01_battery_interpolates_only_what_is_not_known(monkeypatch, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_c01_invariants_map_one_stack_of_scalings(monkeypatch, seed):
     # f and its scalings by -2, 0.5 and 3 as one stack of 4n rows: one
-    # maximizer_runs call, and one comparison against the base runs tiled
+    # maximizer_runs call, and one comparison of the 3n scaled rows against
+    # the n base runs
     seen = []
     runs, same = c01.maximizer_runs, oracles._same_runs
 
@@ -446,11 +447,30 @@ def test_c01_invariants_map_one_stack_of_scalings(monkeypatch, seed):
     assert seen == [("runs", (800, 8)), ("same", (600, 8))]
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_c01_invariants_compare_no_positions_where_the_runs_agree(monkeypatch, seed):
+    # on random draws every scaling's runs agree with f's mask for mask, so
+    # no row sorts and compares its positions
+    rows = []
+    positions = oracles._same_positions
+
+    def positions_spy(bp, *args):
+        rows.append(bp.shape[0])
+        return positions(bp, *args)
+
+    monkeypatch.setattr(oracles, "_same_positions", positions_spy)
+    oracles.run_backend_invariants(C01Space(), 200, seed)
+    assert sum(rows) == 0
+
+
 def test_same_runs_is_same_set_row_by_row():
     # maximizing_set_scaling reads 0.0 on every draw, so the comparison of
-    # two sets is checked here: on grids with ties, plateaus, and maxima at
-    # adjacent floats, which agree within the tolerance though their
-    # breakpoints differ
+    # two sets is checked here, in the invariants' shape: three stacks on
+    # the grids of n base rows, row i against base row i % n.  The first is
+    # a scaling, whose runs agree with the base's mask for mask; the other
+    # two hold ties and plateaus, so runs that differ in count or position,
+    # and maxima at adjacent floats, which agree within the tolerance though
+    # their breakpoints differ
     rng = np.random.default_rng(8)
     half = 0.5
     grids = [[0.0, half, np.nextafter(half, 1.0), 1.0], [0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.0]] * 40
@@ -458,17 +478,25 @@ def test_same_runs_is_same_set_row_by_row():
     values = [rng.choice(levels, len(g)) for g in grids]
     others = [rng.choice(levels, len(g)) for g in grids]
     values[0], others[0] = np.array([0.0, 2.0, 1.0, 0.0]), np.array([0.0, 1.0, 2.0, 0.0])
-    f, g = c01.pwl_rows(grids, values), c01.pwl_rows(grids, others)
+    others = [-2.0 * v for v in values] + others + [rng.choice(levels, len(g)) for g in grids]
+    n = len(grids)
+    f, g = c01.pwl_rows(grids, values), c01.pwl_rows(grids * 3, others)
+    runs, base = c01.maximizer_runs(g), c01.maximizer_runs(f)
+    agree = ((runs[0] == np.tile(base[0], (3, 1))) & (runs[1] == np.tile(base[1], (3, 1)))).all(-1)
+    counts = [np.stack([m.sum(-1) for m in oracles._run_parts(*r)], -1) for r in (runs, base)]
+    same_count = (counts[0] == np.tile(counts[1], (3, 1))).all(-1)
+    assert agree[:n].all() and agree[n:].any() and (~same_count).any() and (same_count & ~agree).any()
     for tol in (1e-12, 0.0):
-        got = oracles._same_runs(f.breakpoints, c01.maximizer_runs(f), c01.maximizer_runs(g), tol)
+        got = oracles._same_runs(g.breakpoints, runs, base, tol)
         want = [
             c01.maximizing_set(PwlFunction(np.array(bp), v)).same_set(
                 c01.maximizing_set(PwlFunction(np.array(bp), w)), tol=tol
             )
-            for bp, v, w in zip(grids, values, others)
+            for bp, v, w in zip(grids * 3, values * 3, others)
         ]
         assert got.tolist() == want
-        assert got[0] == (tol > 0.0) and 0 < sum(want) < len(want)
+        assert got[n] == (tol > 0.0) and not agree[n]
+        assert 0 < sum(want[n:]) < 2 * n
 
 
 @pytest.mark.parametrize("p", LP_EXPONENTS + (1.01, 7.5, 40.0))
