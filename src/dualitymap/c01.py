@@ -32,11 +32,10 @@ over the union of the breakpoint grids, with no per-segment Python loop.
 and then walks only those, so its Python work is linear in the number of
 maximizers (usually one to three).  ``pairing_c``,
 ``atomic_duality_measure`` and ``peak_points`` evaluate f at all their
-points with one ``np.interp`` call.  The density terms of a batch read f
-at its own breakpoints and interpolate it only at the density's other
-breakpoints.  A batch of measures whose atoms sit at the subtrahend's own
-locations (every scaling and shift curve) subtracts weight by weight, with
-no merge of locations.  A caller that knows ||f|| or M(f)
+points with one ``np.interp`` call.  A batch of measures whose atoms sit
+at the subtrahend's own locations (every scaling and shift curve)
+subtracts weight by weight, with no merge of locations.  A caller that
+knows ||f|| or M(f)
 passes it to the private forms (``_maximizing_set``, ``_peak_points``,
 ``_atomic_measure``, ``_canonical_measure``, ``_plateau_measure``), so one
 witness finds each once.
@@ -102,7 +101,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coderivative import MEMBERSHIP_TOL, Space
+from .coderivative import MEMBERSHIP_TOL, Space, _allowance, _float_or_rows
 
 __all__ = [
     "PwlFunction",
@@ -156,20 +155,10 @@ class PwlFunction:
 
     breakpoints: np.ndarray
     values: np.ndarray
+    _VALUES = "values must be finite and match the breakpoints"
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if bp.ndim != 1 or bp.size < 2:
-            raise ValueError("need at least the two endpoint breakpoints")
-        if bp[0] != 0.0 or bp[-1] != 1.0:
-            raise ValueError("breakpoints must start at 0 and end at 1")
-        if not (bp[1:] > bp[:-1]).all():  # also rejects a NaN breakpoint
-            raise ValueError("breakpoints must be strictly increasing")
-        if vals.shape != bp.shape or not np.isfinite(vals).all():
-            raise ValueError("values must be finite and match the breakpoints")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        _check_one(self)
 
     def __call__(self, s):
         if self.values.ndim == 1:
@@ -186,19 +175,33 @@ def pwl_tent() -> PwlFunction:
     return PwlFunction(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
 
 
-def _on_checked_grid(cls, bp: np.ndarray, vals: np.ndarray):
-    """A ``PwlFunction`` or ``StepDensity`` on the grid of one already built.
+def _check_one(obj) -> None:
+    """Check and store one ``PwlFunction`` or ``StepDensity``: a grid from 0 to 1 that increases strictly, then its values."""
+    bp, vals = np.asarray(obj.breakpoints, dtype=float), np.asarray(obj.values, dtype=float)
+    if bp.ndim != 1 or bp.size < 2:
+        raise ValueError("need at least the two endpoint breakpoints")
+    if bp[0] != 0.0 or bp[-1] != 1.0:
+        raise ValueError("breakpoints must start at 0 and end at 1")
+    if not (bp[1:] > bp[:-1]).all():  # also rejects a NaN breakpoint
+        raise ValueError("breakpoints must be strictly increasing")
+    if vals.ndim != 1:
+        raise ValueError(obj._VALUES)
+    _on_grid(obj, bp, vals)
 
-    The grid was checked then, so only the new values are checked here: one
-    per breakpoint (per segment for a density) in each row, all finite.
-    """
-    size = bp.shape[-1] if cls is PwlFunction else bp.shape[-1] - 1
+
+def _on_grid(obj, bp: np.ndarray, vals: np.ndarray):
+    """obj on the checked grid ``bp`` with ``vals``: one per breakpoint (per segment for a density) in each row, all finite."""
+    size = bp.shape[-1] - 1 if isinstance(obj, StepDensity) else bp.shape[-1]
     if vals.shape[-1:] != (size,) or not np.isfinite(vals).all():
-        raise ValueError("values must be finite and match the grid")
-    obj = object.__new__(cls)
+        raise ValueError(obj._VALUES)
     object.__setattr__(obj, "breakpoints", bp)
     object.__setattr__(obj, "values", vals)
     return obj
+
+
+def _on_checked_grid(cls, bp: np.ndarray, vals: np.ndarray):
+    """A ``PwlFunction`` or ``StepDensity`` on the grid of one already built, so only its values are checked."""
+    return _on_grid(object.__new__(cls), bp, vals)
 
 
 def _refused_if_not_finite(op, a, b) -> np.ndarray:
@@ -291,8 +294,7 @@ def pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
 
 def sup_norm(f: PwlFunction):
     """max |f| over [0,1], attained at a breakpoint by piecewise linearity; one per row of a batch."""
-    norm = np.abs(f.values).max(-1)
-    return norm if norm.ndim else float(norm)
+    return _float_or_rows(np.abs(f.values).max(-1))
 
 
 @dataclass(frozen=True)
@@ -398,7 +400,7 @@ def _peak_points(f: PwlFunction, norm: float, mset: MaximizingSet, sign: int, to
     """``peak_points`` of f given its sup norm and M(f)."""
     target, points = float(sign) * norm, mset.points()
     values = f(np.array(points)).tolist()
-    return [float(s) for s, v in zip(points, values) if abs(v - target) <= tol * max(1.0, norm)]
+    return [float(s) for s, v in zip(points, values) if abs(v - target) <= _allowance(tol, norm)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,18 +409,10 @@ class StepDensity:
 
     breakpoints: np.ndarray
     values: np.ndarray  # one value per segment
+    _VALUES = "need one finite density value per grid segment"
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if bp.ndim != 1 or bp.size < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
-            raise ValueError("density grid must run from 0 to 1")
-        if not (bp[1:] > bp[:-1]).all():  # also rejects a NaN breakpoint
-            raise ValueError("density grid must be strictly increasing")
-        if vals.shape != (bp.size - 1,) or not np.isfinite(vals).all():
-            raise ValueError("need one finite density value per grid segment")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        _check_one(self)
 
     def values_on(self, grid: np.ndarray) -> np.ndarray:
         """Density value on each segment of ``grid``, a refinement of this grid."""
@@ -546,7 +540,7 @@ def zero_measure() -> RcaMeasure:
 
 
 def atom_measure(atoms) -> RcaMeasure:
-    return RcaMeasure(atoms=tuple((float(l), float(w)) for l, w in atoms))
+    return RcaMeasure(atoms)
 
 
 def density_measure(breakpoints, values) -> RcaMeasure:
@@ -568,39 +562,15 @@ def _density_sub(d: StepDensity | None, e: StepDensity | None) -> StepDensity | 
     return _on_checked_grid(StepDensity, grid, left - right)
 
 
-def _density_tv(d: StepDensity):
-    return np.sum(np.abs(d.values) * np.diff(d.breakpoints), axis=-1)
+def _integral(d: StepDensity, values: np.ndarray):
+    """The integral of the step function with ``values`` on the segments of d's grid; one per row of a batch."""
+    return np.sum(values * np.diff(d.breakpoints), axis=-1)
 
 
 def _density_terms(d: StepDensity, f: PwlFunction) -> np.ndarray:
-    """Per-segment terms of <d, f> on the union grid; a zero-density segment gives +0.0.
-
-    One f is interpolated on the union grid by ``np.interp``, which returns
-    f's values on its own breakpoints.  A batch takes its values there and
-    the in-between rule of the ``np.interp`` kernel only at the density's
-    other breakpoints, each strictly inside a segment of f.
-    """
-    bp, dbp, fvals = f.breakpoints, d.breakpoints, f.values
-    if fvals.ndim == 1:
-        grid = np.union1d(dbp, bp)
-        fvals = f(grid)
-    else:
-        at = bp.searchsorted(dbp)  # bp[at - 1] < dbp <= bp[at]
-        new = bp[at] != dbp
-        grid = bp
-        if new.any():
-            at, s = at[new], dbp[new]
-            inner = _between(s, bp[at - 1], bp[at], fvals[:, at - 1], fvals[:, at])
-            slots = at + np.arange(at.size)  # the new points' columns in the union grid
-            own = np.ones(bp.size + at.size, dtype=bool)
-            own[slots] = False
-            own = own.nonzero()[0]
-            grid = np.empty(own.size + at.size)
-            # column-major, as a gather along the last axis lays it out: each column is one write
-            merged = np.empty((grid.size, fvals.shape[0])).T
-            grid[own], grid[slots] = bp, s
-            merged[:, own], merged[:, slots] = fvals, inner
-            fvals = merged
+    """Per-segment terms of <d, f>, f read on the union of the two grids; a zero-density segment gives +0.0."""
+    grid = np.union1d(d.breakpoints, f.breakpoints)
+    fvals = f(grid)
     dens = d.values_on(grid)
     terms = dens * (grid[1:] - grid[:-1]) * 0.5 * (fvals[..., :-1] + fvals[..., 1:])
     return np.where(dens != 0.0, terms, 0.0)
@@ -648,16 +618,16 @@ def total_mass(mu: RcaMeasure):
     with np.errstate(over="ignore", invalid="ignore"):  # as Python float sums
         mass = _sum_left(mu.weights)
         if mu.density is not None:
-            mass = mass + np.sum(mu.density.values * np.diff(mu.density.breakpoints), axis=-1)
-    return mass if mass.ndim else float(mass)
+            mass = mass + _integral(mu.density, mu.density.values)
+    return _float_or_rows(mass)
 
 
 def tv_norm(mu: RcaMeasure):
     """Total variation: sum |atom weights| + integral of |density|; one per row of a batch."""
     tv = _sum_left(np.abs(mu.weights))
     if mu.density is not None:
-        tv = tv + _density_tv(mu.density)
-    return tv if tv.ndim else float(tv)
+        tv = tv + _integral(mu.density, np.abs(mu.density.values))
+    return _float_or_rows(tv)
 
 
 def pairing_c(mu: RcaMeasure, f: PwlFunction):
@@ -690,8 +660,7 @@ def pairing_c(mu: RcaMeasure, f: PwlFunction):
                 terms[0] = np.where(w != 0.0, terms[0], 0.0)
     if mu.density is not None:
         terms.append(_density_terms(mu.density, f))
-    total = _sum_left(_cat(*terms))
-    return total if total.ndim else float(total)
+    return _float_or_rows(_sum_left(_cat(*terms)))
 
 
 @dataclass(frozen=True)
@@ -767,7 +736,7 @@ def _plateau_measure(f: PwlFunction, norm: float, a: float, b: float) -> RcaMeas
     if norm == 0.0:
         raise ValueError("degenerate: ||f|| = 0")
     grid = [s for s in f.breakpoints if a < s < b] + [a, b]
-    if any(abs(float(f(s)) - norm) > VALUE_TOL * max(1.0, norm) for s in grid):
+    if any(abs(float(f(s)) - norm) > _allowance(VALUE_TOL, norm) for s in grid):
         raise ValueError(f"f is not constant at ||f|| on [{a}, {b}]")
     bp = [0.0] + sorted({a, b}) + [1.0]
     bp = sorted(set(bp))

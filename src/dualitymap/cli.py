@@ -73,8 +73,36 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# The fields of a scenario file's ``tolerances`` and of a scenario's
+# ``schedule``, each with the kind of JSON number it takes.
+_TOLERANCES = dict.fromkeys(("cert_tol", "settle_tol", "membership_tol"), "number >= 0")
+_SCHEDULE = {"t0": "number", "ratio": "number", "steps": "integer"}
+_KINDS = {  # the types a number of each kind may have, and its least value
+    "number >= 0": ((int, float), 0.0),
+    "number": ((int, float), -sys.float_info.max),
+    "integer": ((int,), -sys.float_info.max),
+}
+
+
+def _numbers(obj, what: str, item: str, fields: dict) -> dict:
+    """The JSON object ``what``, each key one of ``fields`` and each value a finite number of the kind named there.
+
+    A refusal names the field, as ``item`` and its key.  A number that is
+    not an integer comes back as a float.
+    """
+    given = serialize._Fields(obj, what)
+    for name, value in given.items():
+        if name not in fields:
+            raise ValueError(f"{what} has no field {name!r}; its fields are {', '.join(fields)}")
+        types, least = _KINDS[fields[name]]
+        # type(), not isinstance: a JSON true is a bool, and a bool is an int
+        if type(value) not in types or not least <= value <= sys.float_info.max:
+            raise ValueError(f"{item} {name} must be a finite {fields[name]}, got {value!r}")
+    return {name: value if fields[name] == "integer" else float(value) for name, value in given.items()}
+
+
 def _load_scenarios(path: Path):
-    """Scenarios, the tolerances given (each a finite number >= 0) and the output path."""
+    """Scenarios, the tolerances given and the output path."""
     data = json.loads(path.read_text())
     if isinstance(data, list):
         data = {"scenarios": data}
@@ -83,13 +111,7 @@ def _load_scenarios(path: Path):
     scenarios = data.get("scenarios", [])
     if not isinstance(scenarios, list) or not all(isinstance(s, dict) for s in scenarios):
         raise ValueError("scenarios must be a JSON list of objects")
-    given = serialize._Fields(data.get("tolerances", {}), "tolerances")
-    tolerances = {name: given[name] for name in ("cert_tol", "settle_tol", "membership_tol") if name in given}
-    for name, value in tolerances.items():
-        # type(), not isinstance: a JSON true is a bool, and a bool is an int
-        if type(value) not in (int, float) or not 0.0 <= value <= sys.float_info.max:
-            raise ValueError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
-        tolerances[name] = float(value)
+    tolerances = _numbers(data.get("tolerances", {}), "tolerances", "tolerance", _TOLERANCES)
     return scenarios, tolerances, data.get("out")
 
 
@@ -104,9 +126,9 @@ def cmd_run(args) -> int:
         space = serialize.space_from_descriptor(scenario["space"])
         theorem = scenario["theorem"]
         witness = build_witness(space, theorem, scenario.get("params", {}))
-        schedule = None
-        if scenario.get("schedule"):
-            schedule = Schedule(**scenario["schedule"])
+        given = scenario.get("schedule")  # absent, null or {}: the default schedule of the curve
+        given = {} if given is None else _numbers(given, "a schedule", "schedule", _SCHEDULE)
+        schedule = Schedule(**given) if given else None
         cert = certify_nonmembership(
             witness.query, witness.curve, witness.claimed_bound, schedule, **tolerances
         )

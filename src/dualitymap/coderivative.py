@@ -68,6 +68,12 @@ MEMBERSHIP_TOL = 1e-9
 # Upper bound on Schedule.steps; the default schedule takes 24.
 MAX_STEPS = 100
 
+
+def _allowance(tol: float, *sizes: float) -> float:
+    """tol * max(1.0, *sizes): the room a comparison of numbers of these sizes allows, absolute up to size 1."""
+    return tol * max(1.0, *sizes)
+
+
 VERDICT_CERTIFIED = "certified"
 VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_NOT_CERTIFIED = "not_certified"
@@ -359,6 +365,11 @@ def _all(test) -> bool:
     return test.all() if isinstance(test, np.ndarray) else test
 
 
+def _float_or_rows(values):
+    """A Python float for one element; a batch's values, one per row, stay an array."""
+    return values if values.ndim else float(values)
+
+
 def _quotient(query: CoderivativeQuery, u, u_star) -> tuple:
     """Quotient and graph distance at the checked graph pair (u, u*), or per row of a batch."""
     space = query.space
@@ -398,7 +409,8 @@ def _tail_estimate(quotients, settle_tol: float) -> tuple:
     # (so three -0.0 give +0.0)
     limit = sum(tail, 0.0) / len(tail)
     if not math.isfinite(limit) and all(map(math.isfinite, tail)):  # the sum overflowed
-        limit = sum([q / len(tail) for q in tail], 0.0)
+        # term by term, kept in the tail's range: three rounded MAX / 3 add up past MAX
+        limit = min(max(sum([q / len(tail) for q in tail], 0.0), min(tail)), max(tail))
     return float(limit), (max(tail) - min(tail)) <= settle_tol
 
 
@@ -416,11 +428,12 @@ def estimate_limit(
     the curve's validity window is shrunk to half the window and flagged; the
     shrunk schedule passes the checks of ``Schedule`` again, so a last sample
     that underflows to 0 is reported as such.  A curve with an affine form
-    is sampled as one batch.  A quotient or a limit that is not finite
-    raises ``ValueError``, without a numpy warning for the curve or the
-    quotient that overflowed on the way; a tail whose sum overflows is
-    averaged term by term, so every other limit keeps the bits of the plain
-    mean.
+    is sampled as one batch.  A quotient that is not finite raises
+    ``ValueError``, without a numpy warning for the curve or the quotient
+    that overflowed on the way.  A tail of finite quotients whose sum
+    overflows is averaged term by term and kept between its least and
+    greatest quotient, so the limit is finite, and every other limit keeps
+    the bits of the plain mean.
     """
     sch = schedule if schedule is not None else default_schedule(curve.t_max)
     shrunk = sch.t0 > curve.t_max
@@ -451,8 +464,6 @@ def estimate_limit(
     if not all(map(math.isfinite, qs)):
         raise ValueError(f"curve {curve.curve_id} gives a difference quotient that is not finite")
     limit, settled = _tail_estimate(qs, settle_tol)
-    if not math.isfinite(limit):
-        raise ValueError(f"the limit estimate along curve {curve.curve_id} overflows")
     return LimitEstimate(tuple(ts), tuple(qs), limit, settled, settle_tol, shrunk)
 
 

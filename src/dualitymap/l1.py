@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coderivative import Space
+from .coderivative import Space, _float_or_rows
 
 _MAX = sys.float_info.max
 
@@ -34,11 +34,6 @@ __all__ = [
     "indicator",
     "mask_from_indices",
 ]
-
-
-def _float_or_rows(values):
-    """A Python float for one element; a stack's values per row stay an array."""
-    return values if values.ndim else float(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,27 +68,22 @@ class FiniteMeasureSpace(Space):
         return m
 
     def check(self, values) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(
-                f"value list of length {v.size} does not match the {self.n}-point space"
-            )
-        if not np.isfinite(v).all():
-            raise ValueError("values must be finite")
-        return v
+        return self._checked(np.asarray(values, dtype=float), 1)
 
     check_dual = check
 
     def check_rows(self, values) -> np.ndarray:
-        if values.shape[-1] != self.n:
-            raise ValueError(
-                f"value list of length {values.shape[-1]} does not match the {self.n}-point space"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
-        return values
+        return self._checked(values, 2)
 
     check_dual_rows = check_rows
+
+    def _checked(self, v: np.ndarray, ndim: int) -> np.ndarray:
+        """v if it has ``ndim`` axes (2 for a stack, a value list per row) of n finite values each."""
+        if v.ndim != ndim or v.shape[-1] != self.n:
+            raise ValueError(f"values of shape {v.shape} do not match the {self.n}-point space")
+        if not np.isfinite(v).all():
+            raise ValueError("values must be finite")
+        return v
 
     # -- engine protocol: checked value lists, or (steps, n) stacks of them --
     def norm(self, f):

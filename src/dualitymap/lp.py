@@ -4,7 +4,7 @@ Vectors are finitely supported real sequences stored as their first n
 coordinates.  All formulas restrict exactly to this model, so there is no
 truncation error.  The duality map sends x to the l_q vector with i-th
 coordinate sign(x_i) |x_i|**(p-1) / ||x||_p**(p-2); its inverse is the same
-formula with the conjugate exponent q = p / (p - 1), and the canonical
+formula with the conjugate exponent q (1/p + 1/q = 1), and the canonical
 pairing between l_q and l_p is the plain dot product.
 
 The coordinate rule sign(x_i) * |x_i|**(p-1) avoids evaluating 0 to a
@@ -48,15 +48,18 @@ def _check_exponent(p: float) -> float:
 
 
 def conjugate_exponent(p: float) -> float:
-    """Exponent q with 1/p + 1/q = 1, computed as q = p / (p - 1)."""
-    p = _check_exponent(p)
-    return p / (p - 1.0)
+    """Exponent q with 1/p + 1/q = 1, as ``LpSpace(p).q`` computes it."""
+    return LpSpace(p).q
 
 
 def as_vector(x) -> np.ndarray:
     """Coerce to a 1-d float array and reject non-finite coordinates."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size < 1:
+    return _vectors(np.asarray(x, dtype=float), 1)
+
+
+def _vectors(v: np.ndarray, ndim: int) -> np.ndarray:
+    """v if it has ``ndim`` axes (2 for a stack, a vector per row) and finite vectors of at least one coordinate."""
+    if v.ndim != ndim or v.shape[-1] < 1:
         raise ValueError("vector must be one-dimensional with at least one coordinate")
     if not np.isfinite(v).all():
         raise ValueError("vector coordinates must be finite")
@@ -182,10 +185,11 @@ class LpSpace(Space):
     """The space descriptor for l_p; also the backend hook used by the engine.
 
     Primal elements and dual elements are both plain 1-d arrays; the dual
-    space is l_q with q = p / (p - 1).  The methods after ``check`` take
-    checked vectors and only compare their dimensions.  Each also takes a
-    (steps, n) stack of vectors, one per row, and then returns one value per
-    row, bitwise the value of that row alone; ``check_rows`` checks a stack.
+    space is l_q for the conjugate exponent ``q``.  The methods after
+    ``check`` take checked vectors and only compare their dimensions.  Each
+    also takes a (steps, n) stack of vectors, one per row, and then returns
+    one value per row, bitwise the value of that row alone; ``check_rows``
+    checks a stack.
     """
 
     p: float
@@ -204,11 +208,7 @@ class LpSpace(Space):
     check_dual = check
 
     def check_rows(self, x) -> np.ndarray:
-        if x.shape[-1] < 1:
-            raise ValueError("vector must be one-dimensional with at least one coordinate")
-        if not np.isfinite(x).all():
-            raise ValueError("vector coordinates must be finite")
-        return x
+        return _vectors(x, 2)
 
     check_dual_rows = check_rows
 

@@ -81,7 +81,7 @@ def measure_from_json(obj) -> RcaMeasure:
     density = obj.get("density")
     if density is not None:
         density = _on_grid(StepDensity, density, "a measure density")
-    return RcaMeasure(atoms=tuple((float(l), float(w)) for l, w in obj.get("atoms", [])), density=density)
+    return RcaMeasure(obj.get("atoms", []), density)
 
 
 def certificate_to_json(cert: NonMembershipCertificate, scenario: dict | None = None) -> dict:

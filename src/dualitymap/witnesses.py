@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import c01, l1, lp, serialize
-from .coderivative import AffineForm, CoderivativeQuery, GraphPair, ProbeCurve, _OffGraph
+from .coderivative import AffineForm, CoderivativeQuery, GraphPair, ProbeCurve, _allowance, _OffGraph
 
 __all__ = ["HypothesisViolation", "Witness", "build_witness", "THEOREM_IDS"]
 
@@ -85,6 +85,14 @@ def _sign_mask_uniform(values: np.ndarray, mask: np.ndarray, name: str) -> float
     if (vals < 0.0).all():
         return -1.0
     raise HypothesisViolation(f"{name} must have one strict sign on D")
+
+
+def _indicator_bump(space: l1.FiniteMeasureSpace, k_star: np.ndarray, mask: np.ndarray) -> tuple:
+    """(sigma, chi_D, mu(D), sigma <k*, chi_D> / (2 mu(D))): the bump sigma chi_D and the bound of thm45 case 2 and thm46."""
+    sigma = _sign_mask_uniform(k_star, mask, "k*")
+    chi = l1.indicator(space, mask)
+    mu_d = space.measure(mask)
+    return sigma, chi, mu_d, sigma * space.pair(k_star, chi) / (2.0 * mu_d)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +197,8 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     mask = l1.mask_from_indices(space, params["D"])
     a = float(params["a"])
     _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
-    scale = max(1.0, space.dual_norm(k_star) * space.norm(f))
-    _require(abs(_pair_k_star_f(space, k_star, f)) <= 1e-9 * scale, "<k*, f> = 0")
+    allowed = _allowance(1e-9, space.dual_norm(k_star) * space.norm(f))
+    _require(abs(_pair_k_star_f(space, k_star, f)) <= allowed, "<k*, f> = 0")
     _require(bool(mask.any()), "D is nonempty")
     _require(a > 0.0, "a > 0")
     fd = f[mask]
@@ -198,12 +206,8 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
         bool((fd > a).all()) or bool((fd < -a).all()),
         "f has one strict sign beyond a on D",
     )
-    sigma = _sign_mask_uniform(k_star, mask, "k*")
-    chi = l1.indicator(space, mask)
-    f_star = space.canonical_dual(f)
-    mu_d = space.measure(mask)
-    bound = sigma * space.pair(k_star, chi) / (2.0 * mu_d)
-    query = CoderivativeQuery(space, GraphPair(f, f_star), candidate=k_star)
+    sigma, chi, _, bound = _indicator_bump(space, k_star, mask)
+    query = CoderivativeQuery(space, GraphPair(f, space.canonical_dual(f)), candidate=k_star)
     # t < a keeps the signs of f, so J(f + t sigma chi_D) is a singleton.
     curve = _bump_curve(query, f"thm45_case2:bump[{sigma:+.0f}*chi_D]", sigma * chi, a / 2.0)
     return Witness("thm45_case2", query, curve, bound)
@@ -214,11 +218,8 @@ def _thm46(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     mask = l1.mask_from_indices(space, params["D"])
     _require(bool(k_star.any()), "k* != 0*")
     _require(bool(mask.any()), "D is nonempty")
-    sigma = _sign_mask_uniform(k_star, mask, "k*")
-    chi = l1.indicator(space, mask)
-    mu_d = space.measure(mask)
+    sigma, chi, mu_d, bound = _indicator_bump(space, k_star, mask)
     theta = np.zeros(space.n)
-    bound = sigma * space.pair(k_star, chi) / (2.0 * mu_d)
     query = CoderivativeQuery(space, GraphPair(theta, theta.copy()), candidate=k_star)
     # t sigma chi_D paired with t mu(D) (sigma on D, -sigma off D), a member
     # of J(t sigma chi_D) with the free values off D set to -sigma ||.||_1.
@@ -258,8 +259,7 @@ def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
         _require(bool(mask.any()), "E is nonempty")
         b = float(params["b"]) if params.get("b") is not None else float(np.min(margins[mask]))
         _require(b > 0.0, "margin b > 0")
-        slack = 1e-12 * max(1.0, b, norm)
-        _require(bool((margins[mask] >= b - slack).all()), "u* >= ||f||_1 + b on E")
+        _require(bool((margins[mask] >= b - _allowance(1e-12, b, norm)).all()), "u* >= ||f||_1 + b on E")
     elif params.get("b") is not None:
         b = float(params["b"])
         _require(b > 0.0, "margin b > 0")
@@ -405,7 +405,7 @@ def _shared_peak_witness(space: c01.C01Space, f: c01.PwlFunction, u: c01.PwlFunc
         pts = [float(s) for s in params["points"]]
         for s, v in zip(pts, u(np.array(pts)).tolist()):
             _require(
-                mset_f.contains(s) and abs(v - norm_u) <= 1e-9 * max(1.0, norm_u),
+                mset_f.contains(s) and abs(v - norm_u) <= _allowance(1e-9, norm_u),
                 "points lie in M(u) and M(f)",
             )
     else:
@@ -413,7 +413,7 @@ def _shared_peak_witness(space: c01.C01Space, f: c01.PwlFunction, u: c01.PwlFunc
         pts = [
             s
             for s, v in zip(peaks, u(np.array(peaks)).tolist())
-            if abs(v - norm_u) <= c01.VALUE_TOL * max(1.0, norm_u)
+            if abs(v - norm_u) <= _allowance(c01.VALUE_TOL, norm_u)
         ]
         _require(bool(pts), "M(u) and M(f) share a point")
     alph = params.get("alphas")

@@ -43,6 +43,28 @@ def test_pwl_validation():
         PwlFunction(np.array([0.0, 0.5, 0.5, 1.0]), np.array([0.0, 1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         PwlFunction(np.array([0.0, 1.0]), np.array([np.inf, 0.0]))
+    for grid in ([0.0], [[0.0, 1.0], [0.0, 1.0]]):  # one point, a 2-d grid
+        with pytest.raises(ValueError, match="two endpoint breakpoints"):
+            PwlFunction(np.array(grid), np.zeros(np.shape(grid)))
+    for grid in ([0.25, 1.0], [0.0, 0.75]):
+        with pytest.raises(ValueError, match="start at 0 and end at 1"):
+            StepDensity(np.array(grid), np.ones(1))
+    with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+        RcaMeasure([(1.5, 1.0)])
+    with pytest.raises(TypeError, match="expected PwlFunction"):
+        C01Space().check(np.zeros(2))
+
+
+def test_duality_measures_refuse_bad_input():
+    with pytest.raises(ValueError, match="the zero function"):
+        atomic_duality_measure(pwl_constant(0.0), [0.5])
+    with pytest.raises(ValueError, match="at least one atom point"):
+        atomic_duality_measure(pwl_tent(), [])
+    for alphas in ([1.0, 0.0], [1.5, -0.5]):
+        with pytest.raises(ValueError, match="strictly positive"):
+            atomic_duality_measure(pwl_constant(1.0), [0.25, 0.75], alphas)
+    with pytest.raises(ValueError, match=r"\|\|f\|\| = 0"):
+        plateau_duality_measure(pwl_constant(0.0), 0.25, 0.75)
 
 
 def test_sup_norm_examples():

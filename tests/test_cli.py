@@ -50,6 +50,18 @@ def test_eval_malformed(capsys):
     assert main(["eval", "--space", "l1", "--weights", "[1,1]", "--values", "[1]"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--space", "l1", "--values", "[1]"], "--space l1 requires --weights"),
+    (["suite", "--space", "l1"], "--space l1 requires --weights"),
+    (["eval", "--space", "lp", "--p", "2"], "--space lp requires --vector"),
+    (["eval", "--space", "l1", "--weights", "[1]"], "--space l1 requires --values"),
+    (["eval", "--space", "c01"], "--space c01 requires --f"),
+])
+def test_a_missing_element_or_weights_exits_2_naming_the_option(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_eval_lp_power_overflow_exit_code(capsys):
     # ||x|| ** (p - 2) overflows, but J([1e-320]) = [1e-320]: this used to exit 2
     code = main(["eval", "--space", "lp", "--p", "1.000001", "--vector", "[1e-320]"])
@@ -155,9 +167,10 @@ def test_run_rejects_tolerances_that_are_not_an_object(tmp_path, capsys):
         ([{"space": {"space": "lp"}, "theorem": "thm31"}], "a space descriptor needs the key 'p'"),
         ([{"theorem": "thm31"}], "a scenario needs the key 'space'"),
         ([{"space": {"space": "lp", "p": 2.0}}], "a scenario needs the key 'theorem'"),
+        ([{"space": {"space": "l7"}, "theorem": "thm31"}], "unknown space descriptor"),
     ],
     ids=["string", "number", "scenarios-string", "scenario-list", "space-string", "space-no-p",
-         "scenario-no-space", "scenario-no-theorem"],
+         "scenario-no-space", "scenario-no-theorem", "space-unknown"],
 )
 def test_run_rejects_a_malformed_scenario_file(tmp_path, capsys, data, message):
     path = tmp_path / "malformed.json"
@@ -174,6 +187,43 @@ def test_run_takes_integer_tolerances(tmp_path):
     assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 0
     cert = json.loads((tmp_path / "out.json").read_text())[0]
     assert (cert["cert_tol"], cert["settle_tol"]) == (1.0, 1.0)
+
+
+def test_run_takes_a_schedule(tmp_path):
+    scenario = json.loads((FIXTURES / "all.json").read_text())["scenarios"][1]  # lp thm31, t_max 1
+    path, out = tmp_path / "schedule.json", tmp_path / "out.json"
+    for schedule, ts in (
+        ({"t0": 0.125, "ratio": 0.5, "steps": 10}, [0.125 * 0.5**k for k in range(10)]),
+        ({"steps": 9}, [0.25 * 0.5**k for k in range(9)]),
+        ({}, [0.25 * 0.5**k for k in range(24)]),  # {} or null: the curve's default schedule
+        (None, [0.25 * 0.5**k for k in range(24)]),
+    ):
+        path.write_text(json.dumps({"scenarios": [{**scenario, "schedule": schedule}]}))
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())[0]["t"] == ts
+
+
+@pytest.mark.parametrize("key, value, message", [
+    # a misspelled tolerance used to be ignored, the run certifying at the default cert_tol
+    ("tolerances", {"cert_tols": 1e3}, "tolerances has no field 'cert_tols'"),
+    ("schedule", {"t0": True}, "schedule t0 must be a finite number, got True"),  # ran as t0 = 1
+    ("schedule", {"t0": float("inf")}, "schedule t0 must be a finite number, got inf"),  # shrank to the window
+    ("schedule", {"ratio": float("nan")}, "schedule ratio must be a finite number, got nan"),
+    ("schedule", {"steps": 24.0}, "schedule steps must be a finite integer, got 24.0"),  # failed in range()
+    ("schedule", {"steps": 10**400}, "schedule steps must be a finite integer"),
+    ("schedule", {"step": 24}, "a schedule has no field 'step'"),
+    ("schedule", [0.25, 0.5, 24], "a schedule must be a JSON object"),
+], ids=["tolerance-misspelled", "t0-true", "t0-inf", "ratio-nan", "steps-float", "steps-huge",
+        "schedule-misspelled", "schedule-list"])
+def test_run_refuses_tolerances_and_schedules_outside_their_fields(tmp_path, capsys, key, value, message):
+    scenario = json.loads((FIXTURES / "all.json").read_text())["scenarios"][1]  # lp thm31, certified
+    data = {"tolerances": value, "scenarios": [scenario]} if key == "tolerances" else {
+        "scenarios": [{**scenario, "schedule": value}]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_run_two_dimensional_c01_values_exit_code(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualitymap import (
+    AffineForm,
     CoderivativeQuery,
     FiniteMeasureSpace,
     GraphPair,
@@ -271,3 +272,40 @@ def test_mismatched_dimensions_raise(l2):
     curve = ProbeCurve("wide", lambda t: GraphPair((1 + t) * e, (1 + t) * e), t_max=0.5)
     with pytest.raises(ValueError, match="dimension mismatch"):
         certify_nonmembership(query, curve, None)
+
+
+def test_a_tail_of_max_quotients_has_a_finite_limit(l2):
+    # every quotient is the largest float: three rounded MAX / 3 add up past
+    # MAX, and the limit estimate used to raise as if it overflowed
+    big = np.finfo(float).max
+    zero = np.zeros(1)
+    query = CoderivativeQuery(l2, GraphPair(zero, zero), np.array([big]), second_dual=np.array([-big]))
+    curve = ProbeCurve("bump", t_max=1.0, affine=AffineForm(l2, query.base, tangent=np.array([1.0])))
+    cert = certify_nonmembership(query, curve, None)
+    assert set(cert.estimate.quotients) == {big}
+    assert cert.estimate.limit == big and cert.verdict == "certified"
+    assert reverify_certificate(cert)
+    # a quotient that is not finite still raises
+    curve = ProbeCurve("bump", t_max=1.0, affine=AffineForm(l2, query.base, tangent=np.array([8.0])))
+    with pytest.raises(ValueError, match="not finite"):
+        estimate_limit(query, curve)
+
+
+def test_probe_curve_is_only_read_on_its_window():
+    curve = ProbeCurve("line", lambda t: GraphPair(np.array([t]), np.array([t])), t_max=0.5)
+    assert curve.at(0.5).point.tolist() == [0.5]
+    for t in (0.0, -0.25, 0.75):
+        with pytest.raises(ValueError, match=r"only valid on \(0, 0.5\]"):
+            curve.at(t)
+
+
+def test_reverify_refuses_a_certified_tail_below_the_margin():
+    # settled, and its mean meets the bound 1 - cert_tol, but a certified
+    # tail quotient must also be at least the bound minus twice cert_tol
+    def certified(low):
+        quotients = (5.0, 3.0, 1.0 + 2e-6, 1.0 + 2e-6, low)
+        est = LimitEstimate((0.25, 0.125, 0.0625, 0.03125, 0.015625), quotients, sum(quotients[-3:], 0.0) / 3, True, 1e-5)
+        return NonMembershipCertificate("bump", est, 1.0, 1e-6, "certified")
+
+    assert reverify_certificate(certified(1.0 - 1.5e-6))
+    assert not reverify_certificate(certified(1.0 - 2.5e-6))

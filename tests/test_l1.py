@@ -120,6 +120,8 @@ def test_strict_convexity_counterexample():
         skew, mask_from_indices(skew, [0]), mask_from_indices(skew, [1])
     )
     assert mid == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="mask length"):
+        skew.measure([True])
 
     with pytest.raises(ValueError):
         strict_convexity_counterexample(

@@ -210,6 +210,13 @@ def test_space_descriptor_roundtrip():
     assert sp.q == pytest.approx(5.0 / 3.0, rel=1e-15)
 
 
+def test_check_rows_refuses_a_stack_of_empty_vectors():
+    sp = LpSpace(2.0)
+    assert sp.check_rows(np.ones((3, 2))).shape == (3, 2)
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        sp.check_rows(np.zeros((3, 0)))
+
+
 @pytest.mark.parametrize("p", [8e15, 2.0**62, 1e300])
 def test_norm_and_map_at_an_exponent_past_2_51(p):
     # past p = 2**51 the rounded cut (MAX / 2n)**(1/p) of the sum of powers

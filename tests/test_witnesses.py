@@ -57,6 +57,19 @@ def test_hand_checked_bounds():
     assert cert.verdict == "certified"
 
 
+@pytest.mark.parametrize("params, b, e", [
+    ({"b": 1.5}, 1.5, [0.0, 1.0, 1.0]),  # E = {u* >= ||f||_1 + b}
+    ({}, 2.0, [0.0, 0.0, 1.0]),  # b is half the largest margin, E = {u* > ||f||_1 + b}
+])
+def test_cor48_without_e_claims_half_its_margin(params, b, e):
+    # ||f||_1 = 3, so the margins u* - ||f||_1 are 1, 2 and 4
+    space = FiniteMeasureSpace([1.0, 1.0, 1.0])
+    witness, cert = run(space, "cor48", {"f": [1.0, 1.0, 1.0], "u_star": [4.0, 5.0, 7.0], **params})
+    assert witness.claimed_bound == b / 2.0 and witness.one_sided
+    assert witness.curve.affine.tangent.tolist() == e  # the bump chi_E
+    assert cert.verdict == "certified"
+
+
 def test_l1_membership_tolerance_scales_with_norm():
     # The same witness at scale 1 and 1000: ||f||_1**2 ~ 9e6 puts the rounding
     # of <g, f> past an absolute 1e-10, so only a relative tolerance certifies.
