@@ -27,15 +27,14 @@ the pairing depend on which of the two locations was kept.
 
 Cost: ``pairing_c``, ``measure_sub`` and the density-support scan of
 ``is_duality_member_c`` each make one pass of whole-array numpy operations
-over the union of the breakpoint grids, with no per-segment Python loop.
+over the union of the breakpoint grids.
 ``maximizing_set`` finds the breakpoints at the maximum with one array pass
 and then walks only those, so its Python work is linear in the number of
 maximizers (usually one to three).  ``pairing_c``,
 ``atomic_duality_measure`` and ``peak_points`` evaluate f at all their
 points with one ``np.interp`` call.  A batch of measures whose atoms sit
 at the subtrahend's own locations (every scaling and shift curve)
-subtracts weight by weight, with no merge of locations.  A caller that
-knows ||f|| or M(f)
+subtracts weight by weight.  A caller that knows ||f|| or M(f)
 passes it to the private forms (``_maximizing_set``, ``_peak_points``,
 ``_atomic_measure``, ``_canonical_measure``, ``_plateau_measure``), so one
 witness finds each once.
@@ -79,11 +78,12 @@ breakpoint does not increase.  ``sup_norm``, ``pwl_scale``, ``pwl_sub`` (of
 two stacks, on each row's union grid, with one interpolation over the rows
 of both), ``maximizer_runs`` (M(f) as masks, testing for plateau segments
 only where two maximizers sit side by side) and
-``canonical_duality_measure`` take a stack, and ``take_rows`` selects rows
-of one.  The last returns an ``RcaMeasure`` with a row of atom locations
-each, sorted among the atoms present, its atoms on breakpoints taking f's
-values there and only the plateau midpoints of nonzero rows interpolated.
-The pairing, the TV norm, the scaling and the difference take such
+``canonical_duality_measure`` take a stack.  The last returns an
+``RcaMeasure`` with a row of atom locations each, sorted among the atoms
+present, its atoms on breakpoints taking f's values there and only the
+plateau midpoints of nonzero rows interpolated.  ``take_rows`` selects rows
+of a stack, of a batch on one grid, which keeps that grid, or of a batch
+of measures.  The pairing, the TV norm, the scaling and the difference take such
 measures.  The pairing with a stack reads it at the atoms present only.
 The difference subtracts weight by weight where the two rows of locations
 agree and hold at most one atom at a location, and otherwise merges each
@@ -390,6 +390,16 @@ def maximizer_runs(f: PwlFunction, tol: float = VALUE_TOL) -> tuple:
     return _runs(f, norm, tol)
 
 
+def _run_set(bp: np.ndarray, first: np.ndarray, last: np.ndarray) -> MaximizingSet:
+    """The ``MaximizingSet`` of one row of ``maximizer_runs`` on its grid ``bp``.
+
+    An atom where a run starts and ends; an interval from each other start
+    to the end that follows it.
+    """
+    starts, ends = bp[first & ~last].tolist(), bp[last & ~first].tolist()
+    return MaximizingSet(tuple(bp[first & last].tolist()), tuple(zip(starts, ends)))
+
+
 def peak_points(f: PwlFunction, sign: int, tol: float = VALUE_TOL) -> list:
     """Representative points where f equals sign * ||f|| (sign is +1 or -1)."""
     norm = sup_norm(f)
@@ -636,7 +646,8 @@ def pairing_c(mu: RcaMeasure, f: PwlFunction):
     A batch of measures, of functions or of both gives one value per row.
     A stack (a grid per row, the suite's) is read only where an atom is
     present, the only terms that are not +0.0: its canonical measures hold
-    one to three atoms in rows padded to the widest.  One function or a
+    one to three atoms in rows padded to the widest; a measure with a
+    density against a stack is refused.  One function or a
     batch on one grid (the probe curves, whose atoms are mostly all
     present) is read at every location, and an absent atom's term set to
     +0.0 after; reading only the atoms present doubles the cost of the atom
@@ -649,6 +660,11 @@ def pairing_c(mu: RcaMeasure, f: PwlFunction):
     w = mu.weights
     with np.errstate(over="ignore", invalid="ignore"):  # as Python float products
         if f.breakpoints.ndim > 1:
+            if mu.density is not None:
+                raise ValueError(
+                    f"pairing_c needs a measure without density against a stack, got a density on grid "
+                    f"{mu.density.breakpoints.shape} and a stack on grids {f.breakpoints.shape}"
+                )
             shape = (f.breakpoints.shape[0], w.shape[-1])
             w, locations = (a if a.shape == shape else np.broadcast_to(a, shape) for a in (w, mu.locations))
             at = w.nonzero()
@@ -787,15 +803,15 @@ def _canonical_rows(f: PwlFunction) -> RcaMeasure:
 
 
 def take_rows(v, rows):
-    """The rows ``rows`` of a stack from ``pwl_rows``, or of a batch of measures."""
-    if isinstance(v, RcaMeasure):
-        def at(a):  # shared locations or density values stay shared
-            return a if a.ndim == 1 else a[rows]
+    """The rows ``rows`` of a batch or a stack of functions, or of a batch of measures."""
+    def at(a):  # a shared grid, shared locations or shared density values stay shared
+        return a if a.ndim == 1 else a[rows]
 
+    if isinstance(v, RcaMeasure):
         d = v.density
         density = None if d is None else _on_checked_grid(StepDensity, d.breakpoints, at(d.values))
         return _measure(at(v.locations), v.weights[rows], density)
-    return _on_checked_grid(PwlFunction, v.breakpoints[rows], v.values[rows])
+    return _on_checked_grid(PwlFunction, at(v.breakpoints), v.values[rows])
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray, rows=None) -> np.ndarray:

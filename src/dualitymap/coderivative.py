@@ -38,6 +38,7 @@ Generator-only curves are sampled one t at a time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
@@ -72,6 +73,25 @@ MAX_STEPS = 100
 def _allowance(tol: float, *sizes: float) -> float:
     """tol * max(1.0, *sizes): the room a comparison of numbers of these sizes allows, absolute up to size 1."""
     return tol * max(1.0, *sizes)
+
+
+def _finite(what: str, name: str, value, kind: str):
+    """``value`` when it is a finite ``kind`` ("number", "number >= 0" or "integer"), else a ValueError naming it.
+
+    A bool is refused, though Python counts it as an int; a numpy integer or
+    float64 (a float) is taken, a narrower numpy float is not.  An integer
+    past the float range is not finite.
+    """
+    types = (int, np.integer) if kind == "integer" else (int, float, np.integer)
+    least = 0.0 if kind == "number >= 0" else -sys.float_info.max
+    if isinstance(value, bool) or not isinstance(value, types) or not least <= value <= sys.float_info.max:
+        raise ValueError(f"{what} {name} must be a finite {kind}, got {value!r}")
+    return value
+
+
+def _tolerance(name: str, value):
+    """A tolerance: a finite number >= 0."""
+    return _finite("tolerance", name, value, "number >= 0")
 
 
 VERDICT_CERTIFIED = "certified"
@@ -280,13 +300,18 @@ class ProbeCurve:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Geometric sampling schedule t_k = t0 * ratio**k, k = 0..steps-1."""
+    """Geometric sampling schedule t_k = t0 * ratio**k, k = 0..steps-1.
+
+    t0 and ratio are finite numbers and steps an integer; a bool is neither.
+    """
 
     t0: float = 0.25
     ratio: float = 0.5
     steps: int = 24
 
     def __post_init__(self):
+        for name, kind in (("t0", "number"), ("ratio", "number"), ("steps", "integer")):
+            _finite("schedule", name, getattr(self, name), kind)
         if self.t0 <= 0.0:
             raise ValueError("t0 must be positive")
         if not 0.0 < self.ratio < 1.0:
@@ -433,8 +458,11 @@ def estimate_limit(
     that overflowed on the way.  A tail of finite quotients whose sum
     overflows is averaged term by term and kept between its least and
     greatest quotient, so the limit is finite, and every other limit keeps
-    the bits of the plain mean.
+    the bits of the plain mean.  A tolerance that is not a finite number
+    >= 0 raises ``ValueError``.
     """
+    _tolerance("settle_tol", settle_tol)
+    _tolerance("membership_tol", membership_tol)
     sch = schedule if schedule is not None else default_schedule(curve.t_max)
     shrunk = sch.t0 > curve.t_max
     if shrunk:
@@ -496,6 +524,7 @@ def certify_nonmembership(
     ``cert_tol`` (positivity alone when no bound is claimed).  An unsettled
     estimate is ``inconclusive``, never a false certificate.
     """
+    _tolerance("cert_tol", cert_tol)
     estimate = estimate_limit(query, curve, schedule, settle_tol, membership_tol)
     verdict = _verdict(estimate, claimed_bound, cert_tol)
     return NonMembershipCertificate(

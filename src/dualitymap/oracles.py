@@ -53,7 +53,8 @@ it into J(x), J(y), J(0 x) and J(alpha x), which 1 * x = x keeps bitwise.
 The c01 invariants find M(f) of f and its scalings by -2, 0.5 and 3 as one
 stack of four times the samples, and compare each scaled row with its base
 row mask for mask: rows whose masks agree are the same set, and only the
-others (none on random draws) sort and compare positions.
+others (none on random draws) build both sets and compare them with
+``MaximizingSet.same_set``.
 
 On c01 the stacks skip work whose result is known: J(0 x), a zero row,
 interpolates nothing; x - y reads x and y on each row's union grid with
@@ -68,7 +69,7 @@ The draws fill one padded grid in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import getitem
 
 import numpy as np
@@ -166,14 +167,9 @@ class PropertyRecord:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "property": self.property_id,
-            "applicable": self.applicable,
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        """The fields in order, ``property_id`` under the key "property"."""
+        record = asdict(self)
+        return {"property": record.pop("property_id"), **record}
 
 
 @dataclass(frozen=True)
@@ -334,34 +330,15 @@ def _same_runs(bp: np.ndarray, runs: tuple, base: tuple, tol: float) -> np.ndarr
     Row i of ``runs`` is compared with row i % n of ``base``, on the grid
     they share, at a ``tol`` >= 0.  Where the two rows' masks agree, they
     mark the same breakpoints of one grid: the same set.  Only the other
-    rows (none on random draws) compare sorted positions, in
-    ``_same_positions``.
+    rows (none on random draws) build both sets and call ``same_set``.
     """
     first, last = runs
     n, width = base[0].shape
     same = ((first.reshape(-1, n, width) == base[0]) & (last.reshape(-1, n, width) == base[1])).all(-1).ravel()
-    rows = (~same).nonzero()[0]
-    if rows.size:
-        same[rows] = _same_positions(bp[rows], (first[rows], last[rows]), (base[0][rows % n], base[1][rows % n]), tol)
+    for i in (~same).nonzero()[0].tolist():
+        j = i % n
+        same[i] = c01._run_set(bp[i], first[i], last[i]).same_set(c01._run_set(bp[i], base[0][j], base[1][j]), tol)
     return same
-
-
-def _same_positions(bp: np.ndarray, runs: tuple, other: tuple, tol: float) -> np.ndarray:
-    """``MaximizingSet.same_set`` row by row, for two ``c01.maximizer_runs`` on the grids ``bp``.
-
-    The atoms, the interval starts and the interval ends of the two sets
-    agree in number and, in order, within ``tol`` one by one.
-    """
-    same = np.ones(bp.shape[0], dtype=bool)
-    for a, b in zip(_run_parts(*runs), _run_parts(*other)):
-        # a grid increases along its row, so a sort puts the marked breakpoints first, in order
-        pa, pb = (np.sort(np.where(m, bp, 2.0), axis=-1) for m in (a, b))
-        same &= (a.sum(-1) == b.sum(-1)) & (abs(pa - pb) <= tol).all(-1)
-    return same
-
-
-def _run_parts(first: np.ndarray, last: np.ndarray) -> tuple:
-    return first & last, first & ~last, last & ~first
 
 
 def _c01_invariants(space: c01.C01Space, rng, sample_count: int) -> tuple:

@@ -334,9 +334,16 @@ def _shift_curve(theorem: str, query: CoderivativeQuery, shift: float, points, a
     return ProbeCurve(f"{theorem}:shift[{shift:+.0f}]", t_max=t_max, affine=affine)
 
 
+def _nonnegative(params: dict, *names: str) -> list:
+    """The functions ``params`` gives under ``names``, all parsed first, then each checked to be nonnegative."""
+    functions = [serialize.pwl_from_json(params[name]) for name in names]
+    for name, g in zip(names, functions):
+        _require(bool((g.values >= 0.0).all()), f"{name} in C+[0,1]")
+    return functions
+
+
 def _thm53(space: c01.C01Space, params: dict) -> Witness:
-    f = serialize.pwl_from_json(params["f"])
-    _require(bool((f.values >= 0.0).all()), "f in C+[0,1]")
+    (f,) = _nonnegative(params, "f")
     norm = space.norm(f)
     _require(norm > 0.0, "||f|| > 0")
     mu = _resolve_measure(params, f, norm)
@@ -388,10 +395,7 @@ def _thm55(space: c01.C01Space, params: dict) -> Witness:
 
 
 def _thm56(space: c01.C01Space, params: dict) -> Witness:
-    f = serialize.pwl_from_json(params["f"])
-    u = serialize.pwl_from_json(params["u"])
-    _require(bool((f.values >= 0.0).all()), "f in C+[0,1]")
-    _require(bool((u.values >= 0.0).all()), "u in C+[0,1]")
+    f, u = _nonnegative(params, "f", "u")
     return _shared_peak_witness(space, f, u, params)
 
 
@@ -426,10 +430,7 @@ def _shared_peak_witness(space: c01.C01Space, f: c01.PwlFunction, u: c01.PwlFunc
 
 
 def _cor57(space: c01.C01Space, params: dict) -> Witness:
-    f = serialize.pwl_from_json(params["f"])
-    u = serialize.pwl_from_json(params["u"])
-    _require(bool((f.values >= 0.0).all()), "f in C+[0,1]")
-    _require(bool((u.values >= 0.0).all()), "u in C+[0,1]")
+    f, u = _nonnegative(params, "f", "u")
     _require(bool((np.diff(f.values) >= 0.0).all()), "f increasing")
     _require(bool((np.diff(u.values) >= 0.0).all()), "u increasing")
     _require(float(f(1.0)) > 0.0, "f(1) > 0")
@@ -441,9 +442,8 @@ def _cor57(space: c01.C01Space, params: dict) -> Witness:
 
 
 def _thm58(space: c01.C01Space, params: dict) -> Witness:
-    f = serialize.pwl_from_json(params["f"])
+    (f,) = _nonnegative(params, "f")
     c = float(params["c"])
-    _require(bool((f.values >= 0.0).all()), "f in C+[0,1]")
     norm = space.norm(f)
     _require(norm > 0.0, "||f|| > 0")
     _require(c > 0.0, "c > 0")

@@ -652,6 +652,26 @@ def test_take_rows_selects_rows_of_a_stack_and_of_its_measures():
         assert nu.atoms == tuple(batch.atoms[i] for i in np.arange(3)[rows])
 
 
+def test_take_rows_keeps_the_shared_grid_of_a_batch():
+    # rows [2, 0, 1] used to come back on the grid [1, 0, 0.5], and rows
+    # [0, 0] were refused as values that do not match the breakpoints
+    f = PwlFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, -2.0, 3.0]))
+    batch = pwl_scale(f, np.array([[1.0], [2.0], [-3.0]]))
+    for rows in (np.array([2, 0, 1]), np.array([0, 0]), slice(1, 3), np.array([1])):
+        sub = c01.take_rows(batch, rows)
+        assert sub.breakpoints is batch.breakpoints and same_array(sub.values, batch.values[rows])
+        assert same_array(sub(np.array([0.25, 0.75])), batch(np.array([0.25, 0.75]))[rows])
+
+
+def test_pairing_c_refuses_a_density_against_a_stack():
+    mu = c01.density_measure([0.0, 0.3, 1.0], [1.0, 2.0])
+    x = pwl_rows([[0.0, 0.5, 1.0], [0.0, 1.0]], [[1.0, 2.0, 3.0], [4.0, 5.0]])
+    with pytest.raises(ValueError, match=r"density on grid \(3,\) and a stack on grids \(2, 3\)"):
+        pairing_c(mu, x)
+    with pytest.raises(ValueError, match="without density against a stack"):
+        pairing_c(measure_scale(mu, np.array([[1.0], [2.0]])), x)
+
+
 def stack(fs: list) -> PwlFunction:
     return pwl_rows([f.breakpoints for f in fs], [f.values for f in fs])
 

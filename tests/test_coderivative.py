@@ -309,3 +309,48 @@ def test_reverify_refuses_a_certified_tail_below_the_margin():
 
     assert reverify_certificate(certified(1.0 - 1.5e-6))
     assert not reverify_certificate(certified(1.0 - 2.5e-6))
+
+
+@pytest.mark.parametrize("given, message", [
+    ({"t0": float("inf")}, "schedule t0 must be a finite number, got inf"),  # shrank to the window
+    ({"t0": True}, "schedule t0 must be a finite number, got True"),
+    ({"t0": "0.25"}, "schedule t0 must be a finite number, got '0.25'"),
+    ({"ratio": float("nan")}, "schedule ratio must be a finite number, got nan"),
+    ({"steps": 24.0}, "schedule steps must be a finite integer, got 24.0"),  # failed in range()
+    ({"steps": True}, "schedule steps must be a finite integer, got True"),  # ran as one step
+    ({"steps": 10**400}, "schedule steps must be a finite integer"),
+    ({"t0": np.float32(0.25)}, "schedule t0 must be a finite number"),  # sampled t in float32
+], ids=["t0-inf", "t0-true", "t0-str", "ratio-nan", "steps-float", "steps-true", "steps-huge", "t0-float32"])
+def test_schedule_refuses_values_that_are_not_finite_numbers(given, message):
+    with pytest.raises(ValueError, match=message):
+        Schedule(**given)
+
+
+def test_schedule_takes_numpy_numbers():
+    assert Schedule(np.float64(0.125), np.float64(0.5), np.int64(10)) == Schedule(0.125, 0.5, 10)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("cert_tol", float("inf")),
+    ("settle_tol", float("inf")),
+    ("membership_tol", float("nan")),
+    ("membership_tol", -1.0),
+    pytest.param("cert_tol", 10**400, id="cert_tol-10**400"),  # an integer past the largest float
+    ("settle_tol", True),
+    ("cert_tol", "1e-6"),
+])
+def test_the_engine_refuses_a_tolerance_that_is_not_a_finite_number_at_least_0(name, value):
+    # thm33's limit here is 1: a cert_tol of inf used to certify a bound of 100
+    witness = build_witness(LpSpace(2.0), "thm33", {"x": [1, 0], "a": 3})
+    with pytest.raises(ValueError, match=f"tolerance {name} must be a finite number >= 0"):
+        certify_nonmembership(witness.query, witness.curve, 100.0, **{name: value})
+    if name != "cert_tol":
+        with pytest.raises(ValueError, match=f"tolerance {name} must be a finite number >= 0"):
+            estimate_limit(witness.query, witness.curve, **{name: value})
+
+
+def test_the_engine_takes_numpy_and_integer_tolerances():
+    witness = build_witness(LpSpace(2.0), "thm33", {"x": [1, 0], "a": 3})
+    tolerances = {"cert_tol": np.float64(1e-6), "settle_tol": 1, "membership_tol": np.float64(0.0)}
+    cert = certify_nonmembership(witness.query, witness.curve, witness.claimed_bound, **tolerances)
+    assert cert.verdict == "certified"

@@ -450,17 +450,17 @@ def test_c01_invariants_map_one_stack_of_scalings(monkeypatch, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_c01_invariants_compare_no_positions_where_the_runs_agree(monkeypatch, seed):
     # on random draws every scaling's runs agree with f's mask for mask, so
-    # no row sorts and compares its positions
+    # no row builds its maximizing set to compare positions
     rows = []
-    positions = oracles._same_positions
+    run_set = c01._run_set
 
-    def positions_spy(bp, *args):
-        rows.append(bp.shape[0])
-        return positions(bp, *args)
+    def run_set_spy(bp, *args):
+        rows.append(bp.shape)
+        return run_set(bp, *args)
 
-    monkeypatch.setattr(oracles, "_same_positions", positions_spy)
+    monkeypatch.setattr(c01, "_run_set", run_set_spy)
     oracles.run_backend_invariants(C01Space(), 200, seed)
-    assert sum(rows) == 0
+    assert len(rows) == 0
 
 
 def test_same_runs_is_same_set_row_by_row():
@@ -483,7 +483,7 @@ def test_same_runs_is_same_set_row_by_row():
     f, g = c01.pwl_rows(grids, values), c01.pwl_rows(grids * 3, others)
     runs, base = c01.maximizer_runs(g), c01.maximizer_runs(f)
     agree = ((runs[0] == np.tile(base[0], (3, 1))) & (runs[1] == np.tile(base[1], (3, 1)))).all(-1)
-    counts = [np.stack([m.sum(-1) for m in oracles._run_parts(*r)], -1) for r in (runs, base)]
+    counts = [np.stack([m.sum(-1) for m in (a & b, a & ~b, b & ~a)], -1) for a, b in (runs, base)]
     same_count = (counts[0] == np.tile(counts[1], (3, 1))).all(-1)
     assert agree[:n].all() and agree[n:].any() and (~same_count).any() and (same_count & ~agree).any()
     for tol in (1e-12, 0.0):
