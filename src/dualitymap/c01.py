@@ -361,15 +361,16 @@ def _runs(f: PwlFunction, norm, tol: float) -> tuple:
 
     The maximizers and plateau segments of ``maximizing_set``, by the same
     arithmetic; a column that pads a row of a stack holds no maximizer.
-    The plateau test |v[j] - v[j+1]| <= tol runs only when some row has two
-    maximizers side by side; otherwise every maximizer is an atom, and
-    ``first`` and ``last`` both mark them all.
+    The plateau test |v[j] - v[j+1]| <= tol runs only when some row with a
+    nonzero sup norm has two maximizers side by side; otherwise every
+    maximizer is an atom, and ``first`` and ``last`` both mark them all.  So
+    a zero row, where every breakpoint is a maximizer, is all atoms.
     """
     v, bp = f.values, f.breakpoints
     top = abs(abs(v) - norm[..., None]) <= tol
     top[..., 1:] &= bp[..., 1:] > bp[..., :-1]
     first, last = top.copy(), top
-    side_by_side = top[..., :-1] & top[..., 1:]
+    side_by_side = top[..., :-1] & top[..., 1:] & (norm != 0.0)[..., None]
     if side_by_side.any():
         plateau = side_by_side & (abs(v[..., :-1] - v[..., 1:]) <= tol)
         first[..., 1:] &= ~plateau
@@ -785,17 +786,16 @@ def _canonical_rows(f: PwlFunction) -> RcaMeasure:
 
     An atom on a breakpoint (every ``last`` column) takes f's value there,
     which is what interpolation returns on a breakpoint; only the midpoints
-    of plateaus are interpolated, and only in rows with a nonzero sup norm.
-    A zero row is one plateau whose weights stay f's +-0.0, no atom, as the
-    zero measure has none.
+    of plateaus are interpolated.  A zero row has no plateau in ``_runs``:
+    its weights are f's +-0.0 over the number of its breakpoints, so +-0.0,
+    no atom, as the zero measure has none.
     """
-    norm = sup_norm(f)
-    first, last = _runs(f, norm, VALUE_TOL)
+    first, last = _runs(f, sup_norm(f), VALUE_TOL)
     bp, cols = f.breakpoints, np.arange(f.breakpoints.shape[-1])
     end = np.minimum.accumulate(np.where(last, cols, cols[-1])[:, ::-1], axis=-1)[:, ::-1]
     locations = np.where(last, bp, 0.5 * (bp + bp[np.arange(bp.shape[0])[:, None], end]))
     values = f.values.copy()
-    r, c = (first & ~last & (norm != 0.0)[:, None]).nonzero()  # the plateau starts: their atoms sit at midpoints
+    r, c = (first & ~last).nonzero()  # the plateau starts: their atoms sit at midpoints
     if r.size:
         values[r, c] = _interp_rows(locations[r, c], bp, f.values, r)
     weights = (1.0 / first.sum(-1))[:, None] * values

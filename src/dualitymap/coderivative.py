@@ -23,11 +23,12 @@ u_t* = x* + t d*, or u_t* = canonical_dual(u_t) when d* is None; or the
 scaling (1 + s t)(x, x*).  The catalog's scaling curves (every model) and
 bump curves (``lp``, ``L1``, thm46's included) are of this form, and the
 ``c01`` shifts are a subclass that rounds its dual weights its own way
-(``witnesses``).  ``estimate_limit`` samples such a curve at every t at once,
-as one batch with one element per row: each ``Space`` method takes a batch
-as it takes one element and returns one value per row, and the batch passes
-the checks of the per-t path.  The batched floats are bitwise those of the
-per-t path: sums reduce along each row, an ``lp`` pairing runs the
+(``witnesses``).  ``estimate_limit`` samples such a curve in batches with
+one element per row, consecutive blocks of t of at most ``_BLOCK_BYTES`` of
+array rows (a ``c01`` batch is one block): each ``Space`` method takes a
+batch as it takes one element and returns one value per row, and each block
+passes the checks of the per-t path.  The batched floats are bitwise those
+of the per-t path: sums reduce along each row, an ``lp`` pairing runs the
 ``np.dot`` kernel on each row (``np.vecdot``) and the l_p root stays one
 scalar power per row (a matrix product or an array power rounds
 differently), a scaling curve evaluates as (1 + s t) x, never as
@@ -68,6 +69,14 @@ CERT_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-9
 # Upper bound on Schedule.steps; the default schedule takes 24.
 MAX_STEPS = 100
+# Bytes of one block of array rows that ``estimate_limit`` samples at once.
+# Each temporary of a block stays under glibc's default 128 KiB mmap
+# threshold, so it comes from the heap; a whole (24, 1024) float batch is
+# 192 KiB, whose temporaries glibc maps and unmaps on every certificate
+# (about 200 page faults each time).  96 KiB (12 rows at n = 1024) certified the
+# lp and L1 rows of the n = 1024 benchmark deck fastest of blocks of 32, 64,
+# 96 and 128 KiB, each size timed in its own process.
+_BLOCK_BYTES = 96 * 1024
 
 
 def _allowance(tol: float, *sizes: float) -> float:
@@ -272,7 +281,7 @@ class ProbeCurve:
 
     A curve given by an ``affine`` form and no generator gets
     ``affine.at`` as its generator; ``estimate_limit`` samples a curve with
-    an affine form from the form, as one batch, and ``at`` from the
+    an affine form from the form, in blocks of t, and ``at`` from the
     generator.
     """
 
@@ -420,7 +429,9 @@ def _sample(query: CoderivativeQuery, u, u_star, membership_tol: float) -> tuple
 
     A batch runs each check on all rows in turn; where rows fail different
     checks, the first check in that order is reported, not the first
-    failing t.
+    failing t.  ``estimate_limit`` hands it blocks of t in order, so of a
+    curve whose rows fail in more than one block, the first such block's
+    report is raised.
     """
     if not _all(query.space.is_member(u, u_star, membership_tol)):
         raise ValueError("probe curve produced a pair outside gph J")
@@ -453,7 +464,10 @@ def estimate_limit(
     the curve's validity window is shrunk to half the window and flagged; the
     shrunk schedule passes the checks of ``Schedule`` again, so a last sample
     that underflows to 0 is reported as such.  A curve with an affine form
-    is sampled as one batch.  A quotient that is not finite raises
+    is sampled in blocks of t, each at most ``_BLOCK_BYTES`` of array rows
+    (one row where a row is larger; a ``c01`` batch is one block), in order,
+    so a failing pair is reported by the first block that holds one, as
+    ``_sample`` reports it.  A quotient that is not finite raises
     ``ValueError``, without a numpy warning for the curve or the quotient
     that overflowed on the way.  A tail of finite quotients whose sum
     overflows is averaged term by term and kept between its least and
@@ -469,17 +483,21 @@ def estimate_limit(
         sch = Schedule(curve.t_max / 2.0, sch.ratio, sch.steps)
     ts = [sch.t0 * sch.ratio**k for k in range(sch.steps)]
     space = query.space
+    qs, dists = [], []
     # once per estimate: a curve or a pairing of the quotient past the float
     # range comes out inf or NaN, which the checks and the tests below refuse
     with np.errstate(over="ignore", invalid="ignore"):
         if curve.affine is not None:
             curve._check_window(min(ts))  # every t lies between these two
             curve._check_window(max(ts))
-            u, u_star = curve.affine.rows(np.array(ts))
-            qs, dists = _sample(query, space.check_rows(u), space.check_dual_rows(u_star), membership_tol)
-            qs, dists = qs.tolist(), dists.tolist()
+            x = curve.affine.base.point
+            rows = max(1, _BLOCK_BYTES // (8 * x.size)) if isinstance(x, np.ndarray) else len(ts)
+            for k in range(0, len(ts), rows):
+                u, u_star = curve.affine.rows(np.array(ts[k:k + rows]))
+                q, dist = _sample(query, space.check_rows(u), space.check_dual_rows(u_star), membership_tol)
+                qs += q.tolist()
+                dists += dist.tolist()
         else:
-            qs, dists = [], []
             for t in ts:
                 pair = curve.at(t)
                 q, dist = _sample(query, space.check(pair.point), space.check_dual(pair.dual), membership_tol)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .c01 import C01Space, PwlFunction, RcaMeasure, StepDensity, pwl_tent
-from .coderivative import NonMembershipCertificate
+from .coderivative import NonMembershipCertificate, _finite
 from .l1 import FiniteMeasureSpace
 from .lp import LpSpace
 
@@ -28,15 +28,31 @@ __all__ = [
 
 
 def space_from_descriptor(descriptor: dict):
+    """The space a descriptor names; ``p`` must be a finite number and ``weights`` a list of them."""
     descriptor = _Fields(descriptor, "a space descriptor")
     name = descriptor.get("space")
     if name == "lp":
-        return LpSpace(float(descriptor["p"]))
+        return LpSpace(float(_finite("space descriptor", "p", descriptor["p"], "number")))
     if name == "l1":
-        return FiniteMeasureSpace(np.asarray(descriptor["weights"], dtype=float))
+        return FiniteMeasureSpace(_weights(descriptor["weights"]))
     if name == "c01":
         return C01Space()
     raise ValueError(f"unknown space descriptor: {descriptor!r}")
+
+
+def _weights(weights) -> np.ndarray:
+    """A list of finite numbers, by the rule of ``_finite``, as an array.
+
+    A list of floats alone is read as one array, whose finiteness
+    ``FiniteMeasureSpace`` checks; any other list goes entry by entry
+    through ``_finite``, which names the first bad entry.
+    """
+    if not isinstance(weights, list):
+        raise ValueError(f"space descriptor weights must be a list of finite numbers, got {weights!r}")
+    if not set(map(type, weights)) <= {float}:
+        for i, w in enumerate(weights):
+            _finite("space descriptor", f"weights[{i}]", w, "number")
+    return np.asarray(weights, dtype=float)
 
 
 def pwl_to_json(f: PwlFunction | StepDensity) -> dict:

@@ -15,7 +15,7 @@ curves fall into three families:
   their points and only their weights move with t (``_shift_curve``).
 
 Every curve is affine in t and carries its data as a
-``coderivative.AffineForm``, so every model samples it as one batch; the
+``coderivative.AffineForm``, so every model samples it in batches; the
 shifts use a subclass whose dual weights round as alpha_j (f(s_j) + shift t).
 
 Hypothesis validation is strict: a violated hypothesis raises

@@ -1,4 +1,6 @@
-"""Affine probe curves sampled as one batch: bitwise the per-t samples, same checks."""
+"""Affine probe curves sampled in blocks of t: bitwise the per-t samples, same checks."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from dualitymap import (
     estimate_limit,
 )
 from dualitymap import c01, serialize
+from dualitymap.coderivative import _BLOCK_BYTES
 from dualitymap.witnesses import _ShiftForm
 from test_c01_kernels import ref_measure_scale, ref_measure_sub, ref_pairing, ref_pwl_sub, ref_tv_norm
 from witness_draws import CLOSED_FORM_DRAWS, draw_cor57, draw_thm31, stable_seed
@@ -75,11 +78,29 @@ def test_every_catalog_theorem_has_a_draw():
     assert sorted(DRAWS) == sorted(THEOREM_IDS)
 
 
+def _spy_blocks(monkeypatch) -> list:
+    """The batches each space's ``check_rows`` is handed, as (rows, bytes of an array batch or None)."""
+    seen = []
+    for cls in (LpSpace, FiniteMeasureSpace, C01Space):
+        def spy(self, x, check_rows=cls.check_rows):
+            array = isinstance(x, np.ndarray)
+            seen.append((len(x) if array else x.values.shape[0], x.nbytes if array else None))
+            return check_rows(self, x)
+
+        monkeypatch.setattr(cls, "check_rows", spy)
+    return seen
+
+
+# one row of this many floats is past _BLOCK_BYTES, so each block holds one row
+ONE_ROW = _BLOCK_BYTES // 8 + 1
+
+
 @pytest.mark.parametrize("theorem", sorted(DRAWS))
-def test_batched_certificates_are_bitwise_per_t(theorem):
+def test_batched_certificates_are_bitwise_per_t(theorem, monkeypatch):
     rng = np.random.default_rng(stable_seed(theorem) + 7)
-    sizes = [None] * 6 + [1024] * 2
+    sizes = [None] * 6 + [1024] * 2 + [ONE_ROW]
     kinds = set()
+    blocks = _spy_blocks(monkeypatch)
     for n in sizes:
         space, params, _ = DRAWS[theorem](rng, n)
         witness = build_witness(space, theorem, params)
@@ -89,8 +110,17 @@ def test_batched_certificates_are_bitwise_per_t(theorem):
             kinds.add((space.p == 2.0, bool(np.any(params["x"]))))
         t0 = min(0.25, curve.t_max / 2.0)
         for schedule in (None, Schedule(t0 / 3.0, 0.7, 40)):
+            blocks.clear()
             batched = _outcome(witness, _batched_only(curve), schedule)
             assert batched[0] != "ValueError", batched
+            # array rows come in blocks of at most _BLOCK_BYTES, or of one
+            # row where one row is past it; a c01 batch is one block
+            steps, point = len(batched[0]), curve.affine.base.point
+            per = max(1, _BLOCK_BYTES // (8 * point.size)) if isinstance(point, np.ndarray) else steps
+            assert [rows for rows, _ in blocks] == [min(per, steps - k) for k in range(0, steps, per)]
+            assert all(rows == 1 or size is None or size <= _BLOCK_BYTES for rows, size in blocks)
+            if n == 1024 and isinstance(point, np.ndarray):
+                assert len(blocks) == (2 if schedule is None else 4)  # 12 + 12, 12 + 12 + 12 + 4
             assert batched == _outcome(witness, _generator_only(curve), schedule)
             if ":shift[" in curve.curve_id:
                 assert batched == _outcome(witness, _reference_shift(curve), schedule)
@@ -130,17 +160,23 @@ def test_row_forms_equal_the_methods_row_by_row(space):
     assert not member[4] and not member[5]
 
 
+def _padded(values, n: int) -> np.ndarray:
+    """``values`` followed by zeros, n floats in all."""
+    return np.pad(np.array(values, dtype=float), (0, n - len(values)))
+
+
 def _lp_query(x=(1.0, -2.0)):
     space = LpSpace(3.0)
     x = np.array(x)
-    return CoderivativeQuery(space, GraphPair(x, space.canonical_dual(x)), np.array([0.5, 1.0]))
+    return CoderivativeQuery(space, GraphPair(x, space.canonical_dual(x)), _padded([0.5, 1.0], x.size))
 
 
 def _l1_query(f=(1.0, -2.0)):
-    space = FiniteMeasureSpace([1.0, 2.0])
     f = np.array(f)
+    space = FiniteMeasureSpace(np.resize([1.0, 2.0], f.size))
     return CoderivativeQuery(
-        space, GraphPair(f, space.canonical_dual(f)), np.array([0.5, 1.0]), second_dual=[1.0, 0.0]
+        space, GraphPair(f, space.canonical_dual(f)), _padded([0.5, 1.0], f.size),
+        second_dual=_padded([1.0], f.size),
     )
 
 
@@ -152,11 +188,28 @@ def _both_raise(query, curve, match, schedule=None):
     assert str(batched.value) == str(per_t.value)
 
 
+@dataclass(frozen=True, eq=False)
+class _OffBelow(AffineForm):
+    """u_t = x + t d with u_t* = J(u_t), but u_t* doubled, off gph J, for t below ``below``."""
+
+    below: float = 0.0
+
+    def _evaluate(self, t) -> tuple:
+        u, u_star = super()._evaluate(t)
+        return u, np.where(t < self.below, 2.0 * u_star, u_star)
+
+
 @pytest.mark.parametrize("make_query", [_lp_query, _l1_query])
 def test_batched_path_keeps_every_check(make_query):
-    query = make_query()
+    # n = 4096: three rows a block, so the default 24 steps take eight blocks
+    for n in (2, 4096):
+        _both_paths_refuse_alike(make_query, n)
+
+
+def _both_paths_refuse_alike(make_query, n: int):
+    query = make_query(_padded([1.0, -2.0], n))
     space, base = query.space, query.base
-    e0 = np.array([1.0, 0.0])
+    e0 = _padded([1.0], n)
 
     def curve(t_max=0.5, **form):
         return ProbeCurve("probe", t_max=t_max, affine=AffineForm(space, base, **form))
@@ -164,25 +217,29 @@ def test_batched_path_keeps_every_check(make_query):
     # a tangent that overflowed upstream, on the point and on the dual, is
     # refused when the form is built
     with np.errstate(over="ignore"):
-        overflowed = np.array([1e308, 0.0]) * 10.0
+        overflowed = _padded([1e308], n) * 10.0
     for form in ({"tangent": overflowed, "dual_tangent": e0}, {"tangent": e0, "dual_tangent": overflowed}):
         with pytest.raises(ValueError, match="finite"):
             curve(**form)
     # a finite tangent whose x + t d (x* + t d*) overflows at the first sample:
     # the sampled pair's own check refuses it
-    big, early = np.array([1.7e308, 0.0]), Schedule(2.0, 0.5, 8)
+    big, early = _padded([1.7e308], n), Schedule(2.0, 0.5, 8)
     with np.errstate(over="ignore"):
         _both_raise(query, curve(t_max=4.0, tangent=big, dual_tangent=e0), "finite", early)
         _both_raise(query, curve(t_max=4.0, tangent=e0, dual_tangent=big), "finite", early)
     # (1 + t) x paired with the base dual x*: off the graph
-    _both_raise(query, curve(tangent=base.point, dual_tangent=np.zeros(2)), "outside gph J")
+    _both_raise(query, curve(tangent=base.point, dual_tangent=np.zeros(n)), "outside gph J")
+    # off the graph at the last t alone, in the last block
+    last = 0.25 * 0.5**23
+    off_last = _OffBelow(space, base, tangent=e0, below=1.5 * last)
+    _both_raise(query, ProbeCurve("late", t_max=0.5, affine=off_last), "outside gph J")
     # a zero tangent never leaves the base point
-    _both_raise(query, curve(tangent=np.zeros(2)), "degenerate")
+    _both_raise(query, curve(tangent=np.zeros(n)), "degenerate")
 
     # A window so narrow that the shrunk schedule underflows to t = 0: the
     # schedule's own check reports it, on both paths.
-    origin = make_query((0.0, 0.0))
-    narrow = AffineForm(space, origin.base, tangent=np.array([1e300, 0.0]))
+    origin = make_query(np.zeros(n))
+    narrow = AffineForm(space, origin.base, tangent=_padded([1e300], n))
     _both_raise(origin, ProbeCurve("narrow", t_max=1e-320, affine=narrow), "underflows to 0",
                 Schedule(0.25, 0.5, 24))
 

@@ -630,6 +630,7 @@ def test_canonical_rows_read_f_at_its_breakpoints(n):
         x = pwl_rows([f.breakpoints for f in rows], [f.values for f in rows])
         got, want = c01._canonical_rows(x), ref_canonical_rows(x)
         assert same_array(got.locations, want.locations) and same_array(got.weights, want.weights)
+        assert not got.weights[sup_norm(x) == 0.0].any()  # a zero row: weights +-0.0, no atom
     first, last = maximizer_runs(pwl_rows([f.breakpoints for f in fs[-1:]], [f.values for f in fs[-1:]]))
     assert (first & ~last).tolist() == [[False, True, False, False]]
 

@@ -335,6 +335,29 @@ def test_run_names_a_malformed_or_missing_param(tmp_path, capsys, scenario, mess
 
 
 @pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        ({"space": "lp", "p": None}, "space descriptor p must be a finite number, got None"),
+        ({"space": "lp", "p": [2]}, "space descriptor p must be a finite number, got [2]"),
+        ({"space": "lp", "p": "2"}, "space descriptor p must be a finite number, got '2'"),
+        ({"space": "lp", "p": 10**400}, "space descriptor p must be a finite number"),
+        ({"space": "l1", "weights": {"a": 1}}, "space descriptor weights must be a list of finite numbers"),
+        ({"space": "l1", "weights": "ab"}, "space descriptor weights must be a list of finite numbers"),
+        ({"space": "l1", "weights": [1.0, True]}, "space descriptor weights[1] must be a finite number, got True"),
+        ({"space": "l1", "weights": [1, None]}, "space descriptor weights[1] must be a finite number, got None"),
+        ({"space": "l1", "weights": [10**400]}, "space descriptor weights[0] must be a finite number"),
+    ],
+    ids=["p-null", "p-list", "p-string", "p-past-float", "weights-object", "weights-string", "weights-bool",
+         "weights-null", "weights-past-float"],
+)
+def test_run_names_a_malformed_space_descriptor_field(tmp_path, capsys, descriptor, message):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps([{"space": descriptor, "theorem": "thm31", "params": {}}]))
+    assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "f, message",
     [
         ("5", "a piecewise-linear function must be a JSON object, got 5"),

@@ -131,10 +131,10 @@ def draw_thm45_case2(rng, n=None):
     candidates = np.flatnonzero(branch * f > 0.0)
     d_idx = rng.choice(candidates, int(rng.integers(1, candidates.size + 1)), replace=False)
     # keep one index off D free to cancel <k*, f> exactly
-    off = [i for i in range(space.n) if i not in set(int(j) for j in d_idx)]
+    off = np.setdiff1d(np.arange(space.n), d_idx).tolist()
     if not off:
         d_idx = d_idx[:-1] if d_idx.size > 1 else d_idx
-        off = [i for i in range(space.n) if i not in set(int(j) for j in d_idx)]
+        off = np.setdiff1d(np.arange(space.n), d_idx).tolist()
     if not off:  # one-point space cannot cancel; enlarge
         return draw_thm45_case2(rng, n)
     a = float(np.min(branch * f[d_idx]) / 2.0)
