@@ -137,7 +137,9 @@ __all__ = [
 ]
 
 # Value comparisons against the exact piecewise-linear model only need to
-# absorb representation rounding.
+# absorb representation rounding.  M(f), its runs and its peak points are
+# found within VALUE_TOL, and ``MaximizingSet.same_set`` compares positions
+# within POSITION_TOL.
 VALUE_TOL = 1e-12
 POSITION_TOL = 1e-12
 
@@ -314,39 +316,41 @@ class MaximizingSet:
         """One representative per component: atoms plus interval midpoints."""
         return list(self.atoms) + [0.5 * (a + b) for a, b in self.intervals]
 
-    def same_set(self, other: "MaximizingSet", tol: float = 1e-9) -> bool:
+    def same_set(self, other: "MaximizingSet") -> bool:
+        """The same atoms and intervals, each end within ``POSITION_TOL``."""
         if len(self.atoms) != len(other.atoms) or len(self.intervals) != len(other.intervals):
             return False
         return all(
-            abs(a - b) <= tol for a, b in zip(sorted(self.atoms), sorted(other.atoms))
+            abs(a - b) <= POSITION_TOL for a, b in zip(sorted(self.atoms), sorted(other.atoms))
         ) and all(
-            abs(i[0] - j[0]) <= tol and abs(i[1] - j[1]) <= tol
+            abs(i[0] - j[0]) <= POSITION_TOL and abs(i[1] - j[1]) <= POSITION_TOL
             for i, j in zip(sorted(self.intervals), sorted(other.intervals))
         )
 
 
-def maximizing_set(f: PwlFunction, tol: float = VALUE_TOL) -> MaximizingSet:
+def maximizing_set(f: PwlFunction) -> MaximizingSet:
     """M(f) = {s : |f(s)| = ||f||}; rejects f = 0 where the set is undefined.
 
-    A segment is a plateau when both endpoints sit at the same signed
-    maximum; runs of plateau segments merge into one interval and every
-    other maximizing breakpoint is an atom.
+    A breakpoint is a maximizer when |f| there is within ``VALUE_TOL`` of
+    ||f||, and a segment is a plateau when both endpoints sit at the same
+    signed maximum, within ``VALUE_TOL``; runs of plateau segments merge
+    into one interval and every other maximizing breakpoint is an atom.
     """
     norm = sup_norm(f)
     if norm == 0.0:
         raise ValueError("maximizing set undefined for the zero function")
-    return _maximizing_set(f, norm, tol)
+    return _maximizing_set(f, norm)
 
 
-def _maximizing_set(f: PwlFunction, norm: float, tol: float = VALUE_TOL) -> MaximizingSet:
+def _maximizing_set(f: PwlFunction, norm: float) -> MaximizingSet:
     """``maximizing_set`` of an f != 0 whose sup norm ``norm`` is known."""
-    idx = (abs(abs(f.values) - norm) <= tol).nonzero()[0]
+    idx = (abs(abs(f.values) - norm) <= VALUE_TOL).nonzero()[0]
     pos, vals = f.breakpoints[idx].tolist(), f.values[idx].tolist()
     idx = idx.tolist()
     atoms, intervals = [], []
     start = 0  # first maximizer of the current run
     for j in range(1, len(idx) + 1):
-        if j < len(idx) and idx[j] == idx[j - 1] + 1 and abs(vals[j - 1] - vals[j]) <= tol:
+        if j < len(idx) and idx[j] == idx[j - 1] + 1 and abs(vals[j - 1] - vals[j]) <= VALUE_TOL:
             continue  # a plateau segment joins maximizer j to the run
         if start == j - 1:
             atoms.append(pos[start])
@@ -356,29 +360,29 @@ def _maximizing_set(f: PwlFunction, norm: float, tol: float = VALUE_TOL) -> Maxi
     return MaximizingSet(tuple(atoms), tuple(intervals))
 
 
-def _runs(f: PwlFunction, norm, tol: float) -> tuple:
+def _runs(f: PwlFunction, norm) -> tuple:
     """Masks over the breakpoints of the first and the last maximizer of each run of M(f).
 
     The maximizers and plateau segments of ``maximizing_set``, by the same
     arithmetic; a column that pads a row of a stack holds no maximizer.
-    The plateau test |v[j] - v[j+1]| <= tol runs only when some row with a
-    nonzero sup norm has two maximizers side by side; otherwise every
+    The plateau test |v[j] - v[j+1]| <= ``VALUE_TOL`` runs only when some
+    row with a nonzero sup norm has two maximizers side by side; otherwise every
     maximizer is an atom, and ``first`` and ``last`` both mark them all.  So
     a zero row, where every breakpoint is a maximizer, is all atoms.
     """
     v, bp = f.values, f.breakpoints
-    top = abs(abs(v) - norm[..., None]) <= tol
+    top = abs(abs(v) - norm[..., None]) <= VALUE_TOL
     top[..., 1:] &= bp[..., 1:] > bp[..., :-1]
     first, last = top.copy(), top
     side_by_side = top[..., :-1] & top[..., 1:] & (norm != 0.0)[..., None]
     if side_by_side.any():
-        plateau = side_by_side & (abs(v[..., :-1] - v[..., 1:]) <= tol)
+        plateau = side_by_side & (abs(v[..., :-1] - v[..., 1:]) <= VALUE_TOL)
         first[..., 1:] &= ~plateau
         last[..., :-1] &= ~plateau
     return first, last
 
 
-def maximizer_runs(f: PwlFunction, tol: float = VALUE_TOL) -> tuple:
+def maximizer_runs(f: PwlFunction) -> tuple:
     """M(f) of a stack, row by row, as masks over the breakpoints; rejects a zero row.
 
     ``(first, last)``: a run of M(f) spans the breakpoints from a ``first``
@@ -388,7 +392,7 @@ def maximizer_runs(f: PwlFunction, tol: float = VALUE_TOL) -> tuple:
     norm = sup_norm(f)
     if not np.all(norm):
         raise ValueError("maximizing set undefined for the zero function")
-    return _runs(f, norm, tol)
+    return _runs(f, norm)
 
 
 def _run_set(bp: np.ndarray, first: np.ndarray, last: np.ndarray) -> MaximizingSet:
@@ -401,17 +405,17 @@ def _run_set(bp: np.ndarray, first: np.ndarray, last: np.ndarray) -> MaximizingS
     return MaximizingSet(tuple(bp[first & last].tolist()), tuple(zip(starts, ends)))
 
 
-def peak_points(f: PwlFunction, sign: int, tol: float = VALUE_TOL) -> list:
-    """Representative points where f equals sign * ||f|| (sign is +1 or -1)."""
+def peak_points(f: PwlFunction, sign: int) -> list:
+    """Representative points where f equals sign * ||f|| (sign is +1 or -1), within ``VALUE_TOL``."""
     norm = sup_norm(f)
-    return _peak_points(f, norm, maximizing_set(f), sign, tol)
+    return _peak_points(f, norm, maximizing_set(f), sign)
 
 
-def _peak_points(f: PwlFunction, norm: float, mset: MaximizingSet, sign: int, tol: float = VALUE_TOL) -> list:
+def _peak_points(f: PwlFunction, norm: float, mset: MaximizingSet, sign: int) -> list:
     """``peak_points`` of f given its sup norm and M(f)."""
     target, points = float(sign) * norm, mset.points()
     values = f(np.array(points)).tolist()
-    return [float(s) for s, v in zip(points, values) if abs(v - target) <= _allowance(tol, norm)]
+    return [float(s) for s, v in zip(points, values) if abs(v - target) <= _allowance(VALUE_TOL, norm)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -689,21 +693,21 @@ class MembershipReport:
     support_ok: bool
 
 
-def is_duality_member_c(mu: RcaMeasure, f: PwlFunction, tol: float = MEMBERSHIP_TOL) -> MembershipReport:
+def is_duality_member_c(mu: RcaMeasure, f: PwlFunction) -> MembershipReport:
     """Membership of mu in J(f) (``C01Space.is_member``) plus the support check of mu
-    on M(f), whose positions are compared within tol; needs one f != 0 and one mu."""
+    on M(f), whose positions are compared within ``MEMBERSHIP_TOL``; needs one f != 0 and one mu."""
     space = C01Space()
     f, mu = space.check(f), space.check_dual(mu)
     mset = maximizing_set(f)
-    member = space.is_member(f, mu, tol)
-    support_ok = all(mset.contains(loc, tol) for loc, _ in mu.atoms)
+    member = space.is_member(f, mu)
+    support_ok = all(mset.contains(loc, MEMBERSHIP_TOL) for loc, _ in mu.atoms)
     if support_ok and mu.density is not None:
         bp, vals = mu.density.breakpoints, mu.density.values
         nz = vals.nonzero()[0]
         lo, hi = bp[nz], bp[nz + 1]
         inside = np.zeros(nz.size, dtype=bool)
         for a, b in mset.intervals:
-            inside |= (a - tol <= lo) & (hi <= b + tol)
+            inside |= (a - MEMBERSHIP_TOL <= lo) & (hi <= b + MEMBERSHIP_TOL)
         support_ok = bool(inside.all())
     return MembershipReport(member, support_ok)
 
@@ -790,7 +794,7 @@ def _canonical_rows(f: PwlFunction) -> RcaMeasure:
     its weights are f's +-0.0 over the number of its breakpoints, so +-0.0,
     no atom, as the zero measure has none.
     """
-    first, last = _runs(f, sup_norm(f), VALUE_TOL)
+    first, last = _runs(f, sup_norm(f))
     bp, cols = f.breakpoints, np.arange(f.breakpoints.shape[-1])
     end = np.minimum.accumulate(np.where(last, cols, cols[-1])[:, ::-1], axis=-1)[:, ::-1]
     locations = np.where(last, bp, 0.5 * (bp + bp[np.arange(bp.shape[0])[:, None], end]))

@@ -67,6 +67,8 @@ __all__ = [
 SETTLE_TOL = 1e-6
 CERT_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-9
+# The last quotients of a schedule that the limit estimate averages and the verdict tests.
+_TAIL = 3
 # Upper bound on Schedule.steps; the default schedule takes 24.
 MAX_STEPS = 100
 # Bytes of one block of array rows that ``estimate_limit`` samples at once.
@@ -333,20 +335,21 @@ class Schedule:
             raise ValueError("the last sample t0 * ratio**(steps-1) underflows to 0")
 
 
-def default_schedule(t_max: float = 1.0) -> Schedule:
+def default_schedule(t_max: float) -> Schedule:
     """Geometric schedule from min(0.25, t_max/2) spanning 7 decades of t.
 
     When the curve's validity window forces t0 below 0.25, the step count
     shrinks so the smallest sample stays near the 0.25 * 0.5**23 floor:
     digging further erodes the dual-side differences to rounding noise.
+    0.25, 0.5 and 24 are ``Schedule``'s defaults.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
-    t0 = min(0.25, t_max / 2.0)
-    steps = 24
-    if t0 < 0.25:
+    t0 = min(Schedule.t0, t_max / 2.0)
+    steps = Schedule.steps
+    if t0 < Schedule.t0:
         # a difference of logs: 0.25 / t0 overflows for a subnormal t0
-        steps = max(8, 24 - math.ceil(math.log2(0.25) - math.log2(t0)))
+        steps = max(8, Schedule.steps - math.ceil(math.log2(Schedule.t0) - math.log2(t0)))
     return Schedule(t0=t0, steps=steps)
 
 
@@ -361,8 +364,9 @@ class LimitEstimate:
     settle_tol: float
     t0_shrunk: bool = False
 
-    def tail(self, k: int = 3) -> tuple:
-        return self.quotients[-k:]
+    def tail(self) -> tuple:
+        """The last ``_TAIL`` quotients, whose mean is ``limit``."""
+        return self.quotients[-_TAIL:]
 
 
 @dataclass(frozen=True)
@@ -439,8 +443,8 @@ def _sample(query: CoderivativeQuery, u, u_star, membership_tol: float) -> tuple
 
 
 def _tail_estimate(quotients, settle_tol: float) -> tuple:
-    """Mean of the last three quotients, and whether their spread is <= settle_tol."""
-    tail = quotients[-3:]
+    """Mean of the last ``_TAIL`` quotients, and whether their spread is <= settle_tol."""
+    tail = quotients[-_TAIL:]
     # np.mean, bitwise: numpy sums fewer than 8 terms left to right from +0.0
     # (so three -0.0 give +0.0)
     limit = sum(tail, 0.0) / len(tail)

@@ -19,6 +19,8 @@ import numpy as np
 from .coderivative import Space, _float_or_rows
 
 _MAX = sys.float_info.max
+# The room ``is_duality_member`` allows each relative duality gap.
+_SELECTION_TOL = 1e-10
 
 __all__ = [
     "FiniteMeasureSpace",
@@ -135,9 +137,9 @@ class FiniteMeasureSpace(Space):
 
 
 def _index(i, n: int) -> int:
-    """``i`` as an int; a ValueError naming it unless it is an integer value in [0, n)."""
+    """``i`` as an int; a ValueError naming it unless it is an integer value in [0, n) and not a bool."""
     try:
-        if int(i) == i and 0 <= i < n:
+        if not isinstance(i, (bool, np.bool_)) and int(i) == i and 0 <= i < n:
             return int(i)
     except (TypeError, ValueError, OverflowError):  # not a number, NaN, +-inf
         pass
@@ -219,9 +221,9 @@ def duality_selection(f, space: FiniteMeasureSpace, a=()) -> np.ndarray:
     return g
 
 
-def is_duality_member(g, f, space: FiniteMeasureSpace, tol: float = 1e-10) -> bool:
-    """True iff ||g||_inf = ||f||_1 and <g, f> = ||f||_1**2, each within tol relative to max(1, rhs)."""
-    return space.is_member(space.check(f), space.check(g), tol)
+def is_duality_member(g, f, space: FiniteMeasureSpace) -> bool:
+    """True iff ||g||_inf = ||f||_1 and <g, f> = ||f||_1**2, each within 1e-10 relative to max(1, rhs)."""
+    return space.is_member(space.check(f), space.check(g), _SELECTION_TOL)
 
 
 @dataclass(frozen=True, eq=False)

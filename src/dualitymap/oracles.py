@@ -324,20 +324,20 @@ def _l1_invariants(space: l1.FiniteMeasureSpace, rng, sample_count: int) -> tupl
     )
 
 
-def _same_runs(bp: np.ndarray, runs: tuple, base: tuple, tol: float) -> np.ndarray:
+def _same_runs(bp: np.ndarray, runs: tuple, base: tuple) -> np.ndarray:
     """``MaximizingSet.same_set`` row by row, for ``c01.maximizer_runs`` on the grids ``bp`` and n base runs.
 
     Row i of ``runs`` is compared with row i % n of ``base``, on the grid
-    they share, at a ``tol`` >= 0.  Where the two rows' masks agree, they
-    mark the same breakpoints of one grid: the same set.  Only the other
-    rows (none on random draws) build both sets and call ``same_set``.
+    they share.  Where the two rows' masks agree, they mark the same
+    breakpoints of one grid: the same set.  Only the other rows (none on
+    random draws) build both sets and call ``same_set``.
     """
     first, last = runs
     n, width = base[0].shape
     same = ((first.reshape(-1, n, width) == base[0]) & (last.reshape(-1, n, width) == base[1])).all(-1).ravel()
     for i in (~same).nonzero()[0].tolist():
         j = i % n
-        same[i] = c01._run_set(bp[i], first[i], last[i]).same_set(c01._run_set(bp[i], base[0][j], base[1][j]), tol)
+        same[i] = c01._run_set(bp[i], first[i], last[i]).same_set(c01._run_set(bp[i], base[0][j], base[1][j]))
     return same
 
 
@@ -348,7 +348,7 @@ def _c01_invariants(space: c01.C01Space, rng, sample_count: int) -> tuple:
     factors = np.repeat([1.0, -2.0, 0.5, 3.0], n)[:, None]
     scaled = c01.pwl_scale(c01.take_rows(f, np.arange(4 * n) % n), factors)
     first, last = c01.maximizer_runs(scaled)
-    same = _same_runs(scaled.breakpoints[n:], (first[n:], last[n:]), (first[:n], last[:n]), 1e-12)
+    same = _same_runs(scaled.breakpoints[n:], (first[n:], last[n:]), (first[:n], last[:n]))
     exactness = np.maximum(*duality_gaps(space, f, space.canonical_dual(f)))
     return (
         _record("maximizing_set_scaling", np.where(same.reshape(3, -1).all(0), 0.0, 1.0)),

@@ -34,25 +34,26 @@ def space_from_descriptor(descriptor: dict):
     if name == "lp":
         return LpSpace(float(_finite("space descriptor", "p", descriptor["p"], "number")))
     if name == "l1":
-        return FiniteMeasureSpace(_weights(descriptor["weights"]))
+        return FiniteMeasureSpace(_numbers("space descriptor", "weights", descriptor["weights"]))
     if name == "c01":
         return C01Space()
     raise ValueError(f"unknown space descriptor: {descriptor!r}")
 
 
-def _weights(weights) -> np.ndarray:
-    """A list of finite numbers, by the rule of ``_finite``, as an array.
+def _numbers(what: str, name: str, values) -> np.ndarray:
+    """The JSON list ``values`` of finite numbers, by the rule of ``_finite``, as an array.
 
-    A list of floats alone is read as one array, whose finiteness
-    ``FiniteMeasureSpace`` checks; any other list goes entry by entry
-    through ``_finite``, which names the first bad entry.
+    A list of floats alone is read as one array, whose finiteness its
+    consumer checks (``FiniteMeasureSpace``, ``RcaMeasure``, the c01
+    measure builders); any other list goes entry by entry through
+    ``_finite``, which names the first bad entry ``name[i]``.
     """
-    if not isinstance(weights, list):
-        raise ValueError(f"space descriptor weights must be a list of finite numbers, got {weights!r}")
-    if not set(map(type, weights)) <= {float}:
-        for i, w in enumerate(weights):
-            _finite("space descriptor", f"weights[{i}]", w, "number")
-    return np.asarray(weights, dtype=float)
+    if not isinstance(values, list):
+        raise ValueError(f"{what} {name} must be a list of finite numbers, got {values!r}")
+    if not set(map(type, values)) <= {float}:
+        for i, v in enumerate(values):
+            _finite(what, f"{name}[{i}]", v, "number")
+    return np.asarray(values, dtype=float)
 
 
 def pwl_to_json(f: PwlFunction | StepDensity) -> dict:
@@ -93,16 +94,23 @@ def measure_to_json(mu: RcaMeasure) -> dict:
 
 
 def measure_from_json(obj) -> RcaMeasure:
+    """A measure whose ``atoms`` are [location, weight] pairs of finite numbers; a bad pair is named ``atoms[i]``."""
     obj = _Fields(obj, "a measure")
     density = obj.get("density")
     if density is not None:
         density = _on_grid(StepDensity, density, "a measure density")
-    return RcaMeasure(obj.get("atoms", []), density)
+    atoms = obj.get("atoms", [])
+    if not isinstance(atoms, list):
+        raise ValueError(f"a measure's atoms must be a list of [location, weight] pairs, got {atoms!r}")
+    for i, atom in enumerate(atoms):
+        if len(_numbers("a measure's", f"atoms[{i}]", atom)) != 2:
+            raise ValueError(f"a measure's atoms[{i}] must be a [location, weight] pair, got {atom!r}")
+    return RcaMeasure(atoms, density)
 
 
-def certificate_to_json(cert: NonMembershipCertificate, scenario: dict | None = None) -> dict:
-    """Certificate record: query echo plus the stored samples and verdict."""
-    record = {
+def certificate_to_json(cert: NonMembershipCertificate, scenario: dict) -> dict:
+    """Certificate record: the stored samples and verdict, then the query echo ``scenario``."""
+    return {
         "curve": cert.curve_id,
         "t": [float(t) for t in cert.estimate.ts],
         "quotient": [float(q) for q in cert.estimate.quotients],
@@ -113,7 +121,5 @@ def certificate_to_json(cert: NonMembershipCertificate, scenario: dict | None = 
         "claimed_bound": None if cert.claimed_bound is None else float(cert.claimed_bound),
         "cert_tol": float(cert.cert_tol),
         "verdict": cert.verdict,
+        "scenario": scenario,
     }
-    if scenario is not None:
-        record["scenario"] = scenario
-    return record

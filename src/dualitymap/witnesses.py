@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import c01, l1, lp, serialize
-from .coderivative import AffineForm, CoderivativeQuery, GraphPair, ProbeCurve, _allowance, _OffGraph
+from .coderivative import AffineForm, CoderivativeQuery, GraphPair, ProbeCurve, _allowance, _finite, _OffGraph
 
 __all__ = ["HypothesisViolation", "Witness", "build_witness", "THEOREM_IDS"]
 
@@ -63,6 +63,17 @@ class Witness:
 def _require(condition: bool, hypothesis: str):
     if not condition:
         raise HypothesisViolation(hypothesis)
+
+
+def _number(fields: serialize._Fields, name: str) -> float:
+    """``fields[name]`` as a float, refused with its name unless it is a finite JSON number."""
+    return float(_finite(fields.what, name, fields[name], "number"))
+
+
+def _optional_numbers(fields: serialize._Fields, name: str) -> np.ndarray | None:
+    """``fields[name]``, a JSON list of finite numbers, as an array; None where it is absent or null."""
+    values = fields.get(name)
+    return None if values is None else serialize._numbers(fields.what, name, values)
 
 
 def _scaling_curve(query: CoderivativeQuery, theorem: str, s: float) -> ProbeCurve:
@@ -151,7 +162,7 @@ def _thm32(space: lp.LpSpace, params: dict) -> Witness:
 
 def _thm33(space: lp.LpSpace, params: dict) -> Witness:
     x = space.check(params["x"])
-    a = float(params["a"])
+    a = _number(params, "a")
     _require(x.any(), "x != 0")
     _require(a > 0.0, "a > 0")
     _require(a != 1.0, "a != 1")
@@ -195,7 +206,7 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params["f"])
     k_star = space.check_dual(params["k_star"])
     mask = l1.mask_from_indices(space, params["D"])
-    a = float(params["a"])
+    a = _number(params, "a")
     _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
     allowed = _allowance(1e-9, space.dual_norm(k_star) * space.norm(f))
     _require(abs(_pair_k_star_f(space, k_star, f)) <= allowed, "<k*, f> = 0")
@@ -232,7 +243,7 @@ def _thm46(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 def _thm47(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params["f"])
     mask = l1.mask_from_indices(space, params["D"])
-    a = float(params["a"])
+    a = _number(params, "a")
     _require(bool((f >= 0.0).all()) and bool(f.any()), "f in L1+ \\ {0}")
     _require(a > 0.0, "a > 0")
     _require(bool(mask.any()), "D is nonempty")
@@ -257,11 +268,11 @@ def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     if params.get("E") is not None:
         mask = l1.mask_from_indices(space, params["E"])
         _require(bool(mask.any()), "E is nonempty")
-        b = float(params["b"]) if params.get("b") is not None else float(np.min(margins[mask]))
+        b = _number(params, "b") if params.get("b") is not None else float(np.min(margins[mask]))
         _require(b > 0.0, "margin b > 0")
         _require(bool((margins[mask] >= b - _allowance(1e-12, b, norm)).all()), "u* >= ||f||_1 + b on E")
     elif params.get("b") is not None:
-        b = float(params["b"])
+        b = _number(params, "b")
         _require(b > 0.0, "margin b > 0")
         mask = margins >= b
         _require(bool(mask.any()), "E = {u* >= ||f||_1 + b} is nonempty")
@@ -290,8 +301,9 @@ def _resolve_measure(params: dict, f: c01.PwlFunction, norm: float) -> c01.RcaMe
     if params.get("selection") is not None:
         sel = serialize._Fields(params["selection"], "selection")
         if sel.get("type") == "plateau":
-            return c01._plateau_measure(f, norm, sel["a"], sel["b"])
-        return c01._atomic_measure(f, c01._maximizing_set(f, norm), sel["points"], sel.get("alphas"))
+            return c01._plateau_measure(f, norm, _number(sel, "a"), _number(sel, "b"))
+        points = serialize._numbers(sel.what, "points", sel["points"])
+        return c01._atomic_measure(f, c01._maximizing_set(f, norm), points, _optional_numbers(sel, "alphas"))
     return c01._canonical_measure(f, norm)
 
 
@@ -405,8 +417,9 @@ def _shared_peak_witness(space: c01.C01Space, f: c01.PwlFunction, u: c01.PwlFunc
     _require(norm_f > 0.0, "||f|| > 0")
     _require(norm_u > norm_f, "||u|| > ||f||")
     mset_f = c01._maximizing_set(f, norm_f)
-    if params.get("points") is not None:
-        pts = [float(s) for s in params["points"]]
+    points = _optional_numbers(params, "points")
+    if points is not None:
+        pts = points.tolist()
         for s, v in zip(pts, u(np.array(pts)).tolist()):
             _require(
                 mset_f.contains(s) and abs(v - norm_u) <= _allowance(1e-9, norm_u),
@@ -420,8 +433,8 @@ def _shared_peak_witness(space: c01.C01Space, f: c01.PwlFunction, u: c01.PwlFunc
             if abs(v - norm_u) <= _allowance(c01.VALUE_TOL, norm_u)
         ]
         _require(bool(pts), "M(u) and M(f) share a point")
-    alph = params.get("alphas")
-    alph = [1.0 / len(pts)] * len(pts) if alph is None else [float(a) for a in alph]
+    alph = _optional_numbers(params, "alphas")
+    alph = [1.0 / len(pts)] * len(pts) if alph is None else alph.tolist()
     mu = c01._atomic_measure(f, mset_f, pts, alph)
     lam = c01._atomic_measure(u, c01._maximizing_set(u, norm_u), pts, alph)
     query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam, second_dual=f)
@@ -437,13 +450,13 @@ def _cor57(space: c01.C01Space, params: dict) -> Witness:
     _require(float(u(1.0)) > float(f(1.0)), "u(1) > f(1)")
     # Increasing nonnegative functions peak at the right endpoint; this is a
     # thm56 instance with the endpoint atoms mu = f(1) delta_1, lambda = u(1) delta_1.
-    witness = _shared_peak_witness(space, f, u, {"points": [1.0], "alphas": [1.0]})
+    witness = _shared_peak_witness(space, f, u, serialize._Fields({"points": [1.0], "alphas": [1.0]}, "params"))
     return replace(witness, theorem="cor57")
 
 
 def _thm58(space: c01.C01Space, params: dict) -> Witness:
     (f,) = _nonnegative(params, "f")
-    c = float(params["c"])
+    c = _number(params, "c")
     norm = space.norm(f)
     _require(norm > 0.0, "||f|| > 0")
     _require(c > 0.0, "c > 0")

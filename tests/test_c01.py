@@ -157,7 +157,7 @@ def test_maximizing_set_scaling_invariance():
         f = random_pwl(rng)
         mset = maximizing_set(f)
         for t in (-2.0, 0.5, 3.0):
-            assert maximizing_set(pwl_scale(f, t)).same_set(mset, tol=1e-12)
+            assert maximizing_set(pwl_scale(f, t)).same_set(mset)
 
 
 def test_atomic_measures_exact():
@@ -240,7 +240,7 @@ def test_brute_force_atomic_membership_consistency():
         if not nonzero:
             continue
         mu = atom_measure(nonzero)
-        report = is_duality_member_c(mu, f, tol=1e-9)
+        report = is_duality_member_c(mu, f)
         expect = (
             abs(sum(abs(w) for w in weights) - 1.0) <= 1e-9
             and abs(sum(w * v for w, v in zip(weights, fvals)) - 1.0) <= 1e-9

@@ -82,7 +82,7 @@ def ref_measure_scale(mu: RcaMeasure, c: float) -> RcaMeasure:
 
 def ref_canonical_rows(f: PwlFunction) -> RcaMeasure:
     """The canonical measures of a stack with f interpolated at every atom location."""
-    first, last = c01._runs(f, sup_norm(f), VALUE_TOL)
+    first, last = c01._runs(f, sup_norm(f))
     bp, cols = f.breakpoints, np.arange(f.breakpoints.shape[-1])
     end = np.minimum.accumulate(np.where(last, cols, cols[-1])[:, ::-1], axis=-1)[:, ::-1]
     locations = np.where(last, bp, 0.5 * (bp + bp[np.arange(bp.shape[0])[:, None], end]))
@@ -127,13 +127,13 @@ def ref_merged_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
     return c01._measure(*c01._merge(locations, np.concatenate([mu.weights, -nu.weights], -1)))
 
 
-def ref_maximizing_set(f: PwlFunction, tol: float = VALUE_TOL) -> MaximizingSet:
+def ref_maximizing_set(f: PwlFunction) -> MaximizingSet:
     norm = float(np.max(np.abs(f.values)))
     bp, vals = f.breakpoints, f.values
-    at_max = np.abs(np.abs(vals) - norm) <= tol
+    at_max = np.abs(np.abs(vals) - norm) <= VALUE_TOL
     nseg = bp.size - 1
     plateau = [
-        bool(at_max[i] and at_max[i + 1] and abs(vals[i] - vals[i + 1]) <= tol)
+        bool(at_max[i] and at_max[i + 1] and abs(vals[i] - vals[i + 1]) <= VALUE_TOL)
         for i in range(nseg)
     ]
     intervals = []
@@ -229,6 +229,19 @@ def level_pwl(rng, n: int) -> PwlFunction:
     return PwlFunction(grid(rng, n), rng.choice(levels, n))
 
 
+def ulp_pwl(rng, n: int) -> PwlFunction:
+    """Values at +-top or half of it, each moved one ulp up or down or kept: exact
+    ties and plateaus, and ties and plateaus whose values differ in the last bit."""
+    top = float(rng.uniform(0.5, 3.0))
+    v = rng.choice([-top, 0.5 * top, top], n)
+    return PwlFunction(grid(rng, n), np.nextafter(v, v + rng.integers(-1, 2, n)))
+
+
+def unequal_plateaus(fs: list) -> int:
+    """The number of plateaus of M(f), over all f, whose two ends hold different values."""
+    return sum(float(f(a)) != float(f(b)) for f in fs for a, b in maximizing_set(f).intervals)
+
+
 def smooth_pwl(rng, n: int) -> PwlFunction:
     return PwlFunction(grid(rng, n), rng.uniform(-5.0, 5.0, n))
 
@@ -297,12 +310,13 @@ def members(f: PwlFunction) -> list:
 
 @pytest.mark.parametrize("n", SIZES)
 def test_maximizing_set_matches_loop(n):
-    _, fs = draws(n)
-    for f in fs:
-        for tol in (VALUE_TOL, 0.3):
-            got, want = maximizing_set(f, tol), ref_maximizing_set(f, tol)
-            assert same_floats(got.atoms, want.atoms)
-            assert same_tuples(got.intervals, want.intervals)
+    rng, fs = draws(n)
+    nudged = [ulp_pwl(rng, n) for _ in range(24)]
+    for f in fs + nudged:
+        got, want = maximizing_set(f), ref_maximizing_set(f)
+        assert same_floats(got.atoms, want.atoms)
+        assert same_tuples(got.intervals, want.intervals)
+    assert unequal_plateaus(nudged)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -537,7 +551,9 @@ def test_stack_forms_match_each_row(n):
         assert same_tuples(row_atoms(jdiff, i), one_jdiff.atoms)
         assert same_float(float(tv[i]), ref_tv_norm(one_jdiff))
         assert same_float(float(paired[i]), ref_pairing(one_jdiff, one_diff))
-    nonzero = [f for f in fs if sup_norm(f) != 0.0]
+    nudged = [ulp_pwl(rng, n) for _ in range(24)]
+    assert unequal_plateaus(nudged)
+    nonzero = [f for f in fs if sup_norm(f) != 0.0] + nudged
     # maxima of +-3 at every other breakpoint, never side by side, so the
     # plateau test is skipped for a stack of these rows alone and runs for
     # one that mixes them with plateau rows
@@ -548,14 +564,13 @@ def test_stack_forms_match_each_row(n):
         spiky.append(PwlFunction(grid(rng, n), v))
     for stack in (nonzero, spiky, spiky + nonzero):
         x = pwl_rows([f.breakpoints for f in stack], [f.values for f in stack])
-        for tol in (VALUE_TOL, 0.3):
-            first, last = maximizer_runs(x, tol)
-            for i, f in enumerate(stack):
-                bp, want = x.breakpoints[i], maximizing_set(f, tol)
-                assert same_floats(tuple(bp[first[i] & last[i]].tolist()), want.atoms)
-                starts, ends = bp[first[i] & ~last[i]].tolist(), bp[last[i] & ~first[i]].tolist()
-                assert same_tuples(tuple(zip(starts, ends)), want.intervals)
-            assert (first == last).all() == (stack is spiky)  # atoms only, or some plateau
+        first, last = maximizer_runs(x)
+        for i, f in enumerate(stack):
+            bp, want = x.breakpoints[i], maximizing_set(f)
+            assert same_floats(tuple(bp[first[i] & last[i]].tolist()), want.atoms)
+            starts, ends = bp[first[i] & ~last[i]].tolist(), bp[last[i] & ~first[i]].tolist()
+            assert same_tuples(tuple(zip(starts, ends)), want.intervals)
+        assert (first == last).all() == (stack is spiky)  # atoms only, or some plateau
 
 
 def test_stack_of_rows_is_checked():

@@ -334,6 +334,39 @@ def test_run_names_a_malformed_or_missing_param(tmp_path, capsys, scenario, mess
     assert not (tmp_path / "out.json").exists()
 
 
+_RAMPS = {"f": {"breakpoints": [0.0, 1.0], "values": [0.0, 1.0]}, "u": {"breakpoints": [0.0, 1.0], "values": [0.0, 2.0]}}
+
+
+@pytest.mark.parametrize(
+    "theorem, params, message",
+    [
+        ("thm33", {"a": "2", "x": ["1.5", "-2"]}, "params a must be a finite number, got '2'"),
+        ("thm33", {"a": True}, "params a must be a finite number, got True"),
+        ("thm58", {"c": "3"}, "params c must be a finite number, got '3'"),
+        ("thm53", {"selection": {"type": "plateau", "a": "0.25", "b": 1.0}},
+         "selection a must be a finite number, got '0.25'"),
+        ("thm56", {**_RAMPS, "points": ["1"], "alphas": [True]}, "params points[0] must be a finite number, got '1'"),
+        ("thm56", {**_RAMPS, "points": [1], "alphas": [True]}, "params alphas[0] must be a finite number, got True"),
+        ("thm31", {"m": True}, "index True is not an integer in [0, 2)"),
+        ("thm46", {"D": [True]}, "index True is not an integer in [0, 2)"),
+        ("thm54", {"lambda": {"atoms": [[0.5, True]]}}, "a measure's atoms[0][1] must be a finite number, got True"),
+        ("thm54", {"lambda": {"atoms": [[0.5]]}}, "a measure's atoms[0] must be a [location, weight] pair, got [0.5]"),
+        ("thm54", {"lambda": {"atoms": 5}}, "a measure's atoms must be a list of [location, weight] pairs, got 5"),
+    ],
+    ids=["a-string", "a-bool", "c-string", "plateau-a-string", "points-string", "alphas-bool", "m-bool", "D-bool",
+         "atom-weight-bool", "atom-one-number", "atoms-number"],
+)
+def test_run_takes_only_json_numbers_for_numeric_params(tmp_path, capsys, theorem, params, message):
+    # each was read as a number (a string through float(), a bool as 0 or 1,
+    # an index True as 1), or failed with a message that named no field
+    scenarios = json.loads((FIXTURES / "all.json").read_text())["scenarios"]
+    scenario = next(s for s in scenarios if s["theorem"] == theorem)
+    scenario["params"].update(params)
+    code, out = _run_one(tmp_path, scenario)
+    assert code == 2 and not out.exists()
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "descriptor, message",
     [

@@ -165,7 +165,7 @@ def test_selection_always_member():
         norm = l1_norm(f, space)
         free = rng.uniform(-norm, norm, int(np.sum(f == 0.0)))
         sel = duality_selection(f, space, free)
-        assert is_duality_member(sel, f, space, tol=1e-10)
+        assert is_duality_member(sel, f, space)
 
 
 def test_positive_scaling_of_selections():

@@ -183,7 +183,7 @@ def ref_c01_invariants(space, sample_count, seed):
     for f in ref_pwl_draws(rng, sample_count):
         mset = c01.maximizing_set(f)
         ok = all(
-            c01.maximizing_set(c01.pwl_scale(f, t)).same_set(mset, tol=1e-12)
+            c01.maximizing_set(c01.pwl_scale(f, t)).same_set(mset)
             for t in (-2.0, 0.5, 3.0)
         )
         mset_scaling.append(0.0 if ok else 1.0)
@@ -469,7 +469,7 @@ def test_same_runs_is_same_set_row_by_row():
     # the grids of n base rows, row i against base row i % n.  The first is
     # a scaling, whose runs agree with the base's mask for mask; the other
     # two hold ties and plateaus, so runs that differ in count or position,
-    # and maxima at adjacent floats, which agree within the tolerance though
+    # and maxima at adjacent floats, which agree within POSITION_TOL though
     # their breakpoints differ
     rng = np.random.default_rng(8)
     half = 0.5
@@ -486,17 +486,14 @@ def test_same_runs_is_same_set_row_by_row():
     counts = [np.stack([m.sum(-1) for m in (a & b, a & ~b, b & ~a)], -1) for a, b in (runs, base)]
     same_count = (counts[0] == np.tile(counts[1], (3, 1))).all(-1)
     assert agree[:n].all() and agree[n:].any() and (~same_count).any() and (same_count & ~agree).any()
-    for tol in (1e-12, 0.0):
-        got = oracles._same_runs(g.breakpoints, runs, base, tol)
-        want = [
-            c01.maximizing_set(PwlFunction(np.array(bp), v)).same_set(
-                c01.maximizing_set(PwlFunction(np.array(bp), w)), tol=tol
-            )
-            for bp, v, w in zip(grids * 3, values * 3, others)
-        ]
-        assert got.tolist() == want
-        assert got[n] == (tol > 0.0) and not agree[n]
-        assert 0 < sum(want[n:]) < 2 * n
+    got = oracles._same_runs(g.breakpoints, runs, base)
+    want = [
+        c01.maximizing_set(PwlFunction(np.array(bp), v)).same_set(c01.maximizing_set(PwlFunction(np.array(bp), w)))
+        for bp, v, w in zip(grids * 3, values * 3, others)
+    ]
+    assert got.tolist() == want
+    assert got[n] and not agree[n]
+    assert 0 < sum(want[n:]) < 2 * n
 
 
 @pytest.mark.parametrize("p", LP_EXPONENTS + (1.01, 7.5, 40.0))
