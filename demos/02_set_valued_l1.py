@@ -33,7 +33,7 @@ print(f"\ng = {g} has no zeros: J(g) is the singleton {found[0]}")
 
 # strict convexity fails: two unit vectors whose midpoint still has norm one
 fa, fb, mid = strict_convexity_counterexample(
-    space2, mask_from_indices(space2, [0]), mask_from_indices(space2, [1])
+    space2, mask_from_indices(space2, [0], "A"), mask_from_indices(space2, [1], "B")
 )
 print("\nnormalized indicators f =", fa, ", g =", fb)
 print("  ||f||_1 =", l1_norm(fa, space2), " ||g||_1 =", l1_norm(fb, space2))

@@ -723,7 +723,7 @@ def atomic_duality_measure(f: PwlFunction, points, alphas=None) -> RcaMeasure:
     return _atomic_measure(f, _maximizing_set(f, norm), points, alphas)
 
 
-def _atomic_measure(f: PwlFunction, mset: MaximizingSet, points, alphas=None) -> RcaMeasure:
+def _atomic_measure(f: PwlFunction, mset: MaximizingSet, points, alphas) -> RcaMeasure:
     """``atomic_duality_measure`` of an f != 0 whose M(f) is known."""
     points = [float(s) for s in points]
     if not points:
@@ -733,9 +733,9 @@ def _atomic_measure(f: PwlFunction, mset: MaximizingSet, points, alphas=None) ->
     alphas = [float(a) for a in alphas]
     if len(alphas) != len(points):
         raise ValueError("alphas must pair with points")
-    if any(a <= 0.0 for a in alphas):
+    if not all(a > 0.0 for a in alphas):  # so a NaN alpha is refused here
         raise ValueError("alphas must be strictly positive")
-    if abs(sum(alphas) - 1.0) > 1e-12:
+    if not abs(sum(alphas) - 1.0) <= 1e-12:
         raise ValueError("alphas must sum to 1")
     for s in points:
         if not mset.contains(s):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import c01, l1, serialize
-from .coderivative import Schedule, _tolerance, certify_nonmembership
+from .coderivative import Schedule, _finite_list, _tolerance, certify_nonmembership
 from .oracles import SuiteReport, run_appendix_battery, run_backend_invariants
 from .witnesses import build_witness
 
@@ -42,19 +42,19 @@ def _required(args, options: dict):
 
 
 def _space_from_args(args):
-    _required(args, _SPACE_OPTION)
-    weights = None if args.weights is None else json.loads(args.weights)
-    return serialize.space_from_descriptor({"space": args.space, "p": args.p, "weights": weights})
+    name, value = _SPACE_OPTION.get(args.space), _required(args, _SPACE_OPTION)
+    given = {} if name is None else {name: json.loads(value) if name == "weights" else value}
+    return serialize.space_from_descriptor({"space": args.space, **given})
 
 
 def cmd_eval(args) -> int:
     space = _space_from_args(args)
     raw = _required(args, _ELEMENT_OPTION)
     if args.space == "lp":
-        x = space.check(json.loads(raw))
+        x = space.check(_finite_list("--vector", json.loads(raw), "number"))
         out = [float(v) for v in space.canonical_dual(x)]
     elif args.space == "l1":
-        f = space.check(json.loads(raw))
+        f = space.check(_finite_list("--values", json.loads(raw), "number"))
         info = l1.duality_set_classify(f, space)
         out = {
             "singleton": info.singleton,
@@ -77,19 +77,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# The fields of a scenario file's ``tolerances`` and of a scenario's
-# ``schedule``; ``coderivative`` checks their values.
+# The fields of a scenario file, of its ``tolerances``, of a scenario and
+# of its ``schedule``; ``coderivative`` checks the tolerance and schedule values.
+_FILE = ("scenarios", "tolerances", "out")
 _TOLERANCES = ("cert_tol", "settle_tol", "membership_tol")
+_SCENARIO = ("space", "theorem", "params", "schedule")
 _SCHEDULE = ("t0", "ratio", "steps")
-
-
-def _fields(obj, what: str, fields: tuple) -> dict:
-    """The JSON object ``what``, each key one of ``fields``."""
-    given = serialize._Fields(obj, what)
-    for name in given:
-        if name not in fields:
-            raise ValueError(f"{what} has no field {name!r}; its fields are {', '.join(fields)}")
-    return given
 
 
 def _load_scenarios(path: Path):
@@ -99,10 +92,11 @@ def _load_scenarios(path: Path):
         data = {"scenarios": data}
     if not isinstance(data, dict):
         raise ValueError("a scenario file must hold a JSON list or object")
+    data = serialize._Fields(data, "a scenario file", _FILE)
     scenarios = data.get("scenarios", [])
     if not isinstance(scenarios, list) or not all(isinstance(s, dict) for s in scenarios):
         raise ValueError("scenarios must be a JSON list of objects")
-    given = _fields(data.get("tolerances", {}), "tolerances", _TOLERANCES)
+    given = serialize._Fields(data.get("tolerances", {}), "tolerances", _TOLERANCES)
     tolerances = {name: float(_tolerance(name, value)) for name, value in given.items()}
     return scenarios, tolerances, data.get("out")
 
@@ -114,12 +108,12 @@ def cmd_run(args) -> int:
     records = []
     rows = []
     for scenario in scenarios:
-        scenario = serialize._Fields(scenario, "a scenario")
+        scenario = serialize._Fields(scenario, "a scenario", _SCENARIO)
         space = serialize.space_from_descriptor(scenario["space"])
         theorem = scenario["theorem"]
         witness = build_witness(space, theorem, scenario.get("params", {}))
         given = scenario.get("schedule")  # absent, null or {}: the default schedule of the curve
-        given = {} if given is None else _fields(given, "a schedule", _SCHEDULE)
+        given = {} if given is None else serialize._Fields(given, "a schedule", _SCHEDULE)
         schedule = Schedule(**given) if given else None
         cert = certify_nonmembership(
             witness.query, witness.curve, witness.claimed_bound, schedule, **tolerances

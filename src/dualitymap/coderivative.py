@@ -86,8 +86,8 @@ def _allowance(tol: float, *sizes: float) -> float:
     return tol * max(1.0, *sizes)
 
 
-def _finite(what: str, name: str, value, kind: str):
-    """``value`` when it is a finite ``kind`` ("number", "number >= 0" or "integer"), else a ValueError naming it.
+def _finite(field: str, value, kind: str):
+    """``value`` when it is a finite ``kind`` ("number", "number >= 0" or "integer"), else a ValueError naming ``field``.
 
     A bool is refused, though Python counts it as an int; a numpy integer or
     float64 (a float) is taken, a narrower numpy float is not.  An integer
@@ -96,13 +96,48 @@ def _finite(what: str, name: str, value, kind: str):
     types = (int, np.integer) if kind == "integer" else (int, float, np.integer)
     least = 0.0 if kind == "number >= 0" else -sys.float_info.max
     if isinstance(value, bool) or not isinstance(value, types) or not least <= value <= sys.float_info.max:
-        raise ValueError(f"{what} {name} must be a finite {kind}, got {value!r}")
+        raise ValueError(f"{field} must be a finite {kind}, got {value!r}")
     return value
+
+
+def _finite_list(field: str, values, kind: str) -> np.ndarray:
+    """``values``, a list of finite ``kind``s ("number" or "integer") by the rule of ``_finite``, as a float array.
+
+    A list of one Python type, floats with a finite sum or ints no larger
+    than the largest float, or a one-dimensional array of finite float64s
+    or of integers (integers alone for "integer"), is read as one array;
+    any other list or array goes entry by entry through ``_finite``, which
+    names the first bad entry ``field[i]``, so both paths take the same
+    lists.
+    """
+    if isinstance(values, list):
+        if kind == "integer":  # Python compares an int with a float exactly
+            top = sys.float_info.max
+            whole = set(map(type, values)) <= {int} and -top <= min(values, default=0) <= max(values, default=0) <= top
+        else:  # a sum of finite floats is finite, or overflows and goes entry by entry
+            whole = set(map(type, values)) <= {float} and math.isfinite(sum(values))
+    elif isinstance(values, np.ndarray) and values.ndim == 1:
+        whole = values.dtype.kind in "iu" or (kind == "number" and values.dtype == np.float64 and np.isfinite(values).all())
+    else:
+        raise ValueError(f"{field} must be a list of finite {kind}s, got {values!r}")
+    if not whole:
+        for i, v in enumerate(values):
+            _finite(f"{field}[{i}]", v, kind)
+    return np.asarray(values, dtype=float)
+
+
+def _indices(field: str, values, n: int) -> np.ndarray:
+    """``values``, a list of integers in [0, n) by the rule of ``_finite_list``, as an index array."""
+    at = _finite_list(field, values, "integer")
+    outside = np.flatnonzero((at < 0) | (at >= n))
+    if outside.size:
+        raise ValueError(f"{field}[{outside[0]}] must be an integer in [0, {n}), got {values[outside[0]]!r}")
+    return at.astype(np.intp)
 
 
 def _tolerance(name: str, value):
     """A tolerance: a finite number >= 0."""
-    return _finite("tolerance", name, value, "number >= 0")
+    return _finite(f"tolerance {name}", value, "number >= 0")
 
 
 VERDICT_CERTIFIED = "certified"
@@ -322,7 +357,7 @@ class Schedule:
 
     def __post_init__(self):
         for name, kind in (("t0", "number"), ("ratio", "number"), ("steps", "integer")):
-            _finite("schedule", name, getattr(self, name), kind)
+            _finite(f"schedule {name}", getattr(self, name), kind)
         if self.t0 <= 0.0:
             raise ValueError("t0 must be positive")
         if not 0.0 < self.ratio < 1.0:
@@ -525,7 +560,7 @@ def _verdict(estimate: LimitEstimate, claimed_bound: float | None, cert_tol: flo
         return VERDICT_NOT_CERTIFIED
     if claimed_bound is None:
         return VERDICT_CERTIFIED if estimate.limit > 0.0 else VERDICT_NOT_CERTIFIED
-    if estimate.limit >= claimed_bound - cert_tol:
+    if estimate.limit >= claimed_bound - cert_tol and min(tail) >= claimed_bound - 2.0 * cert_tol:
         return VERDICT_CERTIFIED
     return VERDICT_NOT_CERTIFIED
 
@@ -542,9 +577,12 @@ def certify_nonmembership(
     """Run the limit estimate and issue a verdict against the claimed bound.
 
     ``certified`` requires a settled estimate, strictly positive tail
-    quotients, and an estimated limit of at least ``claimed_bound`` minus
-    ``cert_tol`` (positivity alone when no bound is claimed).  An unsettled
-    estimate is ``inconclusive``, never a false certificate.
+    quotients, an estimated limit of at least ``claimed_bound`` minus
+    ``cert_tol`` and tail quotients of at least ``claimed_bound`` minus twice
+    ``cert_tol``, the soundness margin (positivity alone when no bound is
+    claimed).  A tail settled within 1.5 ``cert_tol`` meets the margin
+    whenever its mean meets the bound.  An unsettled estimate is
+    ``inconclusive``, never a false certificate.
     """
     _tolerance("cert_tol", cert_tol)
     estimate = estimate_limit(query, curve, schedule, settle_tol, membership_tol)
@@ -561,22 +599,15 @@ def certify_nonmembership(
 def reverify_certificate(cert: NonMembershipCertificate) -> bool:
     """Re-check a certificate from its stored samples alone.
 
-    Recomputes the tail estimate and verdict from the recorded quotients and
-    confirms the soundness margin: a certified verdict implies every tail
-    quotient is at least the claimed bound minus twice the certificate
-    tolerance.
+    Recomputes the tail estimate and the verdict, by the rule of
+    ``certify_nonmembership`` and its soundness margin, from the recorded
+    quotients, and compares them with the stored ones.
     """
     est = cert.estimate
     limit, settled = _tail_estimate(est.quotients, est.settle_tol)
     if abs(limit - est.limit) > 1e-12 or settled != est.settled:
         return False
-    if _verdict(replace(est, limit=limit), cert.claimed_bound, cert.cert_tol) != cert.verdict:
-        return False
-    if cert.verdict == VERDICT_CERTIFIED and cert.claimed_bound is not None:
-        margin = cert.claimed_bound - 2.0 * cert.cert_tol
-        if not all(q >= margin for q in est.tail()):
-            return False
-    return True
+    return _verdict(replace(est, limit=limit), cert.claimed_bound, cert.cert_tol) == cert.verdict
 
 
 def falsify_membership_search(

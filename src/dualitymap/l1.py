@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coderivative import Space, _float_or_rows
+from .coderivative import Space, _float_or_rows, _indices
 
 _MAX = sys.float_info.max
 # The room ``is_duality_member`` allows each relative duality gap.
@@ -136,35 +136,13 @@ class FiniteMeasureSpace(Space):
         return {"space": "l1", "weights": [float(w) for w in self.weights]}
 
 
-def _index(i, n: int) -> int:
-    """``i`` as an int; a ValueError naming it unless it is an integer value in [0, n) and not a bool."""
-    try:
-        if not isinstance(i, (bool, np.bool_)) and int(i) == i and 0 <= i < n:
-            return int(i)
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN, +-inf
-        pass
-    raise ValueError(f"index {i!r} is not an integer in [0, {n})")
+def mask_from_indices(space: FiniteMeasureSpace, indices, field: str) -> np.ndarray:
+    """Boolean mask over the atoms from ``indices``, a list of 0-based indices named ``field`` in a refusal.
 
-
-def mask_from_indices(space: FiniteMeasureSpace, indices) -> np.ndarray:
-    """Boolean mask over the atoms from a list of 0-based indices.
-
-    A list of integer values in range is checked as one array; any other
-    list goes entry by entry through ``_index``, which names the first bad
-    entry, so both accept the same lists.
+    Each index is an integer in [0, n) by the rule of ``coderivative._indices``.
     """
-    n = space.n
-    mask = np.zeros(n, dtype=bool)
-    try:
-        at = np.asarray(indices)
-    except (TypeError, ValueError):  # a ragged list
-        at = None
-    if at is not None and at.ndim == 1 and at.dtype.kind in "iuf" and (
-        (at >= 0) & (at < n) & (at == np.trunc(at))
-    ).all():  # a NaN fails every test
-        mask[at.astype(np.intp)] = True
-    else:
-        mask[[_index(i, n) for i in indices]] = True
+    mask = np.zeros(space.n, dtype=bool)
+    mask[_indices(field, indices, space.n)] = True
     return mask
 
 

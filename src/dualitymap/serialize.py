@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .c01 import C01Space, PwlFunction, RcaMeasure, StepDensity, pwl_tent
-from .coderivative import NonMembershipCertificate, _finite
+from .coderivative import NonMembershipCertificate, _finite, _finite_list
 from .l1 import FiniteMeasureSpace
 from .lp import LpSpace
 
@@ -27,33 +27,22 @@ __all__ = [
 ]
 
 
+# The fields of each space's descriptor.
+_DESCRIPTOR = {"lp": ("space", "p"), "l1": ("space", "weights"), "c01": ("space",)}
+
+
 def space_from_descriptor(descriptor: dict):
-    """The space a descriptor names; ``p`` must be a finite number and ``weights`` a list of them."""
-    descriptor = _Fields(descriptor, "a space descriptor")
-    name = descriptor.get("space")
-    if name == "lp":
-        return LpSpace(float(_finite("space descriptor", "p", descriptor["p"], "number")))
-    if name == "l1":
-        return FiniteMeasureSpace(_numbers("space descriptor", "weights", descriptor["weights"]))
-    if name == "c01":
-        return C01Space()
-    raise ValueError(f"unknown space descriptor: {descriptor!r}")
-
-
-def _numbers(what: str, name: str, values) -> np.ndarray:
-    """The JSON list ``values`` of finite numbers, by the rule of ``_finite``, as an array.
-
-    A list of floats alone is read as one array, whose finiteness its
-    consumer checks (``FiniteMeasureSpace``, ``RcaMeasure``, the c01
-    measure builders); any other list goes entry by entry through
-    ``_finite``, which names the first bad entry ``name[i]``.
-    """
-    if not isinstance(values, list):
-        raise ValueError(f"{what} {name} must be a list of finite numbers, got {values!r}")
-    if not set(map(type, values)) <= {float}:
-        for i, v in enumerate(values):
-            _finite(what, f"{name}[{i}]", v, "number")
-    return np.asarray(values, dtype=float)
+    """The space a descriptor names, from the fields that space takes: ``p``, a finite number, or ``weights``, a list of them."""
+    # str(): a name that is not a string, such as a list, names no space
+    keys = _DESCRIPTOR.get(str(descriptor.get("space"))) if isinstance(descriptor, dict) else ()
+    if keys is None:
+        raise ValueError(f"unknown space descriptor: {descriptor!r}")
+    descriptor = _Fields(descriptor, "a space descriptor", keys)
+    if descriptor["space"] == "lp":
+        return LpSpace(descriptor.number("p"))
+    if descriptor["space"] == "l1":
+        return FiniteMeasureSpace(descriptor.numbers("weights"))
+    return C01Space()
 
 
 def pwl_to_json(f: PwlFunction | StepDensity) -> dict:
@@ -64,22 +53,35 @@ def pwl_to_json(f: PwlFunction | StepDensity) -> dict:
 
 
 class _Fields(dict):
-    """A JSON object, ``what``; looking up a key it lacks raises a ``ValueError`` that names both."""
+    """The JSON object ``what``, each key one of ``keys``; looking up a key it lacks raises a ``ValueError`` naming both.
 
-    def __init__(self, obj, what: str):
+    ``number`` and ``numbers`` read a value by the rules of
+    ``coderivative._finite`` and ``_finite_list``, naming it ``what key``.
+    """
+
+    def __init__(self, obj, what: str, keys: tuple):
         if not isinstance(obj, dict):
             raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+        for key in obj:
+            if key not in keys:
+                raise ValueError(f"{what} has no field {key!r}; its fields are {', '.join(keys)}")
         super().__init__(obj)
         self.what = what
 
     def __missing__(self, key):
         raise ValueError(f"{self.what} needs the key {key!r}")
 
+    def number(self, key: str) -> float:
+        return float(_finite(f"{self.what} {key}", self[key], "number"))
+
+    def numbers(self, key: str) -> np.ndarray:
+        return _finite_list(f"{self.what} {key}", self[key], "number")
+
 
 def _on_grid(cls, obj, what: str):
-    """A ``PwlFunction`` or ``StepDensity`` from an object with ``breakpoints`` and ``values``."""
-    obj = _Fields(obj, what)
-    return cls(np.asarray(obj["breakpoints"], dtype=float), np.asarray(obj["values"], dtype=float))
+    """A ``PwlFunction`` or ``StepDensity`` from an object of ``breakpoints`` and ``values``, two lists of numbers."""
+    obj = _Fields(obj, what, ("breakpoints", "values"))
+    return cls(obj.numbers("breakpoints"), obj.numbers("values"))
 
 
 def pwl_from_json(obj) -> PwlFunction:
@@ -95,7 +97,7 @@ def measure_to_json(mu: RcaMeasure) -> dict:
 
 def measure_from_json(obj) -> RcaMeasure:
     """A measure whose ``atoms`` are [location, weight] pairs of finite numbers; a bad pair is named ``atoms[i]``."""
-    obj = _Fields(obj, "a measure")
+    obj = _Fields(obj, "a measure", ("atoms", "density"))
     density = obj.get("density")
     if density is not None:
         density = _on_grid(StepDensity, density, "a measure density")
@@ -103,7 +105,7 @@ def measure_from_json(obj) -> RcaMeasure:
     if not isinstance(atoms, list):
         raise ValueError(f"a measure's atoms must be a list of [location, weight] pairs, got {atoms!r}")
     for i, atom in enumerate(atoms):
-        if len(_numbers("a measure's", f"atoms[{i}]", atom)) != 2:
+        if len(_finite_list(f"a measure's atoms[{i}]", atom, "number")) != 2:
             raise ValueError(f"a measure's atoms[{i}] must be a [location, weight] pair, got {atom!r}")
     return RcaMeasure(atoms, density)
 

@@ -65,17 +65,6 @@ def _require(condition: bool, hypothesis: str):
         raise HypothesisViolation(hypothesis)
 
 
-def _number(fields: serialize._Fields, name: str) -> float:
-    """``fields[name]`` as a float, refused with its name unless it is a finite JSON number."""
-    return float(_finite(fields.what, name, fields[name], "number"))
-
-
-def _optional_numbers(fields: serialize._Fields, name: str) -> np.ndarray | None:
-    """``fields[name]``, a JSON list of finite numbers, as an array; None where it is absent or null."""
-    values = fields.get(name)
-    return None if values is None else serialize._numbers(fields.what, name, values)
-
-
 def _scaling_curve(query: CoderivativeQuery, theorem: str, s: float) -> ProbeCurve:
     """(1 + s t)(x, x*) from the query's base: stays in gph J by positive homogeneity of J."""
     affine = AffineForm(query.space, query.base, scale=s)
@@ -119,9 +108,9 @@ def _pick_direction(x: np.ndarray, w: np.ndarray, p: float, params: dict) -> int
     zero; a coordinate with x_m != 0 keeps the map locally Lipschitz along
     the ray and the limit positive.
     """
-    if "m" in params and params["m"] is not None:
-        m = l1._index(params["m"], w.size)
-        _require(w[m] != 0.0, "w_m != 0 at the requested m")
+    if params.get("m") is not None:
+        m = int(_finite("params m", params["m"], "integer"))
+        _require(0 <= m < w.size and w[m] != 0.0, "0 <= m < dim w and w_m != 0 at the requested m")
         return m
     nonzero = np.flatnonzero(w)
     _require(nonzero.size > 0, "w != 0")
@@ -131,8 +120,8 @@ def _pick_direction(x: np.ndarray, w: np.ndarray, p: float, params: dict) -> int
 
 
 def _thm31(space: lp.LpSpace, params: dict) -> Witness:
-    x = space.check(params["x"])
-    w = space.check_dual(params["w"])
+    x = space.check(params.numbers("x"))
+    w = space.check_dual(params.numbers("w"))
     _require(x.size == w.size, "x and w share a dimension")
     m = _pick_direction(x, w, space.p, params)
     s = float(np.sign(w[m]))
@@ -147,8 +136,8 @@ def _thm31(space: lp.LpSpace, params: dict) -> Witness:
 
 
 def _thm32(space: lp.LpSpace, params: dict) -> Witness:
-    x = space.check(params["x"])
-    y = space.check(params["y"])
+    x = space.check(params.numbers("x"))
+    y = space.check(params.numbers("y"))
     x_star = space.canonical_dual(x)
     ip = space.pair(x_star, y)
     _require(ip != 0.0, "<J(x), y> != 0")
@@ -161,8 +150,8 @@ def _thm32(space: lp.LpSpace, params: dict) -> Witness:
 
 
 def _thm33(space: lp.LpSpace, params: dict) -> Witness:
-    x = space.check(params["x"])
-    a = _number(params, "a")
+    x = space.check(params.numbers("x"))
+    a = params.number("a")
     _require(x.any(), "x != 0")
     _require(a > 0.0, "a > 0")
     _require(a != 1.0, "a != 1")
@@ -190,8 +179,8 @@ def _pair_k_star_f(space: l1.FiniteMeasureSpace, k_star: np.ndarray, f: np.ndarr
 
 
 def _thm45_case1(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
-    f = space.check(params["f"])
-    k_star = space.check_dual(params["k_star"])
+    f = space.check(params.numbers("f"))
+    k_star = space.check_dual(params.numbers("k_star"))
     _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
     ip = _pair_k_star_f(space, k_star, f)
     _require(ip != 0.0, "<k*, f> != 0")
@@ -203,10 +192,10 @@ def _thm45_case1(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 
 
 def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
-    f = space.check(params["f"])
-    k_star = space.check_dual(params["k_star"])
-    mask = l1.mask_from_indices(space, params["D"])
-    a = _number(params, "a")
+    f = space.check(params.numbers("f"))
+    k_star = space.check_dual(params.numbers("k_star"))
+    mask = l1.mask_from_indices(space, params["D"], "params D")
+    a = params.number("a")
     _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
     allowed = _allowance(1e-9, space.dual_norm(k_star) * space.norm(f))
     _require(abs(_pair_k_star_f(space, k_star, f)) <= allowed, "<k*, f> = 0")
@@ -225,8 +214,8 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 
 
 def _thm46(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
-    k_star = space.check_dual(params["k_star"])
-    mask = l1.mask_from_indices(space, params["D"])
+    k_star = space.check_dual(params.numbers("k_star"))
+    mask = l1.mask_from_indices(space, params["D"], "params D")
     _require(bool(k_star.any()), "k* != 0*")
     _require(bool(mask.any()), "D is nonempty")
     sigma, chi, mu_d, bound = _indicator_bump(space, k_star, mask)
@@ -241,9 +230,9 @@ def _thm46(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 
 
 def _thm47(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
-    f = space.check(params["f"])
-    mask = l1.mask_from_indices(space, params["D"])
-    a = _number(params, "a")
+    f = space.check(params.numbers("f"))
+    mask = l1.mask_from_indices(space, params["D"], "params D")
+    a = params.number("a")
     _require(bool((f >= 0.0).all()) and bool(f.any()), "f in L1+ \\ {0}")
     _require(a > 0.0, "a > 0")
     _require(bool(mask.any()), "D is nonempty")
@@ -259,20 +248,20 @@ def _thm47(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 
 
 def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
-    f = space.check(params["f"])
-    u_star = space.check_dual(params["u_star"])
+    f = space.check(params.numbers("f"))
+    u_star = space.check_dual(params.numbers("u_star"))
     _require(bool((f > 0.0).all()), "f strictly positive")
     norm = space.norm(f)
     margins = u_star - norm
     _require(bool((margins > 0.0).all()), "u* > J(f) pointwise")
     if params.get("E") is not None:
-        mask = l1.mask_from_indices(space, params["E"])
+        mask = l1.mask_from_indices(space, params["E"], "params E")
         _require(bool(mask.any()), "E is nonempty")
-        b = _number(params, "b") if params.get("b") is not None else float(np.min(margins[mask]))
+        b = params.number("b") if params.get("b") is not None else float(np.min(margins[mask]))
         _require(b > 0.0, "margin b > 0")
         _require(bool((margins[mask] >= b - _allowance(1e-12, b, norm)).all()), "u* >= ||f||_1 + b on E")
     elif params.get("b") is not None:
-        b = _number(params, "b")
+        b = params.number("b")
         _require(b > 0.0, "margin b > 0")
         mask = margins >= b
         _require(bool(mask.any()), "E = {u* >= ||f||_1 + b} is nonempty")
@@ -294,16 +283,21 @@ def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 def _resolve_measure(params: dict, f: c01.PwlFunction, norm: float) -> c01.RcaMeasure:
     """mu for J(f), f != 0 of sup norm ``norm``: explicit params, a selection spec, or canonical.
 
+    A selection spec is a plateau (``type`` "plateau", ``a``, ``b``) or
+    atoms (``points``, optional ``alphas``; any other ``type``).
+
     Its membership is tested once, with the base pair (``_query_at``).
     """
     if params.get("mu") is not None:
         return serialize.measure_from_json(params["mu"])
-    if params.get("selection") is not None:
-        sel = serialize._Fields(params["selection"], "selection")
-        if sel.get("type") == "plateau":
-            return c01._plateau_measure(f, norm, _number(sel, "a"), _number(sel, "b"))
-        points = serialize._numbers(sel.what, "points", sel["points"])
-        return c01._atomic_measure(f, c01._maximizing_set(f, norm), points, _optional_numbers(sel, "alphas"))
+    sel = params.get("selection")
+    if sel is not None:
+        plateau = isinstance(sel, dict) and sel.get("type") == "plateau"
+        sel = serialize._Fields(sel, "selection", ("type", "a", "b") if plateau else ("type", "points", "alphas"))
+        if plateau:
+            return c01._plateau_measure(f, norm, sel.number("a"), sel.number("b"))
+        alphas = None if sel.get("alphas") is None else sel.numbers("alphas")
+        return c01._atomic_measure(f, c01._maximizing_set(f, norm), sel.numbers("points"), alphas)
     return c01._canonical_measure(f, norm)
 
 
@@ -417,9 +411,8 @@ def _shared_peak_witness(space: c01.C01Space, f: c01.PwlFunction, u: c01.PwlFunc
     _require(norm_f > 0.0, "||f|| > 0")
     _require(norm_u > norm_f, "||u|| > ||f||")
     mset_f = c01._maximizing_set(f, norm_f)
-    points = _optional_numbers(params, "points")
-    if points is not None:
-        pts = points.tolist()
+    if params.get("points") is not None:
+        pts = params.numbers("points").tolist()
         for s, v in zip(pts, u(np.array(pts)).tolist()):
             _require(
                 mset_f.contains(s) and abs(v - norm_u) <= _allowance(1e-9, norm_u),
@@ -433,8 +426,7 @@ def _shared_peak_witness(space: c01.C01Space, f: c01.PwlFunction, u: c01.PwlFunc
             if abs(v - norm_u) <= _allowance(c01.VALUE_TOL, norm_u)
         ]
         _require(bool(pts), "M(u) and M(f) share a point")
-    alph = _optional_numbers(params, "alphas")
-    alph = [1.0 / len(pts)] * len(pts) if alph is None else alph.tolist()
+    alph = [1.0 / len(pts)] * len(pts) if params.get("alphas") is None else params.numbers("alphas").tolist()
     mu = c01._atomic_measure(f, mset_f, pts, alph)
     lam = c01._atomic_measure(u, c01._maximizing_set(u, norm_u), pts, alph)
     query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam, second_dual=f)
@@ -450,13 +442,13 @@ def _cor57(space: c01.C01Space, params: dict) -> Witness:
     _require(float(u(1.0)) > float(f(1.0)), "u(1) > f(1)")
     # Increasing nonnegative functions peak at the right endpoint; this is a
     # thm56 instance with the endpoint atoms mu = f(1) delta_1, lambda = u(1) delta_1.
-    witness = _shared_peak_witness(space, f, u, serialize._Fields({"points": [1.0], "alphas": [1.0]}, "params"))
+    witness = _shared_peak_witness(space, f, u, serialize._Fields({"points": [1.0], "alphas": [1.0]}, "params", ("points", "alphas")))
     return replace(witness, theorem="cor57")
 
 
 def _thm58(space: c01.C01Space, params: dict) -> Witness:
     (f,) = _nonnegative(params, "f")
-    c = _number(params, "c")
+    c = params.number("c")
     norm = space.norm(f)
     _require(norm > 0.0, "||f|| > 0")
     _require(c > 0.0, "c > 0")
@@ -468,33 +460,34 @@ def _thm58(space: c01.C01Space, params: dict) -> Witness:
     return Witness("thm58", query, curve, abs(c - 1.0) * norm / 2.0)
 
 
+# Each theorem's model, builder and the fields its params may hold.
 _CATALOG = {
-    "thm31": (lp.LpSpace, _thm31),
-    "thm32": (lp.LpSpace, _thm32),
-    "thm33": (lp.LpSpace, _thm33),
-    "thm45_case1": (l1.FiniteMeasureSpace, _thm45_case1),
-    "thm45_case2": (l1.FiniteMeasureSpace, _thm45_case2),
-    "thm46": (l1.FiniteMeasureSpace, _thm46),
-    "thm47": (l1.FiniteMeasureSpace, _thm47),
-    "cor48": (l1.FiniteMeasureSpace, _cor48),
-    "thm53": (c01.C01Space, _thm53),
-    "thm54": (c01.C01Space, _thm54),
-    "thm55": (c01.C01Space, _thm55),
-    "thm56": (c01.C01Space, _thm56),
-    "cor57": (c01.C01Space, _cor57),
-    "thm58": (c01.C01Space, _thm58),
+    "thm31": (lp.LpSpace, _thm31, ("x", "w", "m")),
+    "thm32": (lp.LpSpace, _thm32, ("x", "y")),
+    "thm33": (lp.LpSpace, _thm33, ("x", "a")),
+    "thm45_case1": (l1.FiniteMeasureSpace, _thm45_case1, ("f", "k_star")),
+    "thm45_case2": (l1.FiniteMeasureSpace, _thm45_case2, ("f", "k_star", "D", "a")),
+    "thm46": (l1.FiniteMeasureSpace, _thm46, ("k_star", "D")),
+    "thm47": (l1.FiniteMeasureSpace, _thm47, ("f", "D", "a")),
+    "cor48": (l1.FiniteMeasureSpace, _cor48, ("f", "u_star", "E", "b")),
+    "thm53": (c01.C01Space, _thm53, ("f", "mu", "selection")),
+    "thm54": (c01.C01Space, _thm54, ("f", "lambda", "mu", "selection")),
+    "thm55": (c01.C01Space, _thm55, ("f", "lambda")),
+    "thm56": (c01.C01Space, _thm56, ("f", "u", "points", "alphas")),
+    "cor57": (c01.C01Space, _cor57, ("f", "u")),
+    "thm58": (c01.C01Space, _thm58, ("f", "c", "mu", "selection")),
 }
 
 THEOREM_IDS = tuple(_CATALOG)
 
 
 def build_witness(space, theorem_id: str, params: dict) -> Witness:
-    """Build the catalog witness ``theorem_id`` for the given space and params (a JSON object)."""
+    """Build the catalog witness ``theorem_id`` for the given space and params, a JSON object of the fields it declares."""
     if theorem_id not in _CATALOG:
         raise KeyError(f"unknown theorem id: {theorem_id}")
-    space_type, builder = _CATALOG[theorem_id]
+    space_type, builder, keys = _CATALOG[theorem_id]
     if not isinstance(space, space_type):
         raise HypothesisViolation(
             f"{theorem_id} lives in the {space_type.__name__} model"
         )
-    return builder(space, serialize._Fields(params, "params"))
+    return builder(space, serialize._Fields(params, "params", keys))

@@ -162,7 +162,7 @@ def test_criterion_5_l1_set_valuedness():
     np.testing.assert_allclose(found[0], [3.0, -3.0], atol=1e-12)
 
     _, _, mid = strict_convexity_counterexample(
-        space2, mask_from_indices(space2, [0]), mask_from_indices(space2, [1])
+        space2, mask_from_indices(space2, [0], "A"), mask_from_indices(space2, [1], "B")
     )
     assert mid == 1.0
     print("[criterion 5] PASS  brute force recovers the selection template family; midpoint norm 1")

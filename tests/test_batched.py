@@ -417,7 +417,7 @@ def test_a_c01_batch_is_refused_where_one_element_is_expected():
     with pytest.raises(ValueError, match="got a batch"):
         space.check_dual(duals)
     two_d = {"breakpoints": [0.0, 0.5, 1.0], "values": batch.values.tolist()}
-    with pytest.raises(ValueError, match="match the breakpoints"):
+    with pytest.raises(ValueError, match=r"values\[0\] must be a finite number"):
         serialize.pwl_from_json(two_d)
     with pytest.raises(ValueError, match="one finite density value per grid segment"):
         c01.StepDensity(np.array([0.0, 0.5, 1.0]), np.ones((2, 2)))

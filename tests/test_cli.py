@@ -1,6 +1,7 @@
 """CLI behavior: output formats, exit codes, certificate files."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -124,7 +125,7 @@ def test_run_index_that_is_not_a_finite_integer_exit_code(tmp_path, capsys, theo
     path = tmp_path / "index.json"
     path.write_text(json.dumps([{"space": space, "theorem": theorem, "params": params}]))
     assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 2
-    assert "is not an integer in [0, " in capsys.readouterr().err
+    assert re.search(r"params (m|D\[0\]) must be a finite integer, got", capsys.readouterr().err)
     assert not (tmp_path / "out.json").exists()
 
 
@@ -156,6 +157,9 @@ def test_run_rejects_tolerances_that_are_not_an_object(tmp_path, capsys):
     assert "tolerances must be a JSON object" in capsys.readouterr().err
 
 
+_THM31 = {"space": {"space": "lp", "p": 2.0}, "theorem": "thm31", "params": {"x": [1.0, 2.0], "w": [3.0, -1.0]}}
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -168,9 +172,14 @@ def test_run_rejects_tolerances_that_are_not_an_object(tmp_path, capsys):
         ([{"theorem": "thm31"}], "a scenario needs the key 'space'"),
         ([{"space": {"space": "lp", "p": 2.0}}], "a scenario needs the key 'theorem'"),
         ([{"space": {"space": "l7"}, "theorem": "thm31"}], "unknown space descriptor"),
+        # each of these two used to run the scenario with its defaults and certify it
+        ({"tolerance": {"cert_tol": 1e3}, "scenarios": [_THM31]},
+         "a scenario file has no field 'tolerance'; its fields are scenarios, tolerances, out"),
+        ([{**_THM31, "schedul": {"steps": 9}}],
+         "a scenario has no field 'schedul'; its fields are space, theorem, params, schedule"),
     ],
     ids=["string", "number", "scenarios-string", "scenario-list", "space-string", "space-no-p",
-         "scenario-no-space", "scenario-no-theorem", "space-unknown"],
+         "scenario-no-space", "scenario-no-theorem", "space-unknown", "file-tolerance", "scenario-schedul"],
 )
 def test_run_rejects_a_malformed_scenario_file(tmp_path, capsys, data, message):
     path = tmp_path / "malformed.json"
@@ -231,7 +240,7 @@ def test_run_two_dimensional_c01_values_exit_code(tmp_path, capsys):
     path = tmp_path / "batch.json"
     path.write_text(json.dumps([{"space": {"space": "c01"}, "theorem": "thm53", "params": {"f": f}}]))
     assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 2
-    assert "values must be finite and match the breakpoints" in capsys.readouterr().err
+    assert "a piecewise-linear function values[0] must be a finite number, got [0.0, 1.0, 0.0]" in capsys.readouterr().err
 
 
 def test_run_unknown_theorem(tmp_path):
@@ -322,9 +331,25 @@ def test_eval_output_reparses_to_equal_value(capsys):
          "selection needs the key 'a'"),
         ({"space": {"space": "c01"}, "theorem": "thm53", "params": {"f": "tent", "mu": {"atoms": [[0.25, 1.0]]}}},
          "hypothesis violated: mu in J(f)"),
+        # a key no object takes: the first three used to certify with a default in its place
+        # (the bound 0.25, not 0.5; the canonical measure; uniform weights), the last failed
+        # as "<lambda, f> != 0" on an empty lambda
+        ({"space": {"space": "l1", "weights": [1.0, 1.0]}, "theorem": "cor48",
+          "params": {"f": [1.0, 1.0], "u_star": [3.0, 3.0], "B": 1.0, "e": [0, 1]}},
+         "params has no field 'B'; its fields are f, u_star, E, b"),
+        ({"space": {"space": "c01"}, "theorem": "thm53",
+          "params": {"f": {"breakpoints": [0.0, 1.0], "values": [1.0, 1.0]},
+                     "selecton": {"type": "plateau", "a": 0.0, "b": 1.0}}},
+         "params has no field 'selecton'; its fields are f, mu, selection"),
+        ({"space": {"space": "c01"}, "theorem": "thm56",
+          "params": {"f": "tent", "u": {"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 2.0, 0.0]}, "points": [0.5],
+                     "alpha": [1.0]}},
+         "params has no field 'alpha'; its fields are f, u, points, alphas"),
+        ({"space": {"space": "c01"}, "theorem": "thm54", "params": {"f": "tent", "lambda": {"atom": [[0.5, 1.0]]}}},
+         "a measure has no field 'atom'; its fields are atoms, density"),
     ],
     ids=["params-number", "params-string", "thm46-empty", "lambda-number", "selection-number", "plateau-no-a",
-         "mu-outside-J"],
+         "mu-outside-J", "cor48-e-B", "thm53-selecton", "thm56-alpha", "measure-atom"],
 )
 def test_run_names_a_malformed_or_missing_param(tmp_path, capsys, scenario, message):
     path = tmp_path / "params.json"
@@ -340,21 +365,29 @@ _RAMPS = {"f": {"breakpoints": [0.0, 1.0], "values": [0.0, 1.0]}, "u": {"breakpo
 @pytest.mark.parametrize(
     "theorem, params, message",
     [
-        ("thm33", {"a": "2", "x": ["1.5", "-2"]}, "params a must be a finite number, got '2'"),
+        ("thm33", {"a": "2"}, "params a must be a finite number, got '2'"),
         ("thm33", {"a": True}, "params a must be a finite number, got True"),
         ("thm58", {"c": "3"}, "params c must be a finite number, got '3'"),
         ("thm53", {"selection": {"type": "plateau", "a": "0.25", "b": 1.0}},
          "selection a must be a finite number, got '0.25'"),
         ("thm56", {**_RAMPS, "points": ["1"], "alphas": [True]}, "params points[0] must be a finite number, got '1'"),
         ("thm56", {**_RAMPS, "points": [1], "alphas": [True]}, "params alphas[0] must be a finite number, got True"),
-        ("thm31", {"m": True}, "index True is not an integer in [0, 2)"),
-        ("thm46", {"D": [True]}, "index True is not an integer in [0, 2)"),
+        ("thm31", {"m": True}, "params m must be a finite integer, got True"),
+        ("thm46", {"D": [True]}, "params D[0] must be a finite integer, got True"),
         ("thm54", {"lambda": {"atoms": [[0.5, True]]}}, "a measure's atoms[0][1] must be a finite number, got True"),
         ("thm54", {"lambda": {"atoms": [[0.5]]}}, "a measure's atoms[0] must be a [location, weight] pair, got [0.5]"),
         ("thm54", {"lambda": {"atoms": 5}}, "a measure's atoms must be a list of [location, weight] pairs, got 5"),
+        # element lists and indices: the first three used to certify, reading "1.5" as 1.5 and
+        # true as 1; a NaN alpha failed as "atom weights must be finite"
+        ("thm33", {"x": ["1.5", "-2"]}, "params x[0] must be a finite number, got '1.5'"),
+        ("thm46", {"k_star": [1.0, 1.0], "D": [0, True]}, "params D[1] must be a finite integer, got True"),
+        ("thm53", {"f": {"breakpoints": [0.0, 1.0], "values": [True, True]}},
+         "a piecewise-linear function values[0] must be a finite number, got True"),
+        ("thm56", {"points": [0.5], "alphas": [float("nan")]}, "params alphas[0] must be a finite number, got nan"),
     ],
     ids=["a-string", "a-bool", "c-string", "plateau-a-string", "points-string", "alphas-bool", "m-bool", "D-bool",
-         "atom-weight-bool", "atom-one-number", "atoms-number"],
+         "atom-weight-bool", "atom-one-number", "atoms-number", "x-strings", "D-int-and-bool", "values-bool",
+         "alphas-nan"],
 )
 def test_run_takes_only_json_numbers_for_numeric_params(tmp_path, capsys, theorem, params, message):
     # each was read as a number (a string through float(), a bool as 0 or 1,
@@ -365,6 +398,22 @@ def test_run_takes_only_json_numbers_for_numeric_params(tmp_path, capsys, theore
     code, out = _run_one(tmp_path, scenario)
     assert code == 2 and not out.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--space", "lp", "--p", "2", "--vector", '["1.5", true]'], "--vector[0] must be a finite number, got '1.5'"),
+        (["--space", "l1", "--weights", "[1, 1]", "--values", "[1, true]"],
+         "--values[1] must be a finite number, got True"),
+    ],
+    ids=["lp-vector", "l1-values"],
+)
+def test_eval_takes_json_numbers_only_for_an_element(capsys, argv, message):
+    # each printed J of the element read as floats: "1.5" as 1.5, true as 1.0
+    assert main(["eval", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 @pytest.mark.parametrize(
@@ -379,9 +428,11 @@ def test_run_takes_only_json_numbers_for_numeric_params(tmp_path, capsys, theore
         ({"space": "l1", "weights": [1.0, True]}, "space descriptor weights[1] must be a finite number, got True"),
         ({"space": "l1", "weights": [1, None]}, "space descriptor weights[1] must be a finite number, got None"),
         ({"space": "l1", "weights": [10**400]}, "space descriptor weights[0] must be a finite number"),
+        ({"space": "l1", "weights": [1.0, 1.0], "weight": [2.0, 2.0]},
+         "a space descriptor has no field 'weight'; its fields are space, weights"),  # was ignored
     ],
     ids=["p-null", "p-list", "p-string", "p-past-float", "weights-object", "weights-string", "weights-bool",
-         "weights-null", "weights-past-float"],
+         "weights-null", "weights-past-float", "weight-misspelled"],
 )
 def test_run_names_a_malformed_space_descriptor_field(tmp_path, capsys, descriptor, message):
     path = tmp_path / "space.json"
@@ -395,8 +446,11 @@ def test_run_names_a_malformed_space_descriptor_field(tmp_path, capsys, descript
     [
         ("5", "a piecewise-linear function must be a JSON object, got 5"),
         ('{"breakpoints": [0, 1]}', "a piecewise-linear function needs the key 'values'"),
+        # the values were read as floats, "2" as 2.0
+        ('{"breakpoints": [0, 1], "values": [1, "2"]}', "a piecewise-linear function values[1] must be a finite number, got '2'"),
+        ('{"breakpoints": [0, 1], "value": [1, 2]}', "a piecewise-linear function has no field 'value'"),
     ],
-    ids=["number", "no-values"],
+    ids=["number", "no-values", "value-string", "misspelled-key"],
 )
 def test_eval_names_a_malformed_c01_function(capsys, f, message):
     assert main(["eval", "--space", "c01", "--f", f]) == 2

@@ -1,5 +1,7 @@
 """Engine tests: quotients, limit estimation, certificates, search."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,10 @@ from dualitymap.coderivative import (
     MAX_STEPS,
     LimitEstimate,
     NonMembershipCertificate,
+    _finite,
+    _finite_list,
+    _tail_estimate,
+    _verdict,
     default_schedule,
 )
 
@@ -311,6 +317,40 @@ def test_reverify_refuses_a_certified_tail_below_the_margin():
     assert not reverify_certificate(certified(1.0 - 2.5e-6))
 
 
+def test_the_verdict_never_certifies_a_tail_the_reverification_refuses():
+    # tails within a few cert_tol of the bound, at settle_tols on both sides of 1.5 cert_tol:
+    # a settled tail whose mean met the bound was certified even where a quotient fell below
+    # the margin, bound - 2 cert_tol, which only the reverification tested
+    rng = np.random.default_rng(25)
+    ts = (0.25, 0.125, 0.0625)
+    for bound, cert_tol in ((1.0, 1e-6), (1e3, 1e-3), (0.5, 1e-9)):
+        for tail, settle in zip(bound + cert_tol * rng.uniform(-3.0, 3.0, (400, 3)), rng.uniform(0.0, 6.0, 400)):
+            limit, settled = _tail_estimate(tuple(tail), settle * cert_tol)
+            est = LimitEstimate(ts, tuple(tail), limit, settled, settle * cert_tol)
+            verdict = _verdict(est, bound, cert_tol)
+            assert reverify_certificate(NonMembershipCertificate("draw", est, bound, cert_tol, verdict))
+            if verdict == "certified":
+                assert min(tail) >= bound - 2.0 * cert_tol
+
+
+def test_certify_and_reverify_agree_on_a_tail_below_the_margin(l2):
+    # the curve turns so that the quotient <(3, 0), u> / (2 ||u||) is 1 + 2e-6 at every t but
+    # the last, and 1 - 2.5e-6 there: settled within settle_tol 1e-5, a mean within cert_tol
+    # of the bound 1, a last quotient below the margin; it was certified, and refused on reverification
+    last = default_schedule(1.0).t0 * 0.5**23
+
+    def turning(t):
+        c = (1.0 - 2.5e-6 if t <= last else 1.0 + 2e-6) / 1.5
+        u = t * np.array([c, np.sqrt(1.0 - c * c)])
+        return GraphPair(u, u.copy())
+
+    query = CoderivativeQuery(l2, GraphPair(np.zeros(2), np.zeros(2)), np.array([3.0, 0.0]))
+    cert = certify_nonmembership(query, ProbeCurve("turning", turning, t_max=1.0), 1.0, cert_tol=1e-6, settle_tol=1e-5)
+    assert cert.estimate.quotients[-3:] == pytest.approx((1.0 + 2e-6, 1.0 + 2e-6, 1.0 - 2.5e-6), abs=1e-12)
+    assert cert.estimate.settled and cert.estimate.limit >= 1.0 - 1e-6
+    assert cert.verdict == "not_certified" and reverify_certificate(cert)
+
+
 @pytest.mark.parametrize("given, message", [
     ({"t0": float("inf")}, "schedule t0 must be a finite number, got inf"),  # shrank to the window
     ({"t0": True}, "schedule t0 must be a finite number, got True"),
@@ -328,6 +368,27 @@ def test_schedule_refuses_values_that_are_not_finite_numbers(given, message):
 
 def test_schedule_takes_numpy_numbers():
     assert Schedule(np.float64(0.125), np.float64(0.5), np.int64(10)) == Schedule(0.125, 0.5, 10)
+
+
+@pytest.mark.parametrize("kind", ["number", "integer"])
+def test_the_list_rule_takes_a_list_as_its_entries_do(kind):
+    # the one-array path of _finite_list takes a list exactly when _finite takes each entry:
+    # a float sum that overflows, ints at and past the largest float, bools, nested lists
+    top = sys.float_info.max
+    lists = [[], [0.5, -2.0], [1e308, 1e308], [1.0, float("nan")], [1.0, -float("inf")], [3, 1], [1, 2.5],
+             [True, 1.0], [1, True], ["1"], [[1.0]], [None], [int(top)], [-int(top), int(top) + 1],
+             [2**1024 - 2**970], [2**1024], [np.int64(3), 1], np.array([1.0, 2.0]), np.array([1.0, np.nan]),
+             np.array([3, 1]), np.array([1.0], dtype=np.float32), np.array([True])]
+    for values in lists:
+        try:
+            expected = [float(_finite("x", v, kind)) for v in values]
+        except ValueError:
+            expected = None
+        try:
+            got = _finite_list("x", values, kind).tolist()
+        except ValueError:
+            got = None
+        assert got == expected, values
 
 
 @pytest.mark.parametrize("name, value", [

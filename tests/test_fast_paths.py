@@ -345,6 +345,7 @@ def test_c01_witness_matches_the_old_builder(theorem, params):
 @pytest.mark.parametrize("theorem", ["thm53", "thm54", "thm58"])
 def test_a_given_mu_outside_j_names_mu(theorem):
     tent = {"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 1.0, 0.0]}
-    params = {"f": tent, "mu": {"atoms": [[0.25, 1.0]]}, "lambda": {"atoms": [[0.5, 1.0]]}, "c": 2.0}
+    params = {"f": tent, "mu": {"atoms": [[0.25, 1.0]]}}
+    params.update({"thm53": {}, "thm54": {"lambda": {"atoms": [[0.5, 1.0]]}}, "thm58": {"c": 2.0}}[theorem])
     with pytest.raises(HypothesisViolation, match=r"mu in J\(f\)"):
         build_witness(C01Space(), theorem, params)

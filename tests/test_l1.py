@@ -110,14 +110,14 @@ def test_second_dual_pairs_by_integration():
 def test_strict_convexity_counterexample():
     two = FiniteMeasureSpace([1.0, 1.0])
     f, g, mid = strict_convexity_counterexample(
-        two, mask_from_indices(two, [0]), mask_from_indices(two, [1])
+        two, mask_from_indices(two, [0], "A"), mask_from_indices(two, [1], "B")
     )
     assert l1_norm(f, two) == 1.0 and l1_norm(g, two) == 1.0
     assert mid == 1.0
 
     skew = FiniteMeasureSpace([2.0, 0.5])
     _, _, mid = strict_convexity_counterexample(
-        skew, mask_from_indices(skew, [0]), mask_from_indices(skew, [1])
+        skew, mask_from_indices(skew, [0], "A"), mask_from_indices(skew, [1], "B")
     )
     assert mid == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="mask length"):
@@ -125,31 +125,32 @@ def test_strict_convexity_counterexample():
 
     with pytest.raises(ValueError):
         strict_convexity_counterexample(
-            two, mask_from_indices(two, [0, 1]), mask_from_indices(two, [1])
+            two, mask_from_indices(two, [0, 1], "A"), mask_from_indices(two, [1], "B")
         )
     with pytest.raises(ValueError):
         strict_convexity_counterexample(
-            two, mask_from_indices(two, []), mask_from_indices(two, [1])
+            two, mask_from_indices(two, [], "A"), mask_from_indices(two, [1], "B")
         )
 
 
 def test_mask_from_indices_rejects_an_index_that_is_not_a_finite_integer():
     four = FiniteMeasureSpace([1.0, 1.0, 1.0, 1.0])
-    assert mask_from_indices(four, [1.0, np.int64(3)]).tolist() == [False, True, False, True]
-    for bad in (0.7, 1.9, float("inf"), float("-inf"), float("nan"), "1", None, [1]):
-        with pytest.raises(ValueError, match=r"is not an integer in \[0, 4\)") as caught:
-            mask_from_indices(four, [0, bad])
+    # an index follows the integer rule of a schedule's steps: 1.0 is refused, a numpy integer is not
+    assert mask_from_indices(four, [1, np.int64(3)], "D").tolist() == [False, True, False, True]
+    for bad in (1.0, 0.7, 1.9, float("inf"), float("-inf"), float("nan"), "1", None, [1], True):
+        with pytest.raises(ValueError, match=r"D\[1\] must be a finite integer") as caught:
+            mask_from_indices(four, [0, bad], "D")
         assert repr(bad) in str(caught.value)
-    for outside in (4, -1, 1e300):
-        with pytest.raises(ValueError, match=r"is not an integer in \[0, 4\)"):
-            mask_from_indices(four, [outside])
+    for outside in (4, -1, 10**300):
+        with pytest.raises(ValueError, match=r"D\[0\] must be an integer in \[0, 4\)"):
+            mask_from_indices(four, [outside], "D")
     # a long list is checked as one array; the message still names the bad entry
     wide = FiniteMeasureSpace(np.ones(1024))
     good = list(range(0, 1000, 2))
-    assert mask_from_indices(wide, good).nonzero()[0].tolist() == good
-    for bad in (0.5, 1024, float("nan"), "1", None, 2**63):
-        with pytest.raises(ValueError, match=r"is not an integer in \[0, 1024\)") as caught:
-            mask_from_indices(wide, good + [bad])
+    assert mask_from_indices(wide, good, "D").nonzero()[0].tolist() == good
+    for bad in (0.5, 1024, float("nan"), "1", None, 2**63, 10**400, True):
+        with pytest.raises(ValueError, match=r"D\[500\] must be (a finite integer|an integer in \[0, 1024\))") as caught:
+            mask_from_indices(wide, good + [bad], "D")
         assert repr(bad) in str(caught.value)
 
 

@@ -236,12 +236,15 @@ def test_thm31_explicit_direction_override():
     assert witness.claimed_bound == pytest.approx(0.5)
     with pytest.raises(HypothesisViolation):
         build_witness(LpSpace(2.0), "thm31", {"x": [1.0, 2.0], "w": [3.0, 0.0], "m": 1})
+    for outside in (2, -1):  # no coordinate of w
+        with pytest.raises(HypothesisViolation, match="0 <= m < dim w"):
+            build_witness(LpSpace(2.0), "thm31", {"x": [1.0, 2.0], "w": [3.0, -1.0], "m": outside})
 
 
 @pytest.mark.parametrize("bad", [0.6, 1.5, float("inf"), float("nan")])
 def test_an_index_that_is_not_a_finite_integer_is_rejected(bad):
     # int() used to truncate these to another index, or raise OverflowError
-    message = rf"index {bad!r} is not an integer in \["
+    message = rf"params (m|D\[[01]\]|E\[0\]) must be a finite integer, got {bad!r}"
     with pytest.raises(ValueError, match=message):
         build_witness(LpSpace(2.0), "thm31", {"x": [1.0, 2.0], "w": [3.0, -1.0], "m": bad})
     three = FiniteMeasureSpace([1.0, 1.0, 1.0])
