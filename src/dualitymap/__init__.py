@@ -34,6 +34,7 @@ from .coderivative import (
     NonMembershipCertificate,
     ProbeCurve,
     Schedule,
+    Tolerances,
     certify_nonmembership,
     estimate_limit,
     falsify_membership_search,
@@ -44,7 +45,6 @@ from .l1 import (
     FiniteMeasureSpace,
     duality_selection,
     duality_set_classify,
-    is_duality_member,
     l1_norm,
     linf_norm,
     pairing_l1,

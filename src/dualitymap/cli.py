@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import c01, l1, serialize
-from .coderivative import Schedule, _finite_list, _tolerance, certify_nonmembership
+from .coderivative import Schedule, Tolerances, _finite_list, certify_nonmembership
 from .oracles import SuiteReport, run_appendix_battery, run_backend_invariants
 from .witnesses import build_witness
 
@@ -77,16 +78,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# The fields of a scenario file, of its ``tolerances``, of a scenario and
-# of its ``schedule``; ``coderivative`` checks the tolerance and schedule values.
+# The fields of a scenario file, of a scenario and of its ``schedule``;
+# ``coderivative`` checks the schedule values, and ``Tolerances`` names and
+# checks the fields of a file's ``tolerances``.
 _FILE = ("scenarios", "tolerances", "out")
-_TOLERANCES = ("cert_tol", "settle_tol", "membership_tol")
 _SCENARIO = ("space", "theorem", "params", "schedule")
 _SCHEDULE = ("t0", "ratio", "steps")
 
 
 def _load_scenarios(path: Path):
-    """Scenarios, the tolerances given and the output path."""
+    """Scenarios, the file's ``Tolerances`` and its output path, all checked before any certificate is made."""
     data = json.loads(path.read_text())
     if isinstance(data, list):
         data = {"scenarios": data}
@@ -96,9 +97,11 @@ def _load_scenarios(path: Path):
     scenarios = data.get("scenarios", [])
     if not isinstance(scenarios, list) or not all(isinstance(s, dict) for s in scenarios):
         raise ValueError("scenarios must be a JSON list of objects")
-    given = serialize._Fields(data.get("tolerances", {}), "tolerances", _TOLERANCES)
-    tolerances = {name: float(_tolerance(name, value)) for name, value in given.items()}
-    return scenarios, tolerances, data.get("out")
+    given = serialize._Fields(data.get("tolerances", {}), "tolerances", tuple(f.name for f in fields(Tolerances)))
+    out = data.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ValueError(f"a scenario file's out must be a string path, got {out!r}")
+    return scenarios, Tolerances(**given), out
 
 
 def cmd_run(args) -> int:
@@ -115,9 +118,7 @@ def cmd_run(args) -> int:
         given = scenario.get("schedule")  # absent, null or {}: the default schedule of the curve
         given = {} if given is None else serialize._Fields(given, "a schedule", _SCHEDULE)
         schedule = Schedule(**given) if given else None
-        cert = certify_nonmembership(
-            witness.query, witness.curve, witness.claimed_bound, schedule, **tolerances
-        )
+        cert = certify_nonmembership(witness.query, witness.curve, witness.claimed_bound, schedule, tolerances)
         echo = {
             "theorem": theorem,
             "space": scenario["space"],

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Protocol
 
 import numpy as np
@@ -53,6 +53,7 @@ __all__ = [
     "CoderivativeQuery",
     "ProbeCurve",
     "Schedule",
+    "Tolerances",
     "LimitEstimate",
     "NonMembershipCertificate",
     "FalsificationLead",
@@ -81,9 +82,14 @@ MAX_STEPS = 100
 _BLOCK_BYTES = 96 * 1024
 
 
+def _floor(size):
+    """max(1, size), entry by entry for an array: the scale a relative tolerance divides by, absolute up to size 1."""
+    return np.maximum(1.0, size) if isinstance(size, np.ndarray) else max(1.0, size)
+
+
 def _allowance(tol: float, *sizes: float) -> float:
-    """tol * max(1.0, *sizes): the room a comparison of numbers of these sizes allows, absolute up to size 1."""
-    return tol * max(1.0, *sizes)
+    """tol * ``_floor`` of the largest of ``sizes``: the room a comparison of numbers of these sizes allows."""
+    return tol * _floor(max(sizes))
 
 
 def _finite(field: str, value, kind: str):
@@ -135,9 +141,29 @@ def _indices(field: str, values, n: int) -> np.ndarray:
     return at.astype(np.intp)
 
 
-def _tolerance(name: str, value):
-    """A tolerance: a finite number >= 0."""
-    return _finite(f"tolerance {name}", value, "number >= 0")
+@dataclass(frozen=True)
+class Tolerances:
+    """The tolerances of a certificate, named as in a scenario file's ``tolerances``.
+
+    ``cert_tol`` is the room of the bound check (``certify_nonmembership``),
+    ``settle_tol`` the largest tail spread of a settled estimate and
+    ``membership_tol`` the room of each duality gap of a sampled pair
+    (``Space.is_member``).  Each must be a finite number >= 0 by the rule of
+    ``_finite``; it is checked here, once, and stored as a float.
+    """
+
+    cert_tol: float = CERT_TOL
+    settle_tol: float = SETTLE_TOL
+    membership_tol: float = MEMBERSHIP_TOL
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = _finite(f"tolerance {field.name}", getattr(self, field.name), "number >= 0")
+            object.__setattr__(self, field.name, float(value))
+
+
+# The tolerances of a call that names none.
+DEFAULT_TOLERANCES = Tolerances()
 
 
 VERDICT_CERTIFIED = "certified"
@@ -199,11 +225,10 @@ def duality_gaps(space: Space, x, u) -> tuple:
     """
     with np.errstate(all="ignore"):  # as Python float arithmetic
         norm = space.norm(x)
-        bound = max if isinstance(norm, float) else np.maximum
         square = norm * norm
-        norm_gap = abs(space.dual_norm(u) - norm) / bound(1.0, norm)
-        pair_gap = abs(space.pair(u, x) - square) / bound(1.0, square)
-        if bound is max:
+        norm_gap = abs(space.dual_norm(u) - norm) / _floor(norm)
+        pair_gap = abs(space.pair(u, x) - square) / _floor(square)
+        if not isinstance(norm, np.ndarray):
             if not math.isfinite(pair_gap) and 1.0 <= norm < math.inf:
                 pair_gap = _unit_pair_gap(space, x, u, 1.0 / norm)
         elif not np.isfinite(pair_gap).all():
@@ -493,16 +518,17 @@ def estimate_limit(
     query: CoderivativeQuery,
     curve: ProbeCurve,
     schedule: Schedule | None = None,
-    settle_tol: float = SETTLE_TOL,
-    membership_tol: float = MEMBERSHIP_TOL,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> LimitEstimate:
     """Sample the quotient along the curve and estimate its t -> 0 limit.
 
     The estimate is the mean of the last three quotients; it is ``settled``
-    when their spread is at most ``settle_tol``.  A schedule whose t0 exceeds
-    the curve's validity window is shrunk to half the window and flagged; the
-    shrunk schedule passes the checks of ``Schedule`` again, so a last sample
-    that underflows to 0 is reported as such.  A curve with an affine form
+    when their spread is at most ``tolerances.settle_tol``, and each sampled
+    pair must pass ``is_member`` within ``tolerances.membership_tol``.  A
+    schedule whose t0 exceeds the curve's validity window is shrunk to half
+    the window and flagged; the shrunk schedule passes the checks of
+    ``Schedule`` again, so a last sample that underflows to 0 is reported as
+    such.  A curve with an affine form
     is sampled in blocks of t, each at most ``_BLOCK_BYTES`` of array rows
     (one row where a row is larger; a ``c01`` batch is one block), in order,
     so a failing pair is reported by the first block that holds one, as
@@ -511,11 +537,9 @@ def estimate_limit(
     that overflowed on the way.  A tail of finite quotients whose sum
     overflows is averaged term by term and kept between its least and
     greatest quotient, so the limit is finite, and every other limit keeps
-    the bits of the plain mean.  A tolerance that is not a finite number
-    >= 0 raises ``ValueError``.
+    the bits of the plain mean.
     """
-    _tolerance("settle_tol", settle_tol)
-    _tolerance("membership_tol", membership_tol)
+    membership_tol = tolerances.membership_tol
     sch = schedule if schedule is not None else default_schedule(curve.t_max)
     shrunk = sch.t0 > curve.t_max
     if shrunk:
@@ -548,8 +572,8 @@ def estimate_limit(
         )
     if not all(map(math.isfinite, qs)):
         raise ValueError(f"curve {curve.curve_id} gives a difference quotient that is not finite")
-    limit, settled = _tail_estimate(qs, settle_tol)
-    return LimitEstimate(tuple(ts), tuple(qs), limit, settled, settle_tol, shrunk)
+    limit, settled = _tail_estimate(qs, tolerances.settle_tol)
+    return LimitEstimate(tuple(ts), tuple(qs), limit, settled, tolerances.settle_tol, shrunk)
 
 
 def _verdict(estimate: LimitEstimate, claimed_bound: float | None, cert_tol: float) -> str:
@@ -558,8 +582,8 @@ def _verdict(estimate: LimitEstimate, claimed_bound: float | None, cert_tol: flo
     tail = estimate.tail()
     if not all(q > 0.0 for q in tail):
         return VERDICT_NOT_CERTIFIED
-    if claimed_bound is None:
-        return VERDICT_CERTIFIED if estimate.limit > 0.0 else VERDICT_NOT_CERTIFIED
+    if claimed_bound is None:  # a positive tail has a positive mean
+        return VERDICT_CERTIFIED
     if estimate.limit >= claimed_bound - cert_tol and min(tail) >= claimed_bound - 2.0 * cert_tol:
         return VERDICT_CERTIFIED
     return VERDICT_NOT_CERTIFIED
@@ -570,9 +594,7 @@ def certify_nonmembership(
     curve: ProbeCurve,
     claimed_bound: float | None,
     schedule: Schedule | None = None,
-    cert_tol: float = CERT_TOL,
-    settle_tol: float = SETTLE_TOL,
-    membership_tol: float = MEMBERSHIP_TOL,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> NonMembershipCertificate:
     """Run the limit estimate and issue a verdict against the claimed bound.
 
@@ -580,18 +602,18 @@ def certify_nonmembership(
     quotients, an estimated limit of at least ``claimed_bound`` minus
     ``cert_tol`` and tail quotients of at least ``claimed_bound`` minus twice
     ``cert_tol``, the soundness margin (positivity alone when no bound is
-    claimed).  A tail settled within 1.5 ``cert_tol`` meets the margin
-    whenever its mean meets the bound.  An unsettled estimate is
-    ``inconclusive``, never a false certificate.
+    claimed), each tolerance read from ``tolerances``.  A tail settled
+    within 1.5 ``cert_tol`` meets the margin whenever its mean meets the
+    bound.  An unsettled estimate is ``inconclusive``, never a false
+    certificate.
     """
-    _tolerance("cert_tol", cert_tol)
-    estimate = estimate_limit(query, curve, schedule, settle_tol, membership_tol)
-    verdict = _verdict(estimate, claimed_bound, cert_tol)
+    estimate = estimate_limit(query, curve, schedule, tolerances)
+    verdict = _verdict(estimate, claimed_bound, tolerances.cert_tol)
     return NonMembershipCertificate(
         curve_id=curve.curve_id,
         estimate=estimate,
         claimed_bound=None if claimed_bound is None else float(claimed_bound),
-        cert_tol=cert_tol,
+        cert_tol=tolerances.cert_tol,
         verdict=verdict,
     )
 
@@ -614,8 +636,7 @@ def falsify_membership_search(
     query: CoderivativeQuery,
     curve_family,
     schedule: Schedule | None = None,
-    settle_tol: float = SETTLE_TOL,
-    membership_tol: float = MEMBERSHIP_TOL,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> FalsificationLead:
     """Estimate the limit along every curve and report the best direction.
 
@@ -627,8 +648,6 @@ def falsify_membership_search(
         raise ValueError("curve family must be nonempty")
     estimates = {}
     for curve in curves:
-        estimates[curve.curve_id] = estimate_limit(
-            query, curve, schedule, settle_tol, membership_tol
-        )
+        estimates[curve.curve_id] = estimate_limit(query, curve, schedule, tolerances)
     best_id = max(estimates, key=lambda cid: estimates[cid].limit)
     return FalsificationLead(best_id, estimates[best_id].limit, estimates)

@@ -19,8 +19,6 @@ import numpy as np
 from .coderivative import Space, _float_or_rows, _indices
 
 _MAX = sys.float_info.max
-# The room ``is_duality_member`` allows each relative duality gap.
-_SELECTION_TOL = 1e-10
 
 __all__ = [
     "FiniteMeasureSpace",
@@ -30,7 +28,6 @@ __all__ = [
     "pairing_l1",
     "zero_selection",
     "duality_selection",
-    "is_duality_member",
     "duality_set_classify",
     "strict_convexity_counterexample",
     "indicator",
@@ -197,11 +194,6 @@ def duality_selection(f, space: FiniteMeasureSpace, a=()) -> np.ndarray:
     g = space.canonical_dual(f)
     g[zero] = a
     return g
-
-
-def is_duality_member(g, f, space: FiniteMeasureSpace) -> bool:
-    """True iff ||g||_inf = ||f||_1 and <g, f> = ||f||_1**2, each within 1e-10 relative to max(1, rhs)."""
-    return space.is_member(space.check(f), space.check(g), _SELECTION_TOL)
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,7 +75,7 @@ from operator import getitem
 import numpy as np
 
 from . import c01, l1, lp
-from .coderivative import duality_gaps
+from .coderivative import _floor, duality_gaps
 
 __all__ = [
     "GradientOracle",
@@ -297,7 +297,7 @@ def _lp_invariants(space: lp.LpSpace, rng, sample_count: int) -> tuple:
         jx = space.canonical_dual(x)
         identity[rows] = np.maximum(*duality_gaps(space, x, jx))
         back = conjugate.canonical_dual(jx)
-        roundtrip[rows] = (np.abs(back - x) / np.maximum(1.0, np.abs(x))).max(-1)
+        roundtrip[rows] = (np.abs(back - x) / _floor(np.abs(x))).max(-1)
     return (
         _record("pairing_identity", identity),
         _record("inverse_roundtrip", roundtrip),

@@ -483,6 +483,8 @@ THEOREM_IDS = tuple(_CATALOG)
 
 def build_witness(space, theorem_id: str, params: dict) -> Witness:
     """Build the catalog witness ``theorem_id`` for the given space and params, a JSON object of the fields it declares."""
+    if not isinstance(theorem_id, str):
+        raise ValueError(f"theorem must be a string naming a catalog entry, got {theorem_id!r}")
     if theorem_id not in _CATALOG:
         raise KeyError(f"unknown theorem id: {theorem_id}")
     space_type, builder, keys = _CATALOG[theorem_id]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dualitymap import serialize
+from dualitymap import cli, serialize
 from dualitymap.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -177,9 +177,12 @@ _THM31 = {"space": {"space": "lp", "p": 2.0}, "theorem": "thm31", "params": {"x"
          "a scenario file has no field 'tolerance'; its fields are scenarios, tolerances, out"),
         ([{**_THM31, "schedul": {"steps": 9}}],
          "a scenario has no field 'schedul'; its fields are space, theorem, params, schedule"),
+        # used to exit 2 with "unhashable type: 'list'", naming no field
+        ([{**_THM31, "theorem": ["thm31"]}], "theorem must be a string naming a catalog entry, got ['thm31']"),
     ],
     ids=["string", "number", "scenarios-string", "scenario-list", "space-string", "space-no-p",
-         "scenario-no-space", "scenario-no-theorem", "space-unknown", "file-tolerance", "scenario-schedul"],
+         "scenario-no-space", "scenario-no-theorem", "space-unknown", "file-tolerance", "scenario-schedul",
+         "theorem-list"],
 )
 def test_run_rejects_a_malformed_scenario_file(tmp_path, capsys, data, message):
     path = tmp_path / "malformed.json"
@@ -251,6 +254,17 @@ def test_run_unknown_theorem(tmp_path):
         )
     )
     assert main(["run", str(path)]) == 2
+
+
+def test_run_refuses_an_out_that_is_not_a_string_before_any_certificate(tmp_path, capsys, monkeypatch):
+    # used to certify every row, then exit 2 on writing to the path 5
+    calls, certify = [], cli.certify_nonmembership
+    monkeypatch.setattr(cli, "certify_nonmembership", lambda *args: calls.append(args) or certify(*args))
+    path = tmp_path / "out.json"
+    path.write_text(json.dumps({"scenarios": [_THM31], "out": 5}))
+    assert main(["run", str(path)]) == 2
+    assert "a scenario file's out must be a string path, got 5" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_run_inconclusive_exit_code(tmp_path):

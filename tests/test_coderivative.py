@@ -1,6 +1,7 @@
 """Engine tests: quotients, limit estimation, certificates, search."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dualitymap import (
     LpSpace,
     ProbeCurve,
     Schedule,
+    Tolerances,
     build_witness,
     certify_nonmembership,
     estimate_limit,
@@ -345,10 +347,53 @@ def test_certify_and_reverify_agree_on_a_tail_below_the_margin(l2):
         return GraphPair(u, u.copy())
 
     query = CoderivativeQuery(l2, GraphPair(np.zeros(2), np.zeros(2)), np.array([3.0, 0.0]))
-    cert = certify_nonmembership(query, ProbeCurve("turning", turning, t_max=1.0), 1.0, cert_tol=1e-6, settle_tol=1e-5)
+    cert = certify_nonmembership(
+        query, ProbeCurve("turning", turning, t_max=1.0), 1.0, tolerances=Tolerances(cert_tol=1e-6, settle_tol=1e-5))
     assert cert.estimate.quotients[-3:] == pytest.approx((1.0 + 2e-6, 1.0 + 2e-6, 1.0 - 2.5e-6), abs=1e-12)
     assert cert.estimate.settled and cert.estimate.limit >= 1.0 - 1e-6
     assert cert.verdict == "not_certified" and reverify_certificate(cert)
+
+
+def _settled_tail(*tail):
+    ts = tuple(0.25 * 0.5**k for k in range(len(tail)))
+    limit, settled = _tail_estimate(tail, 1e-6)
+    assert settled
+    return LimitEstimate(ts, tail, limit, settled, 1e-6)
+
+
+def test_a_zero_tail_certifies_no_bound():
+    # a tail (0, 0, 0) meets the bound 1e-6 within cert_tol, but a certified tail is positive
+    assert _verdict(_settled_tail(0.0, 0.0, 0.0), 1e-6, 1e-6) == "not_certified"
+
+
+def test_the_mean_of_a_certified_tail_meets_the_bound_within_cert_tol():
+    # each tail is settled and above the margin 1 - 2 cert_tol; only the mean decides
+    assert _verdict(_settled_tail(*[1.0 - 1.2e-6] * 3), 1.0, 1e-6) == "not_certified"
+    assert _verdict(_settled_tail(*[1.0 - 0.8e-6] * 3), 1.0, 1e-6) == "certified"
+
+
+def test_a_tail_spread_past_the_default_settle_tol_is_inconclusive(l2):
+    # the quotient <(3, 0), u> / (2 ||u||) is 1 at every t but the last and 1 + 5e-6 there,
+    # a tail spread of 5e-6: settled at settle_tol 1e-5, not at the default 1e-6
+    last = default_schedule(1.0).t0 * 0.5**23
+
+    def turning(t):
+        c = (1.0 + 5e-6 if t <= last else 1.0) / 1.5
+        u = t * np.array([c, np.sqrt(1.0 - c * c)])
+        return GraphPair(u, u.copy())
+
+    query = CoderivativeQuery(l2, GraphPair(np.zeros(2), np.zeros(2)), np.array([3.0, 0.0]))
+    cert = certify_nonmembership(query, ProbeCurve("turning", turning, t_max=1.0), 1.0)
+    spread = max(cert.estimate.tail()) - min(cert.estimate.tail())
+    assert spread == pytest.approx(5e-6, abs=1e-12)
+    assert cert.verdict == "inconclusive" and not cert.estimate.settled
+
+
+def test_reverification_refuses_a_stored_limit_off_by_1e_9(l2):
+    query = base_query(l2, np.zeros(2), second_dual=np.array([1.0, 0.0]))
+    cert = certify_nonmembership(query, shrink_curve(l2), claimed_bound=0.5)
+    moved = replace(cert, estimate=replace(cert.estimate, limit=cert.estimate.limit + 1e-9))
+    assert reverify_certificate(cert) and not reverify_certificate(moved)
 
 
 @pytest.mark.parametrize("given, message", [
@@ -404,14 +449,14 @@ def test_the_engine_refuses_a_tolerance_that_is_not_a_finite_number_at_least_0(n
     # thm33's limit here is 1: a cert_tol of inf used to certify a bound of 100
     witness = build_witness(LpSpace(2.0), "thm33", {"x": [1, 0], "a": 3})
     with pytest.raises(ValueError, match=f"tolerance {name} must be a finite number >= 0"):
-        certify_nonmembership(witness.query, witness.curve, 100.0, **{name: value})
+        certify_nonmembership(witness.query, witness.curve, 100.0, tolerances=Tolerances(**{name: value}))
     if name != "cert_tol":
         with pytest.raises(ValueError, match=f"tolerance {name} must be a finite number >= 0"):
-            estimate_limit(witness.query, witness.curve, **{name: value})
+            estimate_limit(witness.query, witness.curve, tolerances=Tolerances(**{name: value}))
 
 
 def test_the_engine_takes_numpy_and_integer_tolerances():
     witness = build_witness(LpSpace(2.0), "thm33", {"x": [1, 0], "a": 3})
     tolerances = {"cert_tol": np.float64(1e-6), "settle_tol": 1, "membership_tol": np.float64(0.0)}
-    cert = certify_nonmembership(witness.query, witness.curve, witness.claimed_bound, **tolerances)
+    cert = certify_nonmembership(witness.query, witness.curve, witness.claimed_bound, tolerances=Tolerances(**tolerances))
     assert cert.verdict == "certified"

@@ -7,7 +7,6 @@ from dualitymap import (
     FiniteMeasureSpace,
     duality_selection,
     duality_set_classify,
-    is_duality_member,
     l1_norm,
     linf_norm,
     pairing_l1,
@@ -71,9 +70,11 @@ def test_duality_selection_guards(uniform3):
 
 
 def test_is_duality_member_examples(uniform3):
-    assert is_duality_member([3.0, 1.5, -3.0], [2.0, 0.0, -1.0], uniform3)
-    assert not is_duality_member([3.0, 5.0, -3.0], [2.0, 0.0, -1.0], uniform3)
-    assert is_duality_member([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], uniform3)
+    f = uniform3.check([2.0, 0.0, -1.0])
+    assert uniform3.is_member(f, uniform3.check([3.0, 1.5, -3.0]), 1e-10)
+    assert not uniform3.is_member(f, uniform3.check([3.0, 5.0, -3.0]), 1e-10)
+    zero = uniform3.check([0.0, 0.0, 0.0])
+    assert uniform3.is_member(zero, zero, 1e-10)
 
 
 def test_classify(uniform3):
@@ -166,7 +167,7 @@ def test_selection_always_member():
         norm = l1_norm(f, space)
         free = rng.uniform(-norm, norm, int(np.sum(f == 0.0)))
         sel = duality_selection(f, space, free)
-        assert is_duality_member(sel, f, space)
+        assert space.is_member(space.check(f), space.check(sel), 1e-10)
 
 
 def test_positive_scaling_of_selections():
