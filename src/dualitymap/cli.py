@@ -99,7 +99,7 @@ def _load_scenarios(path: Path):
         raise ValueError("scenarios must be a JSON list of objects")
     given = serialize._Fields(data.get("tolerances", {}), "tolerances", tuple(f.name for f in fields(Tolerances)))
     out = data.get("out")
-    if out is not None and not isinstance(out, str):
+    if out is not None and not (isinstance(out, str) and out):  # "" names no file
         raise ValueError(f"a scenario file's out must be a string path, got {out!r}")
     return scenarios, Tolerances(**given), out
 
@@ -194,7 +194,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (KeyError, ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key, quotes included
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 
 

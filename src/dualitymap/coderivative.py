@@ -14,8 +14,9 @@ requires the limsup of the quotient over *all* graph points approaching the
 base to be <= 0, which no finite computation can verify; a single curve
 whose quotient limit is positive, however, falsifies it.  Everything here is
 therefore built around non-membership certificates: sample the quotient on a
-geometric schedule, estimate the tail limit, and certify when the tail is
-settled, positive, and at or above a claimed closed-form bound.
+geometric schedule, in checkpoints of ``_CHECKPOINT`` t and only until its
+tail settles, estimate the tail limit, and certify when the tail is settled,
+positive, and at or above a claimed closed-form bound.
 
 A curve affine in t can carry its data as an ``AffineForm``: the base pair
 (x, x*), a point tangent d and a dual tangent d*, with u_t = x + t d and
@@ -25,10 +26,11 @@ bump curves (``lp``, ``L1``, thm46's included) are of this form, and the
 ``c01`` shifts are a subclass that rounds its dual weights its own way
 (``witnesses``).  ``estimate_limit`` samples such a curve in batches with
 one element per row, consecutive blocks of t of at most ``_BLOCK_BYTES`` of
-array rows (a ``c01`` batch is one block): each ``Space`` method takes a
-batch as it takes one element and returns one value per row, and each block
-passes the checks of the per-t path.  The batched floats are bitwise those
-of the per-t path: sums reduce along each row, an ``lp`` pairing runs the
+array rows within a checkpoint (a ``c01`` batch is one block a checkpoint):
+each ``Space`` method takes a batch as it takes one element and returns one
+value per row, and each block passes the checks of the per-t path.  The
+batched floats are bitwise those of the per-t path, which stops at the
+same t: sums reduce along each row, an ``lp`` pairing runs the
 ``np.dot`` kernel on each row (``np.vecdot``) and the l_p root stays one
 scalar power per row (a matrix product or an array power rounds
 differently), a scaling curve evaluates as (1 + s t) x, never as
@@ -70,15 +72,23 @@ CERT_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-9
 # The last quotients of a schedule that the limit estimate averages and the verdict tests.
 _TAIL = 3
-# Upper bound on Schedule.steps; the default schedule takes 24.
+# Upper bound on Schedule.steps, the most samples an estimate takes (24 for the default schedule).
 MAX_STEPS = 100
-# Bytes of one block of array rows that ``estimate_limit`` samples at once.
-# Each temporary of a block stays under glibc's default 128 KiB mmap
-# threshold, so it comes from the heap; a whole (24, 1024) float batch is
-# 192 KiB, whose temporaries glibc maps and unmaps on every certificate
+# Samples between two tests of whether an estimate may stop, and the least
+# Schedule.steps, so no estimate stops on fewer.  Where the exact quotient is
+# the same at every t (every catalog curve but thm31 with p != 2 and x != 0),
+# 8 samples settle, and smaller t add only rounding, which grows like 1/t: on
+# the benchmark decks of seeds 1 and 7 the worst relative error of a limit
+# fell from 2.1e-7 at 24 samples to 1.7e-12 at 8 (n <= 16) and from 9.9e-9 to
+# 2.0e-11 (n = 1024), where 37 of 40 cor48 probe rows had failed to certify.
+_CHECKPOINT = 8
+# Bytes of one block of array rows that ``estimate_limit`` samples at once,
+# within a checkpoint.  Each temporary of a block stays under glibc's default
+# 128 KiB mmap threshold, so it comes from the heap; a (24, 1024) float batch
+# is 192 KiB, whose temporaries glibc maps and unmaps on every certificate
 # (about 200 page faults each time).  96 KiB (12 rows at n = 1024) certified the
 # lp and L1 rows of the n = 1024 benchmark deck fastest of blocks of 32, 64,
-# 96 and 128 KiB, each size timed in its own process.
+# 96 and 128 KiB, each size timed in its own process over 24 samples a curve.
 _BLOCK_BYTES = 96 * 1024
 
 
@@ -374,6 +384,9 @@ class Schedule:
     """Geometric sampling schedule t_k = t0 * ratio**k, k = 0..steps-1.
 
     t0 and ratio are finite numbers and steps an integer; a bool is neither.
+    ``estimate_limit`` samples the t in order, in checkpoints of
+    ``_CHECKPOINT``, and stops where the tail settles, so ``steps`` (at least
+    one checkpoint, at most ``MAX_STEPS``) caps the samples.
     """
 
     t0: float = 0.25
@@ -387,8 +400,8 @@ class Schedule:
             raise ValueError("t0 must be positive")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("ratio must lie strictly between 0 and 1")
-        if self.steps < 8:
-            raise ValueError("need at least 8 steps")
+        if self.steps < _CHECKPOINT:
+            raise ValueError(f"need at least {_CHECKPOINT} steps")
         if self.steps > MAX_STEPS:
             raise ValueError(f"at most {MAX_STEPS} steps")
         if not self.t0 * self.ratio ** (self.steps - 1) > 0.0:
@@ -396,12 +409,13 @@ class Schedule:
 
 
 def default_schedule(t_max: float) -> Schedule:
-    """Geometric schedule from min(0.25, t_max/2) spanning 7 decades of t.
+    """Geometric schedule from min(0.25, t_max/2), capped at 7 decades of t.
 
     When the curve's validity window forces t0 below 0.25, the step count
-    shrinks so the smallest sample stays near the 0.25 * 0.5**23 floor:
-    digging further erodes the dual-side differences to rounding noise.
-    0.25, 0.5 and 24 are ``Schedule``'s defaults.
+    shrinks so the smallest t stays near the 0.25 * 0.5**23 floor: digging
+    further erodes the dual-side differences to rounding noise.  A curve
+    whose tail settles is sampled on the first 8 t alone.  0.25, 0.5 and 24
+    are ``Schedule``'s defaults.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
@@ -409,7 +423,7 @@ def default_schedule(t_max: float) -> Schedule:
     steps = Schedule.steps
     if t0 < Schedule.t0:
         # a difference of logs: 0.25 / t0 overflows for a subnormal t0
-        steps = max(8, Schedule.steps - math.ceil(math.log2(Schedule.t0) - math.log2(t0)))
+        steps = max(_CHECKPOINT, Schedule.steps - math.ceil(math.log2(Schedule.t0) - math.log2(t0)))
     return Schedule(t0=t0, steps=steps)
 
 
@@ -522,58 +536,70 @@ def estimate_limit(
 ) -> LimitEstimate:
     """Sample the quotient along the curve and estimate its t -> 0 limit.
 
-    The estimate is the mean of the last three quotients; it is ``settled``
-    when their spread is at most ``tolerances.settle_tol``, and each sampled
-    pair must pass ``is_member`` within ``tolerances.membership_tol``.  A
-    schedule whose t0 exceeds the curve's validity window is shrunk to half
-    the window and flagged; the shrunk schedule passes the checks of
-    ``Schedule`` again, so a last sample that underflows to 0 is reported as
-    such.  A curve with an affine form
-    is sampled in blocks of t, each at most ``_BLOCK_BYTES`` of array rows
-    (one row where a row is larger; a ``c01`` batch is one block), in order,
-    so a failing pair is reported by the first block that holds one, as
-    ``_sample`` reports it.  A quotient that is not finite raises
+    The t of the schedule are sampled in order, in checkpoints of
+    ``_CHECKPOINT``; after a checkpoint the sampling stops when the distance
+    to the base fell at the last t and the last three quotients settle, by
+    the rule of ``_tail_estimate``; otherwise it goes on, up to the
+    schedule's ``steps``.  A quotient that is not finite fails the estimate
+    wherever the sampling stops, so the rule does not test it.  The
+    estimate holds the t sampled and their quotients; its limit is the mean
+    of the last three, ``settled`` when their spread is at most
+    ``tolerances.settle_tol``, and each sampled pair must pass ``is_member``
+    within ``tolerances.membership_tol``.  A schedule whose t0 exceeds the
+    curve's validity window is shrunk to half the window and flagged; the
+    shrunk schedule passes the checks of ``Schedule`` again, so a last t that
+    underflows to 0 is reported as such.  A curve with an affine form is
+    sampled in blocks of t within each checkpoint, each at most
+    ``_BLOCK_BYTES`` of array rows (one row where a row is larger; a ``c01``
+    batch is one block), in order, so a failing pair is reported by the
+    first block that holds one, as ``_sample`` reports it, and the t sampled
+    do not depend on the block size.  A quotient that is not finite raises
     ``ValueError``, without a numpy warning for the curve or the quotient
     that overflowed on the way.  A tail of finite quotients whose sum
     overflows is averaged term by term and kept between its least and
     greatest quotient, so the limit is finite, and every other limit keeps
     the bits of the plain mean.
     """
-    membership_tol = tolerances.membership_tol
+    membership_tol, settle_tol = tolerances.membership_tol, tolerances.settle_tol
     sch = schedule if schedule is not None else default_schedule(curve.t_max)
     shrunk = sch.t0 > curve.t_max
     if shrunk:
         sch = Schedule(curve.t_max / 2.0, sch.ratio, sch.steps)
     ts = [sch.t0 * sch.ratio**k for k in range(sch.steps)]
-    space = query.space
+    space, affine = query.space, curve.affine
+    if affine is not None:
+        curve._check_window(min(ts))  # every t lies between these two
+        curve._check_window(max(ts))
+        x = affine.base.point
+        rows = max(1, _BLOCK_BYTES // (8 * x.size)) if isinstance(x, np.ndarray) else _CHECKPOINT
     qs, dists = [], []
     # once per estimate: a curve or a pairing of the quotient past the float
     # range comes out inf or NaN, which the checks and the tests below refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        if curve.affine is not None:
-            curve._check_window(min(ts))  # every t lies between these two
-            curve._check_window(max(ts))
-            x = curve.affine.base.point
-            rows = max(1, _BLOCK_BYTES // (8 * x.size)) if isinstance(x, np.ndarray) else len(ts)
-            for k in range(0, len(ts), rows):
-                u, u_star = curve.affine.rows(np.array(ts[k:k + rows]))
-                q, dist = _sample(query, space.check_rows(u), space.check_dual_rows(u_star), membership_tol)
-                qs += q.tolist()
-                dists += dist.tolist()
-        else:
-            for t in ts:
-                pair = curve.at(t)
-                q, dist = _sample(query, space.check(pair.point), space.check_dual(pair.dual), membership_tol)
-                qs.append(q)
-                dists.append(dist)
+        for start in range(0, len(ts), _CHECKPOINT):
+            stop = min(start + _CHECKPOINT, len(ts))
+            if affine is not None:
+                for k in range(start, stop, rows):
+                    u, u_star = affine.rows(np.array(ts[k:min(k + rows, stop)]))
+                    q, dist = _sample(query, space.check_rows(u), space.check_dual_rows(u_star), membership_tol)
+                    qs += q.tolist()
+                    dists += dist.tolist()
+            else:
+                for t in ts[start:stop]:
+                    pair = curve.at(t)
+                    q, dist = _sample(query, space.check(pair.point), space.check_dual(pair.dual), membership_tol)
+                    qs.append(q)
+                    dists.append(dist)
+            if dists[-1] < dists[-2] and _tail_estimate(qs, settle_tol)[1]:
+                break
     if dists[-1] >= dists[-2]:
         raise ValueError(
             f"curve {curve.curve_id} does not approach the base point as t drops"
         )
     if not all(map(math.isfinite, qs)):
         raise ValueError(f"curve {curve.curve_id} gives a difference quotient that is not finite")
-    limit, settled = _tail_estimate(qs, tolerances.settle_tol)
-    return LimitEstimate(tuple(ts), tuple(qs), limit, settled, tolerances.settle_tol, shrunk)
+    limit, settled = _tail_estimate(qs, settle_tol)
+    return LimitEstimate(tuple(ts[:len(qs)]), tuple(qs), limit, settled, settle_tol, shrunk)
 
 
 def _verdict(estimate: LimitEstimate, claimed_bound: float | None, cert_tol: float) -> str:

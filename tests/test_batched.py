@@ -22,7 +22,7 @@ from dualitymap import (
     estimate_limit,
 )
 from dualitymap import c01, serialize
-from dualitymap.coderivative import _BLOCK_BYTES
+from dualitymap.coderivative import _BLOCK_BYTES, _CHECKPOINT, default_schedule
 from dualitymap.witnesses import _ShiftForm
 from test_c01_kernels import ref_measure_scale, ref_measure_sub, ref_pairing, ref_pwl_sub, ref_tv_norm
 from witness_draws import CLOSED_FORM_DRAWS, draw_cor57, draw_thm31, stable_seed
@@ -113,14 +113,19 @@ def test_batched_certificates_are_bitwise_per_t(theorem, monkeypatch):
             blocks.clear()
             batched = _outcome(witness, _batched_only(curve), schedule)
             assert batched[0] != "ValueError", batched
-            # array rows come in blocks of at most _BLOCK_BYTES, or of one
-            # row where one row is past it; a c01 batch is one block
+            # the samples stop at the end of a checkpoint of 8 t, or at the
+            # schedule's last t; within a checkpoint, array rows come in blocks
+            # of at most _BLOCK_BYTES, or of one row where one row is past it,
+            # and a c01 batch is one block a checkpoint
             steps, point = len(batched[0]), curve.affine.base.point
-            per = max(1, _BLOCK_BYTES // (8 * point.size)) if isinstance(point, np.ndarray) else steps
-            assert [rows for rows, _ in blocks] == [min(per, steps - k) for k in range(0, steps, per)]
+            assert steps % _CHECKPOINT == 0 or steps == (schedule or default_schedule(curve.t_max)).steps
+            per = max(1, _BLOCK_BYTES // (8 * point.size)) if isinstance(point, np.ndarray) else _CHECKPOINT
+            checkpoints = [(k, min(k + _CHECKPOINT, steps)) for k in range(0, steps, _CHECKPOINT)]
+            expected = [min(per, stop - k) for start, stop in checkpoints for k in range(start, stop, per)]
+            assert [rows for rows, _ in blocks] == expected
             assert all(rows == 1 or size is None or size <= _BLOCK_BYTES for rows, size in blocks)
             if n == 1024 and isinstance(point, np.ndarray):
-                assert len(blocks) == (2 if schedule is None else 4)  # 12 + 12, 12 + 12 + 12 + 4
+                assert len(blocks) == len(checkpoints)  # 12 rows a block: one block a checkpoint
             assert batched == _outcome(witness, _generator_only(curve), schedule)
             if ":shift[" in curve.curve_id:
                 assert batched == _outcome(witness, _reference_shift(curve), schedule)
@@ -201,7 +206,7 @@ class _OffBelow(AffineForm):
 
 @pytest.mark.parametrize("make_query", [_lp_query, _l1_query])
 def test_batched_path_keeps_every_check(make_query):
-    # n = 4096: three rows a block, so the default 24 steps take eight blocks
+    # n = 4096: three rows a block, so a checkpoint of 8 steps takes three blocks
     for n in (2, 4096):
         _both_paths_refuse_alike(make_query, n)
 
@@ -229,8 +234,8 @@ def _both_paths_refuse_alike(make_query, n: int):
         _both_raise(query, curve(t_max=4.0, tangent=e0, dual_tangent=big), "finite", early)
     # (1 + t) x paired with the base dual x*: off the graph
     _both_raise(query, curve(tangent=base.point, dual_tangent=np.zeros(n)), "outside gph J")
-    # off the graph at the last t alone, in the last block
-    last = 0.25 * 0.5**23
+    # off the graph at the last t of the first checkpoint alone, in its last block
+    last = 0.25 * 0.5 ** (_CHECKPOINT - 1)
     off_last = _OffBelow(space, base, tangent=e0, below=1.5 * last)
     _both_raise(query, ProbeCurve("late", t_max=0.5, affine=off_last), "outside gph J")
     # a zero tangent never leaves the base point

@@ -202,16 +202,20 @@ def test_run_takes_integer_tolerances(tmp_path):
 
 
 def test_run_takes_a_schedule(tmp_path):
-    scenario = json.loads((FIXTURES / "all.json").read_text())["scenarios"][1]  # lp thm31, t_max 1
+    # lp thm31 at p = 2, t_max 1: the quotient is the same at every t, so it settles on the first 8 t
+    scenario = json.loads((FIXTURES / "all.json").read_text())["scenarios"][1]
+    # at p = 3, with x != 0, the quotient turns with t, and the schedule's steps cap the samples
+    turning = {**scenario, "space": {"space": "lp", "p": 3.0}}
     path, out = tmp_path / "schedule.json", tmp_path / "out.json"
-    for schedule, ts in (
-        ({"t0": 0.125, "ratio": 0.5, "steps": 10}, [0.125 * 0.5**k for k in range(10)]),
-        ({"steps": 9}, [0.25 * 0.5**k for k in range(9)]),
-        ({}, [0.25 * 0.5**k for k in range(24)]),  # {} or null: the curve's default schedule
-        (None, [0.25 * 0.5**k for k in range(24)]),
+    for row, schedule, ts, code in (
+        (scenario, {"t0": 0.125, "ratio": 0.5, "steps": 10}, [0.125 * 0.5**k for k in range(8)], 0),
+        (scenario, {"ratio": 0.25}, [0.25 * 0.25**k for k in range(8)], 0),
+        (turning, {"steps": 9}, [0.25 * 0.5**k for k in range(9)], 1),  # not settled by the 9th t
+        (turning, {}, [0.25 * 0.5**k for k in range(24)], 0),  # {} or null: the curve's default schedule
+        (turning, None, [0.25 * 0.5**k for k in range(24)], 0),
     ):
-        path.write_text(json.dumps({"scenarios": [{**scenario, "schedule": schedule}]}))
-        assert main(["run", str(path), "--out", str(out)]) == 0
+        path.write_text(json.dumps({"scenarios": [{**row, "schedule": schedule}]}))
+        assert main(["run", str(path), "--out", str(out)]) == code
         assert json.loads(out.read_text())[0]["t"] == ts
 
 
@@ -265,6 +269,23 @@ def test_run_refuses_an_out_that_is_not_a_string_before_any_certificate(tmp_path
     assert main(["run", str(path)]) == 2
     assert "a scenario file's out must be a string path, got 5" in capsys.readouterr().err
     assert calls == []
+
+
+def test_run_refuses_an_empty_out(tmp_path, capsys):
+    # used to be read as no out: the run wrote <file>.certificates.json beside the file and exited 0
+    path = tmp_path / "empty_out.json"
+    path.write_text(json.dumps({"scenarios": [], "out": ""}))
+    assert main(["run", str(path)]) == 2
+    assert "a scenario file's out must be a string path, got ''" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_run_names_an_unknown_theorem_without_quotes(tmp_path, capsys):
+    # used to print "error: 'unknown theorem id: thm99'", the repr of the KeyError's message
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps([{**_THM31, "theorem": "thm99"}]))
+    assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == "error: unknown theorem id: thm99\n"
 
 
 def test_run_inconclusive_exit_code(tmp_path):

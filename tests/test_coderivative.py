@@ -1,5 +1,6 @@
 """Engine tests: quotients, limit estimation, certificates, search."""
 
+import math
 import sys
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from dualitymap import (
     reverify_certificate,
 )
 from dualitymap.coderivative import (
+    _CHECKPOINT,
     MAX_STEPS,
     LimitEstimate,
     NonMembershipCertificate,
@@ -336,10 +338,11 @@ def test_the_verdict_never_certifies_a_tail_the_reverification_refuses():
 
 
 def test_certify_and_reverify_agree_on_a_tail_below_the_margin(l2):
-    # the curve turns so that the quotient <(3, 0), u> / (2 ||u||) is 1 + 2e-6 at every t but
-    # the last, and 1 - 2.5e-6 there: settled within settle_tol 1e-5, a mean within cert_tol
-    # of the bound 1, a last quotient below the margin; it was certified, and refused on reverification
-    last = default_schedule(1.0).t0 * 0.5**23
+    # the curve turns so that the quotient <(3, 0), u> / (2 ||u||) is 1 + 2e-6 at every t of the
+    # first checkpoint but its last, and 1 - 2.5e-6 from there: settled within settle_tol 1e-5 on
+    # that checkpoint, a mean within cert_tol of the bound 1, a last quotient below the margin;
+    # it was certified, and refused on reverification
+    last = default_schedule(1.0).t0 * 0.5 ** (_CHECKPOINT - 1)
 
     def turning(t):
         c = (1.0 - 2.5e-6 if t <= last else 1.0 + 2e-6) / 1.5
@@ -349,6 +352,7 @@ def test_certify_and_reverify_agree_on_a_tail_below_the_margin(l2):
     query = CoderivativeQuery(l2, GraphPair(np.zeros(2), np.zeros(2)), np.array([3.0, 0.0]))
     cert = certify_nonmembership(
         query, ProbeCurve("turning", turning, t_max=1.0), 1.0, tolerances=Tolerances(cert_tol=1e-6, settle_tol=1e-5))
+    assert len(cert.estimate.quotients) == _CHECKPOINT
     assert cert.estimate.quotients[-3:] == pytest.approx((1.0 + 2e-6, 1.0 + 2e-6, 1.0 - 2.5e-6), abs=1e-12)
     assert cert.estimate.settled and cert.estimate.limit >= 1.0 - 1e-6
     assert cert.verdict == "not_certified" and reverify_certificate(cert)
@@ -373,20 +377,37 @@ def test_the_mean_of_a_certified_tail_meets_the_bound_within_cert_tol():
 
 
 def test_a_tail_spread_past_the_default_settle_tol_is_inconclusive(l2):
-    # the quotient <(3, 0), u> / (2 ||u||) is 1 at every t but the last and 1 + 5e-6 there,
-    # a tail spread of 5e-6: settled at settle_tol 1e-5, not at the default 1e-6
-    last = default_schedule(1.0).t0 * 0.5**23
+    # the quotient <(3, 0), u> / (2 ||u||) is 1 at t0 * 0.5**k for even k and 1 + 5e-6 for odd k,
+    # so every tail spreads by 5e-6: settled at settle_tol 1e-5 on the first checkpoint, never
+    # at the default 1e-6, where the estimate samples the whole schedule
+    t0 = default_schedule(1.0).t0
 
     def turning(t):
-        c = (1.0 + 5e-6 if t <= last else 1.0) / 1.5
+        c = (1.0 + 5e-6 if round(math.log2(t0 / t)) % 2 else 1.0) / 1.5
         u = t * np.array([c, np.sqrt(1.0 - c * c)])
         return GraphPair(u, u.copy())
 
     query = CoderivativeQuery(l2, GraphPair(np.zeros(2), np.zeros(2)), np.array([3.0, 0.0]))
     cert = certify_nonmembership(query, ProbeCurve("turning", turning, t_max=1.0), 1.0)
     spread = max(cert.estimate.tail()) - min(cert.estimate.tail())
-    assert spread == pytest.approx(5e-6, abs=1e-12)
+    assert spread == pytest.approx(5e-6, abs=1e-12) and len(cert.estimate.ts) == default_schedule(1.0).steps
     assert cert.verdict == "inconclusive" and not cert.estimate.settled
+
+
+def test_an_estimate_goes_on_where_the_distance_stalls_at_a_checkpoint(l2):
+    # the quotient <(3, 0), u> / (2 ||u||) is 1 at every t, but the curve stays put from the 7th
+    # t to the 8th, so the first checkpoint ends on a distance that did not fall: the estimate
+    # samples the next checkpoint, where the distance falls again, and stops there
+    t0 = default_schedule(1.0).t0
+    last = t0 * 0.5 ** (_CHECKPOINT - 1)
+
+    def stalling(t):
+        u = (2.0 * t if t == last else t) * np.array([1.0, np.sqrt(1.25)]) / 1.5
+        return GraphPair(u, u.copy())
+
+    query = CoderivativeQuery(l2, GraphPair(np.zeros(2), np.zeros(2)), np.array([3.0, 0.0]))
+    est = estimate_limit(query, ProbeCurve("stalling", stalling, t_max=1.0))
+    assert len(est.ts) == 2 * _CHECKPOINT and est.settled and est.limit == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reverification_refuses_a_stored_limit_off_by_1e_9(l2):

@@ -18,7 +18,7 @@ from dualitymap import (
     estimate_limit,
 )
 from dualitymap import c01, serialize
-from dualitymap.coderivative import AffineForm, Space, duality_gaps
+from dualitymap.coderivative import _CHECKPOINT, AffineForm, Space, duality_gaps
 from dualitymap.witnesses import _ShiftForm
 
 PROTOCOL = [name for name in vars(Space) if not name.startswith("_")]
@@ -147,7 +147,7 @@ def test_non_finite_curve_element_raises(space):
     query, x_star = _shrink_query(space, x)
 
     def gen(t):
-        if t < 1e-3:
+        if t <= 0.25 * 0.5 ** (_CHECKPOINT - 1):  # the last t of the first checkpoint
             return GraphPair(np.array([np.nan, 0.0]), (1 - t) * x_star)
         return GraphPair((1 - t) * x, (1 - t) * x_star)
 
@@ -199,12 +199,13 @@ def test_checks_run_once_per_sampled_pair(cls, args):
     affine = ProbeCurve("shrink", t_max=0.5, affine=AffineForm(space, query.base, scale=-1.0))
     # the affine curve stripped to its generator is sampled one t at a time
     generator_only = ProbeCurve(affine.curve_id, affine.generator, affine.t_max)
+    # the quotient is 0 at every t, so each estimate stops on its first checkpoint
     for steps in (8, 20):
         for each_t in (curve, generator_only):
             del calls[:]
-            estimate_limit(query, each_t, Schedule(0.25, 0.5, steps))
-            assert calls == ["check", "check_dual"] * steps
-        # the affine curve checks all its rows at once
+            assert len(estimate_limit(query, each_t, Schedule(0.25, 0.5, steps)).ts) == _CHECKPOINT
+            assert calls == ["check", "check_dual"] * _CHECKPOINT
+        # the affine curve checks the rows of a checkpoint at once
         del calls[:]
         estimate_limit(query, affine, Schedule(0.25, 0.5, steps))
         assert calls == ["check_rows", "check_dual_rows"]

@@ -18,8 +18,9 @@ from dualitymap import (
     certify_nonmembership,
     estimate_limit,
 )
+from dualitymap.coderivative import _CHECKPOINT
 from dualitymap.serialize import space_from_descriptor
-from witness_draws import CLOSED_FORM_DRAWS, stable_seed
+from witness_draws import CLOSED_FORM_DRAWS, draw_cor48, draw_thm31, stable_seed
 
 
 def run(space, theorem, params, schedule=None):
@@ -201,6 +202,27 @@ def test_thm31_general_branch_positive_and_settling():
             head = est.quotients[:3]
             tail = est.quotients[-3:]
             assert max(tail) - min(tail) <= max(max(head) - min(head), 1e-12)
+
+
+def test_thm31_at_p_not_2_samples_past_the_first_checkpoint_and_settles():
+    # p = 1.5 and x != 0: the quotient turns with t, so its first 8 samples do not
+    # settle; the estimate goes on toward smaller t and stops where the tail settles
+    rng = np.random.default_rng(stable_seed("thm31"))
+    space, params, _ = [draw_thm31(rng) for _ in range(2)][1]
+    assert space.p != 2.0 and np.any(params["x"])
+    witness, cert = run(space, "thm31", params)
+    assert not estimate_limit(witness.query, witness.curve, Schedule(steps=_CHECKPOINT)).settled
+    assert cert.verdict == "certified" and cert.estimate.settled
+    assert _CHECKPOINT < len(cert.estimate.ts) < Schedule().steps
+
+
+def test_cor48_certifies_at_1024_coordinates():
+    # at all 24 samples of the default schedule, rounding at t down to 3e-8 left
+    # this draw inconclusive; its quotient is b / 2 at every t
+    space, params, limit = draw_cor48(np.random.default_rng(stable_seed("cor48")), 1024)
+    _, cert = run(space, "cor48", params)
+    assert cert.verdict == "certified" and len(cert.estimate.ts) == _CHECKPOINT
+    assert cert.estimate.limit == pytest.approx(limit, rel=1e-9)
 
 
 def test_thm45_case2_all_sign_variants():
