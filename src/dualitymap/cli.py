@@ -78,12 +78,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# The fields of a scenario file, of a scenario and of its ``schedule``;
-# ``coderivative`` checks the schedule values, and ``Tolerances`` names and
-# checks the fields of a file's ``tolerances``.
+# The fields of a scenario file and of a scenario; ``Schedule`` and
+# ``Tolerances`` name and check the fields of a scenario's ``schedule`` and
+# of a file's ``tolerances``.
 _FILE = ("scenarios", "tolerances", "out")
 _SCENARIO = ("space", "theorem", "params", "schedule")
-_SCHEDULE = ("t0", "ratio", "steps")
+_SCHEDULE = tuple(f.name for f in fields(Schedule))
+
+
+def _out_option(args):
+    """The ``--out`` path, None when it is not given; "" names no file, as in a scenario file's ``out``."""
+    if args.out == "":
+        raise ValueError("--out must be a nonempty path, got ''")
+    return args.out
 
 
 def _load_scenarios(path: Path):
@@ -105,11 +112,11 @@ def _load_scenarios(path: Path):
 
 
 def cmd_run(args) -> int:
+    out = _out_option(args)
     path = Path(args.scenario_file)
     scenarios, tolerances, file_out = _load_scenarios(path)
 
     records = []
-    rows = []
     for scenario in scenarios:
         scenario = serialize._Fields(scenario, "a scenario", _SCENARIO)
         space = serialize.space_from_descriptor(scenario["space"])
@@ -125,27 +132,26 @@ def cmd_run(args) -> int:
             "params": scenario.get("params", {}),
         }
         records.append(serialize.certificate_to_json(cert, echo))
-        rows.append((theorem, cert.claimed_bound, cert.estimate.limit, cert.verdict))
 
-    out_path = Path(args.out or file_out or path.with_suffix(".certificates.json"))
+    out_path = Path(out or file_out or path.with_suffix(".certificates.json"))
     out_path.write_text(json.dumps(records, indent=2, allow_nan=False))
 
     print(f"{'theorem':<14}{'bound':>14}{'limit':>18}  verdict")
-    for theorem, bound, limit, verdict in rows:
-        bound_txt = "positive" if bound is None else f"{bound:.8f}"
-        print(f"{theorem:<14}{bound_txt:>14}{limit:>18.10f}  {verdict}")
+    for r in records:
+        bound = "positive" if r["claimed_bound"] is None else f"{r['claimed_bound']:.8f}"
+        print(f"{r['scenario']['theorem']:<14}{bound:>14}{r['estimated_limit']:>18.10f}  {r['verdict']}")
     print(f"certificates: {out_path}")
-    return 0 if all(r[3] == "certified" for r in rows) else 1
+    return 0 if all(r["verdict"] == "certified" for r in records) else 1
 
 
 def cmd_suite(args) -> int:
+    out_path = Path(_out_option(args) or "suite_report.json")
     space = _space_from_args(args)
     battery = run_appendix_battery(space, args.samples, args.seed)
     extra = run_backend_invariants(space, args.samples, args.seed)
     report = SuiteReport(
         battery.space, battery.seed, battery.sample_count, battery.records + extra
     )
-    out_path = Path(args.out or "suite_report.json")
     out_path.write_text(json.dumps(report.to_json(), indent=2, allow_nan=False))
     for rec in report.records:
         status = "pass" if rec.passed else "FAIL"

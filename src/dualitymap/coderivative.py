@@ -25,16 +25,15 @@ scaling (1 + s t)(x, x*).  The catalog's scaling curves (every model) and
 bump curves (``lp``, ``L1``, thm46's included) are of this form, and the
 ``c01`` shifts are a subclass that rounds its dual weights its own way
 (``witnesses``).  ``estimate_limit`` samples such a curve in batches with
-one element per row, consecutive blocks of t of at most ``_BLOCK_BYTES`` of
-array rows within a checkpoint (a ``c01`` batch is one block a checkpoint):
-each ``Space`` method takes a batch as it takes one element and returns one
-value per row, and each block passes the checks of the per-t path.  The
-batched floats are bitwise those of the per-t path, which stops at the
-same t: sums reduce along each row, an ``lp`` pairing runs the
-``np.dot`` kernel on each row (``np.vecdot``) and the l_p root stays one
-scalar power per row (a matrix product or an array power rounds
-differently), a scaling curve evaluates as (1 + s t) x, never as
-x + t (s x), and ``c01`` rows follow the rules in the ``c01`` docstring.
+one element per row, one batch a checkpoint: each ``Space`` method takes a
+batch as it takes one element and returns one value per row, and each
+batch passes the checks of the per-t path.  The batched floats are bitwise
+those of the per-t path, which stops at the same t: sums reduce along each
+row, an ``lp`` pairing runs the ``np.dot`` kernel on each row
+(``np.vecdot``) and the l_p root stays one scalar power per row (a matrix
+product or an array power rounds differently), a scaling curve evaluates
+as (1 + s t) x, never as x + t (s x), and ``c01`` rows follow the rules in
+the ``c01`` docstring.
 Generator-only curves are sampled one t at a time.
 """
 
@@ -82,14 +81,6 @@ MAX_STEPS = 100
 # fell from 2.1e-7 at 24 samples to 1.7e-12 at 8 (n <= 16) and from 9.9e-9 to
 # 2.0e-11 (n = 1024), where 37 of 40 cor48 probe rows had failed to certify.
 _CHECKPOINT = 8
-# Bytes of one block of array rows that ``estimate_limit`` samples at once,
-# within a checkpoint.  Each temporary of a block stays under glibc's default
-# 128 KiB mmap threshold, so it comes from the heap; a (24, 1024) float batch
-# is 192 KiB, whose temporaries glibc maps and unmaps on every certificate
-# (about 200 page faults each time).  96 KiB (12 rows at n = 1024) certified the
-# lp and L1 rows of the n = 1024 benchmark deck fastest of blocks of 32, 64,
-# 96 and 128 KiB, each size timed in its own process over 24 samples a curve.
-_BLOCK_BYTES = 96 * 1024
 
 
 def _floor(size):
@@ -353,8 +344,8 @@ class ProbeCurve:
 
     A curve given by an ``affine`` form and no generator gets
     ``affine.at`` as its generator; ``estimate_limit`` samples a curve with
-    an affine form from the form, in blocks of t, and ``at`` from the
-    generator.
+    an affine form from the form, one batch a checkpoint, and ``at`` from
+    the generator.
     """
 
     curve_id: str
@@ -507,9 +498,9 @@ def _sample(query: CoderivativeQuery, u, u_star, membership_tol: float) -> tuple
 
     A batch runs each check on all rows in turn; where rows fail different
     checks, the first check in that order is reported, not the first
-    failing t.  ``estimate_limit`` hands it blocks of t in order, so of a
-    curve whose rows fail in more than one block, the first such block's
-    report is raised.
+    failing t.  ``estimate_limit`` hands it one checkpoint at a time, in
+    order, so of a curve whose rows fail in more than one checkpoint, the
+    first such checkpoint's report is raised.
     """
     if not _all(query.space.is_member(u, u_star, membership_tol)):
         raise ValueError("probe curve produced a pair outside gph J")
@@ -549,13 +540,10 @@ def estimate_limit(
     curve's validity window is shrunk to half the window and flagged; the
     shrunk schedule passes the checks of ``Schedule`` again, so a last t that
     underflows to 0 is reported as such.  A curve with an affine form is
-    sampled in blocks of t within each checkpoint, each at most
-    ``_BLOCK_BYTES`` of array rows (one row where a row is larger; a ``c01``
-    batch is one block), in order, so a failing pair is reported by the
-    first block that holds one, as ``_sample`` reports it, and the t sampled
-    do not depend on the block size.  A quotient that is not finite raises
-    ``ValueError``, without a numpy warning for the curve or the quotient
-    that overflowed on the way.  A tail of finite quotients whose sum
+    sampled one batch a checkpoint, so a failing pair is reported by the
+    first checkpoint that holds one, as ``_sample`` reports it.  A quotient
+    that is not finite raises ``ValueError``, without a numpy warning for
+    the curve or the quotient that overflowed on the way.  A tail of finite quotients whose sum
     overflows is averaged term by term and kept between its least and
     greatest quotient, so the limit is finite, and every other limit keeps
     the bits of the plain mean.
@@ -570,8 +558,6 @@ def estimate_limit(
     if affine is not None:
         curve._check_window(min(ts))  # every t lies between these two
         curve._check_window(max(ts))
-        x = affine.base.point
-        rows = max(1, _BLOCK_BYTES // (8 * x.size)) if isinstance(x, np.ndarray) else _CHECKPOINT
     qs, dists = [], []
     # once per estimate: a curve or a pairing of the quotient past the float
     # range comes out inf or NaN, which the checks and the tests below refuse
@@ -579,11 +565,10 @@ def estimate_limit(
         for start in range(0, len(ts), _CHECKPOINT):
             stop = min(start + _CHECKPOINT, len(ts))
             if affine is not None:
-                for k in range(start, stop, rows):
-                    u, u_star = affine.rows(np.array(ts[k:min(k + rows, stop)]))
-                    q, dist = _sample(query, space.check_rows(u), space.check_dual_rows(u_star), membership_tol)
-                    qs += q.tolist()
-                    dists += dist.tolist()
+                u, u_star = affine.rows(np.array(ts[start:stop]))
+                q, dist = _sample(query, space.check_rows(u), space.check_dual_rows(u_star), membership_tol)
+                qs += q.tolist()
+                dists += dist.tolist()
             else:
                 for t in ts[start:stop]:
                     pair = curve.at(t)

@@ -1,4 +1,4 @@
-"""Affine probe curves sampled in blocks of t: bitwise the per-t samples, same checks."""
+"""Affine probe curves sampled one batch a checkpoint: bitwise the per-t samples, same checks."""
 
 from dataclasses import dataclass
 
@@ -22,7 +22,7 @@ from dualitymap import (
     estimate_limit,
 )
 from dualitymap import c01, serialize
-from dualitymap.coderivative import _BLOCK_BYTES, _CHECKPOINT, default_schedule
+from dualitymap.coderivative import _CHECKPOINT, default_schedule
 from dualitymap.witnesses import _ShiftForm
 from test_c01_kernels import ref_measure_scale, ref_measure_sub, ref_pairing, ref_pwl_sub, ref_tv_norm
 from witness_draws import CLOSED_FORM_DRAWS, draw_cor57, draw_thm31, stable_seed
@@ -78,29 +78,24 @@ def test_every_catalog_theorem_has_a_draw():
     assert sorted(DRAWS) == sorted(THEOREM_IDS)
 
 
-def _spy_blocks(monkeypatch) -> list:
-    """The batches each space's ``check_rows`` is handed, as (rows, bytes of an array batch or None)."""
+def _spy_batches(monkeypatch) -> list:
+    """The row count of each batch a space's ``check_rows`` is handed."""
     seen = []
     for cls in (LpSpace, FiniteMeasureSpace, C01Space):
         def spy(self, x, check_rows=cls.check_rows):
-            array = isinstance(x, np.ndarray)
-            seen.append((len(x) if array else x.values.shape[0], x.nbytes if array else None))
+            seen.append(len(x) if isinstance(x, np.ndarray) else x.values.shape[0])
             return check_rows(self, x)
 
         monkeypatch.setattr(cls, "check_rows", spy)
     return seen
 
 
-# one row of this many floats is past _BLOCK_BYTES, so each block holds one row
-ONE_ROW = _BLOCK_BYTES // 8 + 1
-
-
 @pytest.mark.parametrize("theorem", sorted(DRAWS))
 def test_batched_certificates_are_bitwise_per_t(theorem, monkeypatch):
     rng = np.random.default_rng(stable_seed(theorem) + 7)
-    sizes = [None] * 6 + [1024] * 2 + [ONE_ROW]
+    sizes = [None] * 6 + [1024] * 2 + [12289]
     kinds = set()
-    blocks = _spy_blocks(monkeypatch)
+    batches = _spy_batches(monkeypatch)
     for n in sizes:
         space, params, _ = DRAWS[theorem](rng, n)
         witness = build_witness(space, theorem, params)
@@ -110,22 +105,15 @@ def test_batched_certificates_are_bitwise_per_t(theorem, monkeypatch):
             kinds.add((space.p == 2.0, bool(np.any(params["x"]))))
         t0 = min(0.25, curve.t_max / 2.0)
         for schedule in (None, Schedule(t0 / 3.0, 0.7, 40)):
-            blocks.clear()
+            batches.clear()
             batched = _outcome(witness, _batched_only(curve), schedule)
             assert batched[0] != "ValueError", batched
             # the samples stop at the end of a checkpoint of 8 t, or at the
-            # schedule's last t; within a checkpoint, array rows come in blocks
-            # of at most _BLOCK_BYTES, or of one row where one row is past it,
-            # and a c01 batch is one block a checkpoint
-            steps, point = len(batched[0]), curve.affine.base.point
+            # schedule's last t; each checkpoint is one batch, on every backend
+            # and at every size
+            steps = len(batched[0])
             assert steps % _CHECKPOINT == 0 or steps == (schedule or default_schedule(curve.t_max)).steps
-            per = max(1, _BLOCK_BYTES // (8 * point.size)) if isinstance(point, np.ndarray) else _CHECKPOINT
-            checkpoints = [(k, min(k + _CHECKPOINT, steps)) for k in range(0, steps, _CHECKPOINT)]
-            expected = [min(per, stop - k) for start, stop in checkpoints for k in range(start, stop, per)]
-            assert [rows for rows, _ in blocks] == expected
-            assert all(rows == 1 or size is None or size <= _BLOCK_BYTES for rows, size in blocks)
-            if n == 1024 and isinstance(point, np.ndarray):
-                assert len(blocks) == len(checkpoints)  # 12 rows a block: one block a checkpoint
+            assert batches == [min(_CHECKPOINT, steps - k) for k in range(0, steps, _CHECKPOINT)]
             assert batched == _outcome(witness, _generator_only(curve), schedule)
             if ":shift[" in curve.curve_id:
                 assert batched == _outcome(witness, _reference_shift(curve), schedule)
@@ -206,7 +194,7 @@ class _OffBelow(AffineForm):
 
 @pytest.mark.parametrize("make_query", [_lp_query, _l1_query])
 def test_batched_path_keeps_every_check(make_query):
-    # n = 4096: three rows a block, so a checkpoint of 8 steps takes three blocks
+    # n = 4096: a checkpoint of 8 rows is one batch of 256 KiB
     for n in (2, 4096):
         _both_paths_refuse_alike(make_query, n)
 
@@ -234,7 +222,7 @@ def _both_paths_refuse_alike(make_query, n: int):
         _both_raise(query, curve(t_max=4.0, tangent=e0, dual_tangent=big), "finite", early)
     # (1 + t) x paired with the base dual x*: off the graph
     _both_raise(query, curve(tangent=base.point, dual_tangent=np.zeros(n)), "outside gph J")
-    # off the graph at the last t of the first checkpoint alone, in its last block
+    # off the graph at the last t of the first checkpoint alone, its last row
     last = 0.25 * 0.5 ** (_CHECKPOINT - 1)
     off_last = _OffBelow(space, base, tangent=e0, below=1.5 * last)
     _both_raise(query, ProbeCurve("late", t_max=0.5, affine=off_last), "outside gph J")

@@ -280,6 +280,23 @@ def test_run_refuses_an_empty_out(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("command, work", [
+    (["run", "scenario.json"], "certify_nonmembership"),
+    (["suite", "--space", "lp", "--p", "2", "--samples", "5"], "run_appendix_battery"),
+], ids=["run", "suite"])
+def test_an_empty_out_option_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, work):
+    # used to be read as no option: run wrote scenario.certificates.json beside
+    # its file, suite wrote suite_report.json in the working directory, both exit 0
+    calls, call = [], getattr(cli, work)
+    monkeypatch.setattr(cli, work, lambda *args: calls.append(args) or call(*args))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.json").write_text(json.dumps([_THM31]))
+    assert main([*command, "--out", ""]) == 2
+    assert "--out must be a nonempty path, got ''" in capsys.readouterr().err
+    assert calls == []
+    assert [f.name for f in tmp_path.iterdir()] == ["scenario.json"]
+
+
 def test_run_names_an_unknown_theorem_without_quotes(tmp_path, capsys):
     # used to print "error: 'unknown theorem id: thm99'", the repr of the KeyError's message
     path = tmp_path / "unknown.json"
