@@ -4,8 +4,10 @@ Three subcommands, JSON in and JSON out everywhere:
 
 * ``eval``  -- print J(element) for one element of one space (for the
   set-valued backends: the classification plus a canonical selection);
-* ``run``   -- execute a scenario file of witness requests, write one
-  non-membership certificate per scenario, print a summary table;
+* ``run``   -- read a scenario file of witness requests, building and
+  checking every scenario before the first certificate (a refusal names
+  ``scenarios[i]``), then write one non-membership certificate per
+  scenario and print a summary table;
 * ``suite`` -- run the appendix property battery plus backend invariants
   and write the report.
 
@@ -94,7 +96,13 @@ def _out_option(args):
 
 
 def _load_scenarios(path: Path):
-    """Scenarios, the file's ``Tolerances`` and its output path, all checked before any certificate is made."""
+    """The file's scenarios, each built into a (witness, schedule, echo) triple, its ``Tolerances`` and its output path.
+
+    Every check is made here, before any certificate: the file's fields,
+    then each scenario's fields, space, theorem, params, schedule and
+    hypotheses, a refusal naming its scenario ``scenarios[i]``.  The echo is
+    the scenario as given, ``schedule`` included when it has one.
+    """
     data = json.loads(path.read_text())
     if isinstance(data, list):
         data = {"scenarios": data}
@@ -108,33 +116,36 @@ def _load_scenarios(path: Path):
     out = data.get("out")
     if out is not None and not (isinstance(out, str) and out):  # "" names no file
         raise ValueError(f"a scenario file's out must be a string path, got {out!r}")
-    return scenarios, Tolerances(**given), out
+    tolerances, built = Tolerances(**given), []
+    for i, scenario in enumerate(scenarios):
+        try:
+            scenario = serialize._Fields(scenario, "a scenario", _SCENARIO)
+            space, theorem = serialize.space_from_descriptor(scenario["space"]), scenario["theorem"]
+            witness = build_witness(space, theorem, scenario.get("params", {}))
+            given = scenario.get("schedule")  # absent, null or {}: the default schedule of the curve
+            given = {} if given is None else serialize._Fields(given, "a schedule", _SCHEDULE)
+            echo = {"theorem": theorem, "space": scenario["space"], "params": scenario.get("params", {})}
+            if "schedule" in scenario:  # as given, so the record replays from its echo
+                echo["schedule"] = scenario["schedule"]
+            built.append((witness, Schedule(**given) if given else None, echo))
+        except (KeyError, ValueError, TypeError) as exc:
+            # str() of a KeyError is the repr of its key, quotes included
+            raise ValueError(f"scenarios[{i}]: {exc.args[0] if isinstance(exc, KeyError) else exc}") from exc
+    return built, tolerances, out
 
 
 def cmd_run(args) -> int:
     out = _out_option(args)
     path = Path(args.scenario_file)
     scenarios, tolerances, file_out = _load_scenarios(path)
-
-    records = []
-    for scenario in scenarios:
-        scenario = serialize._Fields(scenario, "a scenario", _SCENARIO)
-        space = serialize.space_from_descriptor(scenario["space"])
-        theorem = scenario["theorem"]
-        witness = build_witness(space, theorem, scenario.get("params", {}))
-        given = scenario.get("schedule")  # absent, null or {}: the default schedule of the curve
-        given = {} if given is None else serialize._Fields(given, "a schedule", _SCHEDULE)
-        schedule = Schedule(**given) if given else None
-        cert = certify_nonmembership(witness.query, witness.curve, witness.claimed_bound, schedule, tolerances)
-        echo = {
-            "theorem": theorem,
-            "space": scenario["space"],
-            "params": scenario.get("params", {}),
-        }
-        records.append(serialize.certificate_to_json(cert, echo))
+    records = [
+        serialize.certificate_to_json(certify_nonmembership(w.query, w.curve, w.claimed_bound, schedule, tolerances), echo)
+        for w, schedule, echo in scenarios
+    ]
 
     out_path = Path(out or file_out or path.with_suffix(".certificates.json"))
-    out_path.write_text(json.dumps(records, indent=2, allow_nan=False))
+    with out_path.open("w") as fh:  # written only once every certificate is made
+        json.dump(records, fh, indent=2, allow_nan=False)
 
     print(f"{'theorem':<14}{'bound':>14}{'limit':>18}  verdict")
     for r in records:
@@ -199,9 +210,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KeyError, ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
-        # str() of a KeyError is the repr of its key, quotes included
-        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+    except (ValueError, OSError, TypeError) as exc:  # a json.JSONDecodeError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -283,18 +283,24 @@ def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 def _resolve_measure(params: dict, f: c01.PwlFunction, norm: float) -> c01.RcaMeasure:
     """mu for J(f), f != 0 of sup norm ``norm``: explicit params, a selection spec, or canonical.
 
-    A selection spec is a plateau (``type`` "plateau", ``a``, ``b``) or
-    atoms (``points``, optional ``alphas``; any other ``type``).
+    ``mu`` and ``selection`` name one measure two ways, so params that give
+    both (neither null) are refused.  A selection spec is a plateau
+    (``type`` "plateau", ``a``, ``b``) or atoms (``points``, optional
+    ``alphas``; no ``type`` or any other string).
 
     Its membership is tested once, with the base pair (``_query_at``).
     """
-    if params.get("mu") is not None:
-        return serialize.measure_from_json(params["mu"])
-    sel = params.get("selection")
+    mu, sel = params.get("mu"), params.get("selection")
+    if mu is not None and sel is not None:
+        raise ValueError("params give both mu and selection; a measure is named by one of them")
+    if mu is not None:
+        return serialize.measure_from_json(mu)
     if sel is not None:
-        plateau = isinstance(sel, dict) and sel.get("type") == "plateau"
-        sel = serialize._Fields(sel, "selection", ("type", "a", "b") if plateau else ("type", "points", "alphas"))
-        if plateau:
+        kind = sel.get("type", "") if isinstance(sel, dict) else ""
+        if not isinstance(kind, str):
+            raise ValueError(f"selection type must be a string, got {kind!r}")
+        sel = serialize._Fields(sel, "selection", ("type", "a", "b") if kind == "plateau" else ("type", "points", "alphas"))
+        if kind == "plateau":
             return c01._plateau_measure(f, norm, sel.number("a"), sel.number("b"))
         alphas = None if sel.get("alphas") is None else sel.numbers("alphas")
         return c01._atomic_measure(f, c01._maximizing_set(f, norm), sel.numbers("points"), alphas)

@@ -216,7 +216,11 @@ def test_run_takes_a_schedule(tmp_path):
     ):
         path.write_text(json.dumps({"scenarios": [{**row, "schedule": schedule}]}))
         assert main(["run", str(path), "--out", str(out)]) == code
-        assert json.loads(out.read_text())[0]["t"] == ts
+        record = json.loads(out.read_text())[0]
+        assert record["t"] == ts
+        # the echo carries the schedule as given, so the record replays from it
+        echo = {"theorem": row["theorem"], "space": row["space"], "params": row["params"], "schedule": schedule}
+        assert list(record["scenario"].items()) == list(echo.items())
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -302,7 +306,21 @@ def test_run_names_an_unknown_theorem_without_quotes(tmp_path, capsys):
     path = tmp_path / "unknown.json"
     path.write_text(json.dumps([{**_THM31, "theorem": "thm99"}]))
     assert main(["run", str(path), "--out", str(tmp_path / "out.json")]) == 2
-    assert capsys.readouterr().err == "error: unknown theorem id: thm99\n"
+    assert capsys.readouterr().err == "error: scenarios[0]: unknown theorem id: thm99\n"
+
+
+def test_run_checks_every_scenario_before_the_first_certificate(tmp_path, capsys, monkeypatch):
+    # used to certify the 15 fixture rows, then exit 2 with "hypothesis violated: a != 1", naming no scenario
+    calls, certify = [], cli.certify_nonmembership
+    monkeypatch.setattr(cli, "certify_nonmembership", lambda *args: calls.append(args) or certify(*args))
+    data = json.loads((FIXTURES / "all.json").read_text())
+    data["scenarios"].append({"space": {"space": "lp", "p": 2.0}, "theorem": "thm33", "params": {"x": [1.0, 0.0], "a": 1.0}})
+    path, out = tmp_path / "sixteen.json", tmp_path / "out.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: scenarios[15]: hypothesis violated: a != 1\n"
+    assert calls == []
+    assert not out.exists()
 
 
 def test_run_inconclusive_exit_code(tmp_path):
@@ -399,9 +417,17 @@ def test_eval_output_reparses_to_equal_value(capsys):
          "params has no field 'alpha'; its fields are f, u, points, alphas"),
         ({"space": {"space": "c01"}, "theorem": "thm54", "params": {"f": "tent", "lambda": {"atom": [[0.5, 1.0]]}}},
          "a measure has no field 'atom'; its fields are atoms, density"),
+        # the selection used to be ignored, though echoed: 0.9 is not in M(f), and this certified
+        ({"space": {"space": "c01"}, "theorem": "thm53",
+          "params": {"f": "tent", "mu": {"atoms": [[0.5, 1.0]]}, "selection": {"points": [0.9]}}},
+         "scenarios[0]: params give both mu and selection"),
+        # a type other than "plateau" used to go unread: 5 certified, NaN failed the dump after every certificate
+        ({"space": {"space": "c01"}, "theorem": "thm53", "params": {"f": "tent", "selection": {"type": 5, "points": [0.5]}}},
+         "scenarios[0]: selection type must be a string, got 5"),
     ],
     ids=["params-number", "params-string", "thm46-empty", "lambda-number", "selection-number", "plateau-no-a",
-         "mu-outside-J", "cor48-e-B", "thm53-selecton", "thm56-alpha", "measure-atom"],
+         "mu-outside-J", "cor48-e-B", "thm53-selecton", "thm56-alpha", "measure-atom", "mu-and-selection",
+         "selection-type-number"],
 )
 def test_run_names_a_malformed_or_missing_param(tmp_path, capsys, scenario, message):
     path = tmp_path / "params.json"
