@@ -27,13 +27,17 @@ bump curves (``lp``, ``L1``, thm46's included) are of this form, and the
 (``witnesses``).  ``estimate_limit`` samples such a curve in batches with
 one element per row, one batch a checkpoint: each ``Space`` method takes a
 batch as it takes one element and returns one value per row, and each
-batch passes the checks of the per-t path.  The batched floats are bitwise
-those of the per-t path, which stops at the same t: sums reduce along each
-row, an ``lp`` pairing runs the ``np.dot`` kernel on each row
-(``np.vecdot``) and the l_p root stays one scalar power per row (a matrix
-product or an array power rounds differently), a scaling curve evaluates
-as (1 + s t) x, never as x + t (s x), and ``c01`` rows follow the rules in
-the ``c01`` docstring.
+batch passes the checks of the per-t path.  A checkpoint calls each method
+it needs once on its batch; each row's duality gaps, distance and quotient
+are then formed in Python floats, which round as numpy's float64 do
+(``_sample``).  ``default_schedule`` hands every window that holds t0 = 0.25
+the one ``Schedule()`` of the module, whose t are computed once, when it is
+built.  The batched floats are bitwise those of the per-t path, which
+stops at the same t: sums reduce along each row, an ``lp`` pairing runs
+the ``np.dot`` kernel on each row (``np.vecdot``) and the l_p root stays
+one scalar power per row (a matrix product or an array power rounds
+differently), a scaling curve evaluates as (1 + s t) x, never as
+x + t (s x), and ``c01`` rows follow the rules in the ``c01`` docstring.
 Generator-only curves are sampled one t at a time.
 """
 
@@ -215,8 +219,9 @@ def duality_gaps(space: Space, x, u) -> tuple:
     """|‖u‖* - ‖x‖| / max(1, ‖x‖) and |<u, x> - ‖x‖²| / max(1, ‖x‖²), per row of a batch.
 
     u is in J(x) iff both are 0; an overflow gives inf or NaN, without a warning.
-    One element takes Python-float arithmetic, which rounds as numpy does at
-    a fraction of the cost; ``max`` there drops a NaN norm, but that norm
+    One element takes Python-float arithmetic (``_gaps``, which ``_sample``
+    also applies to each sampled row), which rounds as numpy does at a
+    fraction of the cost; max(1, ·) there drops a NaN norm, but that norm
     makes both numerators NaN, so the gaps are NaN either way.
 
     Where ‖x‖² or <u, x> overflows (‖x‖ from about 1.34e154), the pair gap
@@ -225,18 +230,30 @@ def duality_gaps(space: Space, x, u) -> tuple:
     keeps its bits.
     """
     with np.errstate(all="ignore"):  # as Python float arithmetic
-        norm = space.norm(x)
-        square = norm * norm
-        norm_gap = abs(space.dual_norm(u) - norm) / _floor(norm)
-        pair_gap = abs(space.pair(u, x) - square) / _floor(square)
+        norm, dual_norm, pair = space.norm(x), space.dual_norm(u), space.pair(u, x)
         if not isinstance(norm, np.ndarray):
+            norm_gap, pair_gap = _gaps(norm, dual_norm, pair)
             if not math.isfinite(pair_gap) and 1.0 <= norm < math.inf:
                 pair_gap = _unit_pair_gap(space, x, u, 1.0 / norm)
-        elif not np.isfinite(pair_gap).all():
+            return norm_gap, pair_gap
+        square = norm * norm
+        norm_gap = abs(dual_norm - norm) / _floor(norm)
+        pair_gap = abs(pair - square) / _floor(square)
+        if not np.isfinite(pair_gap).all():
             redo = ~np.isfinite(pair_gap) & (norm >= 1.0) & (norm < math.inf)
             c = np.where(redo, 1.0 / norm, 1.0)[:, None]  # the other rows are not used
             pair_gap = np.where(redo, _unit_pair_gap(space, x, u, c), pair_gap)
     return norm_gap, pair_gap
+
+
+def _gaps(norm: float, dual_norm: float, pair: float) -> tuple:
+    """The two gaps of ``duality_gaps`` for one element, from ‖x‖, ‖u‖* and <u, x>, in Python floats.
+
+    ``a if a > 1.0 else 1.0`` is ``max(1.0, a)``, the scalar ``_floor``,
+    without a call: this runs on every sampled row.
+    """
+    square = norm * norm
+    return abs(dual_norm - norm) / (norm if norm > 1.0 else 1.0), abs(pair - square) / (square if square > 1.0 else 1.0)
 
 
 def _unit_pair_gap(space: Space, x, u, c):
@@ -377,7 +394,8 @@ class Schedule:
     t0 and ratio are finite numbers and steps an integer; a bool is neither.
     ``estimate_limit`` samples the t in order, in checkpoints of
     ``_CHECKPOINT``, and stops where the tail settles, so ``steps`` (at least
-    one checkpoint, at most ``MAX_STEPS``) caps the samples.
+    one checkpoint, at most ``MAX_STEPS``) caps the samples.  The t are
+    computed once, here, and kept as the private tuple ``_ts``.
     """
 
     t0: float = 0.25
@@ -395,8 +413,14 @@ class Schedule:
             raise ValueError(f"need at least {_CHECKPOINT} steps")
         if self.steps > MAX_STEPS:
             raise ValueError(f"at most {MAX_STEPS} steps")
-        if not self.t0 * self.ratio ** (self.steps - 1) > 0.0:
+        ts = tuple(self.t0 * self.ratio**k for k in range(self.steps))
+        if not ts[-1] > 0.0:
             raise ValueError("the last sample t0 * ratio**(steps-1) underflows to 0")
+        object.__setattr__(self, "_ts", ts)
+
+
+# The schedule of every curve whose validity window holds t0 = 0.25.
+_DEFAULT_SCHEDULE = Schedule()
 
 
 def default_schedule(t_max: float) -> Schedule:
@@ -406,15 +430,16 @@ def default_schedule(t_max: float) -> Schedule:
     shrinks so the smallest t stays near the 0.25 * 0.5**23 floor: digging
     further erodes the dual-side differences to rounding noise.  A curve
     whose tail settles is sampled on the first 8 t alone.  0.25, 0.5 and 24
-    are ``Schedule``'s defaults.
+    are ``Schedule``'s defaults, and a window that holds t0 = 0.25 gets the
+    one ``Schedule()`` of the module, built once.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
-    t0 = min(Schedule.t0, t_max / 2.0)
-    steps = Schedule.steps
-    if t0 < Schedule.t0:
-        # a difference of logs: 0.25 / t0 overflows for a subnormal t0
-        steps = max(_CHECKPOINT, Schedule.steps - math.ceil(math.log2(Schedule.t0) - math.log2(t0)))
+    t0 = t_max / 2.0
+    if t0 >= Schedule.t0:
+        return _DEFAULT_SCHEDULE
+    # a difference of logs: 0.25 / t0 overflows for a subnormal t0
+    steps = max(_CHECKPOINT, Schedule.steps - math.ceil(math.log2(Schedule.t0) - math.log2(t0)))
     return Schedule(t0=t0, steps=steps)
 
 
@@ -473,37 +498,54 @@ def _float_or_rows(values):
     return values if values.ndim else float(values)
 
 
+def _rows(values) -> list:
+    """One element's value, or a batch's values, as a list of Python floats, one per row."""
+    return values.tolist() if isinstance(values, np.ndarray) else [values]
+
+
 def _quotient(query: CoderivativeQuery, u, u_star) -> tuple:
-    """Quotient and graph distance at the checked graph pair (u, u*), or per row of a batch."""
+    """Quotients and graph distances at the checked graph pair (u, u*), or per row of a batch, as lists.
+
+    The backend methods take the batch once each; den, num and num / den are
+    formed per row in Python floats, bitwise numpy's.
+    """
     space = query.space
     du = space.sub(u, query.base.point)
     dstar = space.dual_sub(u_star, query.base.dual)
-    den = space.norm(du) + space.dual_norm(dstar)
-    if _any(den <= 0.0):
+    den = [a + b for a, b in zip(_rows(space.norm(du)), _rows(space.dual_norm(dstar)))]
+    if any(d <= 0.0 for d in den):
         raise ValueError("degenerate pair: zero distance to the base point")
-    num = space.pair(query.candidate, du)
+    num = _rows(space.pair(query.candidate, du))
     if query.second_dual is not None:
-        num = num - space.pair(dstar, query.second_dual)
-    return num / den, den
+        num = [a - b for a, b in zip(num, _rows(space.pair(dstar, query.second_dual)))]
+    return [a / b for a, b in zip(num, den)], den
 
 
 def quotient(query: CoderivativeQuery, pair: GraphPair) -> float:
     """Coderivative difference quotient of the query at one graph pair."""
     space = query.space
-    return _quotient(query, space.check(pair.point), space.check_dual(pair.dual))[0]
+    return _quotient(query, space.check(pair.point), space.check_dual(pair.dual))[0][0]
 
 
 def _sample(query: CoderivativeQuery, u, u_star, membership_tol: float) -> tuple:
     """``_quotient`` at a checked graph pair or batch, validating duality membership first.
 
-    A batch runs each check on all rows in turn; where rows fail different
-    checks, the first check in that order is reported, not the first
-    failing t.  ``estimate_limit`` hands it one checkpoint at a time, in
-    order, so of a curve whose rows fail in more than one checkpoint, the
-    first such checkpoint's report is raised.
+    ``norm``, ``dual_norm`` and ``pair`` take the batch once each, and each
+    row is tested by the one-element rule of ``duality_gaps``, in Python
+    floats.  A row whose pair gap is not finite (‖u‖² overflows) hands the
+    batch to ``is_member``, which rescales that row.  A batch runs each
+    check on all rows in turn; where rows fail different checks, the first
+    check in that order is reported, not the first failing t.
+    ``estimate_limit`` hands it one checkpoint at a time, in order, so of a
+    curve whose rows fail in more than one checkpoint, the first such
+    checkpoint's report is raised.
     """
-    if not _all(query.space.is_member(u, u_star, membership_tol)):
-        raise ValueError("probe curve produced a pair outside gph J")
+    space = query.space
+    gaps = list(map(_gaps, _rows(space.norm(u)), _rows(space.dual_norm(u_star)), _rows(space.pair(u_star, u))))
+    if not all(norm_gap <= membership_tol and pair_gap <= membership_tol for norm_gap, pair_gap in gaps):
+        # a pair gap past the float range is found again by ``is_member``, which rescales its row
+        if all(math.isfinite(pair_gap) for _, pair_gap in gaps) or not _all(space.is_member(u, u_star, membership_tol)):
+            raise ValueError("probe curve produced a pair outside gph J")
     return _quotient(query, u, u_star)
 
 
@@ -553,29 +595,30 @@ def estimate_limit(
     shrunk = sch.t0 > curve.t_max
     if shrunk:
         sch = Schedule(curve.t_max / 2.0, sch.ratio, sch.steps)
-    ts = [sch.t0 * sch.ratio**k for k in range(sch.steps)]
+    ts = sch._ts
     space, affine = query.space, curve.affine
     if affine is not None:
-        curve._check_window(min(ts))  # every t lies between these two
-        curve._check_window(max(ts))
+        curve._check_window(ts[0])  # every t lies between the first and the last
+        curve._check_window(ts[-1])
     qs, dists = [], []
     # once per estimate: a curve or a pairing of the quotient past the float
     # range comes out inf or NaN, which the checks and the tests below refuse
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(ts), _CHECKPOINT):
-            stop = min(start + _CHECKPOINT, len(ts))
+            checkpoint = ts[start:start + _CHECKPOINT]
             if affine is not None:
-                u, u_star = affine.rows(np.array(ts[start:stop]))
+                u, u_star = affine.rows(np.array(checkpoint))
                 q, dist = _sample(query, space.check_rows(u), space.check_dual_rows(u_star), membership_tol)
-                qs += q.tolist()
-                dists += dist.tolist()
+                qs += q
+                dists += dist
             else:
-                for t in ts[start:stop]:
+                for t in checkpoint:
                     pair = curve.at(t)
                     q, dist = _sample(query, space.check(pair.point), space.check_dual(pair.dual), membership_tol)
-                    qs.append(q)
-                    dists.append(dist)
-            if dists[-1] < dists[-2] and _tail_estimate(qs, settle_tol)[1]:
+                    qs += q
+                    dists += dist
+            limit, settled = _tail_estimate(qs, settle_tol)
+            if dists[-1] < dists[-2] and settled:
                 break
     if dists[-1] >= dists[-2]:
         raise ValueError(
@@ -583,8 +626,7 @@ def estimate_limit(
         )
     if not all(map(math.isfinite, qs)):
         raise ValueError(f"curve {curve.curve_id} gives a difference quotient that is not finite")
-    limit, settled = _tail_estimate(qs, settle_tol)
-    return LimitEstimate(tuple(ts[:len(qs)]), tuple(qs), limit, settled, settle_tol, shrunk)
+    return LimitEstimate(ts[:len(qs)], tuple(qs), limit, settled, settle_tol, shrunk)
 
 
 def _verdict(estimate: LimitEstimate, claimed_bound: float | None, cert_tol: float) -> str:

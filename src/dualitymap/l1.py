@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coderivative import Space, _float_or_rows, _indices
+from .coderivative import Space, _any, _float_or_rows, _indices
 
 _MAX = sys.float_info.max
 
@@ -45,7 +45,7 @@ class FiniteMeasureSpace(Space):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a one-dimensional list with n >= 1")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        if not np.isfinite(w).all() or (w <= 0.0).any():
             raise ValueError("all weights must be strictly positive and finite")
         object.__setattr__(self, "weights", w)
         # |f_i| cut at _cut[i] gives a term of at most MAX / 2n, and n of them sum below MAX
@@ -180,16 +180,15 @@ def duality_selection(f, space: FiniteMeasureSpace, a=()) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     f = space.check_rows(f) if f.ndim == 2 else space.check(f)
     norm = space.norm(f)
-    if np.any(norm == 0.0):
+    if _any(norm == 0.0):
         raise ValueError("f = 0 is degenerate here: J(0) = {0*}, use zero_selection")
     a = np.asarray(a, dtype=float)
     zero = f == 0.0
     counts = np.count_nonzero(zero, axis=-1)
-    if a.size != np.sum(counts):
-        raise ValueError(
-            f"free parameter has {a.size} values but the zero set has {np.sum(counts)} points"
-        )
-    if np.any(np.abs(a) > np.repeat(norm, counts)):
+    total = counts.sum()
+    if a.size != total:
+        raise ValueError(f"free parameter has {a.size} values but the zero set has {total} points")
+    if (np.abs(a) > np.repeat(norm, counts)).any():
         raise ValueError("free values must satisfy |a(s)| <= ||f||_1")
     g = space.canonical_dual(f)
     g[zero] = a

@@ -41,9 +41,17 @@ _MAX = sys.float_info.max
 
 
 def _check_exponent(p: float) -> float:
+    """p as a float, refused unless 1 < p < inf and its conjugate p / (p - 1) is above 1.
+
+    The conjugate rounds to 1 from about p = 2**53 (9.007e15) on, where
+    the dual l_q would be l_1, which this model does not hold; 2**52 still
+    gives q > 1.
+    """
     p = float(p)
     if not np.isfinite(p) or p <= 1.0:
         raise ValueError(f"exponent must satisfy 1 < p < inf, got {p}")
+    if p / (p - 1.0) == 1.0:
+        raise ValueError(f"exponent p = {p} is too large: its conjugate p / (p - 1) rounds to 1")
     return p
 
 

@@ -638,3 +638,19 @@ def test_a_suite_whose_squared_norms_overflow_exits_2(tmp_path, capsys):
     code = main(["suite", "--space", "l1", "--weights", "[1e300]", "--samples", "5", "--out", str(out)])
     assert code == 2 and not out.exists()
     assert "squared norm" in capsys.readouterr().err
+
+
+def test_an_exponent_whose_conjugate_rounds_to_1_exits_2_naming_it(tmp_path, capsys):
+    # at p = 1e17, p / (p - 1) rounds to 1: suite exited 2 naming p = 1.0, an
+    # exponent never given, and eval exited 0
+    message = "exponent p = 1e+17 is too large: its conjugate p / (p - 1) rounds to 1"
+    out = tmp_path / "report.json"
+    assert main(["suite", "--space", "lp", "--p", "1e17", "--samples", "3", "--seed", "1", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err and not out.exists()
+    assert main(["eval", "--space", "lp", "--p", "1e17", "--vector", "[1, 2]"]) == 2
+    assert message in capsys.readouterr().err
+    scenario = {"space": {"space": "lp", "p": 1e17}, "theorem": "thm32", "params": {"x": [1.0, 2.0], "y": [1.0, 1.0]}}
+    code, certificates = _run_one(tmp_path, scenario)
+    assert code == 2 and not certificates.exists()
+    assert message in capsys.readouterr().err
+    assert main(["eval", "--space", "lp", "--p", str(2.0**52), "--vector", "[1, 2]"]) == 0

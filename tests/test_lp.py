@@ -217,14 +217,45 @@ def test_check_rows_refuses_a_stack_of_empty_vectors():
         sp.check_rows(np.zeros((3, 0)))
 
 
-@pytest.mark.parametrize("p", [8e15, 2.0**62, 1e300])
+@pytest.mark.parametrize("p", [8e15, 2.0**52, 9e15])
 def test_norm_and_map_at_an_exponent_past_2_51(p):
     # past p = 2**51 the rounded cut (MAX / 2n)**(1/p) of the sum of powers
     # hid the cut terms: ||(1, 2)||_p came out 1.0 at p = 1e300, and at 8e15
-    # the sum of the cut powers overflowed
+    # the sum of the cut powers overflowed; 9e15 is about the largest p
+    # whose conjugate is above 1
     space = LpSpace(p)
     assert space.norm(np.array([1.0, 2.0])) == 2.0
     x = np.array([3e300, -1e300, 2e300])
     assert space.norm(x) == 3e300
     assert space.duality(x).tolist() == [3e300, 0.0, 0.0]
     assert space.norm(np.stack([x, x / 3e300])).tolist() == [3e300, 1.0]
+
+
+@pytest.mark.parametrize("p", [9.1e15, 1e16, 2.0**62, 1e300])
+def test_an_exponent_whose_conjugate_rounds_to_1_is_refused_by_name(p):
+    # p / (p - 1) rounds to 1.0: LpSpace(q) used to refuse "p = 1.0", an
+    # exponent the caller never gave
+    message = f"exponent p = {p} is too large: its conjugate p / (p - 1) rounds to 1"
+    for call in (LpSpace, conjugate_exponent, lambda p: lp_norm([1.0, 2.0], p)):
+        with pytest.raises(ValueError) as refused:
+            call(p)
+        assert str(refused.value) == message
+
+
+def test_an_exponent_of_2_52_is_accepted_on_the_lowered_cut(monkeypatch):
+    from dualitymap import lp
+
+    lowered, calls = lp._lowered_cut, []
+
+    def spy(*args):
+        calls.append(args)
+        return lowered(*args)
+
+    monkeypatch.setattr(lp, "_lowered_cut", spy)
+    space = LpSpace(2.0**52)
+    assert space.q > 1.0
+    assert space.norm(np.array([1.0, 2.0])) == 2.0
+    assert calls
+    # at this p and n = 1 the first cut's power, cut**p, overflows and the cut is lowered
+    space = LpSpace(6687585228801598.0)
+    assert space.norm(np.array([3e300])) == 3e300 and space.norm(np.array([-2.0])) == 2.0
