@@ -18,6 +18,13 @@ geometric schedule, in checkpoints of ``_CHECKPOINT`` t and only until its
 tail settles, estimate the tail limit, and certify when the tail is settled,
 positive, and at or above a claimed closed-form bound.
 
+A ``CoderivativeQuery`` checks each of its values with the space's
+``check`` / ``check_dual`` and tests once that its base pair is in gph J
+(``_admit``); a catalog builder, whose values are checked already, hands
+them with the norm ‖x‖ it computed to ``CoderivativeQuery._of_checked``,
+which runs that test alone, on the formula of ``duality_gaps``
+(``_element_gaps``).
+
 A curve affine in t can carry its data as an ``AffineForm``: the base pair
 (x, x*), a point tangent d and a dual tangent d*, with u_t = x + t d and
 u_t* = x* + t d*, or u_t* = canonical_dual(u_t) when d* is None; or the
@@ -46,6 +53,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import reduce
+from operator import add
 from typing import Callable, Protocol
 
 import numpy as np
@@ -230,12 +239,10 @@ def duality_gaps(space: Space, x, u) -> tuple:
     keeps its bits.
     """
     with np.errstate(all="ignore"):  # as Python float arithmetic
-        norm, dual_norm, pair = space.norm(x), space.dual_norm(u), space.pair(u, x)
+        norm = space.norm(x)
         if not isinstance(norm, np.ndarray):
-            norm_gap, pair_gap = _gaps(norm, dual_norm, pair)
-            if not math.isfinite(pair_gap) and 1.0 <= norm < math.inf:
-                pair_gap = _unit_pair_gap(space, x, u, 1.0 / norm)
-            return norm_gap, pair_gap
+            return _element_gaps(space, x, u, norm)
+        dual_norm, pair = space.dual_norm(u), space.pair(u, x)
         square = norm * norm
         norm_gap = abs(dual_norm - norm) / _floor(norm)
         pair_gap = abs(pair - square) / _floor(square)
@@ -243,6 +250,15 @@ def duality_gaps(space: Space, x, u) -> tuple:
             redo = ~np.isfinite(pair_gap) & (norm >= 1.0) & (norm < math.inf)
             c = np.where(redo, 1.0 / norm, 1.0)[:, None]  # the other rows are not used
             pair_gap = np.where(redo, _unit_pair_gap(space, x, u, c), pair_gap)
+    return norm_gap, pair_gap
+
+
+def _element_gaps(space: Space, x, u, norm: float) -> tuple:
+    """``duality_gaps`` of one element (x, u), given ‖x‖ = ``norm``: ``_gaps``, and a pair gap past the float range found again."""
+    with np.errstate(all="ignore"):  # as Python float arithmetic
+        norm_gap, pair_gap = _gaps(norm, space.dual_norm(u), space.pair(u, x))
+        if not math.isfinite(pair_gap) and 1.0 <= norm < math.inf:
+            pair_gap = _unit_pair_gap(space, x, u, 1.0 / norm)
     return norm_gap, pair_gap
 
 
@@ -281,7 +297,11 @@ class CoderivativeQuery:
     element embedded by integration, which ``space.in_second_dual_domain``
     restricts to the positive cone where the space is not reflexive.  Every
     value passes the space's ``check``/``check_dual`` once, here, and the
-    checked values are the ones stored.
+    checked values are the ones stored; then ``_admit`` tests that the base
+    pair is in gph J and that y** is in the second-dual domain.  A catalog
+    builder (``witnesses``), which has checked its values already, hands
+    them with the norm ‖x‖ it computed to ``_of_checked``, which runs
+    ``_admit`` alone.
     """
 
     space: Space
@@ -290,17 +310,24 @@ class CoderivativeQuery:
     second_dual: object = None
 
     def __post_init__(self):
-        space = self.space
+        space, second_dual = self.space, self.second_dual
         base = GraphPair(space.check(self.base.point), space.check_dual(self.base.dual))
-        if not space.is_member(base.point, base.dual):
+        candidate = space.check_dual(self.candidate)
+        self._admit(space, base, candidate, None if second_dual is None else space.check(second_dual), space.norm(base.point))
+
+    @classmethod
+    def _of_checked(cls, space: Space, base: GraphPair, candidate, second_dual, norm: float) -> CoderivativeQuery:
+        """The query of values that passed ``check`` / ``check_dual``, with ‖x‖ = ``norm``; only ``_admit`` tests them."""
+        return object.__new__(cls)._admit(space, base, candidate, second_dual, norm)
+
+    def _admit(self, space: Space, base: GraphPair, candidate, second_dual, norm: float) -> CoderivativeQuery:
+        """This query, holding the checked values once (x, x*) passes the test of ``is_member`` (given ‖x‖ = ``norm``) and y** the domain test."""
+        if not all(gap <= MEMBERSHIP_TOL for gap in _element_gaps(space, base.point, base.dual, norm)):
             raise _OffGraph("base dual element fails the duality membership test")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "candidate", space.check_dual(self.candidate))
-        if self.second_dual is not None:
-            embedded = space.check(self.second_dual)
-            object.__setattr__(self, "second_dual", embedded)
-            if not space.in_second_dual_domain(embedded):
-                raise ValueError("second-dual argument is not representable in this model")
+        if second_dual is not None and not space.in_second_dual_domain(second_dual):
+            raise ValueError("second-dual argument is not representable in this model")
+        vars(self).update(space=space, base=base, candidate=candidate, second_dual=second_dual)
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -553,11 +580,11 @@ def _tail_estimate(quotients, settle_tol: float) -> tuple:
     """Mean of the last ``_TAIL`` quotients, and whether their spread is <= settle_tol."""
     tail = quotients[-_TAIL:]
     # np.mean, bitwise: numpy sums fewer than 8 terms left to right from +0.0
-    # (so three -0.0 give +0.0)
-    limit = sum(tail, 0.0) / len(tail)
+    # (so three -0.0 give +0.0); ``sum`` of floats compensates its rounding from Python 3.12 on
+    limit = reduce(add, tail, 0.0) / len(tail)
     if not math.isfinite(limit) and all(map(math.isfinite, tail)):  # the sum overflowed
         # term by term, kept in the tail's range: three rounded MAX / 3 add up past MAX
-        limit = min(max(sum([q / len(tail) for q in tail], 0.0), min(tail)), max(tail))
+        limit = min(max(reduce(add, [q / len(tail) for q in tail], 0.0), min(tail)), max(tail))
     return float(limit), (max(tail) - min(tail)) <= settle_tol
 
 

@@ -122,8 +122,7 @@ class FiniteMeasureSpace(Space):
 
     def canonical_dual(self, f) -> np.ndarray:
         """The selection with free values 0: +-||f||_1 on the sign sets."""
-        norm = np.asarray(self.norm(f))[..., None]
-        return np.where(f > 0.0, norm, np.where(f < 0.0, -norm, 0.0))
+        return _canonical(f, np.asarray(self.norm(f))[..., None])
 
     def in_second_dual_domain(self, h) -> bool:
         # Only the positive cone embeds into the second dual.
@@ -131,6 +130,11 @@ class FiniteMeasureSpace(Space):
 
     def descriptor(self) -> dict:
         return {"space": "l1", "weights": [float(w) for w in self.weights]}
+
+
+def _canonical(f: np.ndarray, norm) -> np.ndarray:
+    """``canonical_dual`` of f given ||f||_1, a float for one f (a column of norms for a stack)."""
+    return np.where(f > 0.0, norm, np.where(f < 0.0, -norm, 0.0))
 
 
 def mask_from_indices(space: FiniteMeasureSpace, indices, field: str) -> np.ndarray:

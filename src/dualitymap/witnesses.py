@@ -21,6 +21,14 @@ shifts use a subclass whose dual weights round as alpha_j (f(s_j) + shift t).
 Hypothesis validation is strict: a violated hypothesis raises
 ``HypothesisViolation`` naming the failed condition rather than producing a
 curve outside its validity window.
+
+Each input is checked once, where it is read (``serialize._Fields`` and the
+space's ``check`` / ``check_dual``), and each builder computes the norm of
+its base point once, for its bound and for the membership test of the base
+pair: it hands its checked values and that norm to
+``CoderivativeQuery._of_checked``, which tests the base pair and the
+second-dual argument and checks nothing again.  A value a builder computes
+that can leave the float range keeps its check: thm33's candidate a J(x).
 """
 
 from __future__ import annotations
@@ -101,22 +109,24 @@ def _indicator_bump(space: l1.FiniteMeasureSpace, k_star: np.ndarray, mask: np.n
 
 
 def _pick_direction(x: np.ndarray, w: np.ndarray, p: float, params: dict) -> int:
-    """Coordinate m with w_m != 0, preferring x_m != 0.
+    """Coordinate m with w_m != 0, preferring x_m != 0; for p < 2 and x != 0, x_m = 0 is refused.
 
     Along the bump x + t e_m the dual difference behaves like t**(p-1) at a
     zero coordinate, which for p < 2 dominates t and drives the quotient to
-    zero; a coordinate with x_m != 0 keeps the map locally Lipschitz along
-    the ray and the limit positive.
+    zero, too slowly for any schedule to see (w is then a member); a
+    coordinate with x_m != 0 keeps the map locally Lipschitz along the ray
+    and the limit positive.
     """
     if params.get("m") is not None:
         m = int(_finite("params m", params["m"], "integer"))
         _require(0 <= m < w.size and w[m] != 0.0, "0 <= m < dim w and w_m != 0 at the requested m")
-        return m
-    nonzero = np.flatnonzero(w)
-    _require(nonzero.size > 0, "w != 0")
-    preferred = [m for m in nonzero if x[m] != 0.0]
-    pool = preferred if preferred else list(nonzero)
-    return int(max(pool, key=lambda m: abs(w[m])))
+    else:
+        nonzero = np.flatnonzero(w)
+        _require(nonzero.size > 0, "w != 0")
+        preferred = [m for m in nonzero if x[m] != 0.0]
+        m = int(max(preferred or list(nonzero), key=lambda m: abs(w[m])))
+    _require(p >= 2.0 or x[m] != 0.0 or not x.any(), f"x_m != 0 at the bump coordinate m = {m}, as p < 2 and x != 0")
+    return m
 
 
 def _thm31(space: lp.LpSpace, params: dict) -> Witness:
@@ -130,7 +140,7 @@ def _thm31(space: lp.LpSpace, params: dict) -> Witness:
     x_star = space.canonical_dual(x)
     at_origin = not x.any()
     bound = abs(w[m]) / 2.0 if (at_origin or space.p == 2.0) else None
-    query = CoderivativeQuery(space, GraphPair(x, x_star), candidate=w)
+    query = CoderivativeQuery._of_checked(space, GraphPair(x, x_star), w, None, space.norm(x))
     curve = _bump_curve(query, f"thm31:bump[m={m},sign={s:+.0f}]", direction, 1.0)
     return Witness("thm31", query, curve, bound, one_sided=bound is None)
 
@@ -142,11 +152,10 @@ def _thm32(space: lp.LpSpace, params: dict) -> Witness:
     ip = space.pair(x_star, y)
     _require(ip != 0.0, "<J(x), y> != 0")
     s = -1.0 if ip > 0.0 else 1.0
-    query = CoderivativeQuery(
-        space, GraphPair(x, x_star), candidate=np.zeros_like(x), second_dual=y
-    )
+    norm = space.norm(x)
+    query = CoderivativeQuery._of_checked(space, GraphPair(x, x_star), np.zeros_like(x), y, norm)
     curve = _scaling_curve(query, "thm32", s)
-    return Witness("thm32", query, curve, abs(ip) / (2.0 * space.norm(x)))
+    return Witness("thm32", query, curve, abs(ip) / (2.0 * norm))
 
 
 def _thm33(space: lp.LpSpace, params: dict) -> Witness:
@@ -157,11 +166,13 @@ def _thm33(space: lp.LpSpace, params: dict) -> Witness:
     _require(a != 1.0, "a != 1")
     x_star = space.canonical_dual(x)
     s = 1.0 if a > 1.0 else -1.0
-    with np.errstate(over="ignore"):  # inf, which the query's check refuses
+    with np.errstate(over="ignore"):  # inf, refused below
         candidate = space.dual_scale(x_star, a)
-    query = CoderivativeQuery(space, GraphPair(x, x_star), candidate=candidate, second_dual=x)
+    norm = space.norm(x)
+    query = CoderivativeQuery._of_checked(space, GraphPair(x, x_star), candidate, x, norm)
+    space.check_dual(candidate)  # inf where a J(x) overflows: refused after the membership test of the base pair
     curve = _scaling_curve(query, "thm33", s)
-    return Witness("thm33", query, curve, abs(a - 1.0) * space.norm(x) / 2.0)
+    return Witness("thm33", query, curve, abs(a - 1.0) * norm / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +195,11 @@ def _thm45_case1(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
     ip = _pair_k_star_f(space, k_star, f)
     _require(ip != 0.0, "<k*, f> != 0")
-    f_star = space.canonical_dual(f)
+    norm = space.norm(f)
     s = 1.0 if ip > 0.0 else -1.0
-    query = CoderivativeQuery(space, GraphPair(f, f_star), candidate=k_star)
+    query = CoderivativeQuery._of_checked(space, GraphPair(f, l1._canonical(f, norm)), k_star, None, norm)
     curve = _scaling_curve(query, "thm45_case1", s)
-    return Witness("thm45_case1", query, curve, abs(ip) / (2.0 * space.norm(f)))
+    return Witness("thm45_case1", query, curve, abs(ip) / (2.0 * norm))
 
 
 def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
@@ -197,7 +208,8 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     mask = l1.mask_from_indices(space, params["D"], "params D")
     a = params.number("a")
     _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
-    allowed = _allowance(1e-9, space.dual_norm(k_star) * space.norm(f))
+    norm = space.norm(f)
+    allowed = _allowance(1e-9, space.dual_norm(k_star) * norm)
     _require(abs(_pair_k_star_f(space, k_star, f)) <= allowed, "<k*, f> = 0")
     _require(bool(mask.any()), "D is nonempty")
     _require(a > 0.0, "a > 0")
@@ -207,7 +219,7 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
         "f has one strict sign beyond a on D",
     )
     sigma, chi, _, bound = _indicator_bump(space, k_star, mask)
-    query = CoderivativeQuery(space, GraphPair(f, space.canonical_dual(f)), candidate=k_star)
+    query = CoderivativeQuery._of_checked(space, GraphPair(f, l1._canonical(f, norm)), k_star, None, norm)
     # t < a keeps the signs of f, so J(f + t sigma chi_D) is a singleton.
     curve = _bump_curve(query, f"thm45_case2:bump[{sigma:+.0f}*chi_D]", sigma * chi, a / 2.0)
     return Witness("thm45_case2", query, curve, bound)
@@ -220,7 +232,7 @@ def _thm46(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     _require(bool(mask.any()), "D is nonempty")
     sigma, chi, mu_d, bound = _indicator_bump(space, k_star, mask)
     theta = np.zeros(space.n)
-    query = CoderivativeQuery(space, GraphPair(theta, theta.copy()), candidate=k_star)
+    query = CoderivativeQuery._of_checked(space, GraphPair(theta, theta.copy()), k_star, None, 0.0)
     # t sigma chi_D paired with t mu(D) (sigma on D, -sigma off D), a member
     # of J(t sigma chi_D) with the free values off D set to -sigma ||.||_1.
     selection = np.where(mask, sigma * mu_d, -sigma * mu_d)
@@ -237,14 +249,13 @@ def _thm47(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     _require(a > 0.0, "a > 0")
     _require(bool(mask.any()), "D is nonempty")
     _require(bool((f[mask] > a).all()), "D subset {f > a}")
-    f_star = space.canonical_dual(f)
-    query = CoderivativeQuery(
-        space, GraphPair(f, f_star), candidate=-f_star, second_dual=f
-    )
+    norm = space.norm(f)
+    f_star = l1._canonical(f, norm)
+    query = CoderivativeQuery._of_checked(space, GraphPair(f, f_star), -f_star, f, norm)
     # For t < a, f - t chi_D is positive on D and equals f elsewhere, so its
     # canonical selection is ||f - t chi_D||_1 on {f > 0} and 0 on {f = 0}.
     curve = _bump_curve(query, "thm47:bump[-chi_D]", -l1.indicator(space, mask), a / 2.0)
-    return Witness("thm47", query, curve, space.norm(f))
+    return Witness("thm47", query, curve, norm)
 
 
 def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
@@ -268,9 +279,7 @@ def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     else:
         b = float(np.max(margins)) / 2.0
         mask = margins > b
-    query = CoderivativeQuery(
-        space, GraphPair(f, space.canonical_dual(f)), candidate=u_star, second_dual=f
-    )
+    query = CoderivativeQuery._of_checked(space, GraphPair(f, l1._canonical(f, norm)), u_star, f, norm)
     curve = _bump_curve(query, "cor48:bump[+chi_E]", l1.indicator(space, mask), 1.0)
     return Witness("cor48", query, curve, b / 2.0, one_sided=True)
 
@@ -307,10 +316,10 @@ def _resolve_measure(params: dict, f: c01.PwlFunction, norm: float) -> c01.RcaMe
     return c01._canonical_measure(f, norm)
 
 
-def _query_at(space: c01.C01Space, f: c01.PwlFunction, mu: c01.RcaMeasure, **query) -> CoderivativeQuery:
-    """The query at the base pair (f, mu), whose membership test stands for the hypothesis mu in J(f)."""
+def _query_at(space: c01.C01Space, f: c01.PwlFunction, mu: c01.RcaMeasure, candidate, second_dual, norm: float) -> CoderivativeQuery:
+    """The query at the base pair (f, mu), ||f|| = ``norm``, whose membership test stands for the hypothesis mu in J(f)."""
     try:
-        return CoderivativeQuery(space, GraphPair(f, mu), **query)
+        return CoderivativeQuery._of_checked(space, GraphPair(f, mu), candidate, second_dual, norm)
     except _OffGraph:
         raise HypothesisViolation("mu in J(f)") from None
 
@@ -359,7 +368,7 @@ def _thm53(space: c01.C01Space, params: dict) -> Witness:
     norm = space.norm(f)
     _require(norm > 0.0, "||f|| > 0")
     mu = _resolve_measure(params, f, norm)
-    query = _query_at(space, f, mu, candidate=c01.zero_measure(), second_dual=f)
+    query = _query_at(space, f, mu, c01.zero_measure(), f, norm)
     curve = _scaling_curve(query, "thm53", -1.0)
     return Witness("thm53", query, curve, norm / 2.0)
 
@@ -372,7 +381,7 @@ def _thm54(space: c01.C01Space, params: dict) -> Witness:
     norm = space.norm(f)
     mu = _resolve_measure(params, f, norm)
     s = 1.0 if ip > 0.0 else -1.0
-    query = _query_at(space, f, mu, candidate=lam)
+    query = _query_at(space, f, mu, lam, None, norm)
     curve = _scaling_curve(query, "thm54", s)
     return Witness("thm54", query, curve, abs(ip) / (2.0 * norm))
 
@@ -401,7 +410,7 @@ def _thm55(space: c01.C01Space, params: dict) -> Witness:
             t_max = (norm - extreme) / 2.0 / 2.0
         alph = [1.0 / len(pts)] * len(pts)
         mu = c01._atomic_measure(f, mset, pts, alph)
-    query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam)
+    query = CoderivativeQuery._of_checked(space, GraphPair(f, mu), lam, None, norm)
     curve = _shift_curve("thm55", query, sgn, pts, alph, t_max)
     return Witness("thm55", query, curve, abs(mass) / 2.0)
 
@@ -435,7 +444,7 @@ def _shared_peak_witness(space: c01.C01Space, f: c01.PwlFunction, u: c01.PwlFunc
     alph = [1.0 / len(pts)] * len(pts) if params.get("alphas") is None else params.numbers("alphas").tolist()
     mu = c01._atomic_measure(f, mset_f, pts, alph)
     lam = c01._atomic_measure(u, c01._maximizing_set(u, norm_u), pts, alph)
-    query = CoderivativeQuery(space, GraphPair(f, mu), candidate=lam, second_dual=f)
+    query = CoderivativeQuery._of_checked(space, GraphPair(f, mu), lam, f, norm_f)
     curve = _shift_curve("thm56", query, 1.0, pts, alph, 1.0)
     return Witness("thm56", query, curve, (norm_u - norm_f) / 2.0)
 
@@ -461,7 +470,7 @@ def _thm58(space: c01.C01Space, params: dict) -> Witness:
     _require(c != 1.0, "c != 1")
     mu = _resolve_measure(params, f, norm)
     s = 1.0 if c > 1.0 else -1.0
-    query = _query_at(space, f, mu, candidate=space.dual_scale(mu, c), second_dual=f)
+    query = _query_at(space, f, mu, space.dual_scale(mu, c), f, norm)
     curve = _scaling_curve(query, "thm58", s)
     return Witness("thm58", query, curve, abs(c - 1.0) * norm / 2.0)
 

@@ -309,6 +309,22 @@ def test_run_names_an_unknown_theorem_without_quotes(tmp_path, capsys):
     assert capsys.readouterr().err == "error: scenarios[0]: unknown theorem id: thm99\n"
 
 
+@pytest.mark.parametrize("m", [{"m": 1}, {}])
+def test_run_refuses_a_thm31_bump_at_a_zero_coordinate_when_p_is_below_2(tmp_path, capsys, m):
+    # used to certify a limit of 0.4999986 after 8 samples; along x + t e_1 the quotient
+    # tends to 0, too slowly for the schedule to see, and w is a member.  Without m the
+    # builder picked the same coordinate, as w vanishes on the support of x.
+    ok = {"space": {"space": "lp", "p": 1.5}, "theorem": "thm31", "params": {"x": [1.0, 2.0], "w": [0.0, 1.0]}}
+    bad = {"space": {"space": "lp", "p": 1.999999}, "theorem": "thm31", "params": {"x": [1.0, 0.0], "w": [0.0, 1.0], **m}}
+    path, out = tmp_path / "thm31.json", tmp_path / "out.json"
+    path.write_text(json.dumps([ok, bad]))
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: scenarios[1]: hypothesis violated: x_m != 0 at the bump coordinate m = 1, as p < 2 and x != 0\n"
+    )
+    assert not out.exists()
+
+
 def test_run_checks_every_scenario_before_the_first_certificate(tmp_path, capsys, monkeypatch):
     # used to certify the 15 fixture rows, then exit 2 with "hypothesis violated: a != 1", naming no scenario
     calls, certify = [], cli.certify_nonmembership
@@ -324,7 +340,8 @@ def test_run_checks_every_scenario_before_the_first_certificate(tmp_path, capsys
 
 
 def test_run_inconclusive_exit_code(tmp_path):
-    # p < 2 bump forced through a zero coordinate: positive but unsettled tail
+    # p < 2 bump through a coordinate of x far below the sampled t: the quotient
+    # still turns at the last t, so the tail is positive but unsettled
     path = tmp_path / "inconclusive.json"
     path.write_text(
         json.dumps(
@@ -333,7 +350,7 @@ def test_run_inconclusive_exit_code(tmp_path):
                     {
                         "space": {"space": "lp", "p": 1.5},
                         "theorem": "thm31",
-                        "params": {"x": [1.0, 0.0], "w": [0.0, 1.0]},
+                        "params": {"x": [1.0, 1e-6], "w": [0.0, 1.0]},
                     }
                 ]
             }

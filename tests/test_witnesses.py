@@ -263,6 +263,22 @@ def test_thm31_explicit_direction_override():
             build_witness(LpSpace(2.0), "thm31", {"x": [1.0, 2.0], "w": [3.0, -1.0], "m": outside})
 
 
+def test_thm31_at_a_zero_coordinate_of_x():
+    x, w = [1.0, 0.0], [0.0, 1.0]  # w vanishes on the support of x, so the bump is at m = 1 either way
+    for p in (1.5, 1.999999):
+        for params in ({"x": x, "w": w}, {"x": x, "w": w, "m": 1}):
+            with pytest.raises(HypothesisViolation, match="x_m != 0 at the bump coordinate m = 1"):
+                build_witness(LpSpace(p), "thm31", params)
+    # p > 2: J_1(x + t e_1) ~ t**(p-1) is small against t, so the limit is |w_1| = 1
+    witness, cert = run(LpSpace(3.0), "thm31", {"x": x, "w": w, "m": 1})
+    assert witness.claimed_bound is None and cert.verdict == "certified"
+    assert cert.estimate.limit == pytest.approx(0.99999993, abs=1e-8)
+    # x = 0: every coordinate is a zero coordinate, and the limit is |w_m| / 2 at every p
+    witness, cert = run(LpSpace(1.5), "thm31", {"x": [0.0, 0.0], "w": w, "m": 1})
+    assert witness.claimed_bound == 0.5 and cert.verdict == "certified"
+    assert cert.estimate.limit == pytest.approx(0.5, abs=1e-12)
+
+
 @pytest.mark.parametrize("bad", [0.6, 1.5, float("inf"), float("nan")])
 def test_an_index_that_is_not_a_finite_integer_is_rejected(bad):
     # int() used to truncate these to another index, or raise OverflowError
