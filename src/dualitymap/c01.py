@@ -101,7 +101,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coderivative import MEMBERSHIP_TOL, Space, _all, _allowance, _float_or_rows
+from .coderivative import MEMBERSHIP_TOL, Space, _allowance, _float_or_rows
 
 __all__ = [
     "PwlFunction",
@@ -390,7 +390,7 @@ def maximizer_runs(f: PwlFunction) -> tuple:
     element ``maximizing_set`` is cheaper: it walks only the maximizers.
     """
     norm = sup_norm(f)
-    if not _all(norm):
+    if not norm.all():
         raise ValueError("maximizing set undefined for the zero function")
     return _runs(f, norm)
 

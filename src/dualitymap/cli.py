@@ -31,13 +31,21 @@ from .oracles import SuiteReport, run_appendix_battery, run_backend_invariants
 from .witnesses import build_witness
 
 
-# The option each space needs: to build the space, and for ``eval`` the element.
+# The option each space needs, and the only ones it takes: to build the
+# space, and for ``eval`` the element.
 _SPACE_OPTION = {"lp": "p", "l1": "weights"}
 _ELEMENT_OPTION = {"lp": "vector", "l1": "values", "c01": "f"}
 
 
 def _required(args, options: dict):
-    """The value of the option ``options`` names for ``args.space``, refused when it is not given."""
+    """The value of the option ``options`` names for ``args.space``, refused when it is not given.
+
+    An option that ``options`` names for another space is refused when it
+    is given, as a scenario file refuses a field it does not name.
+    """
+    for space, name in options.items():
+        if space != args.space and getattr(args, name) is not None:
+            raise ValueError(f"--space {args.space} does not take --{name}")
     name = options.get(args.space)
     if name is not None and getattr(args, name) is None:
         raise ValueError(f"--space {args.space} requires --{name}")
@@ -157,6 +165,8 @@ def cmd_run(args) -> int:
 
 def cmd_suite(args) -> int:
     out_path = Path(_out_option(args) or "suite_report.json")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     space = _space_from_args(args)
     battery = run_appendix_battery(space, args.samples, args.seed)
     extra = run_backend_invariants(space, args.samples, args.seed)

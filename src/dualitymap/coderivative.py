@@ -18,12 +18,16 @@ geometric schedule, in checkpoints of ``_CHECKPOINT`` t and only until its
 tail settles, estimate the tail limit, and certify when the tail is settled,
 positive, and at or above a claimed closed-form bound.
 
-A ``CoderivativeQuery`` checks each of its values with the space's
+Membership in gph J has one rule, ``_membership``: both duality gaps of
+one element or of each row of a batch, in Python floats, with the pair
+gap found again where it overflows, and the test that both are within a
+tolerance.  ``duality_gaps``, ``Space.is_member``,
+``CoderivativeQuery._admit`` and ``_sample`` all call it.  A
+``CoderivativeQuery`` checks each of its values with the space's
 ``check`` / ``check_dual`` and tests once that its base pair is in gph J
 (``_admit``); a catalog builder, whose values are checked already, hands
 them with the norm ‖x‖ it computed to ``CoderivativeQuery._of_checked``,
-which runs that test alone, on the formula of ``duality_gaps``
-(``_element_gaps``).
+which runs that test alone.
 
 A curve affine in t can carry its data as an ``AffineForm``: the base pair
 (x, x*), a point tangent d and a dual tangent d*, with u_t = x + t d and
@@ -35,16 +39,17 @@ bump curves (``lp``, ``L1``, thm46's included) are of this form, and the
 one element per row, one batch a checkpoint: each ``Space`` method takes a
 batch as it takes one element and returns one value per row, and each
 batch passes the checks of the per-t path.  A checkpoint calls each method
-it needs once on its batch; each row's duality gaps, distance and quotient
-are then formed in Python floats, which round as numpy's float64 do
-(``_sample``).  ``default_schedule`` hands every window that holds t0 = 0.25
-the one ``Schedule()`` of the module, whose t are computed once, when it is
-built.  The batched floats are bitwise those of the per-t path, which
-stops at the same t: sums reduce along each row, an ``lp`` pairing runs
-the ``np.dot`` kernel on each row (``np.vecdot``) and the l_p root stays
-one scalar power per row (a matrix product or an array power rounds
-differently), a scaling curve evaluates as (1 + s t) x, never as
-x + t (s x), and ``c01`` rows follow the rules in the ``c01`` docstring.
+it needs once on its batch; each row's duality gaps (``_membership``),
+distance and quotient are then formed in Python floats, which round as
+numpy's float64 do (``_sample``).  ``default_schedule`` hands every
+window that holds t0 = 0.25 the one ``Schedule()`` of the module, whose t
+are computed once, when it is built.  The batched floats are bitwise those
+of the per-t path, which stops at the same t: sums reduce along each row,
+an ``lp`` pairing runs the ``np.dot`` kernel on each row (``np.vecdot``)
+and the l_p root stays one scalar power per row (a matrix product or an
+array power rounds differently), a scaling curve evaluates as (1 + s t) x,
+never as x + t (s x), and ``c01`` rows follow the rules in the ``c01``
+docstring.
 Generator-only curves are sampled one t at a time.
 """
 
@@ -215,10 +220,11 @@ class Space(Protocol):
     def canonical_dual(self, x): ...
 
     def is_member(self, x, u, tol: float = MEMBERSHIP_TOL):
-        """u in J(x): both ``duality_gaps`` at most ``tol``; every backend inherits this test."""
-        norm_gap, pair_gap = duality_gaps(self, x, u)
-        member = (norm_gap <= tol) & (pair_gap <= tol)
-        return member if isinstance(member, np.ndarray) else bool(member)
+        """u in J(x): both ``duality_gaps`` at most ``tol`` (``_membership``); every backend inherits this test."""
+        with np.errstate(all="ignore"):  # as Python float arithmetic
+            norm = self.norm(x)
+            inside = _membership(self, x, u, norm, tol)[1]
+        return np.array(inside) if isinstance(norm, np.ndarray) else inside[0]
 
     def in_second_dual_domain(self, y) -> bool: ...
     def descriptor(self) -> dict: ...
@@ -227,39 +233,48 @@ class Space(Protocol):
 def duality_gaps(space: Space, x, u) -> tuple:
     """|‖u‖* - ‖x‖| / max(1, ‖x‖) and |<u, x> - ‖x‖²| / max(1, ‖x‖²), per row of a batch.
 
-    u is in J(x) iff both are 0; an overflow gives inf or NaN, without a warning.
-    One element takes Python-float arithmetic (``_gaps``, which ``_sample``
-    also applies to each sampled row), which rounds as numpy does at a
-    fraction of the cost; max(1, ·) there drops a NaN norm, but that norm
-    makes both numerators NaN, so the gaps are NaN either way.
-
-    Where ‖x‖² or <u, x> overflows (‖x‖ from about 1.34e154), the pair gap
-    of a row with a finite ‖x‖ >= 1 is found again on the pair scaled by
-    1/‖x‖, as |<u/‖x‖, x/‖x‖> - 1|, the same quotient; every finite gap
-    keeps its bits.
+    u is in J(x) iff both are 0; an overflow gives inf or NaN, without a
+    warning.  Python floats for one element, an array of them for a batch:
+    the gaps of ``_membership``, which rounds as numpy does.
     """
     with np.errstate(all="ignore"):  # as Python float arithmetic
         norm = space.norm(x)
-        if not isinstance(norm, np.ndarray):
-            return _element_gaps(space, x, u, norm)
-        dual_norm, pair = space.dual_norm(u), space.pair(u, x)
-        square = norm * norm
-        norm_gap = abs(dual_norm - norm) / _floor(norm)
-        pair_gap = abs(pair - square) / _floor(square)
-        if not np.isfinite(pair_gap).all():
-            redo = ~np.isfinite(pair_gap) & (norm >= 1.0) & (norm < math.inf)
-            c = np.where(redo, 1.0 / norm, 1.0)[:, None]  # the other rows are not used
-            pair_gap = np.where(redo, _unit_pair_gap(space, x, u, c), pair_gap)
-    return norm_gap, pair_gap
+        gaps = _membership(space, x, u, norm, MEMBERSHIP_TOL)[0]
+    return tuple(map(np.array, zip(*gaps))) if isinstance(norm, np.ndarray) else gaps[0]
 
 
-def _element_gaps(space: Space, x, u, norm: float) -> tuple:
-    """``duality_gaps`` of one element (x, u), given ‖x‖ = ``norm``: ``_gaps``, and a pair gap past the float range found again."""
-    with np.errstate(all="ignore"):  # as Python float arithmetic
-        norm_gap, pair_gap = _gaps(norm, space.dual_norm(u), space.pair(u, x))
-        if not math.isfinite(pair_gap) and 1.0 <= norm < math.inf:
-            pair_gap = _unit_pair_gap(space, x, u, 1.0 / norm)
-    return norm_gap, pair_gap
+def _membership(space: Space, x, u, norm, tol: float) -> tuple:
+    """Both duality gaps of one element (x, u), or of each row of a batch, given ‖x‖ = ``norm``, and which are within ``tol``.
+
+    ``(gaps, inside)``: one (norm gap, pair gap) of Python floats per row
+    (``_gaps``, which rounds as numpy's float64 does) and one bool per row,
+    True when both gaps are at most ``tol``: the one membership rule of
+    ``duality_gaps``, ``Space.is_member``, ``CoderivativeQuery._admit`` and
+    ``_sample``.  Where ‖x‖² or <u, x> overflows (‖x‖ from about 1.34e154),
+    the pair gap of a row with a finite ‖x‖ >= 1 is found again on the pair
+    scaled by 1/‖x‖, as |<u/‖x‖, x/‖x‖> - 1|, the same quotient, by one
+    ``_unit_pair_gap`` call (a column of factors for a batch, 1.0 on the
+    other rows); every finite gap keeps its bits.  A gap within ``tol`` is
+    finite, so the pair gaps are tested for finiteness only when some row
+    is outside ``tol``.  max(1, ·) drops a NaN norm, but that norm makes
+    both numerators NaN, so the gaps are NaN either way.  No
+    ``np.errstate`` is entered here: a caller outside ``estimate_limit``'s
+    enters one.
+    """
+
+    def within(gap) -> bool:
+        return gap[0] <= tol and gap[1] <= tol
+
+    norms = _rows(norm)
+    gaps = list(map(_gaps, norms, _rows(space.dual_norm(u)), _rows(space.pair(u, x))))
+    inside = list(map(within, gaps))
+    redo = [] if all(inside) else [i for i, n in enumerate(norms) if not math.isfinite(gaps[i][1]) and 1.0 <= n < math.inf]
+    if redo:
+        c = [1.0 / n if i in redo else 1.0 for i, n in enumerate(norms)]
+        found = _rows(_unit_pair_gap(space, x, u, np.array(c)[:, None] if isinstance(norm, np.ndarray) else c[0]))
+        gaps = [(a, found[i] if i in redo else b) for i, (a, b) in enumerate(gaps)]
+        inside = list(map(within, gaps))
+    return gaps, inside
 
 
 def _gaps(norm: float, dual_norm: float, pair: float) -> tuple:
@@ -298,10 +313,10 @@ class CoderivativeQuery:
     restricts to the positive cone where the space is not reflexive.  Every
     value passes the space's ``check``/``check_dual`` once, here, and the
     checked values are the ones stored; then ``_admit`` tests that the base
-    pair is in gph J and that y** is in the second-dual domain.  A catalog
-    builder (``witnesses``), which has checked its values already, hands
-    them with the norm ‖x‖ it computed to ``_of_checked``, which runs
-    ``_admit`` alone.
+    pair is in gph J, by ``_membership`` at ``MEMBERSHIP_TOL``, and that y**
+    is in the second-dual domain.  A catalog builder (``witnesses``), which
+    has checked its values already, hands them with the norm ‖x‖ it
+    computed to ``_of_checked``, which runs ``_admit`` alone.
     """
 
     space: Space
@@ -321,9 +336,10 @@ class CoderivativeQuery:
         return object.__new__(cls)._admit(space, base, candidate, second_dual, norm)
 
     def _admit(self, space: Space, base: GraphPair, candidate, second_dual, norm: float) -> CoderivativeQuery:
-        """This query, holding the checked values once (x, x*) passes the test of ``is_member`` (given ‖x‖ = ``norm``) and y** the domain test."""
-        if not all(gap <= MEMBERSHIP_TOL for gap in _element_gaps(space, base.point, base.dual, norm)):
-            raise _OffGraph("base dual element fails the duality membership test")
+        """This query, holding the checked values once (x, x*) passes ``_membership`` (given ‖x‖ = ``norm``) and y** the domain test."""
+        with np.errstate(all="ignore"):  # as Python float arithmetic
+            if not all(_membership(space, base.point, base.dual, norm, MEMBERSHIP_TOL)[1]):
+                raise _OffGraph("base dual element fails the duality membership test")
         if second_dual is not None and not space.in_second_dual_domain(second_dual):
             raise ValueError("second-dual argument is not representable in this model")
         vars(self).update(space=space, base=base, candidate=candidate, second_dual=second_dual)
@@ -510,16 +526,6 @@ class FalsificationLead:
     estimates: dict
 
 
-# ``np.any`` / ``np.all`` of one element's bool or a batch's array of them;
-# on a Python bool the numpy functions take several microseconds.
-def _any(test) -> bool:
-    return test.any() if isinstance(test, np.ndarray) else test
-
-
-def _all(test) -> bool:
-    return test.all() if isinstance(test, np.ndarray) else test
-
-
 def _float_or_rows(values):
     """A Python float for one element; a batch's values, one per row, stay an array."""
     return values if values.ndim else float(values)
@@ -557,22 +563,19 @@ def quotient(query: CoderivativeQuery, pair: GraphPair) -> float:
 def _sample(query: CoderivativeQuery, u, u_star, membership_tol: float) -> tuple:
     """``_quotient`` at a checked graph pair or batch, validating duality membership first.
 
-    ``norm``, ``dual_norm`` and ``pair`` take the batch once each, and each
-    row is tested by the one-element rule of ``duality_gaps``, in Python
-    floats.  A row whose pair gap is not finite (‖u‖² overflows) hands the
-    batch to ``is_member``, which rescales that row.  A batch runs each
-    check on all rows in turn; where rows fail different checks, the first
-    check in that order is reported, not the first failing t.
+    ``norm``, ``dual_norm`` and ``pair`` take the batch once each, and every
+    row is tested by ``_membership``, in Python floats; a row whose pair gap
+    is not finite (‖u‖² overflows) is rescaled there, with the other such
+    rows of the batch in one call.  A batch runs each check on all rows in
+    turn; where rows fail different checks, the first check in that order
+    is reported, not the first failing t.
     ``estimate_limit`` hands it one checkpoint at a time, in order, so of a
     curve whose rows fail in more than one checkpoint, the first such
     checkpoint's report is raised.
     """
     space = query.space
-    gaps = list(map(_gaps, _rows(space.norm(u)), _rows(space.dual_norm(u_star)), _rows(space.pair(u_star, u))))
-    if not all(norm_gap <= membership_tol and pair_gap <= membership_tol for norm_gap, pair_gap in gaps):
-        # a pair gap past the float range is found again by ``is_member``, which rescales its row
-        if all(math.isfinite(pair_gap) for _, pair_gap in gaps) or not _all(space.is_member(u, u_star, membership_tol)):
-            raise ValueError("probe curve produced a pair outside gph J")
+    if not all(_membership(space, u, u_star, space.norm(u), membership_tol)[1]):
+        raise ValueError("probe curve produced a pair outside gph J")
     return _quotient(query, u, u_star)
 
 

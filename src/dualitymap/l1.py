@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coderivative import Space, _any, _float_or_rows, _indices
+from .coderivative import Space, _float_or_rows, _indices
 
 _MAX = sys.float_info.max
 
@@ -184,7 +184,7 @@ def duality_selection(f, space: FiniteMeasureSpace, a=()) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     f = space.check_rows(f) if f.ndim == 2 else space.check(f)
     norm = space.norm(f)
-    if _any(norm == 0.0):
+    if not np.asarray(norm).all():
         raise ValueError("f = 0 is degenerate here: J(0) = {0*}, use zero_selection")
     a = np.asarray(a, dtype=float)
     zero = f == 0.0

@@ -57,15 +57,12 @@ class Witness:
 
     ``claimed_bound`` is the closed-form quotient limit where the
     construction computes one, or None when only positivity is claimed.
-    ``one_sided`` marks bounds that are lower estimates rather than exact
-    limits.
     """
 
     theorem: str
     query: CoderivativeQuery
     curve: ProbeCurve
     claimed_bound: float | None
-    one_sided: bool = False
 
 
 def _require(condition: bool, hypothesis: str):
@@ -142,7 +139,7 @@ def _thm31(space: lp.LpSpace, params: dict) -> Witness:
     bound = abs(w[m]) / 2.0 if (at_origin or space.p == 2.0) else None
     query = CoderivativeQuery._of_checked(space, GraphPair(x, x_star), w, None, space.norm(x))
     curve = _bump_curve(query, f"thm31:bump[m={m},sign={s:+.0f}]", direction, 1.0)
-    return Witness("thm31", query, curve, bound, one_sided=bound is None)
+    return Witness("thm31", query, curve, bound)
 
 
 def _thm32(space: lp.LpSpace, params: dict) -> Witness:
@@ -281,7 +278,7 @@ def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
         mask = margins > b
     query = CoderivativeQuery._of_checked(space, GraphPair(f, l1._canonical(f, norm)), u_star, f, norm)
     curve = _bump_curve(query, "cor48:bump[+chi_E]", l1.indicator(space, mask), 1.0)
-    return Witness("cor48", query, curve, b / 2.0, one_sided=True)
+    return Witness("cor48", query, curve, b / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +321,7 @@ def _query_at(space: c01.C01Space, f: c01.PwlFunction, mu: c01.RcaMeasure, candi
         raise HypothesisViolation("mu in J(f)") from None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class _ShiftForm(AffineForm):
     """f + shift t paired with atoms alpha_j (v_j + shift t) at fixed points s_j, v_j = f(s_j).
 
@@ -334,10 +331,10 @@ class _ShiftForm(AffineForm):
     differently.
     """
 
-    shift: float = 0.0
-    points: np.ndarray = None
-    alphas: np.ndarray = None
-    values: np.ndarray = None
+    shift: float
+    points: np.ndarray
+    alphas: np.ndarray
+    values: np.ndarray
 
     def _evaluate(self, t) -> tuple:
         u = c01.pwl_shift(self.base.point, self.shift * t)

@@ -22,9 +22,12 @@ from dualitymap.c01 import (
     RcaMeasure,
     StepDensity,
     atom_measure,
+    canonical_duality_measure,
     density_measure,
+    maximizer_runs,
     measure_scale,
     measure_sub,
+    pwl_rows,
     pwl_scale,
     pwl_sub,
     total_mass,
@@ -92,6 +95,17 @@ def test_maximizing_set_partial_plateau():
     mset = maximizing_set(f)
     assert mset.atoms == () and mset.intervals == ((0.25, 0.75),)
     assert mset.contains(0.5) and not mset.contains(0.1)
+
+
+def test_a_near_peak_past_value_tol_is_no_maximizer():
+    # f(0.6) = ||f|| - 1e-11 misses the maximum by 10 VALUE_TOL: M(f) is the atom 0.3 alone,
+    # where a tolerance of 1e-10 would read the plateau [0.3, 0.6] and put its atom at 0.45
+    f = PwlFunction(np.array([0.0, 0.3, 0.6, 1.0]), np.array([0.0, 1.0, 1.0 - 1e-11, 0.0]))
+    mset = maximizing_set(f)
+    assert mset.atoms == (0.3,) and mset.intervals == ()
+    first, last = maximizer_runs(pwl_rows([f.breakpoints], [f.values]))
+    assert first.tolist() == last.tolist() == [[False, True, False, False]]
+    assert canonical_duality_measure(f).atoms == ((0.3, 1.0),)
 
 
 def test_atomic_duality_measure_examples():

@@ -63,6 +63,31 @@ def test_a_missing_element_or_weights_exits_2_naming_the_option(capsys, argv, me
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--space", "lp", "--p", "2", "--vector", "[1, 2]", "--values", "[3]"], "--space lp does not take --values"),
+    (["eval", "--space", "c01", "--f", "tent", "--p", "2"], "--space c01 does not take --p"),
+    (["eval", "--space", "l1", "--weights", "[1]", "--values", "[1]", "--f", "tent"], "--space l1 does not take --f"),
+    (["suite", "--space", "c01", "--p", "7"], "--space c01 does not take --p"),
+    (["suite", "--space", "lp", "--p", "2", "--weights", "[1]"], "--space lp does not take --weights"),
+])
+def test_an_option_of_another_space_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, message):
+    # used to be ignored, exit 0
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_negative_suite_seed_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # used to print numpy's "expected non-negative integer", without the option's name
+    calls, call = [], cli.run_appendix_battery
+    monkeypatch.setattr(cli, "run_appendix_battery", lambda *args: calls.append(args) or call(*args))
+    out = tmp_path / "report.json"
+    assert main(["suite", "--space", "lp", "--p", "2", "--samples", "5", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_eval_lp_power_overflow_exit_code(capsys):
     # ||x|| ** (p - 2) overflows, but J([1e-320]) = [1e-320]: this used to exit 2
     code = main(["eval", "--space", "lp", "--p", "1.000001", "--vector", "[1e-320]"])

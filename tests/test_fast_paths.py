@@ -145,22 +145,47 @@ def test_one_element_gaps_are_the_numpy_gaps_without_a_warning():
         duality_gaps(FiniteMeasureSpace([1.0, 1.0]), np.array([1e308, 1e308]), np.array([1e308, 1e308]))
 
 
-def test_batch_gaps_are_unchanged():
-    # rows in range keep every bit; row 0 overflows and is found on the scaled pair
+def batch_gap_cases():
+    """(space, batch, its duals, the rows as one-element pairs) per backend; row 0's ||x||**2 overflows."""
+    rng = np.random.default_rng(3)
+    cases = []
     space = FiniteMeasureSpace([1.0, 0.5, 2.0])
-    rows = np.random.default_rng(3).uniform(-5.0, 5.0, (6, 3))
+    rows = rng.uniform(-5.0, 5.0, (6, 3))
     rows[0] = 1e200
-    duals = space.canonical_dual(rows)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = duality_gaps(space, rows, duals)
-    want = ref_gaps(space, rows, duals)
-    assert np.isnan(want[1][0])
-    want[1][0] = ref_scaled_pair_gap(space, rows[0], duals[0])
-    for g, w in zip(got, want):
-        assert isinstance(g, np.ndarray)
-        assert same_array(g, w)
-    assert space.is_member(rows, duals).all()
+    cases.append((space, rows, space.canonical_dual(rows)))
+    # the suite's lp stacks: dimensions 1-7 as 7 columns, +0.0 beyond each dimension
+    for p in (1.5, 3.0):
+        space = LpSpace(p)
+        rows = rng.uniform(-10.0, 10.0, (6, 7))
+        rows[np.arange(7) >= rng.integers(1, 8, 6)[:, None]] = 0.0
+        rows[0, 0] = 1e200
+        cases.append((space, rows, space.canonical_dual(rows)))
+    cases = [(space, rows, duals, list(zip(rows, duals))) for space, rows, duals in cases]
+    # a c01 stack with a grid per row, padded to the longest grid
+    fs = [c01.PwlFunction(np.array([0.0, 0.4, 1.0]), np.array([1e200, -3e199, 2e199]))]
+    fs += [random_pwl(rng) for _ in range(5)]
+    stack = c01.pwl_rows([f.breakpoints for f in fs], [f.values for f in fs])
+    mu = c01.canonical_duality_measure(stack)
+    rows = [RcaMeasure(tuple(zip(mu.locations[i].tolist(), mu.weights[i].tolist()))) for i in range(len(fs))]
+    cases.append((C01Space(), stack, mu, list(zip(fs, rows))))
+    return cases
+
+
+def test_batch_gaps_are_unchanged():
+    # on each backend rows in range keep every bit; row 0 overflows and is found on the scaled pair
+    for space, rows, duals, pairs in batch_gap_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = duality_gaps(space, rows, duals)
+            member = space.is_member(rows, duals)
+        want = ref_gaps(space, rows, duals)
+        assert np.isnan(want[1][0]) and np.isfinite(want[1][1:]).all(), space
+        want[1][0] = ref_scaled_pair_gap(space, *pairs[0])
+        for g, w in zip(got, want):
+            assert isinstance(g, np.ndarray)
+            assert same_array(g, w), space
+        assert member.dtype == bool and member.tolist() == [space.is_member(x, u) for x, u in pairs], space
+        assert member.all(), space
 
 
 def test_one_bad_row_fails_a_batch():

@@ -66,7 +66,7 @@ def test_cor48_without_e_claims_half_its_margin(params, b, e):
     # ||f||_1 = 3, so the margins u* - ||f||_1 are 1, 2 and 4
     space = FiniteMeasureSpace([1.0, 1.0, 1.0])
     witness, cert = run(space, "cor48", {"f": [1.0, 1.0, 1.0], "u_star": [4.0, 5.0, 7.0], **params})
-    assert witness.claimed_bound == b / 2.0 and witness.one_sided
+    assert witness.claimed_bound == b / 2.0
     assert witness.curve.affine.tangent.tolist() == e  # the bump chi_E
     assert cert.verdict == "certified"
 
