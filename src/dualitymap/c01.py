@@ -25,17 +25,27 @@ is its own point of [0,1]: a function with a breakpoint between the two
 floats tells the atoms apart, and merging within a tolerance would make
 the pairing depend on which of the two locations was kept.
 
-Cost: ``pairing_c``, ``measure_sub`` and the density-support scan of
+Cost: ``measure_sub`` and the density-support scan of
 ``is_duality_member_c`` each make one pass of whole-array numpy operations
 over the union of the breakpoint grids.
 ``maximizing_set`` finds the breakpoints at the maximum with one array pass
 and then walks only those, so its Python work is linear in the number of
-maximizers (usually one to three).  ``pairing_c``,
+maximizers (usually one to three).  ``pairing_c`` locates the atoms on
+f's grid with one ``searchsorted``: where they all sit on breakpoints and
+there is no density (most probe curves), it reads f's values there by
+index; otherwise it evaluates f at every atom with one ``np.interp`` call
+and pairs a density over the union of the two grids.
 ``atomic_duality_measure`` and ``peak_points`` evaluate f at all their
-points with one ``np.interp`` call.  A batch of measures whose atoms sit
-at the subtrahend's own locations (every scaling and shift curve)
-subtracts weight by weight.  A caller that knows ||f|| or M(f)
-passes it to the private forms (``_maximizing_set``, ``_peak_points``,
+points with one ``np.interp`` call.  At catalog sizes (up to 16
+breakpoints, one to three atoms) each numpy call costs more than its
+arithmetic, ``np.errstate`` included, so the ``C01Space`` methods run under
+their caller's scope, as the other backends' do: a certificate whose atoms
+all sit on f's grid enters one, ``estimate_limit``'s.  The pairing enters
+its own only where it interpolates f or pairs a density, and each public
+function of this module that can overflow enters its own (``_quiet``).
+A batch of measures whose atoms sit at the subtrahend's own locations
+(every scaling and shift curve) subtracts weight by weight.  A caller that
+knows ||f|| or M(f) passes it to the private forms (``_maximizing_set``, ``_peak_points``,
 ``_atomic_measure``, ``_canonical_measure``, ``_plateau_measure``), so one
 witness finds each once.
 
@@ -206,18 +216,34 @@ def _on_checked_grid(cls, bp: np.ndarray, vals: np.ndarray):
     return _on_grid(object.__new__(cls), bp, vals)
 
 
-def _refused_if_not_finite(op, a, b) -> np.ndarray:
-    """op(a, b) without numpy's overflow or invalid warning: ``_on_checked_grid`` refuses the inf or NaN made."""
+def _quiet(op, *args):
+    """op(*args) under one ``np.errstate`` that ignores overflow and invalid results: a public function's own scope.
+
+    The private forms (``_shift``, ``_scale``, ``_sub``, ``_pairing``,
+    ``_tv_norm``, ``_measure_scale``, ``_measure_sub``) and the
+    ``C01Space`` methods that call them run under their caller's
+    ``np.errstate``, as the ``LpSpace`` and ``FiniteMeasureSpace`` methods
+    do; each inf or NaN they make is refused as a value that is not finite,
+    or returned, as Python float arithmetic returns it.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        return op(a, b)
+        return op(*args)
 
 
 def pwl_shift(f: PwlFunction, c) -> PwlFunction:
-    return _on_checked_grid(PwlFunction, f.breakpoints, _refused_if_not_finite(np.add, f.values, c))
+    return _quiet(_shift, f, c)
+
+
+def _shift(f: PwlFunction, c) -> PwlFunction:
+    return _on_checked_grid(PwlFunction, f.breakpoints, f.values + c)
 
 
 def pwl_scale(f: PwlFunction, c) -> PwlFunction:
-    return _on_checked_grid(PwlFunction, f.breakpoints, _refused_if_not_finite(np.multiply, f.values, c))
+    return _quiet(_scale, f, c)
+
+
+def _scale(f: PwlFunction, c) -> PwlFunction:
+    return _on_checked_grid(PwlFunction, f.breakpoints, f.values * c)
 
 
 def pwl_rows(grids, values) -> PwlFunction:
@@ -278,6 +304,10 @@ def pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
     union grid with one interpolation over the rows of f and g stacked,
     padded to one width.  A stack and a function on one grid are refused.
     """
+    return _quiet(_sub, f, g)
+
+
+def _sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
     bp, other = f.breakpoints, g.breakpoints
     if _same_grid(other, bp):
         grid, fv, gv = bp, f.values, g.values
@@ -291,7 +321,7 @@ def pwl_sub(f: PwlFunction, g: PwlFunction) -> PwlFunction:
         xp, fp = (np.concatenate([_widen(a, width), _widen(b, width)]) for a, b in ((bp, other), (f.values, g.values)))
         both = _interp_rows(np.concatenate([grid, grid]), xp, fp)
         fv, gv = both[:n], both[n:]
-    return _on_checked_grid(PwlFunction, grid, _refused_if_not_finite(np.subtract, fv, gv))
+    return _on_checked_grid(PwlFunction, grid, fv - gv)
 
 
 def sup_norm(f: PwlFunction):
@@ -544,9 +574,10 @@ def _sum_left(terms: np.ndarray):
     ``cumsum`` starts from the first term instead, which differs only where
     every term is -0.0: it gives -0.0, which adding 0.0 turns into the +0.0
     of the running sum, a total that is never -0.0 and so keeps its bits.
+    One term needs no ``cumsum``.
     """
-    if not terms.shape[-1]:
-        return np.zeros(terms.shape[:-1])
+    if terms.shape[-1] < 2:
+        return terms[..., 0] + 0.0 if terms.shape[-1] else np.zeros(terms.shape[:-1])
     return terms.cumsum(-1)[..., -1] + 0.0
 
 
@@ -593,9 +624,11 @@ def _density_terms(d: StepDensity, f: PwlFunction) -> np.ndarray:
 
 def measure_scale(mu: RcaMeasure, c) -> RcaMeasure:
     """c mu; a column of factors gives one row per factor."""
-    with np.errstate(over="ignore"):  # an overflow is rejected as a value that is not finite
-        density = _density_scale(mu.density, c)
-        return _measure(mu.locations, c * mu.weights, density)
+    return _quiet(_measure_scale, mu, c)
+
+
+def _measure_scale(mu: RcaMeasure, c) -> RcaMeasure:
+    return _measure(mu.locations, c * mu.weights, _density_scale(mu.density, c))  # the density is checked first
 
 
 def measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
@@ -609,11 +642,14 @@ def measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
     locations (repeats are padding, of weight 0.0); otherwise every row is
     merged.
     """
+    return _quiet(_measure_sub, mu, nu)
+
+
+def _measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
     density = _density_sub(mu.density, nu.density)
     at = mu.locations
     if _same_grid(at, nu.locations) and (at.ndim == 1 or _one_atom_each(at, (mu.weights != 0.0) | (nu.weights != 0.0))):
-        with np.errstate(over="ignore"):  # rejected as a weight that is not finite
-            return _measure(at, 0.0 + mu.weights - nu.weights, density)
+        return _measure(at, 0.0 + mu.weights - nu.weights, density)
     return _measure(*_merge(_cat(at, nu.locations), _cat(mu.weights, -nu.weights)), density)
 
 
@@ -639,6 +675,10 @@ def total_mass(mu: RcaMeasure):
 
 def tv_norm(mu: RcaMeasure):
     """Total variation: sum |atom weights| + integral of |density|; one per row of a batch."""
+    return _quiet(_tv_norm, mu)
+
+
+def _tv_norm(mu: RcaMeasure):
     tv = _sum_left(np.abs(mu.weights))
     if mu.density is not None:
         tv = tv + _integral(mu.density, np.abs(mu.density.values))
@@ -660,9 +700,26 @@ def pairing_c(mu: RcaMeasure, f: PwlFunction):
     The atom terms and then the density terms are summed left to right
     from 0.0; an absent atom or a zero density segment adds +0.0, which
     leaves the total unchanged, since a total that starts at +0.0 is never
-    -0.0.
+    -0.0.  Atoms that all sit on breakpoints of one grid, with no density
+    (most probe curves), read f's values there by index: f's values are
+    finite, so an absent atom's term is 0 v = +-0.0, which adds to the
+    total as +0.0 does.
     """
-    w = mu.weights
+    return _quiet(_pairing, mu, f)
+
+
+def _pairing(mu: RcaMeasure, f: PwlFunction):
+    """``pairing_c`` under its caller's ``np.errstate``, and under its own where it interpolates f or pairs a density.
+
+    Read between breakpoints, a finite f may be infinite (a slope past the
+    float range), which ``np.interp`` returns without a warning; so
+    ``C01Space.pair`` of such a function and measure is silent too.
+    """
+    w, at = mu.weights, mu.locations
+    if f.breakpoints.ndim == 1 and mu.density is None:
+        j = f.breakpoints.searchsorted(at, side="right") - 1  # bp[j] <= at < bp[j + 1]
+        if _every(f.breakpoints[j] == at):
+            return _float_or_rows(_sum_left(w * f.values[..., j]))
     with np.errstate(over="ignore", invalid="ignore"):  # as Python float products
         if f.breakpoints.ndim > 1:
             if mu.density is not None:
@@ -671,17 +728,15 @@ def pairing_c(mu: RcaMeasure, f: PwlFunction):
                     f"{mu.density.breakpoints.shape} and a stack on grids {f.breakpoints.shape}"
                 )
             shape = (f.breakpoints.shape[0], w.shape[-1])
-            w, locations = (a if a.shape == shape else np.broadcast_to(a, shape) for a in (w, mu.locations))
-            at = w.nonzero()
+            w, locations = (a if a.shape == shape else np.broadcast_to(a, shape) for a in (w, at))
+            held = w.nonzero()
             terms = [np.zeros(shape)]
-            terms[0][at] = w[at] * _interp_rows(locations[at], f.breakpoints, f.values, at[0])
+            terms[0][held] = w[held] * _interp_rows(locations[held], f.breakpoints, f.values, held[0])
         else:
-            terms = [w * f(mu.locations)]
-            if not _every(w != 0.0):  # an absent atom adds +0.0, not 0 * inf = NaN
-                terms[0] = np.where(w != 0.0, terms[0], 0.0)
-    if mu.density is not None:
-        terms.append(_density_terms(mu.density, f))
-    return _float_or_rows(_sum_left(_cat(*terms)))
+            terms = [np.where(w != 0.0, w * f(at), 0.0)]  # an absent atom adds +0.0, not 0 * inf = NaN
+        if mu.density is not None:
+            terms.append(_density_terms(mu.density, f))
+        return _float_or_rows(_sum_left(_cat(*terms)))
 
 
 @dataclass(frozen=True)
@@ -911,22 +966,22 @@ class C01Space(Space):
         return sup_norm(f)
 
     def dual_norm(self, mu):
-        return tv_norm(mu)
+        return _tv_norm(mu)
 
     def pair(self, mu, f):
-        return pairing_c(mu, f)
+        return _pairing(mu, f)
 
     def sub(self, f, g: PwlFunction):
-        return pwl_sub(f, g)
+        return _sub(f, g)
 
     def dual_sub(self, mu, nu):
-        return measure_sub(mu, nu)
+        return _measure_sub(mu, nu)
 
     def scale(self, f: PwlFunction, c):
-        return pwl_scale(f, c)
+        return _scale(f, c)
 
     def dual_scale(self, mu, c):
-        return measure_scale(mu, c)
+        return _measure_scale(mu, c)
 
     def canonical_dual(self, f: PwlFunction):
         return canonical_duality_measure(f)

@@ -152,8 +152,9 @@ def cmd_run(args) -> int:
     ]
 
     out_path = Path(out or file_out or path.with_suffix(".certificates.json"))
-    with out_path.open("w") as fh:  # written only once every certificate is made
-        json.dump(records, fh, indent=2, allow_nan=False)
+    # written only once every certificate is made, and encoded whole first, so
+    # a value JSON cannot hold leaves no part of a file
+    out_path.write_text(json.dumps(records, indent=2, allow_nan=False))
 
     print(f"{'theorem':<14}{'bound':>14}{'limit':>18}  verdict")
     for r in records:
@@ -165,6 +166,8 @@ def cmd_run(args) -> int:
 
 def cmd_suite(args) -> int:
     out_path = Path(_out_option(args) or "suite_report.json")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be a positive integer, got {args.samples}")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     space = _space_from_args(args)

@@ -204,6 +204,18 @@ class Space(Protocol):
     float or bool for one element); ``pair``, ``sub`` and ``dual_sub`` take one
     element against a batch, ``scale`` and ``dual_scale`` a column of factors,
     and ``canonical_dual`` a batch in ``lp`` and ``L1``.
+
+    Warnings: in all three backends, ``pair``, ``sub``, ``dual_sub``,
+    ``scale`` and ``dual_scale`` (and ``c01``'s ``dual_norm``) run under
+    their caller's ``np.errstate`` and may overflow, to an inf or NaN value
+    returned or to a ``ValueError``; the norms of ``lp`` and ``L1`` and the
+    ``lp`` map find or refuse an overflow without a warning, and ``c01``'s
+    ``pair`` enters its own scope where it interpolates f or pairs a
+    density.  So every caller that can overflow holds a scope:
+    ``estimate_limit``, once per estimate, ``is_member``, ``duality_gaps``,
+    ``CoderivativeQuery._admit``, ``quotient``, the witness builders'
+    pairings and scalings (``witnesses``), and the public ``c01``
+    functions.
     """
 
     def check(self, x): ...
@@ -557,7 +569,8 @@ def _quotient(query: CoderivativeQuery, u, u_star) -> tuple:
 def quotient(query: CoderivativeQuery, pair: GraphPair) -> float:
     """Coderivative difference quotient of the query at one graph pair."""
     space = query.space
-    return _quotient(query, space.check(pair.point), space.check_dual(pair.dual))[0][0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN quotient, as Python floats give it
+        return _quotient(query, space.check(pair.point), space.check_dual(pair.dual))[0][0]
 
 
 def _sample(query: CoderivativeQuery, u, u_star, membership_tol: float) -> tuple:

@@ -28,11 +28,15 @@ its base point once, for its bound and for the membership test of the base
 pair: it hands its checked values and that norm to
 ``CoderivativeQuery._of_checked``, which tests the base pair and the
 second-dual argument and checks nothing again.  A value a builder computes
-that can leave the float range keeps its check: thm33's candidate a J(x).
+that can leave the float range keeps its check: thm33's candidate a J(x),
+thm58's c mu, the pairings <J(x), y>, <k*, f> and <lambda, f>
+(``_finite_pair``), thm55's lambda[0,1], and every claimed bound
+(``build_witness``); each is refused by name, without a numpy warning.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,6 +84,15 @@ def _bump_curve(query: CoderivativeQuery, curve_id: str, direction, t_max: float
     """x + t d paired with canonical_dual(x + t d), free values 0 where J is set-valued."""
     affine = AffineForm(query.space, query.base, tangent=direction)
     return ProbeCurve(curve_id, t_max=t_max, affine=affine)
+
+
+def _finite_pair(space, u, x, name: str) -> float:
+    """<u, x>; a ValueError naming it ``name`` where it leaves the float range, which would pass any test against it."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
+        ip = space.pair(u, x)
+    if not math.isfinite(ip):
+        raise ValueError(f"{name} overflows")
+    return ip
 
 
 def _sign_mask_uniform(values: np.ndarray, mask: np.ndarray, name: str) -> float:
@@ -146,7 +159,7 @@ def _thm32(space: lp.LpSpace, params: dict) -> Witness:
     x = space.check(params.numbers("x"))
     y = space.check(params.numbers("y"))
     x_star = space.canonical_dual(x)
-    ip = space.pair(x_star, y)
+    ip = _finite_pair(space, x_star, y, "<J(x), y>")
     _require(ip != 0.0, "<J(x), y> != 0")
     s = -1.0 if ip > 0.0 else 1.0
     norm = space.norm(x)
@@ -177,20 +190,11 @@ def _thm33(space: lp.LpSpace, params: dict) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def _pair_k_star_f(space: l1.FiniteMeasureSpace, k_star: np.ndarray, f: np.ndarray) -> float:
-    """<k*, f>; ValueError where it leaves the float range, which would pass any test against it."""
-    with np.errstate(over="ignore"):  # inf, refused below
-        ip = space.pair(k_star, f)
-    if not np.isfinite(ip):
-        raise ValueError("<k*, f> overflows")
-    return ip
-
-
 def _thm45_case1(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params.numbers("f"))
     k_star = space.check_dual(params.numbers("k_star"))
     _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
-    ip = _pair_k_star_f(space, k_star, f)
+    ip = _finite_pair(space, k_star, f, "<k*, f>")
     _require(ip != 0.0, "<k*, f> != 0")
     norm = space.norm(f)
     s = 1.0 if ip > 0.0 else -1.0
@@ -207,7 +211,7 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
     norm = space.norm(f)
     allowed = _allowance(1e-9, space.dual_norm(k_star) * norm)
-    _require(abs(_pair_k_star_f(space, k_star, f)) <= allowed, "<k*, f> = 0")
+    _require(abs(_finite_pair(space, k_star, f, "<k*, f>")) <= allowed, "<k*, f> = 0")
     _require(bool(mask.any()), "D is nonempty")
     _require(a > 0.0, "a > 0")
     fd = f[mask]
@@ -337,7 +341,7 @@ class _ShiftForm(AffineForm):
     values: np.ndarray
 
     def _evaluate(self, t) -> tuple:
-        u = c01.pwl_shift(self.base.point, self.shift * t)
+        u = c01._shift(self.base.point, self.shift * t)
         return u, c01._measure(*c01._merge(self.points, self.alphas * (self.values + self.shift * t)))
 
 
@@ -373,7 +377,7 @@ def _thm53(space: c01.C01Space, params: dict) -> Witness:
 def _thm54(space: c01.C01Space, params: dict) -> Witness:
     f = serialize.pwl_from_json(params["f"])
     lam = serialize.measure_from_json(params["lambda"])
-    ip = space.pair(lam, f)
+    ip = _finite_pair(space, lam, f, "<lambda, f>")
     _require(ip != 0.0, "<lambda, f> != 0")  # so f != 0
     norm = space.norm(f)
     mu = _resolve_measure(params, f, norm)
@@ -386,7 +390,7 @@ def _thm54(space: c01.C01Space, params: dict) -> Witness:
 def _thm55(space: c01.C01Space, params: dict) -> Witness:
     f = serialize.pwl_from_json(params["f"])
     lam = serialize.measure_from_json(params["lambda"])
-    mass = c01.total_mass(lam)
+    mass = _finite("lambda[0,1]", c01.total_mass(lam), "number")  # inf or NaN where it overflows
     _require(mass != 0.0, "lambda[0,1] != 0")
     sgn = 1.0 if mass > 0.0 else -1.0
     norm = space.norm(f)
@@ -467,7 +471,7 @@ def _thm58(space: c01.C01Space, params: dict) -> Witness:
     _require(c != 1.0, "c != 1")
     mu = _resolve_measure(params, f, norm)
     s = 1.0 if c > 1.0 else -1.0
-    query = _query_at(space, f, mu, space.dual_scale(mu, c), f, norm)
+    query = _query_at(space, f, mu, c01.measure_scale(mu, c), f, norm)
     curve = _scaling_curve(query, "thm58", s)
     return Witness("thm58", query, curve, abs(c - 1.0) * norm / 2.0)
 
@@ -504,4 +508,7 @@ def build_witness(space, theorem_id: str, params: dict) -> Witness:
         raise HypothesisViolation(
             f"{theorem_id} lives in the {space_type.__name__} model"
         )
-    return builder(space, serialize._Fields(params, "params", keys))
+    witness = builder(space, serialize._Fields(params, "params", keys))
+    if witness.claimed_bound is not None and not math.isfinite(witness.claimed_bound):
+        raise ValueError(f"the claimed bound of {theorem_id} overflows")
+    return witness

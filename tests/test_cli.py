@@ -88,6 +88,17 @@ def test_a_negative_suite_seed_is_refused_before_any_work(tmp_path, capsys, monk
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_a_suite_sample_count_below_1_is_refused_before_any_work(tmp_path, capsys, monkeypatch, samples):
+    # used to name the library's sample_count, not the option
+    calls, call = [], cli.run_appendix_battery
+    monkeypatch.setattr(cli, "run_appendix_battery", lambda *args: calls.append(args) or call(*args))
+    out = tmp_path / "report.json"
+    assert main(["suite", "--space", "c01", "--samples", samples, "--seed", "1", "--out", str(out)]) == 2
+    assert f"--samples must be a positive integer, got {samples}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_eval_lp_power_overflow_exit_code(capsys):
     # ||x|| ** (p - 2) overflows, but J([1e-320]) = [1e-320]: this used to exit 2
     code = main(["eval", "--space", "lp", "--p", "1.000001", "--vector", "[1e-320]"])
@@ -627,6 +638,20 @@ def test_a_quotient_that_is_not_finite_exits_2(tmp_path, capsys):
     code, out = _run_one(tmp_path, thm47)
     assert code == 2 and not out.exists()
     assert "not finite" in capsys.readouterr().err
+
+
+def test_a_bound_that_overflows_exits_2_naming_it_and_writes_no_file(tmp_path, capsys):
+    # lambda[0,1] = 2e308 made the claimed bound inf: run exited 2 with "Out of
+    # range float values are not JSON compliant" and left part of a file
+    scenario = {"space": {"space": "c01"}, "theorem": "thm55", "params": {
+        "f": {"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 1.0, 0.0]},
+        "lambda": {"atoms": [[0.5, 1e308], [0.7, 1e308]]},
+    }}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"scenarios": [scenario]}))
+    assert main(["run", str(path)]) == 2
+    assert "scenarios[0]: lambda[0,1] must be a finite number, got inf" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_a_norm_that_underflows_is_no_traceback(tmp_path):

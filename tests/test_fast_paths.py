@@ -6,20 +6,28 @@ which is now averaged term by term), numpy scalars for the duality gaps of one e
 per-atom loop of the atom merge (``c01._merge``), the grid union of ``dual_sub`` and builders
 that computed ||f|| and M(f) per helper call.  The fast paths must give the
 same floats, bit for bit, signed zeros included.  The per-atom sum of
-``pairing_c`` is checked against ``ref_pairing`` in ``test_c01_kernels``.
+``pairing_c`` is checked against ``ref_pairing`` in ``test_c01_kernels``,
+and here for atoms that all sit on f's grid, which are read by index.  A
+certificate on such a grid enters ``np.errstate`` once, and no public c01
+entry point warns on an overflow.
 """
 
 import itertools
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualitymap import C01Space, FiniteMeasureSpace, LpSpace, c01, serialize
 from dualitymap.c01 import RcaMeasure, atom_measure
-from dualitymap.coderivative import CoderivativeQuery, GraphPair, _quotient, _sample, _tail_estimate, duality_gaps
+from dualitymap.coderivative import (
+    CoderivativeQuery, GraphPair, _quotient, _sample, _tail_estimate, certify_nonmembership, duality_gaps, quotient,
+)
 from dualitymap.witnesses import HypothesisViolation, build_witness
+from test_c01_kernels import ref_pairing
 from witness_draws import CLOSED_FORM_DRAWS, draw_cor57, random_pwl, stable_seed
 
 C01_THEOREMS = ("thm53", "thm54", "thm55", "thm56", "cor57", "thm58")
@@ -387,3 +395,98 @@ def test_a_given_mu_outside_j_names_mu(theorem):
     params.update({"thm53": {}, "thm54": {"lambda": {"atoms": [[0.5, 1.0]]}}, "thm58": {"c": 2.0}}[theorem])
     with pytest.raises(HypothesisViolation, match=r"mu in J\(f\)"):
         build_witness(C01Space(), theorem, params)
+
+
+# -- the pairing of atoms on f's grid, and the numpy scope of a certificate -------
+
+
+def _on_grid_cases():
+    """(measure, f, rows) triples: atoms on breakpoints (the ends included), some absent, one measure or a batch each side."""
+    rng = np.random.default_rng(stable_seed("on-grid pairing"))
+    bp = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
+    values = rng.uniform(-3.0, 1.0, (6, bp.size))  # mostly negative, so +-0.0 terms meet negative sums
+    values[1] = -1.0
+    f_rows = c01._on_checked_grid(c01.PwlFunction, bp, values)
+    f_one = c01.PwlFunction(bp, values[0])
+    cases = []
+    for size in (1, 2, 3):
+        for _ in range(4):
+            locations = np.sort(rng.choice(bp, size, replace=False))
+            weights = rng.uniform(-2.0, 2.0, (6, size))
+            weights[0, 0], weights[1, -1], weights[2] = 0.0, -0.0, -0.0  # absent atoms
+            one = c01._measure(locations, weights[3])
+            rows = c01._measure(locations, weights)
+            cases += [(one, f_rows, 6), (rows, f_one, 6), (rows, f_rows, 6)]
+            cases += [(c01._measure(locations, weights[i]), f_one, None) for i in range(3)]
+    return cases
+
+
+def _row(v, i, rows):
+    """Row i of a batch of measures or functions; v itself where it is one element."""
+    return v if rows is None or (v.weights if isinstance(v, RcaMeasure) else v.values).ndim == 1 else c01.take_rows(v, i)
+
+
+def _with_an_absent_atom_off_the_grid(mu: RcaMeasure) -> RcaMeasure:
+    """mu with an atom of weight 0.0 at 0.3, between breakpoints: its pairing interpolates f."""
+    at = int(np.searchsorted(mu.locations, 0.3))
+    zero = np.zeros(mu.weights.shape[:-1] + (1,))
+    weights = np.concatenate([mu.weights[..., :at], zero, mu.weights[..., at:]], axis=-1)
+    return c01._measure(np.insert(mu.locations, at, 0.3), weights)
+
+
+@pytest.mark.parametrize("mu, f, rows", _on_grid_cases())
+def test_atoms_on_the_grid_pair_bitwise_as_the_per_atom_sum_and_the_interpolation(mu, f, rows):
+    space = C01Space()
+    found, interpolated = space.pair(mu, f), space.pair(_with_an_absent_atom_off_the_grid(mu), f)
+    found = [found] if rows is None else found.tolist()
+    interpolated = [interpolated] if rows is None else interpolated.tolist()
+    want = [ref_pairing(_row(mu, i, rows), _row(f, i, rows)) for i in range(rows or 1)]
+    assert [v.hex() for v in found] == [v.hex() for v in want] == [v.hex() for v in interpolated]
+    assert [v.hex() for v in np.atleast_1d(c01.pairing_c(mu, f)).tolist()] == [v.hex() for v in want]
+
+
+def _tent(peak: float) -> c01.PwlFunction:
+    return c01.PwlFunction(np.array([0.0, 0.5, 1.0]), np.array([0.0, peak, 0.0]))
+
+
+def test_no_public_entry_point_warns_on_a_c01_overflow():
+    space, big = C01Space(), c01.atom_measure([(0.5, 1e300)])
+    query = CoderivativeQuery(space, GraphPair(_tent(1.0), c01.atom_measure([(0.5, 1.0)])), big)
+    huge = {"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 1e300, 0.0]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # <lambda, u - x> is inf
+        assert quotient(query, GraphPair(_tent(1e300), big)) == math.inf
+        assert c01.pairing_c(big, _tent(1e300)) == math.inf
+        assert c01.tv_norm(c01.atom_measure([(0.25, 1e308), (0.5, 1e308)])) == math.inf
+        assert space.is_member(_tent(1e300), big)  # <u, x> overflows: found again on the unit pair
+        assert duality_gaps(space, _tent(1e300), big) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="<lambda, f> overflows"):
+            build_witness(space, "thm54", {"f": huge, "lambda": {"atoms": [[0.5, 1e300]]}})
+        with pytest.raises(ValueError, match="atom weights must be finite"):
+            build_witness(space, "thm58", {"f": huge, "c": 1e10})
+
+
+def _on_grid_witnesses() -> list:
+    """Certificate rows whose atoms all sit on f's grid, with no density: the fixture's thm54, thm56 and cor57, thm53 and thm58 on a tent."""
+    scenarios = json.loads((Path(__file__).parent.parent / "fixtures" / "all.json").read_text())["scenarios"]
+    rows = [(s["theorem"], s["params"]) for s in scenarios if s["theorem"] in ("thm54", "thm56", "cor57")]
+    tent = {"breakpoints": [0.0, 0.25, 0.5, 0.75, 1.0], "values": [0.0, 1.0, 0.5, 1.0, 0.0]}
+    rows += [("thm53", {"f": tent}), ("thm58", {"f": tent, "c": 2.0}), ("thm58", {"f": tent, "c": 0.5})]
+    return [build_witness(C01Space(), theorem, params) for theorem, params in rows]
+
+
+def test_a_certificate_on_the_grid_enters_one_numpy_scope(monkeypatch):
+    entered = []
+
+    class Counting(np.errstate):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    witnesses = _on_grid_witnesses()
+    monkeypatch.setattr(np, "errstate", Counting)
+    for w in witnesses:
+        entered.clear()
+        cert = certify_nonmembership(w.query, w.curve, w.claimed_bound)
+        assert cert.verdict == "certified" and len(entered) == 1, w.theorem

@@ -138,6 +138,30 @@ def test_hypothesis_guards():
         build_witness(LpSpace(2.0), "thm46", {"k_star": [1.0], "D": [0]})
 
 
+TENT = {"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 1.0, 0.0]}
+
+
+@pytest.mark.parametrize("space, theorem, params, message", [
+    # each built with an inf claimed bound, which ``run`` could not write as JSON
+    (C01Space(), "thm55", {"f": TENT, "lambda": {"atoms": [[0.5, 1e308], [0.7, 1e308]]}},
+     r"lambda\[0,1\] must be a finite number, got inf"),
+    (C01Space(), "thm54", {"f": {"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 1e300, 0.0]},
+                           "lambda": {"atoms": [[0.5, 1e300]]}}, "<lambda, f> overflows"),
+    (C01Space(), "thm54", {"f": {"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 1e300, 0.0]},
+                           "lambda": {"atoms": [[0.5, 1e300]], "density": {"breakpoints": [0.0, 1.0], "values": [1.0]}}},
+     "<lambda, f> overflows"),
+    (LpSpace(2.0), "thm32", {"x": [1e200], "y": [1e300]}, r"<J\(x\), y> overflows"),
+    # <lambda, f> is finite, but divided by a tiny ||f|| it is not: three atoms of 1.7e308
+    (C01Space(), "thm54", {"f": {"breakpoints": [0.0, 0.25, 0.5, 0.75, 1.0], "values": [0.0, 1e-300, 1e-300, 1e-300, 0.0]},
+                           "lambda": {"atoms": [[0.25, 1.7e308], [0.5, 1.7e308], [0.75, 1.7e308]]}},
+     "the claimed bound of thm54 overflows"),
+])
+def test_a_value_of_the_bound_past_the_float_range_is_refused_by_name(space, theorem, params, message):
+    # refused at build, without a numpy warning (an error under this suite's filter)
+    with pytest.raises(ValueError, match=message):
+        build_witness(space, theorem, params)
+
+
 @pytest.mark.parametrize("theorem", sorted(CLOSED_FORM_DRAWS))
 def test_random_draws_match_closed_form(theorem):
     rng = np.random.default_rng(stable_seed(theorem))

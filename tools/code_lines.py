@@ -3,8 +3,10 @@
 A code line is a line that holds a token of the program: blank lines,
 comment lines and the lines of docstrings (the string that opens a module,
 a class or a function) do not count.  An option is a parameter with a
-default, a parameter named ``*tol``, or a field with a default of a
-``@dataclass`` class: something a caller may vary.  Only the stdlib is
+default, a parameter named ``*tol`` of a public function (a name without a
+leading underscore, or a dunder), or a field with a default of a
+``@dataclass`` class: something a caller may vary.  A private helper's
+``*tol`` only passes on a tolerance that its caller took already.  Only the stdlib is
 used: ``tokenize`` finds the lines that hold tokens, one ``ast`` walk finds
 the docstrings and the options.
 
@@ -24,14 +26,15 @@ _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, t
 
 
 def _options(node: ast.AST) -> int:
-    """The options ``node`` declares: defaulted or ``*tol`` parameters of a function, defaulted fields of a dataclass."""
+    """The options ``node`` declares: defaulted parameters of a function, ``*tol`` ones of a public one, defaulted fields of a dataclass."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        args = node.args
+        args, name = node.args, getattr(node, "name", "_")  # a lambda is private
+        public = not name.startswith("_") or name.endswith("__")
         positional = args.posonlyargs + args.args
         defaulted = positional[len(positional) - len(args.defaults):] + [
             arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
         ]
-        tols = [arg for arg in positional + args.kwonlyargs if arg.arg.endswith("tol")]
+        tols = [arg for arg in positional + args.kwonlyargs if public and arg.arg.endswith("tol")]
         return len({arg.arg for arg in defaulted + tols})
     if isinstance(node, ast.ClassDef) and any(
         ast.unparse(decorator).split("(")[0] == "dataclass" for decorator in node.decorator_list
