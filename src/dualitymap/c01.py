@@ -30,24 +30,32 @@ Cost: ``measure_sub`` and the density-support scan of
 over the union of the breakpoint grids.
 ``maximizing_set`` finds the breakpoints at the maximum with one array pass
 and then walks only those, so its Python work is linear in the number of
-maximizers (usually one to three).  ``pairing_c`` locates the atoms on
-f's grid with one ``searchsorted``: where they all sit on breakpoints and
-there is no density (most probe curves), it reads f's values there by
-index; otherwise it evaluates f at every atom with one ``np.interp`` call
-and pairs a density over the union of the two grids.
+maximizers (usually one to three).  ``pairing_c`` of a batch locates the
+atoms on f's grid with one ``searchsorted``: where they all sit on
+breakpoints and there is no density (most probe curves), it reads f's
+values there by index.  Otherwise, on one grid, it pairs in Python floats
+while rows times atoms plus twice the breakpoints of f and of a density
+are at most ``_FLOAT_COST``: one function is read at the
+atoms by one ``np.interp`` call, and a batch only at the two columns of
+each atom's segment, by the kernel's formula; a density is paired over the
+union of the two grids, f's own values read as they are and interpolated
+only at the density's breakpoints.  Past that size, and for a stack, one
+numpy pass interpolates f at every atom and on the union grid.
 ``atomic_duality_measure`` and ``peak_points`` evaluate f at all their
 points with one ``np.interp`` call.  At catalog sizes (up to 16
 breakpoints, one to three atoms) each numpy call costs more than its
 arithmetic, ``np.errstate`` included, so the ``C01Space`` methods run under
-their caller's scope, as the other backends' do: a certificate whose atoms
-all sit on f's grid enters one, ``estimate_limit``'s.  The pairing enters
-its own only where it interpolates f or pairs a density, and each public
-function of this module that can overflow enters its own (``_quiet``).
-A batch of measures whose atoms sit at the subtrahend's own locations
-(every scaling and shift curve) subtracts weight by weight.  A caller that
-knows ||f|| or M(f) passes it to the private forms (``_maximizing_set``, ``_peak_points``,
-``_atomic_measure``, ``_canonical_measure``, ``_plateau_measure``), so one
-witness finds each once.
+their caller's scope, as the other backends' do: a certificate whose
+pairings are read by index or in Python floats, which never warn, enters
+one, ``estimate_limit``'s.  The pairing enters its own only for its numpy
+pass, and each public function of this module that can overflow enters
+its own (``_quiet``).  A batch of measures whose atoms sit at the
+subtrahend's own locations (every scaling and shift curve) subtracts weight
+by weight.  A caller that knows ||f|| or M(f) passes it to the private
+forms (``_maximizing_set``, ``_peak_points``, ``_atomic_measure``,
+``_canonical_measure``, ``_plateau_measure``), so one witness finds each
+once; ``_peak_points`` also hands back f's values at the points it keeps,
+from which ``_atoms`` builds an atomic member without reading f again.
 
 The probe curves keep the base point's grid: ``pwl_scale`` and ``pwl_shift``
 reuse ``f.breakpoints``, and ``pwl_sub`` of two functions on the same grid
@@ -107,6 +115,8 @@ the masks.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -438,14 +448,15 @@ def _run_set(bp: np.ndarray, first: np.ndarray, last: np.ndarray) -> MaximizingS
 def peak_points(f: PwlFunction, sign: int) -> list:
     """Representative points where f equals sign * ||f|| (sign is +1 or -1), within ``VALUE_TOL``."""
     norm = sup_norm(f)
-    return _peak_points(f, norm, maximizing_set(f), sign)
+    return _peak_points(f, norm, maximizing_set(f), sign)[0]
 
 
-def _peak_points(f: PwlFunction, norm: float, mset: MaximizingSet, sign: int) -> list:
-    """``peak_points`` of f given its sup norm and M(f)."""
+def _peak_points(f: PwlFunction, norm: float, mset: MaximizingSet, sign: int) -> tuple:
+    """``peak_points`` of f given its sup norm and M(f), and f's values there: two lists, of points and of values."""
     target, points = float(sign) * norm, mset.points()
-    values = f(np.array(points)).tolist()
-    return [float(s) for s, v in zip(points, values) if abs(v - target) <= _allowance(VALUE_TOL, norm)]
+    tol = _allowance(VALUE_TOL, norm)
+    peaks = [(float(s), v) for s, v in zip(points, f(np.array(points)).tolist()) if abs(v - target) <= tol]
+    return [s for s, _ in peaks], [v for _, v in peaks]
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,11 +504,8 @@ class RcaMeasure:
 
     def __init__(self, atoms=(), density=None):
         pairs = [(float(loc), float(w)) for loc, w in atoms]
-        for loc, _ in pairs:
-            if not 0.0 <= loc <= 1.0:
-                raise ValueError(f"atom location {loc} outside [0,1]")
-        locations, weights = np.array(pairs).reshape(-1, 2).T
-        _fill(self, *_merge(locations, weights), density)
+        weights = np.array([w for _, w in pairs], dtype=float)
+        _fill(self, *_merge(_located([loc for loc, _ in pairs]), weights), density)
 
     @property
     def atoms(self) -> tuple:
@@ -505,6 +513,14 @@ class RcaMeasure:
             return _pairs(self.locations.tolist(), self.weights.tolist())
         locations = np.broadcast_to(self.locations, self.weights.shape)
         return tuple(map(_pairs, locations.tolist(), self.weights.tolist()))
+
+
+def _located(locations: list) -> np.ndarray:
+    """Atom locations, Python floats each in [0,1], as an array."""
+    for loc in locations:
+        if not 0.0 <= loc <= 1.0:
+            raise ValueError(f"atom location {loc} outside [0,1]")
+    return np.array(locations, dtype=float)
 
 
 def _pairs(locations: list, weights: list) -> tuple:
@@ -700,43 +716,159 @@ def pairing_c(mu: RcaMeasure, f: PwlFunction):
     The atom terms and then the density terms are summed left to right
     from 0.0; an absent atom or a zero density segment adds +0.0, which
     leaves the total unchanged, since a total that starts at +0.0 is never
-    -0.0.  Atoms that all sit on breakpoints of one grid, with no density
-    (most probe curves), read f's values there by index: f's values are
-    finite, so an absent atom's term is 0 v = +-0.0, which adds to the
-    total as +0.0 does.
+    -0.0.  A batch whose atoms all sit on breakpoints of its one grid, with
+    no density (most probe curves), reads f's values there by index: f's
+    values are finite, so an absent atom's term is 0 v = +-0.0, which adds
+    to the total as +0.0 does.  Any other pairing on one grid goes in Python
+    floats (``_float_pairing``) up to the size ``_FLOAT_COST``, and past it
+    in one numpy pass; both give these terms and sums bit for bit.
     """
     return _quiet(_pairing, mu, f)
 
 
 def _pairing(mu: RcaMeasure, f: PwlFunction):
-    """``pairing_c`` under its caller's ``np.errstate``, and under its own where it interpolates f or pairs a density.
+    """``pairing_c`` under its caller's ``np.errstate``, and under its own for its numpy pass.
 
     Read between breakpoints, a finite f may be infinite (a slope past the
-    float range), which ``np.interp`` returns without a warning; so
-    ``C01Space.pair`` of such a function and measure is silent too.
+    float range), which ``np.interp`` returns and Python floats give without
+    a warning; so ``C01Space.pair`` of such a function and measure is silent
+    too.  Only a batch whose atoms sit on f's grid, read by index, may warn
+    outside a scope, as lp's and L1's pairings may.
     """
-    w, at = mu.weights, mu.locations
-    if f.breakpoints.ndim == 1 and mu.density is None:
-        j = f.breakpoints.searchsorted(at, side="right") - 1  # bp[j] <= at < bp[j + 1]
-        if _every(f.breakpoints[j] == at):
-            return _float_or_rows(_sum_left(w * f.values[..., j]))
+    w, at, bp, d = mu.weights, mu.locations, f.breakpoints, mu.density
+    if bp.ndim == 1:
+        if d is None and (w.ndim > 1 or f.values.ndim > 1):  # a batch
+            j = bp.searchsorted(at, side="right") - 1  # bp[j] <= at < bp[j + 1]
+            if _every(bp[j] == at):
+                return _float_or_rows(_sum_left(w * f.values[..., j]))
+        lead = [a.shape[0] for a in ((w, f.values) if d is None else (w, f.values, d.values)) if a.ndim > 1]
+        rows = max(lead, default=1)
+        if rows * at.size + (0 if d is None else 2 * (bp.size + d.breakpoints.size)) <= _FLOAT_COST:
+            totals = _float_pairing(mu, f, rows)
+            return np.array(totals) if lead else totals[0]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python float products
-        if f.breakpoints.ndim > 1:
-            if mu.density is not None:
+        if bp.ndim > 1:
+            if d is not None:
                 raise ValueError(
                     f"pairing_c needs a measure without density against a stack, got a density on grid "
-                    f"{mu.density.breakpoints.shape} and a stack on grids {f.breakpoints.shape}"
+                    f"{d.breakpoints.shape} and a stack on grids {bp.shape}"
                 )
-            shape = (f.breakpoints.shape[0], w.shape[-1])
+            shape = (bp.shape[0], w.shape[-1])
             w, locations = (a if a.shape == shape else np.broadcast_to(a, shape) for a in (w, at))
             held = w.nonzero()
             terms = [np.zeros(shape)]
-            terms[0][held] = w[held] * _interp_rows(locations[held], f.breakpoints, f.values, held[0])
+            terms[0][held] = w[held] * _interp_rows(locations[held], bp, f.values, held[0])
         else:
             terms = [np.where(w != 0.0, w * f(at), 0.0)]  # an absent atom adds +0.0, not 0 * inf = NaN
-        if mu.density is not None:
-            terms.append(_density_terms(mu.density, f))
+        if d is not None:
+            terms.append(_density_terms(d, f))
         return _float_or_rows(_sum_left(_cat(*terms)))
+
+
+# A pairing on one grid that is not read by index goes in Python floats while
+# rows * atoms + 2 * (f's and the density's breakpoints, with a density) is at
+# most this, and in one numpy pass past it.  Measured with one row and with 8
+# (a checkpoint's batch): the two paths cost the same at about 64 atoms times
+# rows, and at about 25-30 breakpoints of f and a density together.
+_FLOAT_COST = 64
+
+
+def _float_pairing(mu: RcaMeasure, f: PwlFunction, rows: int) -> list:
+    """The ``_pairing`` of mu and f on one grid, one Python float total per row of ``rows``.
+
+    Each total adds up, left to right from 0.0, the terms w f(s) of the
+    atoms present and then the terms of the density's nonzero segments on
+    the union of the two grids, where f is read as ``np.interp`` reads it
+    (``_values_at``).  A segment of the union grid takes the density of the
+    segment of its own grid that holds its midpoint, as
+    ``StepDensity.values_on`` finds it.  These are ``_pairing``'s numpy
+    terms and sum, bit for bit: an absent atom or a zero density segment
+    adds +0.0 there, which leaves a total that starts at +0.0 unchanged.
+    """
+    d = mu.density
+    totals = []
+    for weights, values in zip(_repeat(_lists(mu.weights), rows), _values_at(mu.locations, f, rows)):
+        total = 0.0
+        for w, v in zip(weights, values):
+            if w != 0.0:  # an absent atom adds +0.0, not 0 * inf = NaN
+                total += w * v
+        totals.append(total)
+    if d is None:
+        return totals
+    bp, own = f.breakpoints.tolist(), d.breakpoints.tolist()
+    grid = sorted(set(bp).union(own))  # np.union1d
+    on_f = set(bp)
+    # the density's own breakpoints inside a segment j of f, where f is interpolated
+    inside = [(k, s, bisect_right(bp, s) - 1) for k, s in enumerate(grid) if s not in on_f]
+
+    def on_grid(v: list) -> list:
+        """f's values on the union grid, from its values ``v`` on its own."""
+        between = [_interp_at(s, bp[j], bp[j + 1], v[j], v[j + 1]) for _, s, j in inside]
+        for (k, _, _), value in zip(inside, between):  # in increasing k, so each lands at its place
+            v.insert(k, value)
+        return v
+
+    hi = len(own) - 1
+    segments = [(k, bisect_right(own, 0.5 * (a + b), 1, hi) - 1, b - a) for k, (a, b) in enumerate(zip(grid, grid[1:]))]
+    terms = [[(k, dens[m] * width * 0.5) for k, m, width in segments if dens[m] != 0.0] for dens in _lists(d.values)]
+    values = [on_grid(v) for v in _lists(f.values)]
+    for r, (row_terms, v) in enumerate(zip(_repeat(terms, rows), _repeat(values, rows))):
+        total = totals[r]
+        for k, c in row_terms:
+            total += c * (v[k] + v[k + 1])
+        totals[r] = total
+    return totals
+
+
+def _lists(a: np.ndarray) -> list:
+    """The rows of a batch, or one element as one row, as lists of Python floats."""
+    return a.tolist() if a.ndim > 1 else [a.tolist()]
+
+
+def _repeat(lists: list, rows: int) -> list:
+    """A list of ``rows`` rows: ``lists`` itself, or its one row ``rows`` times, as numpy broadcasts a row."""
+    if len(lists) == rows:
+        return lists
+    if len(lists) == 1:
+        return lists * rows
+    raise ValueError(f"a batch of {len(lists)} rows does not pair with one of {rows}")
+
+
+def _values_at(x: np.ndarray, f: PwlFunction, rows: int) -> list:
+    """f's values at the points x of [0,1] as ``np.interp`` finds them, a list of Python floats per row.
+
+    One function is read by ``np.interp``.  A batch on one grid is read at
+    the two columns of each point's segment alone, by the kernel's formula
+    (``_interp_at``), and not at every breakpoint.
+    """
+    bp, v = f.breakpoints, f.values
+    if v.ndim == 1:
+        return [np.interp(x, bp, v).tolist()] * rows
+    j = bp.searchsorted(x, side="right") - 1  # bp[j] <= x < bp[j + 1]
+    n = x.size
+    cols = np.concatenate([j, np.minimum(j + 1, bp.size - 1)])
+    ends = bp[cols].tolist()
+    segments = list(zip(x.tolist(), ends[:n], ends[n:], range(n)))
+    return _repeat([[_interp_at(s, x0, x1, c[i], c[n + i]) for s, x0, x1, i in segments] for c in v[..., cols].tolist()], rows)
+
+
+def _interp_at(x: float, x0: float, x1: float, left: float, right: float) -> float:
+    """``np.interp`` at x of the segment from (x0, left) to (x1, right), x0 <= x < x1, in Python floats.
+
+    The C kernel's rules: fp[j] on the breakpoint; slope * (x - x0) + left
+    between, or from the right end when that is NaN, or ``left`` when that
+    is NaN too and both ends are equal.  Python floats give inf or NaN
+    without a warning, as the kernel does.
+    """
+    if x == x0:
+        return left
+    slope = (right - left) / (x1 - x0)
+    value = slope * (x - x0) + left
+    if value != value:
+        value = slope * (x - x1) + right
+        if value != value and left == right:
+            value = left
+    return value
 
 
 @dataclass(frozen=True)
@@ -781,22 +913,37 @@ def atomic_duality_measure(f: PwlFunction, points, alphas=None) -> RcaMeasure:
 def _atomic_measure(f: PwlFunction, mset: MaximizingSet, points, alphas) -> RcaMeasure:
     """``atomic_duality_measure`` of an f != 0 whose M(f) is known."""
     points = [float(s) for s in points]
+    alphas = _alphas(points, alphas)
+    for s in points:
+        if not mset.contains(s):
+            raise ValueError(f"point {s} is not in the maximizing set of f")
+    return _atoms(points, alphas, f(np.array(points)).tolist())
+
+
+def _alphas(points: list, alphas) -> list:
+    """The alphas of atoms at ``points``, at least one: uniform where ``alphas`` is None, else checked.
+
+    Given alphas must pair with the points, be positive and sum to one
+    within 1e-12, a sum taken exactly (``math.fsum``), so that the room
+    bounds the alphas on every Python and not the order of the sum.
+    """
     if not points:
         raise ValueError("need at least one atom point")
     if alphas is None:
-        alphas = [1.0 / len(points)] * len(points)
+        return [1.0 / len(points)] * len(points)
     alphas = [float(a) for a in alphas]
     if len(alphas) != len(points):
         raise ValueError("alphas must pair with points")
     if not all(a > 0.0 for a in alphas):  # so a NaN alpha is refused here
         raise ValueError("alphas must be strictly positive")
-    if not abs(sum(alphas) - 1.0) <= 1e-12:
+    if not abs(math.fsum(alphas) - 1.0) <= 1e-12:
         raise ValueError("alphas must sum to 1")
-    for s in points:
-        if not mset.contains(s):
-            raise ValueError(f"point {s} is not in the maximizing set of f")
-    values = f(np.array(points)).tolist()
-    return atom_measure(zip(points, [a * v for a, v in zip(alphas, values)]))
+    return alphas
+
+
+def _atoms(points: list, alphas: list, values: list) -> RcaMeasure:
+    """Atoms alpha_j v_j at the points s_j, with v_j = f(s_j): the measure of ``atomic_duality_measure``, built as ``RcaMeasure`` builds it."""
+    return _measure(*_merge(_located(points), np.array([a * v for a, v in zip(alphas, values)])))
 
 
 def plateau_duality_measure(f: PwlFunction, a: float, b: float) -> RcaMeasure:

@@ -210,8 +210,9 @@ class Space(Protocol):
     their caller's ``np.errstate`` and may overflow, to an inf or NaN value
     returned or to a ``ValueError``; the norms of ``lp`` and ``L1`` and the
     ``lp`` map find or refuse an overflow without a warning, and ``c01``'s
-    ``pair`` enters its own scope where it interpolates f or pairs a
-    density.  So every caller that can overflow holds a scope:
+    ``pair`` enters its own scope only for its numpy pass (a stack, or a
+    pairing past ``c01._FLOAT_COST``), its Python-float pairings never
+    warning.  So every caller that can overflow holds a scope:
     ``estimate_limit``, once per estimate, ``is_member``, ``duality_gaps``,
     ``CoderivativeQuery._admit``, ``quotient``, the witness builders'
     pairings and scalings (``witnesses``), and the public ``c01``

@@ -345,13 +345,12 @@ class _ShiftForm(AffineForm):
         return u, c01._measure(*c01._merge(self.points, self.alphas * (self.values + self.shift * t)))
 
 
-def _shift_curve(theorem: str, query: CoderivativeQuery, shift: float, points, alphas, t_max: float) -> ProbeCurve:
-    """f + shift t with atoms alpha_j (f(s_j) + shift t) on points s_j where f peaks."""
-    points, alphas = np.array(points, dtype=float), np.array(alphas, dtype=float)
+def _shift_curve(theorem: str, query: CoderivativeQuery, shift: float, points, alphas, values, t_max: float) -> ProbeCurve:
+    """f + shift t with atoms alpha_j (v_j + shift t) on points s_j where f peaks, given v_j = f(s_j)."""
+    points, alphas, values = (np.array(a, dtype=float) for a in (points, alphas, values))
     order = points.argsort(kind="stable")  # sorted once, so the atoms need no sorting at each t
-    points, alphas = points[order], alphas[order]
     affine = _ShiftForm(
-        query.space, query.base, shift=shift, points=points, alphas=alphas, values=query.base.point(points)
+        query.space, query.base, shift=shift, points=points[order], alphas=alphas[order], values=values[order]
     )
     return ProbeCurve(f"{theorem}:shift[{shift:+.0f}]", t_max=t_max, affine=affine)
 
@@ -398,21 +397,22 @@ def _thm55(space: c01.C01Space, params: dict) -> Witness:
     if norm == 0.0:
         # At the origin the shifted constant attains its norm everywhere; one
         # atom suffices.
-        pts, alph, mu = [0.5], [1.0], c01.zero_measure()
+        pts, alph, vals, mu = [0.5], [1.0], [float(f(0.5))], c01.zero_measure()
     else:
         # Shifting by sgn keeps the peaks at sgn * ||f|| maximizing for every
         # t; the opposite peaks stay maximizing while t is below half the gap
-        # to the largest value of sgn * f.
+        # to the largest value of sgn * f.  The peaks come from M(f) and the
+        # alphas are uniform, so mu takes f's values there without a test.
         mset = c01._maximizing_set(f, norm)
-        pts = c01._peak_points(f, norm, mset, int(sgn))
+        pts, vals = c01._peak_points(f, norm, mset, int(sgn))
         if not pts:
-            pts = c01._peak_points(f, norm, mset, -int(sgn))
+            pts, vals = c01._peak_points(f, norm, mset, -int(sgn))
             extreme = float(np.max(sgn * f.values))  # max of sgn * f, < norm here
             t_max = (norm - extreme) / 2.0 / 2.0
         alph = [1.0 / len(pts)] * len(pts)
-        mu = c01._atomic_measure(f, mset, pts, alph)
+        mu = c01._atoms(pts, alph, vals)
     query = CoderivativeQuery._of_checked(space, GraphPair(f, mu), lam, None, norm)
-    curve = _shift_curve("thm55", query, sgn, pts, alph, t_max)
+    curve = _shift_curve("thm55", query, sgn, pts, alph, vals, t_max)
     return Witness("thm55", query, curve, abs(mass) / 2.0)
 
 
@@ -422,31 +422,33 @@ def _thm56(space: c01.C01Space, params: dict) -> Witness:
 
 
 def _shared_peak_witness(space: c01.C01Space, f: c01.PwlFunction, u: c01.PwlFunction, params: dict) -> Witness:
-    """thm56 for nonnegative f and u, at ``points`` with ``alphas`` when params give them."""
+    """thm56 for nonnegative f and u, at ``points`` with ``alphas`` when params give them.
+
+    Given points must lie in M(f) and M(u), the sets the atoms of mu and
+    lambda must sit on.  Otherwise the points are f's peak points at which u
+    is within ``VALUE_TOL`` of ||u||, each in M(u); f and u are read there
+    once, for mu, lambda and the curve.  Given alphas are checked, the
+    uniform ones are not.
+    """
     norm_f, norm_u = space.norm(f), space.norm(u)
     _require(norm_f > 0.0, "||f|| > 0")
     _require(norm_u > norm_f, "||u|| > ||f||")
-    mset_f = c01._maximizing_set(f, norm_f)
+    mset_f, mset_u = c01._maximizing_set(f, norm_f), c01._maximizing_set(u, norm_u)
     if params.get("points") is not None:
         pts = params.numbers("points").tolist()
-        for s, v in zip(pts, u(np.array(pts)).tolist()):
-            _require(
-                mset_f.contains(s) and abs(v - norm_u) <= _allowance(1e-9, norm_u),
-                "points lie in M(u) and M(f)",
-            )
+        _require(all(mset_f.contains(s) and mset_u.contains(s) for s in pts), "points lie in M(u) and M(f)")
+        f_at, u_at = f(np.array(pts)).tolist(), u(np.array(pts)).tolist()
     else:
-        peaks = c01._peak_points(f, norm_f, mset_f, 1)
-        pts = [
-            s
-            for s, v in zip(peaks, u(np.array(peaks)).tolist())
-            if abs(v - norm_u) <= _allowance(c01.VALUE_TOL, norm_u)
-        ]
-        _require(bool(pts), "M(u) and M(f) share a point")
-    alph = [1.0 / len(pts)] * len(pts) if params.get("alphas") is None else params.numbers("alphas").tolist()
-    mu = c01._atomic_measure(f, mset_f, pts, alph)
-    lam = c01._atomic_measure(u, c01._maximizing_set(u, norm_u), pts, alph)
+        pts, f_at = c01._peak_points(f, norm_f, mset_f, 1)
+        u_at, tol = u(np.array(pts)).tolist(), _allowance(c01.VALUE_TOL, norm_u)
+        shared = [i for i, v in enumerate(u_at) if abs(v - norm_u) <= tol]
+        _require(bool(shared), "M(u) and M(f) share a point")
+        pts, f_at, u_at = ([a[i] for i in shared] for a in (pts, f_at, u_at))
+        _require(all(mset_u.contains(s) for s in pts), "points lie in M(u) and M(f)")
+    alph = c01._alphas(pts, None if params.get("alphas") is None else params.numbers("alphas").tolist())
+    mu, lam = c01._atoms(pts, alph, f_at), c01._atoms(pts, alph, u_at)
     query = CoderivativeQuery._of_checked(space, GraphPair(f, mu), lam, f, norm_f)
-    curve = _shift_curve("thm56", query, 1.0, pts, alph, 1.0)
+    curve = _shift_curve("thm56", query, 1.0, pts, alph, f_at, 1.0)
     return Witness("thm56", query, curve, (norm_u - norm_f) / 2.0)
 
 

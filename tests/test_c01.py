@@ -70,6 +70,19 @@ def test_duality_measures_refuse_bad_input():
         plateau_duality_measure(pwl_constant(0.0), 0.25, 0.75)
 
 
+def test_alphas_sum_to_1_by_one_rule_on_every_python():
+    # 100,000 alphas of 1e-5: the builtin sum of them reads 0.9999999999980838 on Python 3.11, which
+    # refused them, and 1.0 from 3.12 on; their exact sum is within 1e-16 of 1
+    points = np.linspace(0.1, 0.9, 100000)
+    mu = atomic_duality_measure(pwl_constant(1.0), points, [1e-5] * 100000)
+    assert mu.weights.size == 100000 and set(mu.weights.tolist()) == {1e-5}
+    # 3e-12 past 1, however the terms are ordered
+    with pytest.raises(ValueError, match="sum to 1"):
+        atomic_duality_measure(pwl_constant(1.0), [0.25, 0.75], [0.5, 0.5 + 3e-12])
+    with pytest.raises(ValueError, match="sum to 1"):
+        atomic_duality_measure(pwl_constant(1.0), [0.25, 0.5, 0.75], [0.5 + 3e-12, 0.25, 0.25])
+
+
 def test_sup_norm_examples():
     assert sup_norm(pwl_constant(1.0)) == 1.0
     assert sup_norm(pwl_tent()) == 1.0

@@ -46,8 +46,16 @@ def ref_value_in(density: StepDensity, a: float, b: float) -> float:
     return float(density.values[min(max(idx, 0), density.values.size - 1)])
 
 
+def ref_left_sum(terms) -> float:
+    """0.0 + terms[0] + terms[1] + ..., left to right: the builtin ``sum`` compensates its rounding from Python 3.12 on."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def ref_pairing(mu: RcaMeasure, f: PwlFunction) -> float:
-    total = sum(w * float(f(loc)) for loc, w in mu.atoms)
+    total = ref_left_sum(w * float(f(loc)) for loc, w in mu.atoms)
     if mu.density is not None:
         grid = np.union1d(mu.density.breakpoints, f.breakpoints)
         fvals = f(grid)
@@ -69,7 +77,7 @@ def ref_density_terms(d: StepDensity, f: PwlFunction) -> np.ndarray:
 
 
 def ref_tv_norm(mu: RcaMeasure) -> float:
-    tv = sum(abs(w) for _, w in mu.atoms)
+    tv = ref_left_sum(abs(w) for _, w in mu.atoms)
     if mu.density is not None:
         tv += float(np.sum(np.abs(mu.density.values) * np.diff(mu.density.breakpoints)))
     return float(tv)
@@ -115,7 +123,7 @@ def ref_measure_sub(mu: RcaMeasure, nu: RcaMeasure) -> RcaMeasure:
 
 
 def ref_total_mass(mu: RcaMeasure) -> float:
-    mass = sum(w for _, w in mu.atoms)
+    mass = ref_left_sum(w for _, w in mu.atoms)
     if mu.density is not None:
         mass += float(np.sum(mu.density.values * np.diff(mu.density.breakpoints)))
     return float(mass)

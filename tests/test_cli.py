@@ -361,6 +361,19 @@ def test_run_refuses_a_thm31_bump_at_a_zero_coordinate_when_p_is_below_2(tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points, message", [
+    ([0.5], "hypothesis violated: points lie in M(u) and M(f)"),  # used to name M(f), where 0.5 lies
+    ([], "need at least one atom point"),  # used to be a ZeroDivisionError
+])
+def test_run_refuses_thm56_points_outside_m_u_naming_the_hypothesis(tmp_path, capsys, points, message):
+    # 0.5 is the peak of f; u is 1e-10 below its sup norm there and peaks at 0.25 alone
+    f = {"breakpoints": [0.0, 0.25, 0.5, 1.0], "values": [0.0, 0.5, 1.0, 0.0]}
+    u = {"breakpoints": [0.0, 0.25, 0.5, 1.0], "values": [0.0, 2.0, 2.0 - 1e-10, 0.0]}
+    code, out = _run_one(tmp_path, {"space": {"space": "c01"}, "theorem": "thm56", "params": {"f": f, "u": u, "points": points}})
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: scenarios[0]: {message}\n"
+
+
 def test_run_checks_every_scenario_before_the_first_certificate(tmp_path, capsys, monkeypatch):
     # used to certify the 15 fixture rows, then exit 2 with "hypothesis violated: a != 1", naming no scenario
     calls, certify = [], cli.certify_nonmembership

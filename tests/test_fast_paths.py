@@ -17,6 +17,7 @@ import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -289,9 +290,20 @@ def ref_resolve(params: dict, f: c01.PwlFunction) -> RcaMeasure:
     return c01.canonical_duality_measure(f)
 
 
+def ref_peak_points(f, sign: int) -> list:
+    """The points of M(f) where f is sign ||f||, f read at each on its own."""
+    norm = c01.sup_norm(f)
+    return [s for s in c01.maximizing_set(f).points() if abs(float(f(s)) - sign * norm) <= c01.VALUE_TOL * max(1.0, norm)]
+
+
+def ref_atomic(f, pts, alph) -> RcaMeasure:
+    """Atoms alpha_j f(s_j), f read at each point on its own."""
+    return RcaMeasure([(s, a * float(f(s))) for s, a in zip(pts, alph)])
+
+
 def ref_shared_peaks(f, u) -> list:
     norm_u = c01.sup_norm(u)
-    return [s for s in c01.peak_points(f, 1) if abs(float(u(s)) - norm_u) <= c01.VALUE_TOL * max(1.0, norm_u)]
+    return [s for s in ref_peak_points(f, 1) if abs(float(u(s)) - norm_u) <= c01.VALUE_TOL * max(1.0, norm_u)]
 
 
 def ref_witness(theorem: str, params: dict) -> tuple:
@@ -303,7 +315,7 @@ def ref_witness(theorem: str, params: dict) -> tuple:
             return c01.sup_norm(f) / 2.0, "thm53:scale[-1]", 0.5, mu, c01.zero_measure(), None, None
         if theorem == "thm54":
             lam = serialize.measure_from_json(params["lambda"])
-            ip = c01.pairing_c(lam, f)
+            ip = ref_pairing(lam, f)
             s = 1.0 if ip > 0.0 else -1.0
             return abs(ip) / (2.0 * c01.sup_norm(f)), f"thm54:scale[{s:+.0f}]", 0.5, mu, lam, None, None
         c = float(params["c"])
@@ -318,18 +330,17 @@ def ref_witness(theorem: str, params: dict) -> tuple:
         if norm == 0.0:
             pts, alph, mu = [0.5], [1.0], c01.zero_measure()
         else:
-            pts = c01.peak_points(f, int(sgn))
+            pts = ref_peak_points(f, int(sgn))
             if not pts:
-                pts = c01.peak_points(f, -int(sgn))
+                pts = ref_peak_points(f, -int(sgn))
                 t_max = (norm - float(np.max(sgn * f.values))) / 2.0 / 2.0
             alph = [1.0 / len(pts)] * len(pts)
-            mu = c01.atomic_duality_measure(f, pts, alph)
+            mu = ref_atomic(f, pts, alph)
         return abs(mass) / 2.0, f"thm55:shift[{sgn:+.0f}]", t_max, mu, lam, pts, alph
     u = serialize.pwl_from_json(params["u"])
     pts, alph = ([1.0], [1.0]) if theorem == "cor57" else (ref_shared_peaks(f, u), None)
     alph = [1.0 / len(pts)] * len(pts) if alph is None else alph
-    mu = c01.atomic_duality_measure(f, pts, alph)
-    lam = c01.atomic_duality_measure(u, pts, alph)
+    mu, lam = ref_atomic(f, pts, alph), ref_atomic(u, pts, alph)
     bound = (c01.sup_norm(u) - c01.sup_norm(f)) / 2.0
     return bound, "thm56:shift[+1]", 1.0, mu, lam, pts, alph
 
@@ -340,6 +351,8 @@ def c01_scenarios():
         rng = np.random.default_rng(stable_seed("fast " + theorem))
         draw = draw_cor57 if theorem == "cor57" else CLOSED_FORM_DRAWS[theorem]
         out += [(theorem, draw(rng)[1]) for _ in range(12)]
+        if theorem in ("thm54", "thm55"):  # lambda off f's grid, half of them with a density, at the wide deck's size
+            out += [(theorem, draw(rng, n=1024)[1]) for _ in range(4)]
     tent = {"breakpoints": [0.0, 0.25, 0.5, 0.75, 1.0], "values": [0.0, 1.0, 0.5, 1.0, 0.0]}
     flat = {"breakpoints": [0.0, 1.0], "values": [1.0, 1.0]}
     out += [
@@ -351,6 +364,10 @@ def c01_scenarios():
         ("thm55", {"f": {"breakpoints": [0.0, 0.5, 1.0], "values": [0.25, -1.0, 0.5]},
                    "lambda": {"atoms": [[0.5, 1.0]]}}),
         ("thm55", {"f": {"breakpoints": [0.0, 1.0], "values": [0.0, 0.0]}, "lambda": {"atoms": [[0.5, -1.0]]}}),
+        # the catalog deck's lambdas: atoms off f's grid, one at 1.0, and a density on [0, 1/2, 1]
+        ("thm54", {"f": tent, "lambda": {"atoms": [[0.1, 0.5], [0.6, -1.5], [1.0, 0.25]]}}),
+        ("thm54", {"f": tent, "lambda": {"atoms": [[0.3, 1.0]], "density": {"breakpoints": [0.0, 0.5, 1.0], "values": [1.0, 0.0]}}}),
+        ("thm55", {"f": tent, "lambda": {"atoms": [[0.6, -1.5], [1.0, 0.25]], "density": {"breakpoints": [0.0, 0.5, 1.0], "values": [-2.0, 1.0]}}}),
     ]
     return out
 
@@ -383,9 +400,12 @@ def test_c01_witness_matches_the_old_builder(theorem, params):
         form = witness.curve.affine
         assert same_array(form.points, np.array(pts, dtype=float))
         assert same_array(form.alphas, np.array(alph, dtype=float))
-        assert same_array(form.values, witness.query.base.point(np.array(pts, dtype=float)))
+        assert [v.hex() for v in form.values.tolist()] == [float(witness.query.base.point(s)).hex() for s in pts]
     # the base pair is tested once, and each sup norm (f's, and u's for thm56 and cor57) is computed once
     assert type(space).calls == {"norm": 2 if theorem in ("thm56", "cor57") else 1, "dual_norm": 1}
+    f = witness.query.base.point
+    if c01.sup_norm(f):
+        assert all(c01.peak_points(f, sign) == ref_peak_points(f, sign) for sign in (1, -1))
 
 
 @pytest.mark.parametrize("theorem", ["thm53", "thm54", "thm58"])
@@ -467,12 +487,16 @@ def test_no_public_entry_point_warns_on_a_c01_overflow():
             build_witness(space, "thm58", {"f": huge, "c": 1e10})
 
 
-def _on_grid_witnesses() -> list:
-    """Certificate rows whose atoms all sit on f's grid, with no density: the fixture's thm54, thm56 and cor57, thm53 and thm58 on a tent."""
+def _one_scope_witnesses() -> list:
+    """Certificate rows that pair in Python floats or by index: every c01 row of the fixture, thm53 and thm58 on a tent,
+    and thm54 and thm55 with lambda's atoms off f's grid (one at 1.0) or with a density on [0, 1/2, 1]."""
     scenarios = json.loads((Path(__file__).parent.parent / "fixtures" / "all.json").read_text())["scenarios"]
-    rows = [(s["theorem"], s["params"]) for s in scenarios if s["theorem"] in ("thm54", "thm56", "cor57")]
+    rows = [(s["theorem"], s["params"]) for s in scenarios if s["space"]["space"] == "c01"]
     tent = {"breakpoints": [0.0, 0.25, 0.5, 0.75, 1.0], "values": [0.0, 1.0, 0.5, 1.0, 0.0]}
+    off_grid = {"atoms": [[0.3, 1.0], [0.6, -0.25], [1.0, 0.5]]}
+    density = {"atoms": [[0.4, 0.5]], "density": {"breakpoints": [0.0, 0.5, 1.0], "values": [1.0, -0.5]}}
     rows += [("thm53", {"f": tent}), ("thm58", {"f": tent, "c": 2.0}), ("thm58", {"f": tent, "c": 0.5})]
+    rows += [(theorem, {"f": tent, "lambda": lam}) for theorem in ("thm54", "thm55") for lam in (off_grid, density)]
     return [build_witness(C01Space(), theorem, params) for theorem, params in rows]
 
 
@@ -484,9 +508,100 @@ def test_a_certificate_on_the_grid_enters_one_numpy_scope(monkeypatch):
             entered.append(self)
             return super().__enter__()
 
-    witnesses = _on_grid_witnesses()
+    witnesses = _one_scope_witnesses()
     monkeypatch.setattr(np, "errstate", Counting)
     for w in witnesses:
         entered.clear()
         cert = certify_nonmembership(w.query, w.curve, w.claimed_bound)
         assert cert.verdict == "certified" and len(entered) == 1, w.theorem
+
+
+# -- off-grid atoms and densities on one grid, in Python floats and in numpy ------------
+
+
+def _one_grid_cases(n: int) -> list:
+    """(measure, f, rows) triples on one grid of n breakpoints: atoms off the grid, a density, both; one element or a batch each side.
+
+    Some atoms are absent (weight 0.0), one sits at 1.0 beside atoms off
+    the grid and one on a breakpoint; a density lies on a grid of its own,
+    on [0, 1/2, 1] or on f's, with zero segments.
+    """
+    rng = np.random.default_rng(stable_seed(f"one-grid pairing {n}"))
+    f_one = random_pwl(rng, n=n)
+    bp = f_one.breakpoints
+    f_rows = c01._on_checked_grid(c01.PwlFunction, bp, rng.uniform(-5.0, 5.0, (6, n)))
+    locations = [np.sort(rng.uniform(0.0, 1.0, 3)), np.array([rng.uniform(0.0, bp[1]), bp[1], 1.0])]
+    grids = [np.array([0.0, 0.5, 1.0]), bp, np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, n - 2)), [1.0]])]
+    cases = []
+    for at in locations:
+        weights = rng.uniform(-2.0, 2.0, (6, at.size))
+        weights[0, 0], weights[1] = 0.0, 0.0
+        for grid in grids + [None]:
+            dens = None if grid is None else rng.uniform(-2.0, 2.0, (6, grid.size - 1))
+            if dens is not None:
+                dens[:, ::3] = 0.0
+            one = c01._measure(at, weights[2], None if grid is None else c01.StepDensity(grid, dens[2]))
+            rows = c01._measure(at, weights, None if grid is None else c01._on_checked_grid(c01.StepDensity, grid, dens))
+            shared = c01._measure(at, weights, None if grid is None else c01.StepDensity(grid, dens[3]))
+            cases += [(one, f_one, None), (one, f_rows, 6), (rows, f_one, 6), (rows, f_rows, 6), (shared, f_rows, 6)]
+    density_only = c01._measure(np.zeros(0), np.zeros(0), c01.StepDensity(grids[2], rng.uniform(-2.0, 2.0, n - 1)))
+    return cases + [(density_only, f_one, None), (density_only, f_rows, 6)]
+
+
+@pytest.mark.parametrize("n", (3, 16, 1024))
+def test_off_grid_atoms_and_densities_pair_bitwise_in_floats_and_in_numpy(n, monkeypatch):
+    space = C01Space()
+    for mu, f, rows in _one_grid_cases(n):
+        want = [ref_pairing(_row(mu, i, rows), _row(f, i, rows)).hex() for i in range(rows or 1)]
+        for cost in (None, 0, 10**9):  # the module's size rule, numpy's arrays always, Python floats always
+            if cost is not None:
+                monkeypatch.setattr(c01, "_FLOAT_COST", cost)
+            got = space.pair(mu, f)
+            assert type(got) is (float if rows is None else np.ndarray)
+            assert [v.hex() for v in np.atleast_1d(got).tolist()] == want, (cost, rows)
+        monkeypatch.undo()
+
+
+def test_a_steep_segment_pairs_as_the_per_atom_sum_with_an_absent_atom_where_f_reads_inf():
+    # f rises from -1e300 to 1e300 over 1e-9: its slope is past the float range and f reads inf at 0.6 + 5e-10
+    bp = np.array([0.0, 0.25, 0.6, 0.6 + 1e-9, 1.0])
+    values = np.array([[0.5, -1.0, -1e300, 1e300, 2.0], [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, -1.0, -1e300, 1e300, 2.0]])
+    f = c01._on_checked_grid(c01.PwlFunction, bp, values)
+    assert float(c01.take_rows(f, 0)(0.6 + 5e-10)) == math.inf
+    at = np.array([0.1, 0.6 + 5e-10, 0.8, 1.0])
+    weights = np.array([[1.0, 0.0, -0.5, 0.25], [1.0, 2.0, -0.5, 0.25], [1.0, -2.0, -0.5, 0.25]])  # absent, then present
+    density = c01._on_checked_grid(c01.StepDensity, np.array([0.0, 0.6 + 5e-10, 1.0]), np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0]]))
+    for mu in (c01._measure(at, weights), c01._measure(at, weights, density)):
+        got = C01Space().pair(mu, f).tolist()  # no warning, as this suite turns one into an error
+        with np.errstate(all="ignore"):  # the reference adds numpy scalars
+            want = [ref_pairing(c01.take_rows(mu, i), c01.take_rows(f, i)) for i in range(3)]
+        assert all(same(a, b) for a, b in zip(got, want))
+    # on rows 0 and 2 f is steep: the absent atom at inf adds nothing, not 0 * inf = NaN; a present one makes -inf
+    got = C01Space().pair(c01._measure(at, weights), f).tolist()
+    assert math.isfinite(got[0]) and got[2] == -math.inf
+
+
+def test_values_at_points_are_np_interp_with_its_nan_fallbacks():
+    rng = np.random.default_rng(stable_seed("values at"))
+    xp = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.6, 0.6 + 1e-9, 1.0])
+    fp = rng.uniform(-3.0, 3.0, (6, xp.size))
+    fp[1, 2:4] = [1e300, -1e300]
+    fp[2, 4:6] = [-1e300, 1e300]  # a slope past the float range: inf inside the segment
+    fp[3, :2] = np.inf  # a NaN slope, then a NaN from the right end too, with equal ends
+    fp[4, 4:6] = [np.inf, -np.inf]
+    fp[5, 1] = np.nan
+    x = np.concatenate([xp, rng.uniform(0.0, 1.0, 20), [0.1, 0.6 + 5e-10]])
+    got = c01._values_at(x, SimpleNamespace(breakpoints=xp, values=fp), 6)
+    for row, values in zip(fp, got):
+        assert [v.hex() for v in values] == [v.hex() for v in np.interp(x, xp, row).tolist()]
+    assert c01._interp_at(0.1, 0.0, 0.25, math.inf, math.inf) == math.inf
+
+
+def test_batches_of_unequal_rows_are_refused_on_both_paths(monkeypatch):
+    bp = np.array([0.0, 0.5, 1.0])
+    f = c01._on_checked_grid(c01.PwlFunction, bp, np.ones((3, 3)))
+    mu = c01._measure(np.array([0.25]), np.ones((2, 1)))
+    for cost in (0, 10**9):  # numpy's arrays, then Python floats
+        monkeypatch.setattr(c01, "_FLOAT_COST", cost)
+        with pytest.raises(ValueError):
+            C01Space().pair(mu, f)

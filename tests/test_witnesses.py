@@ -138,6 +138,27 @@ def test_hypothesis_guards():
         build_witness(LpSpace(2.0), "thm46", {"k_star": [1.0], "D": [0]})
 
 
+# 0.5 is the peak of f, but u peaks at 0.25 alone: it is 1e-10 below ||u|| = 2 at 0.5
+NEAR_PEAK_F = {"breakpoints": [0.0, 0.25, 0.5, 1.0], "values": [0.0, 0.5, 1.0, 0.0]}
+NEAR_PEAK_U = {"breakpoints": [0.0, 0.25, 0.5, 1.0], "values": [0.0, 2.0, 2.0 - 1e-10, 0.0]}
+
+
+def test_thm56_refuses_a_given_point_outside_m_u_as_the_hypothesis_it_breaks():
+    # used to raise a plain ValueError, "point 0.5 is not in the maximizing set of f", though 0.5 is in M(f)
+    with pytest.raises(HypothesisViolation, match=r"points lie in M\(u\) and M\(f\)"):
+        build_witness(C01Space(), "thm56", {"f": NEAR_PEAK_F, "u": NEAR_PEAK_U, "points": [0.5]})
+    with pytest.raises(HypothesisViolation, match=r"M\(u\) and M\(f\) share a point"):
+        build_witness(C01Space(), "thm56", {"f": NEAR_PEAK_F, "u": NEAR_PEAK_U})
+    # u is within VALUE_TOL * ||u|| of ||u|| = 10 at f's peak 0.5, 5e-12 below it, so 0.5 is no point of M(u):
+    # this too used to raise "point 0.5 is not in the maximizing set of f"
+    u = {"breakpoints": [0.0, 0.25, 0.5, 1.0], "values": [0.0, 10.0, 10.0 - 5e-12, 0.0]}
+    with pytest.raises(HypothesisViolation, match=r"points lie in M\(u\) and M\(f\)"):
+        build_witness(C01Space(), "thm56", {"f": NEAR_PEAK_F, "u": u})
+    # an empty list of points used to raise ZeroDivisionError
+    with pytest.raises(ValueError, match="at least one atom point"):
+        build_witness(C01Space(), "thm56", {"f": NEAR_PEAK_F, "u": NEAR_PEAK_U, "points": []})
+
+
 TENT = {"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 1.0, 0.0]}
 
 
