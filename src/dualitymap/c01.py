@@ -42,8 +42,10 @@ union of the two grids, f's own values read as they are and interpolated
 only at the density's breakpoints.  Past that size, and for a stack, one
 numpy pass interpolates f at every atom and on the union grid.
 ``atomic_duality_measure`` and ``peak_points`` evaluate f at all their
-points with one ``np.interp`` call.  At catalog sizes (up to 16
-breakpoints, one to three atoms) each numpy call costs more than its
+points with one ``np.interp`` call.  Every check of a grid, of values and
+of weights tests its array by one C count (``coderivative._every``).  At
+catalog sizes (up to 16 breakpoints, one to three atoms) each numpy call
+costs more than its
 arithmetic, ``np.errstate`` included, so the ``C01Space`` methods run under
 their caller's scope, as the other backends' do: a certificate whose
 pairings are read by index or in Python floats, which never warn, enters
@@ -121,7 +123,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coderivative import MEMBERSHIP_TOL, Space, _allowance, _float_or_rows
+from .coderivative import MEMBERSHIP_TOL, Space, _allowance, _every, _float_or_rows, _some
 
 __all__ = [
     "PwlFunction",
@@ -204,7 +206,7 @@ def _check_one(obj) -> None:
         raise ValueError("need at least the two endpoint breakpoints")
     if bp[0] != 0.0 or bp[-1] != 1.0:
         raise ValueError("breakpoints must start at 0 and end at 1")
-    if not (bp[1:] > bp[:-1]).all():  # also rejects a NaN breakpoint
+    if not _every(bp[1:] > bp[:-1]):  # also rejects a NaN breakpoint
         raise ValueError("breakpoints must be strictly increasing")
     if vals.ndim != 1:
         raise ValueError(obj._VALUES)
@@ -214,7 +216,7 @@ def _check_one(obj) -> None:
 def _on_grid(obj, bp: np.ndarray, vals: np.ndarray):
     """obj on the checked grid ``bp`` with ``vals``: one per breakpoint (per segment for a density) in each row, all finite."""
     size = bp.shape[-1] - 1 if isinstance(obj, StepDensity) else bp.shape[-1]
-    if vals.shape[-1:] != (size,) or not np.isfinite(vals).all():
+    if vals.shape[-1:] != (size,) or not _every(np.isfinite(vals)):
         raise ValueError(obj._VALUES)
     object.__setattr__(obj, "breakpoints", bp)
     object.__setattr__(obj, "values", vals)
@@ -281,15 +283,15 @@ def pwl_padded_rows(bp: np.ndarray, vals: np.ndarray, sizes: np.ndarray) -> PwlF
     checked as one element's is: it starts at 0, ends at 1 and increases
     strictly; and the values are finite.
     """
-    if not ((bp[:, 0] == 0.0) & (bp[:, -1] == 1.0)).all():
+    if not _every((bp[:, 0] == 0.0) & (bp[:, -1] == 1.0)):
         raise ValueError("breakpoints must start at 0 and end at 1")
-    if not ((bp[:, 1:] > bp[:, :-1]) | (np.arange(1, bp.shape[1]) >= sizes[:, None])).all():  # NaN fails too
+    if not _every((bp[:, 1:] > bp[:, :-1]) | (np.arange(1, bp.shape[1]) >= sizes[:, None])):  # NaN fails too
         raise ValueError("breakpoints must be strictly increasing")
     return _on_checked_grid(PwlFunction, bp, vals)
 
 
 def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
-    return a is b or (a.shape == b.shape and (a == b).all())
+    return a is b or (a.shape == b.shape and _every(a == b))
 
 
 def _union_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -415,7 +417,7 @@ def _runs(f: PwlFunction, norm) -> tuple:
     top[..., 1:] &= bp[..., 1:] > bp[..., :-1]
     first, last = top.copy(), top
     side_by_side = top[..., :-1] & top[..., 1:] & (norm != 0.0)[..., None]
-    if side_by_side.any():
+    if _some(side_by_side):
         plateau = side_by_side & (abs(v[..., :-1] - v[..., 1:]) <= VALUE_TOL)
         first[..., 1:] &= ~plateau
         last[..., :-1] &= ~plateau
@@ -430,7 +432,7 @@ def maximizer_runs(f: PwlFunction) -> tuple:
     element ``maximizing_set`` is cheaper: it walks only the maximizers.
     """
     norm = sup_norm(f)
-    if not norm.all():
+    if not _every(norm):
         raise ValueError("maximizing set undefined for the zero function")
     return _runs(f, norm)
 
@@ -525,11 +527,6 @@ def _located(locations: list) -> np.ndarray:
 
 def _pairs(locations: list, weights: list) -> tuple:
     return tuple((loc, w) for loc, w in zip(locations, weights) if w != 0.0)
-
-
-def _every(mask: np.ndarray) -> bool:
-    """``mask.all()`` by one C count; ``ndarray.all`` costs several times more on the small arrays of one element."""
-    return np.count_nonzero(mask) == mask.size
 
 
 def _fill(mu: RcaMeasure, locations: np.ndarray, weights: np.ndarray, density) -> RcaMeasure:
@@ -677,7 +674,7 @@ def _one_atom_each(locations: np.ndarray, held: np.ndarray) -> bool:
     """
     r, c = held.nonzero()
     at = locations[r, c]  # row by row, each in column order
-    return not ((at[1:] <= at[:-1]) & (r[1:] == r[:-1])).any()
+    return not _some((at[1:] <= at[:-1]) & (r[1:] == r[:-1]))
 
 
 def total_mass(mu: RcaMeasure):
@@ -895,7 +892,7 @@ def is_duality_member_c(mu: RcaMeasure, f: PwlFunction) -> MembershipReport:
         inside = np.zeros(nz.size, dtype=bool)
         for a, b in mset.intervals:
             inside |= (a - MEMBERSHIP_TOL <= lo) & (hi <= b + MEMBERSHIP_TOL)
-        support_ok = bool(inside.all())
+        support_ok = _every(inside)
     return MembershipReport(member, support_ok)
 
 
@@ -1061,7 +1058,7 @@ def _between(x, x0, x1, left, right):
         slope = (right - left) / (x1 - x0)
         inner = slope * (x - x0) + left
         nan = np.isnan(inner)
-        if nan.any():
+        if _some(nan):
             back = slope * (x - x1) + right
             back = np.where(np.isnan(back) & (left == right), left, back)
             inner = np.where(nan, back, inner)
@@ -1135,7 +1132,7 @@ class C01Space(Space):
 
     def in_second_dual_domain(self, h: PwlFunction) -> bool:
         # Only the nonnegative cone of C[0,1] embeds into the second dual.
-        return bool((h.values >= 0.0).all())
+        return _every(h.values >= 0.0)
 
     def descriptor(self) -> dict:
         return {"space": "c01"}

@@ -51,6 +51,14 @@ array power rounds differently), a scaling curve evaluates as (1 + s t) x,
 never as x + t (s x), and ``c01`` rows follow the rules in the ``c01``
 docstring.
 Generator-only curves are sampled one t at a time.
+
+Each test of a whole array, in every module of the package, is one C count,
+``_every`` or ``_some`` (``np.count_nonzero``): on the small arrays of one
+element, ``ndarray.all`` / ``.any`` cost two to three times more, and
+``np.all`` / ``np.any`` more again.  A count takes a NaN as nonzero and an
+empty array as all and not any, as truthiness does.  A reduction along an
+axis, one verdict per row of a batch, keeps the ndarray method, which costs
+less than a count along an axis.
 """
 
 from __future__ import annotations
@@ -106,6 +114,16 @@ def _floor(size):
     return np.maximum(1.0, size) if isinstance(size, np.ndarray) else max(1.0, size)
 
 
+def _every(mask) -> bool:
+    """``mask.all()`` by one C count: ``ndarray.all`` costs two to three times more on the small arrays of one element."""
+    return bool(np.count_nonzero(mask) == mask.size)
+
+
+def _some(mask) -> bool:
+    """``mask.any()`` by one C count, the twin of ``_every``."""
+    return bool(np.count_nonzero(mask))
+
+
 def _allowance(tol: float, *sizes: float) -> float:
     """tol * ``_floor`` of the largest of ``sizes``: the room a comparison of numbers of these sizes allows."""
     return tol * _floor(max(sizes))
@@ -142,7 +160,7 @@ def _finite_list(field: str, values, kind: str) -> np.ndarray:
         else:  # a sum of finite floats is finite, or overflows and goes entry by entry
             whole = set(map(type, values)) <= {float} and math.isfinite(sum(values))
     elif isinstance(values, np.ndarray) and values.ndim == 1:
-        whole = values.dtype.kind in "iu" or (kind == "number" and values.dtype == np.float64 and np.isfinite(values).all())
+        whole = values.dtype.kind in "iu" or (kind == "number" and values.dtype == np.float64 and _every(np.isfinite(values)))
     else:
         raise ValueError(f"{field} must be a list of finite {kind}s, got {values!r}")
     if not whole:
@@ -154,9 +172,10 @@ def _finite_list(field: str, values, kind: str) -> np.ndarray:
 def _indices(field: str, values, n: int) -> np.ndarray:
     """``values``, a list of integers in [0, n) by the rule of ``_finite_list``, as an index array."""
     at = _finite_list(field, values, "integer")
-    outside = np.flatnonzero((at < 0) | (at >= n))
-    if outside.size:
-        raise ValueError(f"{field}[{outside[0]}] must be an integer in [0, {n}), got {values[outside[0]]!r}")
+    outside = (at < 0) | (at >= n)
+    if _some(outside):
+        i = np.flatnonzero(outside)[0]
+        raise ValueError(f"{field}[{i}] must be an integer in [0, {n}), got {values[i]!r}")
     return at.astype(np.intp)
 
 
@@ -369,9 +388,13 @@ class AffineForm:
     u_t* = x* + t d* for the ``dual_tangent`` d*, or canonical_dual(u_t) when
     d* is None; x + t d needs array elements, so a tangent is only accepted
     in ``lp`` and ``L1``, and it must pass ``check`` (``check_dual`` for d*)
-    with the shape of x (of x*).  ``at`` evaluates one t; ``rows`` evaluates a
-    column of t as a batch.  A subclass may evaluate both in its own way by
-    overriding ``_evaluate``; otherwise a form needs a scale or a tangent.
+    with the shape of x (of x*); a form with neither, a scaling, has nothing
+    to check.  ``at`` evaluates one t; ``rows`` evaluates a column of t as a
+    batch.  A subclass may evaluate both in its own way by overriding
+    ``_evaluate``; otherwise a form needs a scale or a tangent.  A catalog
+    builder whose tangent is its own finite array of x's shape, and whose
+    dual tangent, if any, passed ``check_dual``, hands them to ``_of_made``,
+    which checks nothing.
     """
 
     space: Space
@@ -381,18 +404,25 @@ class AffineForm:
     scale: float = 0.0
 
     def __post_init__(self):
-        given = [v for v in (self.tangent, self.dual_tangent) if v is not None]
-        elements = (self.base.point, self.base.dual, *given)
-        if given and not all(isinstance(v, np.ndarray) for v in elements):
-            raise TypeError("a point or dual tangent needs array elements (lp, L1)")
-        checks = (("tangent", self.space.check, self.base.point),
-                  ("dual_tangent", self.space.check_dual, self.base.dual))
-        for name, check, like in checks:
-            value = getattr(self, name)
-            if value is not None and check(value).shape != like.shape:
-                raise ValueError(f"{name} has shape {value.shape}, but the base has {like.shape}")
+        if self.tangent is not None or self.dual_tangent is not None:
+            given = [v for v in (self.tangent, self.dual_tangent) if v is not None]
+            if not all(isinstance(v, np.ndarray) for v in (self.base.point, self.base.dual, *given)):
+                raise TypeError("a point or dual tangent needs array elements (lp, L1)")
+            checks = (("tangent", self.space.check, self.base.point),
+                      ("dual_tangent", self.space.check_dual, self.base.dual))
+            for name, check, like in checks:
+                value = getattr(self, name)
+                if value is not None and check(value).shape != like.shape:
+                    raise ValueError(f"{name} has shape {value.shape}, but the base has {like.shape}")
         if not self.scale and self.tangent is None and type(self)._evaluate is AffineForm._evaluate:
             raise ValueError("an affine form needs a scale or a tangent")
+
+    @classmethod
+    def _of_made(cls, space: Space, base: GraphPair, tangent: np.ndarray, dual_tangent) -> AffineForm:
+        """The form x + t d of a tangent d its caller made, finite and of x's shape, with a checked d* or None; nothing is tested."""
+        form = object.__new__(cls)
+        vars(form).update(space=space, base=base, tangent=tangent, dual_tangent=dual_tangent, scale=0.0)
+        return form
 
     def _evaluate(self, t) -> tuple:
         space, x, x_star = self.space, self.base.point, self.base.dual

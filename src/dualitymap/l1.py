@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coderivative import Space, _float_or_rows, _indices
+from .coderivative import Space, _every, _float_or_rows, _indices, _some
 
 _MAX = sys.float_info.max
 
@@ -45,7 +45,7 @@ class FiniteMeasureSpace(Space):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a one-dimensional list with n >= 1")
-        if not np.isfinite(w).all() or (w <= 0.0).any():
+        if not _every((w > 0.0) & (w <= _MAX)):  # NaN fails w > 0, inf w <= MAX
             raise ValueError("all weights must be strictly positive and finite")
         object.__setattr__(self, "weights", w)
         # |f_i| cut at _cut[i] gives a term of at most MAX / 2n, and n of them sum below MAX
@@ -58,7 +58,7 @@ class FiniteMeasureSpace(Space):
 
     def measure(self, mask) -> float:
         """mu(D) for a boolean mask D."""
-        return float(np.sum(self.weights[self._mask(mask)]))
+        return float(self.weights[self._mask(mask)].sum())
 
     def _mask(self, mask) -> np.ndarray:
         m = np.asarray(mask, dtype=bool)
@@ -80,7 +80,7 @@ class FiniteMeasureSpace(Space):
         """v if it has ``ndim`` axes (2 for a stack, a value list per row) of n finite values each."""
         if v.ndim != ndim or v.shape[-1] != self.n:
             raise ValueError(f"values of shape {v.shape} do not match the {self.n}-point space")
-        if not np.isfinite(v).all():
+        if not _every(np.isfinite(v)):
             raise ValueError("values must be finite")
         return v
 
@@ -100,7 +100,7 @@ class FiniteMeasureSpace(Space):
         if (norm.max() if norm.ndim else norm) >= _MAX / (4 * self.n):
             with np.errstate(over="ignore"):  # an overflow raises below
                 norm = (np.abs(f) * self.weights).sum(-1)
-            if not np.isfinite(norm).all():
+            if not _every(np.isfinite(norm)):
                 raise ValueError("L1 norm overflows")
         return _float_or_rows(norm)
 
@@ -126,7 +126,7 @@ class FiniteMeasureSpace(Space):
 
     def in_second_dual_domain(self, h) -> bool:
         # Only the positive cone embeds into the second dual.
-        return bool((h >= 0.0).all())
+        return _every(h >= 0.0)
 
     def descriptor(self) -> dict:
         return {"space": "l1", "weights": [float(w) for w in self.weights]}
@@ -184,7 +184,7 @@ def duality_selection(f, space: FiniteMeasureSpace, a=()) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     f = space.check_rows(f) if f.ndim == 2 else space.check(f)
     norm = space.norm(f)
-    if not np.asarray(norm).all():
+    if not _every(np.asarray(norm)):
         raise ValueError("f = 0 is degenerate here: J(0) = {0*}, use zero_selection")
     a = np.asarray(a, dtype=float)
     zero = f == 0.0
@@ -192,7 +192,7 @@ def duality_selection(f, space: FiniteMeasureSpace, a=()) -> np.ndarray:
     total = counts.sum()
     if a.size != total:
         raise ValueError(f"free parameter has {a.size} values but the zero set has {total} points")
-    if (np.abs(a) > np.repeat(norm, counts)).any():
+    if _some(np.abs(a) > np.repeat(norm, counts)):
         raise ValueError("free values must satisfy |a(s)| <= ||f||_1")
     g = space.canonical_dual(f)
     g[zero] = a
@@ -214,10 +214,10 @@ def duality_set_classify(f, space: FiniteMeasureSpace) -> DualityClassification:
     For f = 0 the report is the singleton {0*} with no free points.
     """
     f = space.check(f)
-    if not np.any(f):
+    if not _some(f):
         return DualityClassification(True, np.zeros(space.n, dtype=bool), zero_selection(space))
     zero_mask = f == 0.0
-    return DualityClassification(not bool(np.any(zero_mask)), zero_mask, space.canonical_dual(f))
+    return DualityClassification(not _some(zero_mask), zero_mask, space.canonical_dual(f))
 
 
 def strict_convexity_counterexample(space: FiniteMeasureSpace, mask_a, mask_b):
@@ -228,7 +228,7 @@ def strict_convexity_counterexample(space: FiniteMeasureSpace, mask_a, mask_b):
     """
     ma = space._mask(mask_a)
     mb = space._mask(mask_b)
-    if np.any(ma & mb):
+    if _some(ma & mb):
         raise ValueError("the two sets must be disjoint")
     mu_a = space.measure(ma)
     mu_b = space.measure(mb)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coderivative import Space
+from .coderivative import Space, _every, _some
 
 __all__ = [
     "conjugate_exponent",
@@ -69,7 +69,7 @@ def _vectors(v: np.ndarray, ndim: int) -> np.ndarray:
     """v if it has ``ndim`` axes (2 for a stack, a vector per row) and finite vectors of at least one coordinate."""
     if v.ndim != ndim or v.shape[-1] < 1:
         raise ValueError("vector must be one-dimensional with at least one coordinate")
-    if not np.isfinite(v).all():
+    if not _every(np.isfinite(v)):
         raise ValueError("vector coordinates must be finite")
     return v
 
@@ -101,7 +101,7 @@ def _norms(v: np.ndarray, p: float, finite: bool = True) -> tuple:
     sums = powers.sum(-1)
     if v.ndim == 1:
         s = float(sums)
-        if _TINY <= s < top or not v.any():
+        if _TINY <= s < top or not _some(v):
             return s**root, True
         return float(_rescaled(np.abs(v)[None], p, root, finite)[0]), False
     each = sums.tolist()
@@ -109,7 +109,7 @@ def _norms(v: np.ndarray, p: float, finite: bool = True) -> tuple:
     if min(each) >= _TINY and max(each) < top:
         return norm, True
     redo = ((sums < _TINY) | (sums >= top)) & v.any(-1)  # a zero row's norm is 0
-    plain = not redo.any()
+    plain = not _some(redo)
     if not plain:
         norm[redo] = _rescaled(np.abs(v[redo]), p, root, finite)
     return norm, plain
@@ -140,7 +140,7 @@ def _rescaled(a: np.ndarray, p: float, root: float, finite: bool) -> np.ndarray:
     big = a.max(-1)
     sums = ((a / big[:, None]) ** p).sum(-1)
     norm = np.array([b * s**root for b, s in zip(big.tolist(), sums.tolist())])
-    if finite and not (norm < math.inf).all():
+    if finite and not _every(norm < math.inf):
         raise ValueError(f"l_{p} norm overflows")
     return norm
 
@@ -275,13 +275,13 @@ class LpSpace(Space):
             return j
         lost = np.reshape((divisor < _TINY) | (divisor == math.inf), x.shape[:-1])
         lost |= (np.count_nonzero(j, axis=-1) < np.count_nonzero(x, axis=-1)) | ~np.isfinite(j).all(-1)
-        if not lost.any():
+        if not _some(lost):
             return j
         a = np.abs(x[lost])  # one row per row lost; of one vector, that row
         y = a / a.max(-1, keepdims=True)
         with np.errstate(all="ignore"):
             scaled = np.sign(x[lost]) * np.where(a > 0.0, a * (y / _norm(y, p)[:, None]) ** (p - 2.0), 0.0)
-        if not np.isfinite(scaled).all():
+        if not _every(np.isfinite(scaled)):
             raise ValueError(f"J(x) overflows in l_{p}")
         j[lost] = scaled
         return j

@@ -75,7 +75,7 @@ from operator import getitem
 import numpy as np
 
 from . import c01, l1, lp
-from .coderivative import _floor, duality_gaps
+from .coderivative import _floor, _some, duality_gaps
 
 __all__ = [
     "GradientOracle",
@@ -245,7 +245,7 @@ def _draw_l1(space: l1.FiniteMeasureSpace, rng, n: int) -> tuple:
     """The (2n, m) stack of x and y, no row all zero, and the alphas of n L1 draws."""
     xy = _l1_values(rng, (2 * n, space.n))
     redraw = ~xy.any(-1)
-    while redraw.any():
+    while _some(redraw):
         xy[redraw] = _l1_values(rng, (np.count_nonzero(redraw), space.n))
         redraw = ~xy.any(-1)
     return xy, rng.uniform(-3.0, 3.0, n)
@@ -265,7 +265,7 @@ def _pwl_stack(counts: np.ndarray, inner: np.ndarray, values: np.ndarray) -> c01
     np.copyto(interior, inner, where=np.arange(cols) < counts[:, None])
     interior.sort(axis=1)
     repeated = (interior[:, 1:] == interior[:, :-1]) & (interior[:, 1:] < 1.0)
-    if repeated.any():  # a repeated point merges with its first copy, as a set merges it
+    if _some(repeated):  # a repeated point merges with its first copy, as a set merges it
         interior[:, 1:][repeated] = 1.0
         interior.sort(axis=1)
     sizes = np.count_nonzero(interior < 1.0, axis=1) + 2

@@ -30,8 +30,11 @@ pair: it hands its checked values and that norm to
 second-dual argument and checks nothing again.  A value a builder computes
 that can leave the float range keeps its check: thm33's candidate a J(x),
 thm58's c mu, the pairings <J(x), y>, <k*, f> and <lambda, f>
-(``_finite_pair``), thm55's lambda[0,1], and every claimed bound
-(``build_witness``); each is refused by name, without a numpy warning.
+(``_finite_pair``), thm55's lambda[0,1], thm46's selection +-sigma mu(D),
+and every claimed bound (``build_witness``); each is refused by name,
+without a numpy warning.  A tangent a builder makes itself, e_m or
++-chi_D, is finite and of the base's shape, so its ``AffineForm`` is built
+by ``AffineForm._of_made``, which checks nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import c01, l1, lp, serialize
-from .coderivative import AffineForm, CoderivativeQuery, GraphPair, ProbeCurve, _allowance, _finite, _OffGraph
+from .coderivative import AffineForm, CoderivativeQuery, GraphPair, ProbeCurve, _allowance, _every, _finite, _OffGraph, _some
 
 __all__ = ["HypothesisViolation", "Witness", "build_witness", "THEOREM_IDS"]
 
@@ -80,9 +83,12 @@ def _scaling_curve(query: CoderivativeQuery, theorem: str, s: float) -> ProbeCur
     return ProbeCurve(f"{theorem}:scale[{s:+.0f}]", t_max=0.5, affine=affine)
 
 
-def _bump_curve(query: CoderivativeQuery, curve_id: str, direction, t_max: float) -> ProbeCurve:
-    """x + t d paired with canonical_dual(x + t d), free values 0 where J is set-valued."""
-    affine = AffineForm(query.space, query.base, tangent=direction)
+def _bump_curve(query: CoderivativeQuery, curve_id: str, direction: np.ndarray, t_max: float) -> ProbeCurve:
+    """x + t d paired with canonical_dual(x + t d), free values 0 where J is set-valued.
+
+    d is the builder's own finite array of x's shape (e_m, +-chi_D), so the form checks nothing.
+    """
+    affine = AffineForm._of_made(query.space, query.base, direction, None)
     return ProbeCurve(curve_id, t_max=t_max, affine=affine)
 
 
@@ -98,9 +104,9 @@ def _finite_pair(space, u, x, name: str) -> float:
 def _sign_mask_uniform(values: np.ndarray, mask: np.ndarray, name: str) -> float:
     """Common nonzero sign of ``values`` on ``mask``; violation otherwise."""
     vals = values[mask]
-    if (vals > 0.0).all():
+    if _every(vals > 0.0):
         return 1.0
-    if (vals < 0.0).all():
+    if _every(vals < 0.0):
         return -1.0
     raise HypothesisViolation(f"{name} must have one strict sign on D")
 
@@ -135,7 +141,7 @@ def _pick_direction(x: np.ndarray, w: np.ndarray, p: float, params: dict) -> int
         _require(nonzero.size > 0, "w != 0")
         preferred = [m for m in nonzero if x[m] != 0.0]
         m = int(max(preferred or list(nonzero), key=lambda m: abs(w[m])))
-    _require(p >= 2.0 or x[m] != 0.0 or not x.any(), f"x_m != 0 at the bump coordinate m = {m}, as p < 2 and x != 0")
+    _require(p >= 2.0 or x[m] != 0.0 or not _some(x), f"x_m != 0 at the bump coordinate m = {m}, as p < 2 and x != 0")
     return m
 
 
@@ -148,7 +154,7 @@ def _thm31(space: lp.LpSpace, params: dict) -> Witness:
     direction = np.zeros_like(x)
     direction[m] = s
     x_star = space.canonical_dual(x)
-    at_origin = not x.any()
+    at_origin = not _some(x)
     bound = abs(w[m]) / 2.0 if (at_origin or space.p == 2.0) else None
     query = CoderivativeQuery._of_checked(space, GraphPair(x, x_star), w, None, space.norm(x))
     curve = _bump_curve(query, f"thm31:bump[m={m},sign={s:+.0f}]", direction, 1.0)
@@ -171,7 +177,7 @@ def _thm32(space: lp.LpSpace, params: dict) -> Witness:
 def _thm33(space: lp.LpSpace, params: dict) -> Witness:
     x = space.check(params.numbers("x"))
     a = params.number("a")
-    _require(x.any(), "x != 0")
+    _require(_some(x), "x != 0")
     _require(a > 0.0, "a > 0")
     _require(a != 1.0, "a != 1")
     x_star = space.canonical_dual(x)
@@ -193,7 +199,7 @@ def _thm33(space: lp.LpSpace, params: dict) -> Witness:
 def _thm45_case1(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params.numbers("f"))
     k_star = space.check_dual(params.numbers("k_star"))
-    _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
+    _require(_every(f != 0.0), "mu{f = 0} = 0 (f has no zero values)")
     ip = _finite_pair(space, k_star, f, "<k*, f>")
     _require(ip != 0.0, "<k*, f> != 0")
     norm = space.norm(f)
@@ -208,15 +214,15 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     k_star = space.check_dual(params.numbers("k_star"))
     mask = l1.mask_from_indices(space, params["D"], "params D")
     a = params.number("a")
-    _require(bool((f != 0.0).all()), "mu{f = 0} = 0 (f has no zero values)")
+    _require(_every(f != 0.0), "mu{f = 0} = 0 (f has no zero values)")
     norm = space.norm(f)
     allowed = _allowance(1e-9, space.dual_norm(k_star) * norm)
     _require(abs(_finite_pair(space, k_star, f, "<k*, f>")) <= allowed, "<k*, f> = 0")
-    _require(bool(mask.any()), "D is nonempty")
+    _require(_some(mask), "D is nonempty")
     _require(a > 0.0, "a > 0")
     fd = f[mask]
     _require(
-        bool((fd > a).all()) or bool((fd < -a).all()),
+        _every(fd > a) or _every(fd < -a),
         "f has one strict sign beyond a on D",
     )
     sigma, chi, _, bound = _indicator_bump(space, k_star, mask)
@@ -229,15 +235,17 @@ def _thm45_case2(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 def _thm46(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     k_star = space.check_dual(params.numbers("k_star"))
     mask = l1.mask_from_indices(space, params["D"], "params D")
-    _require(bool(k_star.any()), "k* != 0*")
-    _require(bool(mask.any()), "D is nonempty")
-    sigma, chi, mu_d, bound = _indicator_bump(space, k_star, mask)
+    _require(_some(k_star), "k* != 0*")
+    _require(_some(mask), "D is nonempty")
+    with np.errstate(over="ignore", invalid="ignore"):  # mu(D) past the float range: its selection is refused below
+        sigma, chi, mu_d, bound = _indicator_bump(space, k_star, mask)
     theta = np.zeros(space.n)
     query = CoderivativeQuery._of_checked(space, GraphPair(theta, theta.copy()), k_star, None, 0.0)
     # t sigma chi_D paired with t mu(D) (sigma on D, -sigma off D), a member
     # of J(t sigma chi_D) with the free values off D set to -sigma ||.||_1.
-    selection = np.where(mask, sigma * mu_d, -sigma * mu_d)
-    affine = AffineForm(space, query.base, tangent=sigma * chi, dual_tangent=selection)
+    # sigma chi_D is finite; the selection is inf where mu(D) overflows, which check_dual refuses
+    selection = space.check_dual(np.where(mask, sigma * mu_d, -sigma * mu_d))
+    affine = AffineForm._of_made(space, query.base, sigma * chi, selection)
     curve = ProbeCurve(f"thm46:bump[{sigma:+.0f}*chi_D]", t_max=1.0, affine=affine)
     return Witness("thm46", query, curve, bound)
 
@@ -246,10 +254,10 @@ def _thm47(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params.numbers("f"))
     mask = l1.mask_from_indices(space, params["D"], "params D")
     a = params.number("a")
-    _require(bool((f >= 0.0).all()) and bool(f.any()), "f in L1+ \\ {0}")
+    _require(_every(f >= 0.0) and _some(f), "f in L1+ \\ {0}")
     _require(a > 0.0, "a > 0")
-    _require(bool(mask.any()), "D is nonempty")
-    _require(bool((f[mask] > a).all()), "D subset {f > a}")
+    _require(_some(mask), "D is nonempty")
+    _require(_every(f[mask] > a), "D subset {f > a}")
     norm = space.norm(f)
     f_star = l1._canonical(f, norm)
     query = CoderivativeQuery._of_checked(space, GraphPair(f, f_star), -f_star, f, norm)
@@ -262,21 +270,21 @@ def _thm47(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
 def _cor48(space: l1.FiniteMeasureSpace, params: dict) -> Witness:
     f = space.check(params.numbers("f"))
     u_star = space.check_dual(params.numbers("u_star"))
-    _require(bool((f > 0.0).all()), "f strictly positive")
+    _require(_every(f > 0.0), "f strictly positive")
     norm = space.norm(f)
     margins = u_star - norm
-    _require(bool((margins > 0.0).all()), "u* > J(f) pointwise")
+    _require(_every(margins > 0.0), "u* > J(f) pointwise")
     if params.get("E") is not None:
         mask = l1.mask_from_indices(space, params["E"], "params E")
-        _require(bool(mask.any()), "E is nonempty")
+        _require(_some(mask), "E is nonempty")
         b = params.number("b") if params.get("b") is not None else float(np.min(margins[mask]))
         _require(b > 0.0, "margin b > 0")
-        _require(bool((margins[mask] >= b - _allowance(1e-12, b, norm)).all()), "u* >= ||f||_1 + b on E")
+        _require(_every(margins[mask] >= b - _allowance(1e-12, b, norm)), "u* >= ||f||_1 + b on E")
     elif params.get("b") is not None:
         b = params.number("b")
         _require(b > 0.0, "margin b > 0")
         mask = margins >= b
-        _require(bool(mask.any()), "E = {u* >= ||f||_1 + b} is nonempty")
+        _require(_some(mask), "E = {u* >= ||f||_1 + b} is nonempty")
     else:
         b = float(np.max(margins)) / 2.0
         mask = margins > b
@@ -359,7 +367,7 @@ def _nonnegative(params: dict, *names: str) -> list:
     """The functions ``params`` gives under ``names``, all parsed first, then each checked to be nonnegative."""
     functions = [serialize.pwl_from_json(params[name]) for name in names]
     for name, g in zip(names, functions):
-        _require(bool((g.values >= 0.0).all()), f"{name} in C+[0,1]")
+        _require(_every(g.values >= 0.0), f"{name} in C+[0,1]")
     return functions
 
 
@@ -417,6 +425,9 @@ def _thm55(space: c01.C01Space, params: dict) -> Witness:
 
 
 def _thm56(space: c01.C01Space, params: dict) -> Witness:
+    if params.get("points") is None and params.get("alphas") is not None:
+        # without points the atoms sit on the shared peaks the builder finds, a number the params cannot know
+        raise ValueError("params give alphas without points; alphas pair with the given points, one each")
     f, u = _nonnegative(params, "f", "u")
     return _shared_peak_witness(space, f, u, params)
 
@@ -427,8 +438,9 @@ def _shared_peak_witness(space: c01.C01Space, f: c01.PwlFunction, u: c01.PwlFunc
     Given points must lie in M(f) and M(u), the sets the atoms of mu and
     lambda must sit on.  Otherwise the points are f's peak points at which u
     is within ``VALUE_TOL`` of ||u||, each in M(u); f and u are read there
-    once, for mu, lambda and the curve.  Given alphas are checked, the
-    uniform ones are not.
+    once, for mu, lambda and the curve.  Given alphas pair with given
+    points (``_thm56`` refuses them alone) and are checked; the uniform ones
+    are not.
     """
     norm_f, norm_u = space.norm(f), space.norm(u)
     _require(norm_f > 0.0, "||f|| > 0")
@@ -454,8 +466,8 @@ def _shared_peak_witness(space: c01.C01Space, f: c01.PwlFunction, u: c01.PwlFunc
 
 def _cor57(space: c01.C01Space, params: dict) -> Witness:
     f, u = _nonnegative(params, "f", "u")
-    _require(bool((np.diff(f.values) >= 0.0).all()), "f increasing")
-    _require(bool((np.diff(u.values) >= 0.0).all()), "u increasing")
+    _require(_every(np.diff(f.values) >= 0.0), "f increasing")
+    _require(_every(np.diff(u.values) >= 0.0), "u increasing")
     _require(float(f(1.0)) > 0.0, "f(1) > 0")
     _require(float(u(1.0)) > float(f(1.0)), "u(1) > f(1)")
     # Increasing nonnegative functions peak at the right endpoint; this is a

@@ -374,6 +374,16 @@ def test_run_refuses_thm56_points_outside_m_u_naming_the_hypothesis(tmp_path, ca
     assert capsys.readouterr().err == f"error: scenarios[0]: {message}\n"
 
 
+def test_run_refuses_thm56_alphas_without_points_naming_both_fields(tmp_path, capsys):
+    # used to exit 2 with "alphas must pair with points", naming points the scenario never gave
+    u = {"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 2.0, 0.0]}
+    code, out = _run_one(tmp_path, {"space": {"space": "c01"}, "theorem": "thm56", "params": {"f": "tent", "u": u, "alphas": [0.5, 0.5]}})
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        "error: scenarios[0]: params give alphas without points; alphas pair with the given points, one each\n"
+    )
+
+
 def test_run_checks_every_scenario_before_the_first_certificate(tmp_path, capsys, monkeypatch):
     # used to certify the 15 fixture rows, then exit 2 with "hypothesis violated: a != 1", naming no scenario
     calls, certify = [], cli.certify_nonmembership

@@ -25,7 +25,8 @@ import pytest
 from dualitymap import C01Space, FiniteMeasureSpace, LpSpace, c01, serialize
 from dualitymap.c01 import RcaMeasure, atom_measure
 from dualitymap.coderivative import (
-    CoderivativeQuery, GraphPair, _quotient, _sample, _tail_estimate, certify_nonmembership, duality_gaps, quotient,
+    CoderivativeQuery, GraphPair, _every, _quotient, _sample, _some, _tail_estimate, certify_nonmembership, duality_gaps,
+    quotient,
 )
 from dualitymap.witnesses import HypothesisViolation, build_witness
 from test_c01_kernels import ref_pairing
@@ -605,3 +606,26 @@ def test_batches_of_unequal_rows_are_refused_on_both_paths(monkeypatch):
         monkeypatch.setattr(c01, "_FLOAT_COST", cost)
         with pytest.raises(ValueError):
             C01Space().pair(mu, f)
+
+
+# -- one C count per whole-array test -----------------------------------------------
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("values", [
+    np.array([]), np.array([], dtype=bool), np.zeros((0, 3)), np.zeros((3, 0)),  # empty: all, not any
+    np.array([True]), np.array([False]), np.array([True, False, True]), np.array([[True, True], [True, True]]),
+    np.array([1.0, 2.5, -3.0]), np.array([0.0]), np.array([-0.0]), np.array([0.0, -0.0]), np.array([1.0, -0.0]),
+    np.array([_NAN]), np.array([_NAN, 0.0]), np.array([_NAN, 1.0]), np.array([_INF, -_INF]),
+    np.array([[1.0, 0.0], [_NAN, 2.0]]), np.array([[1.0, -1.0], [_INF, 2.0]]), np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    np.array([[_NAN, 1.0], [3.0, 4.0]]), np.array([1, 0, -2]), np.array([3, 4]),
+    np.array(3.0), np.array(-0.0), np.array(_NAN), np.float64(0.0), np.float64(-2.0), np.bool_(False), np.bool_(True),
+])
+def test_a_c_count_tests_a_whole_array_as_ndarray_all_and_any(values):
+    # a NaN counts as nonzero and is truthy, +-0.0 count as zero and are falsy, an empty array is all and not any
+    assert _every(values) is bool(values.all())
+    assert _some(values) is bool(values.any())
+    for mask in (values > 0.0, values == 0.0, values != values):  # the masks the checks count
+        assert _every(mask) is bool(mask.all()) and _some(mask) is bool(mask.any())

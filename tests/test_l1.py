@@ -1,5 +1,7 @@
 """Unit and property tests for the finite L1 backend."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,18 @@ def test_space_validation():
         FiniteMeasureSpace([1.0, -2.0])
     with pytest.raises(ValueError):
         FiniteMeasureSpace([])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -2.0, -5e-324, -sys.float_info.max])
+def test_space_refuses_each_weight_that_is_not_finite_and_positive_by_one_message(bad):
+    # w > 0 and w <= MAX, one test: a NaN fails w > 0, inf fails w <= MAX
+    for weights in ([1.0, bad], [bad], np.array([2.0, 0.5, bad]), np.array([bad, 1.0])):
+        with pytest.raises(ValueError) as caught:
+            FiniteMeasureSpace(weights)
+        assert str(caught.value) == "all weights must be strictly positive and finite"
+    with pytest.raises(ValueError, match="one-dimensional list with n >= 1"):  # the shape is tested first
+        FiniteMeasureSpace([[1.0, bad]])
+    assert FiniteMeasureSpace([5e-324, sys.float_info.max]).n == 2  # the least and the largest weight
 
 
 def test_l1_norm_examples(uniform3):
@@ -153,6 +167,16 @@ def test_mask_from_indices_rejects_an_index_that_is_not_a_finite_integer():
         with pytest.raises(ValueError, match=r"D\[500\] must be (a finite integer|an integer in \[0, 1024\))") as caught:
             mask_from_indices(wide, good + [bad], "D")
         assert repr(bad) in str(caught.value)
+
+
+def test_mask_from_indices_names_the_first_index_out_of_range():
+    four = FiniteMeasureSpace(np.ones(4))
+    with pytest.raises(ValueError, match=r"^D\[1\] must be an integer in \[0, 4\), got 7$"):
+        mask_from_indices(four, [2, 7, -1, 4], "D")
+    with pytest.raises(ValueError, match=r"^E\[2\] must be an integer in \[0, 4\), got np.int64\(-1\)$"):
+        mask_from_indices(four, np.array([0, 3, -1, 9]), "E")
+    assert mask_from_indices(four, [], "D").tolist() == [False] * 4
+    assert mask_from_indices(four, [3, 0, 3], "D").tolist() == [True, False, False, True]
 
 
 def test_selection_always_member():

@@ -93,6 +93,19 @@ def _lp_base():
     return space, GraphPair(x, space.canonical_dual(x))
 
 
+def test_a_form_with_neither_scale_nor_tangent_is_refused():
+    space, base = _lp_base()
+    for form in ({}, {"scale": 0.0}, {"dual_tangent": base.dual}):
+        with pytest.raises(ValueError, match="an affine form needs a scale or a tangent"):
+            AffineForm(space, base, **form)
+    # a dual tangent is checked before that refusal, and a scaling checks a tangent it is given
+    with pytest.raises(ValueError, match=r"dual_tangent has shape \(2,\), but the base has \(3,\)"):
+        AffineForm(space, base, dual_tangent=np.ones(2))
+    with pytest.raises(ValueError, match="vector coordinates must be finite"):
+        AffineForm(space, base, scale=1.0, tangent=np.array([np.nan, 0.0, 0.0]))
+    assert AffineForm(space, base, scale=-1.0).tangent is None
+
+
 def test_a_tangent_of_another_length_is_refused():
     # a length-1 tangent would broadcast to (1, 1, 1) and probe along another curve
     space, base = _lp_base()

@@ -41,3 +41,38 @@ def test_src_reads_the_builtin_sum_only_where_its_result_picks_a_path():
 ])
 def test_the_sum_rule_finds_every_read_of_the_name(source, found):
     assert builtin_sum_uses(ast.parse(source), "m") == found
+
+
+# ``ndarray.all()`` / ``.any()`` and ``np.all`` / ``np.any`` cost two to three
+# times one C count on the small arrays of one element, so a whole array is
+# tested by ``coderivative._every`` / ``_some`` (``np.count_nonzero``).  A
+# reduction along an axis (``m.all(-1)``) gives one verdict per row and keeps
+# the method: ``np.count_nonzero`` along an axis costs more than it.
+def whole_array_tests(tree: ast.AST, module: str) -> list:
+    """(module, line) of each ``.all()`` / ``.any()`` call given no axis, and of each read of ``np.all`` / ``np.any``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("all", "any"):
+            if not node.args and all(k.arg != "axis" for k in node.keywords):
+                found.add((module, node.lineno))
+        if isinstance(node, ast.Attribute) and node.attr in ("all", "any"):
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                found.add((module, node.lineno))
+    return sorted(found)
+
+
+def test_src_tests_a_whole_array_by_one_c_count():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += whole_array_tests(ast.parse(path.read_text()), path.stem)
+    assert found == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("ok = (x > 0.0).all()\n", [("m", 1)]),
+    ("def f(m):\n    return not m.any(keepdims=True)\n", [("m", 2)]),
+    ("import numpy as np\nb = np.any(x)\nc = np.all(x, axis=0)\nd = list(map(np.all, xs))\n", [("m", 2), ("m", 3), ("m", 4)]),
+    ("rows = x.all(-1) | x.any(axis=1)\nok = all(v > 0.0 for v in xs) and any(xs)\n", []),
+])
+def test_the_count_rule_finds_every_whole_array_test(source, found):
+    assert whole_array_tests(ast.parse(source), "m") == found

@@ -13,12 +13,13 @@ from dualitymap import (
     FiniteMeasureSpace,
     HypothesisViolation,
     LpSpace,
+    ProbeCurve,
     Schedule,
     build_witness,
     certify_nonmembership,
     estimate_limit,
 )
-from dualitymap.coderivative import _CHECKPOINT
+from dualitymap.coderivative import _CHECKPOINT, _DEFAULT_SCHEDULE
 from dualitymap.serialize import space_from_descriptor
 from witness_draws import CLOSED_FORM_DRAWS, draw_cor48, draw_thm31, stable_seed
 
@@ -160,6 +161,20 @@ def test_thm56_refuses_a_given_point_outside_m_u_as_the_hypothesis_it_breaks():
 
 
 TENT = {"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 1.0, 0.0]}
+
+
+def test_thm56_refuses_alphas_without_points_naming_both_fields():
+    # without points the atoms sit on the shared peaks the builder finds, whose number
+    # the params cannot know: [0.5, 0.5] was refused as "alphas must pair with points",
+    # naming points never given, and [1.0] built on the one peak 0.5
+    twice = {"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 2.0, 0.0]}
+    for alphas in ([0.5, 0.5], [1.0]):
+        with pytest.raises(ValueError, match="^params give alphas without points; alphas pair with the given points, one each$"):
+            build_witness(C01Space(), "thm56", {"f": TENT, "u": twice, "alphas": alphas})
+    # with points they pair as before, and a null alphas is none
+    given = build_witness(C01Space(), "thm56", {"f": TENT, "u": twice, "points": [0.5], "alphas": [1.0]})
+    found = build_witness(C01Space(), "thm56", {"f": TENT, "u": twice, "alphas": None})
+    assert given.query.base.dual.atoms == found.query.base.dual.atoms == ((0.5, 1.0),)
 
 
 @pytest.mark.parametrize("space, theorem, params, message", [
@@ -363,3 +378,37 @@ def test_every_catalog_curve_is_affine_and_batches():
         curve = build_witness(space, s["theorem"], s.get("params", {})).curve
         # estimate_limit samples every curve with an affine form as one batch
         assert isinstance(curve.affine, AffineForm), s["theorem"]
+
+
+_BUMPS = {"thm31": draw_thm31, **{t: CLOSED_FORM_DRAWS[t] for t in ("thm45_case2", "thm46", "thm47", "cor48")}}
+
+
+@pytest.mark.parametrize("n", [None, 1024])
+@pytest.mark.parametrize("theorem", sorted(_BUMPS))
+def test_a_tangent_the_builder_made_gives_the_curve_bits_of_a_checked_one(theorem, n):
+    # the bump builders hand their own e_m and +-chi_D (and thm46 its checked
+    # selection) to AffineForm._of_made, which checks nothing; the form passes
+    # every check of the constructor and samples the same floats
+    rng = np.random.default_rng(stable_seed(f"made-{theorem}-{n}"))
+    ts = np.array(_DEFAULT_SCHEDULE._ts)
+    for _ in range(4):
+        space, params, _ = _BUMPS[theorem](rng, n)
+        witness = build_witness(space, theorem, params)
+        made = witness.curve.affine
+        checked = AffineForm(space, made.base, tangent=made.tangent, dual_tangent=made.dual_tangent)
+        assert type(made) is AffineForm and made.scale == 0.0 and np.isfinite(made.tangent).all()
+        one, other = made.at(ts[3]), checked.at(ts[3])
+        for got, want in zip((*made.rows(ts), one.point, one.dual), (*checked.rows(ts), other.point, other.dual)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        curve = ProbeCurve(witness.curve.curve_id, t_max=witness.curve.t_max, affine=checked)
+        a = certify_nonmembership(witness.query, witness.curve, witness.claimed_bound)
+        b = certify_nonmembership(witness.query, curve, witness.claimed_bound)
+        assert [q.hex() for q in a.estimate.quotients] == [q.hex() for q in b.estimate.quotients]
+
+
+def test_thm46_refuses_a_selection_past_the_float_range():
+    # mu(D) overflows to inf: the selection +-sigma mu(D) is the one value of the bump it still checks;
+    # the sums of mu(D) and <k*, chi_D> used to warn on the way
+    space = FiniteMeasureSpace([1e308, 1e308, 1.0])
+    with pytest.raises(ValueError, match="^values must be finite$"):
+        build_witness(space, "thm46", {"k_star": [1.0, 1.0, 0.0], "D": [0, 1]})
