@@ -35,12 +35,10 @@ atoms on f's grid with one ``searchsorted``: where they all sit on
 breakpoints and there is no density (most probe curves), it reads f's
 values there by index.  Otherwise, on one grid, it pairs in Python floats
 while rows times atoms plus twice the breakpoints of f and of a density
-are at most ``_FLOAT_COST``: one function is read at the
-atoms by one ``np.interp`` call, and a batch only at the two columns of
-each atom's segment, by the kernel's formula; a density is paired over the
-union of the two grids, f's own values read as they are and interpolated
-only at the density's breakpoints.  Past that size, and for a stack, one
-numpy pass interpolates f at every atom and on the union grid.
+are at most ``_FLOAT_COST``, reading each row of f by one ``np.interp``
+call at the atoms and, with a density, on the union of the two grids.
+Past that size, and for a stack, one numpy pass interpolates f at every
+atom and on the union grid.
 ``atomic_duality_measure`` and ``peak_points`` evaluate f at all their
 points with one ``np.interp`` call.  Every check of a grid, of values and
 of weights tests its array by one C count (``coderivative._every``).  At
@@ -82,12 +80,12 @@ one element and a batch and returns a Python float for one element.  Only
 ``C01Space`` methods and ``pwl_rows`` build batches, and they check them
 as they build them; the other public constructors take one element.
 Work that every row shares is done once per batch: grid unions, segment
-indices, interpolation indices, and the values of a fixed function such as
-the second-dual argument.  Each row is bitwise its per-element result:
-interpolation follows the C kernel of ``np.interp`` (its ``x == xp[j]``
-branch and NaN fallbacks included), atom and density terms are summed left
-to right from 0.0, and an absent atom or a zero density segment adds +0.0,
-which leaves such a total unchanged.
+indices, and the values of a fixed function such as the second-dual
+argument.  Each row is bitwise its per-element result: a batch on one grid
+is read by ``np.interp`` itself, one call per row, as one function is;
+atom and density terms are summed left to right from 0.0, and an absent
+atom or a zero density segment adds +0.0, which leaves such a total
+unchanged.
 
 Stacks: the suite evaluates many functions, each on its own grid, as one
 ``PwlFunction`` from ``pwl_rows`` (or ``pwl_padded_rows``, for grids
@@ -108,11 +106,13 @@ measures.  The pairing with a stack reads it at the atoms present only.
 The difference subtracts weight by weight where the two rows of locations
 agree and hold at most one atom at a location, and otherwise merges each
 row's atoms as ``RcaMeasure`` merges atoms; densities stay on shared grids.
-Interpolation on a grid per row finds each point's segment as the first
-breakpoint above it, exact and cheap at these widths, for a row of points
-each or for points that each name their row.  On one element
-``maximizing_set`` walks only the maximizers, at a third of the cost of
-the masks.
+A stack is read by a copy of the C kernel of ``np.interp``
+(``_interp_rows``, its ``x == xp[j]`` branch and NaN fallbacks included),
+which ``np.interp`` cannot do with one grid per row; it finds each point's
+segment as the first breakpoint above it, exact and cheap at these widths,
+for a row of points each or for points that each name their row.  On one
+element ``maximizing_set`` walks only the maximizers, at a third of the
+cost of the masks.
 """
 
 from __future__ import annotations
@@ -185,9 +185,12 @@ class PwlFunction:
         _check_one(self)
 
     def __call__(self, s):
-        if self.values.ndim == 1:
-            return np.interp(s, self.breakpoints, self.values)
-        return _interp_rows(s, self.breakpoints, self.values)
+        bp, v = self.breakpoints, self.values
+        if bp.ndim > 1:
+            return _interp_rows(s, bp, v)
+        if v.ndim == 1:
+            return np.interp(s, bp, v)
+        return np.array([np.interp(s, bp, row) for row in v])
 
 
 def pwl_constant(c: float) -> PwlFunction:
@@ -718,7 +721,8 @@ def pairing_c(mu: RcaMeasure, f: PwlFunction):
     values are finite, so an absent atom's term is 0 v = +-0.0, which adds
     to the total as +0.0 does.  Any other pairing on one grid goes in Python
     floats (``_float_pairing``) up to the size ``_FLOAT_COST``, and past it
-    in one numpy pass; both give these terms and sums bit for bit.
+    in one numpy pass; both read f by ``np.interp``, one call per row, and
+    give these terms and sums bit for bit.
     """
     return _quiet(_pairing, mu, f)
 
@@ -773,43 +777,35 @@ _FLOAT_COST = 64
 def _float_pairing(mu: RcaMeasure, f: PwlFunction, rows: int) -> list:
     """The ``_pairing`` of mu and f on one grid, one Python float total per row of ``rows``.
 
-    Each total adds up, left to right from 0.0, the terms w f(s) of the
-    atoms present and then the terms of the density's nonzero segments on
-    the union of the two grids, where f is read as ``np.interp`` reads it
-    (``_values_at``).  A segment of the union grid takes the density of the
-    segment of its own grid that holds its midpoint, as
-    ``StepDensity.values_on`` finds it.  These are ``_pairing``'s numpy
-    terms and sum, bit for bit: an absent atom or a zero density segment
-    adds +0.0 there, which leaves a total that starts at +0.0 unchanged.
+    Each row of f is read by one ``np.interp`` call, at the atoms and, with
+    a density, on the union of the two grids.  Each total adds up, left to
+    right from 0.0, the terms w f(s) of the atoms present and then the terms
+    of the density's nonzero segments on the union grid; a segment of the
+    union grid takes the density of the segment of its own grid that holds
+    its midpoint, as ``StepDensity.values_on`` finds it.  These are
+    ``_pairing``'s numpy terms and sum, bit for bit: an absent atom or a
+    zero density segment adds +0.0 there, which leaves a total that starts
+    at +0.0 unchanged.
     """
-    d = mu.density
+    d, at, bp = mu.density, mu.locations, f.breakpoints
+    if d is not None:
+        own = d.breakpoints.tolist()
+        grid = sorted(set(bp.tolist()).union(own))  # np.union1d
+        at = np.concatenate([at, grid])
+    values = _repeat([np.interp(at, bp, v).tolist() for v in (f.values if f.values.ndim > 1 else [f.values])], rows)
     totals = []
-    for weights, values in zip(_repeat(_lists(mu.weights), rows), _values_at(mu.locations, f, rows)):
+    for weights, v in zip(_repeat(_lists(mu.weights), rows), values):
         total = 0.0
-        for w, v in zip(weights, values):
+        for w, value in zip(weights, v):  # the atoms, the first values of v
             if w != 0.0:  # an absent atom adds +0.0, not 0 * inf = NaN
-                total += w * v
+                total += w * value
         totals.append(total)
     if d is None:
         return totals
-    bp, own = f.breakpoints.tolist(), d.breakpoints.tolist()
-    grid = sorted(set(bp).union(own))  # np.union1d
-    on_f = set(bp)
-    # the density's own breakpoints inside a segment j of f, where f is interpolated
-    inside = [(k, s, bisect_right(bp, s) - 1) for k, s in enumerate(grid) if s not in on_f]
-
-    def on_grid(v: list) -> list:
-        """f's values on the union grid, from its values ``v`` on its own."""
-        between = [_interp_at(s, bp[j], bp[j + 1], v[j], v[j + 1]) for _, s, j in inside]
-        for (k, _, _), value in zip(inside, between):  # in increasing k, so each lands at its place
-            v.insert(k, value)
-        return v
-
-    hi = len(own) - 1
-    segments = [(k, bisect_right(own, 0.5 * (a + b), 1, hi) - 1, b - a) for k, (a, b) in enumerate(zip(grid, grid[1:]))]
+    n, hi = mu.locations.size, len(own) - 1
+    segments = [(n + k, bisect_right(own, 0.5 * (a + b), 1, hi) - 1, b - a) for k, (a, b) in enumerate(zip(grid, grid[1:]))]
     terms = [[(k, dens[m] * width * 0.5) for k, m, width in segments if dens[m] != 0.0] for dens in _lists(d.values)]
-    values = [on_grid(v) for v in _lists(f.values)]
-    for r, (row_terms, v) in enumerate(zip(_repeat(terms, rows), _repeat(values, rows))):
+    for r, (row_terms, v) in enumerate(zip(_repeat(terms, rows), values)):
         total = totals[r]
         for k, c in row_terms:
             total += c * (v[k] + v[k + 1])
@@ -829,43 +825,6 @@ def _repeat(lists: list, rows: int) -> list:
     if len(lists) == 1:
         return lists * rows
     raise ValueError(f"a batch of {len(lists)} rows does not pair with one of {rows}")
-
-
-def _values_at(x: np.ndarray, f: PwlFunction, rows: int) -> list:
-    """f's values at the points x of [0,1] as ``np.interp`` finds them, a list of Python floats per row.
-
-    One function is read by ``np.interp``.  A batch on one grid is read at
-    the two columns of each point's segment alone, by the kernel's formula
-    (``_interp_at``), and not at every breakpoint.
-    """
-    bp, v = f.breakpoints, f.values
-    if v.ndim == 1:
-        return [np.interp(x, bp, v).tolist()] * rows
-    j = bp.searchsorted(x, side="right") - 1  # bp[j] <= x < bp[j + 1]
-    n = x.size
-    cols = np.concatenate([j, np.minimum(j + 1, bp.size - 1)])
-    ends = bp[cols].tolist()
-    segments = list(zip(x.tolist(), ends[:n], ends[n:], range(n)))
-    return _repeat([[_interp_at(s, x0, x1, c[i], c[n + i]) for s, x0, x1, i in segments] for c in v[..., cols].tolist()], rows)
-
-
-def _interp_at(x: float, x0: float, x1: float, left: float, right: float) -> float:
-    """``np.interp`` at x of the segment from (x0, left) to (x1, right), x0 <= x < x1, in Python floats.
-
-    The C kernel's rules: fp[j] on the breakpoint; slope * (x - x0) + left
-    between, or from the right end when that is NaN, or ``left`` when that
-    is NaN too and both ends are equal.  Python floats give inf or NaN
-    without a warning, as the kernel does.
-    """
-    if x == x0:
-        return left
-    slope = (right - left) / (x1 - x0)
-    value = slope * (x - x0) + left
-    if value != value:
-        value = slope * (x - x1) + right
-        if value != value and left == right:
-            value = left
-    return value
 
 
 @dataclass(frozen=True)
@@ -1018,37 +977,29 @@ def take_rows(v, rows):
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray, rows=None) -> np.ndarray:
-    """``np.interp(x, xp, row)`` for each row of ``fp``, by the rules of numpy's C kernel.
+    """``np.interp(x[i], xp[i], fp[i])`` for each row i of a stack, by the rules of numpy's C kernel.
 
     At or past an end, or on a breakpoint, the value there; in between
     slope * (x - xp[j]) + fp[j], or from the right end when that is NaN, or
     fp[j] when that is NaN too and both ends are equal.  The kernel raises
-    no floating-point warnings, so neither does this.  With one grid per
-    row of ``xp`` (padded by ``pwl_rows``), ``x`` holds each row's points,
-    or, given ``rows``, ``x[i]`` is a point of row ``rows[i]``.
+    no floating-point warnings, so neither does this.  ``xp`` holds one grid
+    per row (padded by ``pwl_rows``) and ``x`` each row's points, or, given
+    ``rows``, ``x[i]`` is a point of row ``rows[i]``.  A function on one
+    grid is read by ``np.interp`` itself.
     """
     last = xp.shape[-1] - 1
-    if xp.ndim > 1:
-        each = rows is None
-        if each:
-            rows = np.arange(xp.shape[0])[:, None]
-        # a grid never decreases along its row, so its breakpoints at or below x come first
-        below = xp[rows] <= x[..., None]
-        j = np.where(below[..., -1], last, below.argmin(-1) - 1)  # xp[j] <= x < xp[j + 1]
-        on = np.maximum(j, 0)
-        out = fp[rows, on]
-        at = ((j >= 0) & (j < last) & (xp[rows, on] != x)).nonzero()
-        if at[0].size:
-            r, k = at[0] if each else rows[at], j[at]
-            out[at] = _between(x[at], xp[r, k], xp[r, k + 1], fp[r, k], fp[r, k + 1])
-        return out
-    j = xp.searchsorted(x, side="right") - 1  # xp[j] <= x < xp[j + 1]
+    each = rows is None
+    if each:
+        rows = np.arange(xp.shape[0])[:, None]
+    # a grid never decreases along its row, so its breakpoints at or below x come first
+    below = xp[rows] <= x[..., None]
+    j = np.where(below[..., -1], last, below.argmin(-1) - 1)  # xp[j] <= x < xp[j + 1]
     on = np.maximum(j, 0)
-    out = fp[:, on]
-    between = ((j >= 0) & (j < last) & (xp[on] != x)).nonzero()[0]
-    if between.size:
-        k = j[between]
-        out[:, between] = _between(x[between], xp[k], xp[k + 1], fp[:, k], fp[:, k + 1])
+    out = fp[rows, on]
+    at = ((j >= 0) & (j < last) & (xp[rows, on] != x)).nonzero()
+    if at[0].size:
+        r, k = at[0] if each else rows[at], j[at]
+        out[at] = _between(x[at], xp[r, k], xp[r, k + 1], fp[r, k], fp[r, k + 1])
     return out
 
 

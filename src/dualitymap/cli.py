@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -142,6 +143,25 @@ def _load_scenarios(path: Path):
     return built, tolerances, out
 
 
+def _write_json(path: Path, obj) -> None:
+    """Write obj to path as indented JSON, streamed into a file beside it that then replaces it.
+
+    The text is never held whole.  A value JSON cannot hold, or any other
+    error, removes that file, so the target is either written whole or
+    left as it was; an error of the file system names the target.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, indent=2, allow_nan=False)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
+
+
 def cmd_run(args) -> int:
     out = _out_option(args)
     path = Path(args.scenario_file)
@@ -152,9 +172,7 @@ def cmd_run(args) -> int:
     ]
 
     out_path = Path(out or file_out or path.with_suffix(".certificates.json"))
-    # written only once every certificate is made, and encoded whole first, so
-    # a value JSON cannot hold leaves no part of a file
-    out_path.write_text(json.dumps(records, indent=2, allow_nan=False))
+    _write_json(out_path, records)  # only once every certificate is made
 
     print(f"{'theorem':<14}{'bound':>14}{'limit':>18}  verdict")
     for r in records:
@@ -176,7 +194,7 @@ def cmd_suite(args) -> int:
     report = SuiteReport(
         battery.space, battery.seed, battery.sample_count, battery.records + extra
     )
-    out_path.write_text(json.dumps(report.to_json(), indent=2, allow_nan=False))
+    _write_json(out_path, report.to_json())
     for rec in report.records:
         status = "pass" if rec.passed else "FAIL"
         extra = "" if rec.applicable else " (not applicable)"

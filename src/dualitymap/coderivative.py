@@ -97,6 +97,12 @@ CERT_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-9
 # The last quotients of a schedule that the limit estimate averages and the verdict tests.
 _TAIL = 3
+# The least k for which the distance to the base pair may fall like t**k over
+# the last two samples of a verdict that is not inconclusive.  A curve that
+# converges to another graph point reads k near 0 (below 1e-6 on two curves
+# that certified a member by moving toward its base alone); every catalog
+# curve reads k = 1 within 2e-10 on the fixture and the pinned benchmark decks.
+_REACH = 0.5
 # Upper bound on Schedule.steps, the most samples an estimate takes (24 for the default schedule).
 MAX_STEPS = 100
 # Samples between two tests of whether an estimate may stop, and the least
@@ -531,10 +537,11 @@ def default_schedule(t_max: float) -> Schedule:
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    """Sampled quotients plus the tail estimate of their limit."""
+    """Sampled quotients, each sample's distance to the base pair, and the tail estimate of the limit."""
 
     ts: tuple
     quotients: tuple
+    distances: tuple
     limit: float
     settled: bool
     settle_tol: float
@@ -649,7 +656,8 @@ def estimate_limit(
     the rule of ``_tail_estimate``; otherwise it goes on, up to the
     schedule's ``steps``.  A quotient that is not finite fails the estimate
     wherever the sampling stops, so the rule does not test it.  The
-    estimate holds the t sampled and their quotients; its limit is the mean
+    estimate holds the t sampled, their quotients and their distances to
+    the base pair; its limit is the mean
     of the last three, ``settled`` when their spread is at most
     ``tolerances.settle_tol``, and each sampled pair must pass ``is_member``
     within ``tolerances.membership_tol``.  A schedule whose t0 exceeds the
@@ -700,11 +708,15 @@ def estimate_limit(
         )
     if not all(map(math.isfinite, qs)):
         raise ValueError(f"curve {curve.curve_id} gives a difference quotient that is not finite")
-    return LimitEstimate(ts[:len(qs)], tuple(qs), limit, settled, settle_tol, shrunk)
+    return LimitEstimate(ts[:len(qs)], tuple(qs), tuple(dists), limit, settled, settle_tol, shrunk)
 
 
 def _verdict(estimate: LimitEstimate, claimed_bound: float | None, cert_tol: float) -> str:
-    if not estimate.settled:
+    """The verdict of ``certify_nonmembership`` on an estimate: inconclusive unless it settled and reached its base."""
+    (t_prev, t_last), (d_prev, d_last) = estimate.ts[-2:], estimate.distances[-2:]
+    # the exponent k of a distance that falls like t**k over the last two samples
+    falls = (math.log(d_last) - math.log(d_prev)) / (math.log(t_last) - math.log(t_prev))
+    if not (estimate.settled and falls >= _REACH):
         return VERDICT_INCONCLUSIVE
     tail = estimate.tail()
     if not all(q > 0.0 for q in tail):
@@ -732,7 +744,10 @@ def certify_nonmembership(
     claimed), each tolerance read from ``tolerances``.  A tail settled
     within 1.5 ``cert_tol`` meets the margin whenever its mean meets the
     bound.  An unsettled estimate is ``inconclusive``, never a false
-    certificate.
+    certificate, and so is one whose distance to the base pair falls more
+    slowly than t**``_REACH`` over its last two samples: the curve may
+    converge to another graph point, where the quotient says nothing of
+    the base.
     """
     estimate = estimate_limit(query, curve, schedule, tolerances)
     verdict = _verdict(estimate, claimed_bound, tolerances.cert_tol)
@@ -750,7 +765,7 @@ def reverify_certificate(cert: NonMembershipCertificate) -> bool:
 
     Recomputes the tail estimate and the verdict, by the rule of
     ``certify_nonmembership`` and its soundness margin, from the recorded
-    quotients, and compares them with the stored ones.
+    quotients and distances, and compares them with the stored ones.
     """
     est = cert.estimate
     limit, settled = _tail_estimate(est.quotients, est.settle_tol)

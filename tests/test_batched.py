@@ -464,18 +464,24 @@ def test_c01_batched_path_keeps_every_check():
                 Schedule(0.9, 0.5, 24))
 
 
-def test_row_interp_is_np_interp():
-    rng = np.random.default_rng(3)
-    xp = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.6, 0.6 + 1e-9, 1.0])
-    fp = rng.uniform(-3.0, 3.0, (6, xp.size))
-    fp[1, 2:4] = [1e300, -1e300]
-    fp[2, 4:6] = [-1e300, 1e300]  # an infinite slope inside the segment
-    fp[3, :2] = np.inf  # a NaN slope, and then a NaN from the right end too
-    fp[4, 4:6] = [np.inf, -np.inf]
-    fp[5, 1] = np.nan
-    x = np.concatenate([xp, rng.uniform(0.0, 1.0, 20), [0.1, 0.6 + 5e-10, -0.5, 1.5]])
-    for row, got in zip(fp, c01._interp_rows(x, xp, fp)):
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in np.interp(x, xp, row).tolist()]
+def test_each_row_of_a_batch_on_one_grid_reads_as_that_row_alone():
+    # a batch used to raise at a scalar (ValueError) and at a list (TypeError)
+    rng = np.random.default_rng(stable_seed("batch read at points"))
+    bp = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.6, 0.6 + 1e-9, 1.0])
+    values = rng.uniform(-3.0, 3.0, (5, bp.size))
+    values[1, 4:6] = [-1e300, 1e300]  # a slope past the float range: inf inside the segment
+    values[2, 2:4] = [1e300, -1e300]
+    batch = c01._on_checked_grid(PwlFunction, bp, values)
+    points = np.concatenate([bp, rng.uniform(0.0, 1.0, 12), [0.1, 0.6 + 5e-10]])
+    for s in (0.25, 0.6 + 5e-10, points.tolist(), points):
+        got = batch(s)
+        assert got.shape == (5,) + np.shape(s)
+        for i, row in enumerate(values):
+            want = np.asarray(PwlFunction(bp, row)(s))
+            assert [v.hex() for v in np.atleast_1d(got[i]).tolist()] == [v.hex() for v in np.atleast_1d(want).tolist()]
+    # the public route to a batch: a column of factors
+    scaled = c01.pwl_scale(c01.pwl_tent(), np.array([[1.0], [2.0]]))
+    assert scaled(0.25).tolist() == [0.5, 1.0] and scaled([0.25, 0.5]).tolist() == [[0.5, 1.0], [1.0, 2.0]]
 
 
 def test_row_interp_on_a_grid_per_row_is_np_interp():

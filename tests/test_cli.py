@@ -1,6 +1,7 @@
 """CLI behavior: output formats, exit codes, certificate files."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -674,6 +675,38 @@ def test_a_bound_that_overflows_exits_2_naming_it_and_writes_no_file(tmp_path, c
     path.write_text(json.dumps({"scenarios": [scenario]}))
     assert main(["run", str(path)]) == 2
     assert "scenarios[0]: lambda[0,1] must be a finite number, got inf" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_an_unencodable_record_leaves_neither_the_target_nor_a_temporary_file(tmp_path, capsys, monkeypatch):
+    # the records are streamed into a file beside the target, which replaces it only once written whole;
+    # a NaN in the last record is met after the first ones are written, and that file is removed
+    to_json = serialize.certificate_to_json
+    calls = []
+
+    def last_nan(cert, echo):
+        calls.append(echo)
+        record = to_json(cert, echo)
+        return {**record, "estimated_limit": math.nan} if len(calls) == 2 else record
+
+    monkeypatch.setattr(cli.serialize, "certificate_to_json", last_nan)
+    path, out = tmp_path / "two.json", tmp_path / "out.json"
+    path.write_text(json.dumps([_THM31, _THM31]))
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+    out.write_text("kept")  # a target that was there keeps its bytes
+    calls.clear()
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert sorted(tmp_path.iterdir()) == [out, path] and out.read_text() == "kept"
+
+
+def test_an_out_in_a_missing_directory_exits_2_naming_it(tmp_path, capsys):
+    # the file is written beside the target first; the refusal names the target, not that file
+    path, out = tmp_path / "one.json", tmp_path / "missing" / "out.json"
+    path.write_text(json.dumps([_THM31]))
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
     assert list(tmp_path.iterdir()) == [path]
 
 

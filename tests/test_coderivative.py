@@ -209,7 +209,7 @@ def test_certificate_tamper_detected(l2):
     est = cert.estimate
     forged = NonMembershipCertificate(
         cert.curve_id,
-        LimitEstimate(est.ts, est.quotients, 0.9, est.settled, est.settle_tol),
+        LimitEstimate(est.ts, est.quotients, est.distances, 0.9, est.settled, est.settle_tol),
         cert.claimed_bound,
         cert.cert_tol,
         cert.verdict,
@@ -314,7 +314,8 @@ def test_reverify_refuses_a_certified_tail_below_the_margin():
     # tail quotient must also be at least the bound minus twice cert_tol
     def certified(low):
         quotients = (5.0, 3.0, 1.0 + 2e-6, 1.0 + 2e-6, low)
-        est = LimitEstimate((0.25, 0.125, 0.0625, 0.03125, 0.015625), quotients, sum(quotients[-3:], 0.0) / 3, True, 1e-5)
+        ts = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
+        est = LimitEstimate(ts, quotients, ts, sum(quotients[-3:], 0.0) / 3, True, 1e-5)  # distances that fall like t
         return NonMembershipCertificate("bump", est, 1.0, 1e-6, "certified")
 
     assert reverify_certificate(certified(1.0 - 1.5e-6))
@@ -330,7 +331,7 @@ def test_the_verdict_never_certifies_a_tail_the_reverification_refuses():
     for bound, cert_tol in ((1.0, 1e-6), (1e3, 1e-3), (0.5, 1e-9)):
         for tail, settle in zip(bound + cert_tol * rng.uniform(-3.0, 3.0, (400, 3)), rng.uniform(0.0, 6.0, 400)):
             limit, settled = _tail_estimate(tuple(tail), settle * cert_tol)
-            est = LimitEstimate(ts, tuple(tail), limit, settled, settle * cert_tol)
+            est = LimitEstimate(ts, tuple(tail), ts, limit, settled, settle * cert_tol)  # distances that fall like t
             verdict = _verdict(est, bound, cert_tol)
             assert reverify_certificate(NonMembershipCertificate("draw", est, bound, cert_tol, verdict))
             if verdict == "certified":
@@ -358,11 +359,29 @@ def test_certify_and_reverify_agree_on_a_tail_below_the_margin(l2):
     assert cert.verdict == "not_certified" and reverify_certificate(cert)
 
 
+@pytest.mark.parametrize("x, eps, schedule", [([1.0, 0.0], 3e-5, Schedule(1e-9, 0.5, 8)), ([1e-7, 0.0], 1e-8, None)])
+def test_a_curve_that_ends_at_another_graph_point_is_inconclusive(x, eps, schedule):
+    # for p = 2 J is the identity, so D*J(x)(y**) = {y**} and z* = y** is a member: a certificate is false.
+    # u_t* = (1 + t) x + (0, eps) passes every membership test (gaps near eps**2 / 2), and its distance
+    # to the base falls to eps, not to 0, so the quotient settles near 1: both were certified, with
+    # limits 0.9999994 and 0.9999993, by a rule that only asked the last distance to fall
+    l2, x, y = LpSpace(2.0), np.array(x), np.array([0.0, -1.0])
+    query = CoderivativeQuery(l2, GraphPair(x, x.copy()), y, y.copy())
+    curve = ProbeCurve("offset", lambda t: GraphPair((1.0 + t) * x, (1.0 + t) * x + np.array([0.0, eps])), t_max=1.0)
+    cert = certify_nonmembership(query, curve, None, schedule)
+    est = cert.estimate
+    assert cert.verdict == "inconclusive" and est.settled and est.limit == pytest.approx(1.0, abs=1e-6)
+    assert est.distances[-1] < est.distances[-2]
+    assert math.log(est.distances[-1] / est.distances[-2]) / math.log(est.ts[-1] / est.ts[-2]) < 1e-5
+    assert reverify_certificate(cert)
+    assert not reverify_certificate(replace(cert, verdict="certified"))
+
+
 def _settled_tail(*tail):
     ts = tuple(0.25 * 0.5**k for k in range(len(tail)))
     limit, settled = _tail_estimate(tail, 1e-6)
     assert settled
-    return LimitEstimate(ts, tail, limit, settled, 1e-6)
+    return LimitEstimate(ts, tail, ts, limit, settled, 1e-6)  # distances that fall like t
 
 
 def test_a_zero_tail_certifies_no_bound():

@@ -17,7 +17,6 @@ import json
 import math
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -580,22 +579,6 @@ def test_a_steep_segment_pairs_as_the_per_atom_sum_with_an_absent_atom_where_f_r
     # on rows 0 and 2 f is steep: the absent atom at inf adds nothing, not 0 * inf = NaN; a present one makes -inf
     got = C01Space().pair(c01._measure(at, weights), f).tolist()
     assert math.isfinite(got[0]) and got[2] == -math.inf
-
-
-def test_values_at_points_are_np_interp_with_its_nan_fallbacks():
-    rng = np.random.default_rng(stable_seed("values at"))
-    xp = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.6, 0.6 + 1e-9, 1.0])
-    fp = rng.uniform(-3.0, 3.0, (6, xp.size))
-    fp[1, 2:4] = [1e300, -1e300]
-    fp[2, 4:6] = [-1e300, 1e300]  # a slope past the float range: inf inside the segment
-    fp[3, :2] = np.inf  # a NaN slope, then a NaN from the right end too, with equal ends
-    fp[4, 4:6] = [np.inf, -np.inf]
-    fp[5, 1] = np.nan
-    x = np.concatenate([xp, rng.uniform(0.0, 1.0, 20), [0.1, 0.6 + 5e-10]])
-    got = c01._values_at(x, SimpleNamespace(breakpoints=xp, values=fp), 6)
-    for row, values in zip(fp, got):
-        assert [v.hex() for v in values] == [v.hex() for v in np.interp(x, xp, row).tolist()]
-    assert c01._interp_at(0.1, 0.0, 0.25, math.inf, math.inf) == math.inf
 
 
 def test_batches_of_unequal_rows_are_refused_on_both_paths(monkeypatch):
